@@ -7,11 +7,19 @@ Single-layer representation with the quasi-periodic kernel,
 discretized by Nystrom collocation at N uniform parameter nodes.  The kernel
 splits as ``A(t,s) ln(4 sin^2(pi (t-s))) + B(t,s)`` with both factors smooth
 and 1-periodic: A carries the logarithmic singularity of the local
-free-space copy (windowed away from the seam |t-s| = 1/2), and B is
-evaluated through the near-line form of the spectral series, which stays
-accurate for arbitrarily small vertical gaps.  The log factor is integrated
-with the spectrally accurate product-trapezoid rule for log kernels, the
-smooth factor with the plain trapezoid rule.
+free-space copy (windowed away from the seam |t-s| = 1/2), and B is the
+kernel minus that part.  The log factor is integrated with the spectrally
+accurate product-trapezoid rule for log kernels, the smooth factor with the
+plain trapezoid rule.
+
+Kernel values come from one :class:`~qpelastic.green2d.RemainderTable` per
+system, built when the system is assembled and kept on the solution: pairs
+with vertical gap |d| <= NEAR_GAP read the smooth remainder
+R = G + Phi/(2 pi) from the table and subtract the closed-form free-space
+tensor Phi/(2 pi); pairs beyond take the plain spectral series.  The
+on-diagonal finite part uses R(0, 0) from the same table.  The Abel-Plana
+near-line evaluator builds the table and serves the isolated near pairs of
+gradient evaluations.
 
 First-kind formulation by design: spurious interior resonances are detected
 through a condition estimate, not cured.
@@ -26,7 +34,7 @@ from scipy.linalg import lapack, lu_factor, lu_solve
 from scipy.special import j0, j1
 
 from .errors import ResonanceSuspected, TooCloseToBoundary
-from .green2d import green2d_near_line_batch, regularized_at_origin
+from .green2d import RemainderTable, green2d_near_line_batch, remainder_table
 from .medium import ElasticMedium, QuasiMomentum
 
 EULER_GAMMA = 0.5772156649015328606
@@ -294,6 +302,7 @@ class ScatterSolution:
     normal: np.ndarray        # (N, 2), upward
     density: np.ndarray       # (N, 2) complex
     cond_estimate: float
+    table: RemainderTable     # kernel table of the system, reused after the solve
 
     @property
     def arc_length(self) -> float:
@@ -309,8 +318,8 @@ def _geometry(profile: ProfileCurve2, t):
     return pts, jac, nu
 
 
-def _kernel_split(medium, q, t_rows, pts_rows, t_cols, pts_cols, jac_cols,
-                  r00, phi_reg_rows=None):
+def _kernel_split(table: RemainderTable, t_rows, pts_rows, t_cols, pts_cols, jac_cols,
+                  phi_reg_rows=None):
     """A (log coefficient) and B (smooth remainder) matrices of the kernel.
 
     Rows are collocation points (may be off-node), columns the quadrature
@@ -318,13 +327,13 @@ def _kernel_split(medium, q, t_rows, pts_rows, t_cols, pts_cols, jac_cols,
     rows that coincide with columns (the on-node case); pass None when the
     row set avoids all columns.
     """
-    alpha = q.alpha
+    medium = table.medium
     nr, nc = len(t_rows), len(t_cols)
     dt = t_rows[:, None] - t_cols[None, :]
     tau = dt - np.round(dt)
     nstar = np.round(dt).astype(int)
     d = pts_rows[:, 1][:, None] - pts_cols[:, 1][None, :]
-    phase = np.exp(1j * alpha * nstar)
+    phase = np.exp(1j * table.alpha * nstar)
 
     diag_mask = np.zeros((nr, nc), dtype=bool)
     if phi_reg_rows is not None:
@@ -337,10 +346,8 @@ def _kernel_split(medium, q, t_rows, pts_rows, t_cols, pts_cols, jac_cols,
     A = -(chi * phase)[..., None, None] * a_log * jac_cols[None, :, None, None] / (4 * np.pi)
 
     # kernel values off the diagonal
-    tau_flat = tau[~diag_mask]
-    d_flat = d[~diag_mask]
     G = np.zeros((nr, nc, 2, 2), dtype=complex)
-    G[~diag_mask] = green2d_near_line_batch(medium, alpha, tau_flat, d_flat)
+    G[~diag_mask] = table.green(tau[~diag_mask], d[~diag_mask])
     K = phase[..., None, None] * G * jac_cols[None, :, None, None]
 
     lnterm = np.zeros((nr, nc))
@@ -348,6 +355,7 @@ def _kernel_split(medium, q, t_rows, pts_rows, t_cols, pts_cols, jac_cols,
     B = K - A * lnterm[..., None, None]
 
     if phi_reg_rows is not None:
+        r00 = table.remainder(0.0, 0.0)[0]
         a0 = _log_coeff(medium, np.zeros(nr), np.zeros(nr))
         for i in range(nr):
             ji = jac_cols[i]
@@ -364,9 +372,9 @@ def _build_system(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve
     fp = profile.df(t)
     that = np.stack([np.ones_like(fp), fp], axis=-1) / jac[:, None]
 
-    r00 = regularized_at_origin(medium, q.alpha)
+    table = remainder_table(medium, q.alpha)
     phi_reg = np.array([_phi_reg_diag(medium, that[i]) for i in range(N)])
-    A, B = _kernel_split(medium, q, t, pts, t, pts, jac, r00, phi_reg_rows=phi_reg)
+    A, B = _kernel_split(table, t, pts, t, pts, jac, phi_reg_rows=phi_reg)
 
     w = log_quadrature_weights(N)
     idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
@@ -379,7 +387,7 @@ def _build_system(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve
     cond = 1.0 / max(rcond, 1e-300)
     if cond > COND_LIMIT:
         raise ResonanceSuspected(cond)
-    return dict(t=t, pts=pts, jac=jac, nu=nu, lu=(lu, piv), cond=cond)
+    return dict(t=t, pts=pts, jac=jac, nu=nu, lu=(lu, piv), cond=cond, table=table)
 
 
 def solve_dirichlet(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve2,
@@ -409,7 +417,7 @@ def solve_dirichlet_multi(medium: ElasticMedium, q: QuasiMomentum,
         rhs = -inc.eval(medium, q, sysd["pts"]).reshape(-1)
         psi = lu_solve(sysd["lu"], rhs).reshape(N, 2)
         out.append(ScatterSolution(medium, q, profile, inc, N, sysd["t"], sysd["pts"],
-                                   sysd["jac"], sysd["nu"], psi, sysd["cond"]))
+                                   sysd["jac"], sysd["nu"], psi, sysd["cond"], sysd["table"]))
     return out
 
 
@@ -420,9 +428,7 @@ def boundary_residual(sol: ScatterSolution, n_check: int | None = None) -> float
         n_check = 2 * N
     tc = (np.arange(n_check) + 0.37) / n_check
     pc, jc, _ = _geometry(sol.profile, tc)
-    r00 = regularized_at_origin(sol.medium, sol.q.alpha)
-    A, B = _kernel_split(sol.medium, sol.q, tc, pc, sol.nodes, sol.points,
-                         sol.jacobian, r00)
+    A, B = _kernel_split(sol.table, tc, pc, sol.nodes, sol.points, sol.jacobian)
     Wfull = np.stack([log_quadrature_weights_at(ti, sol.nodes) for ti in tc])
     Mat = Wfull[..., None, None] * A + B / N
     u_sc = np.einsum("cnab,nb->ca", Mat, sol.density)
@@ -435,7 +441,8 @@ def eval_scattered(sol: ScatterSolution, X, need_gradient: bool = False):
     """Scattered field (and gradient) at points X away from the boundary.
 
     Trapezoid quadrature of the representation; requires a clearance of
-    ``10 * arc_length / N`` from the periodized curve.
+    ``10 * arc_length / N`` from the periodized curve.  Values use the
+    solution's kernel table; gradients take the near-line evaluator.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     N = sol.N
@@ -463,6 +470,5 @@ def eval_scattered(sol: ScatterSolution, X, need_gradient: bool = False):
         du2 = np.einsum("xn,xnab,nb,n->xa", phase, g2, sol.density, wj)
         grad = np.stack([du1, du2], axis=-1)  # grad[..., i, j] = d_j u_i
         return u, grad
-    v = green2d_near_line_batch(sol.medium, sol.q.alpha, tau.ravel(), d.ravel())
-    v = v.reshape(shape + (2, 2))
+    v = sol.table.green(tau.ravel(), d.ravel()).reshape(shape + (2, 2))
     return np.einsum("xn,xnab,nb,n->xa", phase, v, sol.density, wj)

@@ -15,6 +15,13 @@ as a standing regression against transcription errors in either table.
 The full tensor is ``G(x, y) = sum_l e^{i alpha_l (x1-y1)} M(alpha_l, x2-y2)``
 and solves ``(Delta* + rho omega^2) G = (1/2pi) * phased delta comb``; see
 :func:`qpelastic.green_free.comb_normalization` for the lattice-sum mapping.
+
+Close to the source line the series needs O(1/|d|) modes.  Two evaluators
+cover that region: the Abel-Plana near-line form (any gap, d = 0 included,
+but costly per pair) and :class:`RemainderTable`, a tensor-Chebyshev table
+of the smooth remainder ``R = G + Phi/(2 pi)`` on ``|tau| <= 1/2``,
+``|d| <= NEAR_GAP`` that the Abel-Plana form builds once per (medium, alpha).
+Beyond ``NEAR_GAP`` the plain series converges fast and is used directly.
 """
 
 from __future__ import annotations
@@ -32,6 +39,14 @@ from .medium import (ElasticMedium, ModeData, QuasiMomentum, branch_sqrt,
 GAP_MIN = 1e-3
 DEFAULT_TOL = 1e-12
 _AP_NODES = 48
+# |d| above which pairs are summed as the plain series; the table covers
+# |d| <= NEAR_GAP.  The nearest lattice image of a pair is 1/2 away, so the
+# remainder is analytic on the table's cell.
+NEAR_GAP = 0.25
+# the plain series for |d| > NEAR_GAP keeps modes with e^{-Im(gamma) NEAR_GAP} >= this
+_FAR_TOL = 1e-16
+# pairs per block of the Abel-Plana and table evaluations, to bound memory
+_CHUNK = 4096
 
 
 def _pref(medium: ElasticMedium):
@@ -40,39 +55,38 @@ def _pref(medium: ElasticMedium):
     return 0.25j / np.pi * c
 
 
-def _unified_blocks(medium, alpha_l, D, s):
-    """Mode matrices (..., 2, 2) for array alpha_l (complex allowed)."""
-    a = np.asarray(alpha_l, dtype=complex)
-    b = branch_sqrt(medium.k_p**2 - a * a)
-    g = branch_sqrt(medium.k_s**2 - a * a)
-    Eb = np.exp(1j * b * D)
-    Eg = np.exp(1j * g * D)
-    shape = np.broadcast_shapes(a.shape, np.shape(D), np.shape(s))
-    M = np.empty(shape + (2, 2), dtype=complex)
-    M[..., 0, 0] = g * Eg + a * a / b * Eb
-    M[..., 0, 1] = M[..., 1, 0] = s * a * (Eb - Eg)
-    M[..., 1, 1] = b * Eb + a * a / g * Eg
-    return _pref(medium) * M
+def _unified_blocks(medium, alpha_l, D, s, jet: bool = False):
+    """Mode matrices (..., 2, 2) for array alpha_l (complex allowed), or the
+    (value, d/dx1, d/dx2) stacks when ``jet``.
 
-
-def _unified_blocks_jet(medium, alpha_l, D, s):
-    """(value, d/dx1, d/dx2) stacks of mode matrices, each (..., 2, 2)."""
+    The entries of the module docstring's M, rearranged with
+    a^2/b = k_p^2/b - b and a^2/g = k_s^2/g - g.  For |a| >> k_s both roots
+    approach i|a|, so Eg - Eb and g Eg - b Eb are formed from
+    g - b = (k_s^2 - k_p^2)/(g + b) and expm1 rather than by subtraction.
+    """
     a = np.asarray(alpha_l, dtype=complex)
-    b = branch_sqrt(medium.k_p**2 - a * a)
-    g = branch_sqrt(medium.k_s**2 - a * a)
+    a2 = a * a
+    kp2, ks2 = medium.k_p**2, medium.k_s**2
+    b = branch_sqrt(kp2 - a2)
+    g = branch_sqrt(ks2 - a2)
+    g_b = (ks2 - kp2) / (g + b)
     Eb = np.exp(1j * b * D)
-    Eg = np.exp(1j * g * D)
+    dE = Eb * np.expm1(1j * g_b * D)   # Eg - Eb
+    Eg = Eb + dE
+    gEg_bEb = g_b * Eg + b * dE
     pref = _pref(medium)
     shape = np.broadcast_shapes(a.shape, np.shape(D), np.shape(s))
     val = np.empty(shape + (2, 2), dtype=complex)
-    d2 = np.empty_like(val)
-    val[..., 0, 0] = g * Eg + a * a / b * Eb
-    val[..., 0, 1] = val[..., 1, 0] = s * a * (Eb - Eg)
-    val[..., 1, 1] = b * Eb + a * a / g * Eg
+    val[..., 0, 0] = gEg_bEb + kp2 / b * Eb
+    val[..., 0, 1] = val[..., 1, 0] = -s * a * dE
+    val[..., 1, 1] = ks2 / g * Eg - gEg_bEb
+    if not jet:
+        return pref * val
     # d/dx2 = s * d/dD; the sgn factor squares away on the off-diagonal
-    d2[..., 0, 0] = s * (1j * g * g * Eg + 1j * a * a * Eb)
-    d2[..., 0, 1] = d2[..., 1, 0] = a * (1j * b * Eb - 1j * g * Eg)
-    d2[..., 1, 1] = s * (1j * b * b * Eb + 1j * a * a * Eg)
+    d2 = np.empty_like(val)
+    d2[..., 0, 0] = s * 1j * (ks2 * Eg - a2 * dE)
+    d2[..., 0, 1] = d2[..., 1, 0] = -1j * a * gEg_bEb
+    d2[..., 1, 1] = s * 1j * (kp2 * Eb + a2 * dE)
     d1 = (1j * a)[..., None, None] * val
     return pref * val, pref * d1, pref * d2
 
@@ -162,6 +176,26 @@ def _window_arrays(medium, q, D, tol):
     return m, al
 
 
+def _series_sum(medium, al, tau, d, want_jet: bool):
+    """sum_l e^{i alpha_l tau} M(alpha_l, d) over the modes ``al`` at pairs (tau, d).
+
+    One (pairs x modes) contraction per block of pairs, the block sized so a
+    stack of mode matrices stays near 16 MB.  Returns (P, 2, 2), or a
+    (value, d/dx1, d/dx2) tuple when ``want_jet``.
+    """
+    al = np.asarray(al)
+    out = [np.empty((len(tau), 2, 2), dtype=complex) for _ in range(3 if want_jet else 1)]
+    rows = max(1, (1 << 18) // len(al))
+    for i in range(0, len(tau), rows):
+        sl = slice(i, i + rows)
+        ph = np.exp(1j * np.outer(tau[sl], al))
+        D, s = np.abs(d[sl])[:, None], np.sign(d[sl])[:, None]
+        blocks = _unified_blocks(medium, al, D, s, want_jet)
+        for o, b in zip(out, blocks if want_jet else (blocks,)):
+            o[sl] = np.einsum("pm,pmab->pab", ph, b)
+    return tuple(out) if want_jet else out[0]
+
+
 def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
                        tol: float = DEFAULT_TOL, want_jet: bool = False,
                        gap_min: float = GAP_MIN, tol_wood: float | None = None):
@@ -180,28 +214,14 @@ def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     m, al = _window_arrays(medium, q, Dmin, tol)
     check_wood_window(medium, q, al, tol_wood)
 
-    phases = np.exp(1j * np.outer(t1, al))  # (n, M)
     tails = np.array([
         _tail_bound(medium, al[-1] + 2 * np.pi, abs(di)) +
         _tail_bound(medium, al[0] - 2 * np.pi, abs(di))
         for di in d
     ])
     if not want_jet:
-        out = np.empty((len(t1), 2, 2), dtype=complex)
-        for i in range(len(t1)):
-            blocks = _unified_blocks(medium, al, abs(d[i]), np.sign(d[i]))
-            out[i] = np.tensordot(phases[i], blocks, axes=(0, 0))
-        return out, tails
-
-    val = np.empty((len(t1), 2, 2), dtype=complex)
-    g1 = np.empty_like(val)
-    g2 = np.empty_like(val)
-    for i in range(len(t1)):
-        v, dx1, dx2 = _unified_blocks_jet(medium, al, abs(d[i]), np.sign(d[i]))
-        val[i] = np.tensordot(phases[i], v, axes=(0, 0))
-        g1[i] = np.tensordot(phases[i], dx1, axes=(0, 0))
-        g2[i] = np.tensordot(phases[i], dx2, axes=(0, 0))
-    return val, g1, g2, tails
+        return _series_sum(medium, al, t1, d, False), tails
+    return (*_series_sum(medium, al, t1, d, True), tails)
 
 
 def green2d_eval(medium: ElasticMedium, q: QuasiMomentum, x, y,
@@ -234,7 +254,9 @@ def green2d_eval(medium: ElasticMedium, q: QuasiMomentum, x, y,
 # ---------------------------------------------------------------------------
 
 _gl_x, _gl_w = roots_laguerre(_AP_NODES)
-_leg_x, _leg_w = np.polynomial.legendre.leggauss(12)
+# 16 points per ray panel: with 12, the panel error reached 1e-11 relative
+# near |tau| = 1/2 at omega = 12 and showed as a noise floor in the table.
+_leg_x, _leg_w = np.polynomial.legendre.leggauss(16)
 
 
 def _mode_h(medium, a, D, s, tau, jet: bool):
@@ -244,8 +266,7 @@ def _mode_h(medium, a, D, s, tau, jet: bool):
     """
     ph = np.exp(1j * a * tau)[..., None, None]
     if jet:
-        v, d1, d2 = _unified_blocks_jet(medium, a, D, s)
-        return v * ph, d1 * ph, d2 * ph
+        return tuple(m * ph for m in _unified_blocks(medium, a, D, s, True))
     return _unified_blocks(medium, a, D, s) * ph
 
 
@@ -316,44 +337,70 @@ def _ap_tail_batch(medium, a0, sigma, D, s, tau, jet):
     return combine(end[:, 0], ray_vals, num_p - num_m)
 
 
-def green2d_near_line_batch(medium: ElasticMedium, alpha: float, tau, d,
-                            want_jet: bool = False, margin_modes: int = 3):
-    """Quasi-periodic tensor at separations (tau, d), valid arbitrarily close
-    to (and on) the source-height line, d = 0 included, for
-    (tau, d) != (0, 0) mod the lattice.  |tau| <= 1/2 expected.
-
-    Exact low-mode block plus Abel-Plana summation of the two evanescent
-    tails; internal workhorse for boundary-integral kernels.
-    Returns (P, 2, 2), or a (value, d/dx1, d/dx2) tuple when ``want_jet``.
-    """
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    d = np.atleast_1d(np.asarray(d, dtype=float))
+def _abel_plana(medium, alpha, tau, d, want_jet, margin_modes):
+    """Low-mode block plus Abel-Plana sums of the two evanescent tails."""
     n = len(tau)
-    chunk = 4096
-    if n > chunk:
+    if n > _CHUNK:
         # sort by separation so each chunk shares a ray panel structure
         order = np.argsort(np.hypot(tau, d))
         inv = np.argsort(order)
-        parts = [green2d_near_line_batch(medium, alpha, tau[order][i:i + chunk],
-                                         d[order][i:i + chunk], want_jet, margin_modes)
-                 for i in range(0, n, chunk)]
+        parts = [_abel_plana(medium, alpha, tau[order][i:i + _CHUNK],
+                             d[order][i:i + _CHUNK], want_jet, margin_modes)
+                 for i in range(0, n, _CHUNK)]
         if want_jet:
             return tuple(np.concatenate([p[j] for p in parts])[inv] for j in range(3))
         return np.concatenate(parts)[inv]
 
     D, s = np.abs(d), np.sign(d)
-    ks = float(np.real(medium.k_s))
-    lo = int(np.floor((-ks - 2 * np.pi * margin_modes - alpha) / (2 * np.pi)))
-    hi = int(np.ceil((ks + 2 * np.pi * margin_modes - alpha) / (2 * np.pi)))
+    lo, hi = _main_window(medium, alpha, margin_modes)
     al = (alpha + 2 * np.pi * np.arange(lo, hi + 1)).astype(complex)
-    check_wood_window(medium, QuasiMomentum("qp2d", alpha), al.real)
-
     main = _mode_h(medium, al[None, :], D[:, None], s[:, None], tau[:, None], want_jet)
     hi_tail = _ap_tail_batch(medium, alpha + 2 * np.pi * (hi + 1), +1, D, s, tau, want_jet)
     lo_tail = _ap_tail_batch(medium, alpha + 2 * np.pi * (lo - 1), -1, D, s, tau, want_jet)
     if want_jet:
         return tuple(main[j].sum(axis=1) + hi_tail[j] + lo_tail[j] for j in range(3))
     return main.sum(axis=1) + hi_tail + lo_tail
+
+
+def _main_window(medium, alpha, margin_modes):
+    """Index range of the exactly summed modes: |alpha_l| <= k_s plus the margin."""
+    ks = float(np.real(medium.k_s))
+    lo = int(np.floor((-ks - 2 * np.pi * margin_modes - alpha) / (2 * np.pi)))
+    hi = int(np.ceil((ks + 2 * np.pi * margin_modes - alpha) / (2 * np.pi)))
+    return lo, hi
+
+
+def green2d_near_line_batch(medium: ElasticMedium, alpha: float, tau, d,
+                            want_jet: bool = False, margin_modes: int = 3):
+    """Quasi-periodic tensor at separations (tau, d), valid arbitrarily close
+    to (and on) the source-height line, d = 0 included, for
+    (tau, d) != (0, 0) mod the lattice.  |tau| <= 1/2 expected.
+
+    Pairs with |d| <= NEAR_GAP take the exact low-mode block plus
+    Abel-Plana summation of the two evanescent tails (``margin_modes``
+    extra modes each side in the block); pairs with |d| > NEAR_GAP take the
+    plain series over the window that gap NEAR_GAP needs, as one
+    (pairs x modes) contraction.
+    Returns (P, 2, 2), or a (value, d/dx1, d/dx2) tuple when ``want_jet``.
+    """
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    q = QuasiMomentum("qp2d", alpha)
+    lo, hi = _main_window(medium, alpha, margin_modes)
+    check_wood_window(medium, q, alpha + 2 * np.pi * np.arange(lo, hi + 1))
+
+    far = np.abs(d) > NEAR_GAP
+    out = [np.empty((len(tau), 2, 2), dtype=complex) for _ in range(3 if want_jet else 1)]
+    if np.any(far):
+        vals = _series_sum(medium, mode_window(medium, q, NEAR_GAP, _FAR_TOL)[1],
+                           tau[far], d[far], want_jet)
+        for o, v in zip(out, vals if want_jet else (vals,)):
+            o[far] = v
+    if not np.all(far):
+        vals = _abel_plana(medium, alpha, tau[~far], d[~far], want_jet, margin_modes)
+        for o, v in zip(out, vals if want_jet else (vals,)):
+            o[~far] = v
+    return tuple(out) if want_jet else out[0]
 
 
 def green2d_near_line(medium: ElasticMedium, alpha: float, t1: float, d: float,
@@ -365,25 +412,136 @@ def green2d_near_line(medium: ElasticMedium, alpha: float, t1: float, d: float,
     return out[0]
 
 
-def regularized_at_origin(medium: ElasticMedium, alpha: float) -> np.ndarray:
-    """R(0) = lim_{r->0} [G(r) + (1/2pi) Phi(r)], the smooth local remainder.
+# ---------------------------------------------------------------------------
+# Tabulated smooth remainder for the boundary-integral kernel.
+#
+# R = G + Phi/(2 pi) removes the free-space copy of the source, so R is
+# analytic on the period cell |tau| <= 1/2, |d| <= NEAR_GAP (the nearest
+# other lattice image is 1/2 away) and a tensor Chebyshev series in
+# (2 tau, d / NEAR_GAP) converges geometrically.  The diagonal entries of G
+# and Phi are even in d and the off-diagonal ones odd, so R keeps only even
+# (resp. odd) Chebyshev degrees in d and needs samples at d > 0 only.
+# ---------------------------------------------------------------------------
 
-    The diagonal entries are even in the transverse offset, so R(0) follows
-    from an even polynomial fit through small offsets; the off-diagonal
-    entries vanish by the sgn symmetry.
+_TABLE_TOL = 1e-14       # trailing coefficients relative to the largest one
+_TABLE_START = (28, 28)  # Chebyshev nodes in tau and in d of the first fit
+_TABLE_GROWTH = 1.25     # node-count factor per direction that has not converged
+_TABLE_MAX = 128         # nodes per direction before giving up
+
+
+def _cheb_nodes(n):
+    """Chebyshev points of the first kind, in decreasing order."""
+    return np.cos(np.pi * (np.arange(n) + 0.5) / n)
+
+
+def _cheb_basis(x, n):
+    """T_0(x) .. T_{n-1}(x) by the three-term recurrence; shape (len(x), n)."""
+    T = np.empty((n, len(x)))
+    T[0] = 1.0
+    if n > 1:
+        T[1] = x
+    for j in range(2, n):
+        T[j] = 2.0 * x * T[j - 1] - T[j - 2]
+    return T.T
+
+
+@dataclass(frozen=True)
+class RemainderTable:
+    """Chebyshev table of R = G + Phi/(2 pi) for one (medium, alpha).
+
+    ``R(tau, d) = sum_jk c_jk T_j(2 tau) T_k(d / NEAR_GAP)`` on |tau| <= 1/2,
+    |d| <= NEAR_GAP.  ``coef[j, k, 0:2]`` hold the coefficients of degree 2k
+    in d of R_11 and R_22, ``coef[j, k, 2]`` those of degree 2k + 1 of
+    R_12 = R_21.  ``tail`` is the largest of the two trailing coefficients in
+    either direction over the largest coefficient.
     """
-    deltas = np.array([0.01, 0.02, 0.03, 0.04])
-    vals = []
-    for dd in deltas:
-        r_p = green2d_near_line(medium, alpha, 0.0, +dd) \
-            + _kupradze2d_value(medium, (0.0, +dd)) / (2 * np.pi)
-        r_m = green2d_near_line(medium, alpha, 0.0, -dd) \
-            + _kupradze2d_value(medium, (0.0, -dd)) / (2 * np.pi)
-        vals.append(0.5 * (r_p + r_m))
-    vals = np.array(vals)
-    x2 = deltas**2
-    out = np.zeros((2, 2), dtype=complex)
-    for i in (0, 1):
-        coeffs = np.polyfit(x2, vals[:, i, i], 3)
-        out[i, i] = coeffs[-1]
-    return out
+
+    medium: ElasticMedium
+    alpha: float
+    coef: np.ndarray
+    tail: float
+
+    def remainder(self, tau, d) -> np.ndarray:
+        """R at separations inside the table's cell; (P, 2, 2)."""
+        tau = np.atleast_1d(np.asarray(tau, dtype=float))
+        d = np.atleast_1d(np.asarray(d, dtype=float))
+        n_tau, m, _ = self.coef.shape
+        # a real basis times complex coefficients, as one real product
+        re_im = self.coef.reshape(n_tau, 3 * m).view(float)
+        v = (_cheb_basis(2.0 * tau, n_tau) @ re_im).view(complex).reshape(len(tau), m, 3)
+        ty = _cheb_basis(d / NEAR_GAP, 2 * m)
+        diag = np.einsum("pk,pke->pe", ty[:, 0::2], v[..., :2])
+        off = np.einsum("pk,pk->p", ty[:, 1::2], v[..., 2])
+        out = np.empty((len(tau), 2, 2), dtype=complex)
+        out[:, 0, 0], out[:, 1, 1] = diag[:, 0], diag[:, 1]
+        out[:, 0, 1] = out[:, 1, 0] = off
+        return out
+
+    def green(self, tau, d) -> np.ndarray:
+        """G at separations (tau, d) != (0, 0) with |tau| <= 1/2; (P, 2, 2).
+
+        R minus the closed-form Phi/(2 pi) for |d| <= NEAR_GAP, the plain
+        series of :func:`green2d_near_line_batch` beyond.
+        """
+        tau = np.atleast_1d(np.asarray(tau, dtype=float))
+        d = np.atleast_1d(np.asarray(d, dtype=float))
+        out = np.empty((len(tau), 2, 2), dtype=complex)
+        near = np.flatnonzero(np.abs(d) <= NEAR_GAP)
+        for i in range(0, len(near), _CHUNK):
+            idx = near[i:i + _CHUNK]
+            dx = np.stack([tau[idx], d[idx]], axis=-1)
+            out[idx] = self.remainder(tau[idx], d[idx]) \
+                - _kupradze2d_value(self.medium, dx) / (2 * np.pi)
+        if len(near) < len(d):
+            far = np.abs(d) > NEAR_GAP
+            out[far] = green2d_near_line_batch(self.medium, self.alpha, tau[far], d[far])
+        return out
+
+
+def _fit_remainder(medium, alpha, n_tau, n_d):
+    """Coefficients (n_tau, n_d // 2, 3) from Abel-Plana values at first-kind nodes."""
+    x = _cheb_nodes(n_tau)
+    y = _cheb_nodes(n_d)[: n_d // 2]   # the nodes with d > 0
+    tau = np.repeat(0.5 * x, len(y))
+    d = np.tile(NEAR_GAP * y, n_tau)
+    R = green2d_near_line_batch(medium, alpha, tau, d) \
+        + _kupradze2d_value(medium, np.stack([tau, d], axis=-1)) / (2 * np.pi)
+    R = R.reshape(n_tau, len(y), 2, 2)
+    # discrete orthogonality of T_j at first-kind nodes; in d the sum over
+    # all n_d nodes is twice the sum over d > 0 by the parity of R
+    ct = _cheb_basis(x, n_tau).T * (2.0 / n_tau)
+    ct[0] /= 2.0
+    cd = _cheb_basis(y, n_d).T * (4.0 / n_d)
+    cd[0] /= 2.0
+    diag = np.einsum("ji,ile,kl->jke", ct, np.stack([R[..., 0, 0], R[..., 1, 1]], -1),
+                     cd[0::2])
+    off = np.einsum("ji,il,kl->jk", ct, R[..., 0, 1], cd[1::2])
+    return np.concatenate([diag, off[..., None]], axis=-1)
+
+
+def remainder_table(medium: ElasticMedium, alpha: float) -> RemainderTable:
+    """Tabulate R = G + Phi/(2 pi) on the period cell for one (medium, alpha).
+
+    The node count in each direction grows from ``_TABLE_START`` until the
+    two trailing Chebyshev coefficients in that direction fall below
+    ``_TABLE_TOL`` times the largest coefficient.  Raises WoodAnomaly where
+    the near-line evaluator does, and RuntimeError if the coefficients have
+    not decayed by ``_TABLE_MAX`` nodes.
+    """
+    n_tau, n_d = _TABLE_START
+    while True:
+        coef = _fit_remainder(medium, alpha, n_tau, n_d)
+        scale = float(np.max(np.abs(coef)))
+        tail_tau = float(np.max(np.abs(coef[-2:]))) / scale
+        tail_d = float(np.max(np.abs(coef[:, -1]))) / scale
+        if max(tail_tau, tail_d) <= _TABLE_TOL:
+            return RemainderTable(medium, float(alpha), coef, max(tail_tau, tail_d))
+        if max(n_tau, n_d) >= _TABLE_MAX:
+            raise RuntimeError(
+                f"remainder table for omega={medium.omega}, alpha={alpha}: trailing "
+                f"coefficients {tail_tau:.1e} (tau), {tail_d:.1e} (d) at "
+                f"{n_tau}x{n_d} nodes exceed {_TABLE_TOL:.0e}")
+        if tail_tau > _TABLE_TOL:
+            n_tau = 2 * int(np.ceil(_TABLE_GROWTH * n_tau / 2))
+        if tail_d > _TABLE_TOL:
+            n_d = 2 * int(np.ceil(_TABLE_GROWTH * n_d / 2))

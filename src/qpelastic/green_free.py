@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hankel1
+from scipy.special import hankel1, j0, j1, y0, y1
 
 from .errors import CoincidentPoints
 from .medium import ElasticMedium, QuasiMomentum
@@ -49,21 +49,71 @@ def comb_normalization(kind: str) -> float:
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def _hankel01(k, r):
+    """(H_0^(1)(k r), H_1^(1)(k r)); the cephes J/Y pair for real k, AMOS otherwise."""
+    x = k * r
+    if np.iscomplexobj(x):
+        return hankel1(0, x), hankel1(1, x)
+    return j0(x) + 1j * y0(x), j1(x) + 1j * y1(x)
+
+
+def _dh0_over_r_series(ks, kp, r, terms: int = 12):
+    """(1/r) d/dr [H_0^(1)(k_s r) - H_0^(1)(k_p r)] from the ascending series.
+
+    With u = (k r / 2)^2, J_0 = sum_m (-u)^m / m!^2 and
+    Y_0 = (2/pi) [(ln(k r/2) + gamma) J_0 + sum_{m>=1} (-1)^{m+1} H_m u^m / m!^2]
+    (H_m the harmonic numbers).  The 1/r^2 parts of the two wavenumbers cancel
+    analytically, in the J_0 difference, instead of in floating point.
+    Accurate to rounding for |k_s| r <= 1, where u <= 1/4.
+    """
+    c = 2j / np.pi
+    out = np.zeros(np.shape(r), dtype=complex)
+    for k, sign in ((ks, 1.0), (kp, -1.0)):
+        u = (0.5 * k * r) ** 2
+        a = np.zeros_like(out)     # dJ_0/du
+        b = np.zeros_like(out)     # d/du of the Y_0 power series
+        term = -np.ones_like(out)  # (-1)^m u^(m-1) / (m! (m-1)!)
+        harmonic = 0.0
+        for m in range(1, terms + 1):
+            harmonic += 1.0 / m
+            a += term
+            b -= harmonic * term
+            term = term * (-u / (m * (m + 1)))
+        log_part = 1.0 + c * (np.log(0.5 * k * r) + np.euler_gamma)
+        out += sign * (0.5 * k * k) * (a * log_part + c * b)
+    # (J_0(k_s r) - J_0(k_p r)) / r^2, the m = 0 terms cancelled
+    jdiff = np.zeros_like(out)
+    fact = 1.0
+    for m in range(1, terms + 1):
+        fact *= m * m
+        jdiff += (-1) ** m * ((ks * ks / 4) ** m - (kp * kp / 4) ** m) * r ** (2 * m - 2) / fact
+    return out + c * jdiff
+
+
 def _kupradze2d_value(medium: ElasticMedium, dx):
-    """Batched over leading axes; dx has shape (..., 2)."""
+    """Batched over leading axes; dx has shape (..., 2).
+
+    Uses Hess f = (f'' + f'/r) rr^T + (f'/r) (I - 2 rr^T) for the radial
+    f = H_0(k_s r) - H_0(k_p r), with f'' + f'/r = -k_s^2 H_0(k_s r) + k_p^2 H_0(k_p r)
+    (Bessel's equation).  f'/r comes from the ascending series for
+    |k_s| r < 1, where the Hankel form loses digits to cancelling 1/r^2 parts.
+    """
     dx = np.asarray(dx, dtype=float)
     ks, kp = medium.k_s, medium.k_p
     r = np.sqrt(np.sum(dx * dx, axis=-1))
     rhat = dx / r[..., None]
-    h0 = lambda k: hankel1(0, k * r)
-    h1 = lambda k: hankel1(1, k * r)
-    f = h0(ks) - h0(kp)
-    fp = -ks * h1(ks) + kp * h1(kp)
-    fpp = -(ks**2) * h0(ks) + ks * h1(ks) / r + kp**2 * h0(kp) - kp * h1(kp) / r
+    h0s, h1s = _hankel01(ks, r)
+    h0p, h1p = _hankel01(kp, r)
+    f1 = (-ks * h1s + kp * h1p) / r
+    small = np.abs(ks) * r < 1.0
+    if np.any(small):
+        series = _dh0_over_r_series(ks, kp, np.minimum(r, 1.0 / np.abs(ks)))
+        f1 = np.where(small, series, f1)
+    lap = -(ks**2) * h0s + kp**2 * h0p
     eye = np.eye(2)
     rr = rhat[..., :, None] * rhat[..., None, :]
-    hess = fpp[..., None, None] * rr + (fp / r)[..., None, None] * (eye - rr)
-    return (0.25j / medium.mu) * h0(ks)[..., None, None] * eye \
+    hess = lap[..., None, None] * rr + f1[..., None, None] * (eye - 2.0 * rr)
+    return (0.25j / medium.mu) * h0s[..., None, None] * eye \
         + (0.25j / medium.rho_omega2) * hess
 
 

@@ -220,7 +220,8 @@ def check_reciprocity(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileC
     ``pairs`` is a sequence of point pairs (x, z); ``pols`` a matching
     sequence of (p, q) polarization pairs (defaults to coordinate axes).
     ``point_source`` compares the quasi-periodic tensors directly;
-    ``scattered``/``total`` solve the grating problem at +alpha and -alpha.
+    ``scattered``/``total`` solve the grating problem at +alpha and -alpha,
+    factoring each system once for all pairs.
     """
     pairs = [(np.asarray(a, float), np.asarray(b, float)) for a, b in pairs]
     if pols is None:
@@ -243,12 +244,15 @@ def check_reciprocity(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileC
     if level not in ("scattered", "total"):
         raise ValueError(f"unknown level {level!r}")
 
+    # one factorisation per quasi-momentum serves every pair
+    sols_f = solve_dirichlet_multi(medium, q, profile,
+                                   [point_source_incidence(z, pq) for (_, z), (_, pq)
+                                    in zip(pairs, pols)], N)
+    sols_b = solve_dirichlet_multi(medium, qm, profile,
+                                   [point_source_incidence(x, p) for (x, _), (p, _)
+                                    in zip(pairs, pols)], N)
     worst = 0.0
-    for (x, z), (p, pq) in zip(pairs, pols):
-        inc_f = point_source_incidence(z, pq)
-        inc_b = point_source_incidence(x, p)
-        sol_f = solve_dirichlet_multi(medium, q, profile, [inc_f], N)[0]
-        sol_b = solve_dirichlet_multi(medium, qm, profile, [inc_b], N)[0]
+    for (x, z), (p, pq), sol_f, sol_b in zip(pairs, pols, sols_f, sols_b):
         u_f = eval_scattered(sol_f, x[None, :])[0]
         u_b = eval_scattered(sol_b, z[None, :])[0]
         if level == "total":

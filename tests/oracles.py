@@ -38,6 +38,27 @@ def mp_mod_k(nu, x):
         return float(mp.besselk(nu, mp.mpf(x)))
 
 
+def mp_kupradze2d(medium, dx):
+    """40-digit free-space tensor (i/4mu) H_0(k_s r) I + (i/4 rho w^2) Hess[H_0(k_s r) - H_0(k_p r)]."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        ks, kp = mp.mpmathify(medium.k_s), mp.mpmathify(medium.k_p)
+        x1, x2 = mp.mpf(dx[0]), mp.mpf(dx[1])
+        r = mp.sqrt(x1 * x1 + x2 * x2)
+        rh = (x1 / r, x2 / r)
+        f1 = (-ks * mp.hankel1(1, ks * r) + kp * mp.hankel1(1, kp * r)) / r
+        lap = -ks**2 * mp.hankel1(0, ks * r) + kp**2 * mp.hankel1(0, kp * r)
+        out = np.empty((2, 2), dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                e = 1 if i == j else 0
+                hess = lap * rh[i] * rh[j] + f1 * (e - 2 * rh[i] * rh[j])
+                out[i, j] = complex(1j / (4 * mp.mpmathify(medium.mu)) * mp.hankel1(0, ks * r) * e
+                                    + 1j / (4 * mp.mpmathify(medium.rho_omega2)) * hess)
+        return out
+
+
 # ---------------------------------------------------------------------------
 # quadrature inversion of the transverse mode symbols (3D quasi-periodic)
 # ---------------------------------------------------------------------------

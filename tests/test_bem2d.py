@@ -7,7 +7,7 @@ from qpelastic.bem2d import (IncidentField, ProfileCurve2, boundary_residual,
                              log_quadrature_weights_at, plane_incidence,
                              point_source_incidence, solve_dirichlet,
                              solve_dirichlet_multi, traction)
-from qpelastic.errors import TooCloseToBoundary
+from qpelastic.errors import TooCloseToBoundary, WoodAnomaly
 from qpelastic.fdcheck import navier_apply_fd
 from qpelastic.medium import make_medium, make_quasi_momentum
 from qpelastic.rayleigh import extract_coeffs_2d, flux_2d
@@ -205,6 +205,17 @@ def test_energy_balance(sin_solution):
     assert abs(j_tot) < 1e-3 * abs(j_inc)
 
 
+def test_scattered_field_near_boundary(sin_solution):
+    # targets whose node pairs straddle NEAR_GAP: the value path reads the
+    # solution's kernel table, the gradient path sums Abel-Plana / series
+    sol = sin_solution
+    x1 = np.array([0.3, 0.7, 0.55])
+    X = np.stack([x1, sol.profile.f(x1) + np.array([0.1, 0.15, 0.3])], axis=-1)
+    u = eval_scattered(sol, X)
+    u_jet, _ = eval_scattered(sol, X, need_gradient=True)
+    assert np.max(np.abs(u - u_jet)) < 1e-12 * np.max(np.abs(u))
+
+
 def test_too_close_to_boundary(sin_solution):
     with pytest.raises(TooCloseToBoundary):
         eval_scattered(sin_solution, np.array([[0.3, sin_solution.profile.f(0.3) + 1e-4]]))
@@ -241,6 +252,14 @@ def test_resonance_guard(grating_setup, monkeypatch):
     from qpelastic.errors import ResonanceSuspected
 
     with pytest.raises(ResonanceSuspected):
+        solve_dirichlet(med, q, ProfileCurve2(), inc, N=32)
+
+
+def test_wood_anomaly_refused(grating_setup):
+    med, _, _ = grating_setup
+    q = make_quasi_momentum("qp2d", float(np.real(med.k_p)))  # m = 0 at the p cut-off
+    inc = point_source_incidence((0.3, 0.6), (1.0, 0.0))
+    with pytest.raises(WoodAnomaly):
         solve_dirichlet(med, q, ProfileCurve2(), inc, N=32)
 
 

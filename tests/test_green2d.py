@@ -4,9 +4,10 @@ import pytest
 from conftest import draw_medium, draw_momentum
 from qpelastic.errors import NearSourceLine, WoodAnomaly
 from qpelastic.fdcheck import navier_residual
-from qpelastic.green2d import (green2d_eval, green2d_eval_batch,
+from qpelastic.green2d import (NEAR_GAP, green2d_eval, green2d_eval_batch,
                                green2d_near_line, green2d_near_line_batch,
-                               mode_term_2d)
+                               mode_term_2d, remainder_table)
+from qpelastic.green_free import kupradze
 from qpelastic.medium import classify_mode, make_medium, make_quasi_momentum
 
 
@@ -24,7 +25,12 @@ def test_literal_equals_unified(rng):
         lit = mode_term_2d(med, mode, x2, y2, "literal")
         uni = mode_term_2d(med, mode, x2, y2, "unified")
         scale = max(np.max(np.abs(uni.matrix)), 1e-300)
-        assert np.max(np.abs(lit.matrix - uni.matrix)) / scale < 1e-13
+        # the literal L2/L3 entries subtract two terms up to
+        # kappa = |alpha_l|^2 / |k_s^2 - k_p^2| times the result; the unified
+        # form does not, so the literal form's rounding sets the allowance
+        kappa = abs(mode.alpha_l) ** 2 / abs(med.k_s**2 - med.k_p**2)
+        tol = 1e-13 + 4 * np.finfo(float).eps * kappa
+        assert np.max(np.abs(lit.matrix - uni.matrix)) / scale < tol
         assert lit.case_used == f"literal_{mode.klass}"
 
 
@@ -129,6 +135,69 @@ def test_near_line_matches_series(rng):
         series = green2d_eval(med, q, (t1, d), (0.0, 0.0), 1e-14).value
         near = green2d_near_line(med, q.alpha, t1, d)
         assert np.max(np.abs(series - near)) / np.max(np.abs(series)) < 1e-11
+
+
+def test_near_line_against_series_grid():
+    # both sides of NEAR_GAP (Abel-Plana below, plain series above), out to
+    # the cell edge |tau| = 1/2 where the ray quadrature is hardest, and with
+    # a wider exactly-summed block; 1e-13 |G| of rounding on top of the
+    # series' own tail bound (measured worst 7e-14 |G|)
+    taus = np.array([0.0, 0.07, -0.19, 0.33, -0.45, 0.49, 0.5, -0.5])
+    ds = np.array([0.02, -0.05, 0.1, -0.2, NEAR_GAP, -0.26, 0.4, -0.8, 1.3, 2.0])
+    tau, d = (a.ravel() for a in np.meshgrid(taus, ds, indexing="ij"))
+    for omega in (5.0, 12.0):
+        med = make_medium(2.0, 1.0, 1.0, omega)
+        for alpha in (0.3, -1.7):
+            q = make_quasi_momentum("qp2d", alpha, med)
+            ref = [green2d_eval(med, q, (t, dd), (0.0, 0.0), 1e-16) for t, dd in zip(tau, d)]
+            for margin in (3, 6):
+                near = green2d_near_line_batch(med, alpha, tau, d, margin_modes=margin)
+                for g, v in zip(ref, near):
+                    allow = g.tail_bound + 1e-13 * np.max(np.abs(g.value))
+                    assert np.max(np.abs(v - g.value)) <= allow
+
+
+def test_near_line_wood_anomaly_on_both_sides():
+    med = make_medium(2.0, 1.0, 1.0, 1.0)
+    for d in (0.1, 0.8):   # Abel-Plana pair, plain-series pair
+        with pytest.raises(WoodAnomaly):
+            green2d_near_line_batch(med, 0.5, [0.2], [d])  # alpha = k_p
+
+
+def test_remainder_table_against_abel_plana():
+    rng = np.random.default_rng(7)
+    for omega in (5.0, 12.0):
+        med = make_medium(2.0, 1.0, 1.0, omega)
+        for alpha in (0.3, 0.37 * omega):
+            table = remainder_table(med, alpha)
+            assert table.tail <= 1e-14
+            tau = rng.uniform(-0.5, 0.5, 420)
+            d = rng.uniform(-NEAR_GAP, NEAR_GAP, 420)
+            # a fifth of the points close to the source, down to r = 1e-4
+            r = 10.0 ** rng.uniform(-4, -1, 84)
+            th = rng.uniform(0, 2 * np.pi, 84)
+            tau[:84], d[:84] = r * np.cos(th), r * np.sin(th)
+            ref = green2d_near_line_batch(med, alpha, tau, d)
+            got = table.green(tau, d)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            # R = G + Phi/(2 pi) is what the table holds
+            r0 = table.remainder(tau[:5], d[:5])
+            phi = np.array([kupradze(med, 2, (t, dd), (0.0, 0.0)).value
+                            for t, dd in zip(tau[:5], d[:5])])
+            assert np.max(np.abs(r0 - (ref[:5] + phi / (2 * np.pi)))) \
+                <= 1e-12 * np.max(np.abs(ref))
+            # parity in d: diagonal even, off-diagonal odd, so R_12(0, 0) = 0
+            r00 = table.remainder(0.0, 0.0)[0]
+            assert r00[0, 1] == 0.0 and r00[1, 0] == 0.0
+
+
+def test_remainder_table_refuses_unresolved(monkeypatch):
+    import qpelastic.green2d as g2
+
+    monkeypatch.setattr(g2, "_TABLE_TOL", 0.0)
+    monkeypatch.setattr(g2, "_TABLE_MAX", 32)
+    with pytest.raises(RuntimeError, match="trailing coefficients"):
+        g2.remainder_table(make_medium(2.0, 1.0, 1.0, 5.0), 0.3)
 
 
 def test_near_line_on_the_line(medium_fast):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import draw_medium, draw_momentum
+from oracles import mp_kupradze2d
 from qpelastic.errors import CoincidentPoints
 from qpelastic.fdcheck import fd_curl, fd_divergence, navier_apply_fd
 from qpelastic.green_free import (comb_normalization, kupradze, lattice_sum,
@@ -25,6 +26,20 @@ def test_kupradze_symmetry_and_rotation(rng, medium_fast):
             R = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
         gr = kupradze(medium_fast, dim, R @ x, R @ y).value
         assert np.max(np.abs(gr - R @ g @ R.T)) < 1e-12
+
+
+def test_kupradze_small_r_against_extended_precision():
+    # the 1/r^2 parts of the Hessian cancel between the k_s and k_p terms;
+    # below |k_s| r = 1 the ascending series keeps that cancellation exact
+    for med in (make_medium(2.0, 1.0, 1.0, 0.9), make_medium(2.0, 1.0, 1.0, 5.0),
+                make_medium(2.0, 1.0, 1.0, 12.0), make_medium(0.5, 1.5, 1.0, 3.0).complexified(0.1)):
+        ks = abs(med.k_s)
+        for r in (1e-2, 1e-3, 1e-4, 1e-5, 0.99 / ks, 1.01 / ks):
+            for th in (0.3, 2.0):
+                dx = r * np.array([np.cos(th), np.sin(th)])
+                ref = mp_kupradze2d(med, dx)
+                got = kupradze(med, 2, dx, (0.0, 0.0)).value
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_kupradze_coincident(medium_fast):
