@@ -29,6 +29,10 @@ class DomainError(QPElasticError):
     """Argument outside the function's domain (e.g. Hankel/Bessel-K at x <= 0)."""
 
 
+class TableUnresolved(DomainError):
+    """A kernel table's Chebyshev coefficients did not decay to its tolerance."""
+
+
 class CoincidentPoints(QPElasticError):
     """Source and evaluation point coincide."""
 

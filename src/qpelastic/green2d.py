@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_laguerre
 
-from .errors import NearSourceLine
+from .errors import NearSourceLine, TableUnresolved
 from .green_free import GreenEval, _kupradze2d_value
 from .medium import (ElasticMedium, ModeData, QuasiMomentum, branch_sqrt,
                      check_wood_window, mode_window)
@@ -115,8 +115,13 @@ def _literal_block(medium, mode: ModeData, D, s):
         bp = np.sqrt(a2 - kp2)
         bs = np.sqrt(a2 - ks2)
         ebp, ebs = np.exp(-bp * D), np.exp(-bs * D)
-        M = np.array([[bs * ebs - a2 / bp * ebp, 1j * a * s * (ebs - ebp)],
-                      [1j * a * s * (ebs - ebp), bp * ebp - a2 / bs * ebs]])
+        # bs ebs - a^2/bp ebp and bp ebp - a^2/bs ebs subtract O(|alpha_l|)
+        # terms; with a^2/b = b + k^2/b they cancel in bs - bp instead
+        dbs = (kp2 - ks2) / (bs + bp)       # bs - bp
+        de = ebp * np.expm1(-dbs * D)       # ebs - ebp
+        bebs = dbs * ebs + bp * de          # bs ebs - bp ebp
+        M = np.array([[bebs - kp2 / bp * ebp, 1j * a * s * de],
+                      [1j * a * s * de, -bebs - ks2 / bs * ebs]])
     return pref * M
 
 
@@ -254,8 +259,6 @@ def green2d_eval(medium: ElasticMedium, q: QuasiMomentum, x, y,
 # ---------------------------------------------------------------------------
 
 _gl_x, _gl_w = roots_laguerre(_AP_NODES)
-# 16 points per ray panel: with 12, the panel error reached 1e-11 relative
-# near |tau| = 1/2 at omega = 12 and showed as a noise floor in the table.
 _leg_x, _leg_w = np.polynomial.legendre.leggauss(16)
 
 
@@ -270,15 +273,15 @@ def _mode_h(medium, a, D, s, tau, jet: bool):
     return _unified_blocks(medium, a, D, s) * ph
 
 
-def _ray_nodes(rho_min, a_scale):
-    """Panelized Gauss-Legendre nodes for int_0^inf f(u) du where f varies on
-    scale ``a_scale`` and decays like e^{-2 pi rho u}.
+def _ray_nodes(rho_min, first):
+    """Panelized Gauss-Legendre nodes for int_0^inf f(u) du where f has a
+    singularity at distance ``first`` from u = 0 and decays like e^{-2 pi rho u}.
 
-    Geometrically growing panels resolve both the algebraic transition at
-    u ~ a_scale (the 1/m tail of the mode sum) and the exponential cutoff.
+    The first panel ends at ``first``; geometrically growing panels then
+    resolve the algebraic 1/m tail of the mode sum and the exponential cutoff.
     """
     u_max = 42.0 / (2 * np.pi * max(rho_min, 1e-9))
-    knots = [0.0, a_scale]
+    knots = [0.0, first]
     while knots[-1] < u_max:
         knots.append(2.0 * knots[-1])
     nodes, weights = [], []
@@ -309,7 +312,10 @@ def _ap_tail_batch(medium, a0, sigma, D, s, tau, jet):
     # decays like e^{-2 pi rho u} exactly along the ray
     w_c = D - 1j * sigma * tau
     eith = np.conj(w_c) / np.abs(w_c)  # (P,)
-    u, uw = _ray_nodes(float(np.min(rho0)), max(abs(a0) / (2 * np.pi), 1.0))
+    # the mode function's nearest branch point, alpha = +-k_s, lies at least
+    # margin + 1 modes from a0 in the index; rays near the imaginary axis
+    # (|tau| -> 1/2) pass that close to it, so the first panel ends there
+    u, uw = _ray_nodes(float(np.min(rho0)), abs(abs(a0) - medium.k_s) / (2 * np.pi))
     decay = np.exp(-2 * np.pi * np.outer(rho0, u))  # (P, K) true modulus
     ray_vals = h(eith[:, None] * u[None, :])
     # drop the tiny tail contributions explicitly to avoid overflow surprises
@@ -427,6 +433,9 @@ _TABLE_TOL = 1e-14       # trailing coefficients relative to the largest one
 _TABLE_START = (28, 28)  # Chebyshev nodes in tau and in d of the first fit
 _TABLE_GROWTH = 1.25     # node-count factor per direction that has not converged
 _TABLE_MAX = 128         # nodes per direction before giving up
+# a trailing coefficient below this that stops falling as nodes are added is
+# the Abel-Plana values' rounding floor, not an unresolved oscillation
+_TABLE_FLOOR = 1e-11
 
 
 def _cheb_nodes(n):
@@ -452,14 +461,12 @@ class RemainderTable:
     ``R(tau, d) = sum_jk c_jk T_j(2 tau) T_k(d / NEAR_GAP)`` on |tau| <= 1/2,
     |d| <= NEAR_GAP.  ``coef[j, k, 0:2]`` hold the coefficients of degree 2k
     in d of R_11 and R_22, ``coef[j, k, 2]`` those of degree 2k + 1 of
-    R_12 = R_21.  ``tail`` is the largest of the two trailing coefficients in
-    either direction over the largest coefficient.
+    R_12 = R_21.
     """
 
     medium: ElasticMedium
     alpha: float
     coef: np.ndarray
-    tail: float
 
     def remainder(self, tau, d) -> np.ndarray:
         """R at separations inside the table's cell; (P, 2, 2)."""
@@ -525,23 +532,28 @@ def remainder_table(medium: ElasticMedium, alpha: float) -> RemainderTable:
     The node count in each direction grows from ``_TABLE_START`` until the
     two trailing Chebyshev coefficients in that direction fall below
     ``_TABLE_TOL`` times the largest coefficient.  Raises WoodAnomaly where
-    the near-line evaluator does, and RuntimeError if the coefficients have
-    not decayed by ``_TABLE_MAX`` nodes.
+    the near-line evaluator does, and TableUnresolved when the trailing
+    coefficients stop falling below ``_TABLE_FLOOR`` or have not reached the
+    tolerance by ``_TABLE_MAX`` nodes.
     """
-    n_tau, n_d = _TABLE_START
+    n = list(_TABLE_START)
+    before = [np.inf, np.inf]   # each direction's tail before its last growth
     while True:
-        coef = _fit_remainder(medium, alpha, n_tau, n_d)
+        coef = _fit_remainder(medium, alpha, *n)
         scale = float(np.max(np.abs(coef)))
-        tail_tau = float(np.max(np.abs(coef[-2:]))) / scale
-        tail_d = float(np.max(np.abs(coef[:, -1]))) / scale
-        if max(tail_tau, tail_d) <= _TABLE_TOL:
-            return RemainderTable(medium, float(alpha), coef, max(tail_tau, tail_d))
-        if max(n_tau, n_d) >= _TABLE_MAX:
-            raise RuntimeError(
+        tail = [float(np.max(np.abs(coef[-2:]))) / scale,
+                float(np.max(np.abs(coef[:, -1]))) / scale]
+        if max(tail) <= _TABLE_TOL:
+            return RemainderTable(medium, float(alpha), coef)
+        stalled = any(b <= t <= _TABLE_FLOOR for t, b in zip(tail, before))
+        if stalled or max(n) >= _TABLE_MAX:
+            raise TableUnresolved(
                 f"remainder table for omega={medium.omega}, alpha={alpha}: trailing "
-                f"coefficients {tail_tau:.1e} (tau), {tail_d:.1e} (d) at "
-                f"{n_tau}x{n_d} nodes exceed {_TABLE_TOL:.0e}")
-        if tail_tau > _TABLE_TOL:
-            n_tau = 2 * int(np.ceil(_TABLE_GROWTH * n_tau / 2))
-        if tail_d > _TABLE_TOL:
-            n_d = 2 * int(np.ceil(_TABLE_GROWTH * n_d / 2))
+                f"coefficients {tail[0]:.1e} (tau), {tail[1]:.1e} (d) at {n[0]}x{n[1]} "
+                f"nodes {'stopped falling' if stalled else 'reached the node limit'} "
+                f"above {_TABLE_TOL:.0e}")
+        for i in range(2):
+            grow = tail[i] > _TABLE_TOL
+            before[i] = tail[i] if grow else np.inf
+            if grow:
+                n[i] = 2 * int(np.ceil(_TABLE_GROWTH * n[i] / 2))

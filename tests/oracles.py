@@ -1,6 +1,7 @@
 """Independent reference computations used by the test suite only.
 
-* 40-digit mpmath references for the special functions;
+* 40-digit mpmath references for the special functions and the
+  free-space tensor, a 50-digit one for the 2D mode matrix;
 * inversion of the Fourier-domain mode symbols by direct quadrature
   (polar Hankel-transform contour in 2D, dipped line contour in 1D),
   fully independent of the closed-form tensor tables they certify;
@@ -57,6 +58,28 @@ def mp_kupradze2d(medium, dx):
                 out[i, j] = complex(1j / (4 * mp.mpmathify(medium.mu)) * mp.hankel1(0, ks * r) * e
                                     + 1j / (4 * mp.mpmathify(medium.rho_omega2)) * hess)
         return out
+
+
+def mp_mode_block_2d(medium, alpha_l, d):
+    """50-digit 2D mode matrix (i/4pi) C [[g Eg + a^2/b Eb, s a (Eb - Eg)], [., b Eb + a^2/g Eg]]."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        lam, mu = mp.mpf(medium.lam), mp.mpf(medium.mu)
+        kp2, ks2 = mp.mpmathify(medium.k_p) ** 2, mp.mpmathify(medium.k_s) ** 2
+        a = mp.mpmathify(alpha_l)
+
+        def root(w):  # Im >= 0, Re >= 0 on the nonnegative real axis
+            z = mp.sqrt(w)
+            return -z if mp.im(z) < 0 or (mp.im(z) == 0 and mp.re(z) < 0) else z
+
+        b, g = root(kp2 - a * a), root(ks2 - a * a)
+        D, s = abs(mp.mpf(d)), mp.sign(mp.mpf(d))
+        Eb, Eg = mp.exp(1j * b * D), mp.exp(1j * g * D)
+        C = 1j / (4 * mp.pi) * (lam + mu) / (mu * (lam + 2 * mu) * (kp2 - ks2))
+        M = [[g * Eg + a * a / b * Eb, s * a * (Eb - Eg)],
+             [s * a * (Eb - Eg), b * Eb + a * a / g * Eg]]
+        return np.array([[complex(C * M[i][j]) for j in range(2)] for i in range(2)])
 
 
 # ---------------------------------------------------------------------------

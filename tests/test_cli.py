@@ -55,6 +55,15 @@ def test_eval_wood_anomaly_exit3(tmp_path):
     assert main(["eval", "--config", p, "--out", str(tmp_path / "x.csv")]) == 3
 
 
+def test_solve2d_unresolved_table_exit3(tmp_path, monkeypatch, capsys):
+    import qpelastic.green2d as g2
+
+    monkeypatch.setattr(g2, "_TABLE_TOL", 0.0)
+    p = write_cfg(tmp_path, BASE_CONFIG)
+    assert main(["solve2d", "--config", p, "--out", str(tmp_path / "r.json")]) == 3
+    assert "TableUnresolved" in capsys.readouterr().err
+
+
 def test_eval_3d_geometries(tmp_path):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["geometry"] = "qp3d"
