@@ -13,13 +13,18 @@ accurate product-trapezoid rule for log kernels, the smooth factor with the
 plain trapezoid rule.
 
 Kernel values come from one :class:`~qpelastic.green2d.RemainderTable` per
-system, built when the system is assembled and kept on the solution: pairs
-with vertical gap |d| <= NEAR_GAP read the smooth remainder
-R = G + Phi/(2 pi) from the table and subtract the closed-form free-space
-tensor Phi/(2 pi); pairs beyond take the plain spectral series.  The
-on-diagonal finite part uses R(0, 0) from the same table.  The Abel-Plana
-near-line evaluator builds the table and serves the isolated near pairs of
-gradient evaluations.
+system, built from the plain series when the system is assembled and kept on
+the solution: pairs with vertical gap |d| <= NEAR_GAP read the smooth
+remainder R = G + Phi/(2 pi) from the table and subtract the closed-form
+free-space tensor Phi/(2 pi); pairs beyond take the plain spectral series.
+The on-diagonal finite part uses R(0, 0) from the same table.
+
+The scattered field at targets more than NEAR_GAP above the crest is the
+Rayleigh form of that plain series, whose source half
+(:class:`~qpelastic.green2d.RayleighSources`) each system also keeps: the
+density collapses into two coefficients per mode, and values and gradients
+cost O(modes) per target.  Targets closer to the curve take the table for
+values and the Abel-Plana near-line evaluator for gradients.
 
 First-kind formulation by design: spurious interior resonances are detected
 through a condition estimate, not cured.
@@ -34,7 +39,8 @@ from scipy.linalg import lapack, lu_factor, lu_solve
 from scipy.special import j0, j1
 
 from .errors import ResonanceSuspected, TooCloseToBoundary
-from .green2d import RemainderTable, green2d_near_line_batch, remainder_table
+from .green2d import (NEAR_GAP, RayleighSources, RemainderTable,
+                      green2d_near_line_batch, rayleigh_sources, remainder_table)
 from .medium import ElasticMedium, QuasiMomentum
 
 EULER_GAMMA = 0.5772156649015328606
@@ -240,7 +246,7 @@ def _log_coeff(medium: ElasticMedium, dx1, dx2):
 
 
 def _phi_reg_diag(medium: ElasticMedium, that):
-    """Finite part of the free-space tensor at coincidence along tangent that.
+    """Finite part of the free-space tensor at coincidence along tangents that (..., 2).
 
     Phi(r) - a(r) ln r  ->  (i/4mu) c_s I
         + (i/4 rho w^2) [ (2i/pi) g2 (that that^T + I/2) + 2 e1 I ]
@@ -253,7 +259,7 @@ def _phi_reg_diag(medium: ElasticMedium, that):
     g2 = -(ks**2 - kp**2) / 2.0
     e1 = -(ks**2 * c_s - kp**2 * c_p) / 4.0 + (1j / (2 * np.pi)) * (ks**2 - kp**2)
     eye = np.eye(2)
-    tt = np.outer(that, that)
+    tt = that[..., :, None] * that[..., None, :]
     rw2 = np.real(medium.rho_omega2)
     return (0.25j / medium.mu) * c_s * eye \
         + (0.25j / rw2) * ((2j / np.pi) * g2 * (tt + eye / 2.0) + 2.0 * e1 * eye)
@@ -284,6 +290,21 @@ def log_quadrature_weights_at(t: float, nodes: np.ndarray) -> np.ndarray:
     return w
 
 
+def log_quadrature_weights_off_node(t, N: int) -> np.ndarray:
+    """Off-node weights R_j(t_c) at every point of ``t`` for the N uniform nodes j/N.
+
+    The rows of :func:`log_quadrature_weights_at`, each as one FFT over j:
+    R_j(t) = Re sum_{m=1}^{N/2} c_m e^{2 pi i m (t - j/N)} with c_m = -2/(N m),
+    halved at m = N/2.  Returns (len(t), N).
+    """
+    m = np.arange(1, N // 2 + 1)
+    c = -(2.0 / N) / m
+    c[-1] /= 2.0
+    coef = np.zeros((len(t), N), dtype=complex)
+    coef[:, 1:N // 2 + 1] = c * np.exp(2j * np.pi * np.outer(t, m))
+    return np.fft.fft(coef, axis=1).real
+
+
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
@@ -303,6 +324,7 @@ class ScatterSolution:
     density: np.ndarray       # (N, 2) complex
     cond_estimate: float
     table: RemainderTable     # kernel table of the system, reused after the solve
+    above: RayleighSources    # source half of the field above the crest
 
     @property
     def arc_length(self) -> float:
@@ -356,11 +378,10 @@ def _kernel_split(table: RemainderTable, t_rows, pts_rows, t_cols, pts_cols, jac
 
     if phi_reg_rows is not None:
         r00 = table.remainder(0.0, 0.0)[0]
-        a0 = _log_coeff(medium, np.zeros(nr), np.zeros(nr))
-        for i in range(nr):
-            ji = jac_cols[i]
-            core = -(a0[i] * np.log(ji / (2 * np.pi)) + phi_reg_rows[i]) / (2 * np.pi) + r00
-            B[i, i] = ji * core
+        a0 = _log_coeff(medium, 0.0, 0.0)
+        ji = jac_cols[:nr, None, None]
+        core = -(a0 * np.log(ji / (2 * np.pi)) + phi_reg_rows) / (2 * np.pi) + r00
+        B[diag_mask] = ji * core
     return A, B
 
 
@@ -373,7 +394,7 @@ def _build_system(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve
     that = np.stack([np.ones_like(fp), fp], axis=-1) / jac[:, None]
 
     table = remainder_table(medium, q.alpha)
-    phi_reg = np.array([_phi_reg_diag(medium, that[i]) for i in range(N)])
+    phi_reg = _phi_reg_diag(medium, that)
     A, B = _kernel_split(table, t, pts, t, pts, jac, phi_reg_rows=phi_reg)
 
     w = log_quadrature_weights(N)
@@ -387,7 +408,8 @@ def _build_system(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve
     cond = 1.0 / max(rcond, 1e-300)
     if cond > COND_LIMIT:
         raise ResonanceSuspected(cond)
-    return dict(t=t, pts=pts, jac=jac, nu=nu, lu=(lu, piv), cond=cond, table=table)
+    return dict(t=t, pts=pts, jac=jac, nu=nu, lu=(lu, piv), cond=cond, table=table,
+                above=rayleigh_sources(medium, q, pts))
 
 
 def solve_dirichlet(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve2,
@@ -417,7 +439,8 @@ def solve_dirichlet_multi(medium: ElasticMedium, q: QuasiMomentum,
         rhs = -inc.eval(medium, q, sysd["pts"]).reshape(-1)
         psi = lu_solve(sysd["lu"], rhs).reshape(N, 2)
         out.append(ScatterSolution(medium, q, profile, inc, N, sysd["t"], sysd["pts"],
-                                   sysd["jac"], sysd["nu"], psi, sysd["cond"], sysd["table"]))
+                                   sysd["jac"], sysd["nu"], psi, sysd["cond"], sysd["table"],
+                                   sysd["above"]))
     return out
 
 
@@ -429,7 +452,7 @@ def boundary_residual(sol: ScatterSolution, n_check: int | None = None) -> float
     tc = (np.arange(n_check) + 0.37) / n_check
     pc, jc, _ = _geometry(sol.profile, tc)
     A, B = _kernel_split(sol.table, tc, pc, sol.nodes, sol.points, sol.jacobian)
-    Wfull = np.stack([log_quadrature_weights_at(ti, sol.nodes) for ti in tc])
+    Wfull = log_quadrature_weights_off_node(tc, N)
     Mat = Wfull[..., None, None] * A + B / N
     u_sc = np.einsum("cnab,nb->ca", Mat, sol.density)
     u_inc = sol.incident.eval(sol.medium, sol.q, pc)
@@ -441,8 +464,10 @@ def eval_scattered(sol: ScatterSolution, X, need_gradient: bool = False):
     """Scattered field (and gradient) at points X away from the boundary.
 
     Trapezoid quadrature of the representation; requires a clearance of
-    ``10 * arc_length / N`` from the periodized curve.  Values use the
-    solution's kernel table; gradients take the near-line evaluator.
+    ``10 * arc_length / N`` from the periodized curve.  Targets more than
+    NEAR_GAP above the crest take the Rayleigh form of the plain series
+    (:class:`~qpelastic.green2d.RayleighSources`); below that, values use
+    the solution's kernel table and gradients the near-line evaluator.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     N = sol.N
@@ -450,25 +475,33 @@ def eval_scattered(sol: ScatterSolution, X, need_gradient: bool = False):
 
     t1 = X[:, 0][:, None] - sol.nodes[None, :]
     tau = t1 - np.round(t1)
-    nstar = np.round(t1).astype(int)
     d = X[:, 1][:, None] - sol.points[:, 1][None, :]
-    dist = np.sqrt(tau**2 + d**2)
-    if np.any(dist.min(axis=1) < clearance):
+    if np.any(np.sqrt(tau**2 + d**2).min(axis=1) < clearance):
         raise TooCloseToBoundary(f"need distance >= {clearance:.3e} from the curve")
 
-    phase = np.exp(1j * sol.q.alpha * nstar)
     wj = sol.jacobian / N
-    shape = tau.shape
-    if need_gradient:
-        v, g1, g2 = green2d_near_line_batch(sol.medium, sol.q.alpha,
-                                            tau.ravel(), d.ravel(), want_jet=True)
-        v = v.reshape(shape + (2, 2))
-        g1 = g1.reshape(shape + (2, 2))
-        g2 = g2.reshape(shape + (2, 2))
-        u = np.einsum("xn,xnab,nb,n->xa", phase, v, sol.density, wj)
-        du1 = np.einsum("xn,xnab,nb,n->xa", phase, g1, sol.density, wj)
-        du2 = np.einsum("xn,xnab,nb,n->xa", phase, g2, sol.density, wj)
-        grad = np.stack([du1, du2], axis=-1)  # grad[..., i, j] = d_j u_i
-        return u, grad
-    v = sol.table.green(tau.ravel(), d.ravel()).reshape(shape + (2, 2))
-    return np.einsum("xn,xnab,nb,n->xa", phase, v, sol.density, wj)
+    u = np.empty((len(X), 2), dtype=complex)
+    grad = np.empty((len(X), 2, 2), dtype=complex)  # grad[..., i, j] = d_j u_i
+    above = X[:, 1] - sol.above.crest > NEAR_GAP
+    if np.any(above):
+        out = sol.above.apply(sol.density * wj[:, None], X[above], need_gradient)
+        if need_gradient:
+            u[above], grad[above] = out[0], np.stack(out[1:], axis=-1)
+        else:
+            u[above] = out
+    rest = ~above
+    if np.any(rest):
+        tau, d = tau[rest], d[rest]
+        phase = np.exp(1j * sol.q.alpha * np.round(t1[rest]))
+        shape = tau.shape
+        if need_gradient:
+            v, g1, g2 = green2d_near_line_batch(sol.medium, sol.q.alpha,
+                                                tau.ravel(), d.ravel(), want_jet=True)
+            u[rest], du1, du2 = (np.einsum("xn,xnab,nb,n->xa", phase,
+                                           m.reshape(shape + (2, 2)), sol.density, wj)
+                                 for m in (v, g1, g2))
+            grad[rest] = np.stack([du1, du2], axis=-1)
+        else:
+            v = sol.table.green(tau.ravel(), d.ravel()).reshape(shape + (2, 2))
+            u[rest] = np.einsum("xn,xnab,nb,n->xa", phase, v, sol.density, wj)
+    return (u, grad) if need_gradient else u

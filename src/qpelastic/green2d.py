@@ -17,11 +17,17 @@ and solves ``(Delta* + rho omega^2) G = (1/2pi) * phased delta comb``; see
 :func:`qpelastic.green_free.comb_normalization` for the lattice-sum mapping.
 
 Close to the source line the series needs O(1/|d|) modes.  Two evaluators
-cover that region: the Abel-Plana near-line form (any gap, d = 0 included,
-but costly per pair) and :class:`RemainderTable`, a tensor-Chebyshev table
-of the smooth remainder ``R = G + Phi/(2 pi)`` on ``|tau| <= 1/2``,
-``|d| <= NEAR_GAP`` that the Abel-Plana form builds once per (medium, alpha).
-Beyond ``NEAR_GAP`` the plain series converges fast and is used directly.
+cover that region: :class:`RemainderTable`, a tensor-Chebyshev table of the
+smooth remainder ``R = G + Phi/(2 pi)`` on ``|tau| <= 1/2``,
+``|d| <= NEAR_GAP``, and the Abel-Plana near-line form (any gap, d = 0
+included, but costly per pair).  The table is built once per (medium, alpha)
+from the plain series, one row of nodes at a time: the nodes of a row share
+their gap d_k and with it the mode matrices M(alpha_l, d_k).  Abel-Plana
+serves point-source incidence near the source line, gradients at targets
+within NEAR_GAP of a source, and the tests as an independent oracle.
+Beyond ``NEAR_GAP`` the plain series converges fast and is used directly;
+:class:`RayleighSources` sums it in Rayleigh form for fixed sources and
+targets more than NEAR_GAP above all of them.
 """
 
 from __future__ import annotations
@@ -409,6 +415,88 @@ def green2d_near_line_batch(medium: ElasticMedium, alpha: float, tau, d,
     return tuple(out) if want_jet else out[0]
 
 
+def _period(x1):
+    """(x1 - n, n) as (P, 1) columns with n = floor(x1), so that
+    e^{i alpha_l x1} = e^{i (alpha n + alpha_l (x1 - n))} keeps alpha_l's factor small."""
+    n = np.floor(x1)
+    return (x1 - n)[:, None], n[:, None]
+
+
+@dataclass(frozen=True)
+class RayleighSources:
+    """The tensor applied from fixed sources Y to targets more than NEAR_GAP above them all.
+
+    This is the plain series that :func:`green2d_near_line_batch` sums for
+    |d| > NEAR_GAP, over the same window, in Rayleigh form.  For d > 0 the
+    mode matrix splits into one rank-one term per wave type,
+
+        M(alpha_l, d) = c e^{i beta_l d}/beta_l (a, b)(a, b)^T
+                      + c e^{i gamma_l d}/gamma_l (g, -a)(g, -a)^T,
+
+    with (a, b, g) = (alpha_l, beta_l, gamma_l) and c the prefactor of the
+    module docstring.  ``src_p``/``src_s`` (N, K) hold
+    e^{-i alpha_l y1 + i beta_l (crest - y2)} (resp. gamma_l) for every
+    source, referenced to ``crest`` = max y2 so that no factor exceeds 1;
+    any charges on the sources then collapse into two coefficients per mode,
+    and each target costs O(modes).
+    """
+
+    medium: ElasticMedium
+    q: QuasiMomentum
+    crest: float
+    alpha_l: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    src_p: np.ndarray
+    src_s: np.ndarray
+
+    def apply(self, charges, X, want_jet: bool = False):
+        """sum_n G(x - Y_n) charges_n at targets X (P, 2) with x2 > crest + NEAR_GAP.
+
+        ``charges`` (N, 2).  Returns (P, 2), or a (value, d/dx1, d/dx2) tuple
+        when ``want_jet``.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if np.any(X[:, 1] - self.crest <= NEAR_GAP):
+            raise ValueError(f"targets must lie more than NEAR_GAP={NEAR_GAP} "
+                             f"above the crest {self.crest}")
+        a, b, g = self.alpha_l, self.beta, self.gamma
+        pv = np.stack([a, b], axis=-1)    # (K, 2) polarisations
+        sv = np.stack([g, -a], axis=-1)
+        pref = _pref(self.medium)
+        cp = pref / b * np.sum((self.src_p.T @ charges) * pv, axis=1)
+        cs = pref / g * np.sum((self.src_s.T @ charges) * sv, axis=1)
+        x1, n = _period(X[:, 0])
+        h = (X[:, 1] - self.crest)[:, None]
+        fp = np.exp(1j * (self.q.alpha * n + x1 * a + h * b)) * cp
+        fs = np.exp(1j * (self.q.alpha * n + x1 * a + h * g)) * cs
+        u = fp @ pv + fs @ sv
+        if not want_jet:
+            return u
+        return u, (1j * a * fp) @ pv + (1j * a * fs) @ sv, \
+            (1j * b * fp) @ pv + (1j * g * fs) @ sv
+
+
+def rayleigh_sources(medium: ElasticMedium, q: QuasiMomentum, Y) -> RayleighSources:
+    """The source half of the Rayleigh form for sources Y (N, 2).
+
+    Raises WoodAnomaly when a mode of the window sits at a cut-off, since the
+    form divides by beta_l and gamma_l.
+    """
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    al = mode_window(medium, q, NEAR_GAP, _FAR_TOL)[1]
+    check_wood_window(medium, q, al)
+    a = al.astype(complex)
+    b = branch_sqrt(medium.k_p**2 - a * a)
+    g = branch_sqrt(medium.k_s**2 - a * a)
+    crest = float(np.max(Y[:, 1]))
+    y1, n = _period(-Y[:, 0])
+    rise = (crest - Y[:, 1])[:, None]
+    phase = q.alpha * n + y1 * a
+    return RayleighSources(medium, q, crest, a, b, g, np.exp(1j * (phase + rise * b)),
+                           np.exp(1j * (phase + rise * g)))
+
+
 def green2d_near_line(medium: ElasticMedium, alpha: float, t1: float, d: float,
                       want_jet: bool = False, margin_modes: int = 3):
     """Single-pair convenience wrapper around the batched near-line evaluator."""
@@ -434,7 +522,7 @@ _TABLE_START = (28, 28)  # Chebyshev nodes in tau and in d of the first fit
 _TABLE_GROWTH = 1.25     # node-count factor per direction that has not converged
 _TABLE_MAX = 128         # nodes per direction before giving up
 # a trailing coefficient below this that stops falling as nodes are added is
-# the Abel-Plana values' rounding floor, not an unresolved oscillation
+# the series values' rounding floor, not an unresolved oscillation
 _TABLE_FLOOR = 1e-11
 
 
@@ -473,15 +561,18 @@ class RemainderTable:
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         d = np.atleast_1d(np.asarray(d, dtype=float))
         n_tau, m, _ = self.coef.shape
-        # a real basis times complex coefficients, as one real product
+        # a real basis times complex coefficients, as real products on the
+        # (re, im) pairs of R_11, R_22 and R_12
         re_im = self.coef.reshape(n_tau, 3 * m).view(float)
-        v = (_cheb_basis(2.0 * tau, n_tau) @ re_im).view(complex).reshape(len(tau), m, 3)
-        ty = _cheb_basis(d / NEAR_GAP, 2 * m)
-        diag = np.einsum("pk,pke->pe", ty[:, 0::2], v[..., :2])
-        off = np.einsum("pk,pk->p", ty[:, 1::2], v[..., 2])
+        v = (_cheb_basis(2.0 * tau, n_tau) @ re_im).reshape(len(tau), m, 6)
+        ty = _cheb_basis(d / NEAR_GAP, 2 * m).reshape(len(tau), m, 2)
+        r = np.empty((len(tau), 6))
+        r[:, :4] = np.einsum("pk,pkf->pf", ty[..., 0], v[..., :4])   # even degrees
+        r[:, 4:] = np.einsum("pk,pkf->pf", ty[..., 1], v[..., 4:])   # odd degrees
+        r = r.view(complex)
         out = np.empty((len(tau), 2, 2), dtype=complex)
-        out[:, 0, 0], out[:, 1, 1] = diag[:, 0], diag[:, 1]
-        out[:, 0, 1] = out[:, 1, 0] = off
+        out[:, 0, 0], out[:, 1, 1] = r[:, 0], r[:, 1]
+        out[:, 0, 1] = out[:, 1, 0] = r[:, 2]
         return out
 
     def green(self, tau, d) -> np.ndarray:
@@ -506,14 +597,25 @@ class RemainderTable:
 
 
 def _fit_remainder(medium, alpha, n_tau, n_d):
-    """Coefficients (n_tau, n_d // 2, 3) from Abel-Plana values at first-kind nodes."""
+    """Coefficients (n_tau, n_d // 2, 3) from plain-series values at first-kind nodes.
+
+    Every node of one row d_k > 0 shares the mode matrices M(alpha_l, d_k),
+    so each row is one (tau nodes x modes) phase matrix times one stack of
+    mode matrices over the window of gap d_k.
+    """
+    q = QuasiMomentum("qp2d", alpha)
     x = _cheb_nodes(n_tau)
     y = _cheb_nodes(n_d)[: n_d // 2]   # the nodes with d > 0
+    G = np.empty((n_tau, len(y), 2, 2), dtype=complex)
+    for k, dk in enumerate(NEAR_GAP * y):
+        al = mode_window(medium, q, dk, _FAR_TOL)[1]
+        check_wood_window(medium, q, al)
+        blocks = _unified_blocks(medium, al, dk, 1.0).reshape(len(al), 4)
+        G[:, k] = (np.exp(0.5j * np.outer(x, al)) @ blocks).reshape(n_tau, 2, 2)
     tau = np.repeat(0.5 * x, len(y))
     d = np.tile(NEAR_GAP * y, n_tau)
-    R = green2d_near_line_batch(medium, alpha, tau, d) \
-        + _kupradze2d_value(medium, np.stack([tau, d], axis=-1)) / (2 * np.pi)
-    R = R.reshape(n_tau, len(y), 2, 2)
+    R = G + _kupradze2d_value(medium, np.stack([tau, d], axis=-1)).reshape(G.shape) \
+        / (2 * np.pi)
     # discrete orthogonality of T_j at first-kind nodes; in d the sum over
     # all n_d nodes is twice the sum over d > 0 by the parity of R
     ct = _cheb_basis(x, n_tau).T * (2.0 / n_tau)
@@ -521,8 +623,8 @@ def _fit_remainder(medium, alpha, n_tau, n_d):
     cd = _cheb_basis(y, n_d).T * (4.0 / n_d)
     cd[0] /= 2.0
     diag = np.einsum("ji,ile,kl->jke", ct, np.stack([R[..., 0, 0], R[..., 1, 1]], -1),
-                     cd[0::2])
-    off = np.einsum("ji,il,kl->jk", ct, R[..., 0, 1], cd[1::2])
+                     cd[0::2], optimize=True)
+    off = np.einsum("ji,il,kl->jk", ct, R[..., 0, 1], cd[1::2], optimize=True)
     return np.concatenate([diag, off[..., None]], axis=-1)
 
 
@@ -531,10 +633,10 @@ def remainder_table(medium: ElasticMedium, alpha: float) -> RemainderTable:
 
     The node count in each direction grows from ``_TABLE_START`` until the
     two trailing Chebyshev coefficients in that direction fall below
-    ``_TABLE_TOL`` times the largest coefficient.  Raises WoodAnomaly where
-    the near-line evaluator does, and TableUnresolved when the trailing
-    coefficients stop falling below ``_TABLE_FLOOR`` or have not reached the
-    tolerance by ``_TABLE_MAX`` nodes.
+    ``_TABLE_TOL`` times the largest coefficient.  Raises WoodAnomaly when a
+    mode of the series window sits at a cut-off, and TableUnresolved when the
+    trailing coefficients stop falling below ``_TABLE_FLOOR`` or have not
+    reached the tolerance by ``_TABLE_MAX`` nodes.
     """
     n = list(_TABLE_START)
     before = [np.inf, np.inf]   # each direction's tail before its last growth

@@ -104,11 +104,10 @@ def _kupradze2d_value(medium: ElasticMedium, dx):
     rhat = dx / r[..., None]
     h0s, h1s = _hankel01(ks, r)
     h0p, h1p = _hankel01(kp, r)
-    f1 = (-ks * h1s + kp * h1p) / r
+    f1 = np.asarray((-ks * h1s + kp * h1p) / r)
     small = np.abs(ks) * r < 1.0
     if np.any(small):
-        series = _dh0_over_r_series(ks, kp, np.minimum(r, 1.0 / np.abs(ks)))
-        f1 = np.where(small, series, f1)
+        f1[small] = _dh0_over_r_series(ks, kp, r[small])
     lap = -(ks**2) * h0s + kp**2 * h0p
     eye = np.eye(2)
     rr = rhat[..., :, None] * rhat[..., None, :]

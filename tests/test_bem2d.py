@@ -4,11 +4,13 @@ import pytest
 from oracles import flat_reflection
 from qpelastic.bem2d import (IncidentField, ProfileCurve2, boundary_residual,
                              eval_scattered, log_quadrature_weights,
-                             log_quadrature_weights_at, plane_incidence,
+                             log_quadrature_weights_at,
+                             log_quadrature_weights_off_node, plane_incidence,
                              point_source_incidence, solve_dirichlet,
                              solve_dirichlet_multi, traction)
 from qpelastic.errors import TooCloseToBoundary, WoodAnomaly
 from qpelastic.fdcheck import navier_apply_fd
+from qpelastic.green2d import NEAR_GAP, green2d_near_line_batch, rayleigh_sources
 from qpelastic.medium import make_medium, make_quasi_momentum
 from qpelastic.rayleigh import extract_coeffs_2d, flux_2d
 
@@ -38,6 +40,15 @@ def test_log_quadrature_exactness():
             assert abs(approx - exact) < 1e-13
     off = log_quadrature_weights_at(nodes[3], nodes)
     assert np.max(np.abs(off - w[(3 - np.arange(N)) % N])) < 1e-13
+
+
+def test_off_node_log_weights_match_per_point():
+    for N in (32, 64):
+        nodes = np.arange(N) / N
+        for n_check in (2 * N, 3 * N + 1):
+            tc = (np.arange(n_check) + 0.37) / n_check
+            ref = np.stack([log_quadrature_weights_at(t, nodes) for t in tc])
+            assert np.max(np.abs(log_quadrature_weights_off_node(tc, N) - ref)) <= 1e-14
 
 
 def test_traction_plane_p_wave(grating_setup):
@@ -214,6 +225,69 @@ def test_scattered_field_near_boundary(sin_solution):
     u = eval_scattered(sol, X)
     u_jet, _ = eval_scattered(sol, X, need_gradient=True)
     assert np.max(np.abs(u - u_jet)) < 1e-12 * np.max(np.abs(u))
+
+
+def _scattered_by_pairs(sol, X):
+    """Scattered field and gradient summed pair by pair: kernel values from the
+    solution's table, gradients from the near-line evaluator."""
+    t1 = X[:, 0][:, None] - sol.nodes[None, :]
+    tau = t1 - np.round(t1)
+    d = X[:, 1][:, None] - sol.points[:, 1][None, :]
+    w = np.exp(1j * sol.q.alpha * np.round(t1)) * (sol.jacobian / sol.N)
+    shape = tau.shape + (2, 2)
+    v = sol.table.green(tau.ravel(), d.ravel()).reshape(shape)
+    jet = green2d_near_line_batch(sol.medium, sol.q.alpha, tau.ravel(), d.ravel(),
+                                  want_jet=True)
+    u, du1, du2 = (np.einsum("xn,xnab,nb->xa", w, m.reshape(shape), sol.density)
+                   for m in (v, jet[1], jet[2]))
+    return u, np.stack([du1, du2], axis=-1)
+
+
+def test_scattered_field_above_crest(sin_solution):
+    # targets more than NEAR_GAP above the highest node take the Rayleigh form;
+    # it reorders the plain series that every one of their pairs takes
+    sol = sin_solution
+    h0 = np.max(sol.points[:, 1])
+    x1 = np.array([-0.7, 0.13, 0.25, 0.9, 1.6, 3.31])
+    for h in (h0 + NEAR_GAP + 1e-3, h0 + 0.5, h0 + 2.0):
+        X = np.stack([x1, np.full(len(x1), h)], axis=-1)
+        u_ref, g_ref = _scattered_by_pairs(sol, X)
+        u, grad = eval_scattered(sol, X, need_gradient=True)
+        assert np.max(np.abs(u - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))
+        assert np.max(np.abs(grad - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
+        assert np.max(np.abs(eval_scattered(sol, X) - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))
+
+
+def test_scattered_field_mixed_batch(sin_solution):
+    # a batch with targets on both sides of the split equals its parts alone
+    sol = sin_solution
+    h0 = np.max(sol.points[:, 1])
+    x1 = np.array([0.1, 0.35, 0.6, 0.85])
+    X = np.stack([x1, h0 + np.array([0.3, 0.2, 0.7, NEAR_GAP])], axis=-1)
+    above = X[:, 1] - h0 > NEAR_GAP
+    assert 0 < np.sum(above) < len(X)
+    u, grad = eval_scattered(sol, X, need_gradient=True)
+    v = eval_scattered(sol, X)
+    for part in (above, ~above):
+        u_p, g_p = eval_scattered(sol, X[part], need_gradient=True)
+        assert np.max(np.abs(u[part] - u_p)) <= 1e-13 * np.max(np.abs(u_p))
+        assert np.max(np.abs(grad[part] - g_p)) <= 1e-13 * np.max(np.abs(g_p))
+        assert np.max(np.abs(v[part] - eval_scattered(sol, X[part]))) \
+            <= 1e-13 * np.max(np.abs(u_p))
+
+
+def test_above_crest_guards(grating_setup):
+    med, inc, q = grating_setup
+    sol = solve_dirichlet(med, q, ProfileCurve2(0.0, (), (0.1,)), inc, N=32)
+    h0 = np.max(sol.points[:, 1])
+    # the clearance at N = 32 (about 0.34) exceeds NEAR_GAP: checked before the split
+    with pytest.raises(TooCloseToBoundary):
+        eval_scattered(sol, np.array([[0.25, h0 + NEAR_GAP + 0.05]]))
+    with pytest.raises(ValueError):
+        sol.above.apply(sol.density, np.array([[0.25, h0 + NEAR_GAP]]))
+    # the Rayleigh form divides by beta_l and gamma_l: refuse a cut-off alpha
+    with pytest.raises(WoodAnomaly):
+        rayleigh_sources(med, make_quasi_momentum("qp2d", float(np.real(med.k_p))), sol.points)
 
 
 def test_too_close_to_boundary(sin_solution):

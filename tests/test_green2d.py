@@ -179,6 +179,8 @@ def test_near_line_wood_anomaly_on_both_sides():
 
 
 def test_remainder_table_against_abel_plana():
+    # the table is fitted to plain-series values, so Abel-Plana is an
+    # independent reference
     rng = np.random.default_rng(7)
     for omega in (5.0, 12.0):
         med = make_medium(2.0, 1.0, 1.0, omega)
