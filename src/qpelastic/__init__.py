@@ -17,7 +17,7 @@ from .bem2d import (IncidentField, ProfileCurve2, ScatterSolution,
                     boundary_residual, eval_scattered, plane_incidence,
                     point_source_incidence, solve_dirichlet,
                     solve_dirichlet_multi, traction)
-from .green2d import green2d_eval, mode_term_2d
+from .green2d import green2d_eval
 from .green3d_biqp import c_l_bi, greenbi_eval
 from .green3d_qp import c_l, green3dqp_eval, ode_residual
 from .green_free import GreenEval, comb_normalization, kupradze, lattice_sum

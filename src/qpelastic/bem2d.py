@@ -12,19 +12,21 @@ kernel minus that part.  The log factor is integrated with the spectrally
 accurate product-trapezoid rule for log kernels, the smooth factor with the
 plain trapezoid rule.
 
-Kernel values come from one :class:`~qpelastic.green2d.RemainderTable` per
-system, built from the plain series when the system is assembled and kept on
-the solution: pairs with vertical gap |d| <= NEAR_GAP read the smooth
-remainder R = G + Phi/(2 pi) from the table and subtract the closed-form
-free-space tensor Phi/(2 pi); pairs beyond take the plain spectral series.
-The on-diagonal finite part uses R(0, 0) from the same table.
+Each system keeps one :class:`~qpelastic.green2d.QPSources` at its nodes,
+holding the :class:`~qpelastic.green2d.RemainderTable` built from the plain
+series when the system is assembled.  Kernel entries of pairs with vertical
+gap |d| <= NEAR_GAP read the smooth remainder R = G + Phi/(2 pi) from the
+table and subtract the closed-form free-space tensor Phi/(2 pi); pairs
+beyond take the plain spectral series.  The on-diagonal finite part uses
+R(0, 0) from the same table.
 
-The scattered field at targets more than NEAR_GAP above the crest is the
-Rayleigh form of that plain series, whose source half
-(:class:`~qpelastic.green2d.RayleighSources`) each system also keeps: the
-density collapses into two coefficients per mode, and values and gradients
-cost O(modes) per target.  Targets closer to the curve take the table for
-values and the Abel-Plana near-line evaluator for gradients.
+Incident point sources and the scattered field are the tensor applied from a
+source set, so both go through ``QPSources.apply`` and its one evaluator
+rule: targets more than NEAR_GAP above every source take the Rayleigh form
+of the plain series; values of pairs with |d| <= NEAR_GAP take the table
+when the source set has one (the scattered field's does, a point source's
+does not); everything else takes the near-line evaluator (Abel-Plana near
+the source line, the plain series beyond).
 
 First-kind formulation by design: spurious interior resonances are detected
 through a condition estimate, not cured.
@@ -39,8 +41,7 @@ from scipy.linalg import lapack, lu_factor, lu_solve
 from scipy.special import j0, j1
 
 from .errors import ResonanceSuspected, TooCloseToBoundary
-from .green2d import (NEAR_GAP, RayleighSources, RemainderTable,
-                      green2d_near_line_batch, rayleigh_sources, remainder_table)
+from .green2d import QPSources, remainder_table
 from .medium import ElasticMedium, QuasiMomentum
 
 EULER_GAMMA = 0.5772156649015328606
@@ -119,6 +120,9 @@ class IncidentField:
     polarization: tuple | None = None
 
     def eval(self, medium: ElasticMedium, q: QuasiMomentum, X):
+        """u at points X (n, 2); (n, 2) complex."""
+        if self.kind == "point_source":
+            return self._point_source(medium, q, X, False)
         return self.jet(medium, q, X)[0]
 
     def jet(self, medium: ElasticMedium, q: QuasiMomentum, X):
@@ -133,23 +137,17 @@ class IncidentField:
             pol = np.array([-d[1], d[0]])
             k = np.real(medium.k_s)
         elif self.kind == "point_source":
-            z = np.asarray(self.source, dtype=float)
-            pvec = np.asarray(self.polarization, dtype=complex)
-            t1 = X[:, 0] - z[0]
-            tau = t1 - np.round(t1)
-            nstar = np.round(t1).astype(int)
-            phase = np.exp(1j * q.alpha * nstar)
-            val, g1, g2 = green2d_near_line_batch(medium, q.alpha, tau, X[:, 1] - z[1],
-                                                  want_jet=True)
-            u = phase[:, None] * np.einsum("nab,b->na", val, pvec)
-            du1 = phase[:, None] * np.einsum("nab,b->na", g1, pvec)
-            du2 = phase[:, None] * np.einsum("nab,b->na", g2, pvec)
-            return u, du1, du2
+            return self._point_source(medium, q, X, True)
         else:
             raise ValueError(f"unknown incident kind {self.kind!r}")
         ph = np.exp(1j * k * (X @ d))
         u = pol[None, :] * ph[:, None]
         return u, 1j * k * d[0] * u, 1j * k * d[1] * u
+
+    def _point_source(self, medium, q, X, want_jet):
+        """The tensor applied from the one source to the polarization vector."""
+        return QPSources(medium, q, [self.source]).apply(
+            np.asarray([self.polarization], dtype=complex), X, want_jet)
 
 
 def plane_incidence(medium: ElasticMedium, kind: str, theta: float):
@@ -279,21 +277,10 @@ def log_quadrature_weights(N: int) -> np.ndarray:
     return w
 
 
-def log_quadrature_weights_at(t: float, nodes: np.ndarray) -> np.ndarray:
-    """Off-node weights R_j(t) for the same log rule."""
-    N = len(nodes)
-    n = N // 2
-    m = np.arange(1, n)
-    diff = t - nodes
-    w = -(2.0 / N) * np.cos(2 * np.pi * np.outer(diff, m)) @ (1.0 / m) \
-        - (2.0 / N**2) * np.cos(np.pi * N * diff)
-    return w
-
-
 def log_quadrature_weights_off_node(t, N: int) -> np.ndarray:
     """Off-node weights R_j(t_c) at every point of ``t`` for the N uniform nodes j/N.
 
-    The rows of :func:`log_quadrature_weights_at`, each as one FFT over j:
+    Each row is one FFT over j:
     R_j(t) = Re sum_{m=1}^{N/2} c_m e^{2 pi i m (t - j/N)} with c_m = -2/(N m),
     halved at m = N/2.  Returns (len(t), N).
     """
@@ -323,8 +310,7 @@ class ScatterSolution:
     normal: np.ndarray        # (N, 2), upward
     density: np.ndarray       # (N, 2) complex
     cond_estimate: float
-    table: RemainderTable     # kernel table of the system, reused after the solve
-    above: RayleighSources    # source half of the field above the crest
+    sources: QPSources        # the nodes, with the system's kernel table
 
     @property
     def arc_length(self) -> float:
@@ -340,22 +326,17 @@ def _geometry(profile: ProfileCurve2, t):
     return pts, jac, nu
 
 
-def _kernel_split(table: RemainderTable, t_rows, pts_rows, t_cols, pts_cols, jac_cols,
-                  phi_reg_rows=None):
+def _kernel_split(sources: QPSources, pts_rows, jac_cols, phi_reg_rows=None):
     """A (log coefficient) and B (smooth remainder) matrices of the kernel.
 
     Rows are collocation points (may be off-node), columns the quadrature
-    nodes.  ``phi_reg_rows`` supplies the tangential finite-part matrices for
-    rows that coincide with columns (the on-node case); pass None when the
-    row set avoids all columns.
+    nodes ``sources.Y``, which lie at x1 = t.  ``phi_reg_rows`` supplies the
+    tangential finite-part matrices for rows that coincide with columns (the
+    on-node case); pass None when the row set avoids all columns.
     """
-    medium = table.medium
-    nr, nc = len(t_rows), len(t_cols)
-    dt = t_rows[:, None] - t_cols[None, :]
-    tau = dt - np.round(dt)
-    nstar = np.round(dt).astype(int)
-    d = pts_rows[:, 1][:, None] - pts_cols[:, 1][None, :]
-    phase = np.exp(1j * table.alpha * nstar)
+    medium, table = sources.medium, sources.table
+    nr, nc = len(pts_rows), len(sources.Y)
+    tau, phase, d = sources.wrap(pts_rows)
 
     diag_mask = np.zeros((nr, nc), dtype=bool)
     if phi_reg_rows is not None:
@@ -372,7 +353,9 @@ def _kernel_split(table: RemainderTable, t_rows, pts_rows, t_cols, pts_cols, jac
     G[~diag_mask] = table.green(tau[~diag_mask], d[~diag_mask])
     K = phase[..., None, None] * G * jac_cols[None, :, None, None]
 
+    # ln(4 sin^2(pi (t - s))) of the unwrapped parameter offset
     lnterm = np.zeros((nr, nc))
+    dt = pts_rows[:, 0][:, None] - sources.Y[:, 0][None, :]
     lnterm[~diag_mask] = np.log(4.0 * np.sin(np.pi * dt[~diag_mask]) ** 2)
     B = K - A * lnterm[..., None, None]
 
@@ -393,9 +376,9 @@ def _build_system(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve
     fp = profile.df(t)
     that = np.stack([np.ones_like(fp), fp], axis=-1) / jac[:, None]
 
-    table = remainder_table(medium, q.alpha)
+    sources = QPSources(medium, q, pts, remainder_table(medium, q.alpha))
     phi_reg = _phi_reg_diag(medium, that)
-    A, B = _kernel_split(table, t, pts, t, pts, jac, phi_reg_rows=phi_reg)
+    A, B = _kernel_split(sources, pts, jac, phi_reg_rows=phi_reg)
 
     w = log_quadrature_weights(N)
     idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
@@ -408,8 +391,7 @@ def _build_system(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve
     cond = 1.0 / max(rcond, 1e-300)
     if cond > COND_LIMIT:
         raise ResonanceSuspected(cond)
-    return dict(t=t, pts=pts, jac=jac, nu=nu, lu=(lu, piv), cond=cond, table=table,
-                above=rayleigh_sources(medium, q, pts))
+    return dict(t=t, pts=pts, jac=jac, nu=nu, lu=(lu, piv), cond=cond, sources=sources)
 
 
 def solve_dirichlet(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve2,
@@ -439,8 +421,7 @@ def solve_dirichlet_multi(medium: ElasticMedium, q: QuasiMomentum,
         rhs = -inc.eval(medium, q, sysd["pts"]).reshape(-1)
         psi = lu_solve(sysd["lu"], rhs).reshape(N, 2)
         out.append(ScatterSolution(medium, q, profile, inc, N, sysd["t"], sysd["pts"],
-                                   sysd["jac"], sysd["nu"], psi, sysd["cond"], sysd["table"],
-                                   sysd["above"]))
+                                   sysd["jac"], sysd["nu"], psi, sysd["cond"], sysd["sources"]))
     return out
 
 
@@ -451,7 +432,7 @@ def boundary_residual(sol: ScatterSolution, n_check: int | None = None) -> float
         n_check = 2 * N
     tc = (np.arange(n_check) + 0.37) / n_check
     pc, jc, _ = _geometry(sol.profile, tc)
-    A, B = _kernel_split(sol.table, tc, pc, sol.nodes, sol.points, sol.jacobian)
+    A, B = _kernel_split(sol.sources, pc, sol.jacobian)
     Wfull = log_quadrature_weights_off_node(tc, N)
     Mat = Wfull[..., None, None] * A + B / N
     u_sc = np.einsum("cnab,nb->ca", Mat, sol.density)
@@ -463,45 +444,14 @@ def boundary_residual(sol: ScatterSolution, n_check: int | None = None) -> float
 def eval_scattered(sol: ScatterSolution, X, need_gradient: bool = False):
     """Scattered field (and gradient) at points X away from the boundary.
 
-    Trapezoid quadrature of the representation; requires a clearance of
-    ``10 * arc_length / N`` from the periodized curve.  Targets more than
-    NEAR_GAP above the crest take the Rayleigh form of the plain series
-    (:class:`~qpelastic.green2d.RayleighSources`); below that, values use
-    the solution's kernel table and gradients the near-line evaluator.
+    Trapezoid quadrature of the representation, applied from the nodes by
+    ``sol.sources``; requires a clearance of ``10 * arc_length / N`` from the
+    periodized curve.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    N = sol.N
-    clearance = EVAL_CLEARANCE_FACTOR * sol.arc_length / N
-
-    t1 = X[:, 0][:, None] - sol.nodes[None, :]
-    tau = t1 - np.round(t1)
-    d = X[:, 1][:, None] - sol.points[:, 1][None, :]
+    clearance = EVAL_CLEARANCE_FACTOR * sol.arc_length / sol.N
+    tau, _, d = sol.sources.wrap(X)
     if np.any(np.sqrt(tau**2 + d**2).min(axis=1) < clearance):
         raise TooCloseToBoundary(f"need distance >= {clearance:.3e} from the curve")
-
-    wj = sol.jacobian / N
-    u = np.empty((len(X), 2), dtype=complex)
-    grad = np.empty((len(X), 2, 2), dtype=complex)  # grad[..., i, j] = d_j u_i
-    above = X[:, 1] - sol.above.crest > NEAR_GAP
-    if np.any(above):
-        out = sol.above.apply(sol.density * wj[:, None], X[above], need_gradient)
-        if need_gradient:
-            u[above], grad[above] = out[0], np.stack(out[1:], axis=-1)
-        else:
-            u[above] = out
-    rest = ~above
-    if np.any(rest):
-        tau, d = tau[rest], d[rest]
-        phase = np.exp(1j * sol.q.alpha * np.round(t1[rest]))
-        shape = tau.shape
-        if need_gradient:
-            v, g1, g2 = green2d_near_line_batch(sol.medium, sol.q.alpha,
-                                                tau.ravel(), d.ravel(), want_jet=True)
-            u[rest], du1, du2 = (np.einsum("xn,xnab,nb,n->xa", phase,
-                                           m.reshape(shape + (2, 2)), sol.density, wj)
-                                 for m in (v, g1, g2))
-            grad[rest] = np.stack([du1, du2], axis=-1)
-        else:
-            v = sol.table.green(tau.ravel(), d.ravel()).reshape(shape + (2, 2))
-            u[rest] = np.einsum("xn,xnab,nb,n->xa", phase, v, sol.density, wj)
-    return (u, grad) if need_gradient else u
+    out = sol.sources.apply(sol.density * (sol.jacobian / sol.N)[:, None], X, need_gradient)
+    return (out[0], np.stack(out[1:], axis=-1)) if need_gradient else out

@@ -549,7 +549,7 @@ def _dataset_from_json(obj) -> PhaselessDataset:
                             np.asarray(obj["b"], float), obj.get("meta", {}))
 
 
-def cmd_phaseless(rc, action, out_path, threads):
+def cmd_phaseless(rc, action, out_path):
     ph = rc.get("phaseless")
     if ph is None:
         raise ConfigError("phaseless", "missing")
@@ -564,7 +564,7 @@ def cmd_phaseless(rc, action, out_path, threads):
     for w in freqs:
         medium = make_medium(m["lambda"], m["mu"], m["rho"], w)
         q = make_quasi_momentum("qp2d", alpha, medium)
-        datasets[_fmt(w)] = synth_phaseless(medium, q, profile, cfg, N, threads)
+        datasets[_fmt(w)] = synth_phaseless(medium, q, profile, cfg, N)
 
     if action == "synth":
         out = {"config": rc, "datasets": {k: _dataset_to_json(v) for k, v in datasets.items()}}
@@ -611,7 +611,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None)
     parser.add_argument("--suite", default=None)
     parser.add_argument("--geometry", default=None, choices=GEOMETRIES)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
@@ -640,7 +639,7 @@ def main(argv=None) -> int:
                 raise ConfigError("phaseless", "action must be synth or check")
             if not args.out:
                 raise ConfigError("--out", "required")
-            return cmd_phaseless(rc, args.action, args.out, args.threads)
+            return cmd_phaseless(rc, args.action, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ import numpy as np
 
 from .medium import ElasticMedium
 
+# 4th-order central stencils: first and second derivative, offsets
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _OFF = np.arange(-2, 3)

@@ -1,16 +1,15 @@
 """2D quasi-periodic Lame Green's function as a truncated spectral series.
 
-Two formula paths are kept permanently: the ``literal`` path spells out the
-three case matrices (L1/L2/L3) with per-class real square roots, the
-``unified`` path uses the single branch-root form
+Each lattice mode alpha_l contributes the branch-root block
 
     M(alpha_l, d) = (i/4pi) C [[ g Eg + a^2/b Eb ,  s a (Eb - Eg) ],
                                [ s a (Eb - Eg)   ,  b Eb + a^2/g Eg ]]
 
 with ``b = sqrt(k_p^2 - a^2)``, ``g = sqrt(k_s^2 - a^2)`` (Im >= 0 branch),
 ``Eb = e^{i b |d|}``, ``Eg = e^{i g |d|}``, ``s = sgn(d)`` and
-``C = (lam+mu) / (mu (lam+2mu) (k_p^2 - k_s^2))``.  Their equality is kept
-as a standing regression against transcription errors in either table.
+``C = (lam+mu) / (mu (lam+2mu) (k_p^2 - k_s^2))``.  The test suite keeps the
+literal three-case form (per-class real roots) as a standing regression
+against transcription errors in either.
 
 The full tensor is ``G(x, y) = sum_l e^{i alpha_l (x1-y1)} M(alpha_l, x2-y2)``
 and solves ``(Delta* + rho omega^2) G = (1/2pi) * phased delta comb``; see
@@ -22,12 +21,20 @@ smooth remainder ``R = G + Phi/(2 pi)`` on ``|tau| <= 1/2``,
 ``|d| <= NEAR_GAP``, and the Abel-Plana near-line form (any gap, d = 0
 included, but costly per pair).  The table is built once per (medium, alpha)
 from the plain series, one row of nodes at a time: the nodes of a row share
-their gap d_k and with it the mode matrices M(alpha_l, d_k).  Abel-Plana
-serves point-source incidence near the source line, gradients at targets
-within NEAR_GAP of a source, and the tests as an independent oracle.
-Beyond ``NEAR_GAP`` the plain series converges fast and is used directly;
-:class:`RayleighSources` sums it in Rayleigh form for fixed sources and
-targets more than NEAR_GAP above all of them.
+their gap d_k and with it the mode matrices M(alpha_l, d_k).  Beyond
+``NEAR_GAP`` the plain series converges fast and is used directly.
+
+:class:`QPSources` is the one way to apply the tensor from a set of sources
+Y_n with charges c_n, sum_n G(x - Y_n) c_n.  It wraps x1 - y1 into
+(tau, n) with |tau| <= 1/2, applies the phase e^{i alpha n}, and picks the
+evaluator by one rule:
+
+* targets more than NEAR_GAP above every source take the Rayleigh form of
+  the plain series, O(modes) per target;
+* values of pairs with |d| <= NEAR_GAP take the kernel table, when the
+  source set has one;
+* everything else takes :func:`green2d_near_line_batch`: Abel-Plana for
+  |d| <= NEAR_GAP, the plain series beyond.
 """
 
 from __future__ import annotations
@@ -39,8 +46,8 @@ from scipy.special import roots_laguerre
 
 from .errors import NearSourceLine, TableUnresolved
 from .green_free import GreenEval, _kupradze2d_value
-from .medium import (ElasticMedium, ModeData, QuasiMomentum, branch_sqrt,
-                     check_wood_window, mode_window)
+from .medium import (ElasticMedium, QuasiMomentum, branch_sqrt, check_wood_window,
+                     mode_window)
 
 GAP_MIN = 1e-3
 DEFAULT_TOL = 1e-12
@@ -95,65 +102,6 @@ def _unified_blocks(medium, alpha_l, D, s, jet: bool = False):
     d2[..., 1, 1] = s * 1j * (kp2 * Eb + a2 * dE)
     d1 = (1j * a)[..., None, None] * val
     return pref * val, pref * d1, pref * d2
-
-
-def _literal_block(medium, mode: ModeData, D, s):
-    lam, mu = medium.lam, medium.mu
-    kp2, ks2 = medium.k_p**2, medium.k_s**2
-    a = mode.alpha_l
-    a2 = a * a
-    if mode.klass == "L1":
-        pref = 0.25j / np.pi * (lam + mu) / (mu * (lam + 2 * mu) * (kp2 - ks2))
-        b = np.sqrt(kp2 - a2)
-        g = np.sqrt(ks2 - a2)
-        eb, eg = np.exp(1j * b * D), np.exp(1j * g * D)
-        M = np.array([[g * eg + a2 / b * eb, s * a * (eb - eg)],
-                      [s * a * (eb - eg), b * eb + a2 / g * eg]])
-    elif mode.klass == "L2":
-        pref = 0.25 / np.pi * (lam + mu) / (mu * (lam + 2 * mu) * (ks2 - kp2))
-        bp = np.sqrt(a2 - kp2)
-        g = np.sqrt(ks2 - a2)
-        ebp, eg = np.exp(-bp * D), np.exp(1j * g * D)
-        M = np.array([[-a2 / bp * ebp - 1j * g * eg, 1j * a * s * (eg - ebp)],
-                      [1j * a * s * (eg - ebp), bp * ebp - 1j * a2 / g * eg]])
-    else:
-        pref = 0.25 / np.pi * (lam + mu) / (mu * (lam + 2 * mu) * (ks2 - kp2))
-        bp = np.sqrt(a2 - kp2)
-        bs = np.sqrt(a2 - ks2)
-        ebp, ebs = np.exp(-bp * D), np.exp(-bs * D)
-        # bs ebs - a^2/bp ebp and bp ebp - a^2/bs ebs subtract O(|alpha_l|)
-        # terms; with a^2/b = b + k^2/b they cancel in bs - bp instead
-        dbs = (kp2 - ks2) / (bs + bp)       # bs - bp
-        de = ebp * np.expm1(-dbs * D)       # ebs - ebp
-        bebs = dbs * ebs + bp * de          # bs ebs - bp ebp
-        M = np.array([[bebs - kp2 / bp * ebp, 1j * a * s * de],
-                      [1j * a * s * de, -bebs - ks2 / bs * ebs]])
-    return pref * M
-
-
-@dataclass(frozen=True)
-class ModeTerm2D:
-    """One mode's 2x2 block (prefactor included) and which formula produced it."""
-
-    mode: ModeData
-    matrix: np.ndarray
-    case_used: str
-
-
-def mode_term_2d(medium: ElasticMedium, mode: ModeData, x2: float, y2: float,
-                 form: str = "unified") -> ModeTerm2D:
-    """Single-mode block G_i^{alpha_l}(x2, y2), literal or unified form."""
-    d = x2 - y2
-    D, s = abs(d), np.sign(d)
-    if form == "unified":
-        mat = _unified_blocks(medium, np.asarray([mode.alpha_l]), D, s)[0]
-        case = "unified"
-    elif form == "literal":
-        mat = _literal_block(medium, mode, D, s)
-        case = f"literal_{mode.klass}"
-    else:
-        raise ValueError(f"form must be 'literal' or 'unified', got {form!r}")
-    return ModeTerm2D(mode, mat, case)
 
 
 def _tail_bound(medium, alpha_first_omitted, D):
@@ -212,8 +160,8 @@ def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
                        gap_min: float = GAP_MIN, tol_wood: float | None = None):
     """Vectorized evaluation at points ``X`` (n, 2) for one source ``y``.
 
-    Returns ``(values, tails)`` with values (n, 2, 2), or
-    ``(values, d/dx1, d/dx2, tails)`` when ``want_jet``.
+    Returns ``(values, tails, n_modes)`` with values (n, 2, 2), or
+    ``(values, d/dx1, d/dx2, tails, n_modes)`` when ``want_jet``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -231,8 +179,8 @@ def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
         for di in d
     ])
     if not want_jet:
-        return _series_sum(medium, al, t1, d, False), tails
-    return (*_series_sum(medium, al, t1, d, True), tails)
+        return _series_sum(medium, al, t1, d, False), tails, len(al)
+    return (*_series_sum(medium, al, t1, d, True), tails, len(al))
 
 
 def green2d_eval(medium: ElasticMedium, q: QuasiMomentum, x, y,
@@ -243,11 +191,9 @@ def green2d_eval(medium: ElasticMedium, q: QuasiMomentum, x, y,
     Requires ``|x2 - y2| >= gap_min`` (NearSourceLine otherwise); the
     reported ``tail_bound`` rigorously bounds the omitted modes in max-norm.
     """
-    vals, tails = green2d_eval_batch(medium, q, np.asarray(x)[None, :], y, tol,
-                                     gap_min=gap_min, tol_wood=tol_wood)
-    Dmin = abs(np.asarray(x, dtype=float)[1] - np.asarray(y, dtype=float)[1])
-    m, al = _window_arrays(medium, q, Dmin, tol)
-    return GreenEval(2, vals[0], len(al), float(tails[0]))
+    vals, tails, n_modes = green2d_eval_batch(medium, q, np.asarray(x)[None, :], y, tol,
+                                              gap_min=gap_min, tol_wood=tol_wood)
+    return GreenEval(2, vals[0], n_modes, float(tails[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +368,17 @@ def _period(x1):
     return (x1 - n)[:, None], n[:, None]
 
 
-@dataclass(frozen=True)
-class RayleighSources:
-    """The tensor applied from fixed sources Y to targets more than NEAR_GAP above them all.
+class QPSources:
+    """The quasi-periodic tensor applied from fixed sources Y (N, 2).
 
-    This is the plain series that :func:`green2d_near_line_batch` sums for
-    |d| > NEAR_GAP, over the same window, in Rayleigh form.  For d > 0 the
-    mode matrix splits into one rank-one term per wave type,
+    :meth:`apply` sums G(x - Y_n) c_n by the evaluator rule of the module
+    docstring; ``table``, when given, is the :class:`RemainderTable` of the
+    same (medium, alpha).
+
+    Targets more than NEAR_GAP above ``crest`` = max y2 take the plain series
+    that :func:`green2d_near_line_batch` sums for |d| > NEAR_GAP, over the
+    same window, in Rayleigh form.  For d > 0 the mode matrix splits into one
+    rank-one term per wave type,
 
         M(alpha_l, d) = c e^{i beta_l d}/beta_l (a, b)(a, b)^T
                       + c e^{i gamma_l d}/gamma_l (g, -a)(g, -a)^T,
@@ -436,30 +386,63 @@ class RayleighSources:
     with (a, b, g) = (alpha_l, beta_l, gamma_l) and c the prefactor of the
     module docstring.  ``src_p``/``src_s`` (N, K) hold
     e^{-i alpha_l y1 + i beta_l (crest - y2)} (resp. gamma_l) for every
-    source, referenced to ``crest`` = max y2 so that no factor exceeds 1;
-    any charges on the sources then collapse into two coefficients per mode,
-    and each target costs O(modes).
+    source, so that no factor exceeds 1; the charges then collapse into two
+    coefficients per mode, and each target costs O(modes).  Raises
+    WoodAnomaly when a mode of that window sits at a cut-off, since the form
+    divides by beta_l and gamma_l.
     """
 
-    medium: ElasticMedium
-    q: QuasiMomentum
-    crest: float
-    alpha_l: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    src_p: np.ndarray
-    src_s: np.ndarray
+    def __init__(self, medium: ElasticMedium, q: QuasiMomentum, Y,
+                 table: RemainderTable | None = None):
+        self.medium, self.q, self.table = medium, q, table
+        self.Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        al = mode_window(medium, q, NEAR_GAP, _FAR_TOL)[1]
+        check_wood_window(medium, q, al)
+        a = self.alpha_l = al.astype(complex)
+        self.beta = branch_sqrt(medium.k_p**2 - a * a)
+        self.gamma = branch_sqrt(medium.k_s**2 - a * a)
+        self.crest = float(np.max(self.Y[:, 1]))
+        y1, n = _period(-self.Y[:, 0])
+        rise = (self.crest - self.Y[:, 1])[:, None]
+        phase = q.alpha * n + y1 * a
+        self.src_p = np.exp(1j * (phase + rise * self.beta))
+        self.src_s = np.exp(1j * (phase + rise * self.gamma))
+
+    def wrap(self, X):
+        """Lattice offsets of targets X (P, 2) from every source, each (P, N):
+        x1 - y1 = tau + n with |tau| <= 1/2, the phase e^{i alpha n} and
+        d = x2 - y2."""
+        t1 = X[:, 0][:, None] - self.Y[:, 0][None, :]
+        n = np.round(t1)
+        return t1 - n, np.exp(1j * self.q.alpha * n), X[:, 1][:, None] - self.Y[:, 1][None, :]
 
     def apply(self, charges, X, want_jet: bool = False):
-        """sum_n G(x - Y_n) charges_n at targets X (P, 2) with x2 > crest + NEAR_GAP.
+        """sum_n G(x - Y_n) charges_n at targets X (P, 2); ``charges`` (N, 2).
 
-        ``charges`` (N, 2).  Returns (P, 2), or a (value, d/dx1, d/dx2) tuple
-        when ``want_jet``.
+        Returns (P, 2), or a (value, d/dx1, d/dx2) tuple when ``want_jet``.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if np.any(X[:, 1] - self.crest <= NEAR_GAP):
-            raise ValueError(f"targets must lie more than NEAR_GAP={NEAR_GAP} "
-                             f"above the crest {self.crest}")
+        charges = np.asarray(charges)
+        out = [np.empty((len(X), 2), dtype=complex) for _ in range(3 if want_jet else 1)]
+        above = X[:, 1] - self.crest > NEAR_GAP
+        if np.any(above):
+            for o, v in zip(out, self._rayleigh(charges, X[above], want_jet)):
+                o[above] = v
+        rest = ~above
+        if np.any(rest):
+            tau, phase, d = self.wrap(X[rest])
+            if self.table is not None and not want_jet:
+                G = self.table.green(tau.ravel(), d.ravel())
+            else:
+                G = green2d_near_line_batch(self.medium, self.q.alpha, tau.ravel(), d.ravel(),
+                                            want_jet)
+            for o, g in zip(out, G if want_jet else (G,)):
+                o[rest] = np.einsum("xn,xnab,nb->xa", phase, g.reshape(tau.shape + (2, 2)),
+                                    charges)
+        return tuple(out) if want_jet else out[0]
+
+    def _rayleigh(self, charges, X, want_jet):
+        """[value] or [value, d/dx1, d/dx2] at targets more than NEAR_GAP above the crest."""
         a, b, g = self.alpha_l, self.beta, self.gamma
         pv = np.stack([a, b], axis=-1)    # (K, 2) polarisations
         sv = np.stack([g, -a], axis=-1)
@@ -472,29 +455,9 @@ class RayleighSources:
         fs = np.exp(1j * (self.q.alpha * n + x1 * a + h * g)) * cs
         u = fp @ pv + fs @ sv
         if not want_jet:
-            return u
-        return u, (1j * a * fp) @ pv + (1j * a * fs) @ sv, \
-            (1j * b * fp) @ pv + (1j * g * fs) @ sv
-
-
-def rayleigh_sources(medium: ElasticMedium, q: QuasiMomentum, Y) -> RayleighSources:
-    """The source half of the Rayleigh form for sources Y (N, 2).
-
-    Raises WoodAnomaly when a mode of the window sits at a cut-off, since the
-    form divides by beta_l and gamma_l.
-    """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    al = mode_window(medium, q, NEAR_GAP, _FAR_TOL)[1]
-    check_wood_window(medium, q, al)
-    a = al.astype(complex)
-    b = branch_sqrt(medium.k_p**2 - a * a)
-    g = branch_sqrt(medium.k_s**2 - a * a)
-    crest = float(np.max(Y[:, 1]))
-    y1, n = _period(-Y[:, 0])
-    rise = (crest - Y[:, 1])[:, None]
-    phase = q.alpha * n + y1 * a
-    return RayleighSources(medium, q, crest, a, b, g, np.exp(1j * (phase + rise * b)),
-                           np.exp(1j * (phase + rise * g)))
+            return [u]
+        return [u, (1j * a * fp) @ pv + (1j * a * fs) @ sv,
+                (1j * b * fp) @ pv + (1j * g * fs) @ sv]
 
 
 def green2d_near_line(medium: ElasticMedium, alpha: float, t1: float, d: float,

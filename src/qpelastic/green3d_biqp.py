@@ -26,7 +26,7 @@ from ._series import geom_poly_sum
 from .errors import DomainError, NearSourcePlane
 from .green_free import GreenEval
 from .medium import (ElasticMedium, ModeData, QuasiMomentum, branch_sqrt,
-                     check_wood_window, classify_mode)
+                     case_label, check_wood_window, classify_mode)
 
 GAP_MIN = 1e-2
 DEFAULT_TOL = 1e-10
@@ -38,16 +38,6 @@ class FourierMode3BI:
     mode: ModeData
     c: np.ndarray
     case_used: str
-
-
-def _case_label(medium, A2):
-    if not medium.is_real():
-        return "III"
-    if A2 >= np.real(medium.k_s**2):
-        return "I"
-    if A2 >= np.real(medium.k_p**2):
-        return "II"
-    return "III"
 
 
 def c_bi_arrays(medium: ElasticMedium, a1, a2, x3: float):
@@ -117,8 +107,7 @@ def c_l_bi(medium: ElasticMedium, q: QuasiMomentum, m, x3: float,
     mode = classify_mode(medium, q, tuple(m), tol_wood)
     c = c_bi_arrays(medium, np.asarray([mode.alpha_l[0]]),
                     np.asarray([mode.alpha_l[1]]), x3)[0]
-    A2 = mode.alpha_l[0] ** 2 + mode.alpha_l[1] ** 2
-    return FourierMode3BI(mode, c, _case_label(medium, A2))
+    return FourierMode3BI(mode, c, case_label(mode))
 
 
 def _lattice_block(medium, q, gap, tol):

@@ -34,9 +34,10 @@ import numpy as np
 
 from ._series import geom_poly_sum
 from .errors import DomainError, NearSourceLine
+from .fdcheck import _D1, _D2, _OFF
 from .green_free import GreenEval
 from .medium import (ElasticMedium, ModeData, QuasiMomentum, branch_sqrt,
-                     check_wood_window, classify_mode, mode_window)
+                     case_label, check_wood_window, classify_mode, mode_window)
 from .specfun import u0, u1
 
 GAP_MIN = 1e-2
@@ -51,17 +52,6 @@ class FourierMode3QP:
     c: np.ndarray
     r: float
     case_used: str
-
-
-def _case_label(medium, a):
-    if not medium.is_real():
-        return "III"
-    a2 = a * a
-    if a2 >= np.real(medium.k_s**2):
-        return "I"
-    if a2 >= np.real(medium.k_p**2):
-        return "II"
-    return "III"
 
 
 def c_arrays(medium: ElasticMedium, alpha_l, x2: float, x3: float):
@@ -101,13 +91,7 @@ def c_l(medium: ElasticMedium, q: QuasiMomentum, m: int, x2: float, x3: float,
         raise DomainError("c_l is singular at r = 0")
     mode = classify_mode(medium, q, m, tol_wood)
     c = c_arrays(medium, np.asarray([mode.alpha_l]), x2, x3)[0]
-    return FourierMode3QP(mode, c, r, _case_label(medium, mode.alpha_l))
-
-
-# 4th-order central stencils
-_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-_OFF = np.arange(-2, 3)
+    return FourierMode3QP(mode, c, r, case_label(mode))
 
 
 def ode_residual(medium: ElasticMedium, q: QuasiMomentum, m: int,

@@ -212,21 +212,3 @@ def _lattice_tail_bound(medium, q, N, damping):
     else:
         geo *= 2
     return float(scale * geo)
-
-
-def lattice_sum_richardson(medium: ElasticMedium, q: QuasiMomentum, x, y,
-                           eps_list=(0.04, 0.02, 0.01), N: int = 600) -> np.ndarray:
-    """Richardson-extrapolated Gaussian-damped lattice sum at real frequency.
-
-    Extrapolates the damped sums to ``damping -> 0`` assuming an expansion in
-    powers of the damping parameter; only used as a low-accuracy oracle.
-    """
-    eps = np.asarray(eps_list, dtype=float)
-    table = [lattice_sum(medium, q, x, y, damping=e, N=N).value for e in eps]
-    n = len(table)
-    # Neville elimination in the damping parameter
-    for level in range(1, n):
-        for i in range(n - level):
-            x0, x1 = eps[i], eps[i + level]
-            table[i] = (x0 * table[i + 1] - x1 * table[i]) / (x0 - x1)
-    return table[0]

@@ -206,6 +206,13 @@ def classify_mode(medium: ElasticMedium, q: QuasiMomentum, m, tol_wood: float | 
     return ModeData(m if not isinstance(m, (list, np.ndarray)) else tuple(m), alpha_l, beta, gamma, klass)
 
 
+def case_label(mode: ModeData) -> str:
+    """Case of the 3D mode tables: "I" when both waves are evanescent, "II"
+    when only the s wave propagates, "III" when both do (and at complex
+    frequency)."""
+    return {"L1": "III", "L2": "II", "L3": "I"}[mode.klass]
+
+
 def _scalar_index_window(medium, alpha, threshold_im_gamma):
     """Integer window of modes with Im(gamma_l) <= threshold."""
     ks2 = np.real(medium.k_s**2)

@@ -6,13 +6,20 @@ measurement line, certifies the cosine/Re-product identity that connects
 two datasets, and runs numeric reciprocity checks at the point-source,
 scattered-field, and total-field levels.
 
+Every field here is the quasi-periodic tensor applied from a source set:
+point sources through :class:`~qpelastic.green2d.QPSources` with one
+source, scattered fields through the solution's sources at the nodes.  So
+one evaluator rule serves all of them: targets more than NEAR_GAP above every
+source take the Rayleigh form, values of pairs with |d| <= NEAR_GAP take the
+kernel table when the source set has one, and everything else takes the
+near-line evaluator.
+
 Magnitudes are stored already phase-stripped; no phase survives the
 synthesis boundary.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +27,7 @@ import numpy as np
 from .bem2d import (ProfileCurve2, eval_scattered,
                     point_source_incidence, solve_dirichlet_multi)
 from .errors import GridMismatch
-from .green2d import green2d_near_line_batch
+from .green2d import QPSources
 from .medium import ElasticMedium, QuasiMomentum
 
 COLINEAR_TOL = 1e-8
@@ -126,7 +133,7 @@ def incident_superposition(medium: ElasticMedium, q: QuasiMomentum,
 
 
 def synth_phaseless(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve2,
-                    cfg: SourceConfig, N: int = 128, threads: int = 1) -> PhaselessDataset:
+                    cfg: SourceConfig, N: int = 128) -> PhaselessDataset:
     """Total fields for every incidence via the grating solver; magnitudes only.
 
     One matrix factorization serves all incidences; the superposition field
@@ -140,15 +147,7 @@ def synth_phaseless(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCur
         for j in range(len(zs)):
             incidents.append(point_source_incidence(zs[j], cfg.movable_pols[l]))
     sols = solve_dirichlet_multi(medium, q, profile, incidents, N)
-
-    def total_field(sol):
-        return sol.incident.eval(medium, q, X) + eval_scattered(sol, X)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            fields = list(ex.map(total_field, sols))
-    else:
-        fields = [total_field(s) for s in sols]
+    fields = [sol.incident.eval(medium, q, X) + eval_scattered(sol, X) for sol in sols]
 
     probes = np.asarray(cfg.probes, dtype=float)  # (K, 2)
     u_fixed = fields[0]
@@ -205,14 +204,6 @@ def nonvanishing_probe(ds: PhaselessDataset):
     return flags
 
 
-def _green_apply(medium, q, x, z, pol):
-    t1 = x[0] - z[0]
-    tau = t1 - np.round(t1)
-    nstar = int(np.round(t1))
-    val = green2d_near_line_batch(medium, q.alpha, [tau], [x[1] - z[1]])[0]
-    return np.exp(1j * q.alpha * nstar) * (val @ np.asarray(pol, dtype=complex))
-
-
 def check_reciprocity(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve2,
                       level: str, pairs, pols=None, N: int = 128) -> float:
     """Max violation of the reciprocity relation at the requested level.
@@ -229,17 +220,13 @@ def check_reciprocity(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileC
     qm = q.negated()
 
     if level == "point_source":
-        worst = 0.0
-        for (x, z) in pairs:
-            t1 = x[0] - z[0]
-            tau = t1 - np.round(t1)
-            nstar = int(np.round(t1))
-            g1 = np.exp(1j * q.alpha * nstar) \
-                * green2d_near_line_batch(medium, q.alpha, [tau], [x[1] - z[1]])[0]
-            g2 = np.exp(-1j * q.alpha * (-nstar)) \
-                * green2d_near_line_batch(medium, qm.alpha, [-tau], [z[1] - x[1]])[0]
-            worst = max(worst, float(np.max(np.abs(g1 - g2))))
-        return worst
+        def tensor(qq, source, target):
+            """G(target - source) column by column, from unit charges."""
+            src = QPSources(medium, qq, [source])
+            return np.stack([src.apply([e], [target])[0] for e in np.eye(2)], axis=-1)
+
+        return max((float(np.max(np.abs(tensor(q, z, x) - tensor(qm, x, z))))
+                    for x, z in pairs), default=0.0)
 
     if level not in ("scattered", "total"):
         raise ValueError(f"unknown level {level!r}")
@@ -256,8 +243,8 @@ def check_reciprocity(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileC
         u_f = eval_scattered(sol_f, x[None, :])[0]
         u_b = eval_scattered(sol_b, z[None, :])[0]
         if level == "total":
-            u_f = u_f + _green_apply(medium, q, x, z, pq)
-            u_b = u_b + _green_apply(medium, qm, z, x, p)
+            u_f = u_f + sol_f.incident.eval(medium, q, x[None, :])[0]
+            u_b = u_b + sol_b.incident.eval(medium, qm, z[None, :])[0]
         lhs = np.dot(np.asarray(p, complex), u_f)
         rhs = np.dot(np.asarray(pq, complex), u_b)
         worst = max(worst, abs(lhs - rhs))

@@ -125,15 +125,6 @@ def eval_rayleigh_3d_bi(medium: ElasticMedium, q: QuasiMomentum,
     return out
 
 
-def transversality_defect(coeffs: RayleighCoeffs3Bi) -> float:
-    """max |(alpha_n, gamma_n) . A_sn| over modes; optional validation only."""
-    worst = 0.0
-    for mode, asv in zip(coeffs.modes, coeffs.a_s):
-        kvec = np.array([mode.alpha_l[0], mode.alpha_l[1], mode.gamma_l])
-        worst = max(worst, abs(np.dot(kvec, np.asarray(asv))))
-    return worst
-
-
 def _cyl_pair(m, k, r, theta):
     """(H_m(k r) e^{i m theta}, scaled radial/angular derivative pieces)."""
     H = hankel1(abs(m), k * r) if m >= 0 else (-1.0) ** m * hankel1(-m, k * r)

@@ -5,14 +5,25 @@
 * inversion of the Fourier-domain mode symbols by direct quadrature
   (polar Hankel-transform contour in 2D, dipped line contour in 1D),
   fully independent of the closed-form tensor tables they certify;
-* the closed-form flat-interface reflection solution.
+* the closed-form flat-interface reflection solution;
+* the literal three-case (L1/L2/L3) form of the 2D mode matrix, the
+  Richardson-extrapolated damped lattice sum, the transversality defect of
+  3D Rayleigh coefficients and the per-point off-node log-quadrature
+  weights: reference forms of what the library computes another way.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import hankel1, hankel2, jv
+
+from qpelastic.green2d import _unified_blocks
+from qpelastic.green_free import lattice_sum
+from qpelastic.medium import ElasticMedium, ModeData, QuasiMomentum
+from qpelastic.rayleigh import RayleighCoeffs3Bi
 
 
 # ---------------------------------------------------------------------------
@@ -247,3 +258,112 @@ def flat_reflection(medium, theta):
     rhs = -np.array([alpha, -beta]) / kp
     up, us = np.linalg.solve(mat, rhs)
     return alpha, up, us
+
+
+# ---------------------------------------------------------------------------
+# literal three-case form of the 2D mode matrix
+# ---------------------------------------------------------------------------
+def _literal_block(medium, mode: ModeData, D, s):
+    lam, mu = medium.lam, medium.mu
+    kp2, ks2 = medium.k_p**2, medium.k_s**2
+    a = mode.alpha_l
+    a2 = a * a
+    if mode.klass == "L1":
+        pref = 0.25j / np.pi * (lam + mu) / (mu * (lam + 2 * mu) * (kp2 - ks2))
+        b = np.sqrt(kp2 - a2)
+        g = np.sqrt(ks2 - a2)
+        eb, eg = np.exp(1j * b * D), np.exp(1j * g * D)
+        M = np.array([[g * eg + a2 / b * eb, s * a * (eb - eg)],
+                      [s * a * (eb - eg), b * eb + a2 / g * eg]])
+    elif mode.klass == "L2":
+        pref = 0.25 / np.pi * (lam + mu) / (mu * (lam + 2 * mu) * (ks2 - kp2))
+        bp = np.sqrt(a2 - kp2)
+        g = np.sqrt(ks2 - a2)
+        ebp, eg = np.exp(-bp * D), np.exp(1j * g * D)
+        M = np.array([[-a2 / bp * ebp - 1j * g * eg, 1j * a * s * (eg - ebp)],
+                      [1j * a * s * (eg - ebp), bp * ebp - 1j * a2 / g * eg]])
+    else:
+        pref = 0.25 / np.pi * (lam + mu) / (mu * (lam + 2 * mu) * (ks2 - kp2))
+        bp = np.sqrt(a2 - kp2)
+        bs = np.sqrt(a2 - ks2)
+        ebp, ebs = np.exp(-bp * D), np.exp(-bs * D)
+        # bs ebs - a^2/bp ebp and bp ebp - a^2/bs ebs subtract O(|alpha_l|)
+        # terms; with a^2/b = b + k^2/b they cancel in bs - bp instead
+        dbs = (kp2 - ks2) / (bs + bp)       # bs - bp
+        de = ebp * np.expm1(-dbs * D)       # ebs - ebp
+        bebs = dbs * ebs + bp * de          # bs ebs - bp ebp
+        M = np.array([[bebs - kp2 / bp * ebp, 1j * a * s * de],
+                      [1j * a * s * de, -bebs - ks2 / bs * ebs]])
+    return pref * M
+
+
+@dataclass(frozen=True)
+class ModeTerm2D:
+    """One mode's 2x2 block (prefactor included) and which formula produced it."""
+
+    mode: ModeData
+    matrix: np.ndarray
+    case_used: str
+
+
+def mode_term_2d(medium: ElasticMedium, mode: ModeData, x2: float, y2: float,
+                 form: str = "unified") -> ModeTerm2D:
+    """Single-mode block G_i^{alpha_l}(x2, y2), literal or unified form."""
+    d = x2 - y2
+    D, s = abs(d), np.sign(d)
+    if form == "unified":
+        mat = _unified_blocks(medium, np.asarray([mode.alpha_l]), D, s)[0]
+        case = "unified"
+    elif form == "literal":
+        mat = _literal_block(medium, mode, D, s)
+        case = f"literal_{mode.klass}"
+    else:
+        raise ValueError(f"form must be 'literal' or 'unified', got {form!r}")
+    return ModeTerm2D(mode, mat, case)
+
+
+# ---------------------------------------------------------------------------
+# Richardson-extrapolated damped lattice sum
+# ---------------------------------------------------------------------------
+def lattice_sum_richardson(medium: ElasticMedium, q: QuasiMomentum, x, y,
+                           eps_list=(0.04, 0.02, 0.01), N: int = 600) -> np.ndarray:
+    """Richardson-extrapolated Gaussian-damped lattice sum at real frequency.
+
+    Extrapolates the damped sums to ``damping -> 0`` assuming an expansion in
+    powers of the damping parameter; only used as a low-accuracy oracle.
+    """
+    eps = np.asarray(eps_list, dtype=float)
+    table = [lattice_sum(medium, q, x, y, damping=e, N=N).value for e in eps]
+    n = len(table)
+    # Neville elimination in the damping parameter
+    for level in range(1, n):
+        for i in range(n - level):
+            x0, x1 = eps[i], eps[i + level]
+            table[i] = (x0 * table[i + 1] - x1 * table[i]) / (x0 - x1)
+    return table[0]
+
+
+# ---------------------------------------------------------------------------
+# transversality of 3D Rayleigh s-coefficients
+# ---------------------------------------------------------------------------
+def transversality_defect(coeffs: RayleighCoeffs3Bi) -> float:
+    """max |(alpha_n, gamma_n) . A_sn| over modes; optional validation only."""
+    worst = 0.0
+    for mode, asv in zip(coeffs.modes, coeffs.a_s):
+        kvec = np.array([mode.alpha_l[0], mode.alpha_l[1], mode.gamma_l])
+        worst = max(worst, abs(np.dot(kvec, np.asarray(asv))))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# off-node log-quadrature weights, one point at a time
+# ---------------------------------------------------------------------------
+def log_quadrature_weights_at(t: float, nodes: np.ndarray) -> np.ndarray:
+    """Off-node weights R_j(t) of the log rule of ``bem2d.log_quadrature_weights``."""
+    N = len(nodes)
+    n = N // 2
+    m = np.arange(1, n)
+    diff = t - nodes
+    w = -(2.0 / N) * np.cos(2 * np.pi * np.outer(diff, m)) @ (1.0 / m) \
+        - (2.0 / N**2) * np.cos(np.pi * N * diff)
+    return w

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import flat_reflection
+from oracles import flat_reflection, log_quadrature_weights_at
 from qpelastic.bem2d import (IncidentField, ProfileCurve2, boundary_residual,
                              eval_scattered, log_quadrature_weights,
-                             log_quadrature_weights_at,
                              log_quadrature_weights_off_node, plane_incidence,
                              point_source_incidence, solve_dirichlet,
                              solve_dirichlet_multi, traction)
 from qpelastic.errors import TooCloseToBoundary, WoodAnomaly
 from qpelastic.fdcheck import navier_apply_fd
-from qpelastic.green2d import NEAR_GAP, green2d_near_line_batch, rayleigh_sources
+from qpelastic.green2d import NEAR_GAP, QPSources, green2d_near_line_batch
 from qpelastic.medium import make_medium, make_quasi_momentum
 from qpelastic.rayleigh import extract_coeffs_2d, flux_2d
 
@@ -227,19 +226,27 @@ def test_scattered_field_near_boundary(sin_solution):
     assert np.max(np.abs(u - u_jet)) < 1e-12 * np.max(np.abs(u))
 
 
+def _applied_by_pairs(src, charges, X):
+    """sum_n G(x - Y_n) charges_n and its x-derivatives summed pair by pair:
+    values from the sources' table when they have one, else from the near-line
+    evaluator, and derivatives from the near-line evaluator."""
+    t1 = X[:, 0][:, None] - src.Y[:, 0][None, :]
+    tau = t1 - np.round(t1)
+    d = X[:, 1][:, None] - src.Y[:, 1][None, :]
+    w = np.exp(1j * src.q.alpha * np.round(t1))
+    shape = tau.shape + (2, 2)
+    jet = green2d_near_line_batch(src.medium, src.q.alpha, tau.ravel(), d.ravel(),
+                                  want_jet=True)
+    v = jet[0] if src.table is None else src.table.green(tau.ravel(), d.ravel())
+    return [np.einsum("xn,xnab,nb->xa", w, m.reshape(shape), charges)
+            for m in (v, jet[1], jet[2])]
+
+
 def _scattered_by_pairs(sol, X):
     """Scattered field and gradient summed pair by pair: kernel values from the
     solution's table, gradients from the near-line evaluator."""
-    t1 = X[:, 0][:, None] - sol.nodes[None, :]
-    tau = t1 - np.round(t1)
-    d = X[:, 1][:, None] - sol.points[:, 1][None, :]
-    w = np.exp(1j * sol.q.alpha * np.round(t1)) * (sol.jacobian / sol.N)
-    shape = tau.shape + (2, 2)
-    v = sol.table.green(tau.ravel(), d.ravel()).reshape(shape)
-    jet = green2d_near_line_batch(sol.medium, sol.q.alpha, tau.ravel(), d.ravel(),
-                                  want_jet=True)
-    u, du1, du2 = (np.einsum("xn,xnab,nb->xa", w, m.reshape(shape), sol.density)
-                   for m in (v, jet[1], jet[2]))
+    charges = sol.density * (sol.jacobian / sol.N)[:, None]
+    u, du1, du2 = _applied_by_pairs(sol.sources, charges, X)
     return u, np.stack([du1, du2], axis=-1)
 
 
@@ -283,11 +290,71 @@ def test_above_crest_guards(grating_setup):
     # the clearance at N = 32 (about 0.34) exceeds NEAR_GAP: checked before the split
     with pytest.raises(TooCloseToBoundary):
         eval_scattered(sol, np.array([[0.25, h0 + NEAR_GAP + 0.05]]))
-    with pytest.raises(ValueError):
-        sol.above.apply(sol.density, np.array([[0.25, h0 + NEAR_GAP]]))
     # the Rayleigh form divides by beta_l and gamma_l: refuse a cut-off alpha
     with pytest.raises(WoodAnomaly):
-        rayleigh_sources(med, make_quasi_momentum("qp2d", float(np.real(med.k_p))), sol.points)
+        QPSources(med, make_quasi_momentum("qp2d", float(np.real(med.k_p))), sol.points)
+
+
+def _check_apply(src, charges, groups):
+    """``apply`` on each group of targets, and on all of them in one batch,
+    against the pair-by-pair sum: values and jets within 1e-13."""
+    X = np.concatenate(groups)
+    batch = src.apply(charges, X, want_jet=True)
+    values = src.apply(charges, X)
+    start = 0
+    for part in groups:
+        sl = slice(start, start + len(part))
+        start += len(part)
+        ref = _applied_by_pairs(src, charges, part)
+        got = src.apply(charges, part, want_jet=True)
+        for r, g, b in zip(ref, got, batch):
+            assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+            assert np.max(np.abs(b[sl] - r)) <= 1e-13 * np.max(np.abs(r))
+        assert np.max(np.abs(values[sl] - ref[0])) <= 1e-13 * np.max(np.abs(ref[0]))
+
+
+def test_apply_one_source(grating_setup):
+    med, _, q = grating_setup
+    z = np.array([0.4, 0.3])
+    src = QPSources(med, q, [z])
+    x1 = np.array([-0.7, 0.13, 0.45, 0.9, 2.31])
+
+    def row(h):
+        return np.stack([x1, np.full(len(x1), h)], axis=-1)
+
+    groups = [row(z[1] + NEAR_GAP + 1e-3), row(z[1] + 1.5),      # Rayleigh form
+              row(z[1] + 0.1), row(z[1] + NEAR_GAP), row(z[1]),   # Abel-Plana
+              row(z[1] - 0.15), row(z[1] - 0.8)]                  # below the source
+    _check_apply(src, np.array([[0.6, 0.8j]]), groups)
+
+
+def test_apply_from_solution_nodes(sin_solution):
+    sol = sin_solution
+    src = sol.sources
+    charges = sol.density * (sol.jacobian / sol.N)[:, None]
+    h0, low = np.max(sol.points[:, 1]), np.min(sol.points[:, 1])
+    x1 = np.array([-0.7, 0.13, 0.25, 0.9, 3.31])
+
+    def row(h):
+        return np.stack([x1, np.full(len(x1), h)], axis=-1)
+
+    groups = [row(h0 + NEAR_GAP + 1e-3), row(h0 + 2.0),          # above the crest
+              row(h0 + 0.15), row(h0 + NEAR_GAP),                 # table and series
+              row(low - 0.1), row(low - 0.6)]                     # below the sources
+    _check_apply(src, charges, groups)
+
+
+def test_point_source_eval_is_jet_value(grating_setup):
+    # targets on both sides of NEAR_GAP below the source and above it, where
+    # the values-only path must return the value of the jet bit for bit
+    med, _, q = grating_setup
+    inc = point_source_incidence((0.4, 0.3), (1.0, 0.0))
+    t = np.arange(64) / 64
+    X = np.concatenate([np.stack([t, 0.1 * np.sin(2 * np.pi * t)], axis=-1),
+                        np.stack([t[::8], np.full(8, 0.3 + NEAR_GAP + 0.2)], axis=-1)])
+    d = 0.3 - X[:, 1]
+    assert np.any(np.abs(d) <= NEAR_GAP) and np.any(np.abs(d) > NEAR_GAP)
+    assert np.array_equal(inc.eval(med, q, X), inc.jet(med, q, X)[0])
 
 
 def test_too_close_to_boundary(sin_solution):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import draw_medium, draw_momentum
-from oracles import mp_mode_block_2d
+from oracles import mode_term_2d, mp_mode_block_2d
 from qpelastic.errors import NearSourceLine, TableUnresolved, WoodAnomaly
 from qpelastic.fdcheck import navier_residual
 from qpelastic.green2d import (NEAR_GAP, green2d_eval, green2d_eval_batch,
                                green2d_near_line, green2d_near_line_batch,
-                               mode_term_2d, remainder_table)
+                               remainder_table)
 from qpelastic.green_free import kupradze
 from qpelastic.medium import classify_mode, make_medium, make_quasi_momentum
 

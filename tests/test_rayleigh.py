@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import transversality_defect
 from qpelastic.errors import AliasedGrid, DegenerateModeBasis, DomainError
 from qpelastic.fdcheck import fd_curl, fd_divergence, navier_apply_fd
 from qpelastic.medium import classify_mode, make_medium, make_quasi_momentum
@@ -8,7 +9,7 @@ from qpelastic.rayleigh import (RayleighCoeffs2, RayleighCoeffs3Bi,
                                 RayleighCoeffs3Qp, check_upgoing,
                                 eval_rayleigh_2d, eval_rayleigh_3d_bi,
                                 eval_rayleigh_3d_qp, extract_coeffs_2d,
-                                flux_2d, transversality_defect)
+                                flux_2d)
 from qpelastic.bem2d import traction
 
 
