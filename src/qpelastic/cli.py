@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import errors
+from ._series import equal_rows
 from .bem2d import (ProfileCurve2, boundary_residual, eval_scattered,
                     plane_incidence, point_source_incidence, solve_dirichlet,
                     traction)
@@ -24,7 +25,8 @@ from .green2d import green2d_eval, green2d_eval_batch
 from .green3d_biqp import greenbi_eval, greenbi_eval_batch
 from .green3d_qp import green3dqp_eval, green3dqp_eval_batch, ode_residual
 from .green_free import comb_normalization, lattice_sum
-from .medium import ElasticMedium, make_medium, make_quasi_momentum
+from .medium import (ElasticMedium, classify_mode, list_modes, make_medium,
+                     make_quasi_momentum)
 from .phaseless import (PhaselessDataset, SourceConfig, cosine_identity,
                         dataset_gap, nonvanishing_probe, synth_phaseless)
 from .rayleigh import (RayleighCoeffs2, eval_rayleigh_2d, extract_coeffs_2d,
@@ -187,16 +189,25 @@ def cmd_eval(rc, out_path):
     if src.shape != (dim,):
         raise ConfigError("eval.source", f"need length {dim}")
 
-    evalf = {"qp2d": green2d_eval, "qp3d": green3dqp_eval, "biqp3d": greenbi_eval}[rc["geometry"]]
     kwargs = {}
     if rc["truncation"]["gap_min"] is not None:
         kwargs["gap_min"] = float(rc["truncation"]["gap_min"])
     if rc["truncation"]["tol_wood"] is not None:
         kwargs["tol_wood"] = float(rc["truncation"]["tol_wood"])
-    rows = []
-    for x in pts:
-        g = evalf(medium, q, x, src, tol, **kwargs)
-        rows.append((x, g))
+    # one batch call per distinct gap (|x2 - y2| in 2D, the transverse
+    # distance for qp3d, |x3 - y3| for biqp3d): a batch sizes its window from
+    # its smallest gap, so each point gets the modes and tail bound of a call
+    # on that point alone
+    geo = rc["geometry"]
+    evalf = {"qp2d": green2d_eval_batch, "qp3d": green3dqp_eval_batch,
+             "biqp3d": greenbi_eval_batch}[geo]
+    d = pts - src
+    gap = np.hypot(d[:, 1], d[:, 2]) if geo == "qp3d" else np.abs(d[:, -1])
+    values = np.empty((len(pts), dim, dim), dtype=complex)
+    tails = np.empty(len(pts))
+    modes = np.empty(len(pts), dtype=int)
+    for idx in equal_rows(gap[:, None]):
+        values[idx], tails[idx], modes[idx] = evalf(medium, q, pts[idx], src, tol, **kwargs)
 
     cols = [f"x{i+1}" for i in range(dim)]
     for i in range(dim):
@@ -206,12 +217,12 @@ def cmd_eval(rc, out_path):
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("# config: " + json.dumps(rc, sort_keys=True) + "\n")
         fh.write(",".join(cols) + "\n")
-        for x, g in rows:
+        for x, g, n, tb in zip(pts, values, modes, tails):
             vals = [_fmt(v) for v in x]
             for i in range(dim):
                 for j in range(dim):
-                    vals += [_fmt(g.value[i, j].real), _fmt(g.value[i, j].imag)]
-            vals += [str(g.modes_used), _fmt(g.tail_bound)]
+                    vals += [_fmt(g[i, j].real), _fmt(g[i, j].imag)]
+            vals += [str(n), _fmt(tb)]
             fh.write(",".join(vals) + "\n")
     return 0
 
@@ -236,7 +247,6 @@ def _rand_alpha(rng, medium, kind):
             a = rng.uniform(-kp, kp) * 0.9
         q = make_quasi_momentum(kind, a, medium)
         try:
-            from .medium import list_modes
             list_modes(medium, q, "tail_bound", gap=0.5, tol=1e-12)
         except errors.WoodAnomaly:
             continue
@@ -498,7 +508,6 @@ def cmd_rayleigh(rc, action, out_path):
         q = _momentum_of(rc, medium)
         coeffs = _need(ray, "coeffs", "rayleigh.", dict)
         pts = np.asarray(_need(ray, "points", "rayleigh.", list), dtype=float)
-        from .medium import classify_mode
         modes, up, us = [], [], []
         for mp, ms in zip(coeffs.get("p", []), coeffs.get("s", [])):
             modes.append(classify_mode(medium, q, int(mp[0])))

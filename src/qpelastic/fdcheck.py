@@ -149,11 +149,8 @@ def delta_weight_qp3d(medium: ElasticMedium, q, m: int, radius: float = 0.5,
     nu2, nu3 = np.cos(theta), np.sin(theta)
     pts2, pts3 = radius * nu2, radius * nu3
 
-    def cval(x2, x3):
-        return c_arrays(medium, np.asarray([a]), x2, x3)[0]
-
     def cgrid(x2s, x3s):
-        return np.array([cval(x2, x3) for x2, x3 in zip(x2s, x3s)])
+        return c_arrays(medium, np.asarray([a]), x2s, x3s)[..., 0, :, :]
 
     c0 = cgrid(pts2, pts3)
     d2 = (cgrid(pts2 + h, pts3) - cgrid(pts2 - h, pts3)) / (2 * h)
@@ -184,9 +181,9 @@ def delta_weight_qp3d(medium: ElasticMedium, q, m: int, radius: float = 0.5,
     coef = np.array([rw2 - (lam + 2 * mu) * a * a,
                      rw2 - mu * a * a,
                      rw2 - mu * a * a])
+    rings = cgrid(rr[:, None] * nu2, rr[:, None] * nu3)
     for ui in range(n_r):
-        ring = cgrid(rr[ui] * nu2, rr[ui] * nu3)
-        ring_avg = (2 * np.pi / n_theta) * np.sum(ring, axis=0)
+        ring_avg = (2 * np.pi / n_theta) * np.sum(rings[ui], axis=0)
         area += wu[ui] * jacw[ui] * coef[:, None] * ring_avg
     return boundary + area
 

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_laguerre
 
+from ._series import equal_rows
 from .errors import NearSourceLine, TableUnresolved
 from .green_free import GreenEval, _kupradze2d_value
 from .medium import (ElasticMedium, QuasiMomentum, branch_sqrt, check_wood_window,
@@ -76,6 +77,9 @@ def _unified_blocks(medium, alpha_l, D, s, jet: bool = False):
     a^2/b = k_p^2/b - b and a^2/g = k_s^2/g - g.  For |a| >> k_s both roots
     approach i|a|, so Eg - Eb and g Eg - b Eb are formed from
     g - b = (k_s^2 - k_p^2)/(g + b) and expm1 rather than by subtraction.
+    For k_p < |a| < k_s at large |a| D that form is 0 * inf (Eb underflows,
+    the expm1 overflows); there |Eg| = 1 >> |Eb|, so Eg - Eb is formed
+    directly, with no cancellation.
     """
     a = np.asarray(alpha_l, dtype=complex)
     a2 = a * a
@@ -84,7 +88,11 @@ def _unified_blocks(medium, alpha_l, D, s, jet: bool = False):
     g = branch_sqrt(ks2 - a2)
     g_b = (ks2 - kp2) / (g + b)
     Eb = np.exp(1j * b * D)
-    dE = Eb * np.expm1(1j * g_b * D)   # Eg - Eb
+    with np.errstate(over="ignore", invalid="ignore"):
+        dE = Eb * np.expm1(1j * g_b * D)   # Eg - Eb
+    # |Eg - Eb| <= 2, so the sum is finite exactly when every entry is
+    if not np.isfinite(dE.sum()):
+        dE = np.where(np.isfinite(dE), dE, np.exp(1j * g * D) - Eb)
     Eg = Eb + dE
     gEg_bEb = g_b * Eg + b * dE
     pref = _pref(medium)
@@ -108,14 +116,15 @@ def _tail_bound(medium, alpha_first_omitted, D):
     """Rigorous max-norm bound on one side's omitted modes.
 
     Valid once |alpha| >= sqrt(2) k_s; callers arrange the window to reach
-    that regime.  Per-mode bound 5|pref||alpha| e^{-Im(gamma) D} and
-    Im(gamma) grows by at least 2 pi per omitted mode.
+    that regime, and below it (a window that stopped widening) the bound is
+    ``inf``.  Per-mode bound 5|pref||alpha| e^{-Im(gamma) D} and Im(gamma)
+    grows by at least 2 pi per omitted mode.
     """
     a0 = abs(alpha_first_omitted)
     ks2 = np.real(medium.k_s**2)
-    img0 = np.sqrt(max(a0 * a0 - ks2, 0.0))
-    if D <= 0.0:
+    if D <= 0.0 or a0 * a0 < 2 * ks2:
         return float("inf")
+    img0 = np.sqrt(a0 * a0 - ks2)
     q = np.exp(-2 * np.pi * D)
     geo = a0 / (1 - q) + 2 * np.pi * q / (1 - q) ** 2
     return 5.0 * abs(_pref(medium)) * np.exp(-img0 * D) * geo
@@ -161,7 +170,10 @@ def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     """Vectorized evaluation at points ``X`` (n, 2) for one source ``y``.
 
     Returns ``(values, tails, n_modes)`` with values (n, 2, 2), or
-    ``(values, d/dx1, d/dx2, tails, n_modes)`` when ``want_jet``.
+    ``(values, d/dx1, d/dx2, tails, n_modes)`` when ``want_jet``.  One mode
+    window serves the whole call, sized from the smallest |x2 - y2|, so one
+    close point makes every point pay for its modes; callers with mixed gaps
+    should batch by gap.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -173,11 +185,11 @@ def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     m, al = _window_arrays(medium, q, Dmin, tol)
     check_wood_window(medium, q, al, tol_wood)
 
-    tails = np.array([
-        _tail_bound(medium, al[-1] + 2 * np.pi, abs(di)) +
-        _tail_bound(medium, al[0] - 2 * np.pi, abs(di))
-        for di in d
-    ])
+    tails = np.empty(len(d))
+    for idx in equal_rows(np.abs(d)[:, None]):
+        D = abs(d[idx[0]])
+        tails[idx] = _tail_bound(medium, al[-1] + 2 * np.pi, D) \
+            + _tail_bound(medium, al[0] - 2 * np.pi, D)
     if not want_jet:
         return _series_sum(medium, al, t1, d, False), tails, len(al)
     return (*_series_sum(medium, al, t1, d, True), tails, len(al))

@@ -14,6 +14,12 @@ The c_33/c_i3 rows integrate to the 1/(4 pi^2) delta weight across t = 0
 (checked by the distributional-jump test), and the whole table is certified
 against a 1D quadrature of the Fourier-domain symbols.  The assembled double
 series solves ``(Delta* + rho omega^2) G = (1/(4 pi^2)) * phased comb``.
+
+Shapes: ``c_bi_arrays(medium, a1, a2, x3)`` takes M momentum pairs and a
+scalar or array height (shape S) and returns S + (M, 3, 3).  The profiles
+depend on x3 only, so ``greenbi_eval_batch`` builds them once per distinct
+height and contracts the points sharing it with their (points x modes) phase
+matrix e^{i (alpha_1 (x1 - y1) + alpha_2 (x2 - y2))}.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._series import geom_poly_sum
+from ._series import contract_by_key, equal_rows, geom_poly_sum
 from .errors import DomainError, NearSourcePlane
 from .green_free import GreenEval
 from .medium import (ElasticMedium, ModeData, QuasiMomentum, branch_sqrt,
@@ -40,20 +46,26 @@ class FourierMode3BI:
     case_used: str
 
 
-def c_bi_arrays(medium: ElasticMedium, a1, a2, x3: float):
-    """Vectorized biperiodic mode tensors for arrays a1, a2 of momenta."""
+def c_bi_arrays(medium: ElasticMedium, a1, a2, x3):
+    """Vectorized biperiodic mode tensors for 1-D arrays a1, a2 of momenta.
+
+    A scalar height x3 gives shape (M, 3, 3); an array of heights of shape S
+    gives S + (M, 3, 3), with the branch roots taken once.  Entries equal the
+    scalar call's as ``c_arrays``' do.
+    """
     a1 = np.asarray(a1, dtype=complex)
     a2 = np.asarray(a2, dtype=complex)
     A2 = a1 * a1 + a2 * a2
     b = branch_sqrt(medium.k_p**2 - A2)
     g = branch_sqrt(medium.k_s**2 - A2)
+    x3 = np.asarray(x3, dtype=float)[..., None]
     t = abs(x3)
     s = np.sign(x3)
     Eb = np.exp(1j * b * t)
     Eg = np.exp(1j * g * t)
     rw2 = medium.rho_omega2
     p = 1.0 / (8 * np.pi**2)
-    c = np.empty(a1.shape + (3, 3), dtype=complex)
+    c = np.empty(Eb.shape + (3, 3), dtype=complex)
     dd = 1j / g * Eg - 1j / b * Eb
     c[..., 0, 0] = p * (-1j / (medium.mu * g) * Eg + a1 * a1 / rw2 * dd)
     c[..., 1, 1] = p * (-1j / (medium.mu * g) * Eg + a2 * a2 / rw2 * dd)
@@ -142,7 +154,15 @@ def _tail_bound(medium, R, t):
 def greenbi_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
                        tol: float = DEFAULT_TOL, gap_min: float = GAP_MIN,
                        tol_wood: float | None = None):
-    """Vectorized double-series evaluation at points X (n, 3) for source y."""
+    """Vectorized double-series evaluation at points X (n, 3) for source y.
+
+    Returns ``(values, tails, n_modes)`` with values (n, 3, 3).  One lattice
+    disk serves the whole call, sized from the smallest |x3 - y3|, so one
+    close point makes every point pay for its modes; callers with mixed gaps
+    should batch by gap.  The profiles c_l are built once per distinct
+    x3 - y3, and the points sharing one are contracted with them as one
+    (points x modes) phase matrix.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     d1 = X[:, 0] - y[0]
@@ -154,13 +174,13 @@ def greenbi_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     m1, m2, a1, a2, R = _lattice_block(medium, q, gap, tol)
     check_wood_window(medium, q, (a1, a2), tol_wood)
 
-    out = np.empty((len(d1), 3, 3), dtype=complex)
+    out = contract_by_key(
+        d3[:, None], len(a1),
+        lambda i: c_bi_arrays(medium, a1, a2, d3[i]),
+        lambda i: np.exp(1j * (np.outer(d1[i], a1) + np.outer(d2[i], a2))))
     tails = np.empty(len(d1))
-    for i in range(len(d1)):
-        blocks = c_bi_arrays(medium, a1, a2, d3[i])
-        phases = np.exp(1j * (a1 * d1[i] + a2 * d2[i]))
-        out[i] = np.tensordot(phases, blocks, axes=(0, 0))
-        tails[i] = _tail_bound(medium, R, abs(d3[i]))
+    for idx in equal_rows(np.abs(d3)[:, None]):
+        tails[idx] = _tail_bound(medium, R, abs(d3[idx[0]]))
     return out, tails, len(a1)
 
 

@@ -24,6 +24,12 @@ Every entry of this table is certified in the test suite against a direct
 Hankel-transform quadrature of the Fourier-domain symbols (which the printed
 case tables it replaces do not all pass; see tests/test_green3d_qp.py).
 The assembled series solves ``(Delta* + rho omega^2) G = (1/2pi) * comb``.
+
+Shapes: ``c_arrays(medium, alpha_l, x2, x3)`` takes M momenta and scalar or
+array transverse coordinates (shape S) and returns S + (M, 3, 3).  The
+tensors depend on (x2, x3) only, so ``green3dqp_eval_batch`` builds them once
+per distinct transverse position and contracts the points sharing it with
+their (points x modes) phase matrix e^{i alpha_l (x1 - y1)}.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._series import geom_poly_sum
+from ._series import contract_by_key, equal_rows, geom_poly_sum
 from .errors import DomainError, NearSourceLine
 from .fdcheck import _D1, _D2, _OFF
 from .green_free import GreenEval
@@ -54,10 +60,26 @@ class FourierMode3QP:
     case_used: str
 
 
-def c_arrays(medium: ElasticMedium, alpha_l, x2: float, x3: float):
-    """Vectorized mode tensors, shape (len(alpha_l), 3, 3)."""
+def c_arrays(medium: ElasticMedium, alpha_l, x2, x3):
+    """Vectorized mode tensors for a 1-D array of momenta ``alpha_l``.
+
+    Scalar (x2, x3) give shape (M, 3, 3).  Arrays of transverse coordinates
+    (broadcast together to shape S) give shape S + (M, 3, 3), with the branch
+    roots taken once.  Each entry equals the scalar call's at its (x2, x3),
+    bit for bit at real frequency; at complex frequency numpy may round a
+    complex product on a large temporary in the other operand order.
+    """
     a = np.asarray(alpha_l, dtype=complex)
+    x2, x3 = np.broadcast_arrays(np.asarray(x2, dtype=float), np.asarray(x3, dtype=float))
     r = np.hypot(x2, x3)
+    # powers of the coordinates by the C library's pow, as Python and numpy
+    # scalars take them: numpy's vector power differs from it in the last bit
+    # for a few percent of cubes
+    X2, X3, R = (u.ravel().tolist() for u in (x2, x3, r))
+    x22, x33, r2, r3 = np.reshape([[v**2 for v in X2], [v**2 for v in X3],
+                                   [v**2 for v in R], [v**3 for v in R]],
+                                  (4,) + r.shape + (1,))
+    x2, x3, r = x2[..., None], x3[..., None], r[..., None]
     b = branch_sqrt(medium.k_p**2 - a * a)
     g = branch_sqrt(medium.k_s**2 - a * a)
     S0, P0 = u0(g, r), u0(b, r)
@@ -65,15 +87,15 @@ def c_arrays(medium: ElasticMedium, alpha_l, x2: float, x3: float):
     w = 1.0 / (4 * np.pi**2 * medium.rho_omega2)
 
     def t22(m, m0, m1):
-        return m**2 * x2**2 / r**2 * m0 - 1j * m * (x3**2 - x2**2) / r**3 * m1
+        return m**2 * x22 / r2 * m0 - 1j * m * (x33 - x22) / r3 * m1
 
     def t33(m, m0, m1):
-        return m**2 * x3**2 / r**2 * m0 - 1j * m * (x2**2 - x3**2) / r**3 * m1
+        return m**2 * x33 / r2 * m0 - 1j * m * (x22 - x33) / r3 * m1
 
     def t23(m, m0, m1):
-        return x2 * x3 / r**2 * (m**2 * m0 + 2j * m * m1 / r)
+        return x2 * x3 / r2 * (m**2 * m0 + 2j * m * m1 / r)
 
-    c = np.empty(a.shape + (3, 3), dtype=complex)
+    c = np.empty(S0.shape + (3, 3), dtype=complex)
     c[..., 0, 0] = -w * (g * g * S0 + a * a * P0)
     c[..., 0, 1] = c[..., 1, 0] = w * a * x2 / r * (g * S1 - b * P1)
     c[..., 0, 2] = c[..., 2, 0] = w * a * x3 / r * (g * S1 - b * P1)
@@ -113,10 +135,8 @@ def ode_residual(medium: ElasticMedium, q: QuasiMomentum, m: int,
     lam, mu = medium.lam, medium.mu
     rw2 = medium.rho_omega2
 
-    grid = np.empty((5, 5, 3, 3), dtype=complex)
-    for i, oi in enumerate(_OFF):
-        for j, oj in enumerate(_OFF):
-            grid[i, j] = c_arrays(medium, np.asarray([a]), x2 + oi * h, x3 + oj * h)[0]
+    grid = c_arrays(medium, np.asarray([a]), x2 + _OFF[:, None] * h,
+                    x3 + _OFF[None, :] * h)[:, :, 0]
 
     c0 = grid[2, 2]
     d2 = np.tensordot(_D1, grid[:, 2], axes=(0, 0)) / h
@@ -157,7 +177,15 @@ def _tail_bound_side(medium, a_first, r):
 def green3dqp_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
                          tol: float = DEFAULT_TOL, gap_min: float = GAP_MIN,
                          tol_wood: float | None = None):
-    """Vectorized series evaluation at points X (n, 3) for one source y."""
+    """Vectorized series evaluation at points X (n, 3) for one source y.
+
+    Returns ``(values, tails, n_modes)`` with values (n, 3, 3).  One mode
+    window serves the whole call, sized from the smallest transverse gap, so
+    one close point makes every point pay for its modes; callers with mixed
+    gaps should batch by gap.  The tensors c_l are built once per distinct
+    (x2 - y2, x3 - y3), and the points sharing one are contracted with them
+    as one (points x modes) phase matrix.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     t1 = X[:, 0] - y[0]
@@ -169,14 +197,14 @@ def green3dqp_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     m, al = mode_window(medium, q, gap=float(np.min(r)), tol=tol)
     check_wood_window(medium, q, al, tol_wood)
 
-    out = np.empty((len(t1), 3, 3), dtype=complex)
+    out = contract_by_key(
+        np.stack([dx2, dx3], axis=-1), len(al),
+        lambda i: c_arrays(medium, al, dx2[i], dx3[i]),
+        lambda i: np.exp(1j * np.outer(t1[i], al)))
     tails = np.empty(len(t1))
-    for i in range(len(t1)):
-        blocks = c_arrays(medium, al, dx2[i], dx3[i])
-        phases = np.exp(1j * al * t1[i])
-        out[i] = np.tensordot(phases, blocks, axes=(0, 0))
-        tails[i] = _tail_bound_side(medium, al[-1] + 2 * np.pi, r[i]) \
-            + _tail_bound_side(medium, al[0] - 2 * np.pi, r[i])
+    for idx in equal_rows(r[:, None]):
+        tails[idx] = _tail_bound_side(medium, al[-1] + 2 * np.pi, r[idx[0]]) \
+            + _tail_bound_side(medium, al[0] - 2 * np.pi, r[idx[0]])
     return out, tails, len(al)
 
 

@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 from qpelastic.cli import main
+from qpelastic.green2d import green2d_eval
+from qpelastic.green3d_biqp import greenbi_eval
+from qpelastic.green3d_qp import green3dqp_eval
+from qpelastic.medium import make_medium, make_quasi_momentum
 
 BASE_CONFIG = {
     "medium": {"lambda": 2.0, "mu": 1.0, "rho": 1.0, "omega": 5.0},
@@ -78,6 +82,62 @@ def test_eval_3d_geometries(tmp_path):
     cfg["eval"] = {"source": [0, 0, 0], "points": [[0.3, 0.2, 0.9]]}
     p = write_cfg(tmp_path, cfg, "cfg2.json")
     assert main(["eval", "--config", p, "--out", str(tmp_path / "g3b.csv")]) == 0
+
+
+def _mixed_gap_points(geometry, src, rng):
+    """Gaps from 0.02 (0.1 for biqp3d) to 1.5, each transverse position
+    repeated at three x1, on both sides of the source."""
+    pts = []
+    if geometry == "biqp3d":
+        for gap in (0.1, 0.35, 1.0, 1.5):
+            for t in (gap, -gap):
+                x2 = rng.uniform(-1, 1)
+                pts += [[x1, x2 + k, src[2] + t] for k, x1 in enumerate(rng.uniform(-1, 2, 3))]
+        return pts
+    for gap in (0.02, 0.05, 0.25, 1.0, 1.5):
+        for sign in (1.0, -1.0):
+            if geometry == "qp2d":
+                t = [src[1] + sign * gap]
+            else:
+                phi = rng.uniform(0, np.pi)
+                t = [src[1] + gap * np.cos(phi), src[2] + sign * gap * np.sin(phi)]
+            pts += [[x1] + t for x1 in rng.uniform(-1, 2, 3)]
+    return pts
+
+
+@pytest.mark.parametrize("geometry", ["qp2d", "qp3d", "biqp3d"])
+def test_eval_rows_equal_point_calls(tmp_path, geometry):
+    """Each row keeps the window of a call on its point alone, mixed gaps or not."""
+    rng = np.random.default_rng(7)
+    dim = 2 if geometry == "qp2d" else 3
+    src = [0.1, -0.05, 0.02][:dim]
+    alpha = [0.3, -0.2] if geometry == "biqp3d" else 0.3
+    pts = _mixed_gap_points(geometry, src, rng)
+    cfg = {"medium": {"lambda": 2.0, "mu": 1.0, "rho": 1.0, "omega": 2.0},
+           "geometry": geometry, "quasi_momentum": {"alpha": alpha},
+           "truncation": {"tol": 1e-10}, "eval": {"source": src, "points": pts}}
+    p = write_cfg(tmp_path, cfg)
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["eval", "--config", p, "--out", str(out1)]) == 0
+    assert main(["eval", "--config", p, "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+    med = make_medium(2.0, 1.0, 1.0, 2.0)
+    q = make_quasi_momentum(geometry, alpha, med)
+    evalf = {"qp2d": green2d_eval, "qp3d": green3dqp_eval, "biqp3d": greenbi_eval}[geometry]
+    rows = [ln.split(",") for ln in out1.read_text().splitlines()[2:]]
+    assert len(rows) == len(pts)
+    modes = set()
+    for x, row in zip(pts, rows):
+        g = evalf(med, q, np.array(x), np.array(src), 1e-10)
+        vals = np.array([float(v) for v in row[dim:-2]])
+        got = (vals[0::2] + 1j * vals[1::2]).reshape(dim, dim)
+        assert [float(v) for v in row[:dim]] == x
+        assert int(row[-2]) == g.modes_used
+        assert float(row[-1]) == g.tail_bound
+        assert np.max(np.abs(got - g.value)) <= 1e-12 * np.max(np.abs(g.value))
+        modes.add(g.modes_used)
+    assert len(modes) >= 4
 
 
 @pytest.mark.parametrize("suite", ["quasiperiodicity", "reciprocity", "specfun",

@@ -259,3 +259,31 @@ def test_near_line_jet(medium_fast):
            - green2d_near_line(medium_fast, alpha, 0.21, 0.13 - h)) / (2 * h)
     assert np.max(np.abs(d1[0] - fd1)) < 1e-8
     assert np.max(np.abs(d2[0] - fd2)) < 1e-8
+
+
+def test_series_finite_between_cutoffs_at_high_frequency():
+    # for k_p < |alpha_l| < k_s and large |alpha_l| d, e^{i b d} underflows
+    # where the expm1 form of Eg - Eb overflows
+    med = make_medium(2.0, 1.0, 1.0, 800.0)       # k_p = 400, k_s = 800
+    q = make_quasi_momentum("qp2d", 0.3, med)
+    g = green2d_eval(med, q, np.array([0.2, 1.5]), np.zeros(2))
+    assert np.all(np.isfinite(g.value)) and np.isfinite(g.tail_bound)
+    for m in (70, 100, 120, -110):
+        mode = classify_mode(med, q, m)
+        assert mode.klass == "L2"
+        for d in (1.5, -1.5, 0.2):
+            got = mode_term_2d(med, mode, d, 0.0, "unified").matrix
+            ref = mp_mode_block_2d(med, mode.alpha_l, d)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_tail_bound_inf_when_window_stops_widening():
+    # the window widens at most 65 modes a side; at omega = 1200 its edges
+    # (about 1600) stay below sqrt(2) k_s = 1697, where the bound is invalid
+    med = make_medium(2.0, 1.0, 1.0, 1200.0)
+    q = make_quasi_momentum("qp2d", 0.3, med)
+    g = green2d_eval(med, q, np.array([0.2, 1.5]), np.zeros(2))
+    assert np.all(np.isfinite(g.value))
+    assert g.tail_bound == np.inf
+    _, tails, _ = green2d_eval_batch(med, q, np.array([[0.2, 1.5], [0.4, -2.0]]), np.zeros(2))
+    assert np.all(tails == np.inf)

@@ -5,8 +5,8 @@ from conftest import draw_medium, draw_momentum
 from oracles import biqp_mode_tensor_quadrature
 from qpelastic.errors import DomainError, NearSourcePlane
 from qpelastic.fdcheck import delta_weight_biqp, navier_residual
-from qpelastic.green3d_biqp import (c_bi_arrays, c_l_bi, greenbi_eval,
-                                    greenbi_eval_batch)
+from qpelastic.green3d_biqp import (_lattice_block, _tail_bound, c_bi_arrays, c_l_bi,
+                                    greenbi_eval, greenbi_eval_batch)
 from qpelastic.green_free import comb_normalization, lattice_sum
 from qpelastic.medium import make_medium, make_quasi_momentum
 
@@ -147,3 +147,34 @@ def test_mode_count_scaling(medium):
     # retained modes grow like ((35 + log(1/tol))/t)^2, i.e. ~4x per halving
     assert 3.0 < counts[1] / counts[0] < 5.0
     assert 3.0 < counts[2] / counts[1] < 5.0
+
+
+def test_c_bi_arrays_broadcast_equals_point_calls(medium, rng):
+    a1 = 0.3 + 2 * np.pi * np.arange(-5, 6)
+    a2 = -0.2 + 2 * np.pi * np.arange(5, -6, -1)
+    x3 = rng.uniform(-1, 1, (3, 4))
+    assert c_bi_arrays(medium, a1, a2, -0.4).shape == (11, 3, 3)
+    for med in (medium, medium.complexified(0.1)):
+        got = c_bi_arrays(med, a1, a2, x3)
+        assert got.shape == (3, 4, 11, 3, 3)
+        ref = np.reshape([c_bi_arrays(med, a1, a2, t) for t in x3.ravel().tolist()],
+                         got.shape)
+        assert np.array_equal(got, ref)
+
+
+def test_batch_equals_point_loop(rng):
+    """One lattice disk for the batch; repeated heights, both signs of x3."""
+    med = make_medium(2.0, 1.0, 1.0, 2.0)
+    q = make_quasi_momentum("biqp3d", (0.3, -0.2), med)
+    y = np.array([0.1, 0.05, -0.02])
+    X = np.array([[x1, x2, y[2] + t] for t in (0.3, -0.3, 0.8, 1.4)
+                  for x1, x2 in rng.uniform(-1, 2, (3, 2))])
+    vals, tails, n = greenbi_eval_batch(med, q, X, y, 1e-8)
+    _, _, a1, a2, R = _lattice_block(med, q, 0.3, 1e-8)
+    assert type(n) is int and n == len(a1)
+    for x, v, tb in zip(X, vals, tails):
+        d = x - y
+        ref = np.tensordot(np.exp(1j * (a1 * d[0] + a2 * d[1])),
+                           c_bi_arrays(med, a1, a2, d[2]), axes=(0, 0))
+        assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert tb == _tail_bound(med, R, abs(d[2]))

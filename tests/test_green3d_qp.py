@@ -5,10 +5,11 @@ from conftest import draw_medium, draw_momentum
 from oracles import qp3d_mode_tensor_quadrature
 from qpelastic.errors import DomainError, NearSourceLine
 from qpelastic.fdcheck import delta_weight_qp3d, navier_residual
-from qpelastic.green3d_qp import (c_arrays, c_l, green3dqp_eval,
+import qpelastic.green3d_qp as g3
+from qpelastic.green3d_qp import (_tail_bound_side, c_arrays, c_l, green3dqp_eval,
                                   green3dqp_eval_batch, ode_residual)
 from qpelastic.green_free import comb_normalization, lattice_sum
-from qpelastic.medium import make_medium, make_quasi_momentum
+from qpelastic.medium import make_medium, make_quasi_momentum, mode_window
 
 
 @pytest.mark.parametrize("a,label", [
@@ -153,3 +154,51 @@ def test_hermitian_structure_under_negation(medium):
     c1 = c_arrays(medium, np.asarray([a]), 0.5, 0.6)[0]
     c2 = c_arrays(medium, np.asarray([-a]), -0.5, -0.6)[0]
     assert np.max(np.abs(c1 - c2)) < 1e-15
+
+
+def _pointwise(c_fn):
+    """c_arrays taken one scalar (x2, x3) at a time and stacked to the broadcast shape."""
+    def stacked(medium, al, x2, x3):
+        x2, x3 = np.broadcast_arrays(np.asarray(x2, float), np.asarray(x3, float))
+        out = [c_fn(medium, al, u, v) for u, v in zip(x2.ravel().tolist(), x3.ravel().tolist())]
+        return np.reshape(out, x2.shape + (len(al), 3, 3))
+    return stacked
+
+
+def test_c_arrays_broadcast_equals_point_calls(medium, rng):
+    al = 0.3 + 2 * np.pi * np.arange(-6, 7)
+    # enough points that a last-bit difference in r^3 would show
+    x2, x3 = rng.uniform(-1, 1, (20, 10)), rng.uniform(-1, 1, 10)
+    assert c_arrays(medium, al, 0.5, -0.6).shape == (13, 3, 3)
+    for med in (medium, medium.complexified(0.1)):
+        got = c_arrays(med, al, x2, x3)
+        assert got.shape == (20, 10, 13, 3, 3)
+        assert np.array_equal(got, _pointwise(c_arrays)(med, al, x2, x3))
+
+
+def test_batch_equals_point_loop(rng):
+    """One window for the batch; repeated (x2, x3), both signs of x3."""
+    med = make_medium(2.0, 1.0, 1.0, 2.0)
+    q = make_quasi_momentum("qp3d", 0.3, med)
+    y = np.array([0.1, 0.05, -0.02])
+    T = np.array([[0.3, 0.4], [0.3, -0.4], [-0.02, 0.05], [1.1, 0.7]])
+    X = np.array([[x1, y[1] + t2, y[2] + t3] for t2, t3 in T for x1 in rng.uniform(-1, 2, 3)])
+    vals, tails, n = green3dqp_eval_batch(med, q, X, y)
+    _, al = mode_window(med, q, gap=float(np.hypot(0.02, 0.05)), tol=1e-10)
+    assert type(n) is int and n == len(al)
+    for x, v, tb in zip(X, vals, tails):
+        d = x - y
+        ref = np.tensordot(np.exp(1j * al * d[0]), c_arrays(med, al, d[1], d[2]), axes=(0, 0))
+        assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
+        r = np.hypot(d[1], d[2])
+        assert tb == _tail_bound_side(med, al[-1] + 2 * np.pi, r) \
+            + _tail_bound_side(med, al[0] - 2 * np.pi, r)
+
+
+def test_fd_checks_equal_point_by_point_grids(medium, monkeypatch):
+    q = make_quasi_momentum("qp3d", 0.3, medium)
+    ode = [ode_residual(medium, q, m, 0.7, 0.6, 1e-2) for m in (0, 1, -2)]
+    w = delta_weight_qp3d(medium, q, 0)
+    monkeypatch.setattr(g3, "c_arrays", _pointwise(g3.c_arrays))
+    assert [ode_residual(medium, q, m, 0.7, 0.6, 1e-2) for m in (0, 1, -2)] == ode
+    assert np.array_equal(delta_weight_qp3d(medium, q, 0), w)
