@@ -36,20 +36,28 @@ def equal_rows(keys):
 def contract_by_key(keys, n_modes: int, blocks, phases):
     """Per point p, sum_l phases_pl B_l(key_p) with each B built once per distinct key.
 
-    ``keys`` (n, k) holds each point's transverse key.  ``blocks(i)`` returns
-    the (len(i), n_modes, 3, 3) tensors at the keys of points ``i`` (one point
-    per distinct key), and ``phases(i)`` the (len(i), n_modes) phase matrix of
+    ``keys`` (n, k) holds each point's key.  ``blocks(i)`` returns the
+    (len(i), n_modes, ...) tensors at the keys of points ``i`` (one point per
+    distinct key), and ``phases(i)`` the (len(i), n_modes) phase matrix of
     points ``i``; the points sharing a key are contracted with its tensors by
-    one matrix product.  Keys and points go in blocks of about
-    ``_BLOCK_ELEMS / n_modes``.  Returns (n, 3, 3).
+    one matrix product.  Keys go in blocks of about ``_BLOCK_ELEMS /
+    n_modes``, and points in blocks whose phase matrix holds as many entries
+    as a block of tensors.  Returns (n, ...), the trailing shape of the
+    tensors.
     """
     groups = equal_rows(keys)
     rows = max(1, _BLOCK_ELEMS // max(n_modes, 1))
-    out = np.empty((len(keys), 9), dtype=complex)
+    out = None
     for k in range(0, len(groups), rows):
         part = groups[k:k + rows]
-        tensors = blocks(np.array([g[0] for g in part])).reshape(len(part), n_modes, 9)
+        tensors = blocks(np.array([g[0] for g in part]))
+        if out is None:
+            shape = tensors.shape[2:]
+            width = int(np.prod(shape))
+            out = np.empty((len(keys), width), dtype=complex)
+        tensors = tensors.reshape(len(part), n_modes, width)
         for idx, blk in zip(part, tensors):
-            for j in range(0, len(idx), rows):
-                out[idx[j:j + rows]] = phases(idx[j:j + rows]) @ blk
-    return out.reshape(-1, 3, 3)
+            for j in range(0, len(idx), rows * width):
+                sub = idx[j:j + rows * width]
+                out[sub] = phases(sub) @ blk
+    return out.reshape((len(keys),) + shape)

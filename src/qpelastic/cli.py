@@ -25,8 +25,8 @@ from .green2d import green2d_eval, green2d_eval_batch
 from .green3d_biqp import greenbi_eval, greenbi_eval_batch
 from .green3d_qp import green3dqp_eval, green3dqp_eval_batch, ode_residual
 from .green_free import comb_normalization, lattice_sum
-from .medium import (ElasticMedium, classify_mode, list_modes, make_medium,
-                     make_quasi_momentum)
+from .medium import (ElasticMedium, ModeTable, make_medium, make_quasi_momentum,
+                     mode_table)
 from .phaseless import (PhaselessDataset, SourceConfig, cosine_identity,
                         dataset_gap, nonvanishing_probe, synth_phaseless)
 from .rayleigh import (RayleighCoeffs2, eval_rayleigh_2d, extract_coeffs_2d,
@@ -247,7 +247,7 @@ def _rand_alpha(rng, medium, kind):
             a = rng.uniform(-kp, kp) * 0.9
         q = make_quasi_momentum(kind, a, medium)
         try:
-            list_modes(medium, q, "tail_bound", gap=0.5, tol=1e-12)
+            mode_table(medium, q, "tail_bound", gap=0.5, tol=1e-12)
         except errors.WoodAnomaly:
             continue
         return q
@@ -508,11 +508,10 @@ def cmd_rayleigh(rc, action, out_path):
         q = _momentum_of(rc, medium)
         coeffs = _need(ray, "coeffs", "rayleigh.", dict)
         pts = np.asarray(_need(ray, "points", "rayleigh.", list), dtype=float)
-        modes, up, us = [], [], []
-        for mp, ms in zip(coeffs.get("p", []), coeffs.get("s", [])):
-            modes.append(classify_mode(medium, q, int(mp[0])))
-            up.append(mp[1] + 1j * mp[2])
-            us.append(ms[1] + 1j * ms[2])
+        pairs = list(zip(coeffs.get("p", []), coeffs.get("s", [])))
+        modes = ModeTable.of(medium, q, [int(mp[0]) for mp, _ in pairs]).rows()
+        up = [mp[1] + 1j * mp[2] for mp, _ in pairs]
+        us = [ms[1] + 1j * ms[2] for _, ms in pairs]
         co = RayleighCoeffs2(tuple(modes), np.array(up), np.array(us))
         vals = eval_rayleigh_2d(medium, q, co, pts)
         with open(out_path, "w", encoding="utf-8") as fh:

@@ -10,18 +10,20 @@ class InvalidMedium(QPElasticError):
 
 
 class WoodAnomaly(QPElasticError):
-    """A lattice mode sits too close to a cut-off (alpha_l^2 = k_p^2 or k_s^2).
+    """Lattice mode ``m`` sits too close to the ``which`` cut-off (alpha_l^2 = k_p^2 or k_s^2).
 
     The spectral formulas divide by the vertical wavenumbers, so evaluation
     is refused rather than silently regularized.
     """
 
-    def __init__(self, alpha_l, which, margin):
+    def __init__(self, alpha_l, which, margin, m=None):
         self.alpha_l = alpha_l
         self.which = which
         self.margin = margin
+        self.m = m
         super().__init__(
-            f"mode alpha_l={alpha_l!r} within {margin:.3e} of the {which} cut-off"
+            f"mode m={m} (|alpha_l|={alpha_l!r}) within {margin:.3e} of the {which} "
+            f"cut-off |alpha_l|^2 = k_{which}^2"
         )
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .medium import ElasticMedium
+from .medium import ElasticMedium, ModeTable
 
 # 4th-order central stencils: first and second derivative, offsets
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
@@ -99,33 +99,6 @@ def navier_residual(field, medium: ElasticMedium, points, h: float,
     return worst
 
 
-def fd_divergence(field, x, h: float = 1e-5):
-    """Central-difference divergence of a vector field at one point."""
-    x = np.asarray(x, dtype=float)
-    dim = x.size
-    acc = 0.0 + 0.0j
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = h
-        acc += (field((x + e)[None, :])[0][i] - field((x - e)[None, :])[0][i]) / (2 * h)
-    return acc
-
-
-def fd_curl(field, x, h: float = 1e-5):
-    """Central-difference curl. Scalar in 2D, 3-vector in 3D."""
-    x = np.asarray(x, dtype=float)
-    dim = x.size
-
-    def d(i, j):
-        e = np.zeros(dim)
-        e[j] = h
-        return (field((x + e)[None, :])[0][i] - field((x - e)[None, :])[0][i]) / (2 * h)
-
-    if dim == 2:
-        return d(1, 0) - d(0, 1)
-    return np.array([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)])
-
-
 # ---------------------------------------------------------------------------
 # Distributional delta weights of the mode ODE systems.
 # ---------------------------------------------------------------------------
@@ -138,10 +111,8 @@ def delta_weight_qp3d(medium: ElasticMedium, q, m: int, radius: float = 0.5,
     weight; for the quasi-periodic mode system it equals (1/(2 pi)) I.
     """
     from .green3d_qp import c_arrays
-    from .medium import classify_mode
 
-    mode = classify_mode(medium, q, m)
-    a = mode.alpha_l
+    a = ModeTable.of(medium, q, [m]).alpha_l[0]
     lam, mu = medium.lam, medium.mu
     rw2 = medium.rho_omega2
 
@@ -150,7 +121,7 @@ def delta_weight_qp3d(medium: ElasticMedium, q, m: int, radius: float = 0.5,
     pts2, pts3 = radius * nu2, radius * nu3
 
     def cgrid(x2s, x3s):
-        return c_arrays(medium, np.asarray([a]), x2s, x3s)[..., 0, :, :]
+        return c_arrays(medium, [a], x2s, x3s)[..., 0, :, :]
 
     c0 = cgrid(pts2, pts3)
     d2 = (cgrid(pts2 + h, pts3) - cgrid(pts2 - h, pts3)) / (2 * h)
@@ -196,10 +167,8 @@ def delta_weight_biqp(medium: ElasticMedium, q, m) -> np.ndarray:
     from the exact one-sided limits; it must equal (1/(4 pi^2)) delta_ij.
     """
     from .green3d_biqp import c_bi_d3_limits
-    from .medium import classify_mode
 
-    mode = classify_mode(medium, q, tuple(m))
-    a1, a2 = mode.alpha_l
+    a1, a2 = ModeTable.of(medium, q, [m]).row(0).alpha_l
     lam, mu = medium.lam, medium.mu
 
     c_p, d_p = c_bi_d3_limits(medium, a1, a2, +1)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_laguerre
 
-from ._series import equal_rows
+from ._series import contract_by_key, equal_rows
 from .errors import NearSourceLine, TableUnresolved
 from .green_free import GreenEval, _kupradze2d_value
 from .medium import (ElasticMedium, QuasiMomentum, branch_sqrt, check_wood_window,
@@ -61,6 +61,8 @@ NEAR_GAP = 0.25
 _FAR_TOL = 1e-16
 # pairs per block of the Abel-Plana and table evaluations, to bound memory
 _CHUNK = 4096
+# sign of each mode-matrix entry under d -> -d
+_PARITY = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _pref(medium: ElasticMedium):
@@ -165,34 +167,37 @@ def _series_sum(medium, al, tau, d, want_jet: bool):
 
 
 def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
-                       tol: float = DEFAULT_TOL, want_jet: bool = False,
-                       gap_min: float = GAP_MIN, tol_wood: float | None = None):
+                       tol: float = DEFAULT_TOL, gap_min: float = GAP_MIN,
+                       tol_wood: float | None = None):
     """Vectorized evaluation at points ``X`` (n, 2) for one source ``y``.
 
-    Returns ``(values, tails, n_modes)`` with values (n, 2, 2), or
-    ``(values, d/dx1, d/dx2, tails, n_modes)`` when ``want_jet``.  One mode
+    Returns ``(values, tails, n_modes)`` with values (n, 2, 2).  One mode
     window serves the whole call, sized from the smallest |x2 - y2|, so one
     close point makes every point pay for its modes; callers with mixed gaps
-    should batch by gap.
+    should batch by gap.  The mode matrices are built once per distinct
+    |x2 - y2|, and the points sharing one are contracted with them as one
+    (points x modes) phase matrix.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     t1 = X[:, 0] - y[0]
     d = X[:, 1] - y[1]
-    if np.any(np.abs(d) < gap_min):
+    D = np.abs(d)
+    if np.any(D < gap_min):
         raise NearSourceLine(f"|x2-y2| below gap_min={gap_min}")
-    Dmin = float(np.min(np.abs(d)))
-    m, al = _window_arrays(medium, q, Dmin, tol)
+    m, al = _window_arrays(medium, q, float(np.min(D)), tol)
     check_wood_window(medium, q, al, tol_wood)
 
     tails = np.empty(len(d))
-    for idx in equal_rows(np.abs(d)[:, None]):
-        D = abs(d[idx[0]])
-        tails[idx] = _tail_bound(medium, al[-1] + 2 * np.pi, D) \
-            + _tail_bound(medium, al[0] - 2 * np.pi, D)
-    if not want_jet:
-        return _series_sum(medium, al, t1, d, False), tails, len(al)
-    return (*_series_sum(medium, al, t1, d, True), tails, len(al))
+    for idx in equal_rows(D[:, None]):
+        tails[idx] = _tail_bound(medium, al[-1] + 2 * np.pi, D[idx[0]]) \
+            + _tail_bound(medium, al[0] - 2 * np.pi, D[idx[0]])
+    out = contract_by_key(D[:, None], len(al),
+                          lambda i: _unified_blocks(medium, al, D[i][:, None], 1.0),
+                          lambda i: np.exp(1j * np.outer(t1[i], al)))
+    # below the source line the off-diagonal entries, odd in x2, change sign
+    out[d < 0] *= _PARITY
+    return out, tails, len(al)
 
 
 def green2d_eval(medium: ElasticMedium, q: QuasiMomentum, x, y,

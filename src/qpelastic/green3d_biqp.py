@@ -17,9 +17,11 @@ series solves ``(Delta* + rho omega^2) G = (1/(4 pi^2)) * phased comb``.
 
 Shapes: ``c_bi_arrays(medium, a1, a2, x3)`` takes M momentum pairs and a
 scalar or array height (shape S) and returns S + (M, 3, 3).  The profiles
-depend on x3 only, so ``greenbi_eval_batch`` builds them once per distinct
-height and contracts the points sharing it with their (points x modes) phase
-matrix e^{i (alpha_1 (x1 - y1) + alpha_2 (x2 - y2))}.
+depend on x3 only, and on its sign only through the odd entries c_i3, so
+``greenbi_eval_batch`` builds them once per distinct |x3| and contracts the
+points sharing it with their (points x modes) phase matrix
+e^{i (alpha_1 (x1 - y1) + alpha_2 (x2 - y2))}, formed as the product of one
+exponential per axis index and point.
 """
 
 from __future__ import annotations
@@ -31,12 +33,14 @@ import numpy as np
 from ._series import contract_by_key, equal_rows, geom_poly_sum
 from .errors import DomainError, NearSourcePlane
 from .green_free import GreenEval
-from .medium import (ElasticMedium, ModeData, QuasiMomentum, branch_sqrt,
-                     case_label, check_wood_window, classify_mode)
+from .medium import (ElasticMedium, ModeData, ModeTable, QuasiMomentum,
+                     branch_sqrt, case_label, check_wood_window, lattice_window)
 
 GAP_MIN = 1e-2
 DEFAULT_TOL = 1e-10
 LOG_SLACK = 35.0
+# sign of each profile entry under x3 -> -x3
+_PARITY = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -116,26 +120,17 @@ def c_l_bi(medium: ElasticMedium, q: QuasiMomentum, m, x3: float,
     """
     if x3 == 0.0:
         raise DomainError("c_l_bi at x3 = 0: odd entries are ambiguous on the jump plane")
-    mode = classify_mode(medium, q, tuple(m), tol_wood)
-    c = c_bi_arrays(medium, np.asarray([mode.alpha_l[0]]),
-                    np.asarray([mode.alpha_l[1]]), x3)[0]
+    tab = ModeTable.of(medium, q, [m], tol_wood)
+    c = c_bi_arrays(medium, tab.alpha_l[:, 0], tab.alpha_l[:, 1], x3)[0]
+    mode = tab.row(0)
     return FourierMode3BI(mode, c, case_label(mode))
 
 
 def _lattice_block(medium, q, gap, tol):
-    """(m1, m2, a1, a2) arrays for the retained disk gamma_s * gap <= 35 + log(1/tol)."""
-    thr = (LOG_SLACK - np.log(tol)) / gap
-    r = np.sqrt(np.real(medium.k_s**2) + thr * thr)
-    al1, al2 = q.alpha
-    lo1 = int(np.ceil((-r - al1) / (2 * np.pi)))
-    hi1 = int(np.floor((r - al1) / (2 * np.pi)))
-    lo2 = int(np.ceil((-r - al2) / (2 * np.pi)))
-    hi2 = int(np.floor((r - al2) / (2 * np.pi)))
-    m1, m2 = np.meshgrid(np.arange(lo1, hi1 + 1), np.arange(lo2, hi2 + 1), indexing="ij")
-    a1 = al1 + 2 * np.pi * m1
-    a2 = al2 + 2 * np.pi * m2
-    keep = a1 * a1 + a2 * a2 <= r * r
-    return m1[keep], m2[keep], a1[keep], a2[keep], r
+    """(m1, m2, a1, a2, R) arrays for the retained disk gamma_s * gap <= 35 + log(1/tol)."""
+    m, R = lattice_window(medium, q, (LOG_SLACK - np.log(tol)) / gap)
+    m1, m2 = m.T
+    return m1, m2, q.alpha[0] + 2 * np.pi * m1, q.alpha[1] + 2 * np.pi * m2, R
 
 
 def _tail_bound(medium, R, t):
@@ -160,7 +155,7 @@ def greenbi_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     disk serves the whole call, sized from the smallest |x3 - y3|, so one
     close point makes every point pay for its modes; callers with mixed gaps
     should batch by gap.  The profiles c_l are built once per distinct
-    x3 - y3, and the points sharing one are contracted with them as one
+    |x3 - y3|, and the points sharing one are contracted with them as one
     (points x modes) phase matrix.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -168,19 +163,30 @@ def greenbi_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     d1 = X[:, 0] - y[0]
     d2 = X[:, 1] - y[1]
     d3 = X[:, 2] - y[2]
-    if np.any(np.abs(d3) < gap_min):
+    t3 = np.abs(d3)
+    if np.any(t3 < gap_min):
         raise NearSourcePlane(f"|x3-y3| below gap_min={gap_min}")
-    gap = float(np.min(np.abs(d3)))
-    m1, m2, a1, a2, R = _lattice_block(medium, q, gap, tol)
+    m1, m2, a1, a2, R = _lattice_block(medium, q, float(np.min(t3)), tol)
     check_wood_window(medium, q, (a1, a2), tol_wood)
+    # e^{i (a1 d1 + a2 d2)} as a product of per-axis exponentials, one per
+    # axis index rather than one per mode
+    lo1, lo2 = m1.min(), m2.min()
+    ax1 = q.alpha[0] + 2 * np.pi * np.arange(lo1, m1.max() + 1)
+    ax2 = q.alpha[1] + 2 * np.pi * np.arange(lo2, m2.max() + 1)
+    i1, i2 = m1 - lo1, m2 - lo2
 
-    out = contract_by_key(
-        d3[:, None], len(a1),
-        lambda i: c_bi_arrays(medium, a1, a2, d3[i]),
-        lambda i: np.exp(1j * (np.outer(d1[i], a1) + np.outer(d2[i], a2))))
+    def phases(i):
+        ph = np.exp(1j * np.outer(d1[i], ax1))[:, i1]
+        ph *= np.exp(1j * np.outer(d2[i], ax2))[:, i2]
+        return ph
+
+    out = contract_by_key(t3[:, None], len(a1),
+                          lambda i: c_bi_arrays(medium, a1, a2, t3[i]), phases)
+    # below the source plane the entries odd in x3 change sign
+    out[d3 < 0] *= _PARITY
     tails = np.empty(len(d1))
-    for idx in equal_rows(np.abs(d3)[:, None]):
-        tails[idx] = _tail_bound(medium, R, abs(d3[idx[0]]))
+    for idx in equal_rows(t3[:, None]):
+        tails[idx] = _tail_bound(medium, R, t3[idx[0]])
     return out, tails, len(a1)
 
 

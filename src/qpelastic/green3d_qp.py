@@ -42,8 +42,8 @@ from ._series import contract_by_key, equal_rows, geom_poly_sum
 from .errors import DomainError, NearSourceLine
 from .fdcheck import _D1, _D2, _OFF
 from .green_free import GreenEval
-from .medium import (ElasticMedium, ModeData, QuasiMomentum, branch_sqrt,
-                     case_label, check_wood_window, classify_mode, mode_window)
+from .medium import (ElasticMedium, ModeData, ModeTable, QuasiMomentum,
+                     branch_sqrt, case_label, check_wood_window, mode_window)
 from .specfun import u0, u1
 
 GAP_MIN = 1e-2
@@ -111,8 +111,9 @@ def c_l(medium: ElasticMedium, q: QuasiMomentum, m: int, x2: float, x3: float,
     r = float(np.hypot(x2, x3))
     if r <= 0.0:
         raise DomainError("c_l is singular at r = 0")
-    mode = classify_mode(medium, q, m, tol_wood)
-    c = c_arrays(medium, np.asarray([mode.alpha_l]), x2, x3)[0]
+    tab = ModeTable.of(medium, q, [m], tol_wood)
+    c = c_arrays(medium, tab.alpha_l, x2, x3)[0]
+    mode = tab.row(0)
     return FourierMode3QP(mode, c, r, case_label(mode))
 
 
@@ -130,13 +131,11 @@ def ode_residual(medium: ElasticMedium, q: QuasiMomentum, m: int,
     """
     if np.hypot(x2, x3) <= 2 * h:
         raise DomainError("stencil touches the singular point")
-    mode = classify_mode(medium, q, m)
-    a = mode.alpha_l
+    a = ModeTable.of(medium, q, [m]).alpha_l[0]
     lam, mu = medium.lam, medium.mu
     rw2 = medium.rho_omega2
 
-    grid = c_arrays(medium, np.asarray([a]), x2 + _OFF[:, None] * h,
-                    x3 + _OFF[None, :] * h)[:, :, 0]
+    grid = c_arrays(medium, [a], x2 + _OFF[:, None] * h, x3 + _OFF[None, :] * h)[:, :, 0]
 
     c0 = grid[2, 2]
     d2 = np.tensordot(_D1, grid[:, 2], axes=(0, 0)) / h

@@ -146,12 +146,6 @@ class ModeData:
     klass: str
 
     @property
-    def l(self):
-        if isinstance(self.m, tuple):
-            return tuple(2.0 * np.pi * mi for mi in self.m)
-        return 2.0 * np.pi * self.m
-
-    @property
     def propagating_p(self) -> bool:
         return self.klass == "L1"
 
@@ -160,26 +154,91 @@ class ModeData:
         return self.klass in ("L1", "L2")
 
 
-def _alpha_sq(q: QuasiMomentum, m):
-    if q.kind == "biqp3d":
-        a1 = q.alpha[0] + 2.0 * np.pi * m[0]
-        a2 = q.alpha[1] + 2.0 * np.pi * m[1]
-        return (a1, a2), a1 * a1 + a2 * a2
-    a = q.alpha + 2.0 * np.pi * m
-    return a, a * a
+def lattice_window(medium: ElasticMedium, q: QuasiMomentum, threshold: float):
+    """Indices ``m`` of the modes with Im(gamma_l) <= ``threshold``, and the radius r.
+
+    They are the modes with ``|alpha_l| <= r = sqrt(k_s^2 + threshold^2)``:
+    an (M,) integer interval on the scalar lattice, an (M, 2) disk of index
+    pairs ordered by m_1, then m_2, on the pair lattice.
+    """
+    r = np.sqrt(np.real(medium.k_s**2) + threshold * threshold)
+
+    def interval(alpha):
+        return np.arange(int(np.ceil((-r - alpha) / (2.0 * np.pi))),
+                         int(np.floor((r - alpha) / (2.0 * np.pi))) + 1)
+
+    if q.kind != "biqp3d":
+        return interval(q.alpha), r
+    m1, m2 = np.meshgrid(interval(q.alpha[0]), interval(q.alpha[1]), indexing="ij")
+    a1 = q.alpha[0] + 2.0 * np.pi * m1
+    a2 = q.alpha[1] + 2.0 * np.pi * m2
+    keep = a1 * a1 + a2 * a2 <= r * r
+    return np.stack([m1[keep], m2[keep]], axis=-1), r
 
 
-def _check_wood(medium: ElasticMedium, a2, tol_wood):
+def check_wood_window(medium: ElasticMedium, q: QuasiMomentum, alpha_l, tol_wood: float | None = None):
+    """Raise WoodAnomaly if a mode in ``alpha_l`` (a pair of arrays for biqp3d)
+    has ``|alpha_l|^2`` within ``tol_wood`` (default ``1e-8*k_s^2``) of
+    ``k_p^2`` or ``k_s^2``; the error names the first such index, p before s."""
     if not medium.is_real():
         return
-    kp2 = medium.k_p**2
-    ks2 = medium.k_s**2
+    ks2 = np.real(medium.k_s**2)
+    kp2 = np.real(medium.k_p**2)
     if tol_wood is None:
         tol_wood = TOL_WOOD_REL * ks2
-    if abs(a2 - kp2) < tol_wood:
-        raise WoodAnomaly(np.sqrt(a2), "p", tol_wood)
-    if abs(a2 - ks2) < tol_wood:
-        raise WoodAnomaly(np.sqrt(a2), "s", tol_wood)
+    al = np.asarray(alpha_l, dtype=float)
+    a2 = al[0] ** 2 + al[1] ** 2 if q.kind == "biqp3d" else al**2
+    for which, k2 in (("p", kp2), ("s", ks2)):
+        bad = np.abs(a2 - k2) < tol_wood
+        if bad.any():
+            i = np.argmax(bad)
+            m = np.rint((al[..., i] - q.alpha_vec()) / (2.0 * np.pi)).astype(int).tolist()
+            m = tuple(m) if q.kind == "biqp3d" else m[0]
+            raise WoodAnomaly(float(np.sqrt(a2[i])), which, tol_wood, m)
+
+
+@dataclass(frozen=True)
+class ModeTable:
+    """The :class:`ModeData` fields of a set of modes as arrays, one row per mode.
+
+    ``m`` and ``alpha_l`` are (M,), or (M, 2) on the pair lattice; ``beta_l``,
+    ``gamma_l`` and ``klass`` are (M,).  :meth:`row` is the per-mode view.
+    """
+
+    m: np.ndarray
+    alpha_l: np.ndarray
+    beta_l: np.ndarray
+    gamma_l: np.ndarray
+    klass: np.ndarray
+
+    @classmethod
+    def of(cls, medium: ElasticMedium, q: QuasiMomentum, m, tol_wood: float | None = None):
+        """Table of the modes with indices ``m`` (ints, or index pairs for biqp3d).
+
+        Raises :class:`WoodAnomaly` when a mode sits at a cut-off (see
+        :func:`check_wood_window`).
+        """
+        m = np.asarray(m, dtype=int).reshape((-1, 2) if q.kind == "biqp3d" else -1)
+        al = np.asarray(q.alpha) + 2.0 * np.pi * m
+        check_wood_window(medium, q, al.T, tol_wood)
+        a2 = al[:, 0] * al[:, 0] + al[:, 1] * al[:, 1] if al.ndim == 2 else al * al
+        kp2 = medium.k_p**2
+        ks2 = medium.k_s**2
+        klass = np.full(len(m), "L1")
+        if medium.is_real():
+            klass[a2 >= kp2.real] = "L2"
+            klass[a2 >= ks2.real] = "L3"
+        return cls(m, al, branch_sqrt(kp2 - a2), branch_sqrt(ks2 - a2), klass)
+
+    def row(self, i: int) -> ModeData:
+        m, al = self.m[i].tolist(), self.alpha_l[i].tolist()
+        if isinstance(m, list):
+            m, al = tuple(m), tuple(al)
+        return ModeData(m, al, complex(self.beta_l[i]), complex(self.gamma_l[i]),
+                        str(self.klass[i]))
+
+    def rows(self) -> list:
+        return [self.row(i) for i in range(len(self.m))]
 
 
 def classify_mode(medium: ElasticMedium, q: QuasiMomentum, m, tol_wood: float | None = None) -> ModeData:
@@ -188,22 +247,7 @@ def classify_mode(medium: ElasticMedium, q: QuasiMomentum, m, tol_wood: float | 
     Raises :class:`WoodAnomaly` when ``alpha_l^2`` is within ``tol_wood``
     (default ``1e-8*k_s^2``) of either cut-off.
     """
-    alpha_l, a2 = _alpha_sq(q, m)
-    _check_wood(medium, a2, tol_wood)
-    kp2 = medium.k_p**2
-    ks2 = medium.k_s**2
-    beta = branch_sqrt(kp2 - a2)
-    gamma = branch_sqrt(ks2 - a2)
-    if medium.is_real():
-        if a2 < kp2.real:
-            klass = "L1"
-        elif a2 < ks2.real:
-            klass = "L2"
-        else:
-            klass = "L3"
-    else:
-        klass = "L1"
-    return ModeData(m if not isinstance(m, (list, np.ndarray)) else tuple(m), alpha_l, beta, gamma, klass)
+    return ModeTable.of(medium, q, [m], tol_wood).row(0)
 
 
 def case_label(mode: ModeData) -> str:
@@ -213,19 +257,10 @@ def case_label(mode: ModeData) -> str:
     return {"L1": "III", "L2": "II", "L3": "I"}[mode.klass]
 
 
-def _scalar_index_window(medium, alpha, threshold_im_gamma):
-    """Integer window of modes with Im(gamma_l) <= threshold."""
-    ks2 = np.real(medium.k_s**2)
-    r = np.sqrt(ks2 + threshold_im_gamma**2)
-    lo = int(np.ceil((-r - alpha) / (2.0 * np.pi)))
-    hi = int(np.floor((r - alpha) / (2.0 * np.pi)))
-    return lo, hi
-
-
-def list_modes(medium: ElasticMedium, q: QuasiMomentum, criterion: str = "all_propagating",
+def mode_table(medium: ElasticMedium, q: QuasiMomentum, criterion: str = "all_propagating",
                gap: float | None = None, tol: float | None = None,
-               tol_wood: float | None = None):
-    """Ordered mode list under a truncation criterion.
+               tol_wood: float | None = None) -> ModeTable:
+    """Table of the modes kept by a truncation criterion.
 
     ``all_propagating`` keeps exactly the modes with a real vertical
     wavenumber (class L1 or L2).  ``tail_bound`` keeps the modes with
@@ -240,51 +275,17 @@ def list_modes(medium: ElasticMedium, q: QuasiMomentum, criterion: str = "all_pr
         threshold = -np.log(tol) / gap
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
+    return ModeTable.of(medium, q, lattice_window(medium, q, threshold)[0], tol_wood)
 
-    if q.kind == "biqp3d":
-        r = np.sqrt(np.real(medium.k_s**2) + threshold**2)
-        out = []
-        lo1 = int(np.ceil((-r - q.alpha[0]) / (2 * np.pi)))
-        hi1 = int(np.floor((r - q.alpha[0]) / (2 * np.pi)))
-        for m1 in range(lo1, hi1 + 1):
-            a1 = q.alpha[0] + 2 * np.pi * m1
-            rem = r * r - a1 * a1
-            if rem < 0.0:
-                continue
-            s = np.sqrt(rem)
-            lo2 = int(np.ceil((-s - q.alpha[1]) / (2 * np.pi)))
-            hi2 = int(np.floor((s - q.alpha[1]) / (2 * np.pi)))
-            for m2 in range(lo2, hi2 + 1):
-                out.append(classify_mode(medium, q, (m1, m2), tol_wood))
-        return out
 
-    lo, hi = _scalar_index_window(medium, q.alpha, threshold)
-    return [classify_mode(medium, q, m, tol_wood) for m in range(lo, hi + 1)]
+def list_modes(medium: ElasticMedium, q: QuasiMomentum, criterion: str = "all_propagating",
+               gap: float | None = None, tol: float | None = None,
+               tol_wood: float | None = None):
+    """:func:`mode_table` as a list of :class:`ModeData` rows."""
+    return mode_table(medium, q, criterion, gap, tol, tol_wood).rows()
 
 
 def mode_window(medium: ElasticMedium, q: QuasiMomentum, gap: float, tol: float):
     """Vectorized (m, alpha_l) arrays for the scalar-lattice tail_bound window."""
-    threshold = -np.log(tol) / gap
-    lo, hi = _scalar_index_window(medium, q.alpha, threshold)
-    m = np.arange(lo, hi + 1)
+    m = lattice_window(medium, q, -np.log(tol) / gap)[0]
     return m, q.alpha + 2.0 * np.pi * m
-
-
-def check_wood_window(medium: ElasticMedium, q: QuasiMomentum, alpha_l, tol_wood: float | None = None):
-    """Raise WoodAnomaly if any mode in ``alpha_l`` sits at a cut-off."""
-    if not medium.is_real():
-        return
-    ks2 = np.real(medium.k_s**2)
-    kp2 = np.real(medium.k_p**2)
-    if tol_wood is None:
-        tol_wood = TOL_WOOD_REL * ks2
-    if q.kind == "biqp3d":
-        a2 = np.asarray(alpha_l[0]) ** 2 + np.asarray(alpha_l[1]) ** 2
-    else:
-        a2 = np.asarray(alpha_l) ** 2
-    bad_p = np.abs(a2 - kp2) < tol_wood
-    bad_s = np.abs(a2 - ks2) < tol_wood
-    if np.any(bad_p):
-        raise WoodAnomaly(np.sqrt(a2[bad_p].flat[0]), "p", tol_wood)
-    if np.any(bad_s):
-        raise WoodAnomaly(np.sqrt(a2[bad_s].flat[0]), "s", tol_wood)

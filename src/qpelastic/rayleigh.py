@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasedGrid, DegenerateModeBasis, DomainError
-from .medium import ElasticMedium, ModeData, QuasiMomentum, classify_mode
+from .medium import ElasticMedium, ModeTable, QuasiMomentum
 from .specfun import hankel1, hankel1_deriv
 
 DEGENERACY_REL_TOL = 1e-10
@@ -92,18 +92,17 @@ def extract_coeffs_2d(medium: ElasticMedium, q: QuasiMomentum, samples,
     spec = np.fft.fft(periodic, axis=0) / n_grid  # coefficient of e^{2 pi i m x1}
 
     ks2 = np.real(medium.k_s**2)
-    modes, ups, uss = [], [], []
-    for m in range(-m_modes, m_modes + 1):
-        mode = classify_mode(medium, q, m)
+    modes = ModeTable.of(medium, q, np.arange(-m_modes, m_modes + 1)).rows()
+    ups, uss = [], []
+    for mode in modes:
         a, b, g = mode.alpha_l, mode.beta_l, mode.gamma_l
         det = a * a + b * g
         if abs(det) < DEGENERACY_REL_TOL * ks2:
-            raise DegenerateModeBasis(f"mode m={m}: |alpha^2 + beta*gamma| = {abs(det):.3e}")
-        v = spec[m % n_grid]
+            raise DegenerateModeBasis(f"mode m={mode.m}: |alpha^2 + beta*gamma| = {abs(det):.3e}")
+        v = spec[mode.m % n_grid]
         mat = np.array([[a * np.exp(1j * b * h), g * np.exp(1j * g * h)],
                         [b * np.exp(1j * b * h), -a * np.exp(1j * g * h)]])
         sol = np.linalg.solve(mat, v)
-        modes.append(mode)
         ups.append(sol[0])
         uss.append(sol[1])
     return RayleighCoeffs2(tuple(modes), np.array(ups), np.array(uss))

@@ -8,8 +8,9 @@
 * the closed-form flat-interface reflection solution;
 * the literal three-case (L1/L2/L3) form of the 2D mode matrix, the
   Richardson-extrapolated damped lattice sum, the transversality defect of
-  3D Rayleigh coefficients and the per-point off-node log-quadrature
-  weights: reference forms of what the library computes another way.
+  3D Rayleigh coefficients, the per-point off-node log-quadrature weights
+  the per-mode Wood-anomaly predicate and central-difference divergence
+  and curl: reference forms of what the library computes another way.
 """
 
 from __future__ import annotations
@@ -367,3 +368,69 @@ def log_quadrature_weights_at(t: float, nodes: np.ndarray) -> np.ndarray:
     w = -(2.0 / N) * np.cos(2 * np.pi * np.outer(diff, m)) @ (1.0 / m) \
         - (2.0 / N**2) * np.cos(np.pi * N * diff)
     return w
+
+
+# ---------------------------------------------------------------------------
+# central-difference divergence and curl of a vector field at one point
+# ---------------------------------------------------------------------------
+def fd_divergence(field, x, h: float = 1e-5):
+    """Central-difference divergence of a vector field at one point."""
+    x = np.asarray(x, dtype=float)
+    dim = x.size
+    acc = 0.0 + 0.0j
+    for i in range(dim):
+        e = np.zeros(dim)
+        e[i] = h
+        acc += (field((x + e)[None, :])[0][i] - field((x - e)[None, :])[0][i]) / (2 * h)
+    return acc
+
+
+def fd_curl(field, x, h: float = 1e-5):
+    """Central-difference curl. Scalar in 2D, 3-vector in 3D."""
+    x = np.asarray(x, dtype=float)
+    dim = x.size
+
+    def d(i, j):
+        e = np.zeros(dim)
+        e[j] = h
+        return (field((x + e)[None, :])[0][i] - field((x - e)[None, :])[0][i]) / (2 * h)
+
+    if dim == 2:
+        return d(1, 0) - d(0, 1)
+    return np.array([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)])
+
+
+# ---------------------------------------------------------------------------
+# Wood-anomaly predicate, one mode at a time
+# ---------------------------------------------------------------------------
+def wood_modes_brute(medium: ElasticMedium, q: QuasiMomentum, threshold: float,
+                     tol_wood: float | None = None):
+    """Indices of the modes with Im(gamma_l) <= threshold that sit at a cut-off.
+
+    Enumerates the window mode by mode in Python floats (rows of m_1, then
+    m_2 within the disk row for the pair lattice) and returns the list of
+    ``(m, which)`` for every mode with ``||alpha_l|^2 - k^2| < tol_wood``
+    (default 1e-8 k_s^2), ``which`` in "p", "s".
+    """
+    kp2 = float(np.real(medium.k_p**2))
+    ks2 = float(np.real(medium.k_s**2))
+    if tol_wood is None:
+        tol_wood = 1e-8 * ks2
+    r = float(np.sqrt(ks2 + threshold**2))
+    two_pi = 2.0 * np.pi
+
+    def interval(alpha, rad):
+        return range(int(np.ceil((-rad - alpha) / two_pi)), int(np.floor((rad - alpha) / two_pi)) + 1)
+
+    if q.kind == "biqp3d":
+        modes = []
+        for m1 in interval(q.alpha[0], r):
+            a1 = q.alpha[0] + two_pi * m1
+            if r * r - a1 * a1 >= 0.0:
+                for m2 in interval(q.alpha[1], np.sqrt(r * r - a1 * a1)):
+                    a2 = q.alpha[1] + two_pi * m2
+                    modes.append(((m1, m2), a1 * a1 + a2 * a2))
+    else:
+        modes = [(m, (q.alpha + two_pi * m) ** 2) for m in interval(q.alpha, r)]
+    return [(m, which) for m, a2 in modes
+            for which, k2 in (("p", kp2), ("s", ks2)) if abs(a2 - k2) < tol_wood]

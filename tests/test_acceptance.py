@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import draw_medium, draw_momentum
-from oracles import flat_reflection, mp_bessel_j, mp_hankel1, mp_mod_k
+from oracles import (fd_curl, fd_divergence, flat_reflection, mp_bessel_j, mp_hankel1,
+                     mp_mod_k)
 from qpelastic.bem2d import (ProfileCurve2, boundary_residual, eval_scattered,
                              plane_incidence, point_source_incidence,
                              solve_dirichlet, solve_dirichlet_multi, traction)
-from qpelastic.fdcheck import (delta_weight_biqp, delta_weight_qp3d,
-                               fd_curl, fd_divergence, navier_apply_fd)
+from qpelastic.fdcheck import delta_weight_biqp, delta_weight_qp3d, navier_apply_fd
 from qpelastic.green2d import green2d_eval, green2d_eval_batch
 from qpelastic.green3d_biqp import greenbi_eval, greenbi_eval_batch
 from qpelastic.green3d_qp import (green3dqp_eval, green3dqp_eval_batch,

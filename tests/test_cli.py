@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qpelastic import cli
 from qpelastic.cli import main
 from qpelastic.green2d import green2d_eval
 from qpelastic.green3d_biqp import greenbi_eval
@@ -57,6 +58,31 @@ def test_eval_wood_anomaly_exit3(tmp_path):
     cfg["quasi_momentum"]["alpha"] = 0.5  # alpha == k_p
     p = write_cfg(tmp_path, cfg)
     assert main(["eval", "--config", p, "--out", str(tmp_path / "x.csv")]) == 3
+
+
+def test_eval_wood_anomaly_names_mode(tmp_path, capsys):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["medium"]["omega"] = 1.0
+    cfg["quasi_momentum"]["alpha"] = 0.5 + 4 * np.pi  # mode m = -2 at k_p
+    p = write_cfg(tmp_path, cfg)
+    assert main(["eval", "--config", p, "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "WoodAnomaly" in err and "m=-2 " in err and "k_p^2" in err
+
+
+@pytest.mark.parametrize("kind,draws", [
+    ("qp2d", (-0.4117938542286799, 0.3978260002566869, -1.2520693994727907)),
+    ("qp3d", (-0.4117938542286799, 0.3978260002566869, -1.2520693994727907)),
+    ("biqp3d", ((-0.3202841088445288, 0.2075309506045041),
+                (0.30942022242186756, -0.12977426884893659),
+                (-0.9738317551455039, 0.23887497934161436))),
+])
+def test_rand_alpha_draws_pinned(kind, draws):
+    """The verify suites draw the same quasi-momenta from the same seeds."""
+    for seed, alpha in enumerate(draws):
+        rng = np.random.default_rng(seed)
+        med = cli._rand_medium(rng)
+        assert cli._rand_alpha(rng, med, kind).alpha == alpha
 
 
 def test_solve2d_unresolved_table_exit3(tmp_path, monkeypatch, capsys):

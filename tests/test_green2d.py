@@ -287,3 +287,19 @@ def test_tail_bound_inf_when_window_stops_widening():
     assert g.tail_bound == np.inf
     _, tails, _ = green2d_eval_batch(med, q, np.array([[0.2, 1.5], [0.4, -2.0]]), np.zeros(2))
     assert np.all(tails == np.inf)
+
+
+def test_batch_equals_per_pair_sum(rng):
+    """Points grouped by |x2 - y2|, both signs: the values equal the per-pair
+    contraction over the same window."""
+    from qpelastic.green2d import _series_sum, _window_arrays
+
+    med = make_medium(2.0, 1.0, 1.0, 2.3)
+    q = make_quasi_momentum("qp2d", 0.37, med)
+    y = np.array([0.1, -0.05])
+    X = np.array([[x1, y[1] + d] for d in (0.3, -0.3, 0.7, -1.1) for x1 in rng.uniform(-1, 2, 3)])
+    val, _, n = green2d_eval_batch(med, q, X, y, 1e-12)
+    al = _window_arrays(med, q, 0.3, 1e-12)[1]
+    assert n == len(al)
+    ref = _series_sum(med, al, X[:, 0] - y[0], X[:, 1] - y[1], False)
+    assert np.max(np.abs(val - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -178,3 +178,20 @@ def test_batch_equals_point_loop(rng):
                            c_bi_arrays(med, a1, a2, d[2]), axes=(0, 0))
         assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert tb == _tail_bound(med, R, abs(d[2]))
+
+
+def test_batch_axis_phases_equal_direct_exp_at_gap_01(rng):
+    """Per-axis phase products against one exponential per mode, at the
+    smallest gap the benchmark ladder uses (about 27 000 modes)."""
+    med = make_medium(2.0, 1.0, 1.0, 2.0)
+    q = make_quasi_momentum("biqp3d", (0.27, -0.41), med)
+    y = np.array([0.3, -0.1, 0.05])
+    X = np.column_stack([rng.uniform(-1, 2, 8), rng.uniform(-1, 2, 8),
+                         y[2] + np.repeat([0.1, -0.1], 4)])
+    vals, _, n = greenbi_eval_batch(med, q, X, y, 1e-10)
+    _, _, a1, a2, _ = _lattice_block(med, q, 0.1, 1e-10)
+    assert n == len(a1) > 20000
+    for x, v in zip(X, vals):
+        d = x - y
+        ref = np.exp(1j * (a1 * d[0] + a2 * d[1])) @ c_bi_arrays(med, a1, a2, d[2]).reshape(n, 9)
+        assert np.max(np.abs(v.ravel() - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import draw_medium, draw_momentum
-from oracles import lattice_sum_richardson, mp_kupradze2d
+from oracles import fd_curl, fd_divergence, lattice_sum_richardson, mp_kupradze2d
 from qpelastic.errors import CoincidentPoints
-from qpelastic.fdcheck import fd_curl, fd_divergence, navier_apply_fd
+from qpelastic.fdcheck import navier_apply_fd
 from qpelastic.green_free import comb_normalization, kupradze, lattice_sum
 from qpelastic.green2d import green2d_eval
 from qpelastic.medium import make_medium, make_quasi_momentum

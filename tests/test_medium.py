@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import draw_medium, draw_momentum
+from oracles import wood_modes_brute
 from qpelastic.errors import InvalidMedium, WoodAnomaly
-from qpelastic.medium import (branch_sqrt, classify_mode, list_modes,
-                              make_medium, make_quasi_momentum)
+from qpelastic.medium import (TOL_WOOD_REL, ModeTable, branch_sqrt, classify_mode,
+                              lattice_window, list_modes, make_medium,
+                              make_quasi_momentum, mode_table)
 
 
 def test_make_medium_wavenumbers():
@@ -121,3 +123,100 @@ def test_physical_flag():
     assert make_quasi_momentum("qp2d", 0.3, med).physical is True
     assert make_quasi_momentum("qp2d", 0.9, med).physical is False
     assert make_quasi_momentum("qp2d", 0.9).physical is None
+
+
+@pytest.mark.parametrize("kind", ["qp2d", "biqp3d"])
+def test_mode_table_rows_match_per_mode_formulas(rng, kind):
+    """Every row holds alpha + 2 pi m, the scalar branch roots and the class."""
+    for med in (draw_medium(rng), draw_medium(rng).complexified(0.1)):
+        q = draw_momentum(rng, make_medium(med.lam, med.mu, med.rho, np.real(med.omega)), kind)
+        tab = mode_table(med, q, "tail_bound", gap=0.4, tol=1e-8)
+        assert len(tab.m) == len(tab.alpha_l) == len(tab.beta_l) == len(tab.klass)
+        for i, mode in enumerate(tab.rows()):
+            if kind == "biqp3d":
+                a1 = q.alpha[0] + 2 * np.pi * mode.m[0]
+                a2 = q.alpha[1] + 2 * np.pi * mode.m[1]
+                assert mode.alpha_l == (a1, a2)
+                A2 = a1 * a1 + a2 * a2
+            else:
+                assert mode.alpha_l == q.alpha + 2 * np.pi * mode.m
+                A2 = mode.alpha_l**2
+            assert mode.beta_l == branch_sqrt(med.k_p**2 - A2)
+            assert mode.gamma_l == branch_sqrt(med.k_s**2 - A2)
+            if not med.is_real():
+                klass = "L1"
+            else:
+                klass = "L1" if A2 < med.k_p**2 else "L2" if A2 < med.k_s**2 else "L3"
+            assert mode.klass == klass
+            assert mode == classify_mode(med, q, mode.m)
+
+
+def _wood_outcome(med, q, threshold):
+    """(m, which) of the WoodAnomaly the vectorised check raises, or None."""
+    try:
+        ModeTable.of(med, q, lattice_window(med, q, threshold)[0])
+    except WoodAnomaly as exc:
+        return exc.m, exc.which
+    return None
+
+
+def _first_hit(hits):
+    """The mode the vectorised check names: the first p hit, else the first s hit."""
+    for which in ("p", "s"):
+        for m, w in hits:
+            if w == which:
+                return m, w
+    return None
+
+
+@pytest.mark.parametrize("kind", ["qp2d", "qp3d", "biqp3d"])
+def test_wood_check_matches_per_mode_predicate_random(rng, kind):
+    for _ in range(40):
+        med = draw_medium(rng)
+        kp = float(med.k_p)
+        if kind == "biqp3d":
+            q = make_quasi_momentum(kind, tuple(rng.uniform(-kp, kp, 2) * 0.7), med)
+        else:
+            q = make_quasi_momentum(kind, float(rng.uniform(-kp, kp)) * 0.9, med)
+        thr = -np.log(1e-12) / 0.5
+        assert _wood_outcome(med, q, thr) == _first_hit(wood_modes_brute(med, q, thr))
+
+
+@pytest.mark.parametrize("kind", ["qp2d", "biqp3d"])
+@pytest.mark.parametrize("cut", ["p", "s"])
+@pytest.mark.parametrize("shift", [-2.0, -0.5, 0.5, 2.0])
+def test_wood_check_at_constructed_cutoffs(kind, cut, shift):
+    """A mode at (1 + shift TOL_WOOD_REL) k^2: the vectorised check and the
+    per-mode predicate agree, and fire exactly when the offset is below
+    TOL_WOOD_REL k_s^2."""
+    for lam, omega in ((2.0, 1.0), (-0.3, 2.7)):
+        med = make_medium(lam, 1.0, 1.0, omega)
+        k2 = float(med.k_p if cut == "p" else med.k_s) ** 2
+        radius = np.sqrt(k2 * (1.0 + shift * TOL_WOOD_REL))
+        if kind == "biqp3d":
+            m = (1, -2)
+            al = radius * np.array([np.cos(0.7), np.sin(0.7)])
+            q = make_quasi_momentum(kind, tuple(al - 2 * np.pi * np.array(m)), med)
+        else:
+            m = -1
+            q = make_quasi_momentum(kind, radius - 2 * np.pi * m, med)
+        thr = -np.log(1e-12) / 0.5
+        got = _wood_outcome(med, q, thr)
+        assert got == _first_hit(wood_modes_brute(med, q, thr))
+        fires = abs(shift) * TOL_WOOD_REL * k2 < TOL_WOOD_REL * float(med.k_s) ** 2
+        assert got == ((m, cut) if fires else None)
+
+
+def test_wood_anomaly_names_mode_and_cutoff():
+    med = make_medium(2.0, 1.0, 1.0, 1.0)  # k_p = 0.5, k_s = 1
+    q = make_quasi_momentum("qp2d", 1.0 - 2 * np.pi, med)
+    with pytest.raises(WoodAnomaly) as exc:
+        list_modes(med, q, "tail_bound", gap=0.5, tol=1e-10)
+    assert (exc.value.m, exc.value.which) == (1, "s")
+    assert "m=1 " in str(exc.value) and "k_s^2" in str(exc.value)
+
+    qb = make_quasi_momentum("biqp3d", (0.3 - 2 * np.pi, 0.4 + 4 * np.pi), med)
+    with pytest.raises(WoodAnomaly) as exc:
+        classify_mode(med, qb, (1, -2))
+    assert (exc.value.m, exc.value.which) == ((1, -2), "p")
+    assert "m=(1, -2)" in str(exc.value) and "k_p^2" in str(exc.value)
