@@ -15,51 +15,49 @@ The full tensor is ``G(x, y) = sum_l e^{i alpha_l (x1-y1)} M(alpha_l, x2-y2)``
 and solves ``(Delta* + rho omega^2) G = (1/2pi) * phased delta comb``; see
 :func:`qpelastic.green_free.comb_normalization` for the lattice-sum mapping.
 
-Close to the source line the series needs O(1/|d|) modes.  Two evaluators
-cover that region: :class:`RemainderTable`, a tensor-Chebyshev table of the
-smooth remainder ``R = G + Phi/(2 pi)`` on ``|tau| <= 1/2``,
-``|d| <= NEAR_GAP``, and the Abel-Plana near-line form (any gap, d = 0
-included, but costly per pair).  The table is built once per (medium, alpha)
-from the plain series, one row of nodes at a time: the nodes of a row share
-their gap d_k and with it the mode matrices M(alpha_l, d_k).  Beyond
-``NEAR_GAP`` the plain series converges fast and is used directly.
+Close to the source line the series needs O(1/|d|) modes.  There
+:class:`RemainderTable`, a tensor-Chebyshev table of the smooth remainder
+``R = G + Phi/(2 pi)`` on ``|tau| <= 1/2``, ``|d| <= NEAR_GAP``, gives G and
+its x-derivatives, with Phi and grad Phi in closed form.  The table is built
+once per (medium, alpha) from the plain series, one row of nodes at a time:
+the nodes of a row share their gap d_k and with it the mode matrices
+M(alpha_l, d_k).  Beyond ``NEAR_GAP`` the plain series converges fast and is
+used directly.  Where a table's coefficients do not decay it raises
+``TableUnresolved``, and no other evaluator answers in its place.
 
 :class:`QPSources` is the one way to apply the tensor from a set of sources
 Y_n with charges c_n, sum_n G(x - Y_n) c_n.  It wraps x1 - y1 into
 (tau, n) with |tau| <= 1/2, applies the phase e^{i alpha n}, and picks the
-evaluator by one rule:
+evaluator by one rule, for values and derivatives alike:
 
 * targets more than NEAR_GAP above every source take the Rayleigh form of
   the plain series, O(modes) per target;
-* values of pairs with |d| <= NEAR_GAP take the kernel table, when the
-  source set has one;
-* everything else takes :func:`green2d_near_line_batch`: Abel-Plana for
-  |d| <= NEAR_GAP, the plain series beyond.
+* pairs with |d| <= NEAR_GAP take the kernel table, built on first use;
+* pairs beyond take the plain series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import roots_laguerre
 
 from ._series import contract_by_key, equal_rows
-from .errors import NearSourceLine, TableUnresolved
-from .green_free import GreenEval, _kupradze2d_value
+from .errors import CoincidentPoints, NearSourceLine, TableUnresolved
+from .green_free import COINCIDENT_TOL, GreenEval, _kupradze2d_value
 from .medium import (ElasticMedium, QuasiMomentum, branch_sqrt, check_wood_window,
                      mode_window)
 
 GAP_MIN = 1e-3
 DEFAULT_TOL = 1e-12
-_AP_NODES = 48
 # |d| above which pairs are summed as the plain series; the table covers
 # |d| <= NEAR_GAP.  The nearest lattice image of a pair is 1/2 away, so the
 # remainder is analytic on the table's cell.
 NEAR_GAP = 0.25
 # the plain series for |d| > NEAR_GAP keeps modes with e^{-Im(gamma) NEAR_GAP} >= this
 _FAR_TOL = 1e-16
-# pairs per block of the Abel-Plana and table evaluations, to bound memory
+# pairs per block of the table evaluations, to bound memory
 _CHUNK = 4096
 # sign of each mode-matrix entry under d -> -d
 _PARITY = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -73,7 +71,9 @@ def _pref(medium: ElasticMedium):
 
 def _unified_blocks(medium, alpha_l, D, s, jet: bool = False):
     """Mode matrices (..., 2, 2) for array alpha_l (complex allowed), or the
-    (value, d/dx1, d/dx2) stacks when ``jet``.
+    (value, d/dx2) stacks when ``jet``.  d/dx1 of a phased term
+    e^{i alpha_l tau} M is i alpha_l times it, which callers fold into the
+    phase.
 
     The entries of the module docstring's M, rearranged with
     a^2/b = k_p^2/b - b and a^2/g = k_s^2/g - g.  For |a| >> k_s both roots
@@ -110,8 +110,7 @@ def _unified_blocks(medium, alpha_l, D, s, jet: bool = False):
     d2[..., 0, 0] = s * 1j * (ks2 * Eg - a2 * dE)
     d2[..., 0, 1] = d2[..., 1, 0] = -1j * a * gEg_bEb
     d2[..., 1, 1] = s * 1j * (kp2 * Eb + a2 * dE)
-    d1 = (1j * a)[..., None, None] * val
-    return pref * val, pref * d1, pref * d2
+    return pref * val, pref * d2
 
 
 def _tail_bound(medium, alpha_first_omitted, D):
@@ -161,8 +160,13 @@ def _series_sum(medium, al, tau, d, want_jet: bool):
         ph = np.exp(1j * np.outer(tau[sl], al))
         D, s = np.abs(d[sl])[:, None], np.sign(d[sl])[:, None]
         blocks = _unified_blocks(medium, al, D, s, want_jet)
-        for o, b in zip(out, blocks if want_jet else (blocks,)):
-            o[sl] = np.einsum("pm,pmab->pab", ph, b)
+        val = blocks[0] if want_jet else blocks
+        # the value keeps its einsum, so solver outputs stay byte-stable; the
+        # derivatives take the batched matmul, about three times faster
+        out[0][sl] = np.einsum("pm,pmab->pab", ph, val)
+        if want_jet:
+            for o, p, b in ((out[1], ph * (1j * al), val), (out[2], ph, blocks[1])):
+                o[sl] = np.matmul(p[:, None, :], b.reshape(b.shape[:2] + (4,))).reshape(-1, 2, 2)
     return tuple(out) if want_jet else out[0]
 
 
@@ -213,169 +217,10 @@ def green2d_eval(medium: ElasticMedium, q: QuasiMomentum, x, y,
     return GreenEval(2, vals[0], n_modes, float(tails[0]))
 
 
-# ---------------------------------------------------------------------------
-# Near-line evaluation via Abel-Plana tail summation.
-#
-# The plain series needs O(1/d) modes as the transverse gap d -> 0.  For the
-# boundary-integral kernels we instead sum the finitely many low modes exactly
-# and replace each one-sided evanescent tail by the Abel-Plana identity
-#
-#   sum_{m>=0} h(m) = h(0)/2 + int_0^inf h(m) dm
-#                     + i int_0^inf [h(iy) - h(-iy)] / (e^{2 pi y} - 1) dy,
-#
-# rotating the first integral onto the ray of steepest decay.  Both integrals
-# converge exponentially for any (t1, d) != (0, 0) mod 1.
-# ---------------------------------------------------------------------------
-
-_gl_x, _gl_w = roots_laguerre(_AP_NODES)
-_leg_x, _leg_w = np.polynomial.legendre.leggauss(16)
-
-
-def _mode_h(medium, a, D, s, tau, jet: bool):
-    """Phased mode matrices; a, D, s, tau broadcast together.
-
-    Returns (..., 2, 2) or a (value, d1, d2) tuple of such stacks.
-    """
-    ph = np.exp(1j * a * tau)[..., None, None]
-    if jet:
-        return tuple(m * ph for m in _unified_blocks(medium, a, D, s, True))
-    return _unified_blocks(medium, a, D, s) * ph
-
-
-def _ray_nodes(rho_min, first):
-    """Panelized Gauss-Legendre nodes for int_0^inf f(u) du where f has a
-    singularity at distance ``first`` from u = 0 and decays like e^{-2 pi rho u}.
-
-    The first panel ends at ``first``; geometrically growing panels then
-    resolve the algebraic 1/m tail of the mode sum and the exponential cutoff.
-    """
-    u_max = 42.0 / (2 * np.pi * max(rho_min, 1e-9))
-    knots = [0.0, first]
-    while knots[-1] < u_max:
-        knots.append(2.0 * knots[-1])
-    nodes, weights = [], []
-    for a, b in zip(knots[:-1], knots[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * _leg_x)
-        weights.append(half * _leg_w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _ap_tail_batch(medium, a0, sigma, D, s, tau, jet):
-    """Abel-Plana sum of modes a0 + 2 pi sigma m over m >= 0, batched.
-
-    D, s, tau are (P,) arrays; the mode function is analytic in the mode
-    index for |Re a| > k_s, which the caller guarantees via the margin.
-    """
-    rho0 = np.maximum(np.hypot(tau, D), 1e-14)  # (P,)
-
-    def h(mm):  # mm (P, K) complex
-        a = a0 + 2 * np.pi * sigma * mm
-        return _mode_h(medium, a, D[:, None], s[:, None], tau[:, None], jet)
-
-    # endpoint h(0)
-    zero = np.zeros((len(D), 1))
-    end = h(zero)
-
-    # rotated ray: (i sigma tau - D) e^{i theta} = -rho, so the integrand
-    # decays like e^{-2 pi rho u} exactly along the ray
-    w_c = D - 1j * sigma * tau
-    eith = np.conj(w_c) / np.abs(w_c)  # (P,)
-    # the mode function's nearest branch point, alpha = +-k_s, lies at least
-    # margin + 1 modes from a0 in the index; rays near the imaginary axis
-    # (|tau| -> 1/2) pass that close to it, so the first panel ends there
-    u, uw = _ray_nodes(float(np.min(rho0)), abs(abs(a0) - medium.k_s) / (2 * np.pi))
-    decay = np.exp(-2 * np.pi * np.outer(rho0, u))  # (P, K) true modulus
-    ray_vals = h(eith[:, None] * u[None, :])
-    # drop the tiny tail contributions explicitly to avoid overflow surprises
-    ray_wts = uw[None, :] * np.ones((len(D), 1))
-    mask = decay < 1e-18
-    ray_wts = np.where(mask, 0.0, ray_wts)
-
-    # correction integral, conservative decay rate (true rate is 2 pi (1-|tau|))
-    rate = 2 * np.pi * np.maximum(0.25, 1.0 - np.abs(tau) - D)  # (P,)
-    y = _gl_x[None, :] / rate[:, None]
-    num_p = h(1j * y)
-    num_m = h(-1j * y)
-    ker = (_gl_w[None, :] * np.exp(_gl_x[None, :] - 2 * np.pi * y)
-           / (1.0 - np.exp(-2 * np.pi * y)))
-
-    def combine(endpoint, rv, cv):
-        ray = np.einsum("pk,pkab->pab", ray_wts, rv)
-        corr = np.einsum("pk,pkab->pab", ker, cv)
-        return 0.5 * endpoint + eith[:, None, None] * ray \
-            + (1j / rate)[:, None, None] * corr
-
-    if jet:
-        return tuple(combine(end[j][:, 0], ray_vals[j], num_p[j] - num_m[j])
-                     for j in range(3))
-    return combine(end[:, 0], ray_vals, num_p - num_m)
-
-
-def _abel_plana(medium, alpha, tau, d, want_jet, margin_modes):
-    """Low-mode block plus Abel-Plana sums of the two evanescent tails."""
-    n = len(tau)
-    if n > _CHUNK:
-        # sort by separation so each chunk shares a ray panel structure
-        order = np.argsort(np.hypot(tau, d))
-        inv = np.argsort(order)
-        parts = [_abel_plana(medium, alpha, tau[order][i:i + _CHUNK],
-                             d[order][i:i + _CHUNK], want_jet, margin_modes)
-                 for i in range(0, n, _CHUNK)]
-        if want_jet:
-            return tuple(np.concatenate([p[j] for p in parts])[inv] for j in range(3))
-        return np.concatenate(parts)[inv]
-
-    D, s = np.abs(d), np.sign(d)
-    lo, hi = _main_window(medium, alpha, margin_modes)
-    al = (alpha + 2 * np.pi * np.arange(lo, hi + 1)).astype(complex)
-    main = _mode_h(medium, al[None, :], D[:, None], s[:, None], tau[:, None], want_jet)
-    hi_tail = _ap_tail_batch(medium, alpha + 2 * np.pi * (hi + 1), +1, D, s, tau, want_jet)
-    lo_tail = _ap_tail_batch(medium, alpha + 2 * np.pi * (lo - 1), -1, D, s, tau, want_jet)
-    if want_jet:
-        return tuple(main[j].sum(axis=1) + hi_tail[j] + lo_tail[j] for j in range(3))
-    return main.sum(axis=1) + hi_tail + lo_tail
-
-
-def _main_window(medium, alpha, margin_modes):
-    """Index range of the exactly summed modes: |alpha_l| <= k_s plus the margin."""
-    ks = float(np.real(medium.k_s))
-    lo = int(np.floor((-ks - 2 * np.pi * margin_modes - alpha) / (2 * np.pi)))
-    hi = int(np.ceil((ks + 2 * np.pi * margin_modes - alpha) / (2 * np.pi)))
-    return lo, hi
-
-
-def green2d_near_line_batch(medium: ElasticMedium, alpha: float, tau, d,
-                            want_jet: bool = False, margin_modes: int = 3):
-    """Quasi-periodic tensor at separations (tau, d), valid arbitrarily close
-    to (and on) the source-height line, d = 0 included, for
-    (tau, d) != (0, 0) mod the lattice.  |tau| <= 1/2 expected.
-
-    Pairs with |d| <= NEAR_GAP take the exact low-mode block plus
-    Abel-Plana summation of the two evanescent tails (``margin_modes``
-    extra modes each side in the block); pairs with |d| > NEAR_GAP take the
-    plain series over the window that gap NEAR_GAP needs, as one
-    (pairs x modes) contraction.
-    Returns (P, 2, 2), or a (value, d/dx1, d/dx2) tuple when ``want_jet``.
-    """
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    q = QuasiMomentum("qp2d", alpha)
-    lo, hi = _main_window(medium, alpha, margin_modes)
-    check_wood_window(medium, q, alpha + 2 * np.pi * np.arange(lo, hi + 1))
-
-    far = np.abs(d) > NEAR_GAP
-    out = [np.empty((len(tau), 2, 2), dtype=complex) for _ in range(3 if want_jet else 1)]
-    if np.any(far):
-        vals = _series_sum(medium, mode_window(medium, q, NEAR_GAP, _FAR_TOL)[1],
-                           tau[far], d[far], want_jet)
-        for o, v in zip(out, vals if want_jet else (vals,)):
-            o[far] = v
-    if not np.all(far):
-        vals = _abel_plana(medium, alpha, tau[~far], d[~far], want_jet, margin_modes)
-        for o, v in zip(out, vals if want_jet else (vals,)):
-            o[~far] = v
-    return tuple(out) if want_jet else out[0]
+def _scatter(out, idx, parts):
+    """out[j][idx] = parts[j] for a jet tuple ``parts``, out[0][idx] = parts otherwise."""
+    for o, p in zip(out, parts if isinstance(parts, tuple) else (parts,)):
+        o[idx] = p
 
 
 def _period(x1):
@@ -389,41 +234,58 @@ class QPSources:
     """The quasi-periodic tensor applied from fixed sources Y (N, 2).
 
     :meth:`apply` sums G(x - Y_n) c_n by the evaluator rule of the module
-    docstring; ``table``, when given, is the :class:`RemainderTable` of the
-    same (medium, alpha).
+    docstring.  ``table``, the :class:`RemainderTable` of the same
+    (medium, alpha), is built the first time a pair falls within NEAR_GAP
+    and kept on the instance; :meth:`at` gives other sources that share it.
 
     Targets more than NEAR_GAP above ``crest`` = max y2 take the plain series
-    that :func:`green2d_near_line_batch` sums for |d| > NEAR_GAP, over the
-    same window, in Rayleigh form.  For d > 0 the mode matrix splits into one
-    rank-one term per wave type,
+    of pairs beyond NEAR_GAP, over the same window, in Rayleigh form.  For
+    d > 0 the mode matrix splits into one rank-one term per wave type,
 
         M(alpha_l, d) = c e^{i beta_l d}/beta_l (a, b)(a, b)^T
                       + c e^{i gamma_l d}/gamma_l (g, -a)(g, -a)^T,
 
     with (a, b, g) = (alpha_l, beta_l, gamma_l) and c the prefactor of the
-    module docstring.  ``src_p``/``src_s`` (N, K) hold
-    e^{-i alpha_l y1 + i beta_l (crest - y2)} (resp. gamma_l) for every
-    source, so that no factor exceeds 1; the charges then collapse into two
-    coefficients per mode, and each target costs O(modes).  Raises
-    WoodAnomaly when a mode of that window sits at a cut-off, since the form
-    divides by beta_l and gamma_l.
+    module docstring.  The source factors e^{-i alpha_l y1 + i beta_l (crest - y2)}
+    (resp. gamma_l), built when a target first lies above the crest, are at
+    most 1 in modulus; the charges then collapse into two coefficients per
+    mode, and each target costs O(modes).  Raises WoodAnomaly when a mode of
+    that window sits at a cut-off, since the form divides by beta_l and
+    gamma_l.
     """
 
-    def __init__(self, medium: ElasticMedium, q: QuasiMomentum, Y,
-                 table: RemainderTable | None = None):
-        self.medium, self.q, self.table = medium, q, table
+    def __init__(self, medium: ElasticMedium, q: QuasiMomentum, Y):
+        self.medium, self.q = medium, q
         self.Y = np.atleast_2d(np.asarray(Y, dtype=float))
         al = mode_window(medium, q, NEAR_GAP, _FAR_TOL)[1]
         check_wood_window(medium, q, al)
-        a = self.alpha_l = al.astype(complex)
-        self.beta = branch_sqrt(medium.k_p**2 - a * a)
-        self.gamma = branch_sqrt(medium.k_s**2 - a * a)
+        self.alpha_l = al.astype(complex)
         self.crest = float(np.max(self.Y[:, 1]))
+        self._table = []   # the kernel table once built, shared by ``at``
+
+    @property
+    def table(self) -> RemainderTable:
+        if not self._table:
+            self._table.append(remainder_table(self.medium, self.q.alpha))
+        return self._table[0]
+
+    def at(self, Y) -> QPSources:
+        """Sources Y of the same medium and quasi-momentum, sharing the kernel
+        table with this set whichever of them builds it."""
+        other = QPSources(self.medium, self.q, Y)
+        other._table = self._table
+        return other
+
+    @cached_property
+    def _rayleigh_factors(self):
+        """beta_l, gamma_l and the source factors src_p, src_s (N, K)."""
+        medium, a = self.medium, self.alpha_l
+        beta = branch_sqrt(medium.k_p**2 - a * a)
+        gamma = branch_sqrt(medium.k_s**2 - a * a)
         y1, n = _period(-self.Y[:, 0])
         rise = (self.crest - self.Y[:, 1])[:, None]
-        phase = q.alpha * n + y1 * a
-        self.src_p = np.exp(1j * (phase + rise * self.beta))
-        self.src_s = np.exp(1j * (phase + rise * self.gamma))
+        phase = self.q.alpha * n + y1 * a
+        return beta, gamma, np.exp(1j * (phase + rise * beta)), np.exp(1j * (phase + rise * gamma))
 
     def wrap(self, X):
         """Lattice offsets of targets X (P, 2) from every source, each (P, N):
@@ -434,56 +296,60 @@ class QPSources:
         return t1 - n, np.exp(1j * self.q.alpha * n), X[:, 1][:, None] - self.Y[:, 1][None, :]
 
     def apply(self, charges, X, want_jet: bool = False):
-        """sum_n G(x - Y_n) charges_n at targets X (P, 2); ``charges`` (N, 2).
+        """sum_n G(x - Y_n) charges_n at targets X (P, 2).
 
-        Returns (P, 2), or a (value, d/dx1, d/dx2) tuple when ``want_jet``.
+        ``charges`` is (N, 2), or a block (N, 2, k) of k charge vectors per
+        source applied at once.  Returns (P, 2) (resp. (P, 2, k)), or a
+        (value, d/dx1, d/dx2) tuple of such arrays when ``want_jet``.  Raises
+        CoincidentPoints when a target lies on a source or one of its lattice
+        images, |(tau, d)| < COINCIDENT_TOL, and TableUnresolved when a pair
+        within NEAR_GAP needs a table that cannot be resolved.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         charges = np.asarray(charges)
-        out = [np.empty((len(X), 2), dtype=complex) for _ in range(3 if want_jet else 1)]
+        cols = [charges] if charges.ndim == 2 else \
+            [np.ascontiguousarray(c) for c in np.moveaxis(charges, -1, 0)]
+        out = [np.empty((len(X), 2, len(cols)), dtype=complex) for _ in range(3 if want_jet else 1)]
         above = X[:, 1] - self.crest > NEAR_GAP
         if np.any(above):
-            for o, v in zip(out, self._rayleigh(charges, X[above], want_jet)):
-                o[above] = v
+            _scatter(out, above, self._rayleigh(cols, X[above], want_jet))
         rest = ~above
         if np.any(rest):
             tau, phase, d = self.wrap(X[rest])
-            if self.table is not None and not want_jet:
-                G = self.table.green(tau.ravel(), d.ravel())
+            if np.any(np.abs(d) <= NEAR_GAP):
+                G = self.table.green(tau.ravel(), d.ravel(), want_jet)
             else:
-                G = green2d_near_line_batch(self.medium, self.q.alpha, tau.ravel(), d.ravel(),
-                                            want_jet)
+                G = _series_sum(self.medium, self.alpha_l, tau.ravel(), d.ravel(), want_jet)
             for o, g in zip(out, G if want_jet else (G,)):
-                o[rest] = np.einsum("xn,xnab,nb->xa", phase, g.reshape(tau.shape + (2, 2)),
-                                    charges)
+                g = g.reshape(tau.shape + (2, 2))
+                for c, col in enumerate(cols):
+                    o[rest, :, c] = np.einsum("xn,xnab,nb->xa", phase, g, col)
+        if charges.ndim == 2:
+            out = [o[..., 0] for o in out]
         return tuple(out) if want_jet else out[0]
 
-    def _rayleigh(self, charges, X, want_jet):
-        """[value] or [value, d/dx1, d/dx2] at targets more than NEAR_GAP above the crest."""
-        a, b, g = self.alpha_l, self.beta, self.gamma
+    def _rayleigh(self, cols, X, want_jet):
+        """(value,) or (value, d/dx1, d/dx2), each (P, 2, k), at targets more
+        than NEAR_GAP above the crest, for the k charge arrays ``cols``."""
+        a = self.alpha_l
+        b, g, src_p, src_s = self._rayleigh_factors
         pv = np.stack([a, b], axis=-1)    # (K, 2) polarisations
         sv = np.stack([g, -a], axis=-1)
         pref = _pref(self.medium)
-        cp = pref / b * np.sum((self.src_p.T @ charges) * pv, axis=1)
-        cs = pref / g * np.sum((self.src_s.T @ charges) * sv, axis=1)
         x1, n = _period(X[:, 0])
         h = (X[:, 1] - self.crest)[:, None]
-        fp = np.exp(1j * (self.q.alpha * n + x1 * a + h * b)) * cp
-        fs = np.exp(1j * (self.q.alpha * n + x1 * a + h * g)) * cs
-        u = fp @ pv + fs @ sv
-        if not want_jet:
-            return [u]
-        return [u, (1j * a * fp) @ pv + (1j * a * fs) @ sv,
-                (1j * b * fp) @ pv + (1j * g * fs) @ sv]
-
-
-def green2d_near_line(medium: ElasticMedium, alpha: float, t1: float, d: float,
-                      want_jet: bool = False, margin_modes: int = 3):
-    """Single-pair convenience wrapper around the batched near-line evaluator."""
-    out = green2d_near_line_batch(medium, alpha, [t1], [d], want_jet, margin_modes)
-    if want_jet:
-        return np.stack([out[j][0] for j in range(3)], axis=0)
-    return out[0]
+        ep = np.exp(1j * (self.q.alpha * n + x1 * a + h * b))
+        es = np.exp(1j * (self.q.alpha * n + x1 * a + h * g))
+        out = tuple(np.empty((len(X), 2, len(cols)), dtype=complex)
+                    for _ in range(3 if want_jet else 1))
+        for c, charges in enumerate(cols):
+            fp = ep * (pref / b * np.sum((src_p.T @ charges) * pv, axis=1))
+            fs = es * (pref / g * np.sum((src_s.T @ charges) * sv, axis=1))
+            out[0][..., c] = fp @ pv + fs @ sv
+            if want_jet:
+                out[1][..., c] = (1j * a * fp) @ pv + (1j * a * fs) @ sv
+                out[2][..., c] = (1j * b * fp) @ pv + (1j * g * fs) @ sv
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -536,48 +402,79 @@ class RemainderTable:
     alpha: float
     coef: np.ndarray
 
-    def remainder(self, tau, d) -> np.ndarray:
-        """R at separations inside the table's cell; (P, 2, 2)."""
+    @cached_property
+    def _derivative_coef(self):
+        """Coefficients of dR/dtau and dR/dd, fitted at the table's nodes.
+        Differentiating ``coef`` instead multiplies the rounding of the
+        sampled values by about n^2 (1.7e-12 of max |grad G| at omega = 60)."""
+        n_tau, m, _ = self.coef.shape
+        return _fit_remainder(self.medium, self.alpha, n_tau, 2 * m, derivatives=True)
+
+    def remainder(self, tau, d, want_jet: bool = False):
+        """R at separations inside the table's cell; (P, 2, 2), or the
+        (R, dR/dtau, dR/dd) tuple when ``want_jet``."""
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         d = np.atleast_1d(np.asarray(d, dtype=float))
         n_tau, m, _ = self.coef.shape
+        coefs = (self.coef,) + (self._derivative_coef if want_jet else ())
+        tx = _cheb_basis(2.0 * tau, n_tau)
         # a real basis times complex coefficients, as real products on the
         # (re, im) pairs of R_11, R_22 and R_12
-        re_im = self.coef.reshape(n_tau, 3 * m).view(float)
-        v = (_cheb_basis(2.0 * tau, n_tau) @ re_im).reshape(len(tau), m, 6)
+        vs = [(tx @ c.reshape(n_tau, 3 * m).view(float)).reshape(len(tau), m, 6) for c in coefs]
+        del tx   # before the d basis is built, which keeps the peak memory down
         ty = _cheb_basis(d / NEAR_GAP, 2 * m).reshape(len(tau), m, 2)
-        r = np.empty((len(tau), 6))
-        r[:, :4] = np.einsum("pk,pkf->pf", ty[..., 0], v[..., :4])   # even degrees
-        r[:, 4:] = np.einsum("pk,pkf->pf", ty[..., 1], v[..., 4:])   # odd degrees
-        r = r.view(complex)
-        out = np.empty((len(tau), 2, 2), dtype=complex)
-        out[:, 0, 0], out[:, 1, 1] = r[:, 0], r[:, 1]
-        out[:, 0, 1] = out[:, 1, 0] = r[:, 2]
-        return out
+        out = []
+        for flip, v in zip((0, 0, 1), vs):   # d/dd flips the parity in d
+            r = np.empty((len(tau), 6))
+            r[:, :4] = np.einsum("pk,pkf->pf", ty[..., flip], v[..., :4])       # diagonal
+            r[:, 4:] = np.einsum("pk,pkf->pf", ty[..., 1 - flip], v[..., 4:])   # off-diagonal
+            r = r.view(complex)
+            R = np.empty((len(tau), 2, 2), dtype=complex)
+            R[:, 0, 0], R[:, 1, 1] = r[:, 0], r[:, 1]
+            R[:, 0, 1] = R[:, 1, 0] = r[:, 2]
+            out.append(R)
+        return tuple(out) if want_jet else out[0]
 
-    def green(self, tau, d) -> np.ndarray:
-        """G at separations (tau, d) != (0, 0) with |tau| <= 1/2; (P, 2, 2).
+    def green(self, tau, d, want_jet: bool = False):
+        """G at separations (tau, d) with |tau| <= 1/2; (P, 2, 2), or the
+        (value, d/dx1, d/dx2) tuple when ``want_jet``.
 
         R minus the closed-form Phi/(2 pi) for |d| <= NEAR_GAP, the plain
-        series of :func:`green2d_near_line_batch` beyond.
+        series beyond.  Raises CoincidentPoints at |(tau, d)| < COINCIDENT_TOL,
+        where G is singular.
         """
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         d = np.atleast_1d(np.asarray(d, dtype=float))
-        out = np.empty((len(tau), 2, 2), dtype=complex)
+        sep = np.min(np.hypot(tau, d), initial=np.inf)
+        if sep < COINCIDENT_TOL:
+            raise CoincidentPoints(f"separation {sep:.3e} from a source or its lattice image")
+        out = [np.empty((len(tau), 2, 2), dtype=complex) for _ in range(3 if want_jet else 1)]
         near = np.flatnonzero(np.abs(d) <= NEAR_GAP)
         for i in range(0, len(near), _CHUNK):
             idx = near[i:i + _CHUNK]
-            dx = np.stack([tau[idx], d[idx]], axis=-1)
-            out[idx] = self.remainder(tau[idx], d[idx]) \
-                - _kupradze2d_value(self.medium, dx) / (2 * np.pi)
-        if len(near) < len(d):
-            far = np.abs(d) > NEAR_GAP
-            out[far] = green2d_near_line_batch(self.medium, self.alpha, tau[far], d[far])
-        return out
+            _scatter(out, idx, self._near(tau[idx], d[idx], want_jet))
+        far = np.abs(d) > NEAR_GAP
+        if np.any(far):
+            al = mode_window(self.medium, QuasiMomentum("qp2d", self.alpha), NEAR_GAP, _FAR_TOL)[1]
+            _scatter(out, far, _series_sum(self.medium, al, tau[far], d[far], want_jet))
+        return tuple(out) if want_jet else out[0]
+
+    def _near(self, tau, d, want_jet):
+        """R minus the closed-form Phi/(2 pi), or the jet of that."""
+        R = self.remainder(tau, d, want_jet)
+        phi = _kupradze2d_value(self.medium, np.stack([tau, d], axis=-1), want_jet)
+        if want_jet:
+            return tuple(r - p / (2 * np.pi) for r, p in zip(R, phi))
+        return R - phi / (2 * np.pi)
 
 
-def _fit_remainder(medium, alpha, n_tau, n_d):
+def _fit_remainder(medium, alpha, n_tau, n_d, derivatives: bool = False):
     """Coefficients (n_tau, n_d // 2, 3) from plain-series values at first-kind nodes.
+
+    With ``derivatives`` returns those of (dR/dtau, dR/dd) instead, each
+    fitted to the series' own values of that derivative.  dR/dd is odd in d
+    where R is even, so its array holds the degrees 2k + 1 of the diagonal
+    entries and the degrees 2k of R_12.
 
     Every node of one row d_k > 0 shares the mode matrices M(alpha_l, d_k),
     so each row is one (tau nodes x modes) phase matrix times one stack of
@@ -586,26 +483,35 @@ def _fit_remainder(medium, alpha, n_tau, n_d):
     q = QuasiMomentum("qp2d", alpha)
     x = _cheb_nodes(n_tau)
     y = _cheb_nodes(n_d)[: n_d // 2]   # the nodes with d > 0
-    G = np.empty((n_tau, len(y), 2, 2), dtype=complex)
+    G = np.empty((2 if derivatives else 1, n_tau, len(y), 2, 2), dtype=complex)
     for k, dk in enumerate(NEAR_GAP * y):
         al = mode_window(medium, q, dk, _FAR_TOL)[1]
         check_wood_window(medium, q, al)
-        blocks = _unified_blocks(medium, al, dk, 1.0).reshape(len(al), 4)
-        G[:, k] = (np.exp(0.5j * np.outer(x, al)) @ blocks).reshape(n_tau, 2, 2)
+        ph = np.exp(0.5j * np.outer(x, al))
+        if derivatives:
+            val, d2 = (b.reshape(len(al), 4) for b in _unified_blocks(medium, al, dk, 1.0, True))
+            rows = ((ph * (1j * al)) @ val, ph @ d2)
+        else:
+            rows = (ph @ _unified_blocks(medium, al, dk, 1.0).reshape(len(al), 4),)
+        for g, row in zip(G, rows):
+            g[:, k] = row.reshape(n_tau, 2, 2)
     tau = np.repeat(0.5 * x, len(y))
     d = np.tile(NEAR_GAP * y, n_tau)
-    R = G + _kupradze2d_value(medium, np.stack([tau, d], axis=-1)).reshape(G.shape) \
-        / (2 * np.pi)
+    phi = _kupradze2d_value(medium, np.stack([tau, d], axis=-1), derivatives)
     # discrete orthogonality of T_j at first-kind nodes; in d the sum over
     # all n_d nodes is twice the sum over d > 0 by the parity of R
     ct = _cheb_basis(x, n_tau).T * (2.0 / n_tau)
     ct[0] /= 2.0
     cd = _cheb_basis(y, n_d).T * (4.0 / n_d)
     cd[0] /= 2.0
-    diag = np.einsum("ji,ile,kl->jke", ct, np.stack([R[..., 0, 0], R[..., 1, 1]], -1),
-                     cd[0::2], optimize=True)
-    off = np.einsum("ji,il,kl->jk", ct, R[..., 0, 1], cd[1::2], optimize=True)
-    return np.concatenate([diag, off[..., None]], axis=-1)
+    out = []
+    for flip, g, p in zip((0, 1), G, phi[1:] if derivatives else (phi,)):
+        R = g + p.reshape(g.shape) / (2 * np.pi)
+        diag = np.einsum("ji,ile,kl->jke", ct, np.stack([R[..., 0, 0], R[..., 1, 1]], -1),
+                         cd[flip::2], optimize=True)
+        off = np.einsum("ji,il,kl->jk", ct, R[..., 0, 1], cd[1 - flip::2], optimize=True)
+        out.append(np.concatenate([diag, off[..., None]], axis=-1))
+    return tuple(out) if derivatives else out[0]
 
 
 def remainder_table(medium: ElasticMedium, alpha: float) -> RemainderTable:
@@ -639,3 +545,14 @@ def remainder_table(medium: ElasticMedium, alpha: float) -> RemainderTable:
             before[i] = tail[i] if grow else np.inf
             if grow:
                 n[i] = 2 * int(np.ceil(_TABLE_GROWTH * n[i] / 2))
+
+
+def green2d_near_line_batch(medium: ElasticMedium, alpha: float, tau, d,
+                            want_jet: bool = False):
+    """Quasi-periodic tensor at separations (tau, d) with |tau| <= 1/2,
+    d = 0 included, through a kernel table built for the call.
+
+    :meth:`RemainderTable.green` of ``remainder_table(medium, alpha)``:
+    (P, 2, 2), or a (value, d/dx1, d/dx2) tuple when ``want_jet``.
+    """
+    return remainder_table(medium, alpha).green(tau, d, want_jet)

@@ -10,7 +10,9 @@
   Richardson-extrapolated damped lattice sum, the transversality defect of
   3D Rayleigh coefficients, the per-point off-node log-quadrature weights
   the per-mode Wood-anomaly predicate and central-difference divergence
-  and curl: reference forms of what the library computes another way.
+  and curl: reference forms of what the library computes another way;
+* the Abel-Plana near-line form of the 2D tensor and its jet, the
+  independent reference for the kernel table.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import hankel1, hankel2, jv
+from scipy.special import hankel1, hankel2, jv, roots_laguerre
 
-from qpelastic.green2d import _unified_blocks
+from qpelastic.green2d import _FAR_TOL, NEAR_GAP, _series_sum, _unified_blocks
 from qpelastic.green_free import lattice_sum
-from qpelastic.medium import ElasticMedium, ModeData, QuasiMomentum
+from qpelastic.medium import (ElasticMedium, ModeData, QuasiMomentum, check_wood_window,
+                              mode_window)
 from qpelastic.rayleigh import RayleighCoeffs3Bi
 
 
@@ -51,25 +54,40 @@ def mp_mod_k(nu, x):
         return float(mp.besselk(nu, mp.mpf(x)))
 
 
+def _mp_kupradze2d_entry(medium, i, j, x1, x2):
+    """Entry (i, j) of the free-space tensor at mpmath coordinates (x1, x2)."""
+    import mpmath as mp
+
+    ks, kp = mp.mpmathify(medium.k_s), mp.mpmathify(medium.k_p)
+    r = mp.sqrt(x1 * x1 + x2 * x2)
+    rh = (x1 / r, x2 / r)
+    f1 = (-ks * mp.hankel1(1, ks * r) + kp * mp.hankel1(1, kp * r)) / r
+    lap = -ks**2 * mp.hankel1(0, ks * r) + kp**2 * mp.hankel1(0, kp * r)
+    e = 1 if i == j else 0
+    hess = lap * rh[i] * rh[j] + f1 * (e - 2 * rh[i] * rh[j])
+    return 1j / (4 * mp.mpmathify(medium.mu)) * mp.hankel1(0, ks * r) * e \
+        + 1j / (4 * mp.mpmathify(medium.rho_omega2)) * hess
+
+
 def mp_kupradze2d(medium, dx):
     """40-digit free-space tensor (i/4mu) H_0(k_s r) I + (i/4 rho w^2) Hess[H_0(k_s r) - H_0(k_p r)]."""
     import mpmath as mp
 
     with mp.workdps(40):
-        ks, kp = mp.mpmathify(medium.k_s), mp.mpmathify(medium.k_p)
         x1, x2 = mp.mpf(dx[0]), mp.mpf(dx[1])
-        r = mp.sqrt(x1 * x1 + x2 * x2)
-        rh = (x1 / r, x2 / r)
-        f1 = (-ks * mp.hankel1(1, ks * r) + kp * mp.hankel1(1, kp * r)) / r
-        lap = -ks**2 * mp.hankel1(0, ks * r) + kp**2 * mp.hankel1(0, kp * r)
-        out = np.empty((2, 2), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                e = 1 if i == j else 0
-                hess = lap * rh[i] * rh[j] + f1 * (e - 2 * rh[i] * rh[j])
-                out[i, j] = complex(1j / (4 * mp.mpmathify(medium.mu)) * mp.hankel1(0, ks * r) * e
-                                    + 1j / (4 * mp.mpmathify(medium.rho_omega2)) * hess)
-        return out
+        return np.array([[complex(_mp_kupradze2d_entry(medium, i, j, x1, x2)) for j in range(2)]
+                         for i in range(2)])
+
+
+def mp_kupradze2d_grad(medium, dx):
+    """(d/dx1, d/dx2) of the free-space tensor by 40-digit mpmath differentiation."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x1, x2 = mp.mpf(dx[0]), mp.mpf(dx[1])
+        return tuple(np.array([[complex(mp.diff(lambda t: _mp_kupradze2d_entry(
+            medium, i, j, *((t, x2) if k == 0 else (x1, t))), x1 if k == 0 else x2))
+            for j in range(2)] for i in range(2)]) for k in range(2))
 
 
 def mp_mode_block_2d(medium, alpha_l, d):
@@ -434,3 +452,166 @@ def wood_modes_brute(medium: ElasticMedium, q: QuasiMomentum, threshold: float,
         modes = [(m, (q.alpha + two_pi * m) ** 2) for m in interval(q.alpha, r)]
     return [(m, which) for m, a2 in modes
             for which, k2 in (("p", kp2), ("s", ks2)) if abs(a2 - k2) < tol_wood]
+
+
+# ---------------------------------------------------------------------------
+# Near-line evaluation of the 2D tensor by Abel-Plana tail summation
+# (Linton, J. Eng. Math. 33 (1998)), the kernel table's independent reference.
+#
+# The plain series needs O(1/d) modes as the transverse gap d -> 0.  Here the
+# finitely many low modes are summed exactly and each one-sided evanescent
+# tail is replaced by the Abel-Plana identity
+#
+#   sum_{m>=0} h(m) = h(0)/2 + int_0^inf h(m) dm
+#                     + i int_0^inf [h(iy) - h(-iy)] / (e^{2 pi y} - 1) dy,
+#
+# rotating the first integral onto the ray of steepest decay.  Both integrals
+# converge exponentially for any (t1, d) != (0, 0) mod 1.
+# ---------------------------------------------------------------------------
+_AP_NODES = 48
+_AP_CHUNK = 4096
+_gl_x, _gl_w = roots_laguerre(_AP_NODES)
+_leg_x, _leg_w = np.polynomial.legendre.leggauss(16)
+
+
+def _mode_h(medium, a, D, s, tau, jet: bool):
+    """Phased mode matrices; a, D, s, tau broadcast together.
+
+    Returns (..., 2, 2) or a (value, d1, d2) tuple of such stacks.
+    """
+    ph = np.exp(1j * a * tau)[..., None, None]
+    if jet:
+        val, d2 = _unified_blocks(medium, a, D, s, True)
+        return val * ph, (1j * a)[..., None, None] * val * ph, d2 * ph
+    return _unified_blocks(medium, a, D, s) * ph
+
+
+def _ray_nodes(rho_min, first):
+    """Panelized Gauss-Legendre nodes for int_0^inf f(u) du where f has a
+    singularity at distance ``first`` from u = 0 and decays like e^{-2 pi rho u}.
+
+    The first panel ends at ``first``; geometrically growing panels then
+    resolve the algebraic 1/m tail of the mode sum and the exponential cutoff.
+    """
+    u_max = 42.0 / (2 * np.pi * max(rho_min, 1e-9))
+    knots = [0.0, first]
+    while knots[-1] < u_max:
+        knots.append(2.0 * knots[-1])
+    nodes, weights = [], []
+    for a, b in zip(knots[:-1], knots[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        nodes.append(mid + half * _leg_x)
+        weights.append(half * _leg_w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _ap_tail_batch(medium, a0, sigma, D, s, tau, jet):
+    """Abel-Plana sum of modes a0 + 2 pi sigma m over m >= 0, batched.
+
+    D, s, tau are (P,) arrays; the mode function is analytic in the mode
+    index for |Re a| > k_s, which the caller guarantees via the margin.
+    """
+    rho0 = np.maximum(np.hypot(tau, D), 1e-14)  # (P,)
+
+    def h(mm):  # mm (P, K) complex
+        a = a0 + 2 * np.pi * sigma * mm
+        return _mode_h(medium, a, D[:, None], s[:, None], tau[:, None], jet)
+
+    end = h(np.zeros((len(D), 1)))
+
+    # rotated ray: (i sigma tau - D) e^{i theta} = -rho, so the integrand
+    # decays like e^{-2 pi rho u} exactly along the ray
+    w_c = D - 1j * sigma * tau
+    eith = np.conj(w_c) / np.abs(w_c)  # (P,)
+    # the mode function's nearest branch point, alpha = +-k_s, lies at least
+    # margin + 1 modes from a0 in the index; rays near the imaginary axis
+    # (|tau| -> 1/2) pass that close to it, so the first panel ends there
+    u, uw = _ray_nodes(float(np.min(rho0)), abs(abs(a0) - medium.k_s) / (2 * np.pi))
+    decay = np.exp(-2 * np.pi * np.outer(rho0, u))  # (P, K) true modulus
+    ray_vals = h(eith[:, None] * u[None, :])
+    # drop the tiny tail contributions explicitly to avoid overflow surprises
+    ray_wts = np.where(decay < 1e-18, 0.0, uw[None, :] * np.ones((len(D), 1)))
+
+    # correction integral, conservative decay rate (true rate is 2 pi (1-|tau|))
+    rate = 2 * np.pi * np.maximum(0.25, 1.0 - np.abs(tau) - D)  # (P,)
+    y = _gl_x[None, :] / rate[:, None]
+    num_p = h(1j * y)
+    num_m = h(-1j * y)
+    ker = (_gl_w[None, :] * np.exp(_gl_x[None, :] - 2 * np.pi * y)
+           / (1.0 - np.exp(-2 * np.pi * y)))
+
+    def combine(endpoint, rv, cv):
+        ray = np.einsum("pk,pkab->pab", ray_wts, rv)
+        corr = np.einsum("pk,pkab->pab", ker, cv)
+        return 0.5 * endpoint + eith[:, None, None] * ray \
+            + (1j / rate)[:, None, None] * corr
+
+    if jet:
+        return tuple(combine(end[j][:, 0], ray_vals[j], num_p[j] - num_m[j])
+                     for j in range(3))
+    return combine(end[:, 0], ray_vals, num_p - num_m)
+
+
+def _main_window(medium, alpha, margin_modes):
+    """Index range of the exactly summed modes: |alpha_l| <= k_s plus the margin."""
+    ks = float(np.real(medium.k_s))
+    lo = int(np.floor((-ks - 2 * np.pi * margin_modes - alpha) / (2 * np.pi)))
+    hi = int(np.ceil((ks + 2 * np.pi * margin_modes - alpha) / (2 * np.pi)))
+    return lo, hi
+
+
+def _abel_plana(medium, alpha, tau, d, want_jet, margin_modes):
+    """Low-mode block plus Abel-Plana sums of the two evanescent tails."""
+    n = len(tau)
+    if n > _AP_CHUNK:
+        # sort by separation so each chunk shares a ray panel structure
+        order = np.argsort(np.hypot(tau, d))
+        inv = np.argsort(order)
+        parts = [_abel_plana(medium, alpha, tau[order][i:i + _AP_CHUNK],
+                             d[order][i:i + _AP_CHUNK], want_jet, margin_modes)
+                 for i in range(0, n, _AP_CHUNK)]
+        if want_jet:
+            return tuple(np.concatenate([p[j] for p in parts])[inv] for j in range(3))
+        return np.concatenate(parts)[inv]
+
+    D, s = np.abs(d), np.sign(d)
+    lo, hi = _main_window(medium, alpha, margin_modes)
+    al = (alpha + 2 * np.pi * np.arange(lo, hi + 1)).astype(complex)
+    main = _mode_h(medium, al[None, :], D[:, None], s[:, None], tau[:, None], want_jet)
+    hi_tail = _ap_tail_batch(medium, alpha + 2 * np.pi * (hi + 1), +1, D, s, tau, want_jet)
+    lo_tail = _ap_tail_batch(medium, alpha + 2 * np.pi * (lo - 1), -1, D, s, tau, want_jet)
+    if want_jet:
+        return tuple(main[j].sum(axis=1) + hi_tail[j] + lo_tail[j] for j in range(3))
+    return main.sum(axis=1) + hi_tail + lo_tail
+
+
+def near_line_abel_plana(medium: ElasticMedium, alpha: float, tau, d,
+                         want_jet: bool = False, margin_modes: int = 3):
+    """Quasi-periodic tensor at separations (tau, d), valid arbitrarily close
+    to (and on) the source-height line, d = 0 included, for
+    (tau, d) != (0, 0) mod the lattice.  |tau| <= 1/2 expected.
+
+    Pairs with |d| <= NEAR_GAP take the exact low-mode block plus
+    Abel-Plana summation of the two evanescent tails (``margin_modes``
+    extra modes each side in the block); pairs with |d| > NEAR_GAP take the
+    plain series over the window that gap NEAR_GAP needs.
+    Returns (P, 2, 2), or a (value, d/dx1, d/dx2) tuple when ``want_jet``.
+    """
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    q = QuasiMomentum("qp2d", alpha)
+    lo, hi = _main_window(medium, alpha, margin_modes)
+    check_wood_window(medium, q, alpha + 2 * np.pi * np.arange(lo, hi + 1))
+
+    far = np.abs(d) > NEAR_GAP
+    out = [np.empty((len(tau), 2, 2), dtype=complex) for _ in range(3 if want_jet else 1)]
+    if np.any(far):
+        vals = _series_sum(medium, mode_window(medium, q, NEAR_GAP, _FAR_TOL)[1],
+                           tau[far], d[far], want_jet)
+        for o, v in zip(out, vals if want_jet else (vals,)):
+            o[far] = v
+    if not np.all(far):
+        vals = _abel_plana(medium, alpha, tau[~far], d[~far], want_jet, margin_modes)
+        for o, v in zip(out, vals if want_jet else (vals,)):
+            o[~far] = v
+    return tuple(out) if want_jet else out[0]

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import flat_reflection, log_quadrature_weights_at
+from oracles import flat_reflection, log_quadrature_weights_at, near_line_abel_plana
 from qpelastic.bem2d import (IncidentField, ProfileCurve2, boundary_residual,
                              eval_scattered, log_quadrature_weights,
                              log_quadrature_weights_off_node, plane_incidence,
                              point_source_incidence, solve_dirichlet,
                              solve_dirichlet_multi, traction)
-from qpelastic.errors import TooCloseToBoundary, WoodAnomaly
+from qpelastic.errors import CoincidentPoints, TableUnresolved, TooCloseToBoundary, WoodAnomaly
 from qpelastic.fdcheck import navier_apply_fd
-from qpelastic.green2d import NEAR_GAP, QPSources, green2d_near_line_batch
+from qpelastic.green2d import NEAR_GAP, QPSources
 from qpelastic.medium import make_medium, make_quasi_momentum
 from qpelastic.rayleigh import extract_coeffs_2d, flux_2d
 
@@ -216,35 +216,43 @@ def test_energy_balance(sin_solution):
 
 
 def test_scattered_field_near_boundary(sin_solution):
-    # targets whose node pairs straddle NEAR_GAP: the value path reads the
-    # solution's kernel table, the gradient path sums Abel-Plana / series
+    # targets whose node pairs straddle NEAR_GAP: values and gradients both
+    # read the solution's kernel table, so the value of the jet is the value
     sol = sin_solution
     x1 = np.array([0.3, 0.7, 0.55])
     X = np.stack([x1, sol.profile.f(x1) + np.array([0.1, 0.15, 0.3])], axis=-1)
     u = eval_scattered(sol, X)
     u_jet, _ = eval_scattered(sol, X, need_gradient=True)
-    assert np.max(np.abs(u - u_jet)) < 1e-12 * np.max(np.abs(u))
+    assert np.array_equal(u, u_jet)
+
+
+def test_scattered_gradient_near_crest(grating_setup):
+    # 64 targets 0.3 above the 0.1 sinusoid at N = 64: every target has node
+    # pairs within NEAR_GAP, whose values and gradients come from the table
+    med, inc, q = grating_setup
+    sol = solve_dirichlet(med, q, ProfileCurve2(0.0, (), (0.1,)), inc, N=64)
+    x1 = (np.arange(64) + 0.5) / 64
+    X = np.stack([x1, sol.profile.f(x1) + 0.3], axis=-1)
+    u, grad = eval_scattered(sol, X, need_gradient=True)
+    u_ref, g_ref = _scattered_by_pairs(sol, X)
+    assert np.max(np.abs(u - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))
+    assert np.max(np.abs(grad - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
 
 
 def _applied_by_pairs(src, charges, X):
-    """sum_n G(x - Y_n) charges_n and its x-derivatives summed pair by pair:
-    values from the sources' table when they have one, else from the near-line
-    evaluator, and derivatives from the near-line evaluator."""
+    """sum_n G(x - Y_n) charges_n and its x-derivatives summed pair by pair,
+    from the Abel-Plana oracle (the plain series beyond NEAR_GAP)."""
     t1 = X[:, 0][:, None] - src.Y[:, 0][None, :]
     tau = t1 - np.round(t1)
     d = X[:, 1][:, None] - src.Y[:, 1][None, :]
     w = np.exp(1j * src.q.alpha * np.round(t1))
     shape = tau.shape + (2, 2)
-    jet = green2d_near_line_batch(src.medium, src.q.alpha, tau.ravel(), d.ravel(),
-                                  want_jet=True)
-    v = jet[0] if src.table is None else src.table.green(tau.ravel(), d.ravel())
-    return [np.einsum("xn,xnab,nb->xa", w, m.reshape(shape), charges)
-            for m in (v, jet[1], jet[2])]
+    jet = near_line_abel_plana(src.medium, src.q.alpha, tau.ravel(), d.ravel(), want_jet=True)
+    return [np.einsum("xn,xnab,nb->xa", w, m.reshape(shape), charges) for m in jet]
 
 
 def _scattered_by_pairs(sol, X):
-    """Scattered field and gradient summed pair by pair: kernel values from the
-    solution's table, gradients from the near-line evaluator."""
+    """Scattered field and gradient summed pair by pair from the oracle."""
     charges = sol.density * (sol.jacobian / sol.N)[:, None]
     u, du1, du2 = _applied_by_pairs(sol.sources, charges, X)
     return u, np.stack([du1, du2], axis=-1)
@@ -323,7 +331,7 @@ def test_apply_one_source(grating_setup):
         return np.stack([x1, np.full(len(x1), h)], axis=-1)
 
     groups = [row(z[1] + NEAR_GAP + 1e-3), row(z[1] + 1.5),      # Rayleigh form
-              row(z[1] + 0.1), row(z[1] + NEAR_GAP), row(z[1]),   # Abel-Plana
+              row(z[1] + 0.1), row(z[1] + NEAR_GAP), row(z[1]),   # kernel table
               row(z[1] - 0.15), row(z[1] - 0.8)]                  # below the source
     _check_apply(src, np.array([[0.6, 0.8j]]), groups)
 
@@ -410,3 +418,77 @@ def test_n_validation(grating_setup):
         solve_dirichlet(med, q, ProfileCurve2(), inc, N=48)
     with pytest.raises(ValueError):
         solve_dirichlet(med, q, ProfileCurve2(), inc, N=16)
+
+
+def test_point_source_refuses_coincident_targets(grating_setup):
+    # on the source and on its lattice image, where G is singular; the
+    # parent code returned NaN and a finite but meaningless value there
+    med, _, q = grating_setup
+    src = QPSources(med, q, [(0.4, 0.3)])
+    for X in ((0.4, 0.3), (1.4, 0.3), (-2.6, 0.3)):
+        for jet in (False, True):
+            with pytest.raises(CoincidentPoints):
+                src.apply([[1.0, 0.0]], [X, (0.7, 0.9)], want_jet=jet)
+    with pytest.raises(CoincidentPoints):
+        point_source_incidence((0.4, 0.3), (1.0, 0.0)).eval(med, q, [(0.4, 0.3)])
+    # 1e-9 away the field is finite and agrees with the oracle
+    near = np.array([[0.4 + 1e-9, 0.3], [1.4, 0.3 - 1e-9]])
+    got = src.apply([[1.0, 0.0]], near, want_jet=True)
+    for r, g in zip(_applied_by_pairs(src, np.array([[1.0, 0.0]]), near), got):
+        assert np.all(np.isfinite(g))
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+def test_apply_charge_block(sin_solution):
+    # a (N, 2, k) block equals k calls with its columns, bit for bit, in
+    # every branch of the evaluator rule
+    sol = sin_solution
+    rng = np.random.default_rng(5)
+    block = rng.normal(size=(sol.N, 2, 3)) + 1j * rng.normal(size=(sol.N, 2, 3))
+    h0 = np.max(sol.points[:, 1])
+    X = np.array([[0.2, h0 + 0.6], [0.45, h0 + 0.15], [0.8, h0 + NEAR_GAP + 0.1],
+                  [0.3, np.min(sol.points[:, 1]) - 0.5]])
+    for jet in (False, True):
+        got = sol.sources.apply(block, X, want_jet=jet)
+        cols = [sol.sources.apply(block[..., c], X, want_jet=jet) for c in range(3)]
+        for j, g in enumerate(got if jet else (got,)):
+            assert g.shape == (len(X), 2, 3)
+            ref = np.stack([c[j] if jet else c for c in cols], axis=-1)
+            assert np.array_equal(g, ref)
+
+
+def test_sources_build_table_and_rayleigh_factors_on_demand(grating_setup, monkeypatch):
+    import qpelastic.green2d as g2
+
+    med, _, q = grating_setup
+    built = []
+    table = g2.remainder_table
+    monkeypatch.setattr(g2, "remainder_table", lambda *a: built.append(a) or table(*a))
+    src = QPSources(med, q, [(0.4, 0.3)])
+    src.apply([[1.0, 0.0]], [(0.2, -0.5), (0.9, 0.0)])          # plain series only
+    assert built == [] and "_rayleigh_factors" not in vars(src)
+    src.apply([[1.0, 0.0]], [(0.2, 0.45)], want_jet=True)       # within NEAR_GAP
+    assert len(built) == 1 and "_rayleigh_factors" not in vars(src)
+    src.apply([[1.0, 0.0]], [(0.2, 0.9)])                       # above the crest
+    assert "_rayleigh_factors" in vars(src)
+    # sources made by ``at`` share the table, and so does a system's
+    # point-source incidence
+    src.at([(0.1, 0.2)]).apply([[0.0, 1.0]], [(0.3, 0.25)])
+    assert len(built) == 1
+    sol = solve_dirichlet(med, q, ProfileCurve2(0.0, (), (0.1,)),
+                          point_source_incidence((0.4, 0.2), (1.0, 0.0)), N=32)
+    assert len(built) == 2
+    boundary_residual(sol)
+    assert len(built) == 2
+
+
+def test_point_source_past_table_limit(grating_setup):
+    # omega = 160 is past the largest frequency at which the kernel table
+    # resolves: a target within NEAR_GAP of the source is refused, not
+    # answered by another evaluator; targets beyond still get the series
+    med = make_medium(2.0, 1.0, 1.0, 160.0)
+    q = make_quasi_momentum("qp2d", 0.3, med)
+    inc = point_source_incidence((0.4, 0.3), (1.0, 0.0))
+    with pytest.raises(TableUnresolved):
+        inc.eval(med, q, [(0.5, 0.45)])
+    assert np.all(np.isfinite(inc.eval(med, q, [(0.5, 0.9), (0.2, -0.2)])))

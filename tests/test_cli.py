@@ -251,3 +251,13 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_solve2d_point_source_past_table_limit_exit3(tmp_path, capsys):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["medium"]["omega"] = 160.0
+    cfg["solver"]["N"] = 32
+    cfg["incident"] = {"kind": "point_source", "source": [0.4, 0.3], "polarization": [1.0, 0.0]}
+    p = write_cfg(tmp_path, cfg)
+    assert main(["solve2d", "--config", p, "--out", str(tmp_path / "r.json")]) == 3
+    assert "TableUnresolved" in capsys.readouterr().err

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import draw_medium, draw_momentum
-from oracles import mode_term_2d, mp_mode_block_2d
-from qpelastic.errors import NearSourceLine, TableUnresolved, WoodAnomaly
+from oracles import mode_term_2d, mp_mode_block_2d, near_line_abel_plana
+from qpelastic.errors import (CoincidentPoints, NearSourceLine, TableUnresolved,
+                              WoodAnomaly)
 from qpelastic.fdcheck import navier_residual
 from qpelastic.green2d import (NEAR_GAP, green2d_eval, green2d_eval_batch,
-                               green2d_near_line, green2d_near_line_batch,
-                               remainder_table)
+                               green2d_near_line_batch, remainder_table)
 from qpelastic.green_free import kupradze
 from qpelastic.medium import classify_mode, make_medium, make_quasi_momentum
 
@@ -147,7 +147,7 @@ def test_near_line_matches_series(rng):
         t1 = float(rng.uniform(-0.5, 0.5))
         d = float(rng.uniform(0.05, 1.0)) * (1 if rng.uniform() < 0.5 else -1)
         series = green2d_eval(med, q, (t1, d), (0.0, 0.0), 1e-14).value
-        near = green2d_near_line(med, q.alpha, t1, d)
+        near = near_line_abel_plana(med, q.alpha, [t1], [d])[0]
         assert np.max(np.abs(series - near)) / np.max(np.abs(series)) < 1e-11
 
 
@@ -165,7 +165,7 @@ def test_near_line_against_series_grid():
             q = make_quasi_momentum("qp2d", alpha, med)
             ref = [green2d_eval(med, q, (t, dd), (0.0, 0.0), 1e-16) for t, dd in zip(tau, d)]
             for margin in (3, 6):
-                near = green2d_near_line_batch(med, alpha, tau, d, margin_modes=margin)
+                near = near_line_abel_plana(med, alpha, tau, d, margin_modes=margin)
                 for g, v in zip(ref, near):
                     allow = g.tail_bound + 1e-13 * np.max(np.abs(g.value))
                     assert np.max(np.abs(v - g.value)) <= allow
@@ -173,9 +173,10 @@ def test_near_line_against_series_grid():
 
 def test_near_line_wood_anomaly_on_both_sides():
     med = make_medium(2.0, 1.0, 1.0, 1.0)
-    for d in (0.1, 0.8):   # Abel-Plana pair, plain-series pair
-        with pytest.raises(WoodAnomaly):
-            green2d_near_line_batch(med, 0.5, [0.2], [d])  # alpha = k_p
+    for d in (0.1, 0.8):   # table (Abel-Plana) pair, plain-series pair
+        for evaluate in (green2d_near_line_batch, near_line_abel_plana):
+            with pytest.raises(WoodAnomaly):
+                evaluate(med, 0.5, [0.2], [d])  # alpha = k_p
 
 
 def test_remainder_table_against_abel_plana():
@@ -192,7 +193,7 @@ def test_remainder_table_against_abel_plana():
             r = 10.0 ** rng.uniform(-4, -1, 84)
             th = rng.uniform(0, 2 * np.pi, 84)
             tau[:84], d[:84] = r * np.cos(th), r * np.sin(th)
-            ref = green2d_near_line_batch(med, alpha, tau, d)
+            ref = near_line_abel_plana(med, alpha, tau, d)
             got = table.green(tau, d)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
             # R = G + Phi/(2 pi) is what the table holds
@@ -215,7 +216,7 @@ def test_remainder_table_at_high_frequency():
     rng = np.random.default_rng(11)
     tau = np.concatenate([rng.uniform(-0.5, 0.5, 60), [0.5, -0.49, 0.47]])
     d = np.concatenate([rng.uniform(-NEAR_GAP, NEAR_GAP, 60), [0.05, -0.2, 0.01]])
-    ref = green2d_near_line_batch(med, 1.7, tau, d)
+    ref = near_line_abel_plana(med, 1.7, tau, d)
     assert np.max(np.abs(table.green(tau, d) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -238,27 +239,65 @@ def test_remainder_table_refuses_unresolved(monkeypatch):
         g2.remainder_table(make_medium(2.0, 1.0, 1.0, 60.0), 0.3)
 
 
+def _near_line(medium, alpha, t1, d, margin_modes=3):
+    return near_line_abel_plana(medium, alpha, [t1], [d], margin_modes=margin_modes)[0]
+
+
 def test_near_line_on_the_line(medium_fast):
     # d = 0 is inaccessible to the plain series but regular for the
     # tail-resummed form; check reciprocity and internal consistency there
     alpha = 0.37
-    v = green2d_near_line(medium_fast, alpha, 0.07, 0.0)
-    w = green2d_near_line(medium_fast, alpha, 0.07, 0.0, margin_modes=6)
+    v = _near_line(medium_fast, alpha, 0.07, 0.0)
+    w = _near_line(medium_fast, alpha, 0.07, 0.0, margin_modes=6)
     assert np.max(np.abs(v - w)) < 1e-9
-    vm = green2d_near_line(medium_fast, -alpha, -0.07, 0.0)
+    vm = _near_line(medium_fast, -alpha, -0.07, 0.0)
     assert np.max(np.abs(v - vm)) < 1e-12
 
 
 def test_near_line_jet(medium_fast):
     alpha = 0.37
-    val, d1, d2 = green2d_near_line_batch(medium_fast, alpha, [0.21], [0.13], want_jet=True)
+    val, d1, d2 = near_line_abel_plana(medium_fast, alpha, [0.21], [0.13], want_jet=True)
     h = 1e-5
-    fd1 = (green2d_near_line(medium_fast, alpha, 0.21 + h, 0.13)
-           - green2d_near_line(medium_fast, alpha, 0.21 - h, 0.13)) / (2 * h)
-    fd2 = (green2d_near_line(medium_fast, alpha, 0.21, 0.13 + h)
-           - green2d_near_line(medium_fast, alpha, 0.21, 0.13 - h)) / (2 * h)
+    fd1 = (_near_line(medium_fast, alpha, 0.21 + h, 0.13)
+           - _near_line(medium_fast, alpha, 0.21 - h, 0.13)) / (2 * h)
+    fd2 = (_near_line(medium_fast, alpha, 0.21, 0.13 + h)
+           - _near_line(medium_fast, alpha, 0.21, 0.13 - h)) / (2 * h)
     assert np.max(np.abs(d1[0] - fd1)) < 1e-8
     assert np.max(np.abs(d2[0] - fd2)) < 1e-8
+
+
+def test_table_jet_against_abel_plana():
+    # the grid of test_near_line_against_series_grid; within NEAR_GAP the
+    # table's value and both derivatives each agree with the oracle to 1e-12
+    # of that component's largest entry over the grid, and
+    # green2d_near_line_batch equals the table's own evaluation beyond
+    taus = np.array([0.0, 0.07, -0.19, 0.33, -0.45, 0.49, 0.5, -0.5])
+    ds = np.array([0.02, -0.05, 0.1, -0.2, NEAR_GAP, -0.26, 0.4, -0.8, 1.3, 2.0])
+    tau, d = (a.ravel() for a in np.meshgrid(taus, ds, indexing="ij"))
+    near = np.abs(d) <= NEAR_GAP
+    for omega in (5.0, 12.0, 60.0):
+        med = make_medium(2.0, 1.0, 1.0, omega)
+        for alpha in (0.3, -1.7):
+            ref = near_line_abel_plana(med, alpha, tau, d, want_jet=True)
+            got = green2d_near_line_batch(med, alpha, tau, d, want_jet=True)
+            for r, g in zip(ref, got):
+                assert np.max(np.abs(g[near] - r[near])) <= 1e-12 * np.max(np.abs(r[near]))
+                assert np.max(np.abs(g[~near] - r[~near])) <= 1e-13 * np.max(np.abs(r[~near]))
+            # the value of the jet is the value alone, bit for bit
+            assert np.array_equal(got[0], green2d_near_line_batch(med, alpha, tau, d))
+
+
+def test_table_refuses_coincident_points(medium_fast):
+    table = remainder_table(medium_fast, 0.3)
+    for tau, d in ((0.0, 0.0), (1e-13, -5e-13)):
+        for jet in (False, True):
+            with pytest.raises(CoincidentPoints):
+                table.green([0.2, tau], [0.1, d], want_jet=jet)
+    # 1e-9 away the table still answers, and agrees with the oracle
+    got = table.green([1e-9, 0.0], [0.0, -1e-9])
+    ref = near_line_abel_plana(medium_fast, 0.3, [1e-9, 0.0], [0.0, -1e-9])
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_series_finite_between_cutoffs_at_high_frequency():

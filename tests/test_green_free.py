@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import draw_medium, draw_momentum
-from oracles import fd_curl, fd_divergence, lattice_sum_richardson, mp_kupradze2d
+from oracles import (fd_curl, fd_divergence, lattice_sum_richardson, mp_kupradze2d,
+                     mp_kupradze2d_grad)
 from qpelastic.errors import CoincidentPoints
 from qpelastic.fdcheck import navier_apply_fd
-from qpelastic.green_free import comb_normalization, kupradze, lattice_sum
+from qpelastic.green_free import _kupradze2d_value, comb_normalization, kupradze, lattice_sum
 from qpelastic.green2d import green2d_eval
 from qpelastic.medium import make_medium, make_quasi_momentum
 
@@ -39,6 +40,20 @@ def test_kupradze_small_r_against_extended_precision():
                 ref = mp_kupradze2d(med, dx)
                 got = kupradze(med, 2, dx, (0.0, 0.0)).value
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_kupradze_gradient_against_extended_precision():
+    # the closed-form gradient on both sides of |k_s| r = 1, where f'/r
+    # switches to the ascending series, and down to r = 1e-9
+    for med in (make_medium(2.0, 1.0, 1.0, 5.0), make_medium(2.0, 1.0, 1.0, 60.0),
+                make_medium(0.5, 1.5, 1.0, 3.0).complexified(0.1)):
+        ks = abs(med.k_s)
+        for r in (1e-9, 1e-3, 0.99 / ks, 1.01 / ks, 0.4):
+            dx = r * np.array([np.cos(2.0), np.sin(2.0)])
+            val, *grad = _kupradze2d_value(med, dx[None], want_jet=True)
+            assert np.array_equal(val, _kupradze2d_value(med, dx[None]))
+            for got, ref in zip(grad, mp_kupradze2d_grad(med, dx)):
+                assert np.max(np.abs(got[0] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_kupradze_coincident(medium_fast):
