@@ -12,22 +12,21 @@ kernel minus that part.  The log factor is integrated with the spectrally
 accurate product-trapezoid rule for log kernels, the smooth factor with the
 plain trapezoid rule.
 
-Each system keeps one :class:`~qpelastic.green2d.QPSources` at its nodes,
-and with it the :class:`~qpelastic.green2d.RemainderTable` the assembly
-builds from the plain series.  Kernel entries of pairs with vertical gap
-|d| <= NEAR_GAP read the smooth remainder R = G + Phi/(2 pi) from the table
-and subtract the closed-form free-space tensor Phi/(2 pi); pairs beyond take
-the plain spectral series.  The on-diagonal finite part uses R(0, 0) from
-the same table.
+Each system keeps one :class:`~qpelastic.green2d.QPSources` at its nodes.
+Kernel entries of pairs with vertical gap |d| <= NEAR_GAP read the smooth
+remainder R = G + Phi/(2 pi) from its
+:class:`~qpelastic.green2d.RemainderTable` and subtract the closed-form
+free-space tensor Phi/(2 pi); pairs beyond take the plain spectral series.
+The on-diagonal finite part uses R(0, 0) from the same table.
 
 Incident point sources and the scattered field are the tensor applied from a
 source set, so both go through ``QPSources.apply`` and its one evaluator
 rule, for values and gradients alike: targets more than NEAR_GAP above
 every source take the Rayleigh form of the plain series, pairs with
-|d| <= NEAR_GAP take the source set's table, and pairs beyond take the plain
-series.  A system's point-source incidence (:func:`incident_on`) reads the
-system's table.  A target on a point source or one of its lattice images
-raises CoincidentPoints.
+|d| <= NEAR_GAP take the kernel table, and pairs beyond take the plain
+series.  There is one table per (medium, alpha), which the system and its
+point-source incidences share.  A target on a point source or one of its
+lattice images raises CoincidentPoints.
 
 First-kind formulation by design: spurious interior resonances are detected
 through a condition estimate, not cured.
@@ -127,7 +126,7 @@ class IncidentField:
         its lattice images.
         """
         if self.kind == "point_source":
-            return self._point_source(QPSources(medium, q, [self.source]), X, False)
+            return self._point_source(medium, q, X, False)
         return self.jet(medium, q, X)[0]
 
     def jet(self, medium: ElasticMedium, q: QuasiMomentum, X):
@@ -142,16 +141,17 @@ class IncidentField:
             pol = np.array([-d[1], d[0]])
             k = np.real(medium.k_s)
         elif self.kind == "point_source":
-            return self._point_source(QPSources(medium, q, [self.source]), X, True)
+            return self._point_source(medium, q, X, True)
         else:
             raise ValueError(f"unknown incident kind {self.kind!r}")
         ph = np.exp(1j * k * (X @ d))
         u = pol[None, :] * ph[:, None]
         return u, 1j * k * d[0] * u, 1j * k * d[1] * u
 
-    def _point_source(self, sources, X, want_jet):
-        """The tensor applied from the one source ``sources`` to the polarization vector."""
-        return sources.apply(np.asarray([self.polarization], dtype=complex), X, want_jet)
+    def _point_source(self, medium, q, X, want_jet):
+        """The tensor applied from the one source to the polarization vector."""
+        return QPSources(medium, q, [self.source]).apply(
+            np.asarray([self.polarization], dtype=complex), X, want_jet)
 
 
 def plane_incidence(medium: ElasticMedium, kind: str, theta: float):
@@ -171,20 +171,6 @@ def plane_incidence(medium: ElasticMedium, kind: str, theta: float):
 
 def point_source_incidence(z, polarization):
     return IncidentField("point_source", source=tuple(z), polarization=tuple(polarization))
-
-
-def incident_on(sources: QPSources, incident: IncidentField, X, want_jet: bool = False):
-    """``incident.eval`` (``incident.jet`` when ``want_jet``) at X (n, 2) for
-    the system whose nodes are ``sources``.
-
-    A point source is applied through ``sources.at``, so it reads the
-    system's kernel table instead of building its own.
-    """
-    if incident.kind == "point_source":
-        return incident._point_source(sources.at([incident.source]), X, want_jet)
-    if want_jet:
-        return incident.jet(sources.medium, sources.q, X)
-    return incident.eval(sources.medium, sources.q, X)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +314,7 @@ class ScatterSolution:
     normal: np.ndarray        # (N, 2), upward
     density: np.ndarray       # (N, 2) complex
     cond_estimate: float
-    sources: QPSources        # the nodes and the system's kernel table
+    sources: QPSources        # the nodes, with the system's kernel table
 
     @property
     def arc_length(self) -> float:
@@ -436,7 +422,7 @@ def solve_dirichlet_multi(medium: ElasticMedium, q: QuasiMomentum,
     sysd = _build_system(medium, q, profile, N)
     out = []
     for inc in incidents:
-        rhs = -incident_on(sysd["sources"], inc, sysd["pts"]).reshape(-1)
+        rhs = -inc.eval(medium, q, sysd["pts"]).reshape(-1)
         psi = lu_solve(sysd["lu"], rhs).reshape(N, 2)
         out.append(ScatterSolution(medium, q, profile, inc, N, sysd["t"], sysd["pts"],
                                    sysd["jac"], sysd["nu"], psi, sysd["cond"], sysd["sources"]))
@@ -454,7 +440,7 @@ def boundary_residual(sol: ScatterSolution, n_check: int | None = None) -> float
     Wfull = log_quadrature_weights_off_node(tc, N)
     Mat = Wfull[..., None, None] * A + B / N
     u_sc = np.einsum("cnab,nb->ca", Mat, sol.density)
-    u_inc = incident_on(sol.sources, sol.incident, pc)
+    u_inc = sol.incident.eval(sol.medium, sol.q, pc)
     ref = float(np.max(np.abs(u_inc)))
     return float(np.max(np.abs(u_sc + u_inc))) / ref
 

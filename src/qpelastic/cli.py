@@ -16,7 +16,7 @@ import numpy as np
 
 from . import errors
 from ._series import equal_rows
-from .bem2d import (ProfileCurve2, boundary_residual, eval_scattered, incident_on,
+from .bem2d import (ProfileCurve2, boundary_residual, eval_scattered,
                     plane_incidence, point_source_incidence, solve_dirichlet,
                     traction)
 from .errors import ConfigError
@@ -458,7 +458,7 @@ def cmd_solve2d(rc, out_path):
     x1 = np.arange(ngrid) / ngrid
     X = np.stack([x1, np.full(ngrid, height)], axis=-1)
     nu = np.tile([0.0, 1.0], (ngrid, 1))
-    ui, di1, di2 = incident_on(sol.sources, incident, X, want_jet=True)
+    ui, di1, di2 = incident.jet(medium, q, X)
     gi = np.stack([di1, di2], axis=-1)
     us, gs = eval_scattered(sol, X, need_gradient=True)
     j_inc = flux_2d(medium, ui, traction(medium, ui, gi, nu))

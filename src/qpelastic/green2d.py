@@ -19,7 +19,8 @@ Close to the source line the series needs O(1/|d|) modes.  There
 :class:`RemainderTable`, a tensor-Chebyshev table of the smooth remainder
 ``R = G + Phi/(2 pi)`` on ``|tau| <= 1/2``, ``|d| <= NEAR_GAP``, gives G and
 its x-derivatives, with Phi and grad Phi in closed form.  The table is built
-once per (medium, alpha) from the plain series, one row of nodes at a time:
+once per (medium, alpha) from the plain series and kept, so every caller of
+that (medium, alpha) shares it; it is fitted one row of nodes at a time:
 the nodes of a row share their gap d_k and with it the mode matrices
 M(alpha_l, d_k).  Beyond ``NEAR_GAP`` the plain series converges fast and is
 used directly.  Where a table's coefficients do not decay it raises
@@ -39,7 +40,7 @@ evaluator by one rule, for values and derivatives alike:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -148,9 +149,9 @@ def _window_arrays(medium, q, D, tol):
 def _series_sum(medium, al, tau, d, want_jet: bool):
     """sum_l e^{i alpha_l tau} M(alpha_l, d) over the modes ``al`` at pairs (tau, d).
 
-    One (pairs x modes) contraction per block of pairs, the block sized so a
-    stack of mode matrices stays near 16 MB.  Returns (P, 2, 2), or a
-    (value, d/dx1, d/dx2) tuple when ``want_jet``.
+    One (pairs x modes) contraction per output and block of pairs, the block
+    sized so a stack of mode matrices stays near 16 MB.  Returns (P, 2, 2), or
+    a (value, d/dx1, d/dx2) tuple when ``want_jet``.
     """
     al = np.asarray(al)
     out = [np.empty((len(tau), 2, 2), dtype=complex) for _ in range(3 if want_jet else 1)]
@@ -159,14 +160,13 @@ def _series_sum(medium, al, tau, d, want_jet: bool):
         sl = slice(i, i + rows)
         ph = np.exp(1j * np.outer(tau[sl], al))
         D, s = np.abs(d[sl])[:, None], np.sign(d[sl])[:, None]
-        blocks = _unified_blocks(medium, al, D, s, want_jet)
-        val = blocks[0] if want_jet else blocks
-        # the value keeps its einsum, so solver outputs stay byte-stable; the
-        # derivatives take the batched matmul, about three times faster
-        out[0][sl] = np.einsum("pm,pmab->pab", ph, val)
         if want_jet:
-            for o, p, b in ((out[1], ph * (1j * al), val), (out[2], ph, blocks[1])):
-                o[sl] = np.matmul(p[:, None, :], b.reshape(b.shape[:2] + (4,))).reshape(-1, 2, 2)
+            val, d2 = _unified_blocks(medium, al, D, s, True)
+            terms = ((ph, val), (ph * (1j * al), val), (ph, d2))
+        else:
+            terms = ((ph, _unified_blocks(medium, al, D, s)),)
+        for o, (p, b) in zip(out, terms):
+            o[sl] = np.einsum("pm,pmab->pab", p, b)
     return tuple(out) if want_jet else out[0]
 
 
@@ -234,9 +234,9 @@ class QPSources:
     """The quasi-periodic tensor applied from fixed sources Y (N, 2).
 
     :meth:`apply` sums G(x - Y_n) c_n by the evaluator rule of the module
-    docstring.  ``table``, the :class:`RemainderTable` of the same
-    (medium, alpha), is built the first time a pair falls within NEAR_GAP
-    and kept on the instance; :meth:`at` gives other sources that share it.
+    docstring.  ``table`` is the :class:`RemainderTable` of the same
+    (medium, alpha), looked up the first time a pair falls within NEAR_GAP;
+    :func:`remainder_table` keeps it for every other caller.
 
     Targets more than NEAR_GAP above ``crest`` = max y2 take the plain series
     of pairs beyond NEAR_GAP, over the same window, in Rayleigh form.  For
@@ -261,20 +261,10 @@ class QPSources:
         check_wood_window(medium, q, al)
         self.alpha_l = al.astype(complex)
         self.crest = float(np.max(self.Y[:, 1]))
-        self._table = []   # the kernel table once built, shared by ``at``
 
-    @property
+    @cached_property
     def table(self) -> RemainderTable:
-        if not self._table:
-            self._table.append(remainder_table(self.medium, self.q.alpha))
-        return self._table[0]
-
-    def at(self, Y) -> QPSources:
-        """Sources Y of the same medium and quasi-momentum, sharing the kernel
-        table with this set whichever of them builds it."""
-        other = QPSources(self.medium, self.q, Y)
-        other._table = self._table
-        return other
+        return remainder_table(self.medium, self.q.alpha)
 
     @cached_property
     def _rayleigh_factors(self):
@@ -404,30 +394,37 @@ class RemainderTable:
 
     @cached_property
     def _derivative_coef(self):
-        """Coefficients of dR/dtau and dR/dd, fitted at the table's nodes.
-        Differentiating ``coef`` instead multiplies the rounding of the
-        sampled values by about n^2 (1.7e-12 of max |grad G| at omega = 60)."""
+        """Coefficients of dR/dtau and dR/dd, fitted to the series' own
+        derivative values from the table's node counts up, until they resolve
+        as :func:`remainder_table` requires of ``coef``; raises
+        TableUnresolved when they do not.  Differentiating ``coef`` instead
+        multiplies the rounding of the sampled values by about n^2 (1.7e-12
+        of max |grad G| at omega = 60)."""
         n_tau, m, _ = self.coef.shape
-        return _fit_remainder(self.medium, self.alpha, n_tau, 2 * m, derivatives=True)
+        return _resolve(lambda n: _fit_remainder(self.medium, self.alpha, *n, derivatives=True),
+                        [n_tau, 2 * m], f"derivative table for omega={self.medium.omega}, "
+                        f"alpha={self.alpha}")
 
     def remainder(self, tau, d, want_jet: bool = False):
         """R at separations inside the table's cell; (P, 2, 2), or the
         (R, dR/dtau, dR/dd) tuple when ``want_jet``."""
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         d = np.atleast_1d(np.asarray(d, dtype=float))
-        n_tau, m, _ = self.coef.shape
         coefs = (self.coef,) + (self._derivative_coef if want_jet else ())
+        n_tau, m = (max(c.shape[i] for c in coefs) for i in (0, 1))
         tx = _cheb_basis(2.0 * tau, n_tau)
         # a real basis times complex coefficients, as real products on the
         # (re, im) pairs of R_11, R_22 and R_12
-        vs = [(tx @ c.reshape(n_tau, 3 * m).view(float)).reshape(len(tau), m, 6) for c in coefs]
+        vs = [(tx[:, :len(c)] @ c.reshape(len(c), -1).view(float)).reshape(len(tau), c.shape[1], 6)
+              for c in coefs]
         del tx   # before the d basis is built, which keeps the peak memory down
         ty = _cheb_basis(d / NEAR_GAP, 2 * m).reshape(len(tau), m, 2)
         out = []
         for flip, v in zip((0, 0, 1), vs):   # d/dd flips the parity in d
+            t = ty[:, :v.shape[1]]
             r = np.empty((len(tau), 6))
-            r[:, :4] = np.einsum("pk,pkf->pf", ty[..., flip], v[..., :4])       # diagonal
-            r[:, 4:] = np.einsum("pk,pkf->pf", ty[..., 1 - flip], v[..., 4:])   # off-diagonal
+            r[:, :4] = np.einsum("pk,pkf->pf", t[..., flip], v[..., :4])       # diagonal
+            r[:, 4:] = np.einsum("pk,pkf->pf", t[..., 1 - flip], v[..., 4:])   # off-diagonal
             r = r.view(complex)
             R = np.empty((len(tau), 2, 2), dtype=complex)
             R[:, 0, 0], R[:, 1, 1] = r[:, 0], r[:, 1]
@@ -514,31 +511,32 @@ def _fit_remainder(medium, alpha, n_tau, n_d, derivatives: bool = False):
     return tuple(out) if derivatives else out[0]
 
 
-def remainder_table(medium: ElasticMedium, alpha: float) -> RemainderTable:
-    """Tabulate R = G + Phi/(2 pi) on the period cell for one (medium, alpha).
+def _resolve(fit, n, what):
+    """The coefficient arrays ``fit(n)`` at node counts n = [n_tau, n_d],
+    grown until they resolve.
 
-    The node count in each direction grows from ``_TABLE_START`` until the
-    two trailing Chebyshev coefficients in that direction fall below
-    ``_TABLE_TOL`` times the largest coefficient.  Raises WoodAnomaly when a
-    mode of the series window sits at a cut-off, and TableUnresolved when the
-    trailing coefficients stop falling below ``_TABLE_FLOOR`` or have not
-    reached the tolerance by ``_TABLE_MAX`` nodes.
+    The node count in each direction grows until the two trailing Chebyshev
+    coefficients in that direction of every array fall below ``_TABLE_TOL``
+    times that array's largest coefficient.  Raises TableUnresolved, naming
+    ``what``, when the trailing coefficients stop falling below
+    ``_TABLE_FLOOR`` or have not reached the tolerance by ``_TABLE_MAX`` nodes.
     """
-    n = list(_TABLE_START)
     before = [np.inf, np.inf]   # each direction's tail before its last growth
     while True:
-        coef = _fit_remainder(medium, alpha, *n)
-        scale = float(np.max(np.abs(coef)))
-        tail = [float(np.max(np.abs(coef[-2:]))) / scale,
-                float(np.max(np.abs(coef[:, -1]))) / scale]
+        coefs = fit(n)
+        tail = [0.0, 0.0]
+        for c in coefs:
+            scale = float(np.max(np.abs(c)))
+            tail = [max(tail[0], float(np.max(np.abs(c[-2:]))) / scale),
+                    max(tail[1], float(np.max(np.abs(c[:, -1]))) / scale)]
         if max(tail) <= _TABLE_TOL:
-            return RemainderTable(medium, float(alpha), coef)
+            return coefs
         stalled = any(b <= t <= _TABLE_FLOOR for t, b in zip(tail, before))
         if stalled or max(n) >= _TABLE_MAX:
             raise TableUnresolved(
-                f"remainder table for omega={medium.omega}, alpha={alpha}: trailing "
-                f"coefficients {tail[0]:.1e} (tau), {tail[1]:.1e} (d) at {n[0]}x{n[1]} "
-                f"nodes {'stopped falling' if stalled else 'reached the node limit'} "
+                f"{what}: trailing coefficients {tail[0]:.1e} (tau), {tail[1]:.1e} (d) "
+                f"at {n[0]}x{n[1]} nodes "
+                f"{'stopped falling' if stalled else 'reached the node limit'} "
                 f"above {_TABLE_TOL:.0e}")
         for i in range(2):
             grow = tail[i] > _TABLE_TOL
@@ -547,10 +545,25 @@ def remainder_table(medium: ElasticMedium, alpha: float) -> RemainderTable:
                 n[i] = 2 * int(np.ceil(_TABLE_GROWTH * n[i] / 2))
 
 
+@lru_cache(maxsize=16)
+def remainder_table(medium: ElasticMedium, alpha: float) -> RemainderTable:
+    """Tabulate R = G + Phi/(2 pi) on the period cell for one (medium, alpha).
+
+    The node counts grow from ``_TABLE_START`` until the coefficients
+    resolve (see :func:`_resolve`).  The 16 most recent tables are kept, so
+    every caller of one (medium, alpha) shares one table.  Raises WoodAnomaly
+    when a mode of the series window sits at a cut-off, and TableUnresolved
+    when the coefficients do not resolve.
+    """
+    coef, = _resolve(lambda n: (_fit_remainder(medium, alpha, *n),), list(_TABLE_START),
+                     f"remainder table for omega={medium.omega}, alpha={alpha}")
+    return RemainderTable(medium, float(alpha), coef)
+
+
 def green2d_near_line_batch(medium: ElasticMedium, alpha: float, tau, d,
                             want_jet: bool = False):
     """Quasi-periodic tensor at separations (tau, d) with |tau| <= 1/2,
-    d = 0 included, through a kernel table built for the call.
+    d = 0 included, through the kernel table of (medium, alpha).
 
     :meth:`RemainderTable.green` of ``remainder_table(medium, alpha)``:
     (P, 2, 2), or a (value, d/dx1, d/dx2) tuple when ``want_jet``.

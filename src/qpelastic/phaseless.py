@@ -10,12 +10,10 @@ Every field here is the quasi-periodic tensor applied from a source set:
 point sources through :class:`~qpelastic.green2d.QPSources` with one
 source, scattered fields through the solution's sources at the nodes.  So
 one evaluator rule serves all of them: targets more than NEAR_GAP above every
-source take the Rayleigh form, pairs with |d| <= NEAR_GAP take the source
-set's kernel table, and pairs beyond take the plain series.  The incident
-field of a solved system goes through :func:`~qpelastic.bem2d.incident_on`
-and reads the system's table.  The point-source reciprocity level takes each
-tensor from one ``apply`` of the identity charge block, so each side of a
-pair builds at most one table.
+source take the Rayleigh form, pairs with |d| <= NEAR_GAP take the kernel
+table of (medium, alpha), which every caller shares, and pairs beyond take
+the plain series.  The point-source reciprocity level takes each tensor from
+one ``apply`` of the identity charge block.
 
 Magnitudes are stored already phase-stripped; no phase survives the
 synthesis boundary.
@@ -27,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bem2d import (ProfileCurve2, eval_scattered, incident_on,
+from .bem2d import (ProfileCurve2, eval_scattered,
                     point_source_incidence, solve_dirichlet_multi)
 from .errors import GridMismatch
 from .green2d import QPSources
@@ -150,7 +148,7 @@ def synth_phaseless(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCur
         for j in range(len(zs)):
             incidents.append(point_source_incidence(zs[j], cfg.movable_pols[l]))
     sols = solve_dirichlet_multi(medium, q, profile, incidents, N)
-    fields = [incident_on(sol.sources, sol.incident, X) + eval_scattered(sol, X) for sol in sols]
+    fields = [sol.incident.eval(medium, q, X) + eval_scattered(sol, X) for sol in sols]
 
     probes = np.asarray(cfg.probes, dtype=float)  # (K, 2)
     u_fixed = fields[0]
@@ -245,8 +243,8 @@ def check_reciprocity(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileC
         u_f = eval_scattered(sol_f, x[None, :])[0]
         u_b = eval_scattered(sol_b, z[None, :])[0]
         if level == "total":
-            u_f = u_f + incident_on(sol_f.sources, sol_f.incident, x[None, :])[0]
-            u_b = u_b + incident_on(sol_b.sources, sol_b.incident, z[None, :])[0]
+            u_f = u_f + sol_f.incident.eval(medium, q, x[None, :])[0]
+            u_b = u_b + sol_b.incident.eval(medium, qm, z[None, :])[0]
         lhs = np.dot(np.asarray(p, complex), u_f)
         rhs = np.dot(np.asarray(pq, complex), u_b)
         worst = max(worst, abs(lhs - rhs))

@@ -461,25 +461,26 @@ def test_sources_build_table_and_rayleigh_factors_on_demand(grating_setup, monke
     import qpelastic.green2d as g2
 
     med, _, q = grating_setup
-    built = []
-    table = g2.remainder_table
-    monkeypatch.setattr(g2, "remainder_table", lambda *a: built.append(a) or table(*a))
+    g2.remainder_table.cache_clear()
+    fits = []
+    fit = g2._fit_remainder
+    monkeypatch.setattr(g2, "_fit_remainder",
+                        lambda *a, **k: fits.append(k.get("derivatives", False)) or fit(*a, **k))
     src = QPSources(med, q, [(0.4, 0.3)])
     src.apply([[1.0, 0.0]], [(0.2, -0.5), (0.9, 0.0)])          # plain series only
-    assert built == [] and "_rayleigh_factors" not in vars(src)
-    src.apply([[1.0, 0.0]], [(0.2, 0.45)], want_jet=True)       # within NEAR_GAP
-    assert len(built) == 1 and "_rayleigh_factors" not in vars(src)
+    assert fits == [] and "table" not in vars(src) and "_rayleigh_factors" not in vars(src)
+    src.apply([[1.0, 0.0]], [(0.2, 0.45)])                      # within NEAR_GAP
+    assert fits == [False] and "_rayleigh_factors" not in vars(src)
     src.apply([[1.0, 0.0]], [(0.2, 0.9)])                       # above the crest
     assert "_rayleigh_factors" in vars(src)
-    # sources made by ``at`` share the table, and so does a system's
-    # point-source incidence
-    src.at([(0.1, 0.2)]).apply([[0.0, 1.0]], [(0.3, 0.25)])
-    assert len(built) == 1
+    # other sources of the same (medium, alpha) share the table, the system
+    # of a point-source incidence included; jets fit their derivative table once
+    QPSources(med, q, [(0.1, 0.2)]).apply([[0.0, 1.0]], [(0.3, 0.25)], want_jet=True)
     sol = solve_dirichlet(med, q, ProfileCurve2(0.0, (), (0.1,)),
                           point_source_incidence((0.4, 0.2), (1.0, 0.0)), N=32)
-    assert len(built) == 2
     boundary_residual(sol)
-    assert len(built) == 2
+    sol.sources.apply(sol.density, [(0.3, 0.2)], want_jet=True)
+    assert fits == [False, True]
 
 
 def test_point_source_past_table_limit(grating_setup):

@@ -89,6 +89,7 @@ def test_solve2d_unresolved_table_exit3(tmp_path, monkeypatch, capsys):
     import qpelastic.green2d as g2
 
     monkeypatch.setattr(g2, "_TABLE_TOL", 0.0)
+    g2.remainder_table.cache_clear()   # tables are kept per (medium, alpha)
     p = write_cfg(tmp_path, BASE_CONFIG)
     assert main(["solve2d", "--config", p, "--out", str(tmp_path / "r.json")]) == 3
     assert "TableUnresolved" in capsys.readouterr().err

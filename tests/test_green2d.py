@@ -224,6 +224,7 @@ def test_remainder_table_refuses_unresolved(monkeypatch):
     import qpelastic.green2d as g2
 
     med = make_medium(2.0, 1.0, 1.0, 5.0)
+    g2.remainder_table.cache_clear()   # tables are kept per (medium, alpha)
     fits = []
     fit = g2._fit_remainder
     monkeypatch.setattr(g2, "_fit_remainder", lambda *a: fits.append(a[2:]) or fit(*a))
@@ -275,7 +276,7 @@ def test_table_jet_against_abel_plana():
     ds = np.array([0.02, -0.05, 0.1, -0.2, NEAR_GAP, -0.26, 0.4, -0.8, 1.3, 2.0])
     tau, d = (a.ravel() for a in np.meshgrid(taus, ds, indexing="ij"))
     near = np.abs(d) <= NEAR_GAP
-    for omega in (5.0, 12.0, 60.0):
+    for omega in (5.0, 12.0, 60.0, 70.0):
         med = make_medium(2.0, 1.0, 1.0, omega)
         for alpha in (0.3, -1.7):
             ref = near_line_abel_plana(med, alpha, tau, d, want_jet=True)
@@ -285,6 +286,24 @@ def test_table_jet_against_abel_plana():
                 assert np.max(np.abs(g[~near] - r[~near])) <= 1e-13 * np.max(np.abs(r[~near]))
             # the value of the jet is the value alone, bit for bit
             assert np.array_equal(got[0], green2d_near_line_batch(med, alpha, tau, d))
+
+
+def test_derivative_table_refuses_unresolved(monkeypatch):
+    # the derivative coefficients must resolve as the values do: a jet from
+    # a table whose derivative fit does not resolve raises, while values
+    # still answer
+    import qpelastic.green2d as g2
+
+    med = make_medium(2.0, 1.0, 1.0, 5.0)
+    table = g2.RemainderTable(med, 0.3, remainder_table(med, 0.3).coef)   # no jet fitted yet
+    fits = []
+    fit = g2._fit_remainder
+    monkeypatch.setattr(g2, "_fit_remainder", lambda *a, **k: fits.append(a[2:]) or fit(*a, **k))
+    monkeypatch.setattr(g2, "_TABLE_TOL", 0.0)
+    with pytest.raises(TableUnresolved, match="derivative table .* stopped falling"):
+        table.green([0.1], [0.05], want_jet=True)
+    assert fits == [(28, 28), (36, 36)]
+    assert np.all(np.isfinite(table.green([0.1], [0.05])))
 
 
 def test_table_refuses_coincident_points(medium_fast):
