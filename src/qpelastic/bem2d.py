@@ -13,18 +13,12 @@ accurate product-trapezoid rule for log kernels, the smooth factor with the
 plain trapezoid rule.
 
 Each system keeps one :class:`~qpelastic.green2d.QPSources` at its nodes.
-Kernel entries of pairs with vertical gap |d| <= NEAR_GAP read the smooth
-remainder R = G + Phi/(2 pi) from its
-:class:`~qpelastic.green2d.RemainderTable` and subtract the closed-form
-free-space tensor Phi/(2 pi); pairs beyond take the plain spectral series.
-The on-diagonal finite part uses R(0, 0) from the same table.
-
-Incident point sources and the scattered field are the tensor applied from a
-source set, so both go through ``QPSources.apply`` and its one evaluator
-rule, for values and gradients alike: targets more than NEAR_GAP above
-every source take the Rayleigh form of the plain series, pairs with
-|d| <= NEAR_GAP take the kernel table, and pairs beyond take the plain
-series.  There is one table per (medium, alpha), which the system and its
+Every kernel entry off the diagonal is ``QPSources.green`` at the pair's
+separation, by the one evaluator rule of :mod:`qpelastic.green2d`; the
+on-diagonal finite part uses R(0, 0) = (G + Phi/(2 pi))(0, 0) from the
+sources' kernel table.  Incident point sources and the scattered field,
+values and gradients alike, are one ``QPSources.apply`` from a source set.
+There is one table per (medium, alpha), which the system and its
 point-source incidences share.  A target on a point source or one of its
 lattice images raises CoincidentPoints.
 
@@ -87,15 +81,6 @@ class ProfileCurve2:
         k, a, b = self._terms()
         ang = 2 * np.pi * np.multiply.outer(t, k)
         return -np.sin(ang) @ (2 * np.pi * k * a) + np.cos(ang) @ (2 * np.pi * k * b)
-
-    def ddf(self, t):
-        t = np.asarray(t, dtype=float)
-        if max(len(self.cos_coeffs), len(self.sin_coeffs)) == 0:
-            return np.zeros_like(t)
-        k, a, b = self._terms()
-        ang = 2 * np.pi * np.multiply.outer(t, k)
-        w2 = (2 * np.pi * k) ** 2
-        return -np.cos(ang) @ (w2 * a) - np.sin(ang) @ (w2 * b)
 
     @property
     def max_height(self):
@@ -176,19 +161,16 @@ def point_source_incidence(z, polarization):
 # ---------------------------------------------------------------------------
 # traction
 # ---------------------------------------------------------------------------
-def traction(medium: ElasticMedium, u, grad, nu, tau=None):
+def traction(medium: ElasticMedium, u, grad, nu):
     """Surface traction 2 mu d_nu u + lam nu (div u) - mu tau (curl u).
 
-    ``grad[..., i, j] = d_j u_i``; ``tau`` defaults to ``nu`` rotated by +90
-    degrees, which makes the formula the physical stress vector sigma.nu.
+    ``grad[..., i, j] = d_j u_i``; ``tau`` is ``nu`` rotated by +90 degrees,
+    which makes the formula the physical stress vector sigma.nu.
     """
     u = np.asarray(u)
     grad = np.asarray(grad)
     nu = np.asarray(nu, dtype=float)
-    if tau is None:
-        tau = np.stack([-nu[..., 1], nu[..., 0]], axis=-1)
-    else:
-        tau = np.asarray(tau, dtype=float)
+    tau = np.stack([-nu[..., 1], nu[..., 0]], axis=-1)
     div = grad[..., 0, 0] + grad[..., 1, 1]
     curl = grad[..., 1, 0] - grad[..., 0, 1]
     dnu = np.einsum("...ij,...j->...i", grad, nu)
@@ -338,7 +320,6 @@ def _kernel_split(sources: QPSources, pts_rows, jac_cols, phi_reg_rows=None):
     tangential finite-part matrices for rows that coincide with columns (the
     on-node case); pass None when the row set avoids all columns.
     """
-    medium, table = sources.medium, sources.table
     nr, nc = len(pts_rows), len(sources.Y)
     tau, phase, d = sources.wrap(pts_rows)
 
@@ -348,13 +329,13 @@ def _kernel_split(sources: QPSources, pts_rows, jac_cols, phi_reg_rows=None):
         diag_mask[np.arange(nr), np.arange(nc)] = True
 
     # smooth log-coefficient factor
-    a_log = _log_coeff(medium, tau, d)
+    a_log = _log_coeff(sources.medium, tau, d)
     chi = _chi(tau)
     A = -(chi * phase)[..., None, None] * a_log * jac_cols[None, :, None, None] / (4 * np.pi)
 
     # kernel values off the diagonal
     G = np.zeros((nr, nc, 2, 2), dtype=complex)
-    G[~diag_mask] = table.green(tau[~diag_mask], d[~diag_mask])
+    G[~diag_mask] = sources.green(tau[~diag_mask], d[~diag_mask])
     K = phase[..., None, None] * G * jac_cols[None, :, None, None]
 
     # ln(4 sin^2(pi (t - s))) of the unwrapped parameter offset
@@ -364,8 +345,8 @@ def _kernel_split(sources: QPSources, pts_rows, jac_cols, phi_reg_rows=None):
     B = K - A * lnterm[..., None, None]
 
     if phi_reg_rows is not None:
-        r00 = table.remainder(0.0, 0.0)[0]
-        a0 = _log_coeff(medium, 0.0, 0.0)
+        r00 = sources.table.remainder(0.0, 0.0)[0]
+        a0 = _log_coeff(sources.medium, 0.0, 0.0)
         ji = jac_cols[:nr, None, None]
         core = -(a0 * np.log(ji / (2 * np.pi)) + phi_reg_rows) / (2 * np.pi) + r00
         B[diag_mask] = ji * core
@@ -394,7 +375,7 @@ def _build_system(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve
     rcond = lapack.zgecon(lu, anorm)[0]
     cond = 1.0 / max(rcond, 1e-300)
     if cond > COND_LIMIT:
-        raise ResonanceSuspected(cond)
+        raise ResonanceSuspected(cond, COND_LIMIT, N, medium.omega)
     return dict(t=t, pts=pts, jac=jac, nu=nu, lu=(lu, piv), cond=cond, sources=sources)
 
 
@@ -403,7 +384,8 @@ def solve_dirichlet(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCur
     """Solve the rigid-boundary problem by first-kind Nystrom collocation.
 
     ``N`` must be a power of two >= 32.  Raises ResonanceSuspected when the
-    estimated condition number of the single-layer system exceeds 1e12.
+    estimated condition number of the single-layer system exceeds
+    ``COND_LIMIT`` (1e12).
     """
     return solve_dirichlet_multi(medium, q, profile, [incident], N)[0]
 
@@ -429,12 +411,10 @@ def solve_dirichlet_multi(medium: ElasticMedium, q: QuasiMomentum,
     return out
 
 
-def boundary_residual(sol: ScatterSolution, n_check: int | None = None) -> float:
-    """Relative max-norm residual ||S psi + u_inc|| at off-node boundary points."""
+def boundary_residual(sol: ScatterSolution) -> float:
+    """Relative max-norm residual ||S psi + u_inc|| at 2N off-node boundary points."""
     N = sol.N
-    if n_check is None:
-        n_check = 2 * N
-    tc = (np.arange(n_check) + 0.37) / n_check
+    tc = (np.arange(2 * N) + 0.37) / (2 * N)
     pc, jc, _ = _geometry(sol.profile, tc)
     A, B = _kernel_split(sol.sources, pc, sol.jacobian)
     Wfull = log_quadrature_weights_off_node(tc, N)

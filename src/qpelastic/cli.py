@@ -33,12 +33,6 @@ from .rayleigh import (RayleighCoeffs2, eval_rayleigh_2d, extract_coeffs_2d,
                        flux_2d)
 from .specfun import bessel_j, hankel1, hankel1_deriv, mod_k, mod_k_deriv
 
-_DOMAIN_ERRORS = (errors.WoodAnomaly, errors.NearSourceLine, errors.NearSourcePlane,
-                  errors.DomainError, errors.CoincidentPoints,
-                  errors.TooCloseToBoundary, errors.ResonanceSuspected,
-                  errors.DegenerateModeBasis, errors.AliasedGrid,
-                  errors.InvalidMedium, errors.GridMismatch)
-
 GEOMETRIES = ("qp2d", "qp3d", "biqp3d")
 
 
@@ -214,16 +208,14 @@ def cmd_eval(rc, out_path):
         for j in range(dim):
             cols += [f"re_G{i+1}{j+1}", f"im_G{i+1}{j+1}"]
     cols += ["modes_used", "tail_bound"]
+    # the numbers of a row in column order: x, then (re, im) of G row by row
+    nums = np.concatenate([pts, values.view(float).reshape(len(pts), -1)], axis=1)
+    row = ",".join(["%.17g"] * nums.shape[1] + ["%d", "%.17g"]) + "\n"
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("# config: " + json.dumps(rc, sort_keys=True) + "\n")
         fh.write(",".join(cols) + "\n")
-        for x, g, n, tb in zip(pts, values, modes, tails):
-            vals = [_fmt(v) for v in x]
-            for i in range(dim):
-                for j in range(dim):
-                    vals += [_fmt(g[i, j].real), _fmt(g[i, j].imag)]
-            vals += [str(n), _fmt(tb)]
-            fh.write(",".join(vals) + "\n")
+        for r, n, tb in zip(nums.tolist(), modes.tolist(), tails.tolist()):
+            fh.write(row % (*r, n, tb))
     return 0
 
 
@@ -651,7 +643,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
+    except errors.QPElasticError as exc:
         print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 2

@@ -62,9 +62,9 @@ class TooCloseToBoundary(QPElasticError):
 class ResonanceSuspected(QPElasticError):
     """Single-layer system ill-conditioned (spurious interior resonance)."""
 
-    def __init__(self, cond):
-        self.cond = cond
-        super().__init__(f"condition estimate {cond:.3e} exceeds 1e12")
+    def __init__(self, cond, limit, N, omega):
+        self.cond, self.limit, self.N, self.omega = cond, limit, N, omega
+        super().__init__(f"condition estimate {cond:.3e} exceeds {limit:g} at N={N}, omega={omega}")
 
 
 class GridMismatch(QPElasticError):

@@ -82,36 +82,38 @@ def navier_apply_fd(field, medium: ElasticMedium, x, h: float):
     return mu * lap + (lam + mu) * grad_div + medium.rho_omega2 * center
 
 
-def navier_residual(field, medium: ElasticMedium, points, h: float,
-                    scale: float | None = None) -> float:
+def navier_residual(field, medium: ElasticMedium, points, h: float) -> float:
     """Max relative residual of the Navier equation over the given points.
 
-    Relative to ``rho omega^2 * max |field|`` unless ``scale`` is given.
+    Relative to ``rho omega^2 * max |field|`` at the first point.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    worst = 0.0
-    ref = scale
-    for x in points:
-        res = navier_apply_fd(field, medium, x, h)
-        if ref is None:
-            ref = abs(medium.rho_omega2) * float(np.max(np.abs(field(x[None, :]))))
-        worst = max(worst, float(np.max(np.abs(res))) / ref)
-    return worst
+    ref = abs(medium.rho_omega2) * float(np.max(np.abs(field(points[:1]))))
+    return max(float(np.max(np.abs(navier_apply_fd(field, medium, x, h)))) / ref for x in points)
 
 
 # ---------------------------------------------------------------------------
 # Distributional delta weights of the mode ODE systems.
 # ---------------------------------------------------------------------------
-def delta_weight_qp3d(medium: ElasticMedium, q, m: int, radius: float = 0.5,
-                      n_theta: int = 64, n_r: int = 48, h: float = 1e-3) -> np.ndarray:
+# the disk of delta_weight_qp3d: its radius, flux nodes on the circle,
+# Gauss-Legendre nodes in the radius and central-difference step
+_DISK_RADIUS = 0.5
+_DISK_N_THETA = 64
+_DISK_N_R = 48
+_DISK_H = 1e-3
+
+
+def delta_weight_qp3d(medium: ElasticMedium, q, m: int) -> np.ndarray:
     """Integrate the mode ODE operator over a transverse disk by quadrature.
 
-    Divergence form: boundary flux on the circle (derivatives by central
-    differences) plus the zeroth-order area term.  Returns the 3x3 source
-    weight; for the quasi-periodic mode system it equals (1/(2 pi)) I.
+    Divergence form: boundary flux on the circle of radius 0.5 (derivatives
+    by central differences) plus the zeroth-order area term.  Returns the
+    3x3 source weight; for the quasi-periodic mode system it equals
+    (1/(2 pi)) I.
     """
     from .green3d_qp import c_arrays
 
+    radius, n_theta, n_r, h = _DISK_RADIUS, _DISK_N_THETA, _DISK_N_R, _DISK_H
     a = ModeTable.of(medium, q, [m]).alpha_l[0]
     lam, mu = medium.lam, medium.mu
     rw2 = medium.rho_omega2

@@ -22,19 +22,29 @@ its x-derivatives, with Phi and grad Phi in closed form.  The table is built
 once per (medium, alpha) from the plain series and kept, so every caller of
 that (medium, alpha) shares it; it is fitted one row of nodes at a time:
 the nodes of a row share their gap d_k and with it the mode matrices
-M(alpha_l, d_k).  Beyond ``NEAR_GAP`` the plain series converges fast and is
-used directly.  Where a table's coefficients do not decay it raises
+M(alpha_l, d_k).  Where a table's coefficients do not decay it raises
 ``TableUnresolved``, and no other evaluator answers in its place.
+
+Beyond ``NEAR_GAP`` the plain series converges fast, and each mode matrix
+is summed as one rank-one term per wave type (Rayleigh's expansion),
+
+    M(alpha_l, d) = c e^{i beta_l |d|}/beta_l p p^T + c e^{i gamma_l |d|}/gamma_l s s^T,
+
+p = (alpha_l, sgn(d) beta_l), s = (gamma_l, -sgn(d) alpha_l), beta_l = b,
+gamma_l = g and c = (i/4pi) C.  The two terms cancel where |alpha_l| >> k_s,
+which at the smaller gaps of the table fit and of the point series costs
+digits; those keep the form of M above.
 
 :class:`QPSources` is the one way to apply the tensor from a set of sources
 Y_n with charges c_n, sum_n G(x - Y_n) c_n.  It wraps x1 - y1 into
 (tau, n) with |tau| <= 1/2, applies the phase e^{i alpha n}, and picks the
 evaluator by one rule, for values and derivatives alike:
 
-* targets more than NEAR_GAP above every source take the Rayleigh form of
-  the plain series, O(modes) per target;
-* pairs with |d| <= NEAR_GAP take the kernel table, built on first use;
-* pairs beyond take the plain series.
+* targets more than NEAR_GAP above every source take the Rayleigh form
+  factorised over the sources, O(modes) per target;
+* every other target takes G at each separation from
+  :meth:`QPSources.green`: pairs with |d| <= NEAR_GAP read the kernel
+  table, built on first use, and pairs beyond sum the rank-one terms.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from ._series import contract_by_key, equal_rows
-from .errors import CoincidentPoints, NearSourceLine, TableUnresolved
+from .errors import CoincidentPoints, DomainError, NearSourceLine, TableUnresolved
 from .green_free import COINCIDENT_TOL, GreenEval, _kupradze2d_value
 from .medium import (ElasticMedium, QuasiMomentum, branch_sqrt, check_wood_window,
                      mode_window)
@@ -146,30 +156,6 @@ def _window_arrays(medium, q, D, tol):
     return m, al
 
 
-def _series_sum(medium, al, tau, d, want_jet: bool):
-    """sum_l e^{i alpha_l tau} M(alpha_l, d) over the modes ``al`` at pairs (tau, d).
-
-    One (pairs x modes) contraction per output and block of pairs, the block
-    sized so a stack of mode matrices stays near 16 MB.  Returns (P, 2, 2), or
-    a (value, d/dx1, d/dx2) tuple when ``want_jet``.
-    """
-    al = np.asarray(al)
-    out = [np.empty((len(tau), 2, 2), dtype=complex) for _ in range(3 if want_jet else 1)]
-    rows = max(1, (1 << 18) // len(al))
-    for i in range(0, len(tau), rows):
-        sl = slice(i, i + rows)
-        ph = np.exp(1j * np.outer(tau[sl], al))
-        D, s = np.abs(d[sl])[:, None], np.sign(d[sl])[:, None]
-        if want_jet:
-            val, d2 = _unified_blocks(medium, al, D, s, True)
-            terms = ((ph, val), (ph * (1j * al), val), (ph, d2))
-        else:
-            terms = ((ph, _unified_blocks(medium, al, D, s)),)
-        for o, (p, b) in zip(out, terms):
-            o[sl] = np.einsum("pm,pmab->pab", p, b)
-    return tuple(out) if want_jet else out[0]
-
-
 def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
                        tol: float = DEFAULT_TOL, gap_min: float = GAP_MIN,
                        tol_wood: float | None = None):
@@ -233,25 +219,20 @@ def _period(x1):
 class QPSources:
     """The quasi-periodic tensor applied from fixed sources Y (N, 2).
 
-    :meth:`apply` sums G(x - Y_n) c_n by the evaluator rule of the module
-    docstring.  ``table`` is the :class:`RemainderTable` of the same
-    (medium, alpha), looked up the first time a pair falls within NEAR_GAP;
-    :func:`remainder_table` keeps it for every other caller.
+    :meth:`apply` sums G(x - Y_n) c_n and :meth:`green` gives G at
+    separations, by the rule of the module docstring.  ``table``, the
+    :class:`RemainderTable` of (medium, alpha) that :func:`remainder_table`
+    keeps for every caller, is looked up when a pair first falls within
+    NEAR_GAP.
 
-    Targets more than NEAR_GAP above ``crest`` = max y2 take the plain series
-    of pairs beyond NEAR_GAP, over the same window, in Rayleigh form.  For
-    d > 0 the mode matrix splits into one rank-one term per wave type,
-
-        M(alpha_l, d) = c e^{i beta_l d}/beta_l (a, b)(a, b)^T
-                      + c e^{i gamma_l d}/gamma_l (g, -a)(g, -a)^T,
-
-    with (a, b, g) = (alpha_l, beta_l, gamma_l) and c the prefactor of the
-    module docstring.  The source factors e^{-i alpha_l y1 + i beta_l (crest - y2)}
-    (resp. gamma_l), built when a target first lies above the crest, are at
-    most 1 in modulus; the charges then collapse into two coefficients per
-    mode, and each target costs O(modes).  Raises WoodAnomaly when a mode of
-    that window sits at a cut-off, since the form divides by beta_l and
-    gamma_l.
+    Pairs beyond NEAR_GAP sum the rank-one terms of the module docstring
+    over the window that gap NEAR_GAP needs.  Targets more than NEAR_GAP
+    above ``crest`` = max y2 sum the same terms in Rayleigh form: the source
+    factors e^{-i alpha_l y1 + i beta_l (crest - y2)} (resp. gamma_l), built
+    when a target first lies above the crest, are at most 1 in modulus; the
+    charges then collapse into two coefficients per mode, and each target
+    costs O(modes).  Raises WoodAnomaly when a mode of that window sits at a
+    cut-off, since the terms divide by beta_l and gamma_l.
     """
 
     def __init__(self, medium: ElasticMedium, q: QuasiMomentum, Y):
@@ -259,7 +240,9 @@ class QPSources:
         self.Y = np.atleast_2d(np.asarray(Y, dtype=float))
         al = mode_window(medium, q, NEAR_GAP, _FAR_TOL)[1]
         check_wood_window(medium, q, al)
-        self.alpha_l = al.astype(complex)
+        a = self.alpha_l = al.astype(complex)
+        self.beta_l = branch_sqrt(medium.k_p**2 - a * a)
+        self.gamma_l = branch_sqrt(medium.k_s**2 - a * a)
         self.crest = float(np.max(self.Y[:, 1]))
 
     @cached_property
@@ -268,14 +251,11 @@ class QPSources:
 
     @cached_property
     def _rayleigh_factors(self):
-        """beta_l, gamma_l and the source factors src_p, src_s (N, K)."""
-        medium, a = self.medium, self.alpha_l
-        beta = branch_sqrt(medium.k_p**2 - a * a)
-        gamma = branch_sqrt(medium.k_s**2 - a * a)
+        """The source factors src_p, src_s (N, K)."""
         y1, n = _period(-self.Y[:, 0])
         rise = (self.crest - self.Y[:, 1])[:, None]
-        phase = self.q.alpha * n + y1 * a
-        return beta, gamma, np.exp(1j * (phase + rise * beta)), np.exp(1j * (phase + rise * gamma))
+        phase = self.q.alpha * n + y1 * self.alpha_l
+        return np.exp(1j * (phase + rise * self.beta_l)), np.exp(1j * (phase + rise * self.gamma_l))
 
     def wrap(self, X):
         """Lattice offsets of targets X (P, 2) from every source, each (P, N):
@@ -284,6 +264,45 @@ class QPSources:
         t1 = X[:, 0][:, None] - self.Y[:, 0][None, :]
         n = np.round(t1)
         return t1 - n, np.exp(1j * self.q.alpha * n), X[:, 1][:, None] - self.Y[:, 1][None, :]
+
+    def green(self, tau, d, want_jet: bool = False):
+        """G at separations (tau, d) with |tau| <= 1/2 by the module's rule;
+        (P, 2, 2), or the (value, d/dx1, d/dx2) tuple when ``want_jet``.
+        Raises as :meth:`RemainderTable.green` does for pairs within NEAR_GAP.
+        Far pairs go in blocks whose (pairs x modes) exponentials stay near 8 MB.
+        """
+        tau = np.atleast_1d(np.asarray(tau, dtype=float))
+        d = np.atleast_1d(np.asarray(d, dtype=float))
+        near = np.abs(d) <= NEAR_GAP
+        if near.all() and near.size:   # all in the table's cell, as in an assembly: no copies
+            return self.table.green(tau, d, want_jet)
+        out = [np.empty((len(tau), 2, 2), dtype=complex) for _ in range(3 if want_jet else 1)]
+        if np.any(near):
+            _scatter(out, near, self.table.green(tau[near], d[near], want_jet))
+        far = np.flatnonzero(~near)
+        rows = max(1, (1 << 18) // len(self.alpha_l))
+        for i in range(0, len(far), rows):
+            idx = far[i:i + rows]
+            _scatter(out, idx, self._far(tau[idx], d[idx], want_jet))
+        return tuple(out) if want_jet else out[0]
+
+    def _far(self, tau, d, want_jet):
+        """The rank-one sum at pairs with |d| > NEAR_GAP: entries 11, 12 and
+        22 of c p p^T / beta_l and c s s^T / gamma_l at d > 0 as per-mode
+        weights, sgn(d) applied to entry 12 and to d/dx2 = sgn(d) d/d|d|."""
+        a, b, g = self.alpha_l, self.beta_l, self.gamma_l
+        s, D = np.sign(d)[:, None], np.abs(d)[:, None]
+        ep = np.exp(1j * (tau[:, None] * a + D * b))
+        es = np.exp(1j * (tau[:, None] * a + D * g))
+        wp = _pref(self.medium) * np.stack([a * a / b, a, b], axis=-1)
+        ws = _pref(self.medium) * np.stack([g, -a, a * a / g], axis=-1)
+        ia, ib, ig = (1j * x[:, None] for x in (a, b, g))
+        out = []
+        for fp, fs, sd in [(1.0, 1.0, 1.0), (ia, ia, 1.0), (ib, ig, s)][:3 if want_jet else 1]:
+            v = sd * (ep @ (fp * wp) + es @ (fs * ws))
+            v[:, 1:2] *= s
+            out.append(v[:, [0, 1, 1, 2]].reshape(-1, 2, 2))
+        return tuple(out) if want_jet else out[0]
 
     def apply(self, charges, X, want_jet: bool = False):
         """sum_n G(x - Y_n) charges_n at targets X (P, 2).
@@ -306,10 +325,7 @@ class QPSources:
         rest = ~above
         if np.any(rest):
             tau, phase, d = self.wrap(X[rest])
-            if np.any(np.abs(d) <= NEAR_GAP):
-                G = self.table.green(tau.ravel(), d.ravel(), want_jet)
-            else:
-                G = _series_sum(self.medium, self.alpha_l, tau.ravel(), d.ravel(), want_jet)
+            G = self.green(tau.ravel(), d.ravel(), want_jet)
             for o, g in zip(out, G if want_jet else (G,)):
                 g = g.reshape(tau.shape + (2, 2))
                 for c, col in enumerate(cols):
@@ -321,8 +337,8 @@ class QPSources:
     def _rayleigh(self, cols, X, want_jet):
         """(value,) or (value, d/dx1, d/dx2), each (P, 2, k), at targets more
         than NEAR_GAP above the crest, for the k charge arrays ``cols``."""
-        a = self.alpha_l
-        b, g, src_p, src_s = self._rayleigh_factors
+        a, b, g = self.alpha_l, self.beta_l, self.gamma_l
+        src_p, src_s = self._rayleigh_factors
         pv = np.stack([a, b], axis=-1)    # (K, 2) polarisations
         sv = np.stack([g, -a], axis=-1)
         pref = _pref(self.medium)
@@ -396,8 +412,8 @@ class RemainderTable:
     def _derivative_coef(self):
         """Coefficients of dR/dtau and dR/dd, fitted to the series' own
         derivative values from the table's node counts up, until they resolve
-        as :func:`remainder_table` requires of ``coef``; raises
-        TableUnresolved when they do not.  Differentiating ``coef`` instead
+        as :func:`remainder_table` requires of ``coef``, or their refusal, kept
+        for later jets.  Differentiating ``coef`` instead
         multiplies the rounding of the sampled values by about n^2 (1.7e-12
         of max |grad G| at omega = 60)."""
         n_tau, m, _ = self.coef.shape
@@ -410,7 +426,7 @@ class RemainderTable:
         (R, dR/dtau, dR/dd) tuple when ``want_jet``."""
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         d = np.atleast_1d(np.asarray(d, dtype=float))
-        coefs = (self.coef,) + (self._derivative_coef if want_jet else ())
+        coefs = (self.coef,) + (_unless_refused(self._derivative_coef) if want_jet else ())
         n_tau, m = (max(c.shape[i] for c in coefs) for i in (0, 1))
         tx = _cheb_basis(2.0 * tau, n_tau)
         # a real basis times complex coefficients, as real products on the
@@ -433,36 +449,29 @@ class RemainderTable:
         return tuple(out) if want_jet else out[0]
 
     def green(self, tau, d, want_jet: bool = False):
-        """G at separations (tau, d) with |tau| <= 1/2; (P, 2, 2), or the
-        (value, d/dx1, d/dx2) tuple when ``want_jet``.
-
-        R minus the closed-form Phi/(2 pi) for |d| <= NEAR_GAP, the plain
-        series beyond.  Raises CoincidentPoints at |(tau, d)| < COINCIDENT_TOL,
-        where G is singular.
+        """G = R - Phi/(2 pi) at separations (tau, d) in the table's cell,
+        |tau| <= 1/2 and |d| <= NEAR_GAP; (P, 2, 2), or the (value, d/dx1,
+        d/dx2) tuple when ``want_jet``.  Raises DomainError for |d| > NEAR_GAP
+        (:meth:`QPSources.green` covers every separation), and CoincidentPoints
+        at |(tau, d)| < COINCIDENT_TOL, where G is singular.
         """
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         d = np.atleast_1d(np.asarray(d, dtype=float))
+        gap = np.max(np.abs(d), initial=0.0)
+        if gap > NEAR_GAP:
+            raise DomainError(f"|d| = {gap:.3e} outside the table's cell |d| <= {NEAR_GAP}")
         sep = np.min(np.hypot(tau, d), initial=np.inf)
         if sep < COINCIDENT_TOL:
             raise CoincidentPoints(f"separation {sep:.3e} from a source or its lattice image")
         out = [np.empty((len(tau), 2, 2), dtype=complex) for _ in range(3 if want_jet else 1)]
-        near = np.flatnonzero(np.abs(d) <= NEAR_GAP)
-        for i in range(0, len(near), _CHUNK):
-            idx = near[i:i + _CHUNK]
-            _scatter(out, idx, self._near(tau[idx], d[idx], want_jet))
-        far = np.abs(d) > NEAR_GAP
-        if np.any(far):
-            al = mode_window(self.medium, QuasiMomentum("qp2d", self.alpha), NEAR_GAP, _FAR_TOL)[1]
-            _scatter(out, far, _series_sum(self.medium, al, tau[far], d[far], want_jet))
+        for i in range(0, len(tau), _CHUNK):
+            sl = slice(i, i + _CHUNK)
+            R = self.remainder(tau[sl], d[sl], want_jet)
+            phi = _kupradze2d_value(self.medium, np.stack([tau[sl], d[sl]], axis=-1), want_jet)
+            parts = zip(R, phi) if want_jet else [(R, phi)]
+            _scatter(out, sl, tuple(r - p / (2 * np.pi) for r, p in parts))
+            del R, phi, parts   # before the next chunk's temporaries: a lower peak
         return tuple(out) if want_jet else out[0]
-
-    def _near(self, tau, d, want_jet):
-        """R minus the closed-form Phi/(2 pi), or the jet of that."""
-        R = self.remainder(tau, d, want_jet)
-        phi = _kupradze2d_value(self.medium, np.stack([tau, d], axis=-1), want_jet)
-        if want_jet:
-            return tuple(r - p / (2 * np.pi) for r, p in zip(R, phi))
-        return R - phi / (2 * np.pi)
 
 
 def _fit_remainder(medium, alpha, n_tau, n_d, derivatives: bool = False):
@@ -517,9 +526,10 @@ def _resolve(fit, n, what):
 
     The node count in each direction grows until the two trailing Chebyshev
     coefficients in that direction of every array fall below ``_TABLE_TOL``
-    times that array's largest coefficient.  Raises TableUnresolved, naming
-    ``what``, when the trailing coefficients stop falling below
-    ``_TABLE_FLOOR`` or have not reached the tolerance by ``_TABLE_MAX`` nodes.
+    times that array's largest coefficient.  Returns, not raises, a
+    TableUnresolved naming ``what`` when the trailing coefficients stop falling
+    below ``_TABLE_FLOOR`` or miss the tolerance at ``_TABLE_MAX`` nodes, so
+    that callers keep the refusal as they keep a result.
     """
     before = [np.inf, np.inf]   # each direction's tail before its last growth
     while True:
@@ -533,7 +543,7 @@ def _resolve(fit, n, what):
             return coefs
         stalled = any(b <= t <= _TABLE_FLOOR for t, b in zip(tail, before))
         if stalled or max(n) >= _TABLE_MAX:
-            raise TableUnresolved(
+            return TableUnresolved(
                 f"{what}: trailing coefficients {tail[0]:.1e} (tau), {tail[1]:.1e} (d) "
                 f"at {n[0]}x{n[1]} nodes "
                 f"{'stopped falling' if stalled else 'reached the node limit'} "
@@ -545,27 +555,43 @@ def _resolve(fit, n, what):
                 n[i] = 2 * int(np.ceil(_TABLE_GROWTH * n[i] / 2))
 
 
+def _unless_refused(kept):
+    """``kept``, or a new error with its message when it is a kept refusal."""
+    if isinstance(kept, TableUnresolved):
+        raise TableUnresolved(*kept.args)
+    return kept
+
+
 @lru_cache(maxsize=16)
+def _table_or_refusal(medium: ElasticMedium, alpha: float):
+    coef = _resolve(lambda n: (_fit_remainder(medium, alpha, *n),), list(_TABLE_START),
+                    f"remainder table for omega={medium.omega}, alpha={alpha}")
+    if isinstance(coef, TableUnresolved):
+        return coef
+    return RemainderTable(medium, float(alpha), coef[0])
+
+
 def remainder_table(medium: ElasticMedium, alpha: float) -> RemainderTable:
     """Tabulate R = G + Phi/(2 pi) on the period cell for one (medium, alpha).
 
     The node counts grow from ``_TABLE_START`` until the coefficients
-    resolve (see :func:`_resolve`).  The 16 most recent tables are kept, so
-    every caller of one (medium, alpha) shares one table.  Raises WoodAnomaly
-    when a mode of the series window sits at a cut-off, and TableUnresolved
-    when the coefficients do not resolve.
+    resolve (see :func:`_resolve`).  The 16 most recent tables or refusals
+    are kept (``remainder_table.cache_clear()`` forgets them), so every caller
+    of one (medium, alpha) shares one table and a refusal is fitted once.
+    Raises WoodAnomaly when a mode of the series window sits at a cut-off, and
+    TableUnresolved when the coefficients do not resolve.
     """
-    coef, = _resolve(lambda n: (_fit_remainder(medium, alpha, *n),), list(_TABLE_START),
-                     f"remainder table for omega={medium.omega}, alpha={alpha}")
-    return RemainderTable(medium, float(alpha), coef)
+    return _unless_refused(_table_or_refusal(medium, alpha))
+
+
+remainder_table.cache_clear = _table_or_refusal.cache_clear
 
 
 def green2d_near_line_batch(medium: ElasticMedium, alpha: float, tau, d,
                             want_jet: bool = False):
     """Quasi-periodic tensor at separations (tau, d) with |tau| <= 1/2,
-    d = 0 included, through the kernel table of (medium, alpha).
-
-    :meth:`RemainderTable.green` of ``remainder_table(medium, alpha)``:
-    (P, 2, 2), or a (value, d/dx1, d/dx2) tuple when ``want_jet``.
+    d = 0 included, by the one rule of :meth:`QPSources.green` for
+    (medium, alpha): (P, 2, 2), or a (value, d/dx1, d/dx2) tuple when
+    ``want_jet``.
     """
-    return remainder_table(medium, alpha).green(tau, d, want_jet)
+    return QPSources(medium, QuasiMomentum("qp2d", alpha), [(0.0, 0.0)]).green(tau, d, want_jet)

@@ -9,11 +9,10 @@ scattered-field, and total-field levels.
 Every field here is the quasi-periodic tensor applied from a source set:
 point sources through :class:`~qpelastic.green2d.QPSources` with one
 source, scattered fields through the solution's sources at the nodes.  So
-one evaluator rule serves all of them: targets more than NEAR_GAP above every
-source take the Rayleigh form, pairs with |d| <= NEAR_GAP take the kernel
-table of (medium, alpha), which every caller shares, and pairs beyond take
-the plain series.  The point-source reciprocity level takes each tensor from
-one ``apply`` of the identity charge block.
+the one evaluator rule of :mod:`qpelastic.green2d` serves all of them, with
+one kernel table per (medium, alpha) that every caller shares.  The
+point-source reciprocity level takes each tensor from one ``apply`` of the
+identity charge block.
 
 Magnitudes are stored already phase-stripped; no phase survives the
 synthesis boundary.

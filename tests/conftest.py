@@ -27,6 +27,22 @@ def medium_fast():
 
 
 @pytest.fixture
+def table_constants(monkeypatch):
+    """``monkeypatch`` for a test that changes the kernel table's constants.
+
+    ``remainder_table`` keeps tables and refusals per (medium, alpha), so its
+    cache is cleared before the test, or a table kept from an earlier test
+    would answer, and after it, or a refusal made under the changed
+    constants would answer later tests.
+    """
+    import qpelastic.green2d as g2
+
+    g2.remainder_table.cache_clear()
+    yield monkeypatch
+    g2.remainder_table.cache_clear()
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
 

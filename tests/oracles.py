@@ -12,7 +12,9 @@
   the per-mode Wood-anomaly predicate and central-difference divergence
   and curl: reference forms of what the library computes another way;
 * the Abel-Plana near-line form of the 2D tensor and its jet, the
-  independent reference for the kernel table.
+  independent reference for the kernel table, and the plain 2D series summed
+  pair by pair over stacks of mode matrices, the reference for the rank-one
+  terms beyond NEAR_GAP.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import hankel1, hankel2, jv, roots_laguerre
 
-from qpelastic.green2d import _FAR_TOL, NEAR_GAP, _series_sum, _unified_blocks
+from qpelastic.green2d import _FAR_TOL, NEAR_GAP, _unified_blocks
 from qpelastic.green_free import lattice_sum
 from qpelastic.medium import (ElasticMedium, ModeData, QuasiMomentum, check_wood_window,
                               mode_window)
@@ -583,6 +585,30 @@ def _abel_plana(medium, alpha, tau, d, want_jet, margin_modes):
     if want_jet:
         return tuple(main[j].sum(axis=1) + hi_tail[j] + lo_tail[j] for j in range(3))
     return main.sum(axis=1) + hi_tail + lo_tail
+
+
+def _series_sum(medium, al, tau, d, want_jet: bool):
+    """sum_l e^{i alpha_l tau} M(alpha_l, d) over the modes ``al`` at pairs (tau, d).
+
+    One (pairs x modes) contraction per output and block of pairs, the block
+    sized so a stack of mode matrices stays near 16 MB.  Returns (P, 2, 2), or
+    a (value, d/dx1, d/dx2) tuple when ``want_jet``.
+    """
+    al = np.asarray(al)
+    out = [np.empty((len(tau), 2, 2), dtype=complex) for _ in range(3 if want_jet else 1)]
+    rows = max(1, (1 << 18) // len(al))
+    for i in range(0, len(tau), rows):
+        sl = slice(i, i + rows)
+        ph = np.exp(1j * np.outer(tau[sl], al))
+        D, s = np.abs(d[sl])[:, None], np.sign(d[sl])[:, None]
+        if want_jet:
+            val, d2 = _unified_blocks(medium, al, D, s, True)
+            terms = ((ph, val), (ph * (1j * al), val), (ph, d2))
+        else:
+            terms = ((ph, _unified_blocks(medium, al, D, s)),)
+        for o, (p, b) in zip(out, terms):
+            o[sl] = np.einsum("pm,pmab->pab", p, b)
+    return tuple(out) if want_jet else out[0]
 
 
 def near_line_abel_plana(medium: ElasticMedium, alpha: float, tau, d,

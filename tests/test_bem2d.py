@@ -400,8 +400,10 @@ def test_resonance_guard(grating_setup, monkeypatch):
     monkeypatch.setattr(bem, "COND_LIMIT", 1.0)
     from qpelastic.errors import ResonanceSuspected
 
-    with pytest.raises(ResonanceSuspected):
+    with pytest.raises(ResonanceSuspected,
+                       match=r"condition estimate \S+ exceeds 1 at N=32, omega=5.0$") as err:
         solve_dirichlet(med, q, ProfileCurve2(), inc, N=32)
+    assert (err.value.N, err.value.omega, err.value.limit) == (32, 5.0, 1.0)
 
 
 def test_wood_anomaly_refused(grating_setup):
@@ -483,13 +485,32 @@ def test_sources_build_table_and_rayleigh_factors_on_demand(grating_setup, monke
     assert fits == [False, True]
 
 
-def test_point_source_past_table_limit(grating_setup):
+def test_point_source_past_table_limit(grating_setup, monkeypatch):
     # omega = 160 is past the largest frequency at which the kernel table
     # resolves: a target within NEAR_GAP of the source is refused, not
-    # answered by another evaluator; targets beyond still get the series
+    # answered by another evaluator; targets beyond still get the series.
+    # The refusal is kept: the second evaluation raises the same error
+    # without fitting again, so one growth sequence is fitted, not two,
+    # until the cache is cleared
+    import qpelastic.green2d as g2
+
+    g2.remainder_table.cache_clear()
+    fits = []
+    fit = g2._fit_remainder
+    monkeypatch.setattr(g2, "_fit_remainder", lambda *a, **k: fits.append(a[2:]) or fit(*a, **k))
     med = make_medium(2.0, 1.0, 1.0, 160.0)
     q = make_quasi_momentum("qp2d", 0.3, med)
     inc = point_source_incidence((0.4, 0.3), (1.0, 0.0))
+    with pytest.raises(TableUnresolved) as first:
+        inc.eval(med, q, [(0.5, 0.45)])
+    growth = list(fits)
+    assert len(growth) > 1
+    with pytest.raises(TableUnresolved) as again:
+        inc.jet(med, q, [(0.3, 0.2)])
+    assert str(again.value) == str(first.value) and fits == growth
+    # clearing the cache forgets the refusal too
+    g2.remainder_table.cache_clear()
     with pytest.raises(TableUnresolved):
         inc.eval(med, q, [(0.5, 0.45)])
+    assert fits == 2 * growth
     assert np.all(np.isfinite(inc.eval(med, q, [(0.5, 0.9), (0.2, -0.2)])))

@@ -85,11 +85,10 @@ def test_rand_alpha_draws_pinned(kind, draws):
         assert cli._rand_alpha(rng, med, kind).alpha == alpha
 
 
-def test_solve2d_unresolved_table_exit3(tmp_path, monkeypatch, capsys):
+def test_solve2d_unresolved_table_exit3(tmp_path, table_constants, capsys):
     import qpelastic.green2d as g2
 
-    monkeypatch.setattr(g2, "_TABLE_TOL", 0.0)
-    g2.remainder_table.cache_clear()   # tables are kept per (medium, alpha)
+    table_constants.setattr(g2, "_TABLE_TOL", 0.0)
     p = write_cfg(tmp_path, BASE_CONFIG)
     assert main(["solve2d", "--config", p, "--out", str(tmp_path / "r.json")]) == 3
     assert "TableUnresolved" in capsys.readouterr().err
@@ -156,6 +155,9 @@ def test_eval_rows_equal_point_calls(tmp_path, geometry):
     assert len(rows) == len(pts)
     modes = set()
     for x, row in zip(pts, rows):
+        # every number field round-trips through %.17g; modes_used is a plain integer
+        assert all(v == "%.17g" % float(v) for v in row[:-2] + row[-1:])
+        assert row[-2] == str(int(row[-2]))
         g = evalf(med, q, np.array(x), np.array(src), 1e-10)
         vals = np.array([float(v) for v in row[dim:-2]])
         got = (vals[0::2] + 1j * vals[1::2]).reshape(dim, dim)

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import draw_medium, draw_momentum
-from oracles import mode_term_2d, mp_mode_block_2d, near_line_abel_plana
-from qpelastic.errors import (CoincidentPoints, NearSourceLine, TableUnresolved,
-                              WoodAnomaly)
+from oracles import _series_sum, mode_term_2d, mp_mode_block_2d, near_line_abel_plana
+from qpelastic.errors import (CoincidentPoints, DomainError, NearSourceLine,
+                              TableUnresolved, WoodAnomaly)
 from qpelastic.fdcheck import navier_residual
-from qpelastic.green2d import (NEAR_GAP, green2d_eval, green2d_eval_batch,
+from qpelastic.green2d import (NEAR_GAP, QPSources, green2d_eval, green2d_eval_batch,
                                green2d_near_line_batch, remainder_table)
 from qpelastic.green_free import kupradze
-from qpelastic.medium import classify_mode, make_medium, make_quasi_momentum
+from qpelastic.medium import classify_mode, make_medium, make_quasi_momentum, mode_window
 
 
 def test_literal_equals_unified(rng):
@@ -220,22 +220,21 @@ def test_remainder_table_at_high_frequency():
     assert np.max(np.abs(table.green(tau, d) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_remainder_table_refuses_unresolved(monkeypatch):
+def test_remainder_table_refuses_unresolved(table_constants):
     import qpelastic.green2d as g2
 
     med = make_medium(2.0, 1.0, 1.0, 5.0)
-    g2.remainder_table.cache_clear()   # tables are kept per (medium, alpha)
     fits = []
     fit = g2._fit_remainder
-    monkeypatch.setattr(g2, "_fit_remainder", lambda *a: fits.append(a[2:]) or fit(*a))
+    table_constants.setattr(g2, "_fit_remainder", lambda *a: fits.append(a[2:]) or fit(*a))
     # tolerance below rounding: the tails stop falling after one growth step
-    monkeypatch.setattr(g2, "_TABLE_TOL", 0.0)
+    table_constants.setattr(g2, "_TABLE_TOL", 0.0)
     with pytest.raises(TableUnresolved, match="stopped falling"):
         g2.remainder_table(med, 0.3)
     assert fits == [(28, 28), (36, 36)]
     # still falling at the node limit: omega = 60 needs 74 nodes in tau
-    monkeypatch.setattr(g2, "_TABLE_TOL", 1e-14)
-    monkeypatch.setattr(g2, "_TABLE_MAX", 46)
+    table_constants.setattr(g2, "_TABLE_TOL", 1e-14)
+    table_constants.setattr(g2, "_TABLE_MAX", 46)
     with pytest.raises(TableUnresolved, match="node limit"):
         g2.remainder_table(make_medium(2.0, 1.0, 1.0, 60.0), 0.3)
 
@@ -288,6 +287,58 @@ def test_table_jet_against_abel_plana():
             assert np.array_equal(got[0], green2d_near_line_batch(med, alpha, tau, d))
 
 
+def _mp_series(medium, alpha, m, tau, d):
+    """50-digit sum of the phased mode matrices over the mode indices m."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        acc = np.zeros((2, 2), dtype=object)
+        acc[:] = mp.mpc(0)
+        for k in m:
+            al = mp.mpf(alpha) + 2 * mp.pi * int(k)
+            acc += mp.exp(1j * al * mp.mpf(tau)) * mp_mode_block_2d(medium, al, d).astype(object)
+        return acc.astype(complex)
+
+
+def test_sources_green_beyond_near_gap():
+    # beyond NEAR_GAP QPSources.green sums one rank-one term per mode and
+    # wave type; the reference sums the stacked mode matrices pair by pair
+    # over the same window.  Value and both derivatives within 1e-13 of each
+    # component's largest entry (over 2,000 pairs, worst 5.4e-14 at omega = 120)
+    rng = np.random.default_rng(8)
+    edge = NEAR_GAP * (1 + 1e-12)
+    tau = np.concatenate([[0.5, -0.5, 0.0, 0.31], rng.uniform(-0.5, 0.5, 196)])
+    d = np.concatenate([[edge, -edge, 3.0, -3.0], rng.uniform(edge, 3.0, 196)])
+    d[4::2] *= -1
+    for omega in (1.0, 5.0, 60.0, 120.0):
+        med = make_medium(2.0, 1.0, 1.0, omega)
+        for alpha in (0.3, -1.7):
+            src = QPSources(med, make_quasi_momentum("qp2d", alpha, med), [(0.0, 0.0)])
+            got = src.green(tau, d, want_jet=True)
+            ref = _series_sum(med, src.alpha_l, tau, d, True)
+            for g, r in zip(got, ref):
+                assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+            # the value of the jet is the value alone, bit for bit
+            assert np.array_equal(got[0], src.green(tau, d))
+    # against a 50-digit sum over a window ten modes wider each side, at
+    # |d| <= 1; further out, at omega = 60, rounding the phase beta_l |d| of
+    # a propagating mode in double (about 180 rad at |d| = 3) alone costs
+    # up to 2.4e-14, for the stacked mode matrices too
+    tau, d = np.array([0.5, -0.31, 0.07, -0.5]), np.array([edge, -0.4, 0.9, -edge])
+    for omega in (1.0, 60.0):
+        med = make_medium(2.0, 1.0, 1.0, omega)
+        for alpha in (0.3, -1.7):
+            q = make_quasi_momentum("qp2d", alpha, med)
+            m = mode_window(med, q, NEAR_GAP, 1e-16)[0]
+            m = np.arange(m[0] - 10, m[-1] + 11)
+            ref = np.array([_mp_series(med, alpha, m, t, dd) for t, dd in zip(tau, d)])
+            got = QPSources(med, q, [(0.0, 0.0)]).green(tau, d)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # the table itself covers its cell only
+    with pytest.raises(DomainError):
+        remainder_table(make_medium(2.0, 1.0, 1.0, 5.0), 0.3).green([0.1, 0.2], [0.1, edge])
+
+
 def test_derivative_table_refuses_unresolved(monkeypatch):
     # the derivative coefficients must resolve as the values do: a jet from
     # a table whose derivative fit does not resolve raises, while values
@@ -300,8 +351,12 @@ def test_derivative_table_refuses_unresolved(monkeypatch):
     fit = g2._fit_remainder
     monkeypatch.setattr(g2, "_fit_remainder", lambda *a, **k: fits.append(a[2:]) or fit(*a, **k))
     monkeypatch.setattr(g2, "_TABLE_TOL", 0.0)
-    with pytest.raises(TableUnresolved, match="derivative table .* stopped falling"):
+    with pytest.raises(TableUnresolved, match="derivative table .* stopped falling") as first:
         table.green([0.1], [0.05], want_jet=True)
+    # the refusal is kept: a second jet raises the same error without a fit
+    with pytest.raises(TableUnresolved) as again:
+        table.green([0.2], [-0.1], want_jet=True)
+    assert str(again.value) == str(first.value)
     assert fits == [(28, 28), (36, 36)]
     assert np.all(np.isfinite(table.green([0.1], [0.05])))
 
@@ -350,7 +405,7 @@ def test_tail_bound_inf_when_window_stops_widening():
 def test_batch_equals_per_pair_sum(rng):
     """Points grouped by |x2 - y2|, both signs: the values equal the per-pair
     contraction over the same window."""
-    from qpelastic.green2d import _series_sum, _window_arrays
+    from qpelastic.green2d import _window_arrays
 
     med = make_medium(2.0, 1.0, 1.0, 2.3)
     q = make_quasi_momentum("qp2d", 0.37, med)
