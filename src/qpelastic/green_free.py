@@ -90,13 +90,54 @@ def _dh0_over_r_series(ks, kp, r, terms: int = 12):
     return out + c * jdiff
 
 
+def _radial2d(medium: ElasticMedium, r):
+    """Radial parts of the 2D tensor at distances r (any shape).
+
+    Returns (H_0(k_s r), H_1(k_s r), H_1(k_p r), f'/r, f'' + f'/r) for the
+    radial f = H_0(k_s r) - H_0(k_p r), with f'' + f'/r = -k_s^2 H_0(k_s r)
+    + k_p^2 H_0(k_p r) (Bessel's equation).  f'/r comes from the ascending
+    series for |k_s| r < 1, where the Hankel form loses digits to cancelling
+    1/r^2 parts.
+    """
+    ks, kp = medium.k_s, medium.k_p
+    h0s, h1s = _hankel01(ks, r)
+    h0p, h1p = _hankel01(kp, r)
+    f1 = np.asarray((-ks * h1s + kp * h1p) / r)
+    small = np.abs(ks) * r < 1.0
+    if np.any(small):
+        f1[small] = _dh0_over_r_series(ks, kp, r[small])
+    lap = -(ks**2) * h0s + kp**2 * h0p
+    return h0s, h1s, h1p, f1, lap
+
+
+def _tensor_coeffs(medium: ElasticMedium, dim: int, r):
+    """(a, c) with Phi(dx) = a(r) I + c(r) dx dx^T, where r = |dx|.
+
+    The free-space tensor is a(r) I + b(r) rhat rhat^T; c = b / r^2, so a sum
+    of phased copies needs only scalars per copy.  2D: a = (i/4mu) H_0(k_s r)
+    + (i/4 rho omega^2) f'/r, b = (i/4 rho omega^2)(f'' - f'/r) with f from
+    :func:`_radial2d`.  3D: the same with f = (e^{i k_s r} - e^{i k_p r})/r
+    and 1/(4 pi) in place of i/4.
+    """
+    if dim == 2:
+        h0s, _, _, f1, lap = _radial2d(medium, r)
+        pref = 0.25j / medium.rho_omega2
+        return (0.25j / medium.mu) * h0s + pref * f1, pref * (lap - 2.0 * f1) / (r * r)
+    ks, kp = medium.k_s, medium.k_p
+    inv_r = 1.0 / r
+    es, ep = np.exp(1j * ks * r), np.exp(1j * kp * r)
+    fp_r = ((1j * ks) * es - (1j * kp) * ep - (es - ep) * inv_r) * (inv_r * inv_r)
+    fpp = ((kp**2) * ep - (ks**2) * es) * inv_r - 2.0 * fp_r
+    pref = 1.0 / (4.0 * np.pi)
+    a = (pref / medium.mu) * es * inv_r + (pref / medium.rho_omega2) * fp_r
+    return a, (pref / medium.rho_omega2) * (fpp - fp_r) * (inv_r * inv_r)
+
+
 def _kupradze2d_value(medium: ElasticMedium, dx, want_jet: bool = False):
     """Batched over leading axes; dx has shape (..., 2).
 
     Uses Hess f = (f'' + f'/r) rr^T + (f'/r) (I - 2 rr^T) for the radial
-    f = H_0(k_s r) - H_0(k_p r), with f'' + f'/r = -k_s^2 H_0(k_s r) + k_p^2 H_0(k_p r)
-    (Bessel's equation).  f'/r comes from the ascending series for
-    |k_s| r < 1, where the Hankel form loses digits to cancelling 1/r^2 parts.
+    f = H_0(k_s r) - H_0(k_p r) of :func:`_radial2d`.
 
     With ``want_jet`` returns (value, d/dx1, d/dx2), from the third
     derivatives of f,
@@ -112,13 +153,7 @@ def _kupradze2d_value(medium: ElasticMedium, dx, want_jet: bool = False):
     ks, kp = medium.k_s, medium.k_p
     r = np.sqrt(np.sum(dx * dx, axis=-1))
     rhat = dx / r[..., None]
-    h0s, h1s = _hankel01(ks, r)
-    h0p, h1p = _hankel01(kp, r)
-    f1 = np.asarray((-ks * h1s + kp * h1p) / r)
-    small = np.abs(ks) * r < 1.0
-    if np.any(small):
-        f1[small] = _dh0_over_r_series(ks, kp, r[small])
-    lap = -(ks**2) * h0s + kp**2 * h0p
+    h0s, h1s, h1p, f1, lap = _radial2d(medium, r)
     eye = np.eye(2)
     rr = rhat[..., :, None] * rhat[..., None, :]
     hess = lap[..., None, None] * rr + f1[..., None, None] * (eye - 2.0 * rr)
@@ -144,19 +179,9 @@ def _kupradze2d_value(medium: ElasticMedium, dx, want_jet: bool = False):
 def _kupradze3d_value(medium: ElasticMedium, dx):
     """Batched over leading axes; dx has shape (..., 3)."""
     dx = np.asarray(dx, dtype=float)
-    ks, kp = medium.k_s, medium.k_p
-    r = np.sqrt(np.sum(dx * dx, axis=-1))
-    rhat = dx / r[..., None]
-    es, ep = np.exp(1j * ks * r), np.exp(1j * kp * r)
-    f = (es - ep) / r
-    fp = (1j * ks * es - 1j * kp * ep) / r - f / r
-    fpp = (-(ks**2) * es + kp**2 * ep) / r - 2.0 * fp / r
-    eye = np.eye(3)
-    rr = rhat[..., :, None] * rhat[..., None, :]
-    hess = fpp[..., None, None] * rr + (fp / r)[..., None, None] * (eye - rr)
-    pref = 1.0 / (4.0 * np.pi)
-    return pref / medium.mu * (es / r)[..., None, None] * eye \
-        + pref / medium.rho_omega2 * hess
+    a, c = _tensor_coeffs(medium, 3, np.sqrt(np.sum(dx * dx, axis=-1)))
+    dxdx = dx[..., :, None] * dx[..., None, :]
+    return a[..., None, None] * np.eye(3) + c[..., None, None] * dxdx
 
 
 def kupradze(medium: ElasticMedium, dim: int, x, y) -> GreenEval:
@@ -184,56 +209,69 @@ def lattice_sum(medium: ElasticMedium, q: QuasiMomentum, x, y,
     """Phased sum of free-space copies over the source lattice.
 
     ``sum_{|n|<=N} e^{i n alpha} e^{-damping n^2} Phi(x, y + n e_1)`` for the
-    scalar-lattice kinds; pairs ``n=(n1,n2)`` with phase ``e^{i n.alpha}`` and
-    shift ``n1 e_1 + n2 e_2`` for ``biqp3d``.  Index-ordered summation, so
-    results are bit-stable.
+    scalar-lattice kinds; pairs ``n=(n1,n2)`` with ``|n1|, |n2| <= N``, phase
+    ``e^{i n.alpha}``, damping ``e^{-damping |n|^2}`` and shift
+    ``n1 e_1 + n2 e_2`` for ``biqp3d``.  With Phi = a(r) I + c(r) dx dx^T the
+    sum is ``(sum w a) I + dx^T diag(w c) dx``: scalars per copy, no tensor.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    if not N >= 0:
+        raise ValueError(f"N must be >= 0, got {N!r}")
+    if not damping >= 0.0:
+        raise ValueError(f"damping must be >= 0 (the sum diverges otherwise), got {damping!r}")
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     dim = 2 if q.kind == "qp2d" else 3
-    kup = _kupradze2d_value if dim == 2 else _kupradze3d_value
+    n = np.arange(-N, N + 1)
 
+    def phases(alpha):
+        return np.exp(1j * n * alpha - damping * n * n)
+
+    # dx[:, j] = x - y - shift_j, copies along the second axis
     if q.kind == "biqp3d":
         a1, a2 = q.alpha
-        n1, n2 = np.meshgrid(np.arange(-N, N + 1), np.arange(-N, N + 1), indexing="ij")
-        n1, n2 = n1.ravel(), n2.ravel()
-        shifts = np.zeros((n1.size, 3))
-        shifts[:, 0], shifts[:, 1] = n1, n2
-        weights = np.exp(1j * (n1 * a1 + n2 * a2) - damping * (n1 * n1 + n2 * n2))
+        weights = np.outer(phases(a1), phases(a2)).ravel()
+        dx = np.empty((3, weights.size))
+        dx[0] = np.repeat(d[0] - n, n.size)
+        dx[1] = np.tile(d[1] - n, n.size)
+        dx[2] = d[2]
     else:
-        n = np.arange(-N, N + 1)
-        shifts = np.zeros((n.size, dim))
-        shifts[:, 0] = n
-        weights = np.exp(1j * n * q.alpha - damping * n * n)
+        weights = phases(q.alpha)
+        dx = np.repeat(d[:, None], n.size, axis=1)
+        dx[0] -= n
 
-    dx = x - y - shifts
-    if np.any(np.sqrt(np.sum(dx * dx, axis=-1)) < COINCIDENT_TOL):
+    r = np.sqrt(np.einsum("ij,ij->j", dx, dx))
+    if np.any(r < COINCIDENT_TOL):
         raise CoincidentPoints("evaluation point on the source lattice")
-    vals = kup(medium, dx)
-    total = np.tensordot(weights, vals, axes=(0, 0))
-    count = len(weights)
+    a, c = _tensor_coeffs(medium, dim, r)
+    wc = weights * c
+    # dx diag(wc) dx^T as two real products; a complex-by-real one upcasts dx
+    total = (weights @ a) * np.eye(dim) + (dx * wc.real) @ dx.T + 1j * ((dx * wc.imag) @ dx.T)
+    offset = float(np.max(np.abs(d[:2 if q.kind == "biqp3d" else 1])))
+    tail = _lattice_tail_bound(medium, q, N, damping, offset)
+    return GreenEval(dim, total, len(weights), tail)
 
-    tail = _lattice_tail_bound(medium, q, N, damping)
-    return GreenEval(dim, total, count, tail)
 
+def _lattice_tail_bound(medium, q, N, damping, offset):
+    """Geometric bound on the omitted copies; inf when undamped at real omega.
 
-def _lattice_tail_bound(medium, q, N, damping):
-    """Geometric bound on the omitted copies; inf when undamped at real omega."""
+    ``offset`` is the largest in-plane component of |x - y|, so an omitted
+    copy n lies at least max_i |n_i| - offset from the target.  The bound is
+    also inf when that leaves an omitted copy closer than 1.
+    """
     imkp = float(np.imag(medium.k_p))
     rate = imkp + 0.0
     if damping > 0.0:
         # e^{-damping n^2} <= e^{-damping N n} for n >= N
         rate += damping * N
-    if rate <= 0.0:
+    if rate <= 0.0 or N + 1 - offset < 1.0:
         return float("inf")
-    # |Phi| at distance d >= n - O(1) decays like e^{-Im(k_p) d} with an O(1/sqrt d)
-    # prefactor; use a crude unit prefactor times the mode scale.
+    # |Phi| at distance d >= n - max(2, offset + 1) decays like e^{-Im(k_p) d} with an
+    # O(1/sqrt d) prefactor; use a crude unit prefactor times the mode scale.
     scale = 1.0 / (4.0 * abs(medium.mu)) + 1.0 / (4.0 * abs(medium.rho_omega2))
-    per_dir = 2 if q.kind == "biqp3d" else 1
-    first = np.exp(-rate * (N + 1 - 2))
-    geo = first / (1.0 - np.exp(-rate))
-    if per_dir == 2:
-        geo = geo * (2 * N + 3) * 4
+    ratio = np.exp(-rate)
+    first = np.exp(-rate * (N + 1 - max(2.0, offset + 1.0)))
+    if q.kind == "biqp3d":
+        # 8m copies have max(|n1|, |n2|) = m: sum_{m>N} 8m ratio^(m-N-1)
+        geo = 8.0 * first * ((N + 1) / (1.0 - ratio) + ratio / (1.0 - ratio) ** 2)
     else:
-        geo *= 2
+        geo = 2.0 * first / (1.0 - ratio)
     return float(scale * geo)

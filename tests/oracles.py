@@ -20,13 +20,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import hankel1, hankel2, jv, roots_laguerre
 
 from qpelastic.green2d import _FAR_TOL, NEAR_GAP, _unified_blocks
-from qpelastic.green_free import lattice_sum
+from qpelastic.green_free import kupradze, lattice_sum
 from qpelastic.medium import (ElasticMedium, ModeData, QuasiMomentum, check_wood_window,
                               mode_window)
 from qpelastic.rayleigh import RayleighCoeffs3Bi
@@ -344,8 +345,28 @@ def mode_term_2d(medium: ElasticMedium, mode: ModeData, x2: float, y2: float,
 
 
 # ---------------------------------------------------------------------------
-# Richardson-extrapolated damped lattice sum
+# lattice sums: one tensor per copy, and Richardson-extrapolated damped sums
 # ---------------------------------------------------------------------------
+def lattice_sum_per_copy(medium: ElasticMedium, q: QuasiMomentum, x, y,
+                         damping: float = 0.0, N: int = 20) -> np.ndarray:
+    """``sum_n e^{i n.alpha - damping |n|^2} kupradze(x, y + shift_n)``, copy by copy.
+
+    The reference for ``lattice_sum``, which contracts scalar radial sums
+    instead of adding one tensor per copy.
+    """
+    dim = 2 if q.kind == "qp2d" else 3
+    alpha = np.atleast_1d(np.asarray(q.alpha, dtype=float))
+    y = np.asarray(y, dtype=float)
+    total = np.zeros((dim, dim), dtype=complex)
+    for n in product(range(-N, N + 1), repeat=alpha.size):
+        n = np.array(n, dtype=float)
+        shift = np.zeros(dim)
+        shift[:n.size] = n
+        weight = np.exp(1j * (n @ alpha) - damping * (n @ n))
+        total += weight * kupradze(medium, dim, x, y + shift).value
+    return total
+
+
 def lattice_sum_richardson(medium: ElasticMedium, q: QuasiMomentum, x, y,
                            eps_list=(0.04, 0.02, 0.01), N: int = 600) -> np.ndarray:
     """Richardson-extrapolated Gaussian-damped lattice sum at real frequency.

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import draw_medium, draw_momentum
-from oracles import (fd_curl, fd_divergence, lattice_sum_richardson, mp_kupradze2d,
-                     mp_kupradze2d_grad)
+from oracles import (fd_curl, fd_divergence, lattice_sum_per_copy, lattice_sum_richardson,
+                     mp_kupradze2d, mp_kupradze2d_grad)
 from qpelastic.errors import CoincidentPoints
 from qpelastic.fdcheck import navier_apply_fd
 from qpelastic.green_free import _kupradze2d_value, comb_normalization, kupradze, lattice_sum
@@ -123,6 +123,80 @@ def test_lattice_sum_single_term(medium_fast):
     ku = kupradze(medium_fast, 2, (0.3, 0.8), (0, 0))
     assert np.max(np.abs(ls.value - ku.value)) < 1e-15
     assert ls.modes_used == 1
+
+
+# (alpha, target, small N) per kind; the near target puts one copy within
+# |k_s| r < 1, where the 2D radial part takes its ascending series
+LATTICES = {
+    "qp2d": (0.3, [(0.3, 0.9), (0.3, 0.2)], 20),
+    "qp3d": (0.3, [(0.3, 0.7, 0.6), (0.3, 0.15, 0.1)], 20),
+    "biqp3d": ((0.3, -0.45), [(0.3, 0.2, 0.9), (0.3, 0.2, 0.15)], 4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LATTICES))
+def test_lattice_sum_equals_per_copy_reference(kind):
+    alpha, targets, N = LATTICES[kind]
+    q = make_quasi_momentum(kind, alpha)
+    for med in (make_medium(2.0, 1.0, 1.0, 2.0), make_medium(2.0, 1.0, 1.0, 2.0).complexified(0.1)):
+        for x in targets:
+            y = np.zeros(len(x))
+            for damping in (0.0, 0.05):
+                got = lattice_sum(med, q, x, y, damping=damping, N=N)
+                ref = lattice_sum_per_copy(med, q, x, y, damping=damping, N=N)
+                assert got.modes_used == (2 * N + 1) ** (2 if kind == "biqp3d" else 1)
+                assert np.max(np.abs(got.value - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind, image", [("qp2d", (3.0, 0.0)), ("qp3d", (-2.0, 0.0, 0.0)),
+                                         ("biqp3d", (2.0, -1.0, 0.0))])
+def test_lattice_sum_coincident_with_image(medium_fast, kind, image):
+    q = make_quasi_momentum(kind, LATTICES[kind][0])
+    y = np.array([0.1, 0.2, 0.3])[:len(image)]
+    with pytest.raises(CoincidentPoints):
+        lattice_sum(medium_fast, q, y + np.array(image), y, N=5)
+
+
+def test_lattice_sum_rejects_bad_input(medium_fast):
+    q = make_quasi_momentum("biqp3d", (0.3, 0.45))
+    x, y = (0.3, 0.2, 0.9), np.zeros(3)
+    with pytest.raises(ValueError, match="N must be >= 0, got -1"):
+        lattice_sum(medium_fast, q, x, y, N=-1)
+    # Im k_p = 0.05 would still give a finite "bound" for this divergent sum
+    med = make_medium(2.0, 1.0, 1.0, 1.0).complexified(0.1)
+    with pytest.raises(ValueError, match="damping must be >= 0"):
+        lattice_sum(med, q, x, y, damping=-1e-4, N=110)
+
+
+@pytest.mark.parametrize("kind", sorted(LATTICES))
+def test_lattice_tail_bound_holds(kind):
+    alpha, (x, _), _ = LATTICES[kind]
+    q = make_quasi_momentum(kind, alpha)
+    y = np.zeros(len(x))
+    for med in (make_medium(2.0, 1.0, 1.0, 1.0), make_medium(-0.3, 0.6, 1.0, 0.8),
+                make_medium(3.0, 2.0, 1.0, 3.0)):
+        assert lattice_sum(med, q, x, y, N=20).tail_bound == np.inf
+        # complexified frequency: the copies decay like e^{-Im k_p r}
+        medc = med.complexified(0.1)
+        for N in (20, 40, 80, 110):
+            got = lattice_sum(medc, q, x, y, N=N)
+            err = np.max(np.abs(got.value - lattice_sum(medc, q, x, y, N=4 * N).value))
+            assert err <= got.tail_bound
+        # damped at real frequency, up to the rounding of the longer sum
+        for N in (20, 40):
+            got = lattice_sum(med, q, x, y, damping=0.01, N=N)
+            ref = lattice_sum(med, q, x, y, damping=0.01, N=4 * N).value
+            err = np.max(np.abs(got.value - ref))
+            assert err <= got.tail_bound + 1e-13 * np.max(np.abs(ref))
+    # a target far along the lattice, 1.3 from the nearest omitted copy, and
+    # one within 1 of it, where no bound is given
+    medc = make_medium(2.0, 1.0, 1.0, 8.0).complexified(0.1)
+    far = np.array(x, dtype=float)
+    far[0] = 19.7
+    got = lattice_sum(medc, q, far, y, N=20)
+    assert np.max(np.abs(got.value - lattice_sum(medc, q, far, y, N=80).value)) <= got.tail_bound
+    far[0] = 20.3
+    assert lattice_sum(medc, q, far, y, N=20).tail_bound == np.inf
 
 
 def test_lattice_sum_alpha_periodicity(medium):
