@@ -16,12 +16,17 @@ against a 1D quadrature of the Fourier-domain symbols.  The assembled double
 series solves ``(Delta* + rho omega^2) G = (1/(4 pi^2)) * phased comb``.
 
 Shapes: ``c_bi_arrays(medium, a1, a2, x3)`` takes M momentum pairs and a
-scalar or array height (shape S) and returns S + (M, 3, 3).  The profiles
-depend on x3 only, and on its sign only through the odd entries c_i3, so
-``greenbi_eval_batch`` builds them once per distinct |x3| and contracts the
-points sharing it with their (points x modes) phase matrix
-e^{i (alpha_1 (x1 - y1) + alpha_2 (x2 - y2))}, formed as the product of one
-exponential per axis index and point.
+scalar or array height (shape S) and returns S + (M, 3, 3); on the
+evanescent roots e^{i m |t|} is a real exponential.  The profiles depend on
+x3 only, and on its sign only through the odd entries c_i3, so
+``greenbi_eval_batch`` builds them once per distinct |x3|.  The disk is
+ordered by alpha_1, then alpha_2, so each alpha_1 row is one run of
+consecutive alpha_2, and the phase e^{i (alpha_1 (x1 - y1) + alpha_2 (x2 -
+y2))} splits into one exponential per axis index and point: each row is
+contracted with its alpha_2 exponentials by one matrix product, and the row
+sums with the alpha_1 exponentials, so a large batch forms no (points x
+modes) phase matrix.  A small one, where a product per row would cost more,
+forms it from the same exponentials.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._series import contract_by_key, equal_rows, geom_poly_sum
+from ._series import _BLOCK_ELEMS, equal_rows, geom_poly_sum
 from .errors import DomainError, NearSourcePlane
 from .green_free import GreenEval
 from .medium import (ElasticMedium, ModeData, ModeTable, QuasiMomentum,
@@ -50,6 +55,15 @@ class FourierMode3BI:
     case_used: str
 
 
+def _exp_i(m, t):
+    """e^{i m t} for roots m (M,) and heights t (S + (1,)): the real exponential
+    e^{-Im(m) t} on the evanescent roots (Re m = 0), a complex one elsewhere."""
+    out = np.exp(-m.imag * t).astype(complex)
+    rest = np.flatnonzero(m.real)
+    out[..., rest] = np.exp(1j * m[rest] * t)
+    return out
+
+
 def c_bi_arrays(medium: ElasticMedium, a1, a2, x3):
     """Vectorized biperiodic mode tensors for 1-D arrays a1, a2 of momenta.
 
@@ -65,18 +79,23 @@ def c_bi_arrays(medium: ElasticMedium, a1, a2, x3):
     x3 = np.asarray(x3, dtype=float)[..., None]
     t = abs(x3)
     s = np.sign(x3)
-    Eb = np.exp(1j * b * t)
-    Eg = np.exp(1j * g * t)
-    rw2 = medium.rho_omega2
+    Eb = _exp_i(b, t)
+    Eg = _exp_i(g, t)
     p = 1.0 / (8 * np.pi**2)
+    w = 1j * p / medium.rho_omega2
+    # the table above with its common factors E(g)/g, E(g)/g - E(b)/b and
+    # E(g) - E(b) formed once
+    Egg = Eg / g
+    D = Egg - Eb / b
+    F = Eg - Eb
+    shear = (-1j * p / medium.mu) * Egg
     c = np.empty(Eb.shape + (3, 3), dtype=complex)
-    dd = 1j / g * Eg - 1j / b * Eb
-    c[..., 0, 0] = p * (-1j / (medium.mu * g) * Eg + a1 * a1 / rw2 * dd)
-    c[..., 1, 1] = p * (-1j / (medium.mu * g) * Eg + a2 * a2 / rw2 * dd)
-    c[..., 0, 1] = c[..., 1, 0] = p * 1j * a1 * a2 / rw2 * (Eg / g - Eb / b)
-    c[..., 0, 2] = c[..., 2, 0] = p * 1j * a1 / rw2 * s * (Eg - Eb)
-    c[..., 1, 2] = c[..., 2, 1] = p * 1j * a2 / rw2 * s * (Eg - Eb)
-    c[..., 2, 2] = -p * 1j / rw2 * (b * Eb + A2 / g * Eg)
+    c[..., 0, 0] = shear + (w * a1 * a1) * D
+    c[..., 1, 1] = shear + (w * a2 * a2) * D
+    c[..., 0, 1] = c[..., 1, 0] = (w * a1 * a2) * D
+    c[..., 0, 2] = c[..., 2, 0] = (w * a1) * (s * F)
+    c[..., 1, 2] = c[..., 2, 1] = (w * a2) * (s * F)
+    c[..., 2, 2] = -w * (b * Eb + A2 * Egg)
     return c
 
 
@@ -146,6 +165,59 @@ def _tail_bound(medium, R, t):
     return float(np.sqrt(2.0) * cov * np.exp(-g0 * t) * s2)
 
 
+def _contract_disk(q, m1, m2, d1, d2, t3, profiles):
+    """Per point p, sum_l e^{i (a1_l d1_p + a2_l d2_p)} c_l(t3_p) over the disk (m1, m2).
+
+    ``profiles(t)`` returns the (len(t), M, 3, 3) profiles at the heights t;
+    they are built once per distinct t3, in blocks of heights as
+    ``contract_by_key`` builds its tensors.  The phase is E1[p, k] E2[p, j]
+    for the mode in row k (one m1) and column j (one m2).  Row k is one run
+    of consecutive columns and contributes E1[p, k] (E2[p, cols_k] @
+    c[row_k]); the row products of a block of points are written into one
+    array and contracted with E1 once, and a block holds about as many
+    entries as one set of profiles.  A call with at most ``_BLOCK_ELEMS``
+    (points x modes) forms the phase of every mode instead, which costs less
+    there than a matrix product per row.  Returns (n, 3, 3).
+    """
+    M = len(m1)
+    starts = np.flatnonzero(np.diff(m1, prepend=m1[0] - 1))
+    ends = np.append(starts[1:], M)
+    lo2 = m2.min()
+    ax1 = q.alpha[0] + 2 * np.pi * m1[starts]
+    ax2 = q.alpha[1] + 2 * np.pi * np.arange(lo2, m2.max() + 1)
+    if len(d1) * M <= _BLOCK_ELEMS:
+        ph = np.exp(1j * np.outer(d1, ax1))[:, np.repeat(np.arange(len(starts)), ends - starts)]
+        ph *= np.exp(1j * np.outer(d2, ax2))[:, m2 - lo2]
+        block = len(d1)
+
+        def contract(sub, c):
+            return ph[sub] @ c
+    else:
+        rows = list(zip(starts.tolist(), ends.tolist(), (m2[starts] - lo2).tolist()))
+        # entries per point: 10 n1 in e1 and z, up to 3 n2 in e2 and its temporaries
+        block = max(1, max(_BLOCK_ELEMS, 9 * M) // (10 * len(rows) + 3 * len(ax2)))
+
+        def contract(sub, c):
+            e1 = np.exp(1j * np.outer(d1[sub], ax1))
+            e2 = np.exp(1j * np.outer(d2[sub], ax2))
+            z = np.empty((len(rows), len(sub), 9), dtype=complex)
+            for k, (s, e, col) in enumerate(rows):
+                np.dot(e2[:, col:col + e - s], c[s:e], out=z[k])
+            return np.matmul(e1[:, None, :], z.transpose(1, 0, 2))[:, 0]
+
+    keys = max(1, _BLOCK_ELEMS // M)
+    groups = equal_rows(t3[:, None])
+    out = np.empty((len(d1), 9), dtype=complex)
+    for g in range(0, len(groups), keys):
+        part = groups[g:g + keys]
+        cs = profiles(t3[[idx[0] for idx in part]]).reshape(len(part), M, 9)
+        for idx, c in zip(part, cs):
+            for j in range(0, len(idx), block):
+                sub = idx[j:j + block]
+                out[sub] = contract(sub, c)
+    return out.reshape(len(d1), 3, 3)
+
+
 def greenbi_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
                        tol: float = DEFAULT_TOL, gap_min: float = GAP_MIN,
                        tol_wood: float | None = None):
@@ -155,8 +227,7 @@ def greenbi_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     disk serves the whole call, sized from the smallest |x3 - y3|, so one
     close point makes every point pay for its modes; callers with mixed gaps
     should batch by gap.  The profiles c_l are built once per distinct
-    |x3 - y3|, and the points sharing one are contracted with them as one
-    (points x modes) phase matrix.
+    |x3 - y3| and contracted row by row of the disk (``_contract_disk``).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -168,20 +239,7 @@ def greenbi_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
         raise NearSourcePlane(f"|x3-y3| below gap_min={gap_min}")
     m1, m2, a1, a2, R = _lattice_block(medium, q, float(np.min(t3)), tol)
     check_wood_window(medium, q, (a1, a2), tol_wood)
-    # e^{i (a1 d1 + a2 d2)} as a product of per-axis exponentials, one per
-    # axis index rather than one per mode
-    lo1, lo2 = m1.min(), m2.min()
-    ax1 = q.alpha[0] + 2 * np.pi * np.arange(lo1, m1.max() + 1)
-    ax2 = q.alpha[1] + 2 * np.pi * np.arange(lo2, m2.max() + 1)
-    i1, i2 = m1 - lo1, m2 - lo2
-
-    def phases(i):
-        ph = np.exp(1j * np.outer(d1[i], ax1))[:, i1]
-        ph *= np.exp(1j * np.outer(d2[i], ax2))[:, i2]
-        return ph
-
-    out = contract_by_key(t3[:, None], len(a1),
-                          lambda i: c_bi_arrays(medium, a1, a2, t3[i]), phases)
+    out = _contract_disk(q, m1, m2, d1, d2, t3, lambda t: c_bi_arrays(medium, a1, a2, t))
     # below the source plane the entries odd in x3 change sign
     out[d3 < 0] *= _PARITY
     tails = np.empty(len(d1))

@@ -7,7 +7,9 @@ built from two transverse kernels at the branch roots
     u0(m, r) = (pi i/2) H_0^(1)(m r),   u1(m, r) = -(pi/2) H_1^(1)(m r),
 
 which reduce to K_0/K_1 for evanescent modes and to outgoing Hankel waves for
-propagating ones.  With w = 1/(4 pi^2 rho omega^2):
+propagating ones; :func:`qpelastic.specfun.u01` evaluates each root by its
+kind (cephes K_0/K_1 or the J/Y pair at a real argument, AMOS only at complex
+frequency).  With w = 1/(4 pi^2 rho omega^2):
 
     c_11 = -w (g^2 u0(g) + a^2 u0(b))
     c_12 = c_21 = w a x2/r (g u1(g) - b u1(b))
@@ -44,7 +46,7 @@ from .fdcheck import _D1, _D2, _OFF
 from .green_free import GreenEval
 from .medium import (ElasticMedium, ModeData, ModeTable, QuasiMomentum,
                      branch_sqrt, case_label, check_wood_window, mode_window)
-from .specfun import u0, u1
+from .specfun import u01
 
 GAP_MIN = 1e-2
 DEFAULT_TOL = 1e-10
@@ -82,8 +84,10 @@ def c_arrays(medium: ElasticMedium, alpha_l, x2, x3):
     x2, x3, r = x2[..., None], x3[..., None], r[..., None]
     b = branch_sqrt(medium.k_p**2 - a * a)
     g = branch_sqrt(medium.k_s**2 - a * a)
-    S0, P0 = u0(g, r), u0(b, r)
-    S1, P1 = u1(g, r), u1(b, r)
+    # both roots in one call: its fixed cost matters at the few modes of a wide gap
+    u0, u1 = u01(np.concatenate([g, b]), r)
+    M = len(a)
+    S0, P0, S1, P1 = u0[..., :M], u0[..., M:], u1[..., :M], u1[..., M:]
     w = 1.0 / (4 * np.pi**2 * medium.rho_omega2)
 
     def t22(m, m0, m1):

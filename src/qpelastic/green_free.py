@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hankel1, j0, j1, y0, y1
 
 from .errors import CoincidentPoints
 from .medium import ElasticMedium, QuasiMomentum
+from .specfun import hankel01
 
 COINCIDENT_TOL = 1e-12
 
@@ -47,14 +47,6 @@ def comb_normalization(kind: str) -> float:
     if kind == "biqp3d":
         return -1.0 / (4.0 * np.pi**2)
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def _hankel01(k, r):
-    """(H_0^(1)(k r), H_1^(1)(k r)); the cephes J/Y pair for real k, AMOS otherwise."""
-    x = k * r
-    if np.iscomplexobj(x):
-        return hankel1(0, x), hankel1(1, x)
-    return j0(x) + 1j * y0(x), j1(x) + 1j * y1(x)
 
 
 def _dh0_over_r_series(ks, kp, r, terms: int = 12):
@@ -100,8 +92,8 @@ def _radial2d(medium: ElasticMedium, r):
     1/r^2 parts.
     """
     ks, kp = medium.k_s, medium.k_p
-    h0s, h1s = _hankel01(ks, r)
-    h0p, h1p = _hankel01(kp, r)
+    h0s, h1s = hankel01(ks * r)
+    h0p, h1p = hankel01(kp * r)
     f1 = np.asarray((-ks * h1s + kp * h1p) / r)
     small = np.abs(ks) * r < 1.0
     if np.any(small):

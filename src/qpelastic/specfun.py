@@ -1,8 +1,12 @@
 """Bessel/Hankel/modified-Bessel kernels with the conventions the series need.
 
-Backed by scipy.special (AMOS/cephes); the test suite checks every function
-against an independent 40-digit mpmath reference on log-spaced grids.
-Derivatives are composed from the standard recurrences
+Built on scipy.special: cephes for real arguments (``j0/j1/y0/y1``,
+``k0/k1``) and AMOS for the rest (``hankel1``, ``kv`` and ``jv`` at any
+order, and every complex argument).  :func:`hankel01` is the one place that
+chooses between the two for the Hankel pair, and the 2D free-space tensor
+and the 3D mode kernels :func:`u01` both take it.  The test suite checks
+every function against an independent 40-digit mpmath reference on
+log-spaced grids.  Derivatives are composed from the standard recurrences
 
     K_nu'(x)  = -K_{nu-1}(x) - (nu/x) K_nu(x)
     H_m^(1)'(x) = H_{m-1}^(1)(x) - (m/x) H_m^(1)(x)
@@ -66,16 +70,40 @@ def mod_k_deriv(nu: int, x):
     return -mod_k(nu - 1, x) - (nu / np.asarray(x, dtype=float)) * mod_k(nu, x)
 
 
-# Unified transverse kernels for the 3D mode tensors.  With the Im >= 0
-# branch root m of k^2 - alpha_l^2 these play K_0/K_1 for evanescent modes
-# (m = i*g gives u0 = K_0(g r), u1 = K_1(g r)) and carry the outgoing wave
-# for propagating ones.
-
-def u0(m, r):
-    """(pi i/2) H_0^(1)(m r) for complex m with Im m >= 0."""
-    return (0.5j * np.pi) * sp.hankel1(0, np.asarray(m) * r)
+def hankel01(x):
+    """(H_0^(1)(x), H_1^(1)(x)): the cephes J/Y pair for a real array, AMOS for a complex one."""
+    if np.iscomplexobj(x):
+        return sp.hankel1(0, x), sp.hankel1(1, x)
+    return sp.j0(x) + 1j * sp.y0(x), sp.j1(x) + 1j * sp.y1(x)
 
 
-def u1(m, r):
-    """-(pi/2) H_1^(1)(m r) for complex m with Im m >= 0."""
-    return (-0.5 * np.pi) * sp.hankel1(1, np.asarray(m) * r)
+def u01(m, r):
+    """Transverse kernels (u0, u1) = ((pi i/2) H_0^(1)(m r), -(pi/2) H_1^(1)(m r)).
+
+    ``m`` is an (M,) array of branch roots with Im m >= 0 and ``r`` > 0 a
+    scalar or an array of shape S + (1,); both kernels have shape S + (M,).
+    Each root is evaluated by its kind, with one pass for both kernels:
+
+    * evanescent, m = i g with g > 0: u0 = K_0(g r), u1 = K_1(g r) by cephes
+      at the real argument g r;
+    * propagating, m real: the outgoing wave, by :func:`hankel01` at the real
+      argument m r (the cephes J/Y pair);
+    * any other root (complex frequency): :func:`hankel01` at the complex
+      argument m r (AMOS).
+    """
+    m = np.asarray(m, dtype=complex)
+    r = np.asarray(r, dtype=float)
+    u0 = np.empty(r.shape[:-1] + m.shape, dtype=complex)
+    u1 = np.empty_like(u0)
+    ev = m.real == 0.0
+    x = m.imag[ev] * r
+    u0[..., ev] = sp.k0(x)
+    u1[..., ev] = sp.k1(x)
+    if not ev.all():
+        real = m.imag == 0.0
+        for sel, arg in ((~ev & real, m.real), (~(ev | real), m)):
+            if sel.any():
+                h0, h1 = hankel01(arg[sel] * r)
+                u0[..., sel] = (0.5j * np.pi) * h0
+                u1[..., sel] = (-0.5 * np.pi) * h1
+    return u0, u1

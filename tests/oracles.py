@@ -14,7 +14,9 @@
 * the Abel-Plana near-line form of the 2D tensor and its jet, the
   independent reference for the kernel table, and the plain 2D series summed
   pair by pair over stacks of mode matrices, the reference for the rank-one
-  terms beyond NEAR_GAP.
+  terms beyond NEAR_GAP;
+* the biperiodic series summed with one exponential per mode, the reference
+  for its row-wise contraction.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from scipy.integrate import quad
 from scipy.special import hankel1, hankel2, jv, roots_laguerre
 
 from qpelastic.green2d import _FAR_TOL, NEAR_GAP, _unified_blocks
+from qpelastic.green3d_biqp import _lattice_block, c_bi_arrays
 from qpelastic.green_free import kupradze, lattice_sum
 from qpelastic.medium import (ElasticMedium, ModeData, QuasiMomentum, check_wood_window,
                               mode_window)
@@ -57,6 +60,23 @@ def mp_mod_k(nu, x):
         return float(mp.besselk(nu, mp.mpf(x)))
 
 
+def mp_u01(m, r):
+    """40-digit transverse kernels ((pi i/2) H_0^(1)(m r), -(pi/2) H_1^(1)(m r)), Im m >= 0.
+
+    Off the real axis they are (K_0(-i m r), K_1(-i m r)), by H_n^(1)(z) =
+    (2/(pi i)) i^(-n) K_n(-i z) for -pi/2 < arg z <= pi: the K form has no
+    J/Y cancellation where Im(m r) is large.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        z = mp.mpmathify(m) * mp.mpf(r)
+        if mp.im(z) == 0:
+            return (complex(0.5j * mp.pi * mp.hankel1(0, z)),
+                    complex(-0.5 * mp.pi * mp.hankel1(1, z)))
+        return complex(mp.besselk(0, -1j * z)), complex(mp.besselk(1, -1j * z))
+
+
 def _mp_kupradze2d_entry(medium, i, j, x1, x2):
     """Entry (i, j) of the free-space tensor at mpmath coordinates (x1, x2)."""
     import mpmath as mp
@@ -83,14 +103,44 @@ def mp_kupradze2d(medium, dx):
 
 
 def mp_kupradze2d_grad(medium, dx):
-    """(d/dx1, d/dx2) of the free-space tensor by 40-digit mpmath differentiation."""
+    """(d/dx1, d/dx2) of the free-space tensor from 40-digit radial derivatives.
+
+    d_k G_ij = (i/4mu) delta_ij d_k H_0(k_s r) + (i/4 rho w^2) d_i d_j d_k f for
+    f = H_0(k_s r) - H_0(k_p r).  A radial f has
+
+        d_i d_j d_k f = (f3 - 3 f2/r + 3 f1/r^2) rh_i rh_j rh_k
+                        + (f2/r - f1/r^2) (delta_ij rh_k + delta_ik rh_j + delta_jk rh_i)
+
+    with f1, f2, f3 its first three r-derivatives, and those of H_0(k r) follow
+    from H_0' = -H_1 and H_1' = H_0 - H_1/z: four Hankel values per point serve
+    all eight entries.
+    """
     import mpmath as mp
 
     with mp.workdps(40):
-        x1, x2 = mp.mpf(dx[0]), mp.mpf(dx[1])
-        return tuple(np.array([[complex(mp.diff(lambda t: _mp_kupradze2d_entry(
-            medium, i, j, *((t, x2) if k == 0 else (x1, t))), x1 if k == 0 else x2))
-            for j in range(2)] for i in range(2)]) for k in range(2))
+        x = (mp.mpf(dx[0]), mp.mpf(dx[1]))
+        r = mp.sqrt(x[0] ** 2 + x[1] ** 2)
+        rh = (x[0] / r, x[1] / r)
+
+        def radial(k):  # first three r-derivatives of H_0(k r)
+            z = k * r
+            h0, h1 = mp.hankel1(0, z), mp.hankel1(1, z)
+            return -k * h1, -k**2 * (h0 - h1 / z), -k**3 * (2 * h1 / z**2 - h0 / z - h1)
+
+        ds = radial(mp.mpmathify(medium.k_s))
+        f1, f2, f3 = (s - p for s, p in zip(ds, radial(mp.mpmathify(medium.k_p))))
+        c3 = f3 - 3 * f2 / r + 3 * f1 / r**2
+        c1 = f2 / r - f1 / r**2
+        cmu = 1j / (4 * mp.mpmathify(medium.mu))
+        crw = 1j / (4 * mp.mpmathify(medium.rho_omega2))
+
+        def entry(i, j, k):
+            third = c3 * rh[i] * rh[j] * rh[k] \
+                + c1 * ((i == j) * rh[k] + (i == k) * rh[j] + (j == k) * rh[i])
+            return complex(cmu * (i == j) * ds[0] * rh[k] + crw * third)
+
+        return tuple(np.array([[entry(i, j, k) for j in range(2)] for i in range(2)])
+                     for k in range(2))
 
 
 def mp_mode_block_2d(medium, alpha_l, d):
@@ -342,6 +392,24 @@ def mode_term_2d(medium: ElasticMedium, mode: ModeData, x2: float, y2: float,
     else:
         raise ValueError(f"form must be 'literal' or 'unified', got {form!r}")
     return ModeTerm2D(mode, mat, case)
+
+
+# ---------------------------------------------------------------------------
+# the biperiodic series one exponential per mode
+# ---------------------------------------------------------------------------
+def biqp3d_per_mode(medium: ElasticMedium, q: QuasiMomentum, X, y,
+                    tol: float = 1e-10) -> np.ndarray:
+    """``sum_l e^{i (a1_l d1 + a2_l d2)} c_bi_arrays(a1_l, a2_l, d3)`` point by point.
+
+    Sums over the disk ``greenbi_eval_batch`` takes for the batch X (sized
+    from its smallest |d3|), with one exponential per mode: the reference for
+    the batch's row-wise contraction with per-axis exponentials.
+    """
+    d = np.atleast_2d(np.asarray(X, dtype=float)) - np.asarray(y, dtype=float)
+    _, _, a1, a2, _ = _lattice_block(medium, q, float(np.min(np.abs(d[:, 2]))), tol)
+    return np.array([np.tensordot(np.exp(1j * (a1 * d1 + a2 * d2)),
+                                  c_bi_arrays(medium, a1, a2, d3), axes=(0, 0))
+                     for d1, d2, d3 in d.tolist()])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import draw_medium, draw_momentum
-from oracles import biqp_mode_tensor_quadrature
+from oracles import biqp3d_per_mode, biqp_mode_tensor_quadrature
 from qpelastic.errors import DomainError, NearSourcePlane
 from qpelastic.fdcheck import delta_weight_biqp, navier_residual
 from qpelastic.green3d_biqp import (_lattice_block, _tail_bound, c_bi_arrays, c_l_bi,
@@ -181,17 +183,42 @@ def test_batch_equals_point_loop(rng):
 
 
 def test_batch_axis_phases_equal_direct_exp_at_gap_01(rng):
-    """Per-axis phase products against one exponential per mode, at the
-    smallest gap the benchmark ladder uses (about 27 000 modes)."""
+    """Row-wise contraction with per-axis exponentials against one exponential
+    per mode, at the smallest gap the benchmark ladder uses (26 801 modes):
+    48 points with d3 of both signs, at real and complexified frequency."""
     med = make_medium(2.0, 1.0, 1.0, 2.0)
-    q = make_quasi_momentum("biqp3d", (0.27, -0.41), med)
+    q = make_quasi_momentum("biqp3d", (0.3, -0.2), med)
     y = np.array([0.3, -0.1, 0.05])
-    X = np.column_stack([rng.uniform(-1, 2, 8), rng.uniform(-1, 2, 8),
-                         y[2] + np.repeat([0.1, -0.1], 4)])
-    vals, _, n = greenbi_eval_batch(med, q, X, y, 1e-10)
-    _, _, a1, a2, _ = _lattice_block(med, q, 0.1, 1e-10)
-    assert n == len(a1) > 20000
-    for x, v in zip(X, vals):
-        d = x - y
-        ref = np.exp(1j * (a1 * d[0] + a2 * d[1])) @ c_bi_arrays(med, a1, a2, d[2]).reshape(n, 9)
-        assert np.max(np.abs(v.ravel() - ref)) <= 1e-13 * np.max(np.abs(ref))
+    X = np.column_stack([rng.uniform(-1, 2, 48), rng.uniform(-1, 2, 48),
+                         y[2] + np.repeat([0.1, -0.1, 0.4], 16) * np.tile([1, -1], 24)])
+    for m in (med, med.complexified(0.1)):
+        vals, _, n = greenbi_eval_batch(m, q, X, y, 1e-10)
+        assert n == 26801
+        ref = biqp3d_per_mode(m, q, X, y, 1e-10)
+        # one point alone takes the per-mode phases instead of the rows
+        vals = np.concatenate([vals, greenbi_eval_batch(m, q, X[:1], y, 1e-10)[0]])
+        ref = np.concatenate([ref, ref[:1]])
+        err = np.max(np.abs(vals - ref), axis=(1, 2))
+        assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=(1, 2)))
+
+
+def test_batch_peak_memory_at_gap_01():
+    """4 000 points at gap 0.1 allocate no more at peak than the (points x
+    modes) phase matrices did.  13 640 919 bytes is that figure: the peak
+    tracemalloc read for this call when the points went through
+    ``_series.contract_by_key`` in blocks of 9, each with its phase matrix
+    gathered from per-axis exponentials (commit fbbb699)."""
+    med = make_medium(2.0, 1.0, 1.0, 2.0)
+    q = make_quasi_momentum("biqp3d", (0.3, -0.2), med)
+    y = np.array([0.1, 0.05, -0.02])
+    n = 4000
+    X = np.column_stack([np.linspace(-1, 2, n), np.linspace(2, -1, n),
+                         y[2] + np.tile([0.1, -0.1], n // 2)])
+    tracemalloc.start()
+    try:
+        _, _, modes = greenbi_eval_batch(med, q, X, y, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert modes == 26801
+    assert peak <= 13_640_919

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy import special as sp
 
-from oracles import mp_bessel_j, mp_hankel1, mp_mod_k
+from oracles import mp_bessel_j, mp_hankel1, mp_mod_k, mp_u01
 from qpelastic.errors import DomainError
-from qpelastic.specfun import (bessel_j, hankel1, hankel1_deriv, mod_k,
-                               mod_k_deriv, u0, u1)
+from qpelastic.medium import branch_sqrt, make_medium
+from qpelastic.specfun import (bessel_j, hankel01, hankel1, hankel1_deriv, mod_k,
+                               mod_k_deriv, u01)
 
 # reference values frozen from the 40-digit oracle
 J0_1 = 0.7651976865579665514497175261026632209093
@@ -102,7 +104,48 @@ def test_k_monotone_decay():
 def test_unified_kernels_reduce_to_k():
     # u0(i g, r) = K_0(g r), u1(i g, r) = K_1(g r)
     g, r = 1.3, 0.7
-    assert u0(1j * g, r) == pytest.approx(mod_k(0, g * r), rel=1e-12)
-    assert u1(1j * g, r) == pytest.approx(mod_k(1, g * r), rel=1e-12)
+    (u0,), (u1,) = u01(np.array([1j * g]), r)
+    assert u0 == pytest.approx(mod_k(0, g * r), rel=1e-12)
+    assert u1 == pytest.approx(mod_k(1, g * r), rel=1e-12)
     # and carry the outgoing Hankel wave for real argument
-    assert u0(g, r) == pytest.approx(0.5j * np.pi * hankel1(0, g * r), rel=1e-14)
+    assert u01(np.array([g]), r)[0][0] == pytest.approx(0.5j * np.pi * hankel1(0, g * r), rel=1e-14)
+    # roots of all three kinds in one call give each root's own values
+    m = np.array([1j * g, g, g * (1 + 0.1j), 2j * g])
+    R = np.array([[0.7], [2.5]])
+    single = np.stack([np.array(u01(m[i:i + 1], R))[..., 0] for i in range(4)], axis=-1)
+    assert np.array_equal(np.array(u01(m, R)), single)
+
+
+def _roots(medium, alphas):
+    """Branch roots sqrt(k^2 - a^2) (Im >= 0) of both wavenumbers."""
+    a = np.asarray(alphas, dtype=float)
+    return np.concatenate([branch_sqrt(k**2 - a * a) for k in (medium.k_p, medium.k_s)])
+
+
+@pytest.mark.parametrize("kind", ["evanescent", "propagating", "complex"])
+def test_u01_against_extended_precision_grid(kind):
+    """Each branch of u01 (cephes K_0/K_1, cephes J/Y, AMOS) on |m| r in 1e-3..40."""
+    med = make_medium(2.0, 1.0, 1.0, 2.0)
+    if kind == "complex":
+        # a p root near the real axis and an s root near the imaginary axis
+        roots = _roots(med.complexified(0.1), [0.3, 0.3 + 4 * np.pi])[[0, 3]]
+        assert np.all(roots.real * roots.imag != 0)
+    else:
+        roots = _roots(med, [0.3 + 2 * np.pi if kind == "evanescent" else 0.3])
+        assert np.all(roots.real == 0) if kind == "evanescent" else np.all(roots.imag == 0)
+    x = np.logspace(-3, np.log10(40.0), 25)
+    for m in roots:
+        r = x / abs(m)
+        got = np.array(u01(np.array([m]), r[:, None]))[:, :, 0]
+        ref = np.array([mp_u01(m, ri) for ri in r.tolist()]).T
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+
+
+def test_hankel01_dispatch():
+    x = np.logspace(-3, 2, 50)
+    h0, h1 = hankel01(x)
+    assert np.array_equal(h0, sp.j0(x) + 1j * sp.y0(x))
+    assert np.array_equal(h1, sp.j1(x) + 1j * sp.y1(x))
+    z = x * np.exp(0.3j)
+    assert np.array_equal(hankel01(z)[1], sp.hankel1(1, z))
+    assert np.max(np.abs(h0 - sp.hankel1(0, x)) / np.abs(h0)) <= 1e-14
