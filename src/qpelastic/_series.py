@@ -1,4 +1,4 @@
-"""Small helpers of the plain series: geometric-polynomial tail sums, grouped sums."""
+"""The plain series' shared parts: geometric-polynomial tail sums, the contraction loop."""
 
 from __future__ import annotations
 
@@ -33,31 +33,52 @@ def equal_rows(keys):
     return np.split(order, starts)
 
 
-def contract_by_key(keys, n_modes: int, blocks, phases):
-    """Per point p, sum_l phases_pl B_l(key_p) with each B built once per distinct key.
+def contract(keys, n_modes: int, tensors, product, block: int):
+    """Per point p, sum_l phase_pl T_l(key_p) with each T built once per distinct key.
 
-    ``keys`` (n, k) holds each point's key.  ``blocks(i)`` returns the
-    (len(i), n_modes, ...) tensors at the keys of points ``i`` (one point per
-    distinct key), and ``phases(i)`` the (len(i), n_modes) phase matrix of
-    points ``i``; the points sharing a key are contracted with its tensors by
-    one matrix product.  Keys go in blocks of about ``_BLOCK_ELEMS /
-    n_modes``, and points in blocks whose phase matrix holds as many entries
-    as a block of tensors.  Returns (n, ...), the trailing shape of the
-    tensors.
+    The one contraction loop of the plain series.  ``keys`` (n, k) holds
+    each point's key, the part of its offset from the source that the mode
+    tensors depend on.  ``tensors(i)`` returns the (len(i), n_modes, ...)
+    tensors at the keys of points ``i`` (one point per distinct key); they
+    are built in blocks of about ``_BLOCK_ELEMS / n_modes`` keys.  The points
+    sharing a key go in runs of at most ``block`` to ``product(sub, c)``,
+    which returns the (len(sub), width) contraction of points ``sub`` with
+    their phases and the tensors ``c`` (n_modes, width) of their key.  The
+    lattice supplies only ``product`` and ``block``: ``scalar_phases`` for
+    one momentum per mode, ``green3d_biqp`` its own for the pair lattice.
+    Returns (n, ...), the trailing shape of the tensors.
     """
     groups = equal_rows(keys)
     rows = max(1, _BLOCK_ELEMS // max(n_modes, 1))
     out = None
     for k in range(0, len(groups), rows):
         part = groups[k:k + rows]
-        tensors = blocks(np.array([g[0] for g in part]))
+        ts = tensors(np.array([g[0] for g in part]))
         if out is None:
-            shape = tensors.shape[2:]
+            shape = ts.shape[2:]
             width = int(np.prod(shape))
             out = np.empty((len(keys), width), dtype=complex)
-        tensors = tensors.reshape(len(part), n_modes, width)
-        for idx, blk in zip(part, tensors):
-            for j in range(0, len(idx), rows * width):
-                sub = idx[j:j + rows * width]
-                out[sub] = phases(sub) @ blk
+        for idx, c in zip(part, ts.reshape(len(part), n_modes, width)):
+            for j in range(0, len(idx), block):
+                sub = idx[j:j + block]
+                out[sub] = product(sub, c)
     return out.reshape((len(keys),) + shape)
+
+
+def scalar_phases(t, al, width: int):
+    """``(product, block)`` of ``contract`` for the momenta ``al`` (M,).
+
+    Points ``sub`` take their (points x modes) phase matrix e^{i al_l t_p}
+    times the tensors, in blocks whose phase matrix holds as many entries as
+    a block of tensors of ``width`` entries a mode.
+    """
+    return ((lambda sub, c: np.exp(1j * np.outer(t[sub], al)) @ c),
+            max(1, _BLOCK_ELEMS // len(al)) * width)
+
+
+def per_key(keys, f):
+    """``f(key)`` at each entry of ``keys`` (n,), evaluated once per distinct key."""
+    out = np.empty(len(keys))
+    for idx in equal_rows(keys[:, None]):
+        out[idx] = f(keys[idx[0]])
+    return out

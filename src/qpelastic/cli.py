@@ -100,8 +100,11 @@ def resolve_config(cfg: dict, geometry_override: str | None = None) -> dict:
         out["quasi_momentum"] = {"alpha": float(alpha)}
 
     trunc = _opt(cfg, "truncation", {})
+    tol = _opt(trunc, "tol", 1e-10)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0.0 < tol < 1.0:
+        raise ConfigError("truncation.tol", f"must be a number in (0, 1), got {tol!r}")
     out["truncation"] = {
-        "tol": float(_opt(trunc, "tol", 1e-10)),
+        "tol": float(tol),
         "gap_min": trunc.get("gap_min"),
         "tol_wood": trunc.get("tol_wood"),
     }
@@ -113,6 +116,10 @@ def resolve_config(cfg: dict, geometry_override: str | None = None) -> dict:
         "sin": [float(v) for v in _opt(prof, "sin", [])],
     }
     out["solver"] = {"N": int(_opt(_opt(cfg, "solver", {}), "N", 128))}
+
+    trials = _opt(_opt(cfg, "verify", {}), "trials", 6)
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ConfigError("verify.trials", f"must be an integer >= 1, got {trials!r}")
 
     for key in ("eval", "incident", "rayleigh", "phaseless", "verify"):
         if key in cfg:
@@ -157,6 +164,15 @@ def _incident_of(rc, medium):
 
 def _fmt(x) -> str:
     return "%.17g" % float(x)
+
+
+def _write_csv(path, rc, cols, row, rows):
+    """The ``# config`` line, the header ``cols`` and each of ``rows`` through ``row``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# config: " + json.dumps(rc, sort_keys=True) + "\n")
+        fh.write(",".join(cols) + "\n")
+        for r in rows:
+            fh.write(row % tuple(r))
 
 
 def _write_json(path, obj):
@@ -211,11 +227,8 @@ def cmd_eval(rc, out_path):
     # the numbers of a row in column order: x, then (re, im) of G row by row
     nums = np.concatenate([pts, values.view(float).reshape(len(pts), -1)], axis=1)
     row = ",".join(["%.17g"] * nums.shape[1] + ["%d", "%.17g"]) + "\n"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("# config: " + json.dumps(rc, sort_keys=True) + "\n")
-        fh.write(",".join(cols) + "\n")
-        for r, n, tb in zip(nums.tolist(), modes.tolist(), tails.tolist()):
-            fh.write(row % (*r, n, tb))
+    _write_csv(out_path, rc, cols, row,
+               ((*r, n, tb) for r, n, tb in zip(nums.tolist(), modes.tolist(), tails.tolist())))
     return 0
 
 
@@ -506,12 +519,9 @@ def cmd_rayleigh(rc, action, out_path):
         us = [ms[1] + 1j * ms[2] for _, ms in pairs]
         co = RayleighCoeffs2(tuple(modes), np.array(up), np.array(us))
         vals = eval_rayleigh_2d(medium, q, co, pts)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write("# config: " + json.dumps(rc, sort_keys=True) + "\n")
-            fh.write("x1,x2,re_u1,im_u1,re_u2,im_u2\n")
-            for x, u in zip(pts, vals):
-                fh.write(",".join([_fmt(x[0]), _fmt(x[1]), _fmt(u[0].real),
-                                   _fmt(u[0].imag), _fmt(u[1].real), _fmt(u[1].imag)]) + "\n")
+        nums = np.concatenate([pts, vals.view(float)], axis=1)
+        _write_csv(out_path, rc, ["x1", "x2", "re_u1", "im_u1", "re_u2", "im_u2"],
+                   ",".join(["%.17g"] * 6) + "\n", nums.tolist())
         print(f"rayleigh eval: {len(pts)} points")
         return 0
     raise ConfigError("rayleigh", f"unknown action {action!r}")

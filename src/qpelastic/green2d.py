@@ -54,7 +54,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._series import contract_by_key, equal_rows
+from ._series import contract, per_key, scalar_phases
 from .errors import CoincidentPoints, DomainError, NearSourceLine, TableUnresolved
 from .green_free import COINCIDENT_TOL, GreenEval, _kupradze2d_value
 from .medium import (ElasticMedium, QuasiMomentum, branch_sqrt, check_wood_window,
@@ -164,9 +164,8 @@ def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     Returns ``(values, tails, n_modes)`` with values (n, 2, 2).  One mode
     window serves the whole call, sized from the smallest |x2 - y2|, so one
     close point makes every point pay for its modes; callers with mixed gaps
-    should batch by gap.  The mode matrices are built once per distinct
-    |x2 - y2|, and the points sharing one are contracted with them as one
-    (points x modes) phase matrix.
+    should batch by gap.  ``_series.contract`` builds the mode matrices once
+    per distinct |x2 - y2|.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -178,13 +177,10 @@ def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     m, al = _window_arrays(medium, q, float(np.min(D)), tol)
     check_wood_window(medium, q, al, tol_wood)
 
-    tails = np.empty(len(d))
-    for idx in equal_rows(D[:, None]):
-        tails[idx] = _tail_bound(medium, al[-1] + 2 * np.pi, D[idx[0]]) \
-            + _tail_bound(medium, al[0] - 2 * np.pi, D[idx[0]])
-    out = contract_by_key(D[:, None], len(al),
-                          lambda i: _unified_blocks(medium, al, D[i][:, None], 1.0),
-                          lambda i: np.exp(1j * np.outer(t1[i], al)))
+    tails = per_key(D, lambda g: _tail_bound(medium, al[-1] + 2 * np.pi, g)
+                    + _tail_bound(medium, al[0] - 2 * np.pi, g))
+    out = contract(D[:, None], len(al), lambda i: _unified_blocks(medium, al, D[i][:, None], 1.0),
+                   *scalar_phases(t1, al, 4))
     # below the source line the off-diagonal entries, odd in x2, change sign
     out[d < 0] *= _PARITY
     return out, tails, len(al)

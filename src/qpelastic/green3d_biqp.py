@@ -19,14 +19,10 @@ Shapes: ``c_bi_arrays(medium, a1, a2, x3)`` takes M momentum pairs and a
 scalar or array height (shape S) and returns S + (M, 3, 3); on the
 evanescent roots e^{i m |t|} is a real exponential.  The profiles depend on
 x3 only, and on its sign only through the odd entries c_i3, so
-``greenbi_eval_batch`` builds them once per distinct |x3|.  The disk is
-ordered by alpha_1, then alpha_2, so each alpha_1 row is one run of
-consecutive alpha_2, and the phase e^{i (alpha_1 (x1 - y1) + alpha_2 (x2 -
-y2))} splits into one exponential per axis index and point: each row is
-contracted with its alpha_2 exponentials by one matrix product, and the row
-sums with the alpha_1 exponentials, so a large batch forms no (points x
-modes) phase matrix.  A small one, where a product per row would cost more,
-forms it from the same exponentials.
+``_series.contract`` builds them once per distinct |x3|.  The disk is ordered
+by alpha_1, then alpha_2, so the phase e^{i (alpha_1 (x1 - y1) + alpha_2 (x2 -
+y2))} splits into one exponential per axis index and point, and
+``_disk_phases`` contracts the disk row by row.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._series import _BLOCK_ELEMS, equal_rows, geom_poly_sum
+from ._series import _BLOCK_ELEMS, contract, geom_poly_sum, per_key
 from .errors import DomainError, NearSourcePlane
 from .green_free import GreenEval
 from .medium import (ElasticMedium, ModeData, ModeTable, QuasiMomentum,
@@ -165,19 +161,16 @@ def _tail_bound(medium, R, t):
     return float(np.sqrt(2.0) * cov * np.exp(-g0 * t) * s2)
 
 
-def _contract_disk(q, m1, m2, d1, d2, t3, profiles):
-    """Per point p, sum_l e^{i (a1_l d1_p + a2_l d2_p)} c_l(t3_p) over the disk (m1, m2).
+def _disk_phases(q, m1, m2, d1, d2):
+    """``(product, block)`` of ``_series.contract`` for the disk (m1, m2).
 
-    ``profiles(t)`` returns the (len(t), M, 3, 3) profiles at the heights t;
-    they are built once per distinct t3, in blocks of heights as
-    ``contract_by_key`` builds its tensors.  The phase is E1[p, k] E2[p, j]
-    for the mode in row k (one m1) and column j (one m2).  Row k is one run
-    of consecutive columns and contributes E1[p, k] (E2[p, cols_k] @
-    c[row_k]); the row products of a block of points are written into one
-    array and contracted with E1 once, and a block holds about as many
-    entries as one set of profiles.  A call with at most ``_BLOCK_ELEMS``
-    (points x modes) forms the phase of every mode instead, which costs less
-    there than a matrix product per row.  Returns (n, 3, 3).
+    The phase of point p and the mode in row k (one m1) and column j (one
+    m2) is E1[p, k] E2[p, j].  Row k is one run of consecutive columns and
+    contributes E1[p, k] (E2[p, cols_k] @ c[row_k]); the row products of a
+    block of points are written into one array and contracted with E1 once,
+    and a block holds about as many entries as one set of profiles.  A call
+    with at most ``_BLOCK_ELEMS`` (points x modes) forms the phase of every
+    mode instead, which costs less there than a matrix product per row.
     """
     M = len(m1)
     starts = np.flatnonzero(np.diff(m1, prepend=m1[0] - 1))
@@ -188,34 +181,20 @@ def _contract_disk(q, m1, m2, d1, d2, t3, profiles):
     if len(d1) * M <= _BLOCK_ELEMS:
         ph = np.exp(1j * np.outer(d1, ax1))[:, np.repeat(np.arange(len(starts)), ends - starts)]
         ph *= np.exp(1j * np.outer(d2, ax2))[:, m2 - lo2]
-        block = len(d1)
+        return (lambda sub, c: ph[sub] @ c), len(d1)
 
-        def contract(sub, c):
-            return ph[sub] @ c
-    else:
-        rows = list(zip(starts.tolist(), ends.tolist(), (m2[starts] - lo2).tolist()))
-        # entries per point: 10 n1 in e1 and z, up to 3 n2 in e2 and its temporaries
-        block = max(1, max(_BLOCK_ELEMS, 9 * M) // (10 * len(rows) + 3 * len(ax2)))
+    rows = list(zip(starts.tolist(), ends.tolist(), (m2[starts] - lo2).tolist()))
 
-        def contract(sub, c):
-            e1 = np.exp(1j * np.outer(d1[sub], ax1))
-            e2 = np.exp(1j * np.outer(d2[sub], ax2))
-            z = np.empty((len(rows), len(sub), 9), dtype=complex)
-            for k, (s, e, col) in enumerate(rows):
-                np.dot(e2[:, col:col + e - s], c[s:e], out=z[k])
-            return np.matmul(e1[:, None, :], z.transpose(1, 0, 2))[:, 0]
+    def product(sub, c):
+        e1 = np.exp(1j * np.outer(d1[sub], ax1))
+        e2 = np.exp(1j * np.outer(d2[sub], ax2))
+        z = np.empty((len(rows), len(sub), 9), dtype=complex)
+        for k, (s, e, col) in enumerate(rows):
+            np.dot(e2[:, col:col + e - s], c[s:e], out=z[k])
+        return np.matmul(e1[:, None, :], z.transpose(1, 0, 2))[:, 0]
 
-    keys = max(1, _BLOCK_ELEMS // M)
-    groups = equal_rows(t3[:, None])
-    out = np.empty((len(d1), 9), dtype=complex)
-    for g in range(0, len(groups), keys):
-        part = groups[g:g + keys]
-        cs = profiles(t3[[idx[0] for idx in part]]).reshape(len(part), M, 9)
-        for idx, c in zip(part, cs):
-            for j in range(0, len(idx), block):
-                sub = idx[j:j + block]
-                out[sub] = contract(sub, c)
-    return out.reshape(len(d1), 3, 3)
+    # entries per point: 10 n1 in e1 and z, up to 3 n2 in e2 and its temporaries
+    return product, max(1, max(_BLOCK_ELEMS, 9 * M) // (10 * len(rows) + 3 * len(ax2)))
 
 
 def greenbi_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
@@ -226,8 +205,9 @@ def greenbi_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     Returns ``(values, tails, n_modes)`` with values (n, 3, 3).  One lattice
     disk serves the whole call, sized from the smallest |x3 - y3|, so one
     close point makes every point pay for its modes; callers with mixed gaps
-    should batch by gap.  The profiles c_l are built once per distinct
-    |x3 - y3| and contracted row by row of the disk (``_contract_disk``).
+    should batch by gap.  ``_series.contract`` builds the profiles c_l once
+    per distinct |x3 - y3|, and ``_disk_phases`` contracts them row by row
+    of the disk.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -239,12 +219,11 @@ def greenbi_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
         raise NearSourcePlane(f"|x3-y3| below gap_min={gap_min}")
     m1, m2, a1, a2, R = _lattice_block(medium, q, float(np.min(t3)), tol)
     check_wood_window(medium, q, (a1, a2), tol_wood)
-    out = _contract_disk(q, m1, m2, d1, d2, t3, lambda t: c_bi_arrays(medium, a1, a2, t))
+    out = contract(t3[:, None], len(a1), lambda i: c_bi_arrays(medium, a1, a2, t3[i]),
+                   *_disk_phases(q, m1, m2, d1, d2))
     # below the source plane the entries odd in x3 change sign
     out[d3 < 0] *= _PARITY
-    tails = np.empty(len(d1))
-    for idx in equal_rows(t3[:, None]):
-        tails[idx] = _tail_bound(medium, R, t3[idx[0]])
+    tails = per_key(t3, lambda t: _tail_bound(medium, R, t))
     return out, tails, len(a1)
 
 

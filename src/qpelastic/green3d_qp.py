@@ -29,9 +29,7 @@ The assembled series solves ``(Delta* + rho omega^2) G = (1/2pi) * comb``.
 
 Shapes: ``c_arrays(medium, alpha_l, x2, x3)`` takes M momenta and scalar or
 array transverse coordinates (shape S) and returns S + (M, 3, 3).  The
-tensors depend on (x2, x3) only, so ``green3dqp_eval_batch`` builds them once
-per distinct transverse position and contracts the points sharing it with
-their (points x modes) phase matrix e^{i alpha_l (x1 - y1)}.
+tensors depend on (x2, x3) only; ``_series.contract`` sums the series.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._series import contract_by_key, equal_rows, geom_poly_sum
+from ._series import contract, geom_poly_sum, per_key, scalar_phases
 from .errors import DomainError, NearSourceLine
 from .fdcheck import _D1, _D2, _OFF
 from .green_free import GreenEval
@@ -185,9 +183,8 @@ def green3dqp_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     Returns ``(values, tails, n_modes)`` with values (n, 3, 3).  One mode
     window serves the whole call, sized from the smallest transverse gap, so
     one close point makes every point pay for its modes; callers with mixed
-    gaps should batch by gap.  The tensors c_l are built once per distinct
-    (x2 - y2, x3 - y3), and the points sharing one are contracted with them
-    as one (points x modes) phase matrix.
+    gaps should batch by gap.  ``_series.contract`` builds the tensors c_l
+    once per distinct (x2 - y2, x3 - y3).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -200,14 +197,10 @@ def green3dqp_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     m, al = mode_window(medium, q, gap=float(np.min(r)), tol=tol)
     check_wood_window(medium, q, al, tol_wood)
 
-    out = contract_by_key(
-        np.stack([dx2, dx3], axis=-1), len(al),
-        lambda i: c_arrays(medium, al, dx2[i], dx3[i]),
-        lambda i: np.exp(1j * np.outer(t1[i], al)))
-    tails = np.empty(len(t1))
-    for idx in equal_rows(r[:, None]):
-        tails[idx] = _tail_bound_side(medium, al[-1] + 2 * np.pi, r[idx[0]]) \
-            + _tail_bound_side(medium, al[0] - 2 * np.pi, r[idx[0]])
+    out = contract(np.stack([dx2, dx3], axis=-1), len(al),
+                   lambda i: c_arrays(medium, al, dx2[i], dx3[i]), *scalar_phases(t1, al, 9))
+    tails = per_key(r, lambda g: _tail_bound_side(medium, al[-1] + 2 * np.pi, g)
+                    + _tail_bound_side(medium, al[0] - 2 * np.pi, g))
     return out, tails, len(al)
 
 

@@ -22,6 +22,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -53,7 +54,9 @@ def mp_hankel1(m, x):
         return complex(mp.besselj(m, mp.mpf(x)) + 1j * mp.bessely(m, mp.mpf(x)))
 
 
+@lru_cache(maxsize=None)
 def mp_mod_k(nu, x):
+    """40-digit K_nu(x), kept per (nu, x): two tests read the same 400-point grid."""
     import mpmath as mp
 
     with mp.workdps(40):

@@ -11,7 +11,8 @@ from qpelastic.cli import main
 from qpelastic.green2d import green2d_eval
 from qpelastic.green3d_biqp import greenbi_eval
 from qpelastic.green3d_qp import green3dqp_eval
-from qpelastic.medium import make_medium, make_quasi_momentum
+from qpelastic.medium import ModeTable, make_medium, make_quasi_momentum
+from qpelastic.rayleigh import RayleighCoeffs2, eval_rayleigh_2d
 
 BASE_CONFIG = {
     "medium": {"lambda": 2.0, "mu": 1.0, "rho": 1.0, "omega": 5.0},
@@ -50,6 +51,25 @@ def test_eval_missing_field_exit2(tmp_path, capsys):
     rc = main(["eval", "--config", p, "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "medium.mu" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,literal", [
+    ("truncation.tol", "0"), ("truncation.tol", "-1"), ("truncation.tol", "1e-400"),
+    ("truncation.tol", "2"), ("truncation.tol", '"abc"'),
+    ("verify.trials", "0"), ("verify.trials", "-3"), ("verify.trials", '"abc"'),
+])
+def test_out_of_range_number_exit2(tmp_path, capsys, field, literal):
+    """A tol outside (0, 1) or a trial count below 1 is a config error, not a
+    traceback, a one-mode sum or a suite that passes having checked nothing."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    section, key = field.split(".")
+    cfg[section] = {key: "@"}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg).replace('"@"', literal))
+    argv = ["verify", "--suite", "quasiperiodicity"] if section == "verify" else ["eval"]
+    assert main(argv + ["--config", str(p), "--out", str(tmp_path / "x.out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "x.out").exists()
 
 
 def test_eval_wood_anomaly_exit3(tmp_path):
@@ -213,7 +233,20 @@ def test_rayleigh_roundtrip_via_cli(tmp_path):
     p2 = write_cfg(tmp_path, cfg2, "cfg_eval.json")
     out = tmp_path / "field.csv"
     assert main(["rayleigh", "eval", "--config", p2, "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 4
+    # the rows, cell by cell as the writer formatted them before it shared
+    # the eval CSV's row template
+    rc = cli.resolve_config(cfg2)
+    med = cli._medium_of(rc)
+    q = cli._momentum_of(rc, med)
+    modes = ModeTable.of(med, q, [int(e[0]) for e in data["p"]]).rows()
+    co = RayleighCoeffs2(tuple(modes), np.array([e[1] + 1j * e[2] for e in data["p"]]),
+                         np.array([e[1] + 1j * e[2] for e in data["s"]]))
+    pts = np.array(cfg2["rayleigh"]["points"])
+    lines = ["# config: " + json.dumps(rc, sort_keys=True), "x1,x2,re_u1,im_u1,re_u2,im_u2"]
+    lines += [",".join("%.17g" % float(v) for v in (x[0], x[1], u[0].real, u[0].imag,
+                                                     u[1].real, u[1].imag))
+              for x, u in zip(pts, eval_rayleigh_2d(med, q, co, pts))]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_phaseless_synth_and_check(tmp_path):

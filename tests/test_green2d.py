@@ -416,3 +416,27 @@ def test_batch_equals_per_pair_sum(rng):
     assert n == len(al)
     ref = _series_sum(med, al, X[:, 0] - y[0], X[:, 1] - y[1], False)
     assert np.max(np.abs(val - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("omega_im", [0.0, 0.1])
+def test_batch_over_key_and_point_blocks(omega_im):
+    """367 modes at gap 0.02: 200 distinct |x2 - y2| span three blocks of
+    mode matrices, and 1 000 points on one gap span three blocks of phases;
+    both signs of x2 - y2.  The values equal the per-pair contraction."""
+    from qpelastic.green2d import _window_arrays
+
+    rng = np.random.default_rng(12)
+    med = make_medium(2.0, 1.0, 1.0, 2.0)
+    if omega_im:
+        med = med.complexified(omega_im)
+    q = make_quasi_momentum("qp2d", 0.3, med)
+    y = np.array([0.1, -0.05])
+    d = np.concatenate([np.linspace(0.02, 1.0, 200) * rng.choice([-1.0, 1.0], 200),
+                        0.3 * rng.choice([-1.0, 1.0], 1000)])
+    X = np.column_stack([rng.uniform(-1, 2, len(d)), y[1] + d])
+    val, _, n = green2d_eval_batch(med, q, X, y, 1e-10)
+    al = _window_arrays(med, q, 0.02, 1e-10)[1]
+    assert n == len(al) == 367
+    ref = _series_sum(med, al, X[:, 0] - y[0], X[:, 1] - y[1], False)
+    err = np.max(np.abs(val - ref), axis=(1, 2))
+    assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=(1, 2)))

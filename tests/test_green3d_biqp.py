@@ -205,9 +205,9 @@ def test_batch_axis_phases_equal_direct_exp_at_gap_01(rng):
 def test_batch_peak_memory_at_gap_01():
     """4 000 points at gap 0.1 allocate no more at peak than the (points x
     modes) phase matrices did.  13 640 919 bytes is that figure: the peak
-    tracemalloc read for this call when the points went through
-    ``_series.contract_by_key`` in blocks of 9, each with its phase matrix
-    gathered from per-axis exponentials (commit fbbb699)."""
+    tracemalloc read for this call when the points went in blocks of 9, each
+    with its (points x modes) phase matrix gathered from per-axis
+    exponentials (commit fbbb699)."""
     med = make_medium(2.0, 1.0, 1.0, 2.0)
     q = make_quasi_momentum("biqp3d", (0.3, -0.2), med)
     y = np.array([0.1, 0.05, -0.02])

@@ -202,3 +202,31 @@ def test_fd_checks_equal_point_by_point_grids(medium, monkeypatch):
     monkeypatch.setattr(g3, "c_arrays", _pointwise(g3.c_arrays))
     assert [ode_residual(medium, q, m, 0.7, 0.6, 1e-2) for m in (0, 1, -2)] == ode
     assert np.array_equal(delta_weight_qp3d(medium, q, 0), w)
+
+
+@pytest.mark.parametrize("omega_im", [0.0, 0.1])
+def test_batch_over_key_and_point_blocks(omega_im):
+    """367 modes at gap 0.02: 200 distinct (x2 - y2, x3 - y3) of both signs
+    span three blocks of tensors, and 1 000 points on one of them span two
+    blocks of phases.  The values equal the per-point contraction."""
+    rng = np.random.default_rng(13)
+    med = make_medium(2.0, 1.0, 1.0, 2.0)
+    if omega_im:
+        med = med.complexified(omega_im)
+    q = make_quasi_momentum("qp3d", 0.3, med)
+    y = np.array([0.1, 0.05, -0.02])
+    phi = rng.uniform(0, 2 * np.pi, 200)
+    T = np.linspace(0.02, 1.0, 200)[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
+    T = np.concatenate([T, np.tile([[-0.2, 0.25]], (1000, 1))])
+    X = np.column_stack([rng.uniform(-1, 2, len(T)), y[1:] + T])
+    vals, _, n = green3dqp_eval_batch(med, q, X, y)
+    _, al = mode_window(med, q, gap=0.02, tol=1e-10)
+    assert n == len(al) == 367
+    c = {}
+    for x, v in zip(X, vals):
+        d = x - y
+        key = (d[1], d[2])
+        if key not in c:
+            c[key] = c_arrays(med, al, d[1], d[2])
+        ref = np.tensordot(np.exp(1j * al * d[0]), c[key], axes=(0, 0))
+        assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
