@@ -13,10 +13,13 @@ accurate product-trapezoid rule for log kernels, the smooth factor with the
 plain trapezoid rule.
 
 Each system keeps one :class:`~qpelastic.green2d.QPSources` at its nodes.
-Every kernel entry off the diagonal is ``QPSources.green`` at the pair's
-separation, by the one evaluator rule of :mod:`qpelastic.green2d`; the
-on-diagonal finite part uses R(0, 0) = (G + Phi/(2 pi))(0, 0) from the
-sources' kernel table.  Incident point sources and the scattered field,
+A pair within NEAR_GAP reads T = G + S/(2 pi) from the sources' kernel
+table, where S = a(r) ln r + kappa rhat rhat^T is the singular part of the
+free-space tensor; B takes T plus closed-form logarithms of the log
+coefficient a that A needs anyway, so no pair evaluates a Hankel function,
+and the on-diagonal finite part is T(0, 0) plus known logarithms.  A pair
+beyond NEAR_GAP takes G from ``QPSources.green``, by the one evaluator rule
+of :mod:`qpelastic.green2d`.  Incident point sources and the scattered field,
 values and gradients alike, are one ``QPSources.apply`` from a source set.
 There is one table per (medium, alpha), which the system and its
 point-source incidences share.  A target on a point source or one of its
@@ -32,13 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack, lu_factor, lu_solve
-from scipy.special import j0, j1
 
-from .errors import ResonanceSuspected, TooCloseToBoundary
-from .green2d import QPSources
+from .errors import CoincidentPoints, ResonanceSuspected, TooCloseToBoundary
+from .green2d import _CHUNK, NEAR_GAP, QPSources, _iso, _kappa, _log_coeff
+from .green_free import COINCIDENT_TOL
 from .medium import ElasticMedium, QuasiMomentum
 
-EULER_GAMMA = 0.5772156649015328606
 COND_LIMIT = 1e12
 EVAL_CLEARANCE_FACTOR = 10.0
 
@@ -194,61 +196,6 @@ def _chi(tau):
     return out
 
 
-def _log_coeff(medium: ElasticMedium, dx1, dx2):
-    """Log-coefficient matrix a(r) of the free-space tensor, Phi = a ln r + smooth.
-
-    a(r) = -(1/2pi) [ (1/mu) J0(k_s r) I + (1/rho w^2) Hess g(r) ],
-    g(r) = J0(k_s r) - J0(k_p r); analytic at r = 0.
-    """
-    ks, kp = np.real(medium.k_s), np.real(medium.k_p)
-    dx1 = np.asarray(dx1, dtype=float)
-    dx2 = np.asarray(dx2, dtype=float)
-    r = np.hypot(dx1, dx2)
-    out = np.empty(r.shape + (2, 2), dtype=float)
-    g2_0 = -(ks**2 - kp**2) / 2.0
-
-    small = r < 1e-6
-    rs = np.where(small, 1.0, r)
-    gp = -ks * j1(ks * rs) + kp * j1(kp * rs)
-    gpp = -ks**2 * (j0(ks * rs) - j1(ks * rs) / (ks * rs)) \
-        + kp**2 * (j0(kp * rs) - j1(kp * rs) / (kp * rs))
-    gp_over_r = np.where(small, g2_0, gp / rs)
-    gpp = np.where(small, g2_0, gpp)
-    r1 = np.where(small, 1.0, dx1 / rs)
-    r2 = np.where(small, 0.0, dx2 / rs)
-
-    j0s = j0(ks * r)
-    hxx = gpp * r1 * r1 + gp_over_r * r2 * r2
-    hyy = gpp * r2 * r2 + gp_over_r * r1 * r1
-    hxy = (gpp - gp_over_r) * r1 * r2
-    c = -1.0 / (2 * np.pi)
-    rw2 = np.real(medium.rho_omega2)
-    out[..., 0, 0] = c * (j0s / medium.mu + hxx / rw2)
-    out[..., 1, 1] = c * (j0s / medium.mu + hyy / rw2)
-    out[..., 0, 1] = out[..., 1, 0] = c * hxy / rw2
-    return out
-
-
-def _phi_reg_diag(medium: ElasticMedium, that):
-    """Finite part of the free-space tensor at coincidence along tangents that (..., 2).
-
-    Phi(r) - a(r) ln r  ->  (i/4mu) c_s I
-        + (i/4 rho w^2) [ (2i/pi) g2 (that that^T + I/2) + 2 e1 I ]
-    with c_k = 1 + (2i/pi)(ln(k/2) + gamma_E), g2 = -(k_s^2 - k_p^2)/2 and
-    e1 = -(k_s^2 c_s - k_p^2 c_p)/4 + (i/2pi)(k_s^2 - k_p^2).
-    """
-    ks, kp = np.real(medium.k_s), np.real(medium.k_p)
-    c_s = 1 + (2j / np.pi) * (np.log(ks / 2) + EULER_GAMMA)
-    c_p = 1 + (2j / np.pi) * (np.log(kp / 2) + EULER_GAMMA)
-    g2 = -(ks**2 - kp**2) / 2.0
-    e1 = -(ks**2 * c_s - kp**2 * c_p) / 4.0 + (1j / (2 * np.pi)) * (ks**2 - kp**2)
-    eye = np.eye(2)
-    tt = that[..., :, None] * that[..., None, :]
-    rw2 = np.real(medium.rho_omega2)
-    return (0.25j / medium.mu) * c_s * eye \
-        + (0.25j / rw2) * ((2j / np.pi) * g2 * (tt + eye / 2.0) + 2.0 * e1 * eye)
-
-
 def log_quadrature_weights(N: int) -> np.ndarray:
     """Circulant weights w_d with sum_j w_{i-j} e^{2 pi i m t_j} = -e^{2 pi i m t_i}/|m|.
 
@@ -312,44 +259,71 @@ def _geometry(profile: ProfileCurve2, t):
     return pts, jac, nu
 
 
-def _kernel_split(sources: QPSources, pts_rows, jac_cols, phi_reg_rows=None):
+def _kernel_split(sources: QPSources, pts_rows, jac_cols, that_rows=None):
     """A (log coefficient) and B (smooth remainder) matrices of the kernel.
 
     Rows are collocation points (may be off-node), columns the quadrature
-    nodes ``sources.Y``, which lie at x1 = t.  ``phi_reg_rows`` supplies the
-    tangential finite-part matrices for rows that coincide with columns (the
-    on-node case); pass None when the row set avoids all columns.
+    nodes ``sources.Y``, which lie at x1 = t.  ``that_rows`` gives the unit
+    tangents of rows that coincide with the columns (the on-node case); pass
+    None when the row set avoids all columns.
+
+    With a = a_I I + a_rr rhat rhat^T the log coefficient of the free-space
+    tensor (:func:`~qpelastic.green2d._log_coeff`), w = phase * jac and
+    L = ln(4 sin^2(pi tau)), which is ln(4 sin^2(pi (t - s))),
+
+        A = -chi w a / (4 pi),
+        B = w [T + a (chi L - ln r^2)/(4 pi) - kappa rhat rhat^T/(2 pi)]   (|d| <= NEAR_GAP),
+        B = w [G + a chi L / (4 pi)]                                       (beyond),
+
+    with T = G + S/(2 pi) from the sources' kernel table, so no pair
+    evaluates the free-space tensor.  On the diagonal the limit along the
+    tangent is B = jac [T(0, 0) - (a(0) ln(jac/2 pi) + kappa that that^T)/(2 pi)].
+    Rows go in blocks of about ``_CHUNK`` pairs, so no temporary is full-size.
+    Raises CoincidentPoints when a row lies on a column off the diagonal.
     """
+    medium = sources.medium
     nr, nc = len(pts_rows), len(sources.Y)
-    tau, phase, d = sources.wrap(pts_rows)
+    A = np.empty((nr, nc, 2, 2), dtype=complex)
+    B = np.empty_like(A)
+    kappa = _kappa(medium)
+    step = max(1, _CHUNK // nc)
+    for i in range(0, nr, step):
+        rows = slice(i, i + step)
+        tau, phase, d = sources.wrap(pts_rows[rows])
+        r = np.hypot(tau, d)
+        diag = np.arange(i, i + len(r))[:, None] == np.arange(nc) if that_rows is not None \
+            else np.zeros(r.shape, dtype=bool)
+        sep = np.min(r[~diag], initial=np.inf)
+        if sep < COINCIDENT_TOL:
+            raise CoincidentPoints(f"collocation point {sep:.3e} from a node or its lattice image")
+        # the table's temporaries are the largest: read it before the others exist
+        near = np.abs(d) <= NEAR_GAP
+        K = np.empty(r.shape + (2, 2), dtype=complex)
+        if near.any():
+            K[near] = sources.table.remainder(tau[near], d[near])
+        if not near.all():
+            K[~near] = sources.green(tau[~near], d[~near])
 
-    diag_mask = np.zeros((nr, nc), dtype=bool)
-    if phi_reg_rows is not None:
-        # rows and columns share the node set
-        diag_mask[np.arange(nr), np.arange(nc)] = True
+        u1 = np.divide(tau, r, out=np.zeros_like(r), where=~diag)
+        u2 = np.divide(d, r, out=np.zeros_like(r), where=~diag)
+        a_i, a_rr = _log_coeff(medium, r)
+        chi = _chi(tau)
+        w = phase * jac_cols
+        A[rows] = _iso(a_i, a_rr, u1, u2) * (-(chi / (4 * np.pi)) * w)[..., None, None]
+        with np.errstate(divide="ignore", invalid="ignore"):   # the diagonal, set below
+            log_w = (chi * np.log(4.0 * np.sin(np.pi * tau) ** 2)
+                     - np.where(near, np.log(r * r), 0.0)) / (4 * np.pi)
+            K += _iso(a_i * log_w, a_rr * log_w - np.where(near, kappa / (2 * np.pi), 0.0),
+                      u1, u2)
+        B[rows] = w[..., None, None] * K
 
-    # smooth log-coefficient factor
-    a_log = _log_coeff(sources.medium, tau, d)
-    chi = _chi(tau)
-    A = -(chi * phase)[..., None, None] * a_log * jac_cols[None, :, None, None] / (4 * np.pi)
-
-    # kernel values off the diagonal
-    G = np.zeros((nr, nc, 2, 2), dtype=complex)
-    G[~diag_mask] = sources.green(tau[~diag_mask], d[~diag_mask])
-    K = phase[..., None, None] * G * jac_cols[None, :, None, None]
-
-    # ln(4 sin^2(pi (t - s))) of the unwrapped parameter offset
-    lnterm = np.zeros((nr, nc))
-    dt = pts_rows[:, 0][:, None] - sources.Y[:, 0][None, :]
-    lnterm[~diag_mask] = np.log(4.0 * np.sin(np.pi * dt[~diag_mask]) ** 2)
-    B = K - A * lnterm[..., None, None]
-
-    if phi_reg_rows is not None:
-        r00 = sources.table.remainder(0.0, 0.0)[0]
-        a0 = _log_coeff(sources.medium, 0.0, 0.0)
+    if that_rows is not None:
+        t00 = sources.table.remainder(0.0, 0.0)[0]
+        a0 = _log_coeff(medium, np.zeros(1))[0][0]
         ji = jac_cols[:nr, None, None]
-        core = -(a0 * np.log(ji / (2 * np.pi)) + phi_reg_rows) / (2 * np.pi) + r00
-        B[diag_mask] = ji * core
+        tt = that_rows[:, :, None] * that_rows[:, None, :]
+        core = t00 - (a0 * np.log(ji / (2 * np.pi)) * np.eye(2) + kappa * tt) / (2 * np.pi)
+        B[np.arange(nr), np.arange(nr)] = ji * core
     return A, B
 
 
@@ -362,12 +336,13 @@ def _build_system(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve
     that = np.stack([np.ones_like(fp), fp], axis=-1) / jac[:, None]
 
     sources = QPSources(medium, q, pts)
-    phi_reg = _phi_reg_diag(medium, that)
-    A, B = _kernel_split(sources, pts, jac, phi_reg_rows=phi_reg)
+    M, B = _kernel_split(sources, pts, jac, that_rows=that)
 
     w = log_quadrature_weights(N)
     idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-    M = w[idx][..., None, None] * A + B / N
+    M *= w[idx][..., None, None]
+    B /= N
+    M += B
     M2 = M.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N)
 
     lu, piv = lu_factor(M2)
@@ -416,9 +391,10 @@ def boundary_residual(sol: ScatterSolution) -> float:
     N = sol.N
     tc = (np.arange(2 * N) + 0.37) / (2 * N)
     pc, jc, _ = _geometry(sol.profile, tc)
-    A, B = _kernel_split(sol.sources, pc, sol.jacobian)
-    Wfull = log_quadrature_weights_off_node(tc, N)
-    Mat = Wfull[..., None, None] * A + B / N
+    Mat, B = _kernel_split(sol.sources, pc, sol.jacobian)
+    Mat *= log_quadrature_weights_off_node(tc, N)[..., None, None]
+    B /= N
+    Mat += B
     u_sc = np.einsum("cnab,nb->ca", Mat, sol.density)
     u_inc = sol.incident.eval(sol.medium, sol.q, pc)
     ref = float(np.max(np.abs(u_inc)))

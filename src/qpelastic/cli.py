@@ -52,6 +52,22 @@ def _opt(cfg, field, default):
     return cfg.get(field, default)
 
 
+def _section(cfg, field, default=None):
+    """The object ``cfg[field]``, or ``default`` ({} if None) when absent;
+    ConfigError naming the field when it is not an object."""
+    val = cfg.get(field, {} if default is None else default)
+    if not isinstance(val, dict):
+        raise ConfigError(field, f"must be an object, got {type(val).__name__}")
+    return val
+
+
+def _node_count(N, field):
+    """N, or ConfigError naming ``field`` when it is not a power of two >= 32."""
+    if isinstance(N, bool) or not isinstance(N, int) or N < 32 or N & (N - 1):
+        raise ConfigError(field, f"must be a power of two >= 32, got {N!r}")
+    return N
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -88,7 +104,7 @@ def resolve_config(cfg: dict, geometry_override: str | None = None) -> dict:
         raise ConfigError("geometry", f"must be one of {GEOMETRIES}")
     out["geometry"] = geometry
 
-    qm = _opt(cfg, "quasi_momentum", {"alpha": 0.0})
+    qm = _section(cfg, "quasi_momentum", {"alpha": 0.0})
     alpha = _need(qm, "alpha", "quasi_momentum.", (int, float, list))
     if geometry == "biqp3d":
         if not (isinstance(alpha, list) and len(alpha) == 2):
@@ -99,7 +115,7 @@ def resolve_config(cfg: dict, geometry_override: str | None = None) -> dict:
             raise ConfigError("quasi_momentum.alpha", f"{geometry} needs a scalar")
         out["quasi_momentum"] = {"alpha": float(alpha)}
 
-    trunc = _opt(cfg, "truncation", {})
+    trunc = _section(cfg, "truncation")
     tol = _opt(trunc, "tol", 1e-10)
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0.0 < tol < 1.0:
         raise ConfigError("truncation.tol", f"must be a number in (0, 1), got {tol!r}")
@@ -109,21 +125,21 @@ def resolve_config(cfg: dict, geometry_override: str | None = None) -> dict:
         "tol_wood": trunc.get("tol_wood"),
     }
 
-    prof = _opt(cfg, "profile", {})
+    prof = _section(cfg, "profile")
     out["profile"] = {
         "height": float(_opt(prof, "height", 0.0)),
         "cos": [float(v) for v in _opt(prof, "cos", [])],
         "sin": [float(v) for v in _opt(prof, "sin", [])],
     }
-    out["solver"] = {"N": int(_opt(_opt(cfg, "solver", {}), "N", 128))}
+    out["solver"] = {"N": _node_count(_opt(_section(cfg, "solver"), "N", 128), "solver.N")}
 
-    trials = _opt(_opt(cfg, "verify", {}), "trials", 6)
+    trials = _opt(_section(cfg, "verify"), "trials", 6)
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ConfigError("verify.trials", f"must be an integer >= 1, got {trials!r}")
 
     for key in ("eval", "incident", "rayleigh", "phaseless", "verify"):
         if key in cfg:
-            out[key] = cfg[key]
+            out[key] = _section(cfg, key)
     return out
 
 
@@ -563,11 +579,11 @@ def cmd_phaseless(rc, action, out_path):
     ph = rc.get("phaseless")
     if ph is None:
         raise ConfigError("phaseless", "missing")
+    N = _node_count(_opt(ph, "solver_n", rc["solver"]["N"]), "phaseless.solver_n")
     cfg = _source_config_of(ph)
     profile = _profile_of(rc)
     m = rc["medium"]
     freqs = [float(v) for v in _opt(ph, "frequencies", [m["omega"]])]
-    N = int(_opt(ph, "solver_n", rc["solver"]["N"]))
     alpha = rc["quasi_momentum"]["alpha"]
 
     datasets = {}

@@ -16,9 +16,14 @@ and solves ``(Delta* + rho omega^2) G = (1/2pi) * phased delta comb``; see
 :func:`qpelastic.green_free.comb_normalization` for the lattice-sum mapping.
 
 Close to the source line the series needs O(1/|d|) modes.  There
-:class:`RemainderTable`, a tensor-Chebyshev table of the smooth remainder
-``R = G + Phi/(2 pi)`` on ``|tau| <= 1/2``, ``|d| <= NEAR_GAP``, gives G and
-its x-derivatives, with Phi and grad Phi in closed form.  The table is built
+:class:`RemainderTable`, a tensor-Chebyshev table of the smooth part
+``T = G + S/(2 pi)`` on ``|tau| <= 1/2``, ``|d| <= NEAR_GAP``, gives G and
+its x-derivatives.  ``S = a(r) ln r + kappa rhat rhat^T`` is the singular
+part of the free-space tensor Phi: ``a`` is its log coefficient
+(:func:`_log_coeff`, J_0 and J_1 by cephes) and
+``kappa = (k_s^2 - k_p^2)/(4 pi rho omega^2)`` the bounded, direction-dependent
+term, so that Phi - S is entire; S and grad S are closed forms, and no
+Hankel function is evaluated per pair.  The table is built
 once per (medium, alpha) from the plain series and kept, so every caller of
 that (medium, alpha) shares it; it is fitted one row of nodes at a time:
 the nodes of a row share their gap d_k and with it the mode matrices
@@ -53,10 +58,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.special import j0, j1
 
 from ._series import contract, per_key, scalar_phases
 from .errors import CoincidentPoints, DomainError, NearSourceLine, TableUnresolved
-from .green_free import COINCIDENT_TOL, GreenEval, _kupradze2d_value
+from .green_free import COINCIDENT_TOL, GreenEval
 from .medium import (ElasticMedium, QuasiMomentum, branch_sqrt, check_wood_window,
                      mode_window)
 
@@ -355,15 +361,94 @@ class QPSources:
 
 
 # ---------------------------------------------------------------------------
-# Tabulated smooth remainder for the boundary-integral kernel.
+# Tabulated smooth part of the boundary-integral kernel.
 #
-# R = G + Phi/(2 pi) removes the free-space copy of the source, so R is
-# analytic on the period cell |tau| <= 1/2, |d| <= NEAR_GAP (the nearest
-# other lattice image is 1/2 away) and a tensor Chebyshev series in
+# T = G + S/(2 pi) removes the singular part S of the free-space copy of the
+# source, and G + Phi/(2 pi) is analytic on the period cell |tau| <= 1/2,
+# |d| <= NEAR_GAP (the nearest other lattice image is 1/2 away); Phi - S is
+# entire, so T is analytic there too and a tensor Chebyshev series in
 # (2 tau, d / NEAR_GAP) converges geometrically.  The diagonal entries of G
-# and Phi are even in d and the off-diagonal ones odd, so R keeps only even
+# and S are even in d and the off-diagonal ones odd, so T keeps only even
 # (resp. odd) Chebyshev degrees in d and needs samples at d > 0 only.
 # ---------------------------------------------------------------------------
+
+def _log_coeff(medium: ElasticMedium, r, want_jet: bool = False):
+    """(a_I, a_rr) with a(r) = a_I I + a_rr rhat rhat^T the log coefficient of
+    the free-space tensor, Phi = a(r) ln r + kappa rhat rhat^T + entire, at
+    distances r >= 0 (array); (a_I, a_rr, a_I', a_rr') with the r-derivatives,
+    for r > 0, when ``want_jet``.
+
+        a(r) = -(1/2 pi) [ (1/mu) J_0(k_s r) I + (1/rho omega^2) Hess g ],
+        g = J_0(k_s r) - J_0(k_p r),   Hess g = (g'/r) I + (g'' - g'/r) rhat rhat^T,
+
+    with g'/r = k_p^2 h(k_p r) - k_s^2 h(k_s r), h(x) = J_1(x)/x (1/2 at 0),
+    and g'' - g'/r = k_s^2 J_2(k_s r) - k_p^2 J_2(k_p r), J_2 = 2h - J_0.  Both
+    scalars are even and entire in r.  The derivatives use (g'/r)' = A/r and
+    A' = (k_s^3 J_1(k_s r) - k_p^3 J_1(k_p r)) - 2A/r for A = g'' - g'/r.
+    Real frequencies only: cephes J_0 and J_1 take real arguments.
+    """
+    ks, kp = medium.k_s, medium.k_p
+    xs, xp = ks * r, kp * r
+    J0s, J1s, J0p, J1p = j0(xs), j1(xs), j0(xp), j1(xp)
+    hs = np.divide(J1s, xs, out=np.full_like(J1s, 0.5), where=xs != 0)
+    hp = np.divide(J1p, xp, out=np.full_like(J1p, 0.5), where=xp != 0)
+    ks2, kp2 = ks * ks, kp * kp
+    A = ks2 * (2.0 * hs - J0s) - kp2 * (2.0 * hp - J0p)
+    c, rw2 = -1.0 / (2 * np.pi), medium.rho_omega2
+    a_i = c * (J0s / medium.mu + (kp2 * hp - ks2 * hs) / rw2)
+    a_rr = (c / rw2) * A
+    if not want_jet:
+        return a_i, a_rr
+    A_r = A / r
+    return (a_i, a_rr, c * (A_r / rw2 - ks * J1s / medium.mu),
+            (c / rw2) * (ks2 * ks * J1s - kp2 * kp * J1p - 2.0 * A_r))
+
+
+def _kappa(medium: ElasticMedium):
+    """kappa = (k_s^2 - k_p^2)/(4 pi rho omega^2), the coefficient of rhat rhat^T in S."""
+    return (medium.k_s**2 - medium.k_p**2) / (4 * np.pi * medium.rho_omega2)
+
+
+def _iso(c_i, c_rr, u1, u2):
+    """c_i I + c_rr u u^T for scalar arrays and u = (u1, u2); shape (..., 2, 2)."""
+    out = np.empty(np.shape(c_i) + (2, 2), dtype=np.result_type(c_i, c_rr))
+    out[..., 0, 0] = c_i + c_rr * u1 * u1
+    out[..., 1, 1] = c_i + c_rr * u2 * u2
+    out[..., 0, 1] = out[..., 1, 0] = c_rr * u1 * u2
+    return out
+
+
+def _log_part(medium: ElasticMedium, tau, d, want_jet: bool = False):
+    """S = a(r) ln r + kappa rhat rhat^T at separations (tau, d) != 0; (P, 2, 2),
+    or the (S, dS/dx1, dS/dx2) tuple when ``want_jet``.
+
+    With S = s_i I + s_rr rhat rhat^T (s_i = a_I ln r, s_rr = a_rr ln r + kappa),
+
+        d_k S = s_i' u_k I + (s_rr' - 2 s_rr/r) u_k u u^T + (s_rr/r) (e_k u^T + u e_k^T),
+
+    u = rhat, s' = a' ln r + a/r.
+    """
+    r = np.hypot(tau, d)
+    u1, u2 = tau / r, d / r
+    ln_r = np.log(r)
+    parts = _log_coeff(medium, r, want_jet)
+    s_i, s_rr = parts[0] * ln_r, parts[1] * ln_r + _kappa(medium)
+    S = _iso(s_i, s_rr, u1, u2)
+    if not want_jet:
+        return S
+    ds_i = parts[2] * ln_r + parts[0] / r
+    q = s_rr / r
+    ds_rr = parts[3] * ln_r + parts[1] / r - 2.0 * q
+    out = [S]
+    for k, (uk, other) in enumerate(((u1, u2), (u2, u1))):
+        g = _iso(ds_i * uk, ds_rr * uk, u1, u2)
+        # q (e_k u^T + u e_k^T): 2 q u_k on entry kk, q u_other off the diagonal
+        g[..., k, k] += 2.0 * q * uk
+        g[..., 0, 1] += q * other
+        g[..., 1, 0] += q * other
+        out.append(g)
+    return tuple(out)
+
 
 _TABLE_TOL = 1e-14       # trailing coefficients relative to the largest one
 _TABLE_START = (28, 28)  # Chebyshev nodes in tau and in d of the first fit
@@ -392,12 +477,12 @@ def _cheb_basis(x, n):
 
 @dataclass(frozen=True)
 class RemainderTable:
-    """Chebyshev table of R = G + Phi/(2 pi) for one (medium, alpha).
+    """Chebyshev table of T = G + S/(2 pi) for one (medium, alpha).
 
-    ``R(tau, d) = sum_jk c_jk T_j(2 tau) T_k(d / NEAR_GAP)`` on |tau| <= 1/2,
+    ``T(tau, d) = sum_jk c_jk T_j(2 tau) T_k(d / NEAR_GAP)`` on |tau| <= 1/2,
     |d| <= NEAR_GAP.  ``coef[j, k, 0:2]`` hold the coefficients of degree 2k
-    in d of R_11 and R_22, ``coef[j, k, 2]`` those of degree 2k + 1 of
-    R_12 = R_21.
+    in d of T_11 and T_22, ``coef[j, k, 2]`` those of degree 2k + 1 of
+    T_12 = T_21.
     """
 
     medium: ElasticMedium
@@ -406,7 +491,7 @@ class RemainderTable:
 
     @cached_property
     def _derivative_coef(self):
-        """Coefficients of dR/dtau and dR/dd, fitted to the series' own
+        """Coefficients of dT/dtau and dT/dd, fitted to the series' own
         derivative values from the table's node counts up, until they resolve
         as :func:`remainder_table` requires of ``coef``, or their refusal, kept
         for later jets.  Differentiating ``coef`` instead
@@ -418,15 +503,15 @@ class RemainderTable:
                         f"alpha={self.alpha}")
 
     def remainder(self, tau, d, want_jet: bool = False):
-        """R at separations inside the table's cell; (P, 2, 2), or the
-        (R, dR/dtau, dR/dd) tuple when ``want_jet``."""
+        """T at separations inside the table's cell; (P, 2, 2), or the
+        (T, dT/dtau, dT/dd) tuple when ``want_jet``."""
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         d = np.atleast_1d(np.asarray(d, dtype=float))
         coefs = (self.coef,) + (_unless_refused(self._derivative_coef) if want_jet else ())
         n_tau, m = (max(c.shape[i] for c in coefs) for i in (0, 1))
         tx = _cheb_basis(2.0 * tau, n_tau)
         # a real basis times complex coefficients, as real products on the
-        # (re, im) pairs of R_11, R_22 and R_12
+        # (re, im) pairs of T_11, T_22 and T_12
         vs = [(tx[:, :len(c)] @ c.reshape(len(c), -1).view(float)).reshape(len(tau), c.shape[1], 6)
               for c in coefs]
         del tx   # before the d basis is built, which keeps the peak memory down
@@ -438,14 +523,14 @@ class RemainderTable:
             r[:, :4] = np.einsum("pk,pkf->pf", t[..., flip], v[..., :4])       # diagonal
             r[:, 4:] = np.einsum("pk,pkf->pf", t[..., 1 - flip], v[..., 4:])   # off-diagonal
             r = r.view(complex)
-            R = np.empty((len(tau), 2, 2), dtype=complex)
-            R[:, 0, 0], R[:, 1, 1] = r[:, 0], r[:, 1]
-            R[:, 0, 1] = R[:, 1, 0] = r[:, 2]
-            out.append(R)
+            T = np.empty((len(tau), 2, 2), dtype=complex)
+            T[:, 0, 0], T[:, 1, 1] = r[:, 0], r[:, 1]
+            T[:, 0, 1] = T[:, 1, 0] = r[:, 2]
+            out.append(T)
         return tuple(out) if want_jet else out[0]
 
     def green(self, tau, d, want_jet: bool = False):
-        """G = R - Phi/(2 pi) at separations (tau, d) in the table's cell,
+        """G = T - S/(2 pi) at separations (tau, d) in the table's cell,
         |tau| <= 1/2 and |d| <= NEAR_GAP; (P, 2, 2), or the (value, d/dx1,
         d/dx2) tuple when ``want_jet``.  Raises DomainError for |d| > NEAR_GAP
         (:meth:`QPSources.green` covers every separation), and CoincidentPoints
@@ -462,21 +547,22 @@ class RemainderTable:
         out = [np.empty((len(tau), 2, 2), dtype=complex) for _ in range(3 if want_jet else 1)]
         for i in range(0, len(tau), _CHUNK):
             sl = slice(i, i + _CHUNK)
-            R = self.remainder(tau[sl], d[sl], want_jet)
-            phi = _kupradze2d_value(self.medium, np.stack([tau[sl], d[sl]], axis=-1), want_jet)
-            parts = zip(R, phi) if want_jet else [(R, phi)]
-            _scatter(out, sl, tuple(r - p / (2 * np.pi) for r, p in parts))
-            del R, phi, parts   # before the next chunk's temporaries: a lower peak
+            T = self.remainder(tau[sl], d[sl], want_jet)
+            S = _log_part(self.medium, tau[sl], d[sl], want_jet)
+            parts = zip(T, S) if want_jet else [(T, S)]
+            _scatter(out, sl, tuple(t - s / (2 * np.pi) for t, s in parts))
+            del T, S, parts   # before the next chunk's temporaries: a lower peak
         return tuple(out) if want_jet else out[0]
 
 
 def _fit_remainder(medium, alpha, n_tau, n_d, derivatives: bool = False):
-    """Coefficients (n_tau, n_d // 2, 3) from plain-series values at first-kind nodes.
+    """Coefficients (n_tau, n_d // 2, 3) of T from plain-series values at
+    first-kind nodes.
 
-    With ``derivatives`` returns those of (dR/dtau, dR/dd) instead, each
-    fitted to the series' own values of that derivative.  dR/dd is odd in d
-    where R is even, so its array holds the degrees 2k + 1 of the diagonal
-    entries and the degrees 2k of R_12.
+    With ``derivatives`` returns those of (dT/dtau, dT/dd) instead, each
+    fitted to the series' own values of that derivative plus grad S/(2 pi).
+    dT/dd is odd in d where T is even, so its array holds the degrees 2k + 1
+    of the diagonal entries and the degrees 2k of T_12.
 
     Every node of one row d_k > 0 shares the mode matrices M(alpha_l, d_k),
     so each row is one (tau nodes x modes) phase matrix times one stack of
@@ -499,19 +585,19 @@ def _fit_remainder(medium, alpha, n_tau, n_d, derivatives: bool = False):
             g[:, k] = row.reshape(n_tau, 2, 2)
     tau = np.repeat(0.5 * x, len(y))
     d = np.tile(NEAR_GAP * y, n_tau)
-    phi = _kupradze2d_value(medium, np.stack([tau, d], axis=-1), derivatives)
+    S = _log_part(medium, tau, d, derivatives)
     # discrete orthogonality of T_j at first-kind nodes; in d the sum over
-    # all n_d nodes is twice the sum over d > 0 by the parity of R
+    # all n_d nodes is twice the sum over d > 0 by the parity of T
     ct = _cheb_basis(x, n_tau).T * (2.0 / n_tau)
     ct[0] /= 2.0
     cd = _cheb_basis(y, n_d).T * (4.0 / n_d)
     cd[0] /= 2.0
     out = []
-    for flip, g, p in zip((0, 1), G, phi[1:] if derivatives else (phi,)):
-        R = g + p.reshape(g.shape) / (2 * np.pi)
-        diag = np.einsum("ji,ile,kl->jke", ct, np.stack([R[..., 0, 0], R[..., 1, 1]], -1),
+    for flip, g, p in zip((0, 1), G, S[1:] if derivatives else (S,)):
+        T = g + p.reshape(g.shape) / (2 * np.pi)
+        diag = np.einsum("ji,ile,kl->jke", ct, np.stack([T[..., 0, 0], T[..., 1, 1]], -1),
                          cd[flip::2], optimize=True)
-        off = np.einsum("ji,il,kl->jk", ct, R[..., 0, 1], cd[1 - flip::2], optimize=True)
+        off = np.einsum("ji,il,kl->jk", ct, T[..., 0, 1], cd[1 - flip::2], optimize=True)
         out.append(np.concatenate([diag, off[..., None]], axis=-1))
     return tuple(out) if derivatives else out[0]
 
@@ -568,7 +654,7 @@ def _table_or_refusal(medium: ElasticMedium, alpha: float):
 
 
 def remainder_table(medium: ElasticMedium, alpha: float) -> RemainderTable:
-    """Tabulate R = G + Phi/(2 pi) on the period cell for one (medium, alpha).
+    """Tabulate T = G + S/(2 pi) on the period cell for one (medium, alpha).
 
     The node counts grow from ``_TABLE_START`` until the coefficients
     resolve (see :func:`_resolve`).  The 16 most recent tables or refusals

@@ -125,47 +125,21 @@ def _tensor_coeffs(medium: ElasticMedium, dim: int, r):
     return a, (pref / medium.rho_omega2) * (fpp - fp_r) * (inv_r * inv_r)
 
 
-def _kupradze2d_value(medium: ElasticMedium, dx, want_jet: bool = False):
+def _kupradze2d_value(medium: ElasticMedium, dx):
     """Batched over leading axes; dx has shape (..., 2).
 
     Uses Hess f = (f'' + f'/r) rr^T + (f'/r) (I - 2 rr^T) for the radial
     f = H_0(k_s r) - H_0(k_p r) of :func:`_radial2d`.
-
-    With ``want_jet`` returns (value, d/dx1, d/dx2), from the third
-    derivatives of f,
-
-        d_i d_j d_k f = (lap' - 4 A/r) r_i r_j r_k
-                        + (A/r) (delta_ij r_k + delta_ik r_j + delta_jk r_i),
-
-    where lap' = k_s^3 H_1(k_s r) - k_p^3 H_1(k_p r) is the r-derivative of
-    f'' + f'/r and A = f'' - f'/r = lap - 2 f'/r.  Both are free of the
-    cancelling 1/r^2 parts once f'/r is.
     """
     dx = np.asarray(dx, dtype=float)
-    ks, kp = medium.k_s, medium.k_p
     r = np.sqrt(np.sum(dx * dx, axis=-1))
     rhat = dx / r[..., None]
-    h0s, h1s, h1p, f1, lap = _radial2d(medium, r)
+    h0s, _, _, f1, lap = _radial2d(medium, r)
     eye = np.eye(2)
     rr = rhat[..., :, None] * rhat[..., None, :]
     hess = lap[..., None, None] * rr + f1[..., None, None] * (eye - 2.0 * rr)
-    value = (0.25j / medium.mu) * h0s[..., None, None] * eye \
+    return (0.25j / medium.mu) * h0s[..., None, None] * eye \
         + (0.25j / medium.rho_omega2) * hess
-    if not want_jet:
-        return value
-    a_r = (lap - 2.0 * f1) / r
-    c3 = ks**3 * h1s - kp**3 * h1p - 4.0 * a_r
-    out = [value]
-    for k in range(2):
-        rk = rhat[..., k, None, None]
-        ek = np.zeros_like(rhat)
-        ek[..., k] = 1.0
-        sym = rk * eye + ek[..., :, None] * rhat[..., None, :] \
-            + rhat[..., :, None] * ek[..., None, :]
-        third = c3[..., None, None] * rr * rk + a_r[..., None, None] * sym
-        out.append((0.25j / medium.mu) * (-ks * h1s)[..., None, None] * rk * eye
-                   + (0.25j / medium.rho_omega2) * third)
-    return tuple(out)
 
 
 def _kupradze3d_value(medium: ElasticMedium, dx):

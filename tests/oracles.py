@@ -1,7 +1,11 @@
 """Independent reference computations used by the test suite only.
 
-* 40-digit mpmath references for the special functions and the
-  free-space tensor, a 50-digit one for the 2D mode matrix;
+* 40-digit mpmath references for the special functions, the free-space
+  tensor and the singular part S = a(r) ln r + kappa rhat rhat^T that the
+  kernel table removes, a 50-digit one for the 2D mode matrix;
+* the closed-form gradient of the 2D free-space tensor, its log coefficient
+  a(r) from scipy's ``jv`` and its finite part at coincidence, the terms of
+  the reference Nystrom kernel split;
 * inversion of the Fourier-domain mode symbols by direct quadrature
   (polar Hankel-transform contour in 2D, dipped line contour in 1D),
   fully independent of the closed-form tensor tables they certify;
@@ -31,7 +35,7 @@ from scipy.special import hankel1, hankel2, jv, roots_laguerre
 
 from qpelastic.green2d import _FAR_TOL, NEAR_GAP, _unified_blocks
 from qpelastic.green3d_biqp import _lattice_block, c_bi_arrays
-from qpelastic.green_free import kupradze, lattice_sum
+from qpelastic.green_free import _kupradze2d_value, _radial2d, kupradze, lattice_sum
 from qpelastic.medium import (ElasticMedium, ModeData, QuasiMomentum, check_wood_window,
                               mode_window)
 from qpelastic.rayleigh import RayleighCoeffs3Bi
@@ -144,6 +148,142 @@ def mp_kupradze2d_grad(medium, dx):
 
         return tuple(np.array([[entry(i, j, k) for j in range(2)] for i in range(2)])
                      for k in range(2))
+
+
+def mp_log_part(medium, dx):
+    """40-digit (S, dS/dx1, dS/dx2) for S = a(r) ln r + kappa rhat rhat^T, the
+    singular part of the free-space tensor that the kernel table removes.
+
+    a_ij = -(1/2pi) [ delta_ij J_0(k_s r)/mu + d_i d_j g / (rho w^2) ] for
+    g = J_0(k_s r) - J_0(k_p r), kappa = (k_s^2 - k_p^2)/(4 pi rho w^2), and
+
+        d_k S_ij = (d_k a_ij) ln r + a_ij rh_k / r
+                   + kappa (delta_ik rh_j + delta_jk rh_i - 2 rh_i rh_j rh_k) / r,
+
+    with the second and third derivatives of the radial g as in
+    :func:`mp_kupradze2d_grad`, from J_0' = -J_1 and J_1' = J_0 - J_1/z.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x = (mp.mpf(dx[0]), mp.mpf(dx[1]))
+        r = mp.sqrt(x[0] ** 2 + x[1] ** 2)
+        rh = (x[0] / r, x[1] / r)
+        ks, kp = mp.mpmathify(medium.k_s), mp.mpmathify(medium.k_p)
+        mu, rw2 = mp.mpmathify(medium.mu), mp.mpmathify(medium.rho_omega2)
+
+        def radial(k):  # J_0(k r) and its first three r-derivatives
+            z = k * r
+            j0, j1 = mp.besselj(0, z), mp.besselj(1, z)
+            return j0, -k * j1, -k**2 * (j0 - j1 / z), k**3 * (j1 + j0 / z - 2 * j1 / z**2)
+
+        fs = radial(ks)
+        f1, f2, f3 = (s - p for s, p in zip(fs[1:], radial(kp)[1:]))
+        c2, c0 = f2 - f1 / r, f1 / r                   # Hess g = c2 rh rh^T + c0 I
+        c3 = f3 - 3 * f2 / r + 3 * f1 / r**2
+        c1 = f2 / r - f1 / r**2
+        kappa = (ks**2 - kp**2) / (4 * mp.pi * rw2)
+        ln_r = mp.log(r)
+
+        def a(i, j):
+            return -((i == j) * fs[0] / mu + (c2 * rh[i] * rh[j] + c0 * (i == j)) / rw2) \
+                / (2 * mp.pi)
+
+        def da(i, j, k):
+            third = c3 * rh[i] * rh[j] * rh[k] \
+                + c1 * ((i == j) * rh[k] + (i == k) * rh[j] + (j == k) * rh[i])
+            return -((i == j) * fs[1] * rh[k] / mu + third / rw2) / (2 * mp.pi)
+
+        def S(i, j):
+            return complex(a(i, j) * ln_r + kappa * rh[i] * rh[j])
+
+        def dS(i, j, k):
+            return complex(da(i, j, k) * ln_r + a(i, j) * rh[k] / r + kappa * (
+                (i == k) * rh[j] + (j == k) * rh[i] - 2 * rh[i] * rh[j] * rh[k]) / r)
+
+        return (np.array([[S(i, j) for j in range(2)] for i in range(2)]),) + tuple(
+            np.array([[dS(i, j, k) for j in range(2)] for i in range(2)]) for k in range(2))
+
+
+def kupradze2d_jet(medium, dx):
+    """(Phi, dPhi/dx1, dPhi/dx2) of the 2D free-space tensor at dx (..., 2),
+    in closed form from the third derivatives of f = H_0(k_s r) - H_0(k_p r),
+
+        d_i d_j d_k f = (lap' - 4 A/r) r_i r_j r_k
+                        + (A/r) (delta_ij r_k + delta_ik r_j + delta_jk r_i),
+
+    where lap' = k_s^3 H_1(k_s r) - k_p^3 H_1(k_p r) is the r-derivative of
+    f'' + f'/r and A = f'' - f'/r = lap - 2 f'/r.  Both are free of the
+    cancelling 1/r^2 parts once f'/r is (the library's small-r series).  The
+    value is the library's own.
+    """
+    dx = np.asarray(dx, dtype=float)
+    ks, kp = medium.k_s, medium.k_p
+    r = np.sqrt(np.sum(dx * dx, axis=-1))
+    rhat = dx / r[..., None]
+    _, h1s, h1p, f1, lap = _radial2d(medium, r)
+    eye = np.eye(2)
+    rr = rhat[..., :, None] * rhat[..., None, :]
+    a_r = (lap - 2.0 * f1) / r
+    c3 = ks**3 * h1s - kp**3 * h1p - 4.0 * a_r
+    out = [_kupradze2d_value(medium, dx)]
+    for k in range(2):
+        rk = rhat[..., k, None, None]
+        ek = np.zeros_like(rhat)
+        ek[..., k] = 1.0
+        sym = rk * eye + ek[..., :, None] * rhat[..., None, :] \
+            + rhat[..., :, None] * ek[..., None, :]
+        third = c3[..., None, None] * rr * rk + a_r[..., None, None] * sym
+        out.append((0.25j / medium.mu) * (-ks * h1s)[..., None, None] * rk * eye
+                   + (0.25j / medium.rho_omega2) * third)
+    return tuple(out)
+
+
+def phi_finite_part(medium, that):
+    """Finite part of the 2D free-space tensor at coincidence along unit
+    tangents ``that`` (..., 2): the limit of Phi(r that) - a(r) ln r as r -> 0,
+
+        (i/4mu) c_s I + (i/4 rho w^2) [ (2i/pi) g2 (that that^T + I/2) + 2 e1 I ]
+
+    from the ascending series of H_0, with c_k = 1 + (2i/pi)(ln(k/2) + gamma_E),
+    g2 = -(k_s^2 - k_p^2)/2 and e1 = -(k_s^2 c_s - k_p^2 c_p)/4 + (i/2pi)(k_s^2 - k_p^2).
+    """
+    ks, kp = medium.k_s, medium.k_p
+    c_s = 1 + (2j / np.pi) * (np.log(ks / 2) + np.euler_gamma)
+    c_p = 1 + (2j / np.pi) * (np.log(kp / 2) + np.euler_gamma)
+    g2 = -(ks**2 - kp**2) / 2.0
+    e1 = -(ks**2 * c_s - kp**2 * c_p) / 4.0 + (1j / (2 * np.pi)) * (ks**2 - kp**2)
+    eye = np.eye(2)
+    tt = that[..., :, None] * that[..., None, :]
+    return (0.25j / medium.mu) * c_s * eye \
+        + (0.25j / medium.rho_omega2) * ((2j / np.pi) * g2 * (tt + eye / 2.0) + 2.0 * e1 * eye)
+
+
+def log_coeff_jv(medium, tau, d):
+    """The log coefficient a(r) of the 2D free-space tensor, Phi = a ln r + ...,
+    at separations (tau, d) (any shape; (..., 2, 2)), from scipy's ``jv``:
+
+        a = -(1/2pi) [ J_0(k_s r)/mu I + (g'' rh rh^T + (g'/r)(I - rh rh^T)) / (rho w^2) ]
+
+    for g = J_0(k_s r) - J_0(k_p r), with g' = -k J_1 and g'' = -k^2 (J_0 - J_2)/2
+    per wavenumber; a(0) = -(1/2pi) (1/mu - (k_s^2 - k_p^2)/(2 rho w^2)) I.
+    """
+    tau, d = np.asarray(tau, dtype=float), np.asarray(d, dtype=float)
+    r = np.hypot(tau, d)
+    rs = np.where(r > 0, r, 1.0)
+    g1, g2 = 0.0, 0.0
+    for k, sign in ((medium.k_s, 1.0), (medium.k_p, -1.0)):
+        g1 = g1 - sign * k * jv(1, k * rs)
+        g2 = g2 - sign * k * k * (jv(0, k * rs) - jv(2, k * rs)) / 2
+    rh = np.stack([tau / rs, d / rs], axis=-1)
+    rr = rh[..., :, None] * rh[..., None, :]
+    eye = np.eye(2)
+    hess = g2[..., None, None] * rr + (g1 / rs)[..., None, None] * (eye - rr)
+    a = -(jv(0, medium.k_s * rs)[..., None, None] / medium.mu * eye
+          + hess / medium.rho_omega2) / (2 * np.pi)
+    a0 = -(1 / medium.mu - (medium.k_s**2 - medium.k_p**2) / (2 * medium.rho_omega2)) \
+        / (2 * np.pi) * eye
+    return np.where((r > 0)[..., None, None], a, a0)
 
 
 def mp_mode_block_2d(medium, alpha_l, d):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import flat_reflection, log_quadrature_weights_at, near_line_abel_plana
+from oracles import (flat_reflection, log_coeff_jv, log_quadrature_weights_at,
+                     near_line_abel_plana, phi_finite_part)
 from qpelastic.bem2d import (IncidentField, ProfileCurve2, boundary_residual,
                              eval_scattered, log_quadrature_weights,
                              log_quadrature_weights_off_node, plane_incidence,
@@ -10,6 +11,7 @@ from qpelastic.bem2d import (IncidentField, ProfileCurve2, boundary_residual,
 from qpelastic.errors import CoincidentPoints, TableUnresolved, TooCloseToBoundary, WoodAnomaly
 from qpelastic.fdcheck import navier_apply_fd
 from qpelastic.green2d import NEAR_GAP, QPSources
+from qpelastic.green_free import _kupradze2d_value
 from qpelastic.medium import make_medium, make_quasi_momentum
 from qpelastic.rayleigh import extract_coeffs_2d, flux_2d
 
@@ -457,6 +459,93 @@ def test_apply_charge_block(sin_solution):
             assert g.shape == (len(X), 2, 3)
             ref = np.stack([c[j] if jet else c for c in cols], axis=-1)
             assert np.array_equal(g, ref)
+
+
+def _r00_by_extrapolation(med, alpha, n=24, half=0.2):
+    """R(0, 0) for R = G + Phi/(2 pi), analytic on |tau| < 1: the Chebyshev
+    interpolant through Abel-Plana values of R at n points of the line d = 0
+    in [-half, half], evaluated at 0."""
+    s = half * np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    R = near_line_abel_plana(med, alpha, s, np.zeros(n)) \
+        + _kupradze2d_value(med, np.stack([s, np.zeros(n)], axis=-1)) / (2 * np.pi)
+    coef = np.polynomial.chebyshev.chebfit(s / half, R.reshape(n, 4).view(float), n - 1)
+    return np.polynomial.chebyshev.chebval(0.0, coef).view(complex).reshape(2, 2)
+
+
+@pytest.mark.parametrize("omega", [5.0, 12.0])
+def test_kernel_split_against_abel_plana(omega):
+    """A and B of the Nystrom split, on the nodes (the diagonal included) and
+    at the residual's off-node points, against Abel-Plana plus the log-split
+    formula: with w = phase * jac and a from scipy's jv,
+
+        A = -chi w a / (4 pi),   B = w [G + chi a ln(4 sin^2(pi tau)) / (4 pi)]
+
+    off the diagonal, and on it B = jac [R(0, 0) - (a(0) ln(jac / 2 pi) +
+    Phi_fp(that)) / (2 pi)], with Phi_fp the free-space tensor's finite part.
+    The profile spans 0.3 in height, so pairs beyond NEAR_GAP are covered.
+    Each within 1e-12 of max |B|."""
+    from qpelastic.bem2d import _chi, _geometry, _kernel_split
+    med = make_medium(2.0, 1.0, 1.0, omega)
+    _, q = plane_incidence(med, "plane_p", 0.25)
+    prof = ProfileCurve2(0.0, (0.05,), (0.12,))
+    N = 32
+    t = np.arange(N) / N
+    pts, jac, _ = _geometry(prof, t)
+    that = np.stack([np.ones(N), prof.df(t)], axis=-1) / jac[:, None]
+    src = QPSources(med, q, pts)
+    r00 = _r00_by_extrapolation(med, q.alpha)
+    off_node = _geometry(prof, (np.arange(2 * N) + 0.37) / (2 * N))[0]
+    for rows, that_rows in ((pts, that), (off_node, None)):
+        A, B = _kernel_split(src, rows, jac, that_rows)
+        t1 = rows[:, 0][:, None] - pts[:, 0][None, :]
+        tau = t1 - np.round(t1)
+        w = np.exp(1j * q.alpha * np.round(t1)) * jac
+        d = rows[:, 1][:, None] - pts[:, 1][None, :]
+        a = log_coeff_jv(med, tau, d)
+        chi = _chi(tau)
+        A_ref = (-chi * w / (4 * np.pi))[..., None, None] * a
+        B_ref = np.empty_like(A_ref)
+        off = np.hypot(tau, d) > 0
+        assert np.any(np.abs(d) > NEAR_GAP) and np.any(np.abs(d[off]) < 0.05)
+        G = near_line_abel_plana(med, q.alpha, tau[off], d[off])
+        log_sin = np.log(4 * np.sin(np.pi * tau[off]) ** 2)
+        B_ref[off] = w[off][:, None, None] * (
+            G + (chi[off] * log_sin / (4 * np.pi))[:, None, None] * a[off])
+        if that_rows is not None:
+            ji = jac[:, None, None]
+            B_ref[~off] = ji * (r00 - (a[~off] * np.log(ji / (2 * np.pi))
+                                       + phi_finite_part(med, that)) / (2 * np.pi))
+        scale = np.max(np.abs(B_ref))
+        assert np.max(np.abs(A - A_ref)) <= 1e-12 * scale
+        assert np.max(np.abs(B - B_ref)) <= 1e-12 * scale
+
+
+def test_split_evaluates_no_hankel_function(grating_setup, monkeypatch):
+    """Once the kernel table is built, a solve and its residual evaluate no
+    Hankel function and no free-space tensor: every binding of
+    ``specfun.hankel01`` and of the free-space tensor raises."""
+    import sys
+
+    from qpelastic import green_free, specfun
+    from qpelastic.green2d import remainder_table
+
+    med, inc, q = grating_setup
+    remainder_table(med, q.alpha)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Hankel function or free-space tensor was evaluated")
+
+    package = [m for k, m in sys.modules.items() if k.startswith("qpelastic")]
+    for owner, name in ((specfun, "hankel01"), (green_free, "_kupradze2d_value"),
+                        (green_free, "_radial2d")):
+        target = getattr(owner, name)
+        for mod in package:
+            if getattr(mod, name, None) is target:
+                monkeypatch.setattr(mod, name, refuse)
+    with pytest.raises(AssertionError):
+        green_free.kupradze(med, 2, (0.1, 0.2), (0.0, 0.0))
+    sol = solve_dirichlet(med, q, ProfileCurve2(0.0, (0.05,), (0.12,)), inc, N=64)
+    assert boundary_residual(sol) < 1e-5
 
 
 def test_sources_build_table_and_rayleigh_factors_on_demand(grating_setup, monkeypatch):

@@ -72,6 +72,36 @@ def test_out_of_range_number_exit2(tmp_path, capsys, field, literal):
     assert not (tmp_path / "x.out").exists()
 
 
+@pytest.mark.parametrize("command,section,literal,field", [
+    ("eval", "truncation", "5", "truncation"),
+    ("eval", "profile", "[0.1]", "profile"),
+    ("eval", "verify", '"x"', "verify"),
+    ("solve2d", "solver", '{"N": 0}', "solver.N"),
+    ("solve2d", "solver", '{"N": 48}', "solver.N"),
+    ("solve2d", "solver", '{"N": 64.0}', "solver.N"),
+    ("solve2d", "solver", "64", "solver"),
+    ("solve2d", "incident", '"plane_p"', "incident"),
+])
+def test_malformed_section_exit2(tmp_path, capsys, command, section, literal, field):
+    """A section that is not an object, or a node count that is not a power
+    of two >= 32, is a config error naming the field, not a traceback."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg[section] = "@"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg).replace('"@"', literal))
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "x.out")]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "x.out").exists()
+
+
+def test_phaseless_node_count_exit2(tmp_path, capsys):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["phaseless"] = {"solver_n": 48}
+    p = write_cfg(tmp_path, cfg)
+    assert main(["phaseless", "synth", "--config", p, "--out", str(tmp_path / "x.out")]) == 2
+    assert "'phaseless.solver_n'" in capsys.readouterr().err
+
+
 def test_eval_wood_anomaly_exit3(tmp_path):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["medium"]["omega"] = 1.0

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import draw_medium, draw_momentum
-from oracles import _series_sum, mode_term_2d, mp_mode_block_2d, near_line_abel_plana
+from oracles import (_series_sum, mode_term_2d, mp_log_part, mp_mode_block_2d,
+                     near_line_abel_plana)
 from qpelastic.errors import (CoincidentPoints, DomainError, NearSourceLine,
                               TableUnresolved, WoodAnomaly)
 from qpelastic.fdcheck import navier_residual
 from qpelastic.green2d import (NEAR_GAP, QPSources, green2d_eval, green2d_eval_batch,
                                green2d_near_line_batch, remainder_table)
-from qpelastic.green_free import kupradze
 from qpelastic.medium import classify_mode, make_medium, make_quasi_momentum, mode_window
 
 
@@ -196,15 +196,14 @@ def test_remainder_table_against_abel_plana():
             ref = near_line_abel_plana(med, alpha, tau, d)
             got = table.green(tau, d)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-            # R = G + Phi/(2 pi) is what the table holds
-            r0 = table.remainder(tau[:5], d[:5])
-            phi = np.array([kupradze(med, 2, (t, dd), (0.0, 0.0)).value
-                            for t, dd in zip(tau[:5], d[:5])])
-            assert np.max(np.abs(r0 - (ref[:5] + phi / (2 * np.pi)))) \
+            # T = G + S/(2 pi) is what the table holds
+            t0 = table.remainder(tau[:5], d[:5])
+            s = np.array([mp_log_part(med, (t, dd))[0] for t, dd in zip(tau[:5], d[:5])])
+            assert np.max(np.abs(t0 - (ref[:5] + s / (2 * np.pi)))) \
                 <= 1e-12 * np.max(np.abs(ref))
-            # parity in d: diagonal even, off-diagonal odd, so R_12(0, 0) = 0
-            r00 = table.remainder(0.0, 0.0)[0]
-            assert r00[0, 1] == 0.0 and r00[1, 0] == 0.0
+            # parity in d: diagonal even, off-diagonal odd, so T_12(0, 0) = 0
+            t00 = table.remainder(0.0, 0.0)[0]
+            assert t00[0, 1] == 0.0 and t00[1, 0] == 0.0
 
 
 def test_remainder_table_at_high_frequency():
@@ -285,6 +284,28 @@ def test_table_jet_against_abel_plana():
                 assert np.max(np.abs(g[~near] - r[~near])) <= 1e-13 * np.max(np.abs(r[~near]))
             # the value of the jet is the value alone, bit for bit
             assert np.array_equal(got[0], green2d_near_line_batch(med, alpha, tau, d))
+
+
+def test_table_smooth_part_jet_against_abel_plana():
+    # the values and both derivatives of T = G + S/(2 pi) that the table and
+    # its derivative tables hold, against Abel-Plana plus the 40-digit S
+    # jet, each within 1e-12 of that component's largest entry; the pairs
+    # of test_table_jet_against_abel_plana within NEAR_GAP, at least 0.02
+    # from the source, and eight pairs on the source line
+    taus = np.array([0.0, 0.07, -0.19, 0.33, -0.45, 0.49, 0.5, -0.5])
+    ds = np.array([0.02, -0.05, 0.1, -0.2, NEAR_GAP])
+    tau, d = (a.ravel() for a in np.meshgrid(taus, ds, indexing="ij"))
+    tau = np.concatenate([tau, [0.03, -0.03, 0.11, -0.24, 0.37, -0.41, 0.5, -0.5]])
+    d = np.concatenate([d, np.zeros(8)])
+    for omega in (5.0, 12.0, 60.0):
+        med = make_medium(2.0, 1.0, 1.0, omega)
+        s = [np.array(c) for c in zip(*(mp_log_part(med, (t, dd)) for t, dd in zip(tau, d)))]
+        for alpha in (0.3, -1.7):
+            ref = near_line_abel_plana(med, alpha, tau, d, want_jet=True)
+            got = remainder_table(med, alpha).remainder(tau, d, want_jet=True)
+            for g, r, sk in zip(got, ref, s):
+                want = r + sk / (2 * np.pi)
+                assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _mp_series(medium, alpha, m, tau, d):
