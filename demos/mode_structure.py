@@ -10,8 +10,8 @@ quadrature.
 import numpy as np
 
 from qpelastic import classify_mode, list_modes, make_medium, make_quasi_momentum
-from qpelastic.fdcheck import delta_weight_biqp, delta_weight_qp3d
-from qpelastic.green3d_qp import c_l, ode_residual
+from qpelastic.checks import delta_weight_biqp, delta_weight_qp3d, ode_residual
+from qpelastic.green3d_qp import c_l
 
 med = make_medium(2.0, 1.0, 1.0, 8.0)   # k_p = 4, k_s = 8
 q = make_quasi_momentum("qp3d", 0.3, med)

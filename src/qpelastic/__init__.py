@@ -9,7 +9,9 @@ The package provides, on a unit-period lattice:
 * Rayleigh expansions with coefficient extraction and energy flux
   (``rayleigh``);
 * a Nystrom boundary-integral solver for rigid gratings (``bem2d``);
-* a phaseless-measurement harness with reciprocity checks (``phaseless``).
+* a phaseless-measurement harness with reciprocity checks (``phaseless``);
+* the numerical checks behind ``qpelastic verify`` and the acceptance suite,
+  with their finite-difference oracles (``checks``).
 """
 
 from . import errors
@@ -17,9 +19,10 @@ from .bem2d import (IncidentField, ProfileCurve2, ScatterSolution,
                     boundary_residual, eval_scattered, plane_incidence,
                     point_source_incidence, solve_dirichlet,
                     solve_dirichlet_multi, traction)
+from .checks import ode_residual
 from .green2d import green2d_eval
 from .green3d_biqp import c_l_bi, greenbi_eval
-from .green3d_qp import c_l, green3dqp_eval, ode_residual
+from .green3d_qp import c_l, green3dqp_eval
 from .green_free import GreenEval, comb_normalization, kupradze, lattice_sum
 from .medium import (ElasticMedium, ModeData, ModeTable, QuasiMomentum, classify_mode,
                      list_modes, make_medium, make_quasi_momentum, mode_table)

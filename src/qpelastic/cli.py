@@ -1,5 +1,8 @@
 """Command-line front door: config parsing, batch evaluation, verification.
 
+``verify --suite NAME`` runs ``checks.SUITES[NAME]``; the checks themselves
+live in :mod:`qpelastic.checks`, which the acceptance suite calls too.
+
 All outputs are deterministic for a fixed config (fixed summation orders, no
 timestamps) and embed the fully-resolved configuration for reproducibility.
 Exit codes: 0 success, 1 numerical suite failure, 2 config error, 3 domain
@@ -19,21 +22,16 @@ from ._series import equal_rows
 from .bem2d import (ProfileCurve2, boundary_residual, eval_scattered,
                     plane_incidence, point_source_incidence, solve_dirichlet,
                     traction)
+from .checks import GEOMETRIES, SUITES
 from .errors import ConfigError
-from .fdcheck import delta_weight_biqp, delta_weight_qp3d, navier_residual
-from .green2d import green2d_eval, green2d_eval_batch
-from .green3d_biqp import greenbi_eval, greenbi_eval_batch
-from .green3d_qp import green3dqp_eval, green3dqp_eval_batch, ode_residual
-from .green_free import comb_normalization, lattice_sum
-from .medium import (ElasticMedium, ModeTable, make_medium, make_quasi_momentum,
-                     mode_table)
+from .green2d import green2d_eval_batch
+from .green3d_biqp import greenbi_eval_batch
+from .green3d_qp import green3dqp_eval_batch
+from .medium import ElasticMedium, ModeTable, make_medium, make_quasi_momentum
 from .phaseless import (PhaselessDataset, SourceConfig, cosine_identity,
                         dataset_gap, nonvanishing_probe, synth_phaseless)
 from .rayleigh import (RayleighCoeffs2, eval_rayleigh_2d, extract_coeffs_2d,
                        flux_2d)
-from .specfun import bessel_j, hankel1, hankel1_deriv, mod_k, mod_k_deriv
-
-GEOMETRIES = ("qp2d", "qp3d", "biqp3d")
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +48,18 @@ def _need(cfg, field, path, types=None):
 
 def _opt(cfg, field, default):
     return cfg.get(field, default)
+
+
+def _number(val, field, depth=0):
+    """``val`` as a float, or for ``depth`` > 0 as lists of floats nested that
+    deep; ConfigError naming ``field`` when it is not a JSON number (or list)."""
+    if depth:
+        if not isinstance(val, list):
+            raise ConfigError(field, f"must be a list, got {val!r}")
+        return [_number(v, field, depth - 1) for v in val]
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(field, f"must be a number, got {val!r}")
+    return float(val)
 
 
 def _section(cfg, field, default=None):
@@ -84,15 +94,9 @@ def load_config(path: str) -> dict:
 def resolve_config(cfg: dict, geometry_override: str | None = None) -> dict:
     """Validate and fill defaults; returns the fully-resolved config dict."""
     out = {}
-    med = _need(cfg, "medium", "", dict)
-    for f in ("lambda", "mu", "omega"):
-        _need(med, f, "medium.", (int, float))
-    out["medium"] = {
-        "lambda": float(med["lambda"]),
-        "mu": float(med["mu"]),
-        "rho": float(_opt(med, "rho", 1.0)),
-        "omega": float(med["omega"]),
-    }
+    med = {"rho": 1.0, **_need(cfg, "medium", "", dict)}
+    out["medium"] = {f: _number(_need(med, f, "medium."), f"medium.{f}")
+                     for f in ("lambda", "mu", "rho", "omega")}
     try:
         make_medium(out["medium"]["lambda"], out["medium"]["mu"],
                     out["medium"]["rho"], out["medium"]["omega"])
@@ -105,31 +109,34 @@ def resolve_config(cfg: dict, geometry_override: str | None = None) -> dict:
     out["geometry"] = geometry
 
     qm = _section(cfg, "quasi_momentum", {"alpha": 0.0})
-    alpha = _need(qm, "alpha", "quasi_momentum.", (int, float, list))
+    alpha = _need(qm, "alpha", "quasi_momentum.")
     if geometry == "biqp3d":
         if not (isinstance(alpha, list) and len(alpha) == 2):
             raise ConfigError("quasi_momentum.alpha", "biqp3d needs a pair [a1, a2]")
-        out["quasi_momentum"] = {"alpha": [float(alpha[0]), float(alpha[1])]}
+        out["quasi_momentum"] = {"alpha": _number(alpha, "quasi_momentum.alpha", 1)}
     else:
         if isinstance(alpha, list):
             raise ConfigError("quasi_momentum.alpha", f"{geometry} needs a scalar")
-        out["quasi_momentum"] = {"alpha": float(alpha)}
+        out["quasi_momentum"] = {"alpha": _number(alpha, "quasi_momentum.alpha")}
 
     trunc = _section(cfg, "truncation")
-    tol = _opt(trunc, "tol", 1e-10)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0.0 < tol < 1.0:
+    tol = _number(_opt(trunc, "tol", 1e-10), "truncation.tol")
+    if not 0.0 < tol < 1.0:
         raise ConfigError("truncation.tol", f"must be a number in (0, 1), got {tol!r}")
-    out["truncation"] = {
-        "tol": float(tol),
-        "gap_min": trunc.get("gap_min"),
-        "tol_wood": trunc.get("tol_wood"),
-    }
+    out["truncation"] = {"tol": tol}
+    # kept as written; a value <= 0 would switch its guard off and let the
+    # evaluators run into the source line or the Wood anomaly it guards
+    for f in ("gap_min", "tol_wood"):
+        val = trunc.get(f)
+        if val is not None and not _number(val, f"truncation.{f}") > 0.0:
+            raise ConfigError(f"truncation.{f}", f"must be a number > 0, got {val!r}")
+        out["truncation"][f] = val
 
     prof = _section(cfg, "profile")
     out["profile"] = {
-        "height": float(_opt(prof, "height", 0.0)),
-        "cos": [float(v) for v in _opt(prof, "cos", [])],
-        "sin": [float(v) for v in _opt(prof, "sin", [])],
+        "height": _number(_opt(prof, "height", 0.0), "profile.height"),
+        "cos": _number(_opt(prof, "cos", []), "profile.cos", 1),
+        "sin": _number(_opt(prof, "sin", []), "profile.sin", 1),
     }
     out["solver"] = {"N": _node_count(_opt(_section(cfg, "solver"), "N", 128), "solver.N")}
 
@@ -206,20 +213,17 @@ def cmd_eval(rc, out_path):
     ev = rc.get("eval")
     if ev is None:
         raise ConfigError("eval", "missing")
-    pts = np.asarray(_need(ev, "points", "eval.", list), dtype=float)
-    src = np.asarray(_need(ev, "source", "eval.", list), dtype=float)
+    pts = _number(_need(ev, "points", "eval."), "eval.points", 2)
+    src = _number(_need(ev, "source", "eval."), "eval.source", 1)
     tol = rc["truncation"]["tol"]
     dim = 2 if rc["geometry"] == "qp2d" else 3
-    if pts.ndim != 2 or pts.shape[1] != dim:
+    if not pts or any(len(p) != dim for p in pts):
         raise ConfigError("eval.points", f"need shape (n, {dim})")
-    if src.shape != (dim,):
+    if len(src) != dim:
         raise ConfigError("eval.source", f"need length {dim}")
+    pts, src = np.asarray(pts), np.asarray(src)
 
-    kwargs = {}
-    if rc["truncation"]["gap_min"] is not None:
-        kwargs["gap_min"] = float(rc["truncation"]["gap_min"])
-    if rc["truncation"]["tol_wood"] is not None:
-        kwargs["tol_wood"] = float(rc["truncation"]["tol_wood"])
+    kwargs = {k: float(v) for k, v in rc["truncation"].items() if k != "tol" and v is not None}
     # one batch call per distinct gap (|x2 - y2| in 2D, the transverse
     # distance for qp3d, |x3 - y3| for biqp3d): a batch sizes its window from
     # its smallest gap, so each point gets the modes and tail bound of a call
@@ -249,192 +253,14 @@ def cmd_eval(rc, out_path):
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# verify
 # ---------------------------------------------------------------------------
-def _rand_medium(rng):
-    lam = rng.uniform(-0.5, 3.0)
-    mu = rng.uniform(0.5, 2.0)
-    if lam + mu <= 0.1:
-        lam = 0.1 - mu + 1.0
-    omega = rng.uniform(0.8, 3.0)
-    return make_medium(lam, mu, 1.0, omega)
-
-def _rand_alpha(rng, medium, kind):
-    kp = float(np.real(medium.k_p))
-    for _ in range(100):
-        if kind == "biqp3d":
-            a = (rng.uniform(-kp, kp) * 0.7, rng.uniform(-kp, kp) * 0.7)
-        else:
-            a = rng.uniform(-kp, kp) * 0.9
-        q = make_quasi_momentum(kind, a, medium)
-        try:
-            mode_table(medium, q, "tail_bound", gap=0.5, tol=1e-12)
-        except errors.WoodAnomaly:
-            continue
-        return q
-    raise RuntimeError("could not draw anomaly-free momentum")
-
-
-def _suite_quasiperiodicity(rng, trials):
-    worst = 0.0
-    for kind in GEOMETRIES:
-        for _ in range(trials):
-            med = _rand_medium(rng)
-            q = _rand_alpha(rng, med, kind)
-            if kind == "qp2d":
-                x = np.array([rng.uniform(0, 1), rng.uniform(0.4, 1.5)])
-                y = np.zeros(2)
-                g0 = green2d_eval(med, q, x, y, 1e-12).value
-                g1 = green2d_eval(med, q, x + np.array([1.0, 0]), y, 1e-12).value
-                ph = np.exp(1j * q.alpha)
-            elif kind == "qp3d":
-                x = np.array([rng.uniform(0, 1), rng.uniform(0.4, 1.2), rng.uniform(0.2, 0.8)])
-                y = np.zeros(3)
-                g0 = green3dqp_eval(med, q, x, y, 1e-10).value
-                g1 = green3dqp_eval(med, q, x + np.array([1.0, 0, 0]), y, 1e-10).value
-                ph = np.exp(1j * q.alpha)
-            else:
-                x = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0.4, 1.2)])
-                y = np.zeros(3)
-                g0 = greenbi_eval(med, q, x, y, 1e-8).value
-                g1 = greenbi_eval(med, q, x + np.array([0, 1.0, 0]), y, 1e-8).value
-                ph = np.exp(1j * q.alpha[1])
-            worst = max(worst, float(np.max(np.abs(g1 - ph * g0)) / np.max(np.abs(g0))))
-    return worst, 1e-12
-
-
-def _suite_reciprocity(rng, trials):
-    worst = 0.0
-    for kind in GEOMETRIES:
-        for _ in range(trials):
-            med = _rand_medium(rng)
-            q = _rand_alpha(rng, med, kind)
-            qm = q.negated()
-            if kind == "qp2d":
-                x = np.array([rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.2)])
-                y = np.array([rng.uniform(-0.5, 0.5), -rng.uniform(0.0, 0.5)])
-                a = green2d_eval(med, q, x, y, 1e-12).value
-                b = green2d_eval(med, qm, y, x, 1e-12).value
-            elif kind == "qp3d":
-                x = np.array([rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.0), 0.3])
-                y = np.array([rng.uniform(-0.5, 0.5), -0.2, -0.1])
-                a = green3dqp_eval(med, q, x, y, 1e-10).value
-                b = green3dqp_eval(med, qm, y, x, 1e-10).value
-            else:
-                x = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.0)])
-                y = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), -0.2])
-                a = greenbi_eval(med, q, x, y, 1e-8).value
-                b = greenbi_eval(med, qm, y, x, 1e-8).value
-            worst = max(worst, float(np.max(np.abs(a - b)) / np.max(np.abs(a))))
-    return worst, 1e-12
-
-
-def _suite_pde_residual(rng, trials):
-    worst = 0.0
-    for kind in GEOMETRIES:
-        med = make_medium(2.0, 1.0, 1.0, 2.0)
-        q = _rand_alpha(rng, med, kind)
-        for _ in range(max(trials // 3, 2)):
-            if kind == "qp2d":
-                y = np.zeros(2)
-                x = np.array([rng.uniform(0, 1), rng.uniform(0.8, 1.4)])
-
-                def fld(P, j=rng.integers(0, 2)):
-                    return green2d_eval_batch(med, q, P, y, 1e-13)[0][:, :, j]
-
-                worst = max(worst, navier_residual(fld, med, x[None, :], 1e-2))
-            elif kind == "qp3d":
-                y = np.zeros(3)
-                x = np.array([rng.uniform(0, 1), rng.uniform(0.7, 1.2), rng.uniform(0.3, 0.8)])
-
-                def fld(P, j=rng.integers(0, 3)):
-                    return green3dqp_eval_batch(med, q, P, y, 1e-12)[0][:, :, j]
-
-                worst = max(worst, navier_residual(fld, med, x[None, :], 1e-2))
-            else:
-                y = np.zeros(3)
-                x = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0.8, 1.4)])
-
-                def fld(P, j=rng.integers(0, 3)):
-                    return greenbi_eval_batch(med, q, P, y, 1e-10)[0][:, :, j]
-
-                worst = max(worst, navier_residual(fld, med, x[None, :], 1e-2))
-    return worst, 1e-6
-
-
-def _suite_oracle(rng, trials):
-    worst = 0.0
-    for kind in GEOMETRIES:
-        for _ in range(max(trials // 3, 2)):
-            med = _rand_medium(rng).complexified(0.1)
-            qv = _rand_alpha(rng, make_medium(2, 1, 1, 1), kind)
-            fac = comb_normalization(kind)
-            if kind == "qp2d":
-                x, y = np.array([0.3, 0.9]), np.zeros(2)
-                spec = green2d_eval(med, qv, x, y, 1e-12).value
-                lat = lattice_sum(med, qv, x, y, N=400).value
-            elif kind == "qp3d":
-                x, y = np.array([0.3, 0.7, 0.6]), np.zeros(3)
-                spec = green3dqp_eval(med, qv, x, y, 1e-12).value
-                lat = lattice_sum(med, qv, x, y, N=400).value
-            else:
-                x, y = np.array([0.3, 0.2, 0.9]), np.zeros(3)
-                spec = greenbi_eval(med, qv, x, y, 1e-12).value
-                lat = lattice_sum(med, qv, x, y, N=110).value
-            worst = max(worst, float(np.max(np.abs(spec - fac * lat)) / np.max(np.abs(spec))))
-    return worst, 1e-4
-
-
-def _suite_ode_jump(rng, trials):
-    med = make_medium(2.0, 1.0, 1.0, 1.0)
-    q = make_quasi_momentum("qp3d", 0.3, med)
-    worst = 0.0
-    for m in (0, 1, -2):
-        worst = max(worst, ode_residual(med, q, m, 0.7, 0.6, 1e-2)
-                    / abs(med.rho_omega2))
-    wq = delta_weight_qp3d(med, q, 0)
-    worst = max(worst, float(np.max(np.abs(wq - np.eye(3) / (2 * np.pi)))))
-    qb = make_quasi_momentum("biqp3d", (0.3, 0.45), med)
-    for m in ((0, 0), (1, -1)):
-        wb = delta_weight_biqp(med, qb, m)
-        worst = max(worst, float(np.max(np.abs(wb - np.eye(3) / (4 * np.pi**2)))))
-    return worst, 1e-6
-
-
-def _suite_specfun(rng, trials):
-    xs = np.logspace(-1, 2, 200)
-    worst = 0.0
-    for m in (0, 1, 3):
-        wron = bessel_j(m + 1, xs) * np.imag(hankel1(m, xs)) \
-            - bessel_j(m, xs) * np.imag(hankel1(m + 1, xs))
-        worst = max(worst, float(np.max(np.abs(wron - 2 / (np.pi * xs)))))
-    for nu in (1, 2):
-        xs2 = np.logspace(-1, 1.5, 50)
-        rec = mod_k_deriv(nu, xs2) + mod_k(nu - 1, xs2) + nu / xs2 * mod_k(nu, xs2)
-        worst = max(worst, float(np.max(np.abs(rec))))
-    h = 1e-6
-    for m in (0, 1, 2):
-        fd = (hankel1(m, 2.0 + h) - hankel1(m, 2.0 - h)) / (2 * h)
-        worst = max(worst, abs(hankel1_deriv(m, 2.0) - fd) / abs(fd))
-    return worst, 1e-8
-
-
-_SUITES = {
-    "quasiperiodicity": _suite_quasiperiodicity,
-    "reciprocity": _suite_reciprocity,
-    "pde_residual": _suite_pde_residual,
-    "oracle": _suite_oracle,
-    "ode_jump": _suite_ode_jump,
-    "specfun": _suite_specfun,
-}
-
-
 def cmd_verify(rc, suite, out_path, seed):
-    if suite not in _SUITES:
-        raise ConfigError("suite", f"must be one of {sorted(_SUITES)}")
+    if suite not in SUITES:
+        raise ConfigError("suite", f"must be one of {sorted(SUITES)}")
     trials = int(_opt(rc.get("verify", {}), "trials", 6))
     rng = np.random.default_rng(seed)
-    worst, tol = _SUITES[suite](rng, trials)
+    worst, tol = SUITES[suite](rng, trials)
     ok = bool(worst <= tol)
     report = {
         "suite": suite,

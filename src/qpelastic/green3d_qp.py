@@ -40,7 +40,6 @@ import numpy as np
 
 from ._series import contract, geom_poly_sum, per_key, scalar_phases
 from .errors import DomainError, NearSourceLine
-from .fdcheck import _D1, _D2, _OFF
 from .green_free import GreenEval
 from .medium import (ElasticMedium, ModeData, ModeTable, QuasiMomentum,
                      branch_sqrt, case_label, check_wood_window, mode_window)
@@ -117,43 +116,6 @@ def c_l(medium: ElasticMedium, q: QuasiMomentum, m: int, x2: float, x3: float,
     c = c_arrays(medium, tab.alpha_l, x2, x3)[0]
     mode = tab.row(0)
     return FourierMode3QP(mode, c, r, case_label(mode))
-
-
-def ode_residual(medium: ElasticMedium, q: QuasiMomentum, m: int,
-                 x2: float, x3: float, h: float) -> float:
-    """Max-norm residual of the mode ODE system applied to c_l by 4th-order FD.
-
-    The operator (rows j = source column):
-        row1 = (rho w^2 - (lam+2mu) a^2) c_1j + mu (d22 + d33) c_1j
-               + i (lam+mu) a (d2 c_2j + d3 c_3j)
-        row2 = (rho w^2 - mu a^2) c_2j + i (lam+mu) a d2 c_1j
-               + (lam+2mu) d22 c_2j + mu d33 c_2j + (lam+mu) d23 c_3j
-        row3 = like row2 with the 2/3 axes swapped.
-    Vanishes away from the transverse origin.
-    """
-    if np.hypot(x2, x3) <= 2 * h:
-        raise DomainError("stencil touches the singular point")
-    a = ModeTable.of(medium, q, [m]).alpha_l[0]
-    lam, mu = medium.lam, medium.mu
-    rw2 = medium.rho_omega2
-
-    grid = c_arrays(medium, [a], x2 + _OFF[:, None] * h, x3 + _OFF[None, :] * h)[:, :, 0]
-
-    c0 = grid[2, 2]
-    d2 = np.tensordot(_D1, grid[:, 2], axes=(0, 0)) / h
-    d3 = np.tensordot(_D1, grid[2, :], axes=(0, 0)) / h
-    d22 = np.tensordot(_D2, grid[:, 2], axes=(0, 0)) / h**2
-    d33 = np.tensordot(_D2, grid[2, :], axes=(0, 0)) / h**2
-    d23 = np.einsum("i,j,ijab->ab", _D1, _D1, grid) / h**2
-
-    res = np.empty((3, 3), dtype=complex)
-    res[0] = (rw2 - (lam + 2 * mu) * a * a) * c0[0] + mu * (d22[0] + d33[0]) \
-        + 1j * (lam + mu) * a * (d2[1] + d3[2])
-    res[1] = (rw2 - mu * a * a) * c0[1] + 1j * (lam + mu) * a * d2[0] \
-        + (lam + 2 * mu) * d22[1] + mu * d33[1] + (lam + mu) * d23[2]
-    res[2] = (rw2 - mu * a * a) * c0[2] + 1j * (lam + mu) * a * d3[0] \
-        + (lam + mu) * d23[1] + mu * d22[2] + (lam + 2 * mu) * d33[2]
-    return float(np.max(np.abs(res)))
 
 
 def _kappa(z):

@@ -12,14 +12,13 @@ import pytest
 from conftest import draw_medium, draw_momentum
 from oracles import (fd_curl, fd_divergence, flat_reflection, mp_bessel_j, mp_hankel1,
                      mp_mod_k)
+from qpelastic import checks
 from qpelastic.bem2d import (ProfileCurve2, boundary_residual, eval_scattered,
                              plane_incidence, point_source_incidence,
                              solve_dirichlet, solve_dirichlet_multi, traction)
-from qpelastic.fdcheck import delta_weight_biqp, delta_weight_qp3d, navier_apply_fd
 from qpelastic.green2d import green2d_eval, green2d_eval_batch
 from qpelastic.green3d_biqp import greenbi_eval, greenbi_eval_batch
-from qpelastic.green3d_qp import (green3dqp_eval, green3dqp_eval_batch,
-                                  ode_residual)
+from qpelastic.green3d_qp import green3dqp_eval, green3dqp_eval_batch
 from qpelastic.green_free import comb_normalization, lattice_sum
 from qpelastic.medium import make_medium, make_quasi_momentum
 from qpelastic.phaseless import (SourceConfig, check_reciprocity,
@@ -32,7 +31,6 @@ from qpelastic.medium import classify_mode
 from qpelastic.specfun import bessel_j, hankel1, mod_k
 
 SEED = 20260810
-GEOMETRIES = ("qp2d", "qp3d", "biqp3d")
 
 
 def report(name, worst, tol, t0, extra=""):
@@ -53,57 +51,13 @@ def _draw_conf(rng, kind, omega_range=(0.8, 3.0)):
 
 def test_criterion_1_quasi_periodicity():
     t0 = time.time()
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    for kind in GEOMETRIES:
-        for _ in range(100):
-            med, q = _draw_conf(rng, kind)
-            if kind == "qp2d":
-                x = np.array([rng.uniform(0, 1), rng.uniform(0.5, 1.5)])
-                y = np.array([rng.uniform(0, 1), 0.0])
-                g0 = green2d_eval(med, q, x, y, 1e-12).value
-                g1 = green2d_eval(med, q, x + [1, 0], y, 1e-12).value
-                ph = np.exp(1j * q.alpha)
-            elif kind == "qp3d":
-                x = np.array([rng.uniform(0, 1), rng.uniform(0.5, 1.2), rng.uniform(0.2, 0.8)])
-                y = np.array([rng.uniform(0, 1), 0.0, 0.0])
-                g0 = green3dqp_eval(med, q, x, y, 1e-10).value
-                g1 = green3dqp_eval(med, q, x + [1, 0, 0], y, 1e-10).value
-                ph = np.exp(1j * q.alpha)
-            else:
-                x = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0.5, 1.2)])
-                y = np.array([rng.uniform(0, 1), rng.uniform(0, 1), 0.0])
-                g0 = greenbi_eval(med, q, x, y, 1e-7).value
-                g1 = greenbi_eval(med, q, x + [1, 0, 0], y, 1e-7).value
-                ph = np.exp(1j * q.alpha[0])
-            worst = max(worst, float(np.max(np.abs(g1 - ph * g0)) / np.max(np.abs(g0))))
-    report("1 quasi-periodicity", worst, 1e-12, t0)
+    report("1 quasi-periodicity", *checks.quasiperiodicity(np.random.default_rng(SEED), 100), t0)
 
 
 def test_criterion_2_point_source_reciprocity():
     t0 = time.time()
-    rng = np.random.default_rng(SEED + 1)
-    worst = 0.0
-    for kind in GEOMETRIES:
-        for _ in range(100):
-            med, q = _draw_conf(rng, kind)
-            if kind == "qp2d":
-                x = np.array([rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.2)])
-                z = np.array([rng.uniform(-0.5, 0.5), -rng.uniform(0.1, 0.6)])
-                a = green2d_eval(med, q, x, z, 1e-12).value
-                b = green2d_eval(med, q.negated(), z, x, 1e-12).value
-            elif kind == "qp3d":
-                x = np.array([rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.0), rng.uniform(0, 0.5)])
-                z = np.array([rng.uniform(-0.5, 0.5), -0.2, -0.1])
-                a = green3dqp_eval(med, q, x, z, 1e-10).value
-                b = green3dqp_eval(med, q.negated(), z, x, 1e-10).value
-            else:
-                x = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(0.5, 1.2)])
-                z = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), -0.2])
-                a = greenbi_eval(med, q, x, z, 1e-7).value
-                b = greenbi_eval(med, q.negated(), z, x, 1e-7).value
-            worst = max(worst, float(np.max(np.abs(a - b)) / np.max(np.abs(a))))
-    report("2 point-source reciprocity", worst, 1e-12, t0)
+    report("2 point-source reciprocity",
+           *checks.reciprocity(np.random.default_rng(SEED + 1), 100), t0)
 
 
 def test_criterion_3_pde_residual():
@@ -112,7 +66,7 @@ def test_criterion_3_pde_residual():
     med = make_medium(2.0, 1.0, 1.0, 2.0)
     residuals = {1e-2: 0.0, 2e-2: 0.0}
     n_points = {"qp2d": 8, "qp3d": 6, "biqp3d": 6}
-    for kind in GEOMETRIES:
+    for kind in checks.GEOMETRIES:
         q = draw_momentum(rng, med, kind)
         for _ in range(n_points[kind]):
             if kind == "qp2d":
@@ -134,10 +88,8 @@ def test_criterion_3_pde_residual():
                 def fld(P, j=int(rng.integers(0, 3))):
                     return greenbi_eval_batch(med, q, P, y, 1e-10)[0][:, :, j]
 
-            scale = abs(med.rho_omega2) * float(np.max(np.abs(fld(x[None, :]))))
             for h in (1e-2, 2e-2):
-                res = navier_apply_fd(fld, med, x, h)
-                residuals[h] = max(residuals[h], float(np.max(np.abs(res))) / scale)
+                residuals[h] = max(residuals[h], checks.navier_residual(fld, med, x[None, :], h))
     ratio = residuals[2e-2] / residuals[1e-2]
     ok_ratio = 12.0 <= ratio <= 20.0
     print(f"[acceptance] 3 pde-residual ratio {ratio:.2f} (target [12, 20]) "
@@ -150,7 +102,8 @@ def test_criterion_4_oracle_agreement():
     t0 = time.time()
     rng = np.random.default_rng(SEED + 3)
     worst = 0.0
-    for kind in GEOMETRIES:
+    # its own loop: N = 46 / Im k_p converges, checks.oracle's fixed N does not (ROADMAP item 1)
+    for kind in checks.GEOMETRIES:
         for _ in range(10):
             om_range = (1.5, 3.0) if kind == "biqp3d" else (0.8, 3.0)
             med_r, q = _draw_conf(rng, kind, om_range)
@@ -177,18 +130,8 @@ def test_criterion_4_oracle_agreement():
 
 def test_criterion_5_ode_and_jump():
     t0 = time.time()
-    med = make_medium(2.0, 1.0, 1.0, 1.0)
-    q = make_quasi_momentum("qp3d", 0.3, med)
-    worst = 0.0
-    for m in (0, 1, -2):
-        worst = max(worst, ode_residual(med, q, m, 0.7, 0.6, 1e-2) / abs(med.rho_omega2))
-    wq = delta_weight_qp3d(med, q, 0)
-    worst = max(worst, float(np.max(np.abs(wq - np.eye(3) / (2 * np.pi)))))
-    qb = make_quasi_momentum("biqp3d", (0.3, 0.45), med)
-    for m in ((0, 0), (1, -1)):
-        wb = delta_weight_biqp(med, qb, m)
-        worst = max(worst, float(np.max(np.abs(wb - np.eye(3) / (4 * np.pi**2)))))
-    report("5 mode ODE residual + delta weights", worst, 1e-6, t0)
+    report("5 mode ODE residual + delta weights",
+           *checks.ode_jump(np.random.default_rng(SEED + 4), 100), t0)
 
 
 def test_criterion_6_special_functions():

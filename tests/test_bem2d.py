@@ -9,7 +9,7 @@ from qpelastic.bem2d import (IncidentField, ProfileCurve2, boundary_residual,
                              point_source_incidence, solve_dirichlet,
                              solve_dirichlet_multi, traction)
 from qpelastic.errors import CoincidentPoints, TableUnresolved, TooCloseToBoundary, WoodAnomaly
-from qpelastic.fdcheck import navier_apply_fd
+from qpelastic.checks import navier_apply_fd
 from qpelastic.green2d import NEAR_GAP, QPSources
 from qpelastic.green_free import _kupradze2d_value
 from qpelastic.medium import make_medium, make_quasi_momentum

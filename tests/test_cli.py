@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpelastic import cli
+from qpelastic import checks, cli
 from qpelastic.cli import main
 from qpelastic.green2d import green2d_eval
 from qpelastic.green3d_biqp import greenbi_eval
@@ -57,16 +57,24 @@ def test_eval_missing_field_exit2(tmp_path, capsys):
     ("truncation.tol", "0"), ("truncation.tol", "-1"), ("truncation.tol", "1e-400"),
     ("truncation.tol", "2"), ("truncation.tol", '"abc"'),
     ("verify.trials", "0"), ("verify.trials", "-3"), ("verify.trials", '"abc"'),
+    ("truncation.gap_min", "0"), ("truncation.gap_min", "-1"),
+    ("truncation.tol_wood", "0"), ("truncation.tol_wood", "-1e-8"),
+    ("truncation.gap_min", '"x"'), ("truncation.tol_wood", '"x"'), ("medium.rho", '"x"'),
+    ("profile.cos", '["a"]'), ("profile.cos", "5"), ("profile.height", '"x"'),
+    ("quasi_momentum.alpha", '["a", 1]'), ("eval.points", '[["a", 1]]'),
 ])
 def test_out_of_range_number_exit2(tmp_path, capsys, field, literal):
-    """A tol outside (0, 1) or a trial count below 1 is a config error, not a
-    traceback, a one-mode sum or a suite that passes having checked nothing."""
+    """A tol outside (0, 1), a trial count below 1, a gap_min or tol_wood <= 0
+    (which would switch off the near-source or Wood guard) or a value that is
+    not a number is a config error naming the field, not a traceback, a
+    one-mode sum or a suite that passes having checked nothing."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
     section, key = field.split(".")
-    cfg[section] = {key: "@"}
+    cfg.setdefault(section, {})[key] = "@"
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg).replace('"@"', literal))
     argv = ["verify", "--suite", "quasiperiodicity"] if section == "verify" else ["eval"]
+    argv += ["--geometry", "biqp3d"] if section == "quasi_momentum" else []
     assert main(argv + ["--config", str(p), "--out", str(tmp_path / "x.out")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "x.out").exists()
@@ -92,6 +100,13 @@ def test_malformed_section_exit2(tmp_path, capsys, command, section, literal, fi
     assert main([command, "--config", str(p), "--out", str(tmp_path / "x.out")]) == 2
     assert f"'{field}'" in capsys.readouterr().err
     assert not (tmp_path / "x.out").exists()
+
+
+def test_positive_guards_resolve_as_given():
+    """Valid gap_min / tol_wood stay in the resolved config as written."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["truncation"] = {"gap_min": 1, "tol_wood": 1e-9}
+    assert cli.resolve_config(cfg)["truncation"] == {"tol": 1e-10, "gap_min": 1, "tol_wood": 1e-9}
 
 
 def test_phaseless_node_count_exit2(tmp_path, capsys):
@@ -131,8 +146,8 @@ def test_rand_alpha_draws_pinned(kind, draws):
     """The verify suites draw the same quasi-momenta from the same seeds."""
     for seed, alpha in enumerate(draws):
         rng = np.random.default_rng(seed)
-        med = cli._rand_medium(rng)
-        assert cli._rand_alpha(rng, med, kind).alpha == alpha
+        med = checks.rand_medium(rng)
+        assert checks.rand_alpha(rng, med, kind).alpha == alpha
 
 
 def test_solve2d_unresolved_table_exit3(tmp_path, table_constants, capsys):
@@ -219,8 +234,7 @@ def test_eval_rows_equal_point_calls(tmp_path, geometry):
     assert len(modes) >= 4
 
 
-@pytest.mark.parametrize("suite", ["quasiperiodicity", "reciprocity", "specfun",
-                                   "ode_jump", "pde_residual", "oracle"])
+@pytest.mark.parametrize("suite", sorted(checks.SUITES))
 def test_verify_suites_pass(tmp_path, suite):
     p = write_cfg(tmp_path, BASE_CONFIG)
     out = tmp_path / "report.json"

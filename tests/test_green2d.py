@@ -6,7 +6,7 @@ from oracles import (_series_sum, mode_term_2d, mp_log_part, mp_mode_block_2d,
                      near_line_abel_plana)
 from qpelastic.errors import (CoincidentPoints, DomainError, NearSourceLine,
                               TableUnresolved, WoodAnomaly)
-from qpelastic.fdcheck import navier_residual
+from qpelastic.checks import navier_residual
 from qpelastic.green2d import (NEAR_GAP, QPSources, green2d_eval, green2d_eval_batch,
                                green2d_near_line_batch, remainder_table)
 from qpelastic.medium import classify_mode, make_medium, make_quasi_momentum, mode_window

@@ -6,7 +6,7 @@ import pytest
 from conftest import draw_medium, draw_momentum
 from oracles import biqp3d_per_mode, biqp_mode_tensor_quadrature
 from qpelastic.errors import DomainError, NearSourcePlane
-from qpelastic.fdcheck import delta_weight_biqp, navier_residual
+from qpelastic.checks import delta_weight_biqp, navier_residual
 from qpelastic.green3d_biqp import (_lattice_block, _tail_bound, c_bi_arrays, c_l_bi,
                                     greenbi_eval, greenbi_eval_batch)
 from qpelastic.green_free import comb_normalization, lattice_sum

@@ -4,10 +4,10 @@ import pytest
 from conftest import draw_medium, draw_momentum
 from oracles import qp3d_mode_tensor_quadrature
 from qpelastic.errors import DomainError, NearSourceLine
-from qpelastic.fdcheck import delta_weight_qp3d, navier_residual
-import qpelastic.green3d_qp as g3
+import qpelastic.checks as checks
+from qpelastic.checks import delta_weight_qp3d, navier_residual, ode_residual
 from qpelastic.green3d_qp import (_tail_bound_side, c_arrays, c_l, green3dqp_eval,
-                                  green3dqp_eval_batch, ode_residual)
+                                  green3dqp_eval_batch)
 from qpelastic.green_free import comb_normalization, lattice_sum
 from qpelastic.medium import make_medium, make_quasi_momentum, mode_window
 
@@ -199,9 +199,18 @@ def test_fd_checks_equal_point_by_point_grids(medium, monkeypatch):
     q = make_quasi_momentum("qp3d", 0.3, medium)
     ode = [ode_residual(medium, q, m, 0.7, 0.6, 1e-2) for m in (0, 1, -2)]
     w = delta_weight_qp3d(medium, q, 0)
-    monkeypatch.setattr(g3, "c_arrays", _pointwise(g3.c_arrays))
+    calls = []
+    pointwise = _pointwise(c_arrays)
+
+    def counted(*args):
+        calls.append(1)
+        return pointwise(*args)
+
+    # the binding the checks read, so the grids below are the point-by-point ones
+    monkeypatch.setattr(checks, "c_arrays", counted)
     assert [ode_residual(medium, q, m, 0.7, 0.6, 1e-2) for m in (0, 1, -2)] == ode
     assert np.array_equal(delta_weight_qp3d(medium, q, 0), w)
+    assert len(calls) == 3 + 6
 
 
 @pytest.mark.parametrize("omega_im", [0.0, 0.1])

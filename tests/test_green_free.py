@@ -5,7 +5,7 @@ from conftest import draw_medium, draw_momentum
 from oracles import (fd_curl, fd_divergence, kupradze2d_jet, lattice_sum_per_copy,
                      lattice_sum_richardson, mp_kupradze2d, mp_kupradze2d_grad)
 from qpelastic.errors import CoincidentPoints
-from qpelastic.fdcheck import navier_apply_fd
+from qpelastic.checks import navier_apply_fd
 from qpelastic.green_free import _kupradze2d_value, comb_normalization, kupradze, lattice_sum
 from qpelastic.green2d import green2d_eval
 from qpelastic.medium import make_medium, make_quasi_momentum

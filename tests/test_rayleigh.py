@@ -3,7 +3,7 @@ import pytest
 
 from oracles import fd_curl, fd_divergence, transversality_defect
 from qpelastic.errors import AliasedGrid, DegenerateModeBasis, DomainError
-from qpelastic.fdcheck import navier_apply_fd
+from qpelastic.checks import navier_apply_fd
 from qpelastic.medium import classify_mode, make_medium, make_quasi_momentum
 from qpelastic.rayleigh import (RayleighCoeffs2, RayleighCoeffs3Bi,
                                 RayleighCoeffs3Qp, check_upgoing,
