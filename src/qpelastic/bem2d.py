@@ -10,7 +10,11 @@ and 1-periodic: A carries the logarithmic singularity of the local
 free-space copy (windowed away from the seam |t-s| = 1/2), and B is the
 kernel minus that part.  The log factor is integrated with the spectrally
 accurate product-trapezoid rule for log kernels, the smooth factor with the
-plain trapezoid rule.
+plain trapezoid rule.  ``_kernel_split`` returns the quadrature matrix
+M = W o A + B/N itself, W the log weights at each row, in the (2 rows, 2N)
+layout that the LU factorisation and the residual's one matrix-vector
+product use; neither A nor B is held.  The factors that depend on tau alone
+are formed once per distinct tau, of which a node matrix has N.
 
 Each system keeps one :class:`~qpelastic.green2d.QPSources` at its nodes.
 A pair within NEAR_GAP reads T = G + S/(2 pi) from the sources' kernel
@@ -222,7 +226,7 @@ def log_quadrature_weights_off_node(t, N: int) -> np.ndarray:
     c[-1] /= 2.0
     coef = np.zeros((len(t), N), dtype=complex)
     coef[:, 1:N // 2 + 1] = c * np.exp(2j * np.pi * np.outer(t, m))
-    return np.fft.fft(coef, axis=1).real
+    return np.fft.fft(coef, axis=1).real.copy()   # frees the complex transform
 
 
 # ---------------------------------------------------------------------------
@@ -259,32 +263,44 @@ def _geometry(profile: ProfileCurve2, t):
     return pts, jac, nu
 
 
-def _kernel_split(sources: QPSources, pts_rows, jac_cols, that_rows=None):
-    """A (log coefficient) and B (smooth remainder) matrices of the kernel.
+def _kernel_split(sources: QPSources, pts_rows, jac_cols, log_weights, that_rows=None):
+    """The quadrature matrix M = W o A + B/N of the single-layer operator.
 
-    Rows are collocation points (may be off-node), columns the quadrature
-    nodes ``sources.Y``, which lie at x1 = t.  ``that_rows`` gives the unit
-    tangents of rows that coincide with the columns (the on-node case); pass
-    None when the row set avoids all columns.
+    Rows are collocation points (may be off-node), columns the N quadrature
+    nodes ``sources.Y``, which lie at x1 = t.  ``log_weights`` (rows, N) holds
+    the product-trapezoid weights W of the log factor at each row: the
+    circulant ``log_quadrature_weights(N)[i - j]`` on the nodes,
+    ``log_quadrature_weights_off_node`` elsewhere.  ``that_rows`` gives the
+    unit tangents of rows that coincide with the columns (the on-node case);
+    pass None when the row set avoids all columns.  Returns the
+    (2 rows, 2 N) complex matrix whose entry (2c + a, 2n + b) is M[c, n]_ab,
+    so that M @ psi.ravel() applies the operator to a density psi (N, 2).
 
-    With a = a_I I + a_rr rhat rhat^T the log coefficient of the free-space
-    tensor (:func:`~qpelastic.green2d._log_coeff`), w = phase * jac and
-    L = ln(4 sin^2(pi tau)), which is ln(4 sin^2(pi (t - s))),
+    The kernel splits as A(t, s) L + B(t, s) with L = ln(4 sin^2(pi tau)),
+    which is ln(4 sin^2(pi (t - s))).  With a = a_I I + a_rr rhat rhat^T the
+    log coefficient of the free-space tensor
+    (:func:`~qpelastic.green2d._log_coeff`) and w = phase * jac,
 
         A = -chi w a / (4 pi),
         B = w [T + a (chi L - ln r^2)/(4 pi) - kappa rhat rhat^T/(2 pi)]   (|d| <= NEAR_GAP),
         B = w [G + a chi L / (4 pi)]                                       (beyond),
 
     with T = G + S/(2 pi) from the sources' kernel table, so no pair
-    evaluates the free-space tensor.  On the diagonal the limit along the
-    tangent is B = jac [T(0, 0) - (a(0) ln(jac/2 pi) + kappa that that^T)/(2 pi)].
+    evaluates the free-space tensor.  No A or B is held: each entry is
+    formed at once as
+
+        M = w/N [T + a (chi (L - N W) - ln r^2)/(4 pi) - kappa rhat rhat^T/(2 pi)]   (near),
+        M = w/N [G + a chi (L - N W) / (4 pi)]                                       (beyond),
+
+    with chi(tau) and L formed once per distinct tau.  On the diagonal the
+    limit along the tangent is M = jac core / N - a(0) jac W_ii / (4 pi) I,
+    core = T(0, 0) - (a(0) ln(jac/2 pi) + kappa that that^T)/(2 pi).
     Rows go in blocks of about ``_CHUNK`` pairs, so no temporary is full-size.
     Raises CoincidentPoints when a row lies on a column off the diagonal.
     """
     medium = sources.medium
     nr, nc = len(pts_rows), len(sources.Y)
-    A = np.empty((nr, nc, 2, 2), dtype=complex)
-    B = np.empty_like(A)
+    M = np.empty((nr, 2, nc, 2), dtype=complex)
     kappa = _kappa(medium)
     step = max(1, _CHUNK // nc)
     for i in range(0, nr, step):
@@ -307,15 +323,16 @@ def _kernel_split(sources: QPSources, pts_rows, jac_cols, that_rows=None):
         u1 = np.divide(tau, r, out=np.zeros_like(r), where=~diag)
         u2 = np.divide(d, r, out=np.zeros_like(r), where=~diag)
         a_i, a_rr = _log_coeff(medium, r)
-        chi = _chi(tau)
-        w = phase * jac_cols
-        A[rows] = _iso(a_i, a_rr, u1, u2) * (-(chi / (4 * np.pi)) * w)[..., None, None]
+        tau_u, inv = np.unique(tau, return_inverse=True)
+        inv = inv.reshape(tau.shape)
         with np.errstate(divide="ignore", invalid="ignore"):   # the diagonal, set below
-            log_w = (chi * np.log(4.0 * np.sin(np.pi * tau) ** 2)
+            log_sin = np.log(4.0 * np.sin(np.pi * tau_u) ** 2)[inv]
+            log_w = (_chi(tau_u)[inv] * (log_sin - nc * log_weights[rows])
                      - np.where(near, np.log(r * r), 0.0)) / (4 * np.pi)
             K += _iso(a_i * log_w, a_rr * log_w - np.where(near, kappa / (2 * np.pi), 0.0),
                       u1, u2)
-        B[rows] = w[..., None, None] * K
+        np.multiply(K, (phase * (jac_cols / nc))[..., None, None],
+                    out=M[rows].transpose(0, 2, 1, 3))
 
     if that_rows is not None:
         t00 = sources.table.remainder(0.0, 0.0)[0]
@@ -323,8 +340,10 @@ def _kernel_split(sources: QPSources, pts_rows, jac_cols, that_rows=None):
         ji = jac_cols[:nr, None, None]
         tt = that_rows[:, :, None] * that_rows[:, None, :]
         core = t00 - (a0 * np.log(ji / (2 * np.pi)) * np.eye(2) + kappa * tt) / (2 * np.pi)
-        B[np.arange(nr), np.arange(nr)] = ji * core
-    return A, B
+        on = np.arange(nr)
+        w_ii = log_weights[on, on][:, None, None]
+        M[on, :, on, :] = ji * core / nc - (a0 / (4 * np.pi)) * ji * w_ii * np.eye(2)
+    return M.reshape(2 * nr, 2 * nc)
 
 
 def _build_system(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve2, N: int):
@@ -336,17 +355,11 @@ def _build_system(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve
     that = np.stack([np.ones_like(fp), fp], axis=-1) / jac[:, None]
 
     sources = QPSources(medium, q, pts)
-    M, B = _kernel_split(sources, pts, jac, that_rows=that)
-
-    w = log_quadrature_weights(N)
     idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-    M *= w[idx][..., None, None]
-    B /= N
-    M += B
-    M2 = M.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N)
+    M = _kernel_split(sources, pts, jac, log_quadrature_weights(N)[idx], that_rows=that)
 
-    lu, piv = lu_factor(M2)
-    anorm = np.linalg.norm(M2, 1)
+    lu, piv = lu_factor(M)
+    anorm = np.linalg.norm(M, 1)
     rcond = lapack.zgecon(lu, anorm)[0]
     cond = 1.0 / max(rcond, 1e-300)
     if cond > COND_LIMIT:
@@ -391,11 +404,8 @@ def boundary_residual(sol: ScatterSolution) -> float:
     N = sol.N
     tc = (np.arange(2 * N) + 0.37) / (2 * N)
     pc, jc, _ = _geometry(sol.profile, tc)
-    Mat, B = _kernel_split(sol.sources, pc, sol.jacobian)
-    Mat *= log_quadrature_weights_off_node(tc, N)[..., None, None]
-    B /= N
-    Mat += B
-    u_sc = np.einsum("cnab,nb->ca", Mat, sol.density)
+    Mat = _kernel_split(sol.sources, pc, sol.jacobian, log_quadrature_weights_off_node(tc, N))
+    u_sc = (Mat @ sol.density.reshape(-1)).reshape(-1, 2)
     u_inc = sol.incident.eval(sol.medium, sol.q, pc)
     ref = float(np.max(np.abs(u_inc)))
     return float(np.max(np.abs(u_sc + u_inc))) / ref

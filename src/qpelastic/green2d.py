@@ -262,10 +262,13 @@ class QPSources:
     def wrap(self, X):
         """Lattice offsets of targets X (P, 2) from every source, each (P, N):
         x1 - y1 = tau + n with |tau| <= 1/2, the phase e^{i alpha n} and
-        d = x2 - y2."""
+        d = x2 - y2.  n takes few distinct values, so the phase is formed
+        once per value and gathered."""
         t1 = X[:, 0][:, None] - self.Y[:, 0][None, :]
         n = np.round(t1)
-        return t1 - n, np.exp(1j * self.q.alpha * n), X[:, 1][:, None] - self.Y[:, 1][None, :]
+        n_u = np.unique(n)
+        phase = np.exp(1j * self.q.alpha * n_u)[np.searchsorted(n_u, n)]
+        return t1 - n, phase, X[:, 1][:, None] - self.Y[:, 1][None, :]
 
     def green(self, tau, d, want_jet: bool = False):
         """G at separations (tau, d) with |tau| <= 1/2 by the module's rule;
@@ -504,20 +507,25 @@ class RemainderTable:
 
     def remainder(self, tau, d, want_jet: bool = False):
         """T at separations inside the table's cell; (P, 2, 2), or the
-        (T, dT/dtau, dT/dd) tuple when ``want_jet``."""
+        (T, dT/dtau, dT/dd) tuple when ``want_jet``.
+
+        The sum over the tau degrees is formed once per distinct tau and
+        gathered to the pairs: a BEM matrix has one tau per node offset."""
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         d = np.atleast_1d(np.asarray(d, dtype=float))
         coefs = (self.coef,) + (_unless_refused(self._derivative_coef) if want_jet else ())
         n_tau, m = (max(c.shape[i] for c in coefs) for i in (0, 1))
-        tx = _cheb_basis(2.0 * tau, n_tau)
+        tau_u, inv = np.unique(tau, return_inverse=True)
+        tx = _cheb_basis(2.0 * tau_u, n_tau)
         # a real basis times complex coefficients, as real products on the
         # (re, im) pairs of T_11, T_22 and T_12
-        vs = [(tx[:, :len(c)] @ c.reshape(len(c), -1).view(float)).reshape(len(tau), c.shape[1], 6)
-              for c in coefs]
+        vs = [(tx[:, :len(c)] @ c.reshape(len(c), -1).view(float))
+              .reshape(len(tau_u), c.shape[1], 6) for c in coefs]
         del tx   # before the d basis is built, which keeps the peak memory down
         ty = _cheb_basis(d / NEAR_GAP, 2 * m).reshape(len(tau), m, 2)
         out = []
         for flip, v in zip((0, 0, 1), vs):   # d/dd flips the parity in d
+            v = v[inv]   # one pair-sized product at a time keeps the peak memory down
             t = ty[:, :v.shape[1]]
             r = np.empty((len(tau), 6))
             r[:, :4] = np.einsum("pk,pkf->pf", t[..., flip], v[..., :4])       # diagonal

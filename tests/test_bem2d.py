@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,23 @@ def test_boundary_residual_and_convergence(grating_setup):
         res[N] = boundary_residual(sol)
     assert res[128] < 1e-6
     assert res[128] < res[64] / 20  # superalgebraic drop
+
+
+def test_boundary_residual_peak_memory(grating_setup):
+    """At N = 256 the residual holds its (2N x N) quadrature matrix of 2x2
+    blocks, 8.4 MB, and one row block's temporaries: at most 16 MiB at peak
+    under tracemalloc.  Holding A and B and contracting them with einsum
+    took 20.7 MiB."""
+    med, inc, q = grating_setup
+    sol = solve_dirichlet(med, q, ProfileCurve2(0.0, (), (0.1,)), inc, N=256)
+    tracemalloc.start()
+    try:
+        res = boundary_residual(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res < 1e-10
+    assert peak <= 16 * 2**20
 
 
 def test_zero_incident_zero_density(grating_setup):
@@ -474,16 +493,16 @@ def _r00_by_extrapolation(med, alpha, n=24, half=0.2):
 
 @pytest.mark.parametrize("omega", [5.0, 12.0])
 def test_kernel_split_against_abel_plana(omega):
-    """A and B of the Nystrom split, on the nodes (the diagonal included) and
-    at the residual's off-node points, against Abel-Plana plus the log-split
-    formula: with w = phase * jac and a from scipy's jv,
+    """The Nystrom matrix M = W o A + B/N, on the nodes (the diagonal
+    included) and at the residual's off-node points, against Abel-Plana plus
+    the log-split formula: with w = phase * jac and a from scipy's jv,
 
         A = -chi w a / (4 pi),   B = w [G + chi a ln(4 sin^2(pi tau)) / (4 pi)]
 
     off the diagonal, and on it B = jac [R(0, 0) - (a(0) ln(jac / 2 pi) +
-    Phi_fp(that)) / (2 pi)], with Phi_fp the free-space tensor's finite part.
-    The profile spans 0.3 in height, so pairs beyond NEAR_GAP are covered.
-    Each within 1e-12 of max |B|."""
+    Phi_fp(that)) / (2 pi)], with Phi_fp the free-space tensor's finite part;
+    W are the log weights the matrix is built with.  The profile spans 0.3 in
+    height, so pairs beyond NEAR_GAP are covered.  Within 1e-12 of max |M_ref|."""
     from qpelastic.bem2d import _chi, _geometry, _kernel_split
     med = make_medium(2.0, 1.0, 1.0, omega)
     _, q = plane_incidence(med, "plane_p", 0.25)
@@ -494,9 +513,13 @@ def test_kernel_split_against_abel_plana(omega):
     that = np.stack([np.ones(N), prof.df(t)], axis=-1) / jac[:, None]
     src = QPSources(med, q, pts)
     r00 = _r00_by_extrapolation(med, q.alpha)
-    off_node = _geometry(prof, (np.arange(2 * N) + 0.37) / (2 * N))[0]
-    for rows, that_rows in ((pts, that), (off_node, None)):
-        A, B = _kernel_split(src, rows, jac, that_rows)
+    t_off = (np.arange(2 * N) + 0.37) / (2 * N)
+    off_node = _geometry(prof, t_off)[0]
+    on_weights = log_quadrature_weights(N)[(np.arange(N)[:, None] - np.arange(N)) % N]
+    for rows, W, that_rows in ((pts, on_weights, that),
+                               (off_node, log_quadrature_weights_off_node(t_off, N), None)):
+        M = _kernel_split(src, rows, jac, W, that_rows)
+        M = M.reshape(len(rows), 2, N, 2).transpose(0, 2, 1, 3)
         t1 = rows[:, 0][:, None] - pts[:, 0][None, :]
         tau = t1 - np.round(t1)
         w = np.exp(1j * q.alpha * np.round(t1)) * jac
@@ -515,9 +538,8 @@ def test_kernel_split_against_abel_plana(omega):
             ji = jac[:, None, None]
             B_ref[~off] = ji * (r00 - (a[~off] * np.log(ji / (2 * np.pi))
                                        + phi_finite_part(med, that)) / (2 * np.pi))
-        scale = np.max(np.abs(B_ref))
-        assert np.max(np.abs(A - A_ref)) <= 1e-12 * scale
-        assert np.max(np.abs(B - B_ref)) <= 1e-12 * scale
+        M_ref = W[..., None, None] * A_ref + B_ref / N
+        assert np.max(np.abs(M - M_ref)) <= 1e-12 * np.max(np.abs(M_ref))
 
 
 def test_split_evaluates_no_hankel_function(grating_setup, monkeypatch):

@@ -219,6 +219,52 @@ def test_remainder_table_at_high_frequency():
     assert np.max(np.abs(table.green(tau, d) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_remainder_rows_do_not_depend_on_other_pairs():
+    """The tau sum is formed once per distinct tau and gathered to the pairs.
+    On tau with duplicates in shuffled order, and on the all-distinct tau of
+    the phaseless demo's measurement grid against its sources, each row of
+    the values and jets is bitwise the row of that pair in a call with one
+    other tau.  A call on the pair alone takes numpy's matrix-vector product,
+    which rounds differently from the matrix-matrix one; it agrees to
+    rounding."""
+    from qpelastic.phaseless import SourceConfig
+
+    table = remainder_table(make_medium(2.0, 1.0, 1.0, 5.0), 0.3)
+    rng = np.random.default_rng(5)
+    dup = rng.permutation(np.repeat(np.append(rng.uniform(-0.5, 0.5, 5), [0.0, 0.5]), 6))
+    cfg = SourceConfig(z_tilde=(0.35, 0.45), fixed_pol=(1.0, 0.0), movable_pols=((1.0, 0.0),),
+                       probes=((1.0, 0.0),), sigma_center=(0.5, 0.75), sigma_axes=(0.25, 0.1),
+                       grid_x1=tuple(np.linspace(0.05, 0.95, 12)), height=1.1)
+    ys = np.vstack([cfg.z_tilde, cfg.movable_points()])
+    distinct = QPSources(table.medium, make_quasi_momentum("qp2d", 0.3, table.medium),
+                         ys).wrap(cfg.grid_points())[0].ravel()
+    assert len(np.unique(dup)) == 7 and len(np.unique(distinct)) == distinct.size
+    anchor_tau, anchor_d = 0.4321, 0.05   # in neither set
+    for tau in (dup, distinct):
+        d = rng.uniform(-NEAR_GAP, NEAR_GAP, tau.size)
+        got = table.remainder(tau, d, want_jet=True)
+        for p in range(tau.size):
+            pair = table.remainder([tau[p], anchor_tau], [d[p], anchor_d], want_jet=True)
+            alone = table.remainder(tau[p], d[p], want_jet=True)
+            for g, two, one in zip(got, pair, alone):
+                assert np.array_equal(g[p], two[0])
+                assert np.max(np.abs(g[p] - one[0])) <= 1e-15 * np.max(np.abs(g))
+
+
+def test_wrap_forms_the_phase_once_per_lattice_offset():
+    """The phase e^{i alpha n} of ``QPSources.wrap``, gathered from its
+    distinct n, is bitwise the phase formed per pair."""
+    med = make_medium(2.0, 1.0, 1.0, 5.0)
+    rng = np.random.default_rng(8)
+    src = QPSources(med, make_quasi_momentum("qp2d", 0.37, med), rng.uniform(-1, 2, (40, 2)))
+    X = rng.uniform(-3, 4, (50, 2))
+    tau, phase, d = src.wrap(X)
+    n = np.round(X[:, 0][:, None] - src.Y[:, 0][None, :])
+    assert len(np.unique(n)) > 5
+    assert np.array_equal(phase, np.exp(1j * 0.37 * n))
+    assert np.array_equal(tau, X[:, 0][:, None] - src.Y[:, 0][None, :] - n)
+
+
 def test_remainder_table_refuses_unresolved(table_constants):
     import qpelastic.green2d as g2
 
