@@ -27,7 +27,9 @@ of :mod:`qpelastic.green2d`.  Incident point sources and the scattered field,
 values and gradients alike, are one ``QPSources.apply`` from a source set.
 There is one table per (medium, alpha), which the system and its
 point-source incidences share.  A target on a point source or one of its
-lattice images raises CoincidentPoints.
+lattice images raises CoincidentPoints.  A solution's Rayleigh coefficients
+are a closed form in its density (:meth:`ScatterSolution.rayleigh`), by the
+expression with which the field above the crest is summed.
 
 First-kind formulation by design: spurious interior resonances are detected
 through a condition estimate, not cured.
@@ -43,7 +45,8 @@ from scipy.linalg import lapack, lu_factor, lu_solve
 from .errors import CoincidentPoints, ResonanceSuspected, TooCloseToBoundary
 from .green2d import _CHUNK, NEAR_GAP, QPSources, _iso, _kappa, _log_coeff
 from .green_free import COINCIDENT_TOL
-from .medium import ElasticMedium, QuasiMomentum
+from .medium import ElasticMedium, ModeTable, QuasiMomentum
+from .rayleigh import RayleighCoeffs2
 
 COND_LIMIT = 1e12
 EVAL_CLEARANCE_FACTOR = 10.0
@@ -252,6 +255,28 @@ class ScatterSolution:
     @property
     def arc_length(self) -> float:
         return float(np.mean(self.jacobian))
+
+    def rayleigh(self, m_modes: int) -> RayleighCoeffs2:
+        """Rayleigh coefficients of the scattered field for the modes |m| <= m_modes.
+
+        A closed form in the density: with c_n = psi_n jac_n / N at the nodes
+        y_n and pref = (i/4 pi)(lam + mu)/(mu (lam + 2 mu)(k_p^2 - k_s^2)),
+
+            u_p(l) = (pref/beta_l) sum_n e^{-i(alpha_l y1_n + beta_l y2_n)} (alpha_l, beta_l).c_n,
+
+        and u_s(l) the same with gamma_l and (gamma_l, -alpha_l), referenced to
+        x2 = 0 as :func:`~qpelastic.rayleigh.eval_rayleigh_2d` takes them; the
+        expansion holds above the crest.  It is the expression by which
+        :func:`eval_scattered` sums the field there.  Raises WoodAnomaly when a
+        mode sits at a cut-off.  Unlike
+        :func:`~qpelastic.rayleigh.extract_coeffs_2d` it samples no field and
+        solves no 2x2 system per mode, so it raises no DegenerateModeBasis
+        and divides by no e^{i gamma_l h}.
+        """
+        modes = ModeTable.of(self.medium, self.q, np.arange(-m_modes, m_modes + 1))
+        u_p, u_s = self.sources.rayleigh_coeffs(
+            self.density * (self.jacobian / self.N)[:, None], modes)
+        return RayleighCoeffs2(tuple(modes.rows()), u_p, u_s)
 
 
 def _geometry(profile: ProfileCurve2, t):

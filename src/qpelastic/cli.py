@@ -30,8 +30,7 @@ from .green3d_qp import green3dqp_eval_batch
 from .medium import ElasticMedium, ModeTable, make_medium, make_quasi_momentum
 from .phaseless import (PhaselessDataset, SourceConfig, cosine_identity,
                         dataset_gap, nonvanishing_probe, synth_phaseless)
-from .rayleigh import (RayleighCoeffs2, eval_rayleigh_2d, extract_coeffs_2d,
-                       flux_2d)
+from .rayleigh import RayleighCoeffs2, eval_rayleigh_2d, flux_2d
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +45,6 @@ def _need(cfg, field, path, types=None):
     return val
 
 
-def _opt(cfg, field, default):
-    return cfg.get(field, default)
-
-
 def _number(val, field, depth=0):
     """``val`` as a float, or for ``depth`` > 0 as lists of floats nested that
     deep; ConfigError naming ``field`` when it is not a JSON number (or list)."""
@@ -60,6 +55,23 @@ def _number(val, field, depth=0):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(field, f"must be a number, got {val!r}")
     return float(val)
+
+
+def _pair(val, field):
+    """``val`` as a tuple of two floats; ConfigError naming ``field`` when it
+    is not a list of two JSON numbers."""
+    pair = _number(val, field, 1)
+    if len(pair) != 2:
+        raise ConfigError(field, f"must be two numbers, got {val!r}")
+    return tuple(pair)
+
+
+def _integer(val, field, least):
+    """``val``, or ConfigError naming ``field`` when it is not a JSON integer
+    >= ``least``."""
+    if isinstance(val, bool) or not isinstance(val, int) or val < least:
+        raise ConfigError(field, f"must be an integer >= {least}, got {val!r}")
+    return val
 
 
 def _section(cfg, field, default=None):
@@ -103,7 +115,7 @@ def resolve_config(cfg: dict, geometry_override: str | None = None) -> dict:
     except errors.InvalidMedium as exc:
         raise ConfigError("medium", str(exc))
 
-    geometry = geometry_override or _opt(cfg, "geometry", "qp2d")
+    geometry = geometry_override or cfg.get("geometry", "qp2d")
     if geometry not in GEOMETRIES:
         raise ConfigError("geometry", f"must be one of {GEOMETRIES}")
     out["geometry"] = geometry
@@ -120,7 +132,7 @@ def resolve_config(cfg: dict, geometry_override: str | None = None) -> dict:
         out["quasi_momentum"] = {"alpha": _number(alpha, "quasi_momentum.alpha")}
 
     trunc = _section(cfg, "truncation")
-    tol = _number(_opt(trunc, "tol", 1e-10), "truncation.tol")
+    tol = _number(trunc.get("tol", 1e-10), "truncation.tol")
     if not 0.0 < tol < 1.0:
         raise ConfigError("truncation.tol", f"must be a number in (0, 1), got {tol!r}")
     out["truncation"] = {"tol": tol}
@@ -134,15 +146,12 @@ def resolve_config(cfg: dict, geometry_override: str | None = None) -> dict:
 
     prof = _section(cfg, "profile")
     out["profile"] = {
-        "height": _number(_opt(prof, "height", 0.0), "profile.height"),
-        "cos": _number(_opt(prof, "cos", []), "profile.cos", 1),
-        "sin": _number(_opt(prof, "sin", []), "profile.sin", 1),
+        "height": _number(prof.get("height", 0.0), "profile.height"),
+        "cos": _number(prof.get("cos", []), "profile.cos", 1),
+        "sin": _number(prof.get("sin", []), "profile.sin", 1),
     }
-    out["solver"] = {"N": _node_count(_opt(_section(cfg, "solver"), "N", 128), "solver.N")}
-
-    trials = _opt(_section(cfg, "verify"), "trials", 6)
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ConfigError("verify.trials", f"must be an integer >= 1, got {trials!r}")
+    out["solver"] = {"N": _node_count(_section(cfg, "solver").get("N", 128), "solver.N")}
+    _integer(_section(cfg, "verify").get("trials", 6), "verify.trials", 1)
 
     for key in ("eval", "incident", "rayleigh", "phaseless", "verify"):
         if key in cfg:
@@ -174,11 +183,11 @@ def _incident_of(rc, medium):
         raise ConfigError("incident", "missing")
     kind = _need(inc, "kind", "incident.")
     if kind in ("plane_p", "plane_s"):
-        theta = float(_need(inc, "theta", "incident.", (int, float)))
-        return plane_incidence(medium, kind, theta)
+        return plane_incidence(medium, kind, _number(_need(inc, "theta", "incident."),
+                                                     "incident.theta"))
     if kind == "point_source":
-        z = _need(inc, "source", "incident.", list)
-        pol = _need(inc, "polarization", "incident.", list)
+        z = _pair(_need(inc, "source", "incident."), "incident.source")
+        pol = _pair(_need(inc, "polarization", "incident."), "incident.polarization")
         field = point_source_incidence(z, pol)
         rcq = rc["quasi_momentum"]["alpha"]
         return field, make_quasi_momentum("qp2d", rcq, medium)
@@ -258,7 +267,7 @@ def cmd_eval(rc, out_path):
 def cmd_verify(rc, suite, out_path, seed):
     if suite not in SUITES:
         raise ConfigError("suite", f"must be one of {sorted(SUITES)}")
-    trials = int(_opt(rc.get("verify", {}), "trials", 6))
+    trials = rc.get("verify", {}).get("trials", 6)
     rng = np.random.default_rng(seed)
     worst, tol = SUITES[suite](rng, trials)
     ok = bool(worst <= tol)
@@ -281,24 +290,17 @@ def cmd_verify(rc, suite, out_path, seed):
 # ---------------------------------------------------------------------------
 # solve2d / rayleigh / phaseless
 # ---------------------------------------------------------------------------
-def _rayleigh_of_solution(medium, q, sol, height, m_modes):
-    n_grid = max(4 * m_modes + 4, 16)
-    x1 = np.arange(n_grid) / n_grid
-    X = np.stack([x1, np.full(n_grid, height)], axis=-1)
-    usc = eval_scattered(sol, X)
-    return extract_coeffs_2d(medium, q, usc, height, m_modes)
-
-
 def cmd_solve2d(rc, out_path):
     medium = _medium_of(rc)
     profile = _profile_of(rc)
     incident, q = _incident_of(rc, medium)
+    ray = rc.get("rayleigh", {})
+    height = _number(ray.get("height", profile.max_height + 0.5), "rayleigh.height")
+    m_modes = _integer(ray.get("m_modes", 5), "rayleigh.m_modes", 0)
     N = rc["solver"]["N"]
     sol = solve_dirichlet(medium, q, profile, incident, N)
     resid = boundary_residual(sol)
-    ray = rc.get("rayleigh", {})
-    height = float(_opt(ray, "height", profile.max_height + 0.5))
-    co = _rayleigh_of_solution(medium, q, sol, height, int(_opt(ray, "m_modes", 5)))
+    co = sol.rayleigh(m_modes)
 
     # energy balance through the measurement line
     ngrid = 64
@@ -335,21 +337,18 @@ def cmd_rayleigh(rc, action, out_path):
     if ray is None:
         raise ConfigError("rayleigh", "missing")
     if action == "extract":
-        profile = _profile_of(rc)
         incident, q = _incident_of(rc, medium)
-        sol = solve_dirichlet(medium, q, profile, incident, rc["solver"]["N"])
-        height = float(_opt(ray, "height", profile.max_height + 0.5))
-        m_modes = int(_opt(ray, "m_modes", 8))
-        co = _rayleigh_of_solution(medium, q, sol, height, m_modes)
+        m_modes = _integer(ray.get("m_modes", 8), "rayleigh.m_modes", 0)
+        sol = solve_dirichlet(medium, q, _profile_of(rc), incident, rc["solver"]["N"])
+        co = sol.rayleigh(m_modes)
         out = {
             "config": rc,
-            "height": height,
             "mode_index": "entries are [m, re, im] with lattice frequency l = 2*pi*m",
             "p": [[int(mo.m), c.real, c.imag] for mo, c in zip(co.modes, co.u_p)],
             "s": [[int(mo.m), c.real, c.imag] for mo, c in zip(co.modes, co.u_s)],
         }
         _write_json(out_path, out)
-        print(f"rayleigh extract: {len(co.modes)} modes at height {height}")
+        print(f"rayleigh extract: {len(co.modes)} modes")
         return 0
     if action == "eval":
         q = _momentum_of(rc, medium)
@@ -370,17 +369,24 @@ def cmd_rayleigh(rc, action, out_path):
 
 
 def _source_config_of(ph) -> SourceConfig:
+    def need(f, types=None):
+        return _need(ph, f, "phaseless.", types)
+
+    def pair(f, val):
+        return _pair(val, f"phaseless.{f}")
+
     return SourceConfig(
-        z_tilde=tuple(_need(ph, "z_tilde", "phaseless.", list)),
-        fixed_pol=tuple(_need(ph, "fixed_pol", "phaseless.", list)),
-        movable_pols=tuple(tuple(v) for v in _need(ph, "movable_pols", "phaseless.", list)),
-        probes=tuple(tuple(v) for v in _need(ph, "probes", "phaseless.", list)),
-        sigma_center=tuple(_need(ph, "sigma_center", "phaseless.", list)),
-        sigma_axes=tuple(_need(ph, "sigma_axes", "phaseless.", list)),
-        sigma_arc=tuple(_opt(ph, "sigma_arc", (0.25 * np.pi, 0.75 * np.pi))),
-        n_sources=int(_opt(ph, "n_sources", 3)),
-        grid_x1=tuple(_opt(ph, "grid_x1", tuple(np.linspace(0.05, 0.95, 10)))),
-        height=float(_need(ph, "height", "phaseless.", (int, float))),
+        z_tilde=pair("z_tilde", need("z_tilde")),
+        fixed_pol=pair("fixed_pol", need("fixed_pol")),
+        movable_pols=tuple(pair("movable_pols", v) for v in need("movable_pols", list)),
+        probes=tuple(pair("probes", v) for v in need("probes", list)),
+        sigma_center=pair("sigma_center", need("sigma_center")),
+        sigma_axes=pair("sigma_axes", need("sigma_axes")),
+        sigma_arc=pair("sigma_arc", ph.get("sigma_arc", [0.25 * np.pi, 0.75 * np.pi])),
+        n_sources=_integer(ph.get("n_sources", 3), "phaseless.n_sources", 1),
+        grid_x1=tuple(_number(ph.get("grid_x1", np.linspace(0.05, 0.95, 10).tolist()),
+                              "phaseless.grid_x1", 1)),
+        height=_number(need("height"), "phaseless.height"),
     )
 
 
@@ -405,11 +411,11 @@ def cmd_phaseless(rc, action, out_path):
     ph = rc.get("phaseless")
     if ph is None:
         raise ConfigError("phaseless", "missing")
-    N = _node_count(_opt(ph, "solver_n", rc["solver"]["N"]), "phaseless.solver_n")
+    N = _node_count(ph.get("solver_n", rc["solver"]["N"]), "phaseless.solver_n")
     cfg = _source_config_of(ph)
     profile = _profile_of(rc)
     m = rc["medium"]
-    freqs = [float(v) for v in _opt(ph, "frequencies", [m["omega"]])]
+    freqs = _number(ph.get("frequencies", [m["omega"]]), "phaseless.frequencies", 1)
     alpha = rc["quasi_momentum"]["alpha"]
 
     datasets = {}
@@ -424,7 +430,7 @@ def cmd_phaseless(rc, action, out_path):
         print(f"phaseless synth: {len(datasets)} dataset(s), grid {len(cfg.grid_x1)}")
         return 0
     if action == "check":
-        ref_path = _opt(ph, "reference", None)
+        ref_path = ph.get("reference")
         if ref_path is None:
             raise ConfigError("phaseless.reference", "missing (needed for check)")
         with open(ref_path, "r", encoding="utf-8") as fh:

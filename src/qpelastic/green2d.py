@@ -63,8 +63,8 @@ from scipy.special import j0, j1
 from ._series import contract, per_key, scalar_phases
 from .errors import CoincidentPoints, DomainError, NearSourceLine, TableUnresolved
 from .green_free import COINCIDENT_TOL, GreenEval
-from .medium import (ElasticMedium, QuasiMomentum, branch_sqrt, check_wood_window,
-                     mode_window)
+from .medium import (ElasticMedium, ModeTable, QuasiMomentum, branch_sqrt,
+                     check_wood_window, mode_window)
 
 GAP_MIN = 1e-3
 DEFAULT_TOL = 1e-12
@@ -233,8 +233,10 @@ class QPSources:
     factors e^{-i alpha_l y1 + i beta_l (crest - y2)} (resp. gamma_l), built
     when a target first lies above the crest, are at most 1 in modulus; the
     charges then collapse into two coefficients per mode, and each target
-    costs O(modes).  Raises WoodAnomaly when a mode of that window sits at a
-    cut-off, since the terms divide by beta_l and gamma_l.
+    costs O(modes).  :meth:`rayleigh_coeffs` gives those coefficients, by the
+    same expression, for any set of modes.  Raises WoodAnomaly when a mode of
+    that window sits at a cut-off, since the terms divide by beta_l and
+    gamma_l.
     """
 
     def __init__(self, medium: ElasticMedium, q: QuasiMomentum, Y):
@@ -253,11 +255,44 @@ class QPSources:
 
     @cached_property
     def _rayleigh_factors(self):
-        """The source factors src_p, src_s (N, K)."""
+        """The source factors src_p, src_s (N, K) of the window, referenced to the crest."""
+        return self._source_factors(self.alpha_l, self.beta_l, self.gamma_l, self.crest)
+
+    def _source_factors(self, a, b, g, top):
+        """e^{-i alpha_l y1 + i beta_l (top - y2)} and the same with gamma_l at
+        every source, each (N, K), for the modes (alpha_l, beta_l, gamma_l) =
+        (a, b, g)."""
         y1, n = _period(-self.Y[:, 0])
-        rise = (self.crest - self.Y[:, 1])[:, None]
-        phase = self.q.alpha * n + y1 * self.alpha_l
-        return np.exp(1j * (phase + rise * self.beta_l)), np.exp(1j * (phase + rise * self.gamma_l))
+        rise = (top - self.Y[:, 1])[:, None]
+        phase = self.q.alpha * n + y1 * a
+        return np.exp(1j * (phase + rise * b)), np.exp(1j * (phase + rise * g))
+
+    def _amplitudes(self, charges, a, b, g, factors):
+        """The amplitudes (A_p, A_s), each (K,), of the modes (a, b, g) in the
+        field of ``charges`` (N, 2) above every source:
+
+            A_p(l) = (pref/beta_l) sum_n src_p[n, l] (alpha_l, beta_l).c_n,
+
+        A_s the same with gamma_l, src_s and (gamma_l, -alpha_l), for
+        ``factors`` = (src_p, src_s) of :meth:`_source_factors`; the field is
+        then sum_l A_p(l) (alpha_l, beta_l) e^{i(alpha_l x1 + beta_l (x2 - top))}
+        plus the s terms."""
+        src_p, src_s = factors
+        pref = _pref(self.medium)
+        return (pref / b * np.sum((src_p.T @ charges) * np.stack([a, b], axis=-1), axis=1),
+                pref / g * np.sum((src_s.T @ charges) * np.stack([g, -a], axis=-1), axis=1))
+
+    def rayleigh_coeffs(self, charges, modes: ModeTable):
+        """Rayleigh coefficients (u_p, u_s), each (M,), of sum_n G(x - Y_n) charges_n
+        for the M modes of ``modes``, referenced to x2 = 0 as
+        :func:`~qpelastic.rayleigh.eval_rayleigh_2d` takes them.  Above the
+        crest the field is their expansion.  The modes need not lie in the
+        window that :meth:`apply` sums above the crest: their source factors
+        are formed here, one exponential per source and mode.
+        """
+        a = modes.alpha_l.astype(complex)
+        b, g = modes.beta_l, modes.gamma_l
+        return self._amplitudes(charges, a, b, g, self._source_factors(a, b, g, 0.0))
 
     def wrap(self, X):
         """Lattice offsets of targets X (P, 2) from every source, each (P, N):
@@ -343,10 +378,8 @@ class QPSources:
         """(value,) or (value, d/dx1, d/dx2), each (P, 2, k), at targets more
         than NEAR_GAP above the crest, for the k charge arrays ``cols``."""
         a, b, g = self.alpha_l, self.beta_l, self.gamma_l
-        src_p, src_s = self._rayleigh_factors
         pv = np.stack([a, b], axis=-1)    # (K, 2) polarisations
         sv = np.stack([g, -a], axis=-1)
-        pref = _pref(self.medium)
         x1, n = _period(X[:, 0])
         h = (X[:, 1] - self.crest)[:, None]
         ep = np.exp(1j * (self.q.alpha * n + x1 * a + h * b))
@@ -354,8 +387,8 @@ class QPSources:
         out = tuple(np.empty((len(X), 2, len(cols)), dtype=complex)
                     for _ in range(3 if want_jet else 1))
         for c, charges in enumerate(cols):
-            fp = ep * (pref / b * np.sum((src_p.T @ charges) * pv, axis=1))
-            fs = es * (pref / g * np.sum((src_s.T @ charges) * sv, axis=1))
+            amp_p, amp_s = self._amplitudes(charges, a, b, g, self._rayleigh_factors)
+            fp, fs = ep * amp_p, es * amp_s
             out[0][..., c] = fp @ pv + fs @ sv
             if want_jet:
                 out[1][..., c] = (1j * a * fp) @ pv + (1j * a * fs) @ sv

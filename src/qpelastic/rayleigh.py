@@ -8,7 +8,9 @@
 with the Im >= 0 branch roots stored on each mode.  Extraction inverts this
 from samples on one horizontal line: FFT over x1, then a per-mode 2x2 solve
 in the vector basis {(alpha_l, beta_l) e^{i beta_l h}, (gamma_l, -alpha_l)
-e^{i gamma_l h}} whose determinant is -(alpha_l^2 + beta_l gamma_l).
+e^{i gamma_l h}} whose determinant is -(alpha_l^2 + beta_l gamma_l).  It is
+for sampled fields; a grating solution's own coefficients are a closed form
+in its density (:meth:`qpelastic.bem2d.ScatterSolution.rayleigh`).
 """
 
 from __future__ import annotations
@@ -81,7 +83,9 @@ def extract_coeffs_2d(medium: ElasticMedium, q: QuasiMomentum, samples,
 
     ``samples`` has shape (n_grid, 2) with x1_j = j/n_grid; requires
     ``n_grid >= 2*m_modes + 1``.  Raises DegenerateModeBasis when a mode's
-    2x2 system has ``|alpha_l^2 + beta_l gamma_l| < 1e-10 k_s^2``.
+    2x2 system has ``|alpha_l^2 + beta_l gamma_l| < 1e-10 k_s^2``; that guard
+    belongs to extraction alone.  The coefficients are referenced to x2 = 0,
+    so rounding in an evanescent mode grows by e^{Im(gamma_l) h}.
     """
     samples = np.asarray(samples, dtype=complex)
     n_grid = samples.shape[0]

@@ -15,7 +15,7 @@ from qpelastic.checks import navier_apply_fd
 from qpelastic.green2d import NEAR_GAP, QPSources
 from qpelastic.green_free import _kupradze2d_value
 from qpelastic.medium import make_medium, make_quasi_momentum
-from qpelastic.rayleigh import extract_coeffs_2d, flux_2d
+from qpelastic.rayleigh import eval_rayleigh_2d, extract_coeffs_2d, flux_2d
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,48 @@ def test_flat_profile_matches_reflection_oracle(grating_setup):
     leak = max(max(abs(co.u_p[i]), abs(co.u_s[i]))
                for i in range(len(co.modes)) if co.modes[i].m != 0)
     assert leak < 1e-8
+
+
+@pytest.mark.parametrize("N,bound", [(32, 2e-6), (64, 3e-8), (128, 2e-10), (256, 2e-13)])
+def test_solution_rayleigh_matches_reflection_oracle(grating_setup, N, bound):
+    """Coefficients from the density: the specular mode converges to the
+    closed form with N, and every other mode is zero to rounding (extraction
+    at h = 0.5 leaks 3e-10 to 1e-9 into them)."""
+    med, inc, q = grating_setup
+    _, up, us = flat_reflection(med, 0.25)
+    co = solve_dirichlet(med, q, ProfileCurve2(), inc, N=N).rayleigh(5)
+    assert [m.m for m in co.modes] == list(range(-5, 6))
+    assert max(abs(co.u_p[5] - up), abs(co.u_s[5] - us)) < bound
+    assert np.max(np.abs(np.delete(np.stack([co.u_p, co.u_s]), 5, axis=1))) <= 1e-14
+
+
+def test_solution_rayleigh_agrees_with_extraction(sin_solution):
+    """Where extraction at h = 0.5 is accurate, |m| <= 1, both paths agree."""
+    sol = sin_solution
+    n_grid = 32
+    X = np.stack([np.arange(n_grid) / n_grid, np.full(n_grid, 0.5)], axis=-1)
+    ref = extract_coeffs_2d(sol.medium, sol.q, eval_scattered(sol, X), 0.5, 1)
+    co = sol.rayleigh(1)
+    assert [m.m for m in co.modes] == [m.m for m in ref.modes]
+    for got, want in ((co.u_p, ref.u_p), (co.u_s, ref.u_s)):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+def test_solution_rayleigh_beyond_the_window(sin_solution):
+    """Modes outside the window the field above the crest sums build their
+    own factors: a larger mode set leaves the common modes as they are, and
+    its expansion re-sums the field 0.3 above the crest."""
+    sol = sin_solution
+    med, q = sol.medium, sol.q
+    co30, co5 = sol.rayleigh(30), sol.rayleigh(5)
+    assert len(sol.sources.alpha_l) < 61   # the window misses some of |m| <= 30
+    assert [m.m for m in co30.modes[25:36]] == [m.m for m in co5.modes]
+    np.testing.assert_allclose(co30.u_p[25:36], co5.u_p, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(co30.u_s[25:36], co5.u_s, rtol=1e-14, atol=0)
+    h = np.max(sol.points[:, 1]) + 0.3
+    X = np.stack([np.array([-0.7, 0.13, 0.25, 0.9, 1.6]), np.full(5, h)], axis=-1)
+    u = eval_scattered(sol, X)
+    assert np.max(np.abs(eval_rayleigh_2d(med, q, co30, X) - u)) <= 1e-13 * np.max(np.abs(u))
 
 
 def test_boundary_residual_and_convergence(grating_setup):

@@ -23,6 +23,21 @@ BASE_CONFIG = {
     "incident": {"kind": "plane_p", "theta": 0.25},
     "verify": {"trials": 2},
 }
+PHASELESS = {
+    "z_tilde": [0.35, 0.45],
+    "fixed_pol": [1.0, 0.0],
+    "movable_pols": [[0.0, 1.0]],
+    "probes": [[1.0, 0.0], [0.0, 1.0]],
+    "sigma_center": [0.5, 0.75],
+    "sigma_axes": [0.2, 0.08],
+    "n_sources": 2,
+    "grid_x1": [0.1, 0.35, 0.6, 0.85],
+    "height": 1.1,
+    "solver_n": 32,
+}
+# the command that reads a section's fields
+COMMAND_OF = {"verify": ["verify", "--suite", "quasiperiodicity"], "incident": ["solve2d"],
+              "rayleigh": ["solve2d"], "phaseless": ["phaseless", "synth"]}
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -62,19 +77,27 @@ def test_eval_missing_field_exit2(tmp_path, capsys):
     ("truncation.gap_min", '"x"'), ("truncation.tol_wood", '"x"'), ("medium.rho", '"x"'),
     ("profile.cos", '["a"]'), ("profile.cos", "5"), ("profile.height", '"x"'),
     ("quasi_momentum.alpha", '["a", 1]'), ("eval.points", '[["a", 1]]'),
+    ("incident.theta", "true"), ("rayleigh.m_modes", "2.7"), ("rayleigh.m_modes", "-2"),
+    ("rayleigh.m_modes", '"x"'), ("rayleigh.height", '"x"'),
+    ("phaseless.n_sources", '"3"'), ("phaseless.n_sources", "0"),
+    ("phaseless.grid_x1", '"abc"'), ("phaseless.sigma_arc", "[0.1]"),
+    ("phaseless.height", "true"), ("phaseless.frequencies", '["x"]'),
 ])
 def test_out_of_range_number_exit2(tmp_path, capsys, field, literal):
-    """A tol outside (0, 1), a trial count below 1, a gap_min or tol_wood <= 0
-    (which would switch off the near-source or Wood guard) or a value that is
-    not a number is a config error naming the field, not a traceback, a
-    one-mode sum or a suite that passes having checked nothing."""
+    """A tol outside (0, 1), a count below its least value, a gap_min or
+    tol_wood <= 0 (which would switch off the near-source or Wood guard) or a
+    value that is not a number, an integer or a pair of numbers as its field
+    needs is a config error naming the field, not a traceback, a one-mode
+    sum, an empty mode list or a suite that passes having checked nothing.
+    Each field is read by the command of its section (``eval`` by default)."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["phaseless"] = dict(PHASELESS)
     section, key = field.split(".")
     cfg.setdefault(section, {})[key] = "@"
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg).replace('"@"', literal))
-    argv = ["verify", "--suite", "quasiperiodicity"] if section == "verify" else ["eval"]
-    argv += ["--geometry", "biqp3d"] if section == "quasi_momentum" else []
+    argv = COMMAND_OF.get(section, ["eval"]) + (
+        ["--geometry", "biqp3d"] if section == "quasi_momentum" else [])
     assert main(argv + ["--config", str(p), "--out", str(tmp_path / "x.out")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "x.out").exists()
@@ -89,15 +112,23 @@ def test_out_of_range_number_exit2(tmp_path, capsys, field, literal):
     ("solve2d", "solver", '{"N": 64.0}', "solver.N"),
     ("solve2d", "solver", "64", "solver"),
     ("solve2d", "incident", '"plane_p"', "incident"),
+    ("solve2d", "incident", '{"kind": "point_source", "source": ["a", 0.5], '
+                            '"polarization": [1, 0]}', "incident.source"),
+    ("solve2d", "incident", '{"kind": "point_source", "source": [0.3], '
+                            '"polarization": [1, 0]}', "incident.source"),
+    ("solve2d", "incident", '{"kind": "point_source", "source": [0.4, 0.3], '
+                            '"polarization": [1, "b"]}', "incident.polarization"),
+    ("rayleigh extract", "rayleigh", '{"m_modes": "x"}', "rayleigh.m_modes"),
 ])
 def test_malformed_section_exit2(tmp_path, capsys, command, section, literal, field):
-    """A section that is not an object, or a node count that is not a power
-    of two >= 32, is a config error naming the field, not a traceback."""
+    """A section that is not an object, a node count that is not a power of
+    two >= 32, or a point source that is not two numbers is a config error
+    naming the field, not a traceback."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg[section] = "@"
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg).replace('"@"', literal))
-    assert main([command, "--config", str(p), "--out", str(tmp_path / "x.out")]) == 2
+    assert main(command.split() + ["--config", str(p), "--out", str(tmp_path / "x.out")]) == 2
     assert f"'{field}'" in capsys.readouterr().err
     assert not (tmp_path / "x.out").exists()
 
@@ -259,15 +290,30 @@ def test_solve2d_report(tmp_path):
     assert rep["config"]["profile"]["sin"] == [0.1]
 
 
+def test_solve2d_rayleigh_modes_do_not_depend_on_height(tmp_path):
+    """The coefficients come from the density; rayleigh.height only places
+    the energy-flux line."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["profile"] = {"height": 0.0, "cos": [], "sin": [0.1]}
+    reps = []
+    for h in (0.6, 0.9):
+        cfg["rayleigh"] = {"height": h, "m_modes": 5}
+        out = tmp_path / f"sol{h}.json"
+        assert main(["solve2d", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        reps.append(json.loads(out.read_text())["rayleigh"])
+    assert [r["height"] for r in reps] == [0.6, 0.9]
+    assert reps[0]["modes"] == reps[1]["modes"] and len(reps[0]["modes"]) == 11
+
+
 def test_rayleigh_roundtrip_via_cli(tmp_path):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["profile"] = {"height": 0.0, "cos": [], "sin": [0.1]}
-    cfg["rayleigh"] = {"height": 0.6, "m_modes": 4}
+    cfg["rayleigh"] = {"m_modes": 4}
     p = write_cfg(tmp_path, cfg)
     coef = tmp_path / "coef.json"
     assert main(["rayleigh", "extract", "--config", p, "--out", str(coef)]) == 0
     data = json.loads(coef.read_text())
-    assert len(data["p"]) == 9
+    assert len(data["p"]) == 9 and "height" not in data
 
     cfg2 = json.loads(json.dumps(BASE_CONFIG))
     cfg2["rayleigh"] = {
@@ -296,18 +342,7 @@ def test_rayleigh_roundtrip_via_cli(tmp_path):
 def test_phaseless_synth_and_check(tmp_path):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["profile"] = {"height": 0.0, "cos": [], "sin": [0.1]}
-    cfg["phaseless"] = {
-        "z_tilde": [0.35, 0.45],
-        "fixed_pol": [1.0, 0.0],
-        "movable_pols": [[0.0, 1.0]],
-        "probes": [[1.0, 0.0], [0.0, 1.0]],
-        "sigma_center": [0.5, 0.75],
-        "sigma_axes": [0.2, 0.08],
-        "n_sources": 2,
-        "grid_x1": [0.1, 0.35, 0.6, 0.85],
-        "height": 1.1,
-        "solver_n": 32,
-    }
+    cfg["phaseless"] = dict(PHASELESS)
     p = write_cfg(tmp_path, cfg)
     ds_path = tmp_path / "ds.json"
     assert main(["phaseless", "synth", "--config", p, "--out", str(ds_path)]) == 0
