@@ -244,7 +244,6 @@ class ScatterSolution:
     profile: ProfileCurve2
     incident: IncidentField
     N: int
-    nodes: np.ndarray
     points: np.ndarray        # (N, 2) on-curve points
     jacobian: np.ndarray      # (N,)
     normal: np.ndarray        # (N, 2), upward
@@ -389,7 +388,7 @@ def _build_system(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve
     cond = 1.0 / max(rcond, 1e-300)
     if cond > COND_LIMIT:
         raise ResonanceSuspected(cond, COND_LIMIT, N, medium.omega)
-    return dict(t=t, pts=pts, jac=jac, nu=nu, lu=(lu, piv), cond=cond, sources=sources)
+    return dict(pts=pts, jac=jac, nu=nu, lu=(lu, piv), cond=cond, sources=sources)
 
 
 def solve_dirichlet(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve2,
@@ -419,8 +418,8 @@ def solve_dirichlet_multi(medium: ElasticMedium, q: QuasiMomentum,
     for inc in incidents:
         rhs = -inc.eval(medium, q, sysd["pts"]).reshape(-1)
         psi = lu_solve(sysd["lu"], rhs).reshape(N, 2)
-        out.append(ScatterSolution(medium, q, profile, inc, N, sysd["t"], sysd["pts"],
-                                   sysd["jac"], sysd["nu"], psi, sysd["cond"], sysd["sources"]))
+        out.append(ScatterSolution(medium, q, profile, inc, N, sysd["pts"], sysd["jac"],
+                                   sysd["nu"], psi, sysd["cond"], sysd["sources"]))
     return out
 
 

@@ -66,11 +66,12 @@ def _pair(val, field):
     return tuple(pair)
 
 
-def _integer(val, field, least):
+def _integer(val, field, least=None):
     """``val``, or ConfigError naming ``field`` when it is not a JSON integer
-    >= ``least``."""
-    if isinstance(val, bool) or not isinstance(val, int) or val < least:
-        raise ConfigError(field, f"must be an integer >= {least}, got {val!r}")
+    (>= ``least`` when given)."""
+    if isinstance(val, bool) or not isinstance(val, int) or (least is not None and val < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(field, f"must be an integer{bound}, got {val!r}")
     return val
 
 
@@ -132,17 +133,14 @@ def resolve_config(cfg: dict, geometry_override: str | None = None) -> dict:
         out["quasi_momentum"] = {"alpha": _number(alpha, "quasi_momentum.alpha")}
 
     trunc = _section(cfg, "truncation")
+    for f in trunc:
+        if f != "tol":
+            raise ConfigError(f"truncation.{f}", "unknown field; truncation holds only tol "
+                              "(the near-source and Wood guards are fixed)")
     tol = _number(trunc.get("tol", 1e-10), "truncation.tol")
     if not 0.0 < tol < 1.0:
         raise ConfigError("truncation.tol", f"must be a number in (0, 1), got {tol!r}")
     out["truncation"] = {"tol": tol}
-    # kept as written; a value <= 0 would switch its guard off and let the
-    # evaluators run into the source line or the Wood anomaly it guards
-    for f in ("gap_min", "tol_wood"):
-        val = trunc.get(f)
-        if val is not None and not _number(val, f"truncation.{f}") > 0.0:
-            raise ConfigError(f"truncation.{f}", f"must be a number > 0, got {val!r}")
-        out["truncation"][f] = val
 
     prof = _section(cfg, "profile")
     out["profile"] = {
@@ -178,9 +176,7 @@ def _profile_of(rc) -> ProfileCurve2:
 
 
 def _incident_of(rc, medium):
-    inc = rc.get("incident")
-    if inc is None:
-        raise ConfigError("incident", "missing")
+    inc = _need(rc, "incident", "")
     kind = _need(inc, "kind", "incident.")
     if kind in ("plane_p", "plane_s"):
         return plane_incidence(medium, kind, _number(_need(inc, "theta", "incident."),
@@ -219,9 +215,7 @@ def _write_json(path, obj):
 def cmd_eval(rc, out_path):
     medium = _medium_of(rc)
     q = _momentum_of(rc, medium)
-    ev = rc.get("eval")
-    if ev is None:
-        raise ConfigError("eval", "missing")
+    ev = _need(rc, "eval", "")
     pts = _number(_need(ev, "points", "eval."), "eval.points", 2)
     src = _number(_need(ev, "source", "eval."), "eval.source", 1)
     tol = rc["truncation"]["tol"]
@@ -232,7 +226,6 @@ def cmd_eval(rc, out_path):
         raise ConfigError("eval.source", f"need length {dim}")
     pts, src = np.asarray(pts), np.asarray(src)
 
-    kwargs = {k: float(v) for k, v in rc["truncation"].items() if k != "tol" and v is not None}
     # one batch call per distinct gap (|x2 - y2| in 2D, the transverse
     # distance for qp3d, |x3 - y3| for biqp3d): a batch sizes its window from
     # its smallest gap, so each point gets the modes and tail bound of a call
@@ -246,7 +239,7 @@ def cmd_eval(rc, out_path):
     tails = np.empty(len(pts))
     modes = np.empty(len(pts), dtype=int)
     for idx in equal_rows(gap[:, None]):
-        values[idx], tails[idx], modes[idx] = evalf(medium, q, pts[idx], src, tol, **kwargs)
+        values[idx], tails[idx], modes[idx] = evalf(medium, q, pts[idx], src, tol)
 
     cols = [f"x{i+1}" for i in range(dim)]
     for i in range(dim):
@@ -331,11 +324,19 @@ def cmd_solve2d(rc, out_path):
     return 0
 
 
+def _coeff_entries(coeffs, key):
+    """Mode indices and complex amplitudes of the [m, re, im] entries ``coeffs[key]``."""
+    field = f"rayleigh.coeffs.{key}"
+    entries = coeffs.get(key, [])
+    rows = _number(entries, field, 2)
+    if any(len(r) != 3 for r in rows):
+        raise ConfigError(field, f"entries must be [m, re, im], got {entries!r}")
+    return [_integer(e[0], field) for e in entries], np.array([re + 1j * im for _, re, im in rows])
+
+
 def cmd_rayleigh(rc, action, out_path):
     medium = _medium_of(rc)
-    ray = rc.get("rayleigh")
-    if ray is None:
-        raise ConfigError("rayleigh", "missing")
+    ray = _need(rc, "rayleigh", "")
     if action == "extract":
         incident, q = _incident_of(rc, medium)
         m_modes = _integer(ray.get("m_modes", 8), "rayleigh.m_modes", 0)
@@ -353,12 +354,15 @@ def cmd_rayleigh(rc, action, out_path):
     if action == "eval":
         q = _momentum_of(rc, medium)
         coeffs = _need(ray, "coeffs", "rayleigh.", dict)
-        pts = np.asarray(_need(ray, "points", "rayleigh.", list), dtype=float)
-        pairs = list(zip(coeffs.get("p", []), coeffs.get("s", [])))
-        modes = ModeTable.of(medium, q, [int(mp[0]) for mp, _ in pairs]).rows()
-        up = [mp[1] + 1j * mp[2] for mp, _ in pairs]
-        us = [ms[1] + 1j * ms[2] for _, ms in pairs]
-        co = RayleighCoeffs2(tuple(modes), np.array(up), np.array(us))
+        pts = _number(_need(ray, "points", "rayleigh."), "rayleigh.points", 2)
+        if not pts or any(len(p) != 2 for p in pts):
+            raise ConfigError("rayleigh.points", "need shape (n, 2)")
+        pts = np.asarray(pts)
+        m, up = _coeff_entries(coeffs, "p")
+        m_s, us = _coeff_entries(coeffs, "s")
+        if m_s != m:
+            raise ConfigError("rayleigh.coeffs", f"p lists modes {m} but s lists {m_s}")
+        co = RayleighCoeffs2(tuple(ModeTable.of(medium, q, m).rows()), up, us)
         vals = eval_rayleigh_2d(medium, q, co, pts)
         nums = np.concatenate([pts, vals.view(float)], axis=1)
         _write_csv(out_path, rc, ["x1", "x2", "re_u1", "im_u1", "re_u2", "im_u2"],
@@ -408,12 +412,14 @@ def _dataset_from_json(obj) -> PhaselessDataset:
 
 
 def cmd_phaseless(rc, action, out_path):
-    ph = rc.get("phaseless")
-    if ph is None:
-        raise ConfigError("phaseless", "missing")
+    ph = _need(rc, "phaseless", "")
     N = _node_count(ph.get("solver_n", rc["solver"]["N"]), "phaseless.solver_n")
     cfg = _source_config_of(ph)
     profile = _profile_of(rc)
+    try:
+        cfg.validate(profile)
+    except ConfigError as exc:
+        raise ConfigError(f"phaseless.{exc.field}", exc.reason)
     m = rc["medium"]
     freqs = _number(ph.get("frequencies", [m["omega"]]), "phaseless.frequencies", 1)
     alpha = rc["quasi_momentum"]["alpha"]

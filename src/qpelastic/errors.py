@@ -13,7 +13,7 @@ class WoodAnomaly(QPElasticError):
     """Lattice mode ``m`` sits too close to the ``which`` cut-off (alpha_l^2 = k_p^2 or k_s^2).
 
     The spectral formulas divide by the vertical wavenumbers, so evaluation
-    is refused rather than silently regularized.
+    within ``medium.TOL_WOOD_REL * k_s^2`` is refused rather than regularized.
     """
 
     def __init__(self, alpha_l, which, margin, m=None):
@@ -22,8 +22,8 @@ class WoodAnomaly(QPElasticError):
         self.margin = margin
         self.m = m
         super().__init__(
-            f"mode m={m} (|alpha_l|={alpha_l!r}) within {margin:.3e} of the {which} "
-            f"cut-off |alpha_l|^2 = k_{which}^2"
+            f"mode m={m} (|alpha_l|={alpha_l!r}) within TOL_WOOD_REL*k_s**2 = {margin:.3e} "
+            f"of the {which} cut-off |alpha_l|^2 = k_{which}^2"
         )
 
 
@@ -40,11 +40,12 @@ class CoincidentPoints(QPElasticError):
 
 
 class NearSourceLine(QPElasticError):
-    """Transverse gap to the source line below gap_min; series too slow."""
+    """Gap to the source line below the fixed ``GAP_MIN`` of ``green2d`` (1e-3)
+    or ``green3d_qp`` (1e-2), where the series needs too many modes."""
 
 
 class NearSourcePlane(QPElasticError):
-    """|x3 - y3| below gap_min for the biperiodic series."""
+    """|x3 - y3| below the fixed ``green3d_biqp.GAP_MIN`` (1e-2) of the biperiodic series."""
 
 
 class DegenerateModeBasis(QPElasticError):
@@ -71,9 +72,10 @@ class GridMismatch(QPElasticError):
     """Two datasets sampled on different grids."""
 
 
-class ConfigError(QPElasticError):
-    """Invalid run configuration; carries the offending field path."""
+class ConfigError(QPElasticError, ValueError):
+    """Invalid run configuration (a ValueError too); carries the field path and the reason."""
 
     def __init__(self, field, message):
         self.field = field
+        self.reason = message
         super().__init__(f"config field '{field}': {message}")

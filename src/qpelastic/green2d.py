@@ -149,7 +149,7 @@ def _tail_bound(medium, alpha_first_omitted, D):
 
 
 def _window_arrays(medium, q, D, tol):
-    m, al = mode_window(medium, q, gap=max(D, GAP_MIN), tol=tol)
+    m, al = mode_window(medium, q, gap=D, tol=tol)
     # extend so the tail-bound regime |alpha| >= sqrt(2) k_s is reached
     ks = float(np.real(medium.k_s))
     extra = 0
@@ -163,8 +163,7 @@ def _window_arrays(medium, q, D, tol):
 
 
 def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
-                       tol: float = DEFAULT_TOL, gap_min: float = GAP_MIN,
-                       tol_wood: float | None = None):
+                       tol: float = DEFAULT_TOL):
     """Vectorized evaluation at points ``X`` (n, 2) for one source ``y``.
 
     Returns ``(values, tails, n_modes)`` with values (n, 2, 2).  One mode
@@ -178,10 +177,10 @@ def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     t1 = X[:, 0] - y[0]
     d = X[:, 1] - y[1]
     D = np.abs(d)
-    if np.any(D < gap_min):
-        raise NearSourceLine(f"|x2-y2| below gap_min={gap_min}")
+    if np.min(D) < GAP_MIN:
+        raise NearSourceLine(f"|x2 - y2| = {np.min(D):.3e} below green2d.GAP_MIN = {GAP_MIN:g}")
     m, al = _window_arrays(medium, q, float(np.min(D)), tol)
-    check_wood_window(medium, q, al, tol_wood)
+    check_wood_window(medium, q, al)
 
     tails = per_key(D, lambda g: _tail_bound(medium, al[-1] + 2 * np.pi, g)
                     + _tail_bound(medium, al[0] - 2 * np.pi, g))
@@ -193,15 +192,13 @@ def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
 
 
 def green2d_eval(medium: ElasticMedium, q: QuasiMomentum, x, y,
-                 tol: float = DEFAULT_TOL, gap_min: float = GAP_MIN,
-                 tol_wood: float | None = None) -> GreenEval:
+                 tol: float = DEFAULT_TOL) -> GreenEval:
     """Spectral series value of the quasi-periodic tensor at one point pair.
 
-    Requires ``|x2 - y2| >= gap_min`` (NearSourceLine otherwise); the
+    Requires ``|x2 - y2| >= GAP_MIN`` (NearSourceLine otherwise); the
     reported ``tail_bound`` rigorously bounds the omitted modes in max-norm.
     """
-    vals, tails, n_modes = green2d_eval_batch(medium, q, np.asarray(x)[None, :], y, tol,
-                                              gap_min=gap_min, tol_wood=tol_wood)
+    vals, tails, n_modes = green2d_eval_batch(medium, q, np.asarray(x)[None, :], y, tol)
     return GreenEval(2, vals[0], n_modes, float(tails[0]))
 
 

@@ -126,8 +126,7 @@ def c_bi_d3_limits(medium: ElasticMedium, a1: float, a2: float, side: int):
     return c, d
 
 
-def c_l_bi(medium: ElasticMedium, q: QuasiMomentum, m, x3: float,
-           tol_wood: float | None = None) -> FourierMode3BI:
+def c_l_bi(medium: ElasticMedium, q: QuasiMomentum, m, x3: float) -> FourierMode3BI:
     """Mode profile at height x3 != 0.
 
     At x3 = 0 only the entries even in x3 have a limit (the sgn-carrying
@@ -135,7 +134,7 @@ def c_l_bi(medium: ElasticMedium, q: QuasiMomentum, m, x3: float,
     """
     if x3 == 0.0:
         raise DomainError("c_l_bi at x3 = 0: odd entries are ambiguous on the jump plane")
-    tab = ModeTable.of(medium, q, [m], tol_wood)
+    tab = ModeTable.of(medium, q, [m])
     c = c_bi_arrays(medium, tab.alpha_l[:, 0], tab.alpha_l[:, 1], x3)[0]
     mode = tab.row(0)
     return FourierMode3BI(mode, c, case_label(mode))
@@ -198,8 +197,7 @@ def _disk_phases(q, m1, m2, d1, d2):
 
 
 def greenbi_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
-                       tol: float = DEFAULT_TOL, gap_min: float = GAP_MIN,
-                       tol_wood: float | None = None):
+                       tol: float = DEFAULT_TOL):
     """Vectorized double-series evaluation at points X (n, 3) for source y.
 
     Returns ``(values, tails, n_modes)`` with values (n, 3, 3).  One lattice
@@ -215,10 +213,11 @@ def greenbi_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     d2 = X[:, 1] - y[1]
     d3 = X[:, 2] - y[2]
     t3 = np.abs(d3)
-    if np.any(t3 < gap_min):
-        raise NearSourcePlane(f"|x3-y3| below gap_min={gap_min}")
+    if np.min(t3) < GAP_MIN:
+        raise NearSourcePlane(f"|x3 - y3| = {np.min(t3):.3e} below green3d_biqp.GAP_MIN = "
+                              f"{GAP_MIN:g}")
     m1, m2, a1, a2, R = _lattice_block(medium, q, float(np.min(t3)), tol)
-    check_wood_window(medium, q, (a1, a2), tol_wood)
+    check_wood_window(medium, q, (a1, a2))
     out = contract(t3[:, None], len(a1), lambda i: c_bi_arrays(medium, a1, a2, t3[i]),
                    *_disk_phases(q, m1, m2, d1, d2))
     # below the source plane the entries odd in x3 change sign
@@ -228,9 +227,7 @@ def greenbi_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
 
 
 def greenbi_eval(medium: ElasticMedium, q: QuasiMomentum, x, y,
-                 tol: float = DEFAULT_TOL, gap_min: float = GAP_MIN,
-                 tol_wood: float | None = None) -> GreenEval:
+                 tol: float = DEFAULT_TOL) -> GreenEval:
     """Biperiodic series value; truncation disk gamma_s |x3-y3| <= 35 + log(1/tol)."""
-    vals, tails, nmodes = greenbi_eval_batch(medium, q, np.asarray(x)[None, :], y, tol,
-                                             gap_min=gap_min, tol_wood=tol_wood)
+    vals, tails, nmodes = greenbi_eval_batch(medium, q, np.asarray(x)[None, :], y, tol)
     return GreenEval(3, vals[0], nmodes, float(tails[0]))

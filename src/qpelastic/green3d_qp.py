@@ -106,13 +106,12 @@ def c_arrays(medium: ElasticMedium, alpha_l, x2, x3):
     return c
 
 
-def c_l(medium: ElasticMedium, q: QuasiMomentum, m: int, x2: float, x3: float,
-        tol_wood: float | None = None) -> FourierMode3QP:
+def c_l(medium: ElasticMedium, q: QuasiMomentum, m: int, x2: float, x3: float) -> FourierMode3QP:
     """Transverse tensor of one lattice mode; requires r = |(x2, x3)| > 0."""
     r = float(np.hypot(x2, x3))
     if r <= 0.0:
         raise DomainError("c_l is singular at r = 0")
-    tab = ModeTable.of(medium, q, [m], tol_wood)
+    tab = ModeTable.of(medium, q, [m])
     c = c_arrays(medium, tab.alpha_l, x2, x3)[0]
     mode = tab.row(0)
     return FourierMode3QP(mode, c, r, case_label(mode))
@@ -138,8 +137,7 @@ def _tail_bound_side(medium, a_first, r):
 
 
 def green3dqp_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
-                         tol: float = DEFAULT_TOL, gap_min: float = GAP_MIN,
-                         tol_wood: float | None = None):
+                         tol: float = DEFAULT_TOL):
     """Vectorized series evaluation at points X (n, 3) for one source y.
 
     Returns ``(values, tails, n_modes)`` with values (n, 3, 3).  One mode
@@ -154,10 +152,11 @@ def green3dqp_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     dx2 = X[:, 1] - y[1]
     dx3 = X[:, 2] - y[2]
     r = np.hypot(dx2, dx3)
-    if np.any(r < gap_min):
-        raise NearSourceLine(f"transverse gap below gap_min={gap_min}")
+    if np.min(r) < GAP_MIN:
+        raise NearSourceLine(f"transverse gap {np.min(r):.3e} below green3d_qp.GAP_MIN = "
+                             f"{GAP_MIN:g}")
     m, al = mode_window(medium, q, gap=float(np.min(r)), tol=tol)
-    check_wood_window(medium, q, al, tol_wood)
+    check_wood_window(medium, q, al)
 
     out = contract(np.stack([dx2, dx3], axis=-1), len(al),
                    lambda i: c_arrays(medium, al, dx2[i], dx3[i]), *scalar_phases(t1, al, 9))
@@ -167,9 +166,7 @@ def green3dqp_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
 
 
 def green3dqp_eval(medium: ElasticMedium, q: QuasiMomentum, x, y,
-                   tol: float = DEFAULT_TOL, gap_min: float = GAP_MIN,
-                   tol_wood: float | None = None) -> GreenEval:
+                   tol: float = DEFAULT_TOL) -> GreenEval:
     """Series value sum_l e^{i (alpha+l)(x1-y1)} c_l(x2-y2, x3-y3)."""
-    vals, tails, nmodes = green3dqp_eval_batch(medium, q, np.asarray(x)[None, :], y, tol,
-                                               gap_min=gap_min, tol_wood=tol_wood)
+    vals, tails, nmodes = green3dqp_eval_batch(medium, q, np.asarray(x)[None, :], y, tol)
     return GreenEval(3, vals[0], nmodes, float(tails[0]))

@@ -176,25 +176,24 @@ def lattice_window(medium: ElasticMedium, q: QuasiMomentum, threshold: float):
     return np.stack([m1[keep], m2[keep]], axis=-1), r
 
 
-def check_wood_window(medium: ElasticMedium, q: QuasiMomentum, alpha_l, tol_wood: float | None = None):
+def check_wood_window(medium: ElasticMedium, q: QuasiMomentum, alpha_l):
     """Raise WoodAnomaly if a mode in ``alpha_l`` (a pair of arrays for biqp3d)
-    has ``|alpha_l|^2`` within ``tol_wood`` (default ``1e-8*k_s^2``) of
-    ``k_p^2`` or ``k_s^2``; the error names the first such index, p before s."""
+    has ``|alpha_l|^2`` within ``TOL_WOOD_REL * k_s^2`` of ``k_p^2`` or
+    ``k_s^2``; the error names the first such index, p before s."""
     if not medium.is_real():
         return
     ks2 = np.real(medium.k_s**2)
     kp2 = np.real(medium.k_p**2)
-    if tol_wood is None:
-        tol_wood = TOL_WOOD_REL * ks2
+    tol = TOL_WOOD_REL * ks2
     al = np.asarray(alpha_l, dtype=float)
     a2 = al[0] ** 2 + al[1] ** 2 if q.kind == "biqp3d" else al**2
     for which, k2 in (("p", kp2), ("s", ks2)):
-        bad = np.abs(a2 - k2) < tol_wood
+        bad = np.abs(a2 - k2) < tol
         if bad.any():
             i = np.argmax(bad)
             m = np.rint((al[..., i] - q.alpha_vec()) / (2.0 * np.pi)).astype(int).tolist()
             m = tuple(m) if q.kind == "biqp3d" else m[0]
-            raise WoodAnomaly(float(np.sqrt(a2[i])), which, tol_wood, m)
+            raise WoodAnomaly(float(np.sqrt(a2[i])), which, tol, m)
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,7 @@ class ModeTable:
     klass: np.ndarray
 
     @classmethod
-    def of(cls, medium: ElasticMedium, q: QuasiMomentum, m, tol_wood: float | None = None):
+    def of(cls, medium: ElasticMedium, q: QuasiMomentum, m):
         """Table of the modes with indices ``m`` (ints, or index pairs for biqp3d).
 
         Raises :class:`WoodAnomaly` when a mode sits at a cut-off (see
@@ -220,7 +219,7 @@ class ModeTable:
         """
         m = np.asarray(m, dtype=int).reshape((-1, 2) if q.kind == "biqp3d" else -1)
         al = np.asarray(q.alpha) + 2.0 * np.pi * m
-        check_wood_window(medium, q, al.T, tol_wood)
+        check_wood_window(medium, q, al.T)
         a2 = al[:, 0] * al[:, 0] + al[:, 1] * al[:, 1] if al.ndim == 2 else al * al
         kp2 = medium.k_p**2
         ks2 = medium.k_s**2
@@ -241,13 +240,13 @@ class ModeTable:
         return [self.row(i) for i in range(len(self.m))]
 
 
-def classify_mode(medium: ElasticMedium, q: QuasiMomentum, m, tol_wood: float | None = None) -> ModeData:
+def classify_mode(medium: ElasticMedium, q: QuasiMomentum, m) -> ModeData:
     """Mode data for lattice index ``m`` (integer, or pair for biqp3d).
 
-    Raises :class:`WoodAnomaly` when ``alpha_l^2`` is within ``tol_wood``
-    (default ``1e-8*k_s^2``) of either cut-off.
+    Raises :class:`WoodAnomaly` when ``alpha_l^2`` is within
+    ``TOL_WOOD_REL * k_s^2`` of either cut-off.
     """
-    return ModeTable.of(medium, q, [m], tol_wood).row(0)
+    return ModeTable.of(medium, q, [m]).row(0)
 
 
 def case_label(mode: ModeData) -> str:
@@ -258,8 +257,7 @@ def case_label(mode: ModeData) -> str:
 
 
 def mode_table(medium: ElasticMedium, q: QuasiMomentum, criterion: str = "all_propagating",
-               gap: float | None = None, tol: float | None = None,
-               tol_wood: float | None = None) -> ModeTable:
+               gap: float | None = None, tol: float | None = None) -> ModeTable:
     """Table of the modes kept by a truncation criterion.
 
     ``all_propagating`` keeps exactly the modes with a real vertical
@@ -275,14 +273,13 @@ def mode_table(medium: ElasticMedium, q: QuasiMomentum, criterion: str = "all_pr
         threshold = -np.log(tol) / gap
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
-    return ModeTable.of(medium, q, lattice_window(medium, q, threshold)[0], tol_wood)
+    return ModeTable.of(medium, q, lattice_window(medium, q, threshold)[0])
 
 
 def list_modes(medium: ElasticMedium, q: QuasiMomentum, criterion: str = "all_propagating",
-               gap: float | None = None, tol: float | None = None,
-               tol_wood: float | None = None):
+               gap: float | None = None, tol: float | None = None):
     """:func:`mode_table` as a list of :class:`ModeData` rows."""
-    return mode_table(medium, q, criterion, gap, tol, tol_wood).rows()
+    return mode_table(medium, q, criterion, gap, tol).rows()
 
 
 def mode_window(medium: ElasticMedium, q: QuasiMomentum, gap: float, tol: float):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bem2d import (ProfileCurve2, eval_scattered,
                     point_source_incidence, solve_dirichlet_multi)
-from .errors import GridMismatch
+from .errors import ConfigError, GridMismatch
 from .green2d import QPSources
 from .medium import ElasticMedium, QuasiMomentum
 
@@ -68,26 +68,27 @@ class SourceConfig:
         return np.stack([x1, np.full_like(x1, self.height)], axis=-1)
 
     def validate(self, profile: ProfileCurve2):
+        """Raise ConfigError (a ValueError) naming the offending field."""
         for name, vecs in (("fixed_pol", [self.fixed_pol]),
                            ("movable_pols", self.movable_pols),
                            ("probes", self.probes)):
             for v in vecs:
                 if abs(np.hypot(*v) - 1.0) > 1e-10:
-                    raise ValueError(f"{name} entries must be unit vectors, got {v}")
+                    raise ConfigError(name, f"entries must be unit vectors, got {v}")
         for i in range(len(self.probes)):
             for j in range(i + 1, len(self.probes)):
                 cross = self.probes[i][0] * self.probes[j][1] \
                     - self.probes[i][1] * self.probes[j][0]
                 if abs(cross) < COLINEAR_TOL:
-                    raise ValueError(f"probes {i} and {j} are colinear")
+                    raise ConfigError("probes", f"probes {i} and {j} are colinear")
         zs = self.movable_points()
         fmax = profile.max_height
         if not fmax < self.z_tilde[1]:
-            raise ValueError("fixed source must sit above the profile")
+            raise ConfigError("z_tilde", "fixed source must sit above the profile")
         if not self.z_tilde[1] < float(np.min(zs[:, 1])):
-            raise ValueError("movable sources must sit above the fixed-source line")
+            raise ConfigError("sigma_center", "movable sources must sit above the fixed source")
         if not float(np.max(zs[:, 1])) < self.height:
-            raise ValueError("movable sources must sit below the measurement line")
+            raise ConfigError("height", "movable sources must sit below the measurement line")
 
 
 @dataclass(frozen=True)

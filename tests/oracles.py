@@ -461,17 +461,21 @@ def biqp_mode_tensor_quadrature(medium, a1, a2, x3):
 # ---------------------------------------------------------------------------
 # flat-interface reflection (closed form)
 # ---------------------------------------------------------------------------
-def flat_reflection(medium, theta):
-    """Specular (u_p, u_s) and quasi-momentum for a downward plane p wave on a
-    rigid flat boundary at x2 = 0; incident polarization (alpha, -beta)/k_p."""
+def flat_reflection(medium, theta, kind="plane_p"):
+    """Specular (u_p, u_s) and quasi-momentum for a downward plane wave on a
+    rigid flat boundary at x2 = 0.  The incident polarization is
+    (sin theta, -cos theta) for a p wave and (cos theta, sin theta) for an s
+    wave; the total field u_inc + u_p (alpha, beta) + u_s (gamma, -alpha)
+    vanishes on the boundary.  beta is imaginary (an evanescent p mode) once
+    an s wave's alpha passes k_p."""
     kp = float(np.real(medium.k_p))
     ks = float(np.real(medium.k_s))
-    alpha = kp * np.sin(theta)
-    beta = kp * np.cos(theta)
+    alpha = (kp if kind == "plane_p" else ks) * np.sin(theta)
+    beta = np.sqrt(complex(kp**2 - alpha**2))
     gam = np.sqrt(ks**2 - alpha**2)
     mat = np.array([[alpha, gam], [beta, -alpha]])
-    rhs = -np.array([alpha, -beta]) / kp
-    up, us = np.linalg.solve(mat, rhs)
+    pol = (np.sin(theta), -np.cos(theta)) if kind == "plane_p" else (np.cos(theta), np.sin(theta))
+    up, us = np.linalg.solve(mat, -np.array(pol))
     return alpha, up, us
 
 
@@ -655,19 +659,17 @@ def fd_curl(field, x, h: float = 1e-5):
 # ---------------------------------------------------------------------------
 # Wood-anomaly predicate, one mode at a time
 # ---------------------------------------------------------------------------
-def wood_modes_brute(medium: ElasticMedium, q: QuasiMomentum, threshold: float,
-                     tol_wood: float | None = None):
+def wood_modes_brute(medium: ElasticMedium, q: QuasiMomentum, threshold: float):
     """Indices of the modes with Im(gamma_l) <= threshold that sit at a cut-off.
 
     Enumerates the window mode by mode in Python floats (rows of m_1, then
     m_2 within the disk row for the pair lattice) and returns the list of
-    ``(m, which)`` for every mode with ``||alpha_l|^2 - k^2| < tol_wood``
-    (default 1e-8 k_s^2), ``which`` in "p", "s".
+    ``(m, which)`` for every mode with ``||alpha_l|^2 - k^2| < 1e-8 k_s^2``,
+    ``which`` in "p", "s".
     """
     kp2 = float(np.real(medium.k_p**2))
     ks2 = float(np.real(medium.k_s**2))
-    if tol_wood is None:
-        tol_wood = 1e-8 * ks2
+    margin = 1e-8 * ks2
     r = float(np.sqrt(ks2 + threshold**2))
     two_pi = 2.0 * np.pi
 
@@ -685,7 +687,7 @@ def wood_modes_brute(medium: ElasticMedium, q: QuasiMomentum, threshold: float,
     else:
         modes = [(m, (q.alpha + two_pi * m) ** 2) for m in interval(q.alpha, r)]
     return [(m, which) for m, a2 in modes
-            for which, k2 in (("p", kp2), ("s", ks2)) if abs(a2 - k2) < tol_wood]
+            for which, k2 in (("p", kp2), ("s", ks2)) if abs(a2 - k2) < margin]
 
 
 # ---------------------------------------------------------------------------

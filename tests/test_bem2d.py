@@ -109,6 +109,51 @@ def test_solution_rayleigh_matches_reflection_oracle(grating_setup, N, bound):
     assert np.max(np.abs(np.delete(np.stack([co.u_p, co.u_s]), 5, axis=1))) <= 1e-14
 
 
+@pytest.mark.parametrize("N,bound", [(32, 2e-6), (64, 3e-8), (128, 2e-10), (256, 2e-13)])
+def test_plane_s_flat_grating_closed_form(N, bound):
+    """An s wave on a flat rigid grating: the specular mode converges to the
+    2x2 rigid-boundary solution, every other mode is zero to rounding, the
+    incident flux is -omega mu k_s cos(theta)/2 and the total flux through
+    a line above the grating vanishes."""
+    med = make_medium(2.0, 1.0, 1.0, 5.0)
+    theta = 0.25
+    inc, q = plane_incidence(med, "plane_s", theta)
+    alpha, up, us = flat_reflection(med, theta, "plane_s")
+    assert q.alpha == pytest.approx(alpha)
+    sol = solve_dirichlet(med, q, ProfileCurve2(), inc, N=N)
+    co = sol.rayleigh(5)
+    assert [m.m for m in co.modes] == list(range(-5, 6))
+    assert max(abs(co.u_p[5] - up), abs(co.u_s[5] - us)) < bound
+    assert np.max(np.abs(np.delete(np.stack([co.u_p, co.u_s]), 5, axis=1))) <= 1e-14
+
+    n = 64
+    X = np.stack([np.arange(n) / n, np.full(n, 0.6)], axis=-1)
+    nu = np.tile([0.0, 1.0], (n, 1))
+    ui, d1, d2 = inc.jet(med, q, X)
+    gi = np.stack([d1, d2], axis=-1)
+    u_sc, g_sc = eval_scattered(sol, X, need_gradient=True)
+    j_inc = flux_2d(med, ui, traction(med, ui, gi, nu))
+    j_tot = flux_2d(med, ui + u_sc, traction(med, ui + u_sc, gi + g_sc, nu))
+    ks = float(np.real(med.k_s))
+    assert j_inc == pytest.approx(-0.5 * med.omega * med.mu * ks * np.cos(theta), rel=1e-13)
+    assert abs(j_tot) <= 1e-10 * abs(j_inc)
+
+
+@pytest.mark.parametrize("kind", ["plane_p", "plane_s"])
+def test_non_congruent_plane_wave_refused(grating_setup, kind):
+    """A plane wave whose k d1 differs from alpha modulo 2 pi is not
+    quasi-periodic with the system's momentum; the solve refuses it before
+    assembling anything."""
+    med, _, _ = grating_setup
+    inc, q = plane_incidence(med, kind, 0.25)
+    shifted = make_quasi_momentum("qp2d", q.alpha + 0.1, med)
+    with pytest.raises(ValueError, match="not congruent"):
+        solve_dirichlet_multi(med, shifted, ProfileCurve2(), [inc], N=32)
+    # a shift by a whole lattice frequency is the same momentum
+    lattice = make_quasi_momentum("qp2d", q.alpha - 2 * np.pi, med)
+    assert solve_dirichlet_multi(med, lattice, ProfileCurve2(), [inc], N=32)[0].N == 32
+
+
 def test_solution_rayleigh_agrees_with_extraction(sin_solution):
     """Where extraction at h = 0.5 is accurate, |m| <= 1, both paths agree."""
     sol = sin_solution

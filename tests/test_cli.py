@@ -35,6 +35,8 @@ PHASELESS = {
     "height": 1.1,
     "solver_n": 32,
 }
+# a valid ``rayleigh eval`` section
+RAYLEIGH_EVAL = {"points": [[0.1, 0.8]], "coeffs": {"p": [[0, 1.0, 0.0]], "s": [[0, 0.5, -0.5]]}}
 # the command that reads a section's fields
 COMMAND_OF = {"verify": ["verify", "--suite", "quasiperiodicity"], "incident": ["solve2d"],
               "rayleigh": ["solve2d"], "phaseless": ["phaseless", "synth"]}
@@ -55,6 +57,7 @@ def test_eval_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().splitlines()
     assert lines[0].startswith("# config:")
+    assert json.loads(lines[0][len("# config: "):])["truncation"] == {"tol": 1e-10}
     assert lines[1].split(",")[:2] == ["x1", "x2"]
     assert len(lines) == 4
 
@@ -75,6 +78,7 @@ def test_eval_missing_field_exit2(tmp_path, capsys):
     ("truncation.gap_min", "0"), ("truncation.gap_min", "-1"),
     ("truncation.tol_wood", "0"), ("truncation.tol_wood", "-1e-8"),
     ("truncation.gap_min", '"x"'), ("truncation.tol_wood", '"x"'), ("medium.rho", '"x"'),
+    ("truncation.gap_min", "1"), ("truncation.tol_wood", "1e-9"), ("truncation.tol_wod", "1e-8"),
     ("profile.cos", '["a"]'), ("profile.cos", "5"), ("profile.height", '"x"'),
     ("quasi_momentum.alpha", '["a", 1]'), ("eval.points", '[["a", 1]]'),
     ("incident.theta", "true"), ("rayleigh.m_modes", "2.7"), ("rayleigh.m_modes", "-2"),
@@ -84,12 +88,13 @@ def test_eval_missing_field_exit2(tmp_path, capsys):
     ("phaseless.height", "true"), ("phaseless.frequencies", '["x"]'),
 ])
 def test_out_of_range_number_exit2(tmp_path, capsys, field, literal):
-    """A tol outside (0, 1), a count below its least value, a gap_min or
-    tol_wood <= 0 (which would switch off the near-source or Wood guard) or a
-    value that is not a number, an integer or a pair of numbers as its field
-    needs is a config error naming the field, not a traceback, a one-mode
-    sum, an empty mode list or a suite that passes having checked nothing.
-    Each field is read by the command of its section (``eval`` by default)."""
+    """A tol outside (0, 1), a count below its least value, any gap_min or
+    tol_wood (the near-source and Wood guards are fixed constants, so the
+    keys are refused whatever their value) or a value that is not a number,
+    an integer or a pair of numbers as its field needs is a config error
+    naming the field, not a traceback, a one-mode sum, an empty mode list or
+    a suite that passes having checked nothing.  Each field is read by the
+    command of its section (``eval`` by default)."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["phaseless"] = dict(PHASELESS)
     section, key = field.split(".")
@@ -119,11 +124,39 @@ def test_out_of_range_number_exit2(tmp_path, capsys, field, literal):
     ("solve2d", "incident", '{"kind": "point_source", "source": [0.4, 0.3], '
                             '"polarization": [1, "b"]}', "incident.polarization"),
     ("rayleigh extract", "rayleigh", '{"m_modes": "x"}', "rayleigh.m_modes"),
+    *(pytest.param("rayleigh eval", "rayleigh", json.dumps(dict(RAYLEIGH_EVAL, **change)), field,
+                   id=f"rayleigh eval-{name}")
+      for name, change, field in [
+          ("points-not-numbers", {"points": [["a", 1]]}, "rayleigh.points"),
+          ("points-not-pairs", {"points": [[0.1]]}, "rayleigh.points"),
+          ("p-index-not-integer", {"coeffs": {"p": [[0.5, 1, 0]], "s": [[0, 0, 0]]}},
+           "rayleigh.coeffs.p"),
+          ("s-index-not-integer", {"coeffs": {"p": [[0, 1, 0]], "s": [["x", 0, 0]]}},
+           "rayleigh.coeffs.s"),
+          ("s-amplitude-not-number", {"coeffs": {"p": [[0, 1, 0]], "s": [[0, "x", 0]]}},
+           "rayleigh.coeffs.s"),
+          ("p-entry-too-long", {"coeffs": {"p": [[0, 1, 0, 5]], "s": [[0, 0, 0]]}},
+           "rayleigh.coeffs.p"),
+          ("s-other-mode", {"coeffs": {"p": [[0, 1, 0]], "s": [[1, 0, 0]]}}, "rayleigh.coeffs"),
+          ("s-fewer-modes", {"coeffs": {"p": [[0, 1, 0]]}}, "rayleigh.coeffs"),
+      ]),
+    *(pytest.param(f"phaseless {action}", "phaseless", json.dumps(dict(PHASELESS, **change)),
+                   field, id=f"phaseless {action}-{name}")
+      for action, name, change, field in [
+          ("synth", "fixed_pol-not-unit", {"fixed_pol": [1, 1]}, "phaseless.fixed_pol"),
+          ("check", "fixed_pol-not-unit", {"fixed_pol": [1, 1]}, "phaseless.fixed_pol"),
+          ("synth", "probes-colinear", {"probes": [[1, 0], [-1, 0]]}, "phaseless.probes"),
+          ("synth", "z_tilde-below-profile", {"z_tilde": [0.35, -0.5]}, "phaseless.z_tilde"),
+      ]),
 ])
 def test_malformed_section_exit2(tmp_path, capsys, command, section, literal, field):
     """A section that is not an object, a node count that is not a power of
-    two >= 32, or a point source that is not two numbers is a config error
-    naming the field, not a traceback."""
+    two >= 32, a point source that is not two numbers, ``rayleigh eval``
+    points that are not (n, 2) numbers, coefficients that are not [integer m,
+    re, im] or list different p and s modes, and a phaseless layout that
+    ``SourceConfig.validate`` refuses are config errors naming the field, not
+    a traceback, a mode index cut to an integer or a sum over the shorter
+    list."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg[section] = "@"
     p = tmp_path / "cfg.json"
@@ -131,13 +164,6 @@ def test_malformed_section_exit2(tmp_path, capsys, command, section, literal, fi
     assert main(command.split() + ["--config", str(p), "--out", str(tmp_path / "x.out")]) == 2
     assert f"'{field}'" in capsys.readouterr().err
     assert not (tmp_path / "x.out").exists()
-
-
-def test_positive_guards_resolve_as_given():
-    """Valid gap_min / tol_wood stay in the resolved config as written."""
-    cfg = json.loads(json.dumps(BASE_CONFIG))
-    cfg["truncation"] = {"gap_min": 1, "tol_wood": 1e-9}
-    assert cli.resolve_config(cfg)["truncation"] == {"tol": 1e-10, "gap_min": 1, "tol_wood": 1e-9}
 
 
 def test_phaseless_node_count_exit2(tmp_path, capsys):
