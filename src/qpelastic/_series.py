@@ -1,4 +1,4 @@
-"""The plain series' shared parts: geometric-polynomial tail sums, the contraction loop."""
+"""The plain series' shared parts: point checks, geometric tail sums, the contraction loop."""
 
 from __future__ import annotations
 
@@ -20,6 +20,20 @@ def geom_poly_sum(a: float, b: float, q: float, p: int) -> float:
     if p == 2:
         return a * a / one + 2 * a * b * q / one**2 + b * b * q * (1 + q) / one**3
     raise ValueError("p must be 0, 1 or 2")
+
+
+def points(X, y, dim: int):
+    """``X`` as a float (n, dim) array of points and ``y`` as one float point (dim,).
+
+    Raises ValueError naming the length ``dim`` when either has another shape.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ValueError(f"points need length {dim}, got shape {X.shape}")
+    if y.shape != (dim,):
+        raise ValueError(f"the source point needs length {dim}, got shape {y.shape}")
+    return X, y
 
 
 def equal_rows(keys):

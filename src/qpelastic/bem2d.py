@@ -203,26 +203,15 @@ def _chi(tau):
     return out
 
 
-def log_quadrature_weights(N: int) -> np.ndarray:
-    """Circulant weights w_d with sum_j w_{i-j} e^{2 pi i m t_j} = -e^{2 pi i m t_i}/|m|.
-
-    Product-trapezoid rule for the periodic log kernel ln(4 sin^2(pi(t-s)))
-    on N uniform nodes; exact for trigonometric polynomials of degree < N/2.
-    """
-    sym = np.zeros(N)
-    freqs = np.fft.fftfreq(N, d=1.0 / N)
-    nz = freqs != 0
-    sym[nz] = -1.0 / np.abs(freqs[nz])
-    w = np.fft.ifft(sym).real
-    return w
-
-
 def log_quadrature_weights_off_node(t, N: int) -> np.ndarray:
-    """Off-node weights R_j(t_c) at every point of ``t`` for the N uniform nodes j/N.
+    """Weights R_j(t_c) at every point of ``t`` for the N uniform nodes j/N.
 
-    Each row is one FFT over j:
+    Product-trapezoid rule for the periodic log kernel ln(4 sin^2(pi(t-s))):
+    sum_j R_j(t) e^{2 pi i m j/N} = -e^{2 pi i m t}/|m| (0 at m = 0), exact for
+    trigonometric polynomials of degree < N/2.  Each row is one FFT over j:
     R_j(t) = Re sum_{m=1}^{N/2} c_m e^{2 pi i m (t - j/N)} with c_m = -2/(N m),
-    halved at m = N/2.  Returns (len(t), N).
+    halved at m = N/2.  Returns (len(t), N).  On the nodes the rule is the
+    circulant of the t = 0 row, R_j(i/N) = R_{j-i}(0).
     """
     m = np.arange(1, N // 2 + 1)
     c = -(2.0 / N) / m
@@ -246,7 +235,6 @@ class ScatterSolution:
     N: int
     points: np.ndarray        # (N, 2) on-curve points
     jacobian: np.ndarray      # (N,)
-    normal: np.ndarray        # (N, 2), upward
     density: np.ndarray       # (N, 2) complex
     cond_estimate: float
     sources: QPSources        # the nodes, with the system's kernel table
@@ -279,12 +267,12 @@ class ScatterSolution:
 
 
 def _geometry(profile: ProfileCurve2, t):
-    f = profile.f(t)
+    """Points (n, 2), jacobians (n,) and unit tangents (n, 2) of the curve at ``t``."""
     fp = profile.df(t)
     jac = np.sqrt(1.0 + fp * fp)
-    pts = np.stack([t, f], axis=-1)
-    nu = np.stack([-fp, np.ones_like(fp)], axis=-1) / jac[:, None]
-    return pts, jac, nu
+    pts = np.stack([t, profile.f(t)], axis=-1)
+    that = np.stack([np.ones_like(fp), fp], axis=-1) / jac[:, None]
+    return pts, jac, that
 
 
 def _kernel_split(sources: QPSources, pts_rows, jac_cols, log_weights, that_rows=None):
@@ -293,8 +281,8 @@ def _kernel_split(sources: QPSources, pts_rows, jac_cols, log_weights, that_rows
     Rows are collocation points (may be off-node), columns the N quadrature
     nodes ``sources.Y``, which lie at x1 = t.  ``log_weights`` (rows, N) holds
     the product-trapezoid weights W of the log factor at each row: the
-    circulant ``log_quadrature_weights(N)[i - j]`` on the nodes,
-    ``log_quadrature_weights_off_node`` elsewhere.  ``that_rows`` gives the
+    circulant of the t = 0 row of ``log_quadrature_weights_off_node`` on the
+    nodes, that function's rows elsewhere.  ``that_rows`` gives the
     unit tangents of rows that coincide with the columns (the on-node case);
     pass None when the row set avoids all columns.  Returns the
     (2 rows, 2 N) complex matrix whose entry (2c + a, 2n + b) is M[c, n]_ab,
@@ -374,13 +362,12 @@ def _build_system(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve
     if N < 32 or (N & (N - 1)) != 0:
         raise ValueError("N must be a power of two >= 32")
     t = np.arange(N) / N
-    pts, jac, nu = _geometry(profile, t)
-    fp = profile.df(t)
-    that = np.stack([np.ones_like(fp), fp], axis=-1) / jac[:, None]
+    pts, jac, that = _geometry(profile, t)
 
     sources = QPSources(medium, q, pts)
     idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-    M = _kernel_split(sources, pts, jac, log_quadrature_weights(N)[idx], that_rows=that)
+    w = log_quadrature_weights_off_node(np.zeros(1), N)[0]
+    M = _kernel_split(sources, pts, jac, w[idx], that_rows=that)
 
     lu, piv = lu_factor(M)
     anorm = np.linalg.norm(M, 1)
@@ -388,7 +375,7 @@ def _build_system(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve
     cond = 1.0 / max(rcond, 1e-300)
     if cond > COND_LIMIT:
         raise ResonanceSuspected(cond, COND_LIMIT, N, medium.omega)
-    return dict(pts=pts, jac=jac, nu=nu, lu=(lu, piv), cond=cond, sources=sources)
+    return dict(pts=pts, jac=jac, lu=(lu, piv), cond=cond, sources=sources)
 
 
 def solve_dirichlet(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve2,
@@ -419,7 +406,7 @@ def solve_dirichlet_multi(medium: ElasticMedium, q: QuasiMomentum,
         rhs = -inc.eval(medium, q, sysd["pts"]).reshape(-1)
         psi = lu_solve(sysd["lu"], rhs).reshape(N, 2)
         out.append(ScatterSolution(medium, q, profile, inc, N, sysd["pts"], sysd["jac"],
-                                   sysd["nu"], psi, sysd["cond"], sysd["sources"]))
+                                   psi, sysd["cond"], sysd["sources"]))
     return out
 
 

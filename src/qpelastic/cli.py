@@ -422,6 +422,8 @@ def cmd_phaseless(rc, action, out_path):
         raise ConfigError(f"phaseless.{exc.field}", exc.reason)
     m = rc["medium"]
     freqs = _number(ph.get("frequencies", [m["omega"]]), "phaseless.frequencies", 1)
+    if not freqs:
+        raise ConfigError("phaseless.frequencies", "must not be empty")
     alpha = rc["quasi_momentum"]["alpha"]
 
     datasets = {}

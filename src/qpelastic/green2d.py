@@ -58,9 +58,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 from scipy.special import j0, j1
 
-from ._series import contract, per_key, scalar_phases
+from ._series import contract, geom_poly_sum, per_key, points, scalar_phases
 from .errors import CoincidentPoints, DomainError, NearSourceLine, TableUnresolved
 from .green_free import COINCIDENT_TOL, GreenEval
 from .medium import (ElasticMedium, ModeTable, QuasiMomentum, branch_sqrt,
@@ -143,8 +144,7 @@ def _tail_bound(medium, alpha_first_omitted, D):
     if D <= 0.0 or a0 * a0 < 2 * ks2:
         return float("inf")
     img0 = np.sqrt(a0 * a0 - ks2)
-    q = np.exp(-2 * np.pi * D)
-    geo = a0 / (1 - q) + 2 * np.pi * q / (1 - q) ** 2
+    geo = geom_poly_sum(a0, 2 * np.pi, np.exp(-2 * np.pi * D), 1)
     return 5.0 * abs(_pref(medium)) * np.exp(-img0 * D) * geo
 
 
@@ -172,8 +172,7 @@ def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     should batch by gap.  ``_series.contract`` builds the mode matrices once
     per distinct |x2 - y2|.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
+    X, y = points(X, y, 2)
     t1 = X[:, 0] - y[0]
     d = X[:, 1] - y[1]
     D = np.abs(d)
@@ -497,17 +496,6 @@ def _cheb_nodes(n):
     return np.cos(np.pi * (np.arange(n) + 0.5) / n)
 
 
-def _cheb_basis(x, n):
-    """T_0(x) .. T_{n-1}(x) by the three-term recurrence; shape (len(x), n)."""
-    T = np.empty((n, len(x)))
-    T[0] = 1.0
-    if n > 1:
-        T[1] = x
-    for j in range(2, n):
-        T[j] = 2.0 * x * T[j - 1] - T[j - 2]
-    return T.T
-
-
 @dataclass(frozen=True)
 class RemainderTable:
     """Chebyshev table of T = G + S/(2 pi) for one (medium, alpha).
@@ -546,13 +534,13 @@ class RemainderTable:
         coefs = (self.coef,) + (_unless_refused(self._derivative_coef) if want_jet else ())
         n_tau, m = (max(c.shape[i] for c in coefs) for i in (0, 1))
         tau_u, inv = np.unique(tau, return_inverse=True)
-        tx = _cheb_basis(2.0 * tau_u, n_tau)
+        tx = chebvander(2.0 * tau_u, n_tau - 1)
         # a real basis times complex coefficients, as real products on the
         # (re, im) pairs of T_11, T_22 and T_12
         vs = [(tx[:, :len(c)] @ c.reshape(len(c), -1).view(float))
               .reshape(len(tau_u), c.shape[1], 6) for c in coefs]
         del tx   # before the d basis is built, which keeps the peak memory down
-        ty = _cheb_basis(d / NEAR_GAP, 2 * m).reshape(len(tau), m, 2)
+        ty = chebvander(d / NEAR_GAP, 2 * m - 1).reshape(len(tau), m, 2)
         out = []
         for flip, v in zip((0, 0, 1), vs):   # d/dd flips the parity in d
             v = v[inv]   # one pair-sized product at a time keeps the peak memory down
@@ -626,9 +614,9 @@ def _fit_remainder(medium, alpha, n_tau, n_d, derivatives: bool = False):
     S = _log_part(medium, tau, d, derivatives)
     # discrete orthogonality of T_j at first-kind nodes; in d the sum over
     # all n_d nodes is twice the sum over d > 0 by the parity of T
-    ct = _cheb_basis(x, n_tau).T * (2.0 / n_tau)
+    ct = chebvander(x, n_tau - 1).T * (2.0 / n_tau)
     ct[0] /= 2.0
-    cd = _cheb_basis(y, n_d).T * (4.0 / n_d)
+    cd = chebvander(y, n_d - 1).T * (4.0 / n_d)
     cd[0] /= 2.0
     out = []
     for flip, g, p in zip((0, 1), G, S[1:] if derivatives else (S,)):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._series import _BLOCK_ELEMS, contract, geom_poly_sum, per_key
+from ._series import _BLOCK_ELEMS, contract, geom_poly_sum, per_key, points
 from .errors import DomainError, NearSourcePlane
 from .green_free import GreenEval
 from .medium import (ElasticMedium, ModeData, ModeTable, QuasiMomentum,
@@ -207,8 +207,7 @@ def greenbi_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     per distinct |x3 - y3|, and ``_disk_phases`` contracts them row by row
     of the disk.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
+    X, y = points(X, y, 3)
     d1 = X[:, 0] - y[0]
     d2 = X[:, 1] - y[1]
     d3 = X[:, 2] - y[2]

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._series import contract, geom_poly_sum, per_key, scalar_phases
+from ._series import contract, geom_poly_sum, per_key, points, scalar_phases
 from .errors import DomainError, NearSourceLine
 from .green_free import GreenEval
 from .medium import (ElasticMedium, ModeData, ModeTable, QuasiMomentum,
@@ -146,8 +146,7 @@ def green3dqp_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     gaps should batch by gap.  ``_series.contract`` builds the tensors c_l
     once per distinct (x2 - y2, x3 - y3).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
+    X, y = points(X, y, 3)
     t1 = X[:, 0] - y[0]
     dx2 = X[:, 1] - y[1]
     dx3 = X[:, 2] - y[2]

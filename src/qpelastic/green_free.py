@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._series import points
 from .errors import CoincidentPoints
 from .medium import ElasticMedium, QuasiMomentum
 from .specfun import hankel01
@@ -125,29 +126,14 @@ def _tensor_coeffs(medium: ElasticMedium, dim: int, r):
     return a, (pref / medium.rho_omega2) * (fpp - fp_r) * (inv_r * inv_r)
 
 
-def _kupradze2d_value(medium: ElasticMedium, dx):
-    """Batched over leading axes; dx has shape (..., 2).
-
-    Uses Hess f = (f'' + f'/r) rr^T + (f'/r) (I - 2 rr^T) for the radial
-    f = H_0(k_s r) - H_0(k_p r) of :func:`_radial2d`.
-    """
+def _kupradze_value(medium: ElasticMedium, dx):
+    """a(r) I + c(r) dx dx^T of :func:`_tensor_coeffs`, batched over leading
+    axes; dx has shape (..., 2) or (..., 3)."""
     dx = np.asarray(dx, dtype=float)
-    r = np.sqrt(np.sum(dx * dx, axis=-1))
-    rhat = dx / r[..., None]
-    h0s, _, _, f1, lap = _radial2d(medium, r)
-    eye = np.eye(2)
-    rr = rhat[..., :, None] * rhat[..., None, :]
-    hess = lap[..., None, None] * rr + f1[..., None, None] * (eye - 2.0 * rr)
-    return (0.25j / medium.mu) * h0s[..., None, None] * eye \
-        + (0.25j / medium.rho_omega2) * hess
-
-
-def _kupradze3d_value(medium: ElasticMedium, dx):
-    """Batched over leading axes; dx has shape (..., 3)."""
-    dx = np.asarray(dx, dtype=float)
-    a, c = _tensor_coeffs(medium, 3, np.sqrt(np.sum(dx * dx, axis=-1)))
+    dim = dx.shape[-1]
+    a, c = _tensor_coeffs(medium, dim, np.sqrt(np.sum(dx * dx, axis=-1)))
     dxdx = dx[..., :, None] * dx[..., None, :]
-    return a[..., None, None] * np.eye(3) + c[..., None, None] * dxdx
+    return a[..., None, None] * np.eye(dim) + c[..., None, None] * dxdx
 
 
 def kupradze(medium: ElasticMedium, dim: int, x, y) -> GreenEval:
@@ -156,18 +142,13 @@ def kupradze(medium: ElasticMedium, dim: int, x, y) -> GreenEval:
     2D: ``(i/4mu) H_0^(1)(k_s r) I + (i/4 rho omega^2) Hess[H_0^(1)(k_s r) - H_0^(1)(k_p r)]``;
     3D: ``(1/4 pi mu) e^{i k_s r}/r I + (1/4 pi rho omega^2) Hess[(e^{i k_s r} - e^{i k_p r})/r]``.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dx = x - y
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
+    x, y = points([x], y, dim)
+    dx = x[0] - y
     if np.linalg.norm(dx) < COINCIDENT_TOL:
         raise CoincidentPoints(f"|x-y| = {np.linalg.norm(dx):.3e}")
-    if dim == 2:
-        val = _kupradze2d_value(medium, dx)
-    elif dim == 3:
-        val = _kupradze3d_value(medium, dx)
-    else:
-        raise ValueError("dim must be 2 or 3")
-    return GreenEval(dim, val, 0, 0.0)
+    return GreenEval(dim, _kupradze_value(medium, dx), 0, 0.0)
 
 
 def lattice_sum(medium: ElasticMedium, q: QuasiMomentum, x, y,
@@ -184,8 +165,9 @@ def lattice_sum(medium: ElasticMedium, q: QuasiMomentum, x, y,
         raise ValueError(f"N must be >= 0, got {N!r}")
     if not damping >= 0.0:
         raise ValueError(f"damping must be >= 0 (the sum diverges otherwise), got {damping!r}")
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     dim = 2 if q.kind == "qp2d" else 3
+    x, y = points([x], y, dim)
+    d = x[0] - y
     n = np.arange(-N, N + 1)
 
     def phases(alpha):

@@ -69,6 +69,9 @@ class SourceConfig:
 
     def validate(self, profile: ProfileCurve2):
         """Raise ConfigError (a ValueError) naming the offending field."""
+        for name in ("movable_pols", "probes", "grid_x1"):
+            if len(getattr(self, name)) == 0:
+                raise ConfigError(name, "must not be empty")
         for name, vecs in (("fixed_pol", [self.fixed_pol]),
                            ("movable_pols", self.movable_pols),
                            ("probes", self.probes)):

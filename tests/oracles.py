@@ -35,7 +35,7 @@ from scipy.special import hankel1, hankel2, jv, roots_laguerre
 
 from qpelastic.green2d import _FAR_TOL, NEAR_GAP, _unified_blocks
 from qpelastic.green3d_biqp import _lattice_block, c_bi_arrays
-from qpelastic.green_free import _kupradze2d_value, _radial2d, kupradze, lattice_sum
+from qpelastic.green_free import _kupradze_value, _radial2d, kupradze, lattice_sum
 from qpelastic.medium import (ElasticMedium, ModeData, QuasiMomentum, check_wood_window,
                               mode_window)
 from qpelastic.rayleigh import RayleighCoeffs3Bi
@@ -226,7 +226,7 @@ def kupradze2d_jet(medium, dx):
     rr = rhat[..., :, None] * rhat[..., None, :]
     a_r = (lap - 2.0 * f1) / r
     c3 = ks**3 * h1s - kp**3 * h1p - 4.0 * a_r
-    out = [_kupradze2d_value(medium, dx)]
+    out = [_kupradze_value(medium, dx)]
     for k in range(2):
         rk = rhat[..., k, None, None]
         ek = np.zeros_like(rhat)
@@ -616,7 +616,8 @@ def transversality_defect(coeffs: RayleighCoeffs3Bi) -> float:
 # off-node log-quadrature weights, one point at a time
 # ---------------------------------------------------------------------------
 def log_quadrature_weights_at(t: float, nodes: np.ndarray) -> np.ndarray:
-    """Off-node weights R_j(t) of the log rule of ``bem2d.log_quadrature_weights``."""
+    """Weights R_j(t) of the log rule at one point t, the reference for the FFT form
+    ``bem2d.log_quadrature_weights_off_node``."""
     N = len(nodes)
     n = N // 2
     m = np.arange(1, n)

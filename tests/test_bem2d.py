@@ -6,14 +6,13 @@ import pytest
 from oracles import (flat_reflection, log_coeff_jv, log_quadrature_weights_at,
                      near_line_abel_plana, phi_finite_part)
 from qpelastic.bem2d import (IncidentField, ProfileCurve2, boundary_residual,
-                             eval_scattered, log_quadrature_weights,
-                             log_quadrature_weights_off_node, plane_incidence,
+                             eval_scattered, log_quadrature_weights_off_node, plane_incidence,
                              point_source_incidence, solve_dirichlet,
                              solve_dirichlet_multi, traction)
 from qpelastic.errors import CoincidentPoints, TableUnresolved, TooCloseToBoundary, WoodAnomaly
 from qpelastic.checks import navier_apply_fd
 from qpelastic.green2d import NEAR_GAP, QPSources
-from qpelastic.green_free import _kupradze2d_value
+from qpelastic.green_free import _kupradze_value
 from qpelastic.medium import make_medium, make_quasi_momentum
 from qpelastic.rayleigh import eval_rayleigh_2d, extract_coeffs_2d, flux_2d
 
@@ -34,7 +33,7 @@ def sin_solution(grating_setup):
 
 def test_log_quadrature_exactness():
     N = 64
-    w = log_quadrature_weights(N)
+    w = log_quadrature_weights_off_node(np.zeros(1), N)[0]
     nodes = np.arange(N) / N
     for i in (0, 5):
         for m in (0, 1, 7, 31):
@@ -46,8 +45,15 @@ def test_log_quadrature_exactness():
 
 
 def test_off_node_log_weights_match_per_point():
-    for N in (32, 64):
+    """The weights match the per-point oracle off the nodes, and on the nodes
+    t = i/N they are the circulant of the t = 0 row that the node matrix takes."""
+    for N in (32, 64, 128, 256):
         nodes = np.arange(N) / N
+        w = log_quadrature_weights_off_node(np.zeros(1), N)[0]
+        circulant = w[(np.arange(N)[:, None] - np.arange(N)) % N]
+        assert np.max(np.abs(log_quadrature_weights_off_node(nodes, N) - circulant)) <= 1e-15
+        if N > 64:
+            continue
         for n_check in (2 * N, 3 * N + 1):
             tc = (np.arange(n_check) + 0.37) / n_check
             ref = np.stack([log_quadrature_weights_at(t, nodes) for t in tc])
@@ -573,7 +579,7 @@ def _r00_by_extrapolation(med, alpha, n=24, half=0.2):
     in [-half, half], evaluated at 0."""
     s = half * np.cos(np.pi * (np.arange(n) + 0.5) / n)
     R = near_line_abel_plana(med, alpha, s, np.zeros(n)) \
-        + _kupradze2d_value(med, np.stack([s, np.zeros(n)], axis=-1)) / (2 * np.pi)
+        + _kupradze_value(med, np.stack([s, np.zeros(n)], axis=-1)) / (2 * np.pi)
     coef = np.polynomial.chebyshev.chebfit(s / half, R.reshape(n, 4).view(float), n - 1)
     return np.polynomial.chebyshev.chebval(0.0, coef).view(complex).reshape(2, 2)
 
@@ -602,7 +608,8 @@ def test_kernel_split_against_abel_plana(omega):
     r00 = _r00_by_extrapolation(med, q.alpha)
     t_off = (np.arange(2 * N) + 0.37) / (2 * N)
     off_node = _geometry(prof, t_off)[0]
-    on_weights = log_quadrature_weights(N)[(np.arange(N)[:, None] - np.arange(N)) % N]
+    on_weights = log_quadrature_weights_off_node(np.zeros(1), N)[0][
+        (np.arange(N)[:, None] - np.arange(N)) % N]
     for rows, W, that_rows in ((pts, on_weights, that),
                                (off_node, log_quadrature_weights_off_node(t_off, N), None)):
         M = _kernel_split(src, rows, jac, W, that_rows)
@@ -645,8 +652,8 @@ def test_split_evaluates_no_hankel_function(grating_setup, monkeypatch):
         raise AssertionError("a Hankel function or free-space tensor was evaluated")
 
     package = [m for k, m in sys.modules.items() if k.startswith("qpelastic")]
-    for owner, name in ((specfun, "hankel01"), (green_free, "_kupradze2d_value"),
-                        (green_free, "_radial2d")):
+    for owner, name in ((specfun, "hankel01"), (green_free, "_kupradze_value"),
+                        (green_free, "_tensor_coeffs"), (green_free, "_radial2d")):
         target = getattr(owner, name)
         for mod in package:
             if getattr(mod, name, None) is target:

@@ -147,16 +147,21 @@ def test_out_of_range_number_exit2(tmp_path, capsys, field, literal):
           ("check", "fixed_pol-not-unit", {"fixed_pol": [1, 1]}, "phaseless.fixed_pol"),
           ("synth", "probes-colinear", {"probes": [[1, 0], [-1, 0]]}, "phaseless.probes"),
           ("synth", "z_tilde-below-profile", {"z_tilde": [0.35, -0.5]}, "phaseless.z_tilde"),
+          ("synth", "frequencies-empty", {"frequencies": []}, "phaseless.frequencies"),
+          ("synth", "grid_x1-empty", {"grid_x1": []}, "phaseless.grid_x1"),
+          ("synth", "movable_pols-empty", {"movable_pols": []}, "phaseless.movable_pols"),
+          ("synth", "probes-empty", {"probes": []}, "phaseless.probes"),
       ]),
 ])
 def test_malformed_section_exit2(tmp_path, capsys, command, section, literal, field):
     """A section that is not an object, a node count that is not a power of
     two >= 32, a point source that is not two numbers, ``rayleigh eval``
     points that are not (n, 2) numbers, coefficients that are not [integer m,
-    re, im] or list different p and s modes, and a phaseless layout that
-    ``SourceConfig.validate`` refuses are config errors naming the field, not
-    a traceback, a mode index cut to an integer or a sum over the shorter
-    list."""
+    re, im] or list different p and s modes, a phaseless layout that
+    ``SourceConfig.validate`` refuses and an empty list of phaseless
+    frequencies are config errors naming the field, not a traceback, a mode
+    index cut to an integer, a sum over the shorter list or a run that
+    writes no data."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg[section] = "@"
     p = tmp_path / "cfg.json"

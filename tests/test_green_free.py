@@ -6,8 +6,10 @@ from oracles import (fd_curl, fd_divergence, kupradze2d_jet, lattice_sum_per_cop
                      lattice_sum_richardson, mp_kupradze2d, mp_kupradze2d_grad)
 from qpelastic.errors import CoincidentPoints
 from qpelastic.checks import navier_apply_fd
-from qpelastic.green_free import _kupradze2d_value, comb_normalization, kupradze, lattice_sum
+from qpelastic.green_free import _kupradze_value, comb_normalization, kupradze, lattice_sum
 from qpelastic.green2d import green2d_eval
+from qpelastic.green3d_biqp import greenbi_eval
+from qpelastic.green3d_qp import green3dqp_eval
 from qpelastic.medium import make_medium, make_quasi_momentum
 
 
@@ -51,7 +53,7 @@ def test_kupradze_gradient_against_extended_precision():
         for r in (1e-9, 1e-3, 0.99 / ks, 1.01 / ks, 0.4):
             dx = r * np.array([np.cos(2.0), np.sin(2.0)])
             val, *grad = kupradze2d_jet(med, dx[None])
-            assert np.array_equal(val, _kupradze2d_value(med, dx[None]))
+            assert np.array_equal(val, _kupradze_value(med, dx[None]))
             for got, ref in zip(grad, mp_kupradze2d_grad(med, dx)):
                 assert np.max(np.abs(got[0] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -166,6 +168,26 @@ def test_lattice_sum_rejects_bad_input(medium_fast):
     med = make_medium(2.0, 1.0, 1.0, 1.0).complexified(0.1)
     with pytest.raises(ValueError, match="damping must be >= 0"):
         lattice_sum(med, q, x, y, damping=-1e-4, N=110)
+
+
+@pytest.mark.parametrize("evaluate,dim", [
+    pytest.param(lambda med: green2d_eval(med, make_quasi_momentum("qp2d", 0.3, med),
+                                          (0.3, 0.5, 0.7), (0, 0)), 2, id="green2d-long-point"),
+    pytest.param(lambda med: green2d_eval(med, make_quasi_momentum("qp2d", 0.3, med),
+                                          (0.3, 0.5), (0, 0, 0)), 2, id="green2d-long-source"),
+    pytest.param(lambda med: green3dqp_eval(med, make_quasi_momentum("qp3d", 0.3, med),
+                                            (0.3, 0.5, 0.7, 0.1), (0, 0, 0)), 3, id="green3dqp"),
+    pytest.param(lambda med: greenbi_eval(med, make_quasi_momentum("biqp3d", (0.3, 0.2), med),
+                                          (0.3, 0.5, 0.7, 0.1), (0, 0, 0)), 3, id="greenbi"),
+    pytest.param(lambda med: kupradze(med, 2, (0.3,), (0,)), 2, id="kupradze"),
+    pytest.param(lambda med: lattice_sum(med, make_quasi_momentum("qp2d", 0.3, med), (0.3,),
+                                         (0, 0), N=5), 2, id="lattice_sum"),
+])
+def test_point_of_wrong_length_refused(evaluate, dim):
+    """A point or source whose length is not the geometry's raises ValueError
+    naming the length, not a tensor computed from some of its components."""
+    with pytest.raises(ValueError, match=f"length {dim}"):
+        evaluate(make_medium(2.0, 1.0, 1.0, 5.0))
 
 
 @pytest.mark.parametrize("kind", sorted(LATTICES))

@@ -4,6 +4,9 @@ import pytest
 from conftest import draw_medium, draw_momentum
 from oracles import wood_modes_brute
 from qpelastic.errors import InvalidMedium, WoodAnomaly
+from qpelastic.green2d import QPSources, green2d_eval, remainder_table
+from qpelastic.green3d_biqp import greenbi_eval
+from qpelastic.green3d_qp import green3dqp_eval
 from qpelastic.medium import (TOL_WOOD_REL, ModeTable, branch_sqrt, classify_mode,
                               lattice_window, list_modes, make_medium,
                               make_quasi_momentum, mode_table)
@@ -220,3 +223,30 @@ def test_wood_anomaly_names_mode_and_cutoff():
         classify_mode(med, qb, (1, -2))
     assert (exc.value.m, exc.value.which) == ((1, -2), "p")
     assert "m=(1, -2)" in str(exc.value) and "k_p^2" in str(exc.value)
+
+
+# alpha with mode -2 on the p cut-off of make_medium(2, 1, 1, 1), where k_p = 0.5;
+# the biperiodic one puts mode (1, -2) there
+_WOOD_ALPHA = 0.5 + 4 * np.pi
+_WOOD_ALPHA_BI = (0.5 - 2 * np.pi, 4 * np.pi)
+
+
+@pytest.mark.parametrize("evaluate,m", [
+    pytest.param(lambda med, qp: green2d_eval(med, qp("qp2d", _WOOD_ALPHA), (0.3, 0.5), (0, 0)),
+                 -2, id="green2d_eval"),
+    pytest.param(lambda med, qp: QPSources(med, qp("qp2d", _WOOD_ALPHA), [(0, 0)]),
+                 -2, id="QPSources"),
+    pytest.param(lambda med, qp: remainder_table(med, _WOOD_ALPHA), -2, id="remainder_table"),
+    pytest.param(lambda med, qp: green3dqp_eval(med, qp("qp3d", _WOOD_ALPHA), (0.3, 0.5, 0.2),
+                                                (0, 0, 0)),
+                 -2, id="green3dqp_eval"),
+    pytest.param(lambda med, qp: greenbi_eval(med, qp("biqp3d", _WOOD_ALPHA_BI), (0.3, 0.2, 0.5),
+                                              (0, 0, 0)),
+                 (1, -2), id="greenbi_eval"),
+])
+def test_wood_guard_names_mode_on_every_series_path(evaluate, m):
+    """Each series path refuses a mode on the p cut-off, naming the mode."""
+    med = make_medium(2.0, 1.0, 1.0, 1.0)
+    with pytest.raises(WoodAnomaly) as exc:
+        evaluate(med, lambda kind, alpha: make_quasi_momentum(kind, alpha, med))
+    assert (exc.value.m, exc.value.which) == (m, "p")
