@@ -22,14 +22,14 @@ print(f"solved N={sol.N}, condition estimate {sol.cond_estimate:.1e}, "
 # Rayleigh orders of the scattered field
 coeffs = sol.rayleigh(8)
 print("\npropagating Rayleigh orders (|amplitude| > 1e-3):")
-for mode, up, us in zip(coeffs.modes, coeffs.u_p, coeffs.u_s):
+for m, klass, up, us in zip(coeffs.modes.m, coeffs.modes.klass, coeffs.u_p, coeffs.u_s):
     tags = []
-    if mode.propagating_p and abs(up) > 1e-3:
+    if klass == "L1" and abs(up) > 1e-3:
         tags.append(f"p: {abs(up):.4f}")
-    if mode.propagating_s and abs(us) > 1e-3:
+    if klass != "L3" and abs(us) > 1e-3:
         tags.append(f"s: {abs(us):.4f}")
     if tags:
-        print(f"  order {mode.m:+d}: " + ", ".join(tags))
+        print(f"  order {m:+d}: " + ", ".join(tags))
 
 # energy budget through the measurement line
 h = 0.6

@@ -9,19 +9,21 @@ quadrature.
 
 import numpy as np
 
-from qpelastic import classify_mode, list_modes, make_medium, make_quasi_momentum
+from qpelastic import ModeTable, lattice_window, make_medium, make_quasi_momentum
 from qpelastic.checks import delta_weight_biqp, delta_weight_qp3d, ode_residual
 from qpelastic.green3d_qp import c_l
+from qpelastic.medium import mode_window
 
 med = make_medium(2.0, 1.0, 1.0, 8.0)   # k_p = 4, k_s = 8
 q = make_quasi_momentum("qp3d", 0.3, med)
 
+KINDS = {"L1": "p+s propagate", "L2": "s propagates", "L3": "evanescent"}
 print("mode classification (k_p = 4, k_s = 8):")
-for mode in list_modes(med, q, "all_propagating"):
-    kind = {"L1": "p+s propagate", "L2": "s propagates", "L3": "evanescent"}[mode.klass]
-    print(f"  m={mode.m:+d}: alpha_l={mode.alpha_l:+.3f}  {kind}")
+propagating = ModeTable.of(med, q, lattice_window(med, q, 0.0)[0])
+for m, al, klass in zip(propagating.m, propagating.alpha_l, propagating.klass):
+    print(f"  m={m:+d}: alpha_l={al:+.3f}  {KINDS[klass]}")
 
-count = len(list_modes(med, q, "tail_bound", gap=0.5, tol=1e-10))
+count = len(mode_window(med, q, gap=0.5, tol=1e-10))
 print(f"tail_bound(gap=0.5, tol=1e-10) retains {count} modes")
 
 # transverse tensor of one mode, all three cases
@@ -29,8 +31,8 @@ med1 = make_medium(2.0, 1.0, 1.0, 1.0)
 q1 = make_quasi_momentum("qp3d", 0.3, med1)
 for a, label in ((0.3, "both propagating"), (0.75, "s only"), (1.7, "evanescent")):
     qa = make_quasi_momentum("qp3d", a, med1)
-    mode = c_l(med1, qa, 0, 0.8, 0.55)
-    print(f"\ncase {mode.case_used} ({label}): c_11 = {mode.c[0, 0]:.6f}")
+    klass = ModeTable.of(med1, qa, [0]).klass[0]
+    print(f"\nclass {klass} ({label}): c_11 = {c_l(med1, qa, 0, 0.8, 0.55)[0, 0]:.6f}")
 
 # the mode tensor solves its ODE system away from the transverse origin
 r1 = ode_residual(med1, q1, 0, 0.7, 0.6, h=1e-2)

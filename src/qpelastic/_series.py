@@ -22,15 +22,22 @@ def geom_poly_sum(a: float, b: float, q: float, p: int) -> float:
     raise ValueError("p must be 0, 1 or 2")
 
 
+def point_rows(X, dim: int):
+    """``X`` as a float (n, dim) array of points; ValueError naming the length
+    ``dim`` when it has another shape."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ValueError(f"points need length {dim}, got shape {X.shape}")
+    return X
+
+
 def points(X, y, dim: int):
     """``X`` as a float (n, dim) array of points and ``y`` as one float point (dim,).
 
     Raises ValueError naming the length ``dim`` when either has another shape.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = point_rows(X, dim)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[1] != dim:
-        raise ValueError(f"points need length {dim}, got shape {X.shape}")
     if y.shape != (dim,):
         raise ValueError(f"the source point needs length {dim}, got shape {y.shape}")
     return X, y

@@ -43,9 +43,10 @@ import numpy as np
 from scipy.linalg import lapack, lu_factor, lu_solve
 
 from .errors import CoincidentPoints, ResonanceSuspected, TooCloseToBoundary
+from ._series import point_rows
 from .green2d import _CHUNK, NEAR_GAP, QPSources, _iso, _kappa, _log_coeff
 from .green_free import COINCIDENT_TOL
-from .medium import ElasticMedium, ModeTable, QuasiMomentum
+from .medium import ElasticMedium, ModeTable, QuasiMomentum, make_quasi_momentum
 from .rayleigh import RayleighCoeffs2
 
 COND_LIMIT = 1e12
@@ -129,18 +130,21 @@ class IncidentField:
         if self.kind == "plane_p":
             d = np.asarray(self.direction, dtype=float)
             pol = d
-            k = np.real(medium.k_p)
         elif self.kind == "plane_s":
             d = np.asarray(self.direction, dtype=float)
             pol = np.array([-d[1], d[0]])
-            k = np.real(medium.k_s)
         elif self.kind == "point_source":
             return self._point_source(medium, q, X, True)
         else:
             raise ValueError(f"unknown incident kind {self.kind!r}")
+        k = self._wavenumber(medium)
         ph = np.exp(1j * k * (X @ d))
         u = pol[None, :] * ph[:, None]
         return u, 1j * k * d[0] * u, 1j * k * d[1] * u
+
+    def _wavenumber(self, medium):
+        """k_p of a plane p wave, k_s of a plane s wave."""
+        return np.real(medium.k_p if self.kind == "plane_p" else medium.k_s)
 
     def _point_source(self, medium, q, X, want_jet):
         """The tensor applied from the one source to the polarization vector."""
@@ -156,11 +160,8 @@ def plane_incidence(medium: ElasticMedium, kind: str, theta: float):
     ``k sin(theta)``.
     """
     d = (np.sin(theta), -np.cos(theta))
-    k = np.real(medium.k_p) if kind == "plane_p" else np.real(medium.k_s)
-    from .medium import make_quasi_momentum
-
-    q = make_quasi_momentum("qp2d", k * d[0], medium)
-    return IncidentField(kind, direction=d), q
+    field = IncidentField(kind, direction=d)
+    return field, make_quasi_momentum("qp2d", field._wavenumber(medium) * d[0], medium)
 
 
 def point_source_incidence(z, polarization):
@@ -263,7 +264,7 @@ class ScatterSolution:
         modes = ModeTable.of(self.medium, self.q, np.arange(-m_modes, m_modes + 1))
         u_p, u_s = self.sources.rayleigh_coeffs(
             self.density * (self.jacobian / self.N)[:, None], modes)
-        return RayleighCoeffs2(tuple(modes.rows()), u_p, u_s)
+        return RayleighCoeffs2(modes, u_p, u_s)
 
 
 def _geometry(profile: ProfileCurve2, t):
@@ -394,7 +395,7 @@ def solve_dirichlet_multi(medium: ElasticMedium, q: QuasiMomentum,
     """Solve one grating for several incident fields, factoring the matrix once."""
     for inc in incidents:
         if inc.kind in ("plane_p", "plane_s"):
-            k = np.real(medium.k_p) if inc.kind == "plane_p" else np.real(medium.k_s)
+            k = inc._wavenumber(medium)
             mismatch = (k * inc.direction[0] - q.alpha + np.pi) % (2 * np.pi) - np.pi
             if abs(mismatch) > 1e-10:
                 raise ValueError(
@@ -427,9 +428,9 @@ def eval_scattered(sol: ScatterSolution, X, need_gradient: bool = False):
 
     Trapezoid quadrature of the representation, applied from the nodes by
     ``sol.sources``; requires a clearance of ``10 * arc_length / N`` from the
-    periodized curve.
+    periodized curve, and raises ValueError when a point is not of length 2.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = point_rows(X, 2)
     clearance = EVAL_CLEARANCE_FACTOR * sol.arc_length / sol.N
     tau, _, d = sol.sources.wrap(X)
     if np.any(np.sqrt(tau**2 + d**2).min(axis=1) < clearance):

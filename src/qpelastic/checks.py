@@ -19,7 +19,7 @@ from .green3d_biqp import c_bi_d3_limits, greenbi_eval, greenbi_eval_batch
 from .green3d_qp import c_arrays, green3dqp_eval, green3dqp_eval_batch
 from .green_free import comb_normalization, lattice_sum
 from .medium import (ElasticMedium, ModeTable, QuasiMomentum, make_medium,
-                     make_quasi_momentum, mode_table)
+                     make_quasi_momentum, mode_window)
 from .specfun import bessel_j, hankel1, hankel1_deriv, mod_k, mod_k_deriv
 
 GEOMETRIES = ("qp2d", "qp3d", "biqp3d")
@@ -113,11 +113,12 @@ def ode_residual(medium: ElasticMedium, q: QuasiMomentum, m: int,
     """
     if np.hypot(x2, x3) <= 2 * h:
         raise errors.DomainError("stencil touches the singular point")
-    a = ModeTable.of(medium, q, [m]).alpha_l[0]
+    mode = ModeTable.of(medium, q, [m])
+    a = mode.alpha_l[0]
     lam, mu = medium.lam, medium.mu
     rw2 = medium.rho_omega2
 
-    grid = c_arrays(medium, [a], x2 + _OFF[:, None] * h, x3 + _OFF[None, :] * h)[:, :, 0]
+    grid = c_arrays(medium, mode, x2 + _OFF[:, None] * h, x3 + _OFF[None, :] * h)[:, :, 0]
 
     c0 = grid[2, 2]
     d2 = np.tensordot(_D1, grid[:, 2], axes=(0, 0)) / h
@@ -156,7 +157,8 @@ def delta_weight_qp3d(medium: ElasticMedium, q, m: int) -> np.ndarray:
     (1/(2 pi)) I.
     """
     radius, n_theta, n_r, h = _DISK_RADIUS, _DISK_N_THETA, _DISK_N_R, _DISK_H
-    a = ModeTable.of(medium, q, [m]).alpha_l[0]
+    mode = ModeTable.of(medium, q, [m])
+    a = mode.alpha_l[0]
     lam, mu = medium.lam, medium.mu
     rw2 = medium.rho_omega2
 
@@ -165,7 +167,7 @@ def delta_weight_qp3d(medium: ElasticMedium, q, m: int) -> np.ndarray:
     pts2, pts3 = radius * nu2, radius * nu3
 
     def cgrid(x2s, x3s):
-        return c_arrays(medium, [a], x2s, x3s)[..., 0, :, :]
+        return c_arrays(medium, mode, x2s, x3s)[..., 0, :, :]
 
     c0 = cgrid(pts2, pts3)
     d2 = (cgrid(pts2 + h, pts3) - cgrid(pts2 - h, pts3)) / (2 * h)
@@ -210,11 +212,12 @@ def delta_weight_biqp(medium: ElasticMedium, q, m) -> np.ndarray:
         mu (or lam+2mu for i=3) * [d3 c_ij] + i (lam+mu) alpha-terms * [c_.j]
     from the exact one-sided limits; it must equal (1/(4 pi^2)) delta_ij.
     """
-    a1, a2 = ModeTable.of(medium, q, [m]).row(0).alpha_l
+    mode = ModeTable.of(medium, q, [m])
+    (a1, a2), = mode.alpha_l.tolist()
     lam, mu = medium.lam, medium.mu
 
-    c_p, d_p = c_bi_d3_limits(medium, a1, a2, +1)
-    c_m, d_m = c_bi_d3_limits(medium, a1, a2, -1)
+    c_p, d_p = c_bi_d3_limits(medium, mode, +1)
+    c_m, d_m = c_bi_d3_limits(medium, mode, -1)
     jump_d3 = d_p - d_m
     jump_c = c_p - c_m
     out = np.empty((3, 3), dtype=complex)
@@ -249,7 +252,7 @@ def rand_alpha(rng, medium, kind):
             a = rng.uniform(-kp, kp) * 0.9
         q = make_quasi_momentum(kind, a, medium)
         try:
-            mode_table(medium, q, "tail_bound", gap=0.5, tol=1e-12)
+            ModeTable.of(medium, q, mode_window(medium, q, 0.5, 1e-12))
         except errors.WoodAnomaly:
             continue
         return q

@@ -313,8 +313,8 @@ def cmd_solve2d(rc, out_path):
         "density": [[_fmt(v.real), _fmt(v.imag)] for v in sol.density.reshape(-1)],
         "rayleigh": {
             "height": height,
-            "modes": [{"m": int(mo.m), "u_p": [mo2.real, mo2.imag], "u_s": [mo3.real, mo3.imag]}
-                      for mo, mo2, mo3 in zip(co.modes, co.u_p, co.u_s)],
+            "modes": [{"m": m, "u_p": [up.real, up.imag], "u_s": [us.real, us.imag]}
+                      for m, up, us in zip(co.modes.m.tolist(), co.u_p, co.u_s)],
         },
         "energy": {"incident_flux": j_inc, "total_flux": j_tot,
                    "balance": abs(j_tot) / abs(j_inc) if j_inc else float("nan")},
@@ -345,11 +345,11 @@ def cmd_rayleigh(rc, action, out_path):
         out = {
             "config": rc,
             "mode_index": "entries are [m, re, im] with lattice frequency l = 2*pi*m",
-            "p": [[int(mo.m), c.real, c.imag] for mo, c in zip(co.modes, co.u_p)],
-            "s": [[int(mo.m), c.real, c.imag] for mo, c in zip(co.modes, co.u_s)],
+            "p": [[m, c.real, c.imag] for m, c in zip(co.modes.m.tolist(), co.u_p)],
+            "s": [[m, c.real, c.imag] for m, c in zip(co.modes.m.tolist(), co.u_s)],
         }
         _write_json(out_path, out)
-        print(f"rayleigh extract: {len(co.modes)} modes")
+        print(f"rayleigh extract: {len(co.modes.m)} modes")
         return 0
     if action == "eval":
         q = _momentum_of(rc, medium)
@@ -362,7 +362,7 @@ def cmd_rayleigh(rc, action, out_path):
         m_s, us = _coeff_entries(coeffs, "s")
         if m_s != m:
             raise ConfigError("rayleigh.coeffs", f"p lists modes {m} but s lists {m_s}")
-        co = RayleighCoeffs2(tuple(ModeTable.of(medium, q, m).rows()), up, us)
+        co = RayleighCoeffs2(ModeTable.of(medium, q, m), up, us)
         vals = eval_rayleigh_2d(medium, q, co, pts)
         nums = np.concatenate([pts, vals.view(float)], axis=1)
         _write_csv(out_path, rc, ["x1", "x2", "re_u1", "im_u1", "re_u2", "im_u2"],

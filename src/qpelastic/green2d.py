@@ -61,11 +61,10 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 from scipy.special import j0, j1
 
-from ._series import contract, geom_poly_sum, per_key, points, scalar_phases
+from ._series import contract, geom_poly_sum, per_key, point_rows, points, scalar_phases
 from .errors import CoincidentPoints, DomainError, NearSourceLine, TableUnresolved
 from .green_free import COINCIDENT_TOL, GreenEval
-from .medium import (ElasticMedium, ModeTable, QuasiMomentum, branch_sqrt,
-                     check_wood_window, mode_window)
+from .medium import ElasticMedium, ModeTable, QuasiMomentum, mode_window
 
 GAP_MIN = 1e-3
 DEFAULT_TOL = 1e-12
@@ -87,9 +86,9 @@ def _pref(medium: ElasticMedium):
     return 0.25j / np.pi * c
 
 
-def _unified_blocks(medium, alpha_l, D, s, jet: bool = False):
-    """Mode matrices (..., 2, 2) for array alpha_l (complex allowed), or the
-    (value, d/dx2) stacks when ``jet``.  d/dx1 of a phased term
+def _unified_blocks(medium, modes: ModeTable, D, s, jet: bool = False):
+    """Mode matrices (..., 2, 2) of the table's modes, or the (value, d/dx2)
+    stacks when ``jet``.  d/dx1 of a phased term
     e^{i alpha_l tau} M is i alpha_l times it, which callers fold into the
     phase.
 
@@ -101,11 +100,8 @@ def _unified_blocks(medium, alpha_l, D, s, jet: bool = False):
     the expm1 overflows); there |Eg| = 1 >> |Eb|, so Eg - Eb is formed
     directly, with no cancellation.
     """
-    a = np.asarray(alpha_l, dtype=complex)
-    a2 = a * a
+    a, a2, b, g = modes.alpha_l, modes.alpha_sq, modes.beta_l, modes.gamma_l
     kp2, ks2 = medium.k_p**2, medium.k_s**2
-    b = branch_sqrt(kp2 - a2)
-    g = branch_sqrt(ks2 - a2)
     g_b = (ks2 - kp2) / (g + b)
     Eb = np.exp(1j * b * D)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -148,18 +144,17 @@ def _tail_bound(medium, alpha_first_omitted, D):
     return 5.0 * abs(_pref(medium)) * np.exp(-img0 * D) * geo
 
 
-def _window_arrays(medium, q, D, tol):
-    m, al = mode_window(medium, q, gap=D, tol=tol)
-    # extend so the tail-bound regime |alpha| >= sqrt(2) k_s is reached
+def _window(medium, q, D, tol) -> ModeTable:
+    """The table of the window of gap D, widened (by at most 65 modes a side)
+    until both end modes reach the tail-bound regime |alpha_l| >= sqrt(2) k_s."""
+    m = mode_window(medium, q, gap=D, tol=tol)
     ks = float(np.real(medium.k_s))
-    extra = 0
-    while abs(al[0]) < np.sqrt(2) * ks or abs(al[-1]) < np.sqrt(2) * ks:
-        extra += 1
-        m = np.arange(m[0] - 1, m[-1] + 2)
-        al = q.alpha + 2 * np.pi * m
-        if extra > 64:
+    lo, hi = int(m[0]), int(m[-1])
+    for _ in range(65):
+        if min(abs(q.alpha + 2 * np.pi * lo), abs(q.alpha + 2 * np.pi * hi)) >= np.sqrt(2) * ks:
             break
-    return m, al
+        lo, hi = lo - 1, hi + 1
+    return ModeTable.of(medium, q, np.arange(lo, hi + 1))
 
 
 def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
@@ -178,12 +173,13 @@ def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     D = np.abs(d)
     if np.min(D) < GAP_MIN:
         raise NearSourceLine(f"|x2 - y2| = {np.min(D):.3e} below green2d.GAP_MIN = {GAP_MIN:g}")
-    m, al = _window_arrays(medium, q, float(np.min(D)), tol)
-    check_wood_window(medium, q, al)
+    modes = _window(medium, q, float(np.min(D)), tol)
+    al = modes.alpha_l
 
     tails = per_key(D, lambda g: _tail_bound(medium, al[-1] + 2 * np.pi, g)
                     + _tail_bound(medium, al[0] - 2 * np.pi, g))
-    out = contract(D[:, None], len(al), lambda i: _unified_blocks(medium, al, D[i][:, None], 1.0),
+    out = contract(D[:, None], len(al),
+                   lambda i: _unified_blocks(medium, modes, D[i][:, None], 1.0),
                    *scalar_phases(t1, al, 4))
     # below the source line the off-diagonal entries, odd in x2, change sign
     out[d < 0] *= _PARITY
@@ -217,32 +213,29 @@ def _period(x1):
 class QPSources:
     """The quasi-periodic tensor applied from fixed sources Y (N, 2).
 
-    :meth:`apply` sums G(x - Y_n) c_n and :meth:`green` gives G at
+    ``modes`` is the :class:`ModeTable` of the window that gap NEAR_GAP
+    needs.  :meth:`apply` sums G(x - Y_n) c_n and :meth:`green` gives G at
     separations, by the rule of the module docstring.  ``table``, the
     :class:`RemainderTable` of (medium, alpha) that :func:`remainder_table`
     keeps for every caller, is looked up when a pair first falls within
     NEAR_GAP.
 
     Pairs beyond NEAR_GAP sum the rank-one terms of the module docstring
-    over the window that gap NEAR_GAP needs.  Targets more than NEAR_GAP
-    above ``crest`` = max y2 sum the same terms in Rayleigh form: the source
+    over ``modes``.  Targets more than NEAR_GAP above ``crest`` = max y2 sum
+    the same terms in Rayleigh form: the source
     factors e^{-i alpha_l y1 + i beta_l (crest - y2)} (resp. gamma_l), built
     when a target first lies above the crest, are at most 1 in modulus; the
     charges then collapse into two coefficients per mode, and each target
     costs O(modes).  :meth:`rayleigh_coeffs` gives those coefficients, by the
     same expression, for any set of modes.  Raises WoodAnomaly when a mode of
     that window sits at a cut-off, since the terms divide by beta_l and
-    gamma_l.
+    gamma_l, and ValueError when a source is not of length 2.
     """
 
     def __init__(self, medium: ElasticMedium, q: QuasiMomentum, Y):
         self.medium, self.q = medium, q
-        self.Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        al = mode_window(medium, q, NEAR_GAP, _FAR_TOL)[1]
-        check_wood_window(medium, q, al)
-        a = self.alpha_l = al.astype(complex)
-        self.beta_l = branch_sqrt(medium.k_p**2 - a * a)
-        self.gamma_l = branch_sqrt(medium.k_s**2 - a * a)
+        self.Y = point_rows(Y, 2)
+        self.modes = ModeTable.of(medium, q, mode_window(medium, q, NEAR_GAP, _FAR_TOL))
         self.crest = float(np.max(self.Y[:, 1]))
 
     @cached_property
@@ -252,19 +245,19 @@ class QPSources:
     @cached_property
     def _rayleigh_factors(self):
         """The source factors src_p, src_s (N, K) of the window, referenced to the crest."""
-        return self._source_factors(self.alpha_l, self.beta_l, self.gamma_l, self.crest)
+        return self._source_factors(self.modes, self.crest)
 
-    def _source_factors(self, a, b, g, top):
+    def _source_factors(self, modes: ModeTable, top):
         """e^{-i alpha_l y1 + i beta_l (top - y2)} and the same with gamma_l at
-        every source, each (N, K), for the modes (alpha_l, beta_l, gamma_l) =
-        (a, b, g)."""
+        every source, each (N, K), for the K modes of ``modes``."""
         y1, n = _period(-self.Y[:, 0])
         rise = (top - self.Y[:, 1])[:, None]
-        phase = self.q.alpha * n + y1 * a
-        return np.exp(1j * (phase + rise * b)), np.exp(1j * (phase + rise * g))
+        phase = self.q.alpha * n + y1 * modes.alpha_l
+        return (np.exp(1j * (phase + rise * modes.beta_l)),
+                np.exp(1j * (phase + rise * modes.gamma_l)))
 
-    def _amplitudes(self, charges, a, b, g, factors):
-        """The amplitudes (A_p, A_s), each (K,), of the modes (a, b, g) in the
+    def _amplitudes(self, charges, modes: ModeTable, factors):
+        """The amplitudes (A_p, A_s), each (K,), of the K modes of ``modes`` in the
         field of ``charges`` (N, 2) above every source:
 
             A_p(l) = (pref/beta_l) sum_n src_p[n, l] (alpha_l, beta_l).c_n,
@@ -274,6 +267,7 @@ class QPSources:
         then sum_l A_p(l) (alpha_l, beta_l) e^{i(alpha_l x1 + beta_l (x2 - top))}
         plus the s terms."""
         src_p, src_s = factors
+        a, b, g = modes.alpha_l, modes.beta_l, modes.gamma_l
         pref = _pref(self.medium)
         return (pref / b * np.sum((src_p.T @ charges) * np.stack([a, b], axis=-1), axis=1),
                 pref / g * np.sum((src_s.T @ charges) * np.stack([g, -a], axis=-1), axis=1))
@@ -286,9 +280,7 @@ class QPSources:
         window that :meth:`apply` sums above the crest: their source factors
         are formed here, one exponential per source and mode.
         """
-        a = modes.alpha_l.astype(complex)
-        b, g = modes.beta_l, modes.gamma_l
-        return self._amplitudes(charges, a, b, g, self._source_factors(a, b, g, 0.0))
+        return self._amplitudes(charges, modes, self._source_factors(modes, 0.0))
 
     def wrap(self, X):
         """Lattice offsets of targets X (P, 2) from every source, each (P, N):
@@ -316,7 +308,7 @@ class QPSources:
         if np.any(near):
             _scatter(out, near, self.table.green(tau[near], d[near], want_jet))
         far = np.flatnonzero(~near)
-        rows = max(1, (1 << 18) // len(self.alpha_l))
+        rows = max(1, (1 << 18) // len(self.modes.m))
         for i in range(0, len(far), rows):
             idx = far[i:i + rows]
             _scatter(out, idx, self._far(tau[idx], d[idx], want_jet))
@@ -326,7 +318,7 @@ class QPSources:
         """The rank-one sum at pairs with |d| > NEAR_GAP: entries 11, 12 and
         22 of c p p^T / beta_l and c s s^T / gamma_l at d > 0 as per-mode
         weights, sgn(d) applied to entry 12 and to d/dx2 = sgn(d) d/d|d|."""
-        a, b, g = self.alpha_l, self.beta_l, self.gamma_l
+        a, b, g = self.modes.alpha_l, self.modes.beta_l, self.modes.gamma_l
         s, D = np.sign(d)[:, None], np.abs(d)[:, None]
         ep = np.exp(1j * (tau[:, None] * a + D * b))
         es = np.exp(1j * (tau[:, None] * a + D * g))
@@ -347,10 +339,11 @@ class QPSources:
         source applied at once.  Returns (P, 2) (resp. (P, 2, k)), or a
         (value, d/dx1, d/dx2) tuple of such arrays when ``want_jet``.  Raises
         CoincidentPoints when a target lies on a source or one of its lattice
-        images, |(tau, d)| < COINCIDENT_TOL, and TableUnresolved when a pair
-        within NEAR_GAP needs a table that cannot be resolved.
+        images, |(tau, d)| < COINCIDENT_TOL, TableUnresolved when a pair
+        within NEAR_GAP needs a table that cannot be resolved, and ValueError
+        when a target is not of length 2.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = point_rows(X, 2)
         charges = np.asarray(charges)
         cols = [charges] if charges.ndim == 2 else \
             [np.ascontiguousarray(c) for c in np.moveaxis(charges, -1, 0)]
@@ -373,7 +366,7 @@ class QPSources:
     def _rayleigh(self, cols, X, want_jet):
         """(value,) or (value, d/dx1, d/dx2), each (P, 2, k), at targets more
         than NEAR_GAP above the crest, for the k charge arrays ``cols``."""
-        a, b, g = self.alpha_l, self.beta_l, self.gamma_l
+        a, b, g = self.modes.alpha_l, self.modes.beta_l, self.modes.gamma_l
         pv = np.stack([a, b], axis=-1)    # (K, 2) polarisations
         sv = np.stack([g, -a], axis=-1)
         x1, n = _period(X[:, 0])
@@ -383,7 +376,7 @@ class QPSources:
         out = tuple(np.empty((len(X), 2, len(cols)), dtype=complex)
                     for _ in range(3 if want_jet else 1))
         for c, charges in enumerate(cols):
-            amp_p, amp_s = self._amplitudes(charges, a, b, g, self._rayleigh_factors)
+            amp_p, amp_s = self._amplitudes(charges, self.modes, self._rayleigh_factors)
             fp, fs = ep * amp_p, es * amp_s
             out[0][..., c] = fp @ pv + fs @ sv
             if want_jet:
@@ -599,14 +592,15 @@ def _fit_remainder(medium, alpha, n_tau, n_d, derivatives: bool = False):
     y = _cheb_nodes(n_d)[: n_d // 2]   # the nodes with d > 0
     G = np.empty((2 if derivatives else 1, n_tau, len(y), 2, 2), dtype=complex)
     for k, dk in enumerate(NEAR_GAP * y):
-        al = mode_window(medium, q, dk, _FAR_TOL)[1]
-        check_wood_window(medium, q, al)
+        modes = ModeTable.of(medium, q, mode_window(medium, q, dk, _FAR_TOL))
+        al = modes.alpha_l
         ph = np.exp(0.5j * np.outer(x, al))
         if derivatives:
-            val, d2 = (b.reshape(len(al), 4) for b in _unified_blocks(medium, al, dk, 1.0, True))
+            val, d2 = (b.reshape(len(al), 4)
+                       for b in _unified_blocks(medium, modes, dk, 1.0, True))
             rows = ((ph * (1j * al)) @ val, ph @ d2)
         else:
-            rows = (ph @ _unified_blocks(medium, al, dk, 1.0).reshape(len(al), 4),)
+            rows = (ph @ _unified_blocks(medium, modes, dk, 1.0).reshape(len(al), 4),)
         for g, row in zip(G, rows):
             g[:, k] = row.reshape(n_tau, 2, 2)
     tau = np.repeat(0.5 * x, len(y))

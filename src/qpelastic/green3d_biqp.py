@@ -15,8 +15,8 @@ The c_33/c_i3 rows integrate to the 1/(4 pi^2) delta weight across t = 0
 against a 1D quadrature of the Fourier-domain symbols.  The assembled double
 series solves ``(Delta* + rho omega^2) G = (1/(4 pi^2)) * phased comb``.
 
-Shapes: ``c_bi_arrays(medium, a1, a2, x3)`` takes M momentum pairs and a
-scalar or array height (shape S) and returns S + (M, 3, 3); on the
+Shapes: ``c_bi_arrays(medium, modes, x3)`` takes a :class:`ModeTable` of M
+modes and a scalar or array height (shape S) and returns S + (M, 3, 3); on the
 evanescent roots e^{i m |t|} is a real exponential.  The profiles depend on
 x3 only, and on its sign only through the odd entries c_i3, so
 ``_series.contract`` builds them once per distinct |x3|.  The disk is ordered
@@ -27,28 +27,18 @@ y2))} splits into one exponential per axis index and point, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._series import _BLOCK_ELEMS, contract, geom_poly_sum, per_key, points
 from .errors import DomainError, NearSourcePlane
 from .green_free import GreenEval
-from .medium import (ElasticMedium, ModeData, ModeTable, QuasiMomentum,
-                     branch_sqrt, case_label, check_wood_window, lattice_window)
+from .medium import ElasticMedium, ModeTable, QuasiMomentum, lattice_window
 
 GAP_MIN = 1e-2
 DEFAULT_TOL = 1e-10
 LOG_SLACK = 35.0
 # sign of each profile entry under x3 -> -x3
 _PARITY = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
-
-
-@dataclass(frozen=True)
-class FourierMode3BI:
-    mode: ModeData
-    c: np.ndarray
-    case_used: str
 
 
 def _exp_i(m, t):
@@ -60,18 +50,17 @@ def _exp_i(m, t):
     return out
 
 
-def c_bi_arrays(medium: ElasticMedium, a1, a2, x3):
-    """Vectorized biperiodic mode tensors for 1-D arrays a1, a2 of momenta.
+def c_bi_arrays(medium: ElasticMedium, modes: ModeTable, x3):
+    """Vectorized biperiodic mode tensors of the M modes of ``modes``.
 
     A scalar height x3 gives shape (M, 3, 3); an array of heights of shape S
-    gives S + (M, 3, 3), with the branch roots taken once.  Entries equal the
-    scalar call's as ``c_arrays``' do.
+    gives S + (M, 3, 3).  Entries equal the scalar call's as ``c_arrays``' do.
     """
-    a1 = np.asarray(a1, dtype=complex)
-    a2 = np.asarray(a2, dtype=complex)
-    A2 = a1 * a1 + a2 * a2
-    b = branch_sqrt(medium.k_p**2 - A2)
-    g = branch_sqrt(medium.k_s**2 - A2)
+    a1, a2 = modes.alpha_l.T
+    # a complex copy: a float one would send its products with the S + (M,)
+    # arrays below through numpy's casting buffer
+    A2 = modes.alpha_sq.astype(complex)
+    b, g = modes.beta_l, modes.gamma_l
     x3 = np.asarray(x3, dtype=float)[..., None]
     t = abs(x3)
     s = np.sign(x3)
@@ -95,15 +84,16 @@ def c_bi_arrays(medium: ElasticMedium, a1, a2, x3):
     return c
 
 
-def c_bi_d3_limits(medium: ElasticMedium, a1: float, a2: float, side: int):
-    """One-sided limits of (c, d3 c) as x3 -> 0 from ``side`` (+1 or -1).
+def c_bi_d3_limits(medium: ElasticMedium, modes: ModeTable, side: int):
+    """One-sided limits of (c, d3 c), each (3, 3), of the one mode of ``modes``
+    as x3 -> 0 from ``side`` (+1 or -1).
 
     Exact closed forms (the exponentials evaluate to 1); used by the
     distributional-jump checks.
     """
-    A2 = a1 * a1 + a2 * a2
-    b = complex(branch_sqrt(medium.k_p**2 - A2))
-    g = complex(branch_sqrt(medium.k_s**2 - A2))
+    (a1, a2), = modes.alpha_l.tolist()
+    A2 = float(modes.alpha_sq[0])
+    b, g = complex(modes.beta_l[0]), complex(modes.gamma_l[0])
     rw2 = medium.rho_omega2
     p = 1.0 / (8 * np.pi**2)
     s = float(side)
@@ -126,25 +116,22 @@ def c_bi_d3_limits(medium: ElasticMedium, a1: float, a2: float, side: int):
     return c, d
 
 
-def c_l_bi(medium: ElasticMedium, q: QuasiMomentum, m, x3: float) -> FourierMode3BI:
-    """Mode profile at height x3 != 0.
+def c_l_bi(medium: ElasticMedium, q: QuasiMomentum, m, x3: float) -> np.ndarray:
+    """Mode profile (3, 3) at height x3 != 0.
 
     At x3 = 0 only the entries even in x3 have a limit (the sgn-carrying
     c_13/c_23 jump across the source plane), so evaluation there is refused.
     """
     if x3 == 0.0:
         raise DomainError("c_l_bi at x3 = 0: odd entries are ambiguous on the jump plane")
-    tab = ModeTable.of(medium, q, [m])
-    c = c_bi_arrays(medium, tab.alpha_l[:, 0], tab.alpha_l[:, 1], x3)[0]
-    mode = tab.row(0)
-    return FourierMode3BI(mode, c, case_label(mode))
+    return c_bi_arrays(medium, ModeTable.of(medium, q, [m]), x3)[0]
 
 
 def _lattice_block(medium, q, gap, tol):
-    """(m1, m2, a1, a2, R) arrays for the retained disk gamma_s * gap <= 35 + log(1/tol)."""
+    """The :class:`ModeTable` of the retained disk gamma_s * gap <= 35 + log(1/tol),
+    and its radius R."""
     m, R = lattice_window(medium, q, (LOG_SLACK - np.log(tol)) / gap)
-    m1, m2 = m.T
-    return m1, m2, q.alpha[0] + 2 * np.pi * m1, q.alpha[1] + 2 * np.pi * m2, R
+    return ModeTable.of(medium, q, m), R
 
 
 def _tail_bound(medium, R, t):
@@ -215,14 +202,14 @@ def greenbi_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     if np.min(t3) < GAP_MIN:
         raise NearSourcePlane(f"|x3 - y3| = {np.min(t3):.3e} below green3d_biqp.GAP_MIN = "
                               f"{GAP_MIN:g}")
-    m1, m2, a1, a2, R = _lattice_block(medium, q, float(np.min(t3)), tol)
-    check_wood_window(medium, q, (a1, a2))
-    out = contract(t3[:, None], len(a1), lambda i: c_bi_arrays(medium, a1, a2, t3[i]),
-                   *_disk_phases(q, m1, m2, d1, d2))
+    modes, R = _lattice_block(medium, q, float(np.min(t3)), tol)
+    M = len(modes.m)
+    out = contract(t3[:, None], M, lambda i: c_bi_arrays(medium, modes, t3[i]),
+                   *_disk_phases(q, *modes.m.T, d1, d2))
     # below the source plane the entries odd in x3 change sign
     out[d3 < 0] *= _PARITY
     tails = per_key(t3, lambda t: _tail_bound(medium, R, t))
-    return out, tails, len(a1)
+    return out, tails, M
 
 
 def greenbi_eval(medium: ElasticMedium, q: QuasiMomentum, x, y,

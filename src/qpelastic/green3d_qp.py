@@ -27,48 +27,40 @@ Hankel-transform quadrature of the Fourier-domain symbols (which the printed
 case tables it replaces do not all pass; see tests/test_green3d_qp.py).
 The assembled series solves ``(Delta* + rho omega^2) G = (1/2pi) * comb``.
 
-Shapes: ``c_arrays(medium, alpha_l, x2, x3)`` takes M momenta and scalar or
-array transverse coordinates (shape S) and returns S + (M, 3, 3).  The
+Shapes: ``c_arrays(medium, modes, x2, x3)`` takes a :class:`ModeTable` of M
+modes and scalar or array transverse coordinates (shape S) and returns
+S + (M, 3, 3).  The
 tensors depend on (x2, x3) only; ``_series.contract`` sums the series.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._series import contract, geom_poly_sum, per_key, points, scalar_phases
 from .errors import DomainError, NearSourceLine
 from .green_free import GreenEval
-from .medium import (ElasticMedium, ModeData, ModeTable, QuasiMomentum,
-                     branch_sqrt, case_label, check_wood_window, mode_window)
+from .medium import ElasticMedium, ModeTable, QuasiMomentum, mode_window
 from .specfun import u01
 
 GAP_MIN = 1e-2
 DEFAULT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class FourierMode3QP:
-    """One mode's transverse tensor c_l at (x2, x3)."""
-
-    mode: ModeData
-    c: np.ndarray
-    r: float
-    case_used: str
-
-
-def c_arrays(medium: ElasticMedium, alpha_l, x2, x3):
-    """Vectorized mode tensors for a 1-D array of momenta ``alpha_l``.
+def c_arrays(medium: ElasticMedium, modes: ModeTable, x2, x3):
+    """Vectorized mode tensors of the M modes of ``modes``.
 
     Scalar (x2, x3) give shape (M, 3, 3).  Arrays of transverse coordinates
-    (broadcast together to shape S) give shape S + (M, 3, 3), with the branch
-    roots taken once.  Each entry equals the scalar call's at its (x2, x3),
-    bit for bit at real frequency; at complex frequency numpy may round a
-    complex product on a large temporary in the other operand order.
+    (broadcast together to shape S) give shape S + (M, 3, 3).  Each entry
+    equals the scalar call's at its (x2, x3), bit for bit at real frequency;
+    at complex frequency numpy may round a complex product on a large
+    temporary in the other operand order.
     """
-    a = np.asarray(alpha_l, dtype=complex)
+    # complex copies: a float operand would send each product with the
+    # S + (M,) arrays below through numpy's casting buffer, and the
+    # quotients of a by r round as complex division does
+    a, a2 = modes.alpha_l.astype(complex), modes.alpha_sq.astype(complex)
+    b, g = modes.beta_l, modes.gamma_l
     x2, x3 = np.broadcast_arrays(np.asarray(x2, dtype=float), np.asarray(x3, dtype=float))
     r = np.hypot(x2, x3)
     # powers of the coordinates by the C library's pow, as Python and numpy
@@ -79,8 +71,6 @@ def c_arrays(medium: ElasticMedium, alpha_l, x2, x3):
                                    [v**2 for v in R], [v**3 for v in R]],
                                   (4,) + r.shape + (1,))
     x2, x3, r = x2[..., None], x3[..., None], r[..., None]
-    b = branch_sqrt(medium.k_p**2 - a * a)
-    g = branch_sqrt(medium.k_s**2 - a * a)
     # both roots in one call: its fixed cost matters at the few modes of a wide gap
     u0, u1 = u01(np.concatenate([g, b]), r)
     M = len(a)
@@ -97,24 +87,20 @@ def c_arrays(medium: ElasticMedium, alpha_l, x2, x3):
         return x2 * x3 / r2 * (m**2 * m0 + 2j * m * m1 / r)
 
     c = np.empty(S0.shape + (3, 3), dtype=complex)
-    c[..., 0, 0] = -w * (g * g * S0 + a * a * P0)
+    c[..., 0, 0] = -w * (g * g * S0 + a2 * P0)
     c[..., 0, 1] = c[..., 1, 0] = w * a * x2 / r * (g * S1 - b * P1)
     c[..., 0, 2] = c[..., 2, 0] = w * a * x3 / r * (g * S1 - b * P1)
-    c[..., 1, 1] = -w * (a * a * S0 + t33(g, S0, S1) + b * b * P0 - t33(b, P0, P1))
+    c[..., 1, 1] = -w * (a2 * S0 + t33(g, S0, S1) + b * b * P0 - t33(b, P0, P1))
     c[..., 1, 2] = c[..., 2, 1] = w * (t23(g, S0, S1) - t23(b, P0, P1))
-    c[..., 2, 2] = -w * (a * a * S0 + t22(g, S0, S1) + b * b * P0 - t22(b, P0, P1))
+    c[..., 2, 2] = -w * (a2 * S0 + t22(g, S0, S1) + b * b * P0 - t22(b, P0, P1))
     return c
 
 
-def c_l(medium: ElasticMedium, q: QuasiMomentum, m: int, x2: float, x3: float) -> FourierMode3QP:
-    """Transverse tensor of one lattice mode; requires r = |(x2, x3)| > 0."""
-    r = float(np.hypot(x2, x3))
-    if r <= 0.0:
+def c_l(medium: ElasticMedium, q: QuasiMomentum, m: int, x2: float, x3: float) -> np.ndarray:
+    """Transverse tensor (3, 3) of one lattice mode; requires r = |(x2, x3)| > 0."""
+    if np.hypot(x2, x3) <= 0.0:
         raise DomainError("c_l is singular at r = 0")
-    tab = ModeTable.of(medium, q, [m])
-    c = c_arrays(medium, tab.alpha_l, x2, x3)[0]
-    mode = tab.row(0)
-    return FourierMode3QP(mode, c, r, case_label(mode))
+    return c_arrays(medium, ModeTable.of(medium, q, [m]), x2, x3)[0]
 
 
 def _kappa(z):
@@ -154,11 +140,11 @@ def green3dqp_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     if np.min(r) < GAP_MIN:
         raise NearSourceLine(f"transverse gap {np.min(r):.3e} below green3d_qp.GAP_MIN = "
                              f"{GAP_MIN:g}")
-    m, al = mode_window(medium, q, gap=float(np.min(r)), tol=tol)
-    check_wood_window(medium, q, al)
+    modes = ModeTable.of(medium, q, mode_window(medium, q, gap=float(np.min(r)), tol=tol))
+    al = modes.alpha_l
 
     out = contract(np.stack([dx2, dx3], axis=-1), len(al),
-                   lambda i: c_arrays(medium, al, dx2[i], dx3[i]), *scalar_phases(t1, al, 9))
+                   lambda i: c_arrays(medium, modes, dx2[i], dx3[i]), *scalar_phases(t1, al, 9))
     tails = per_key(r, lambda g: _tail_bound_side(medium, al[-1] + 2 * np.pi, g)
                     + _tail_bound_side(medium, al[0] - 2 * np.pi, g))
     return out, tails, len(al)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._series import points
+from ._series import geom_poly_sum, points
 from .errors import CoincidentPoints
 from .medium import ElasticMedium, QuasiMomentum
 from .specfun import hankel01
@@ -219,7 +219,7 @@ def _lattice_tail_bound(medium, q, N, damping, offset):
     first = np.exp(-rate * (N + 1 - max(2.0, offset + 1.0)))
     if q.kind == "biqp3d":
         # 8m copies have max(|n1|, |n2|) = m: sum_{m>N} 8m ratio^(m-N-1)
-        geo = 8.0 * first * ((N + 1) / (1.0 - ratio) + ratio / (1.0 - ratio) ** 2)
+        geo = 8.0 * first * geom_poly_sum(N + 1, 1, ratio, 1)
     else:
         geo = 2.0 * first / (1.0 - ratio)
     return float(scale * geo)

@@ -25,12 +25,18 @@ _QP_KINDS = ("qp2d", "qp3d", "biqp3d")
 def branch_sqrt(w):
     """Square root with Im >= 0 (and Re >= 0 on the nonnegative real axis).
 
-    Accepts scalars or arrays; always returns complex values.
+    Accepts scalars or arrays; always returns complex values.  A real
+    argument takes the real square root of |w|, on the imaginary axis where
+    w < 0: the complex root's value, at a fraction of its cost.
     """
-    w = np.asarray(w, dtype=complex)
-    z = np.sqrt(w)
-    flip = (z.imag < 0) | ((z.imag == 0) & (z.real < 0))
-    out = np.where(flip, -z, z)
+    w = np.asarray(w)
+    if np.isrealobj(w):
+        r = np.sqrt(np.abs(w))
+        out = np.where(w < 0, 1j * r, r)
+    else:
+        z = np.sqrt(w)
+        flip = (z.imag < 0) | ((z.imag == 0) & (z.real < 0))
+        out = np.where(flip, -z, z)
     if out.ndim == 0:
         return complex(out)
     return out
@@ -129,31 +135,6 @@ def make_quasi_momentum(kind: str, alpha, medium: ElasticMedium | None = None) -
     return QuasiMomentum(kind, alpha, physical)
 
 
-@dataclass(frozen=True)
-class ModeData:
-    """One lattice mode: index, shifted momentum, vertical wavenumbers, class.
-
-    ``m`` is the integer index (pair for biqp3d) with ``l = 2*pi*m``;
-    ``beta_l`` and ``gamma_l`` are branch roots of ``k_p^2 - alpha_l^2``
-    and ``k_s^2 - alpha_l^2`` (``|alpha_l|^2`` for the pair lattice), so an
-    evanescent mode has a purely imaginary root with positive imaginary part.
-    """
-
-    m: object
-    alpha_l: object
-    beta_l: complex
-    gamma_l: complex
-    klass: str
-
-    @property
-    def propagating_p(self) -> bool:
-        return self.klass == "L1"
-
-    @property
-    def propagating_s(self) -> bool:
-        return self.klass in ("L1", "L2")
-
-
 def lattice_window(medium: ElasticMedium, q: QuasiMomentum, threshold: float):
     """Indices ``m`` of the modes with Im(gamma_l) <= ``threshold``, and the radius r.
 
@@ -176,39 +157,43 @@ def lattice_window(medium: ElasticMedium, q: QuasiMomentum, threshold: float):
     return np.stack([m1[keep], m2[keep]], axis=-1), r
 
 
-def check_wood_window(medium: ElasticMedium, q: QuasiMomentum, alpha_l):
-    """Raise WoodAnomaly if a mode in ``alpha_l`` (a pair of arrays for biqp3d)
-    has ``|alpha_l|^2`` within ``TOL_WOOD_REL * k_s^2`` of ``k_p^2`` or
-    ``k_s^2``; the error names the first such index, p before s."""
+def check_wood_window(medium: ElasticMedium, m, alpha_sq):
+    """Raise WoodAnomaly if a mode of indices ``m`` (ints, or (M, 2) index
+    pairs) has ``|alpha_l|^2 = alpha_sq`` within ``TOL_WOOD_REL * k_s^2`` of
+    ``k_p^2`` or ``k_s^2``; the error names the first such index, p before s."""
     if not medium.is_real():
         return
     ks2 = np.real(medium.k_s**2)
     kp2 = np.real(medium.k_p**2)
     tol = TOL_WOOD_REL * ks2
-    al = np.asarray(alpha_l, dtype=float)
-    a2 = al[0] ** 2 + al[1] ** 2 if q.kind == "biqp3d" else al**2
     for which, k2 in (("p", kp2), ("s", ks2)):
-        bad = np.abs(a2 - k2) < tol
+        bad = np.abs(alpha_sq - k2) < tol
         if bad.any():
             i = np.argmax(bad)
-            m = np.rint((al[..., i] - q.alpha_vec()) / (2.0 * np.pi)).astype(int).tolist()
-            m = tuple(m) if q.kind == "biqp3d" else m[0]
-            raise WoodAnomaly(float(np.sqrt(a2[i])), which, tol, m)
+            mi = m[i].tolist()
+            raise WoodAnomaly(float(np.sqrt(alpha_sq[i])), which, tol,
+                              tuple(mi) if isinstance(mi, list) else mi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeTable:
-    """The :class:`ModeData` fields of a set of modes as arrays, one row per mode.
+    """The one mode-set type: a set of lattice modes as arrays, one row per mode.
 
-    ``m`` and ``alpha_l`` are (M,), or (M, 2) on the pair lattice; ``beta_l``,
-    ``gamma_l`` and ``klass`` are (M,).  :meth:`row` is the per-mode view.
+    ``m`` is the integer index (an index pair on the pair lattice) with
+    ``alpha_l = alpha + 2*pi*m``; ``m`` and ``alpha_l`` are (M,), or (M, 2)
+    on the pair lattice.  ``alpha_sq`` = |alpha_l|^2, and ``beta_l`` and
+    ``gamma_l`` are the branch roots of ``k_p^2 - alpha_sq`` and
+    ``k_s^2 - alpha_sq``, each (M,), so an evanescent mode has a purely
+    imaginary root with positive imaginary part.  :meth:`of` is the one
+    constructor; every evaluator reads its modes' roots from a table.
     """
 
+    medium: ElasticMedium
     m: np.ndarray
     alpha_l: np.ndarray
+    alpha_sq: np.ndarray
     beta_l: np.ndarray
     gamma_l: np.ndarray
-    klass: np.ndarray
 
     @classmethod
     def of(cls, medium: ElasticMedium, q: QuasiMomentum, m):
@@ -219,70 +204,25 @@ class ModeTable:
         """
         m = np.asarray(m, dtype=int).reshape((-1, 2) if q.kind == "biqp3d" else -1)
         al = np.asarray(q.alpha) + 2.0 * np.pi * m
-        check_wood_window(medium, q, al.T)
         a2 = al[:, 0] * al[:, 0] + al[:, 1] * al[:, 1] if al.ndim == 2 else al * al
-        kp2 = medium.k_p**2
-        ks2 = medium.k_s**2
-        klass = np.full(len(m), "L1")
-        if medium.is_real():
-            klass[a2 >= kp2.real] = "L2"
-            klass[a2 >= ks2.real] = "L3"
-        return cls(m, al, branch_sqrt(kp2 - a2), branch_sqrt(ks2 - a2), klass)
+        check_wood_window(medium, m, a2)
+        return cls(medium, m, al, a2, branch_sqrt(medium.k_p**2 - a2),
+                   branch_sqrt(medium.k_s**2 - a2))
 
-    def row(self, i: int) -> ModeData:
-        m, al = self.m[i].tolist(), self.alpha_l[i].tolist()
-        if isinstance(m, list):
-            m, al = tuple(m), tuple(al)
-        return ModeData(m, al, complex(self.beta_l[i]), complex(self.gamma_l[i]),
-                        str(self.klass[i]))
-
-    def rows(self) -> list:
-        return [self.row(i) for i in range(len(self.m))]
-
-
-def classify_mode(medium: ElasticMedium, q: QuasiMomentum, m) -> ModeData:
-    """Mode data for lattice index ``m`` (integer, or pair for biqp3d).
-
-    Raises :class:`WoodAnomaly` when ``alpha_l^2`` is within
-    ``TOL_WOOD_REL * k_s^2`` of either cut-off.
-    """
-    return ModeTable.of(medium, q, [m]).row(0)
-
-
-def case_label(mode: ModeData) -> str:
-    """Case of the 3D mode tables: "I" when both waves are evanescent, "II"
-    when only the s wave propagates, "III" when both do (and at complex
-    frequency)."""
-    return {"L1": "III", "L2": "II", "L3": "I"}[mode.klass]
-
-
-def mode_table(medium: ElasticMedium, q: QuasiMomentum, criterion: str = "all_propagating",
-               gap: float | None = None, tol: float | None = None) -> ModeTable:
-    """Table of the modes kept by a truncation criterion.
-
-    ``all_propagating`` keeps exactly the modes with a real vertical
-    wavenumber (class L1 or L2).  ``tail_bound`` keeps the modes with
-    ``exp(-Im(gamma_l)*gap) >= tol``; the window is symmetric in
-    ``|alpha_l|`` so negating ``(alpha, m)`` maps the set onto itself.
-    """
-    if criterion == "all_propagating":
-        threshold = 0.0
-    elif criterion == "tail_bound":
-        if gap is None or tol is None or not gap > 0.0 or not 0.0 < tol < 1.0:
-            raise ValueError("tail_bound needs gap > 0 and 0 < tol < 1")
-        threshold = -np.log(tol) / gap
-    else:
-        raise ValueError(f"unknown criterion {criterion!r}")
-    return ModeTable.of(medium, q, lattice_window(medium, q, threshold)[0])
-
-
-def list_modes(medium: ElasticMedium, q: QuasiMomentum, criterion: str = "all_propagating",
-               gap: float | None = None, tol: float | None = None):
-    """:func:`mode_table` as a list of :class:`ModeData` rows."""
-    return mode_table(medium, q, criterion, gap, tol).rows()
+    @property
+    def klass(self) -> np.ndarray:
+        """Class of each mode, (M,): "L1" when the p and s waves propagate,
+        "L2" when only the s wave does, "L3" when both are evanescent.  At
+        complex frequency every mode reads "L1"."""
+        klass = np.full(len(self.alpha_sq), "L1")
+        if self.medium.is_real():
+            klass[self.alpha_sq >= np.real(self.medium.k_p**2)] = "L2"
+            klass[self.alpha_sq >= np.real(self.medium.k_s**2)] = "L3"
+        return klass
 
 
 def mode_window(medium: ElasticMedium, q: QuasiMomentum, gap: float, tol: float):
-    """Vectorized (m, alpha_l) arrays for the scalar-lattice tail_bound window."""
-    m = lattice_window(medium, q, -np.log(tol) / gap)[0]
-    return m, q.alpha + 2.0 * np.pi * m
+    """Indices m of the modes with ``exp(-Im(gamma_l)*gap) >= tol``, as
+    :func:`lattice_window` orders them; the window is symmetric in
+    ``|alpha_l|``, so negating ``(alpha, m)`` maps the set onto itself."""
+    return lattice_window(medium, q, -np.log(tol) / gap)[0]

@@ -5,12 +5,13 @@
     u(x) = sum_l u_l^p (alpha_l, beta_l) e^{i(alpha_l x1 + beta_l x2)}
          + sum_l u_l^s (gamma_l, -alpha_l) e^{i(alpha_l x1 + gamma_l x2)}
 
-with the Im >= 0 branch roots stored on each mode.  Extraction inverts this
-from samples on one horizontal line: FFT over x1, then a per-mode 2x2 solve
-in the vector basis {(alpha_l, beta_l) e^{i beta_l h}, (gamma_l, -alpha_l)
-e^{i gamma_l h}} whose determinant is -(alpha_l^2 + beta_l gamma_l).  It is
-for sampled fields; a grating solution's own coefficients are a closed form
-in its density (:meth:`qpelastic.bem2d.ScatterSolution.rayleigh`).
+with the Im >= 0 branch roots of the coefficients' :class:`ModeTable`.
+Extraction inverts this from samples on one horizontal line: FFT over x1,
+then one stacked solve of the per-mode 2x2 systems in the vector basis
+{(alpha_l, beta_l) e^{i beta_l h}, (gamma_l, -alpha_l) e^{i gamma_l h}},
+whose determinant is -(alpha_l^2 + beta_l gamma_l).  It is for sampled
+fields; a grating solution's own coefficients are a closed form in its
+density (:meth:`qpelastic.bem2d.ScatterSolution.rayleigh`).
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ UPGOING_REL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class RayleighCoeffs2:
-    """Per-mode amplitude pairs (u_l^p, u_l^s) on a ModeData lattice."""
+    """Per-mode amplitude pairs (u_l^p, u_l^s), each (M,), of the M modes of ``modes``."""
 
-    modes: tuple
+    modes: ModeTable
     u_p: np.ndarray
     u_s: np.ndarray
 
@@ -42,9 +43,9 @@ class RayleighCoeffs2:
 
 @dataclass(frozen=True)
 class RayleighCoeffs3Bi:
-    """Per-mode (A_pn, vector A_sn) amplitudes on a pair-index lattice."""
+    """Per-mode (A_pn, vector A_sn) amplitudes of the modes of a pair-lattice ``modes``."""
 
-    modes: tuple
+    modes: ModeTable
     a_p: np.ndarray
     a_s: np.ndarray  # (n, 3)
 
@@ -68,8 +69,8 @@ def eval_rayleigh_2d(medium: ElasticMedium, q: QuasiMomentum,
     """Evaluate the 2D expansion at points X (n, 2) -> (n, 2)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.zeros((X.shape[0], 2), dtype=complex)
-    for mode, up, us in zip(coeffs.modes, coeffs.u_p, coeffs.u_s):
-        a, b, g = mode.alpha_l, mode.beta_l, mode.gamma_l
+    t = coeffs.modes
+    for a, b, g, up, us in zip(t.alpha_l, t.beta_l, t.gamma_l, coeffs.u_p, coeffs.u_s):
         ph_p = np.exp(1j * (a * X[:, 0] + b * X[:, 1]))
         ph_s = np.exp(1j * (a * X[:, 0] + g * X[:, 1]))
         out[:, 0] += up * a * ph_p + us * g * ph_s
@@ -96,20 +97,18 @@ def extract_coeffs_2d(medium: ElasticMedium, q: QuasiMomentum, samples,
     spec = np.fft.fft(periodic, axis=0) / n_grid  # coefficient of e^{2 pi i m x1}
 
     ks2 = np.real(medium.k_s**2)
-    modes = ModeTable.of(medium, q, np.arange(-m_modes, m_modes + 1)).rows()
-    ups, uss = [], []
-    for mode in modes:
-        a, b, g = mode.alpha_l, mode.beta_l, mode.gamma_l
-        det = a * a + b * g
-        if abs(det) < DEGENERACY_REL_TOL * ks2:
-            raise DegenerateModeBasis(f"mode m={mode.m}: |alpha^2 + beta*gamma| = {abs(det):.3e}")
-        v = spec[mode.m % n_grid]
-        mat = np.array([[a * np.exp(1j * b * h), g * np.exp(1j * g * h)],
-                        [b * np.exp(1j * b * h), -a * np.exp(1j * g * h)]])
-        sol = np.linalg.solve(mat, v)
-        ups.append(sol[0])
-        uss.append(sol[1])
-    return RayleighCoeffs2(tuple(modes), np.array(ups), np.array(uss))
+    modes = ModeTable.of(medium, q, np.arange(-m_modes, m_modes + 1))
+    a, b, g = modes.alpha_l, modes.beta_l, modes.gamma_l
+    det = np.abs(a * a + b * g)
+    bad = det < DEGENERACY_REL_TOL * ks2
+    if bad.any():
+        i = np.argmax(bad)
+        raise DegenerateModeBasis(f"mode m={modes.m[i]}: |alpha^2 + beta*gamma| = {det[i]:.3e}")
+    eb, eg = np.exp(1j * b * h), np.exp(1j * g * h)
+    mats = np.stack([np.stack([a * eb, g * eg], axis=-1),
+                     np.stack([b * eb, -a * eg], axis=-1)], axis=-2)
+    sol = np.linalg.solve(mats, spec[modes.m % n_grid][..., None])[..., 0]
+    return RayleighCoeffs2(modes, sol[:, 0], sol[:, 1])
 
 
 def eval_rayleigh_3d_bi(medium: ElasticMedium, q: QuasiMomentum,
@@ -117,9 +116,8 @@ def eval_rayleigh_3d_bi(medium: ElasticMedium, q: QuasiMomentum,
     """Evaluate the biperiodic plane-wave expansion at X (n, 3) -> (n, 3)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.zeros((X.shape[0], 3), dtype=complex)
-    for mode, ap, asv in zip(coeffs.modes, coeffs.a_p, coeffs.a_s):
-        a1, a2 = mode.alpha_l
-        b, g = mode.beta_l, mode.gamma_l
+    t = coeffs.modes
+    for (a1, a2), b, g, ap, asv in zip(t.alpha_l, t.beta_l, t.gamma_l, coeffs.a_p, coeffs.a_s):
         base = 1j * (a1 * X[:, 0] + a2 * X[:, 1])
         ph_p = np.exp(base + 1j * b * X[:, 2])
         ph_s = np.exp(base + 1j * g * X[:, 2])
@@ -128,8 +126,8 @@ def eval_rayleigh_3d_bi(medium: ElasticMedium, q: QuasiMomentum,
     return out
 
 
-def _cyl_pair(m, k, r, theta):
-    """(H_m(k r) e^{i m theta}, scaled radial/angular derivative pieces)."""
+def _cyl_pair(m, k, r):
+    """(H_m(k r), H_m'(k r)) for an integer order m of either sign."""
     H = hankel1(abs(m), k * r) if m >= 0 else (-1.0) ** m * hankel1(-m, k * r)
     Hp = hankel1_deriv(abs(m), k * r) if m >= 0 else (-1.0) ** m * hankel1_deriv(-m, k * r)
     return H, Hp
@@ -172,7 +170,7 @@ def eval_rayleigh_3d_qp(medium: ElasticMedium, q: QuasiMomentum,
             for idx, m in enumerate(range(-M, M + 1)):
                 if A[idx] == 0:
                     continue
-                H, Hp = _cyl_pair(m, bn, r, theta)
+                H, Hp = _cyl_pair(m, bn, r)
                 e = np.exp(1j * m * theta)
                 phi += A[idx] * H * e
                 d2phi += A[idx] * e / r * (x2 * bn * Hp - 1j * m * x3 * H / r)
@@ -188,7 +186,7 @@ def eval_rayleigh_3d_qp(medium: ElasticMedium, q: QuasiMomentum,
             for idx, m in enumerate(range(-M, M + 1)):
                 if np.all(B[idx] == 0):
                     continue
-                H, Hp = _cyl_pair(m, gn, r, theta)
+                H, Hp = _cyl_pair(m, gn, r)
                 e = np.exp(1j * m * theta)
                 radp = x2 * gn * Hp - 1j * m * x3 * H / r
                 radm = x3 * gn * Hp + 1j * m * x2 * H / r
@@ -224,9 +222,9 @@ def check_upgoing(coeffs: RayleighCoeffs2) -> UpgoingReport:
     """Largest propagating amplitude and whether any exceeds 1e-10 * |coeffs|."""
     total = coeffs.norm()
     best = 0.0
-    for mode, up, us in zip(coeffs.modes, coeffs.u_p, coeffs.u_s):
-        if mode.propagating_p:
+    for klass, up, us in zip(coeffs.modes.klass, coeffs.u_p, coeffs.u_s):
+        if klass == "L1":
             best = max(best, abs(up))
-        if mode.propagating_s:
+        if klass != "L3":
             best = max(best, abs(us))
     return UpgoingReport(best, bool(best > UPGOING_REL_TOL * total) if total > 0 else False)

@@ -8,7 +8,7 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 from qpelastic.errors import WoodAnomaly
-from qpelastic.medium import make_medium, make_quasi_momentum, mode_table
+from qpelastic.medium import ModeTable, make_medium, make_quasi_momentum, mode_window
 
 # property tests draw the same cases on every run
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
@@ -58,7 +58,7 @@ def draw_momentum(rng, medium, kind, frac=0.9):
             a = float(rng.uniform(-kp, kp)) * frac
         q = make_quasi_momentum(kind, a, medium)
         try:
-            mode_table(medium, q, "tail_bound", gap=0.3, tol=1e-14)
+            ModeTable.of(medium, q, mode_window(medium, q, gap=0.3, tol=1e-14))
         except WoodAnomaly:
             continue
         return q

@@ -36,8 +36,7 @@ from scipy.special import hankel1, hankel2, jv, roots_laguerre
 from qpelastic.green2d import _FAR_TOL, NEAR_GAP, _unified_blocks
 from qpelastic.green3d_biqp import _lattice_block, c_bi_arrays
 from qpelastic.green_free import _kupradze_value, _radial2d, kupradze, lattice_sum
-from qpelastic.medium import (ElasticMedium, ModeData, QuasiMomentum, check_wood_window,
-                              mode_window)
+from qpelastic.medium import ElasticMedium, ModeTable, QuasiMomentum, branch_sqrt, mode_window
 from qpelastic.rayleigh import RayleighCoeffs3Bi
 
 
@@ -482,19 +481,20 @@ def flat_reflection(medium, theta, kind="plane_p"):
 # ---------------------------------------------------------------------------
 # literal three-case form of the 2D mode matrix
 # ---------------------------------------------------------------------------
-def _literal_block(medium, mode: ModeData, D, s):
+def _literal_block(medium, mode: ModeTable, D, s):
     lam, mu = medium.lam, medium.mu
     kp2, ks2 = medium.k_p**2, medium.k_s**2
-    a = mode.alpha_l
+    a = mode.alpha_l[0]
     a2 = a * a
-    if mode.klass == "L1":
+    klass = mode.klass[0]
+    if klass == "L1":
         pref = 0.25j / np.pi * (lam + mu) / (mu * (lam + 2 * mu) * (kp2 - ks2))
         b = np.sqrt(kp2 - a2)
         g = np.sqrt(ks2 - a2)
         eb, eg = np.exp(1j * b * D), np.exp(1j * g * D)
         M = np.array([[g * eg + a2 / b * eb, s * a * (eb - eg)],
                       [s * a * (eb - eg), b * eb + a2 / g * eg]])
-    elif mode.klass == "L2":
+    elif klass == "L2":
         pref = 0.25 / np.pi * (lam + mu) / (mu * (lam + 2 * mu) * (ks2 - kp2))
         bp = np.sqrt(a2 - kp2)
         g = np.sqrt(ks2 - a2)
@@ -520,22 +520,22 @@ def _literal_block(medium, mode: ModeData, D, s):
 class ModeTerm2D:
     """One mode's 2x2 block (prefactor included) and which formula produced it."""
 
-    mode: ModeData
+    mode: ModeTable
     matrix: np.ndarray
     case_used: str
 
 
-def mode_term_2d(medium: ElasticMedium, mode: ModeData, x2: float, y2: float,
+def mode_term_2d(medium: ElasticMedium, mode: ModeTable, x2: float, y2: float,
                  form: str = "unified") -> ModeTerm2D:
-    """Single-mode block G_i^{alpha_l}(x2, y2), literal or unified form."""
+    """Block G_i^{alpha_l}(x2, y2) of the one mode of ``mode``, literal or unified form."""
     d = x2 - y2
     D, s = abs(d), np.sign(d)
     if form == "unified":
-        mat = _unified_blocks(medium, np.asarray([mode.alpha_l]), D, s)[0]
+        mat = _unified_blocks(medium, mode, D, s)[0]
         case = "unified"
     elif form == "literal":
         mat = _literal_block(medium, mode, D, s)
-        case = f"literal_{mode.klass}"
+        case = f"literal_{mode.klass[0]}"
     else:
         raise ValueError(f"form must be 'literal' or 'unified', got {form!r}")
     return ModeTerm2D(mode, mat, case)
@@ -553,9 +553,10 @@ def biqp3d_per_mode(medium: ElasticMedium, q: QuasiMomentum, X, y,
     the batch's row-wise contraction with per-axis exponentials.
     """
     d = np.atleast_2d(np.asarray(X, dtype=float)) - np.asarray(y, dtype=float)
-    _, _, a1, a2, _ = _lattice_block(medium, q, float(np.min(np.abs(d[:, 2]))), tol)
+    modes, _ = _lattice_block(medium, q, float(np.min(np.abs(d[:, 2]))), tol)
+    a1, a2 = modes.alpha_l.T
     return np.array([np.tensordot(np.exp(1j * (a1 * d1 + a2 * d2)),
-                                  c_bi_arrays(medium, a1, a2, d3), axes=(0, 0))
+                                  c_bi_arrays(medium, modes, d3), axes=(0, 0))
                      for d1, d2, d3 in d.tolist()])
 
 
@@ -606,8 +607,8 @@ def lattice_sum_richardson(medium: ElasticMedium, q: QuasiMomentum, x, y,
 def transversality_defect(coeffs: RayleighCoeffs3Bi) -> float:
     """max |(alpha_n, gamma_n) . A_sn| over modes; optional validation only."""
     worst = 0.0
-    for mode, asv in zip(coeffs.modes, coeffs.a_s):
-        kvec = np.array([mode.alpha_l[0], mode.alpha_l[1], mode.gamma_l])
+    for (a1, a2), g, asv in zip(coeffs.modes.alpha_l, coeffs.modes.gamma_l, coeffs.a_s):
+        kvec = np.array([a1, a2, g])
         worst = max(worst, abs(np.dot(kvec, np.asarray(asv))))
     return worst
 
@@ -711,6 +712,16 @@ _gl_x, _gl_w = roots_laguerre(_AP_NODES)
 _leg_x, _leg_w = np.polynomial.legendre.leggauss(16)
 
 
+def _momenta(medium, a):
+    """The mode table of the momenta ``a`` (any shape, complex allowed), built
+    field by field: the Abel-Plana contours take the mode matrices at complex
+    momenta, which have no lattice index for ``ModeTable.of``."""
+    a = np.asarray(a, dtype=complex)
+    a2 = a * a
+    return ModeTable(medium, None, a, a2, branch_sqrt(medium.k_p**2 - a2),
+                     branch_sqrt(medium.k_s**2 - a2))
+
+
 def _mode_h(medium, a, D, s, tau, jet: bool):
     """Phased mode matrices; a, D, s, tau broadcast together.
 
@@ -718,9 +729,9 @@ def _mode_h(medium, a, D, s, tau, jet: bool):
     """
     ph = np.exp(1j * a * tau)[..., None, None]
     if jet:
-        val, d2 = _unified_blocks(medium, a, D, s, True)
+        val, d2 = _unified_blocks(medium, _momenta(medium, a), D, s, True)
         return val * ph, (1j * a)[..., None, None] * val * ph, d2 * ph
-    return _unified_blocks(medium, a, D, s) * ph
+    return _unified_blocks(medium, _momenta(medium, a), D, s) * ph
 
 
 def _ray_nodes(rho_min, first):
@@ -822,14 +833,14 @@ def _abel_plana(medium, alpha, tau, d, want_jet, margin_modes):
     return main.sum(axis=1) + hi_tail + lo_tail
 
 
-def _series_sum(medium, al, tau, d, want_jet: bool):
-    """sum_l e^{i alpha_l tau} M(alpha_l, d) over the modes ``al`` at pairs (tau, d).
+def _series_sum(medium, modes, tau, d, want_jet: bool):
+    """sum_l e^{i alpha_l tau} M(alpha_l, d) over the table ``modes`` at pairs (tau, d).
 
     One (pairs x modes) contraction per output and block of pairs, the block
     sized so a stack of mode matrices stays near 16 MB.  Returns (P, 2, 2), or
     a (value, d/dx1, d/dx2) tuple when ``want_jet``.
     """
-    al = np.asarray(al)
+    al = modes.alpha_l
     out = [np.empty((len(tau), 2, 2), dtype=complex) for _ in range(3 if want_jet else 1)]
     rows = max(1, (1 << 18) // len(al))
     for i in range(0, len(tau), rows):
@@ -837,10 +848,10 @@ def _series_sum(medium, al, tau, d, want_jet: bool):
         ph = np.exp(1j * np.outer(tau[sl], al))
         D, s = np.abs(d[sl])[:, None], np.sign(d[sl])[:, None]
         if want_jet:
-            val, d2 = _unified_blocks(medium, al, D, s, True)
+            val, d2 = _unified_blocks(medium, modes, D, s, True)
             terms = ((ph, val), (ph * (1j * al), val), (ph, d2))
         else:
-            terms = ((ph, _unified_blocks(medium, al, D, s)),)
+            terms = ((ph, _unified_blocks(medium, modes, D, s)),)
         for o, (p, b) in zip(out, terms):
             o[sl] = np.einsum("pm,pmab->pab", p, b)
     return tuple(out) if want_jet else out[0]
@@ -862,13 +873,13 @@ def near_line_abel_plana(medium: ElasticMedium, alpha: float, tau, d,
     d = np.atleast_1d(np.asarray(d, dtype=float))
     q = QuasiMomentum("qp2d", alpha)
     lo, hi = _main_window(medium, alpha, margin_modes)
-    check_wood_window(medium, q, alpha + 2 * np.pi * np.arange(lo, hi + 1))
+    ModeTable.of(medium, q, np.arange(lo, hi + 1))   # the Wood check of the exact block
 
     far = np.abs(d) > NEAR_GAP
     out = [np.empty((len(tau), 2, 2), dtype=complex) for _ in range(3 if want_jet else 1)]
     if np.any(far):
-        vals = _series_sum(medium, mode_window(medium, q, NEAR_GAP, _FAR_TOL)[1],
-                           tau[far], d[far], want_jet)
+        window = ModeTable.of(medium, q, mode_window(medium, q, NEAR_GAP, _FAR_TOL))
+        vals = _series_sum(medium, window, tau[far], d[far], want_jet)
         for o, v in zip(out, vals if want_jet else (vals,)):
             o[far] = v
     if not np.all(far):

@@ -94,11 +94,11 @@ def test_flat_profile_matches_reflection_oracle(grating_setup):
     x1 = np.arange(n_grid) / n_grid
     X = np.stack([x1, np.full(n_grid, 0.5)], axis=-1)
     co = extract_coeffs_2d(med, q, eval_scattered(sol, X), 0.5, 5)
-    i0 = [m.m for m in co.modes].index(0)
+    i0 = co.modes.m.tolist().index(0)
     assert abs(co.u_p[i0] - up) < 1e-8
     assert abs(co.u_s[i0] - us) < 1e-8
     leak = max(max(abs(co.u_p[i]), abs(co.u_s[i]))
-               for i in range(len(co.modes)) if co.modes[i].m != 0)
+               for i in range(len(co.modes.m)) if co.modes.m[i] != 0)
     assert leak < 1e-8
 
 
@@ -110,7 +110,7 @@ def test_solution_rayleigh_matches_reflection_oracle(grating_setup, N, bound):
     med, inc, q = grating_setup
     _, up, us = flat_reflection(med, 0.25)
     co = solve_dirichlet(med, q, ProfileCurve2(), inc, N=N).rayleigh(5)
-    assert [m.m for m in co.modes] == list(range(-5, 6))
+    assert co.modes.m.tolist() == list(range(-5, 6))
     assert max(abs(co.u_p[5] - up), abs(co.u_s[5] - us)) < bound
     assert np.max(np.abs(np.delete(np.stack([co.u_p, co.u_s]), 5, axis=1))) <= 1e-14
 
@@ -128,7 +128,7 @@ def test_plane_s_flat_grating_closed_form(N, bound):
     assert q.alpha == pytest.approx(alpha)
     sol = solve_dirichlet(med, q, ProfileCurve2(), inc, N=N)
     co = sol.rayleigh(5)
-    assert [m.m for m in co.modes] == list(range(-5, 6))
+    assert co.modes.m.tolist() == list(range(-5, 6))
     assert max(abs(co.u_p[5] - up), abs(co.u_s[5] - us)) < bound
     assert np.max(np.abs(np.delete(np.stack([co.u_p, co.u_s]), 5, axis=1))) <= 1e-14
 
@@ -167,7 +167,7 @@ def test_solution_rayleigh_agrees_with_extraction(sin_solution):
     X = np.stack([np.arange(n_grid) / n_grid, np.full(n_grid, 0.5)], axis=-1)
     ref = extract_coeffs_2d(sol.medium, sol.q, eval_scattered(sol, X), 0.5, 1)
     co = sol.rayleigh(1)
-    assert [m.m for m in co.modes] == [m.m for m in ref.modes]
+    assert co.modes.m.tolist() == ref.modes.m.tolist()
     for got, want in ((co.u_p, ref.u_p), (co.u_s, ref.u_s)):
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
@@ -179,8 +179,8 @@ def test_solution_rayleigh_beyond_the_window(sin_solution):
     sol = sin_solution
     med, q = sol.medium, sol.q
     co30, co5 = sol.rayleigh(30), sol.rayleigh(5)
-    assert len(sol.sources.alpha_l) < 61   # the window misses some of |m| <= 30
-    assert [m.m for m in co30.modes[25:36]] == [m.m for m in co5.modes]
+    assert len(sol.sources.modes.m) < 61   # the window misses some of |m| <= 30
+    assert co30.modes.m[25:36].tolist() == co5.modes.m.tolist()
     np.testing.assert_allclose(co30.u_p[25:36], co5.u_p, rtol=1e-14, atol=0)
     np.testing.assert_allclose(co30.u_s[25:36], co5.u_s, rtol=1e-14, atol=0)
     h = np.max(sol.points[:, 1]) + 0.3
@@ -248,8 +248,8 @@ def test_scattered_field_properties(sin_solution):
     co = extract_coeffs_2d(med, q, eval_scattered(
         sol, np.stack([x1, np.full(n_grid, h1)], axis=-1)), h1, 5)
     u_pred = np.zeros((n_grid, 2), complex)
-    for mode, up, us in zip(co.modes, co.u_p, co.u_s):
-        a, b, g = mode.alpha_l, mode.beta_l, mode.gamma_l
+    t = co.modes
+    for a, b, g, up, us in zip(t.alpha_l, t.beta_l, t.gamma_l, co.u_p, co.u_s):
         u_pred[:, 0] += up * a * np.exp(1j * (a * x1 + b * h2)) \
             + us * g * np.exp(1j * (a * x1 + g * h2))
         u_pred[:, 1] += up * b * np.exp(1j * (a * x1 + b * h2)) \
@@ -270,10 +270,10 @@ def test_rayleigh_tail_decay_of_bem_field(sin_solution):
     co = extract_coeffs_2d(med, q, eval_scattered(
         sol, np.stack([x1, np.full(n_grid, h)], axis=-1)), h, 5)
     contrib = {}
-    for mode, up, us in zip(co.modes, co.u_p, co.u_s):
-        amp = max(abs(up * np.exp(1j * mode.beta_l * h)),
-                  abs(us * np.exp(1j * mode.gamma_l * h)))
-        contrib[mode.m] = (amp, float(np.imag(mode.gamma_l)))
+    t = co.modes
+    for m, b, g, up, us in zip(t.m.tolist(), t.beta_l, t.gamma_l, co.u_p, co.u_s):
+        amp = max(abs(up * np.exp(1j * b * h)), abs(us * np.exp(1j * g * h)))
+        contrib[m] = (amp, float(np.imag(g)))
     for m in (3, 4):
         a_lo, g_lo = contrib[m]
         a_hi, g_hi = contrib[m + 1]
@@ -448,6 +448,25 @@ def test_apply_one_source(grating_setup):
               row(z[1] + 0.1), row(z[1] + NEAR_GAP), row(z[1]),   # kernel table
               row(z[1] - 0.15), row(z[1] - 0.8)]                  # below the source
     _check_apply(src, np.array([[0.6, 0.8j]]), groups)
+
+
+@pytest.mark.parametrize("Y,X", [
+    pytest.param([(0.0, 0.0, 0.7)], [[0.3, 0.5]], id="source-3"),
+    pytest.param([(0.0, 0.0)], [[0.3, 0.5, 0.9]], id="target-3"),
+    pytest.param([(0.0, 0.0)], [[0.3]], id="target-1"),
+])
+def test_sources_refuse_points_of_wrong_length(grating_setup, Y, X):
+    """A source or target not of length 2 raises ValueError naming the length,
+    not a field computed from some of its components."""
+    med, _, q = grating_setup
+    with pytest.raises(ValueError, match="length 2"):
+        QPSources(med, q, Y).apply([[1.0, 0.0]], X)
+
+
+def test_eval_scattered_refuses_points_of_wrong_length(sin_solution):
+    for X in ([[0.3, 0.9, 0.1]], [[0.3]]):
+        with pytest.raises(ValueError, match="length 2"):
+            eval_scattered(sin_solution, X)
 
 
 def test_apply_from_solution_nodes(sin_solution):

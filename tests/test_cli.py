@@ -359,8 +359,8 @@ def test_rayleigh_roundtrip_via_cli(tmp_path):
     rc = cli.resolve_config(cfg2)
     med = cli._medium_of(rc)
     q = cli._momentum_of(rc, med)
-    modes = ModeTable.of(med, q, [int(e[0]) for e in data["p"]]).rows()
-    co = RayleighCoeffs2(tuple(modes), np.array([e[1] + 1j * e[2] for e in data["p"]]),
+    modes = ModeTable.of(med, q, [int(e[0]) for e in data["p"]])
+    co = RayleighCoeffs2(modes, np.array([e[1] + 1j * e[2] for e in data["p"]]),
                          np.array([e[1] + 1j * e[2] for e in data["s"]]))
     pts = np.array(cfg2["rayleigh"]["points"])
     lines = ["# config: " + json.dumps(rc, sort_keys=True), "x1,x2,re_u1,im_u1,re_u2,im_u2"]

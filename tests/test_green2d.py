@@ -9,7 +9,7 @@ from qpelastic.errors import (CoincidentPoints, DomainError, NearSourceLine,
 from qpelastic.checks import navier_residual
 from qpelastic.green2d import (NEAR_GAP, QPSources, green2d_eval, green2d_eval_batch,
                                green2d_near_line_batch, remainder_table)
-from qpelastic.medium import classify_mode, make_medium, make_quasi_momentum, mode_window
+from qpelastic.medium import ModeTable, make_medium, make_quasi_momentum, mode_window
 
 
 def test_literal_equals_unified(rng):
@@ -19,7 +19,7 @@ def test_literal_equals_unified(rng):
         q = draw_momentum(rng, med, "qp2d")
         m = int(rng.integers(-3, 4))
         try:
-            mode = classify_mode(med, q, m)
+            mode = ModeTable.of(med, q, [m])
         except WoodAnomaly:
             continue
         x2, y2 = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
@@ -27,7 +27,7 @@ def test_literal_equals_unified(rng):
         uni = mode_term_2d(med, mode, x2, y2, "unified")
         scale = max(np.max(np.abs(uni.matrix)), 1e-300)
         assert np.max(np.abs(lit.matrix - uni.matrix)) / scale < 1e-13
-        assert lit.case_used == f"literal_{mode.klass}"
+        assert lit.case_used == f"literal_{mode.klass[0]}"
 
 
 def test_mode_blocks_against_extended_precision(rng):
@@ -38,11 +38,11 @@ def test_mode_blocks_against_extended_precision(rng):
         q = draw_momentum(rng, med, "qp2d")
         m = int(rng.integers(-12, 13))
         try:
-            mode = classify_mode(med, q, m)
+            mode = ModeTable.of(med, q, [m])
         except WoodAnomaly:
             continue
         d = float(rng.choice([-1, 1]) * 10.0 ** rng.uniform(-4, 0.3))
-        ref = mp_mode_block_2d(med, mode.alpha_l, d)
+        ref = mp_mode_block_2d(med, mode.alpha_l[0], d)
         for form in ("unified", "literal"):
             got = mode_term_2d(med, mode, d, 0.0, form).matrix
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -50,10 +50,10 @@ def test_mode_blocks_against_extended_precision(rng):
 
 def test_mode_term_symmetry_and_structure(medium):
     q = make_quasi_momentum("qp2d", 0.3, medium)
-    mode = classify_mode(medium, q, 1)
+    mode = ModeTable.of(medium, q, [1])
     # sgn-pairing symmetry: term(-alpha_l)(y2, x2) = term(alpha_l)(x2, y2)
     qm = q.negated()
-    mode_m = classify_mode(medium, qm, -1)
+    mode_m = ModeTable.of(medium, qm, [-1])
     t1 = mode_term_2d(medium, mode, 0.7, 0.2).matrix
     t2 = mode_term_2d(medium, mode_m, 0.2, 0.7).matrix
     assert np.max(np.abs(t1 - t2)) < 1e-15
@@ -61,7 +61,7 @@ def test_mode_term_symmetry_and_structure(medium):
     # off-diagonal entries vanish when alpha_l = 0
     med2 = make_medium(2.0, 1.0, 1.0, 1.0)
     q0 = make_quasi_momentum("qp2d", 0.0)
-    mode0 = classify_mode(med2, q0, 0)
+    mode0 = ModeTable.of(med2, q0, [0])
     t0 = mode_term_2d(med2, mode0, 0.9, 0.1).matrix
     assert abs(t0[0, 1]) == 0.0 and abs(t0[1, 0]) == 0.0
 
@@ -118,13 +118,13 @@ def test_truncation_honesty(medium):
 
 def test_evanescent_mode_decay_rate(medium):
     q = make_quasi_momentum("qp2d", 0.3, medium)
-    mode = classify_mode(medium, q, 2)  # deep L3
+    mode = ModeTable.of(medium, q, [2])  # deep L3
     gaps = np.array([2.0, 3.0, 4.0])
     vals = np.array([np.max(np.abs(mode_term_2d(medium, mode, g, 0.0).matrix))
                      for g in gaps])
     fitted = np.polyfit(gaps, np.log(vals), 1)[0]
     # e^{-sqrt(alpha_l^2 - k_p^2) gap} envelope up to a slowly varying factor
-    assert fitted == pytest.approx(-float(np.imag(mode.beta_l)), rel=0.05)
+    assert fitted == pytest.approx(-float(np.imag(mode.beta_l[0])), rel=0.05)
 
 
 def test_near_source_line_guard(medium):
@@ -382,7 +382,7 @@ def test_sources_green_beyond_near_gap():
         for alpha in (0.3, -1.7):
             src = QPSources(med, make_quasi_momentum("qp2d", alpha, med), [(0.0, 0.0)])
             got = src.green(tau, d, want_jet=True)
-            ref = _series_sum(med, src.alpha_l, tau, d, True)
+            ref = _series_sum(med, src.modes, tau, d, True)
             for g, r in zip(got, ref):
                 assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
             # the value of the jet is the value alone, bit for bit
@@ -396,7 +396,7 @@ def test_sources_green_beyond_near_gap():
         med = make_medium(2.0, 1.0, 1.0, omega)
         for alpha in (0.3, -1.7):
             q = make_quasi_momentum("qp2d", alpha, med)
-            m = mode_window(med, q, NEAR_GAP, 1e-16)[0]
+            m = mode_window(med, q, NEAR_GAP, 1e-16)
             m = np.arange(m[0] - 10, m[-1] + 11)
             ref = np.array([_mp_series(med, alpha, m, t, dd) for t, dd in zip(tau, d)])
             got = QPSources(med, q, [(0.0, 0.0)]).green(tau, d)
@@ -449,11 +449,11 @@ def test_series_finite_between_cutoffs_at_high_frequency():
     g = green2d_eval(med, q, np.array([0.2, 1.5]), np.zeros(2))
     assert np.all(np.isfinite(g.value)) and np.isfinite(g.tail_bound)
     for m in (70, 100, 120, -110):
-        mode = classify_mode(med, q, m)
-        assert mode.klass == "L2"
+        mode = ModeTable.of(med, q, [m])
+        assert mode.klass[0] == "L2"
         for d in (1.5, -1.5, 0.2):
             got = mode_term_2d(med, mode, d, 0.0, "unified").matrix
-            ref = mp_mode_block_2d(med, mode.alpha_l, d)
+            ref = mp_mode_block_2d(med, mode.alpha_l[0], d)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -472,16 +472,16 @@ def test_tail_bound_inf_when_window_stops_widening():
 def test_batch_equals_per_pair_sum(rng):
     """Points grouped by |x2 - y2|, both signs: the values equal the per-pair
     contraction over the same window."""
-    from qpelastic.green2d import _window_arrays
+    from qpelastic.green2d import _window
 
     med = make_medium(2.0, 1.0, 1.0, 2.3)
     q = make_quasi_momentum("qp2d", 0.37, med)
     y = np.array([0.1, -0.05])
     X = np.array([[x1, y[1] + d] for d in (0.3, -0.3, 0.7, -1.1) for x1 in rng.uniform(-1, 2, 3)])
     val, _, n = green2d_eval_batch(med, q, X, y, 1e-12)
-    al = _window_arrays(med, q, 0.3, 1e-12)[1]
-    assert n == len(al)
-    ref = _series_sum(med, al, X[:, 0] - y[0], X[:, 1] - y[1], False)
+    modes = _window(med, q, 0.3, 1e-12)
+    assert n == len(modes.m)
+    ref = _series_sum(med, modes, X[:, 0] - y[0], X[:, 1] - y[1], False)
     assert np.max(np.abs(val - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -490,7 +490,7 @@ def test_batch_over_key_and_point_blocks(omega_im):
     """367 modes at gap 0.02: 200 distinct |x2 - y2| span three blocks of
     mode matrices, and 1 000 points on one gap span three blocks of phases;
     both signs of x2 - y2.  The values equal the per-pair contraction."""
-    from qpelastic.green2d import _window_arrays
+    from qpelastic.green2d import _window
 
     rng = np.random.default_rng(12)
     med = make_medium(2.0, 1.0, 1.0, 2.0)
@@ -502,8 +502,8 @@ def test_batch_over_key_and_point_blocks(omega_im):
                         0.3 * rng.choice([-1.0, 1.0], 1000)])
     X = np.column_stack([rng.uniform(-1, 2, len(d)), y[1] + d])
     val, _, n = green2d_eval_batch(med, q, X, y, 1e-10)
-    al = _window_arrays(med, q, 0.02, 1e-10)[1]
-    assert n == len(al) == 367
-    ref = _series_sum(med, al, X[:, 0] - y[0], X[:, 1] - y[1], False)
+    modes = _window(med, q, 0.02, 1e-10)
+    assert n == len(modes.m) == 367
+    ref = _series_sum(med, modes, X[:, 0] - y[0], X[:, 1] - y[1], False)
     err = np.max(np.abs(val - ref), axis=(1, 2))
     assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=(1, 2)))

@@ -10,33 +10,34 @@ from qpelastic.checks import delta_weight_biqp, navier_residual
 from qpelastic.green3d_biqp import (_lattice_block, _tail_bound, c_bi_arrays, c_l_bi,
                                     greenbi_eval, greenbi_eval_batch)
 from qpelastic.green_free import comb_normalization, lattice_sum
-from qpelastic.medium import make_medium, make_quasi_momentum
+from qpelastic.medium import ModeTable, make_medium, make_quasi_momentum
 
 
-@pytest.mark.parametrize("a1,a2,label", [
-    (0.2, 0.25, "III"),
-    (0.6, 0.5, "II"),
-    (1.1, 0.9, "I"),
+# the ids name the cases of the paper's mode tables
+@pytest.mark.parametrize("a1,a2,klass", [
+    pytest.param(0.2, 0.25, "L1", id="0.2-0.25-III"),
+    pytest.param(0.6, 0.5, "L2", id="0.6-0.5-II"),
+    pytest.param(1.1, 0.9, "L3", id="1.1-0.9-I"),
 ])
-def test_mode_profile_certified_by_quadrature(medium, a1, a2, label):
+def test_mode_profile_certified_by_quadrature(medium, a1, a2, klass):
     q = make_quasi_momentum("biqp3d", (a1, a2), medium)
     got = c_l_bi(medium, q, (0, 0), 0.8)
-    assert got.case_used == label
+    assert ModeTable.of(medium, q, [(0, 0)]).klass[0] == klass
     ref = biqp_mode_tensor_quadrature(medium, a1, a2, 0.8)
-    assert np.max(np.abs(got.c - ref)) < 1e-8 * np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))
 
 
 def test_mode_profile_negative_height(medium):
     q = make_quasi_momentum("biqp3d", (0.6, 0.5), medium)
     got = c_l_bi(medium, q, (0, 0), -0.8)
     ref = biqp_mode_tensor_quadrature(medium, 0.6, 0.5, -0.8)
-    assert np.max(np.abs(got.c - ref)) < 1e-8 * np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))
 
 
 def test_parity_in_height(medium):
     q = make_quasi_momentum("biqp3d", (0.6, 0.5), medium)
-    cp = c_l_bi(medium, q, (1, -1), 0.6).c
-    cm = c_l_bi(medium, q, (1, -1), -0.6).c
+    cp = c_l_bi(medium, q, (1, -1), 0.6)
+    cm = c_l_bi(medium, q, (1, -1), -0.6)
     for (i, j) in ((0, 0), (1, 1), (2, 2), (0, 1)):
         assert cp[i, j] == pytest.approx(cm[i, j], rel=1e-14)
     for (i, j) in ((0, 2), (1, 2)):
@@ -45,18 +46,18 @@ def test_parity_in_height(medium):
 
 def test_case1_decay(medium):
     q = make_quasi_momentum("biqp3d", (1.1, 0.9), medium)
-    mode = c_l_bi(medium, q, (0, 0), 1.0)
-    assert mode.case_used == "I"
-    gs = float(np.imag(mode.mode.gamma_l))
+    mode = ModeTable.of(medium, q, [(0, 0)])
+    assert mode.klass[0] == "L3"
+    gs = float(np.imag(mode.gamma_l[0]))
     # every entry obeys the slowest evanescent envelope e^{-gamma_s |x3|}
     # (slack 2 covers the two-exponential cancellation transient)
     t0, t1 = 2.0, 6.0
-    c0 = np.abs(c_l_bi(medium, q, (0, 0), t0).c)
-    c1 = np.abs(c_l_bi(medium, q, (0, 0), t1).c)
+    c0 = np.abs(c_l_bi(medium, q, (0, 0), t0))
+    c1 = np.abs(c_l_bi(medium, q, (0, 0), t1))
     assert np.all(c1 <= 2.0 * c0 * np.exp(-gs * (t1 - t0)) + 1e-300)
     # and the dominant entry tracks that rate once transients die out
-    c2 = np.abs(c_l_bi(medium, q, (0, 0), 12.0).c).max()
-    fitted = -np.log(c2 / np.abs(c_l_bi(medium, q, (0, 0), 8.0).c).max()) / 4.0
+    c2 = np.abs(c_l_bi(medium, q, (0, 0), 12.0)).max()
+    fitted = -np.log(c2 / np.abs(c_l_bi(medium, q, (0, 0), 8.0)).max()) / 4.0
     assert fitted == pytest.approx(gs, rel=0.05)
 
 
@@ -124,8 +125,8 @@ def test_mode_ode_residual_fd():
     x3 = 0.8
     d1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
     d2c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-    grid = np.array([c_bi_arrays(med, np.asarray([a1]), np.asarray([a2]), x3 + o * h)[0]
-                     for o in range(-2, 3)])
+    mode = ModeTable.of(med, q, [(0, 0)])
+    grid = np.array([c_bi_arrays(med, mode, x3 + o * h)[0] for o in range(-2, 3)])
     c0 = grid[2]
     dz = np.tensordot(d1, grid, axes=(0, 0)) / h
     dzz = np.tensordot(d2c, grid, axes=(0, 0)) / h**2
@@ -152,14 +153,15 @@ def test_mode_count_scaling(medium):
 
 
 def test_c_bi_arrays_broadcast_equals_point_calls(medium, rng):
-    a1 = 0.3 + 2 * np.pi * np.arange(-5, 6)
-    a2 = -0.2 + 2 * np.pi * np.arange(5, -6, -1)
+    q = make_quasi_momentum("biqp3d", (0.3, -0.2))
+    m = np.stack([np.arange(-5, 6), np.arange(5, -6, -1)], axis=-1)
     x3 = rng.uniform(-1, 1, (3, 4))
-    assert c_bi_arrays(medium, a1, a2, -0.4).shape == (11, 3, 3)
+    assert c_bi_arrays(medium, ModeTable.of(medium, q, m), -0.4).shape == (11, 3, 3)
     for med in (medium, medium.complexified(0.1)):
-        got = c_bi_arrays(med, a1, a2, x3)
+        modes = ModeTable.of(med, q, m)
+        got = c_bi_arrays(med, modes, x3)
         assert got.shape == (3, 4, 11, 3, 3)
-        ref = np.reshape([c_bi_arrays(med, a1, a2, t) for t in x3.ravel().tolist()],
+        ref = np.reshape([c_bi_arrays(med, modes, t) for t in x3.ravel().tolist()],
                          got.shape)
         assert np.array_equal(got, ref)
 
@@ -172,12 +174,13 @@ def test_batch_equals_point_loop(rng):
     X = np.array([[x1, x2, y[2] + t] for t in (0.3, -0.3, 0.8, 1.4)
                   for x1, x2 in rng.uniform(-1, 2, (3, 2))])
     vals, tails, n = greenbi_eval_batch(med, q, X, y, 1e-8)
-    _, _, a1, a2, R = _lattice_block(med, q, 0.3, 1e-8)
+    modes, R = _lattice_block(med, q, 0.3, 1e-8)
+    a1, a2 = modes.alpha_l.T
     assert type(n) is int and n == len(a1)
     for x, v, tb in zip(X, vals, tails):
         d = x - y
         ref = np.tensordot(np.exp(1j * (a1 * d[0] + a2 * d[1])),
-                           c_bi_arrays(med, a1, a2, d[2]), axes=(0, 0))
+                           c_bi_arrays(med, modes, d[2]), axes=(0, 0))
         assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert tb == _tail_bound(med, R, abs(d[2]))
 

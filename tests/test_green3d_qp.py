@@ -9,39 +9,45 @@ from qpelastic.checks import delta_weight_qp3d, navier_residual, ode_residual
 from qpelastic.green3d_qp import (_tail_bound_side, c_arrays, c_l, green3dqp_eval,
                                   green3dqp_eval_batch)
 from qpelastic.green_free import comb_normalization, lattice_sum
-from qpelastic.medium import make_medium, make_quasi_momentum, mode_window
+from qpelastic.medium import ModeTable, make_medium, make_quasi_momentum, mode_window
 
 
-@pytest.mark.parametrize("a,label", [
-    (0.3, "III"),    # both waves propagating
-    (0.75, "II"),    # s propagating, p evanescent
-    (1.7, "I"),      # both evanescent
+def _one_mode(medium, a):
+    """The table of the one momentum ``a`` (mode 0 of alpha = a)."""
+    return ModeTable.of(medium, make_quasi_momentum("qp3d", a), [0])
+
+
+# the ids name the cases of the paper's mode tables
+@pytest.mark.parametrize("a,klass", [
+    pytest.param(0.3, "L1", id="0.3-III"),     # both waves propagating
+    pytest.param(0.75, "L2", id="0.75-II"),    # s propagating, p evanescent
+    pytest.param(1.7, "L3", id="1.7-I"),       # both evanescent
 ])
-def test_mode_tensor_certified_by_quadrature(medium, a, label):
+def test_mode_tensor_certified_by_quadrature(medium, a, klass):
     """Every entry of the transverse tensor against the symbol-inversion oracle."""
     q = make_quasi_momentum("qp3d", a, medium)
     got = c_l(medium, q, 0, 0.8, 0.55)
-    assert got.case_used == label
+    assert ModeTable.of(medium, q, [0]).klass[0] == klass
     ref = qp3d_mode_tensor_quadrature(medium, a, 0.8, 0.55)
-    assert np.max(np.abs(got.c - ref)) < 1e-6 * np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) < 1e-6 * np.max(np.abs(ref))
 
 
 def test_mode_tensor_quadrature_second_geometry(medium):
     q = make_quasi_momentum("qp3d", 0.45, medium)
     got = c_l(medium, q, 0, -0.6, 1.1)
     ref = qp3d_mode_tensor_quadrature(medium, 0.45, -0.6, 1.1)
-    assert np.max(np.abs(got.c - ref)) < 1e-6 * np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) < 1e-6 * np.max(np.abs(ref))
 
 
 def test_mode_tensor_structure(medium):
     q = make_quasi_momentum("qp3d", 0.3, medium)
-    mode = c_l(medium, q, 1, 0.4, 0.7)
-    assert np.max(np.abs(mode.c - mode.c.T)) == 0.0
+    c = c_l(medium, q, 1, 0.4, 0.7)
+    assert np.max(np.abs(c - c.T)) == 0.0
 
     # c_21 carries the explicit alpha_l factor
     q0 = make_quasi_momentum("qp3d", 0.0)
-    mode0 = c_l(medium, q0, 0, 0.4, 0.7)
-    assert abs(mode0.c[0, 1]) == 0.0 and abs(mode0.c[0, 2]) == 0.0
+    c0 = c_l(medium, q0, 0, 0.4, 0.7)
+    assert abs(c0[0, 1]) == 0.0 and abs(c0[0, 2]) == 0.0
 
     with pytest.raises(DomainError):
         c_l(medium, q, 0, 0.0, 0.0)
@@ -52,12 +58,12 @@ def test_case1_exponential_decay(medium):
     rs = np.array([2.0, 3.0, 4.0])
     vals = []
     for r in rs:
-        vals.append(np.max(np.abs(c_l(medium, q, 1, r, 0.0).c)))
-    mode = c_l(medium, q, 1, 1.0, 0.0).mode
-    gp = float(np.imag(mode.beta_l))
+        vals.append(np.max(np.abs(c_l(medium, q, 1, r, 0.0))))
+    mode = ModeTable.of(medium, q, [1])
+    gp = float(np.imag(mode.beta_l[0]))
     fitted = -np.polyfit(rs, np.log(vals), 1)[0]
     # K-Bessel envelope: e^{-gamma_p r} decay rate up to the sqrt prefactor
-    assert fitted == pytest.approx(float(np.imag(mode.gamma_l)), abs=0.7)
+    assert fitted == pytest.approx(float(np.imag(mode.gamma_l[0])), abs=0.7)
     assert fitted < gp + 0.5
 
 
@@ -86,8 +92,8 @@ def test_case_behavior_across_cutoff():
     for d in deltas:
         a_lo = np.sqrt(1.0 - d)
         a_hi = np.sqrt(1.0 + d)
-        c_lo = c_arrays(med, np.asarray([a_lo]), 0.8, 0.55)[0]
-        c_hi = c_arrays(med, np.asarray([a_hi]), 0.8, 0.55)[0]
+        c_lo = c_arrays(med, _one_mode(med, a_lo), 0.8, 0.55)[0]
+        c_hi = c_arrays(med, _one_mode(med, a_hi), 0.8, 0.55)[0]
         diff = c_lo - c_hi
         diag_offsets.append(0.5 * (diff[1, 1] + diff[2, 2]))
         diff[1, 1] = diff[2, 2] = 0.0
@@ -151,29 +157,31 @@ def test_gap_guard(medium):
 def test_hermitian_structure_under_negation(medium):
     # transverse reciprocity: c^{-a}(-x_perp) = c^{a}(x_perp)
     a = 0.77
-    c1 = c_arrays(medium, np.asarray([a]), 0.5, 0.6)[0]
-    c2 = c_arrays(medium, np.asarray([-a]), -0.5, -0.6)[0]
+    c1 = c_arrays(medium, _one_mode(medium, a), 0.5, 0.6)[0]
+    c2 = c_arrays(medium, _one_mode(medium, -a), -0.5, -0.6)[0]
     assert np.max(np.abs(c1 - c2)) < 1e-15
 
 
 def _pointwise(c_fn):
     """c_arrays taken one scalar (x2, x3) at a time and stacked to the broadcast shape."""
-    def stacked(medium, al, x2, x3):
+    def stacked(medium, modes, x2, x3):
         x2, x3 = np.broadcast_arrays(np.asarray(x2, float), np.asarray(x3, float))
-        out = [c_fn(medium, al, u, v) for u, v in zip(x2.ravel().tolist(), x3.ravel().tolist())]
-        return np.reshape(out, x2.shape + (len(al), 3, 3))
+        out = [c_fn(medium, modes, u, v) for u, v in zip(x2.ravel().tolist(), x3.ravel().tolist())]
+        return np.reshape(out, x2.shape + (len(modes.m), 3, 3))
     return stacked
 
 
 def test_c_arrays_broadcast_equals_point_calls(medium, rng):
-    al = 0.3 + 2 * np.pi * np.arange(-6, 7)
+    q = make_quasi_momentum("qp3d", 0.3)
     # enough points that a last-bit difference in r^3 would show
     x2, x3 = rng.uniform(-1, 1, (20, 10)), rng.uniform(-1, 1, 10)
-    assert c_arrays(medium, al, 0.5, -0.6).shape == (13, 3, 3)
+    assert c_arrays(medium, ModeTable.of(medium, q, np.arange(-6, 7)), 0.5, -0.6).shape \
+        == (13, 3, 3)
     for med in (medium, medium.complexified(0.1)):
-        got = c_arrays(med, al, x2, x3)
+        modes = ModeTable.of(med, q, np.arange(-6, 7))
+        got = c_arrays(med, modes, x2, x3)
         assert got.shape == (20, 10, 13, 3, 3)
-        assert np.array_equal(got, _pointwise(c_arrays)(med, al, x2, x3))
+        assert np.array_equal(got, _pointwise(c_arrays)(med, modes, x2, x3))
 
 
 def test_batch_equals_point_loop(rng):
@@ -184,11 +192,12 @@ def test_batch_equals_point_loop(rng):
     T = np.array([[0.3, 0.4], [0.3, -0.4], [-0.02, 0.05], [1.1, 0.7]])
     X = np.array([[x1, y[1] + t2, y[2] + t3] for t2, t3 in T for x1 in rng.uniform(-1, 2, 3)])
     vals, tails, n = green3dqp_eval_batch(med, q, X, y)
-    _, al = mode_window(med, q, gap=float(np.hypot(0.02, 0.05)), tol=1e-10)
+    modes = ModeTable.of(med, q, mode_window(med, q, gap=float(np.hypot(0.02, 0.05)), tol=1e-10))
+    al = modes.alpha_l
     assert type(n) is int and n == len(al)
     for x, v, tb in zip(X, vals, tails):
         d = x - y
-        ref = np.tensordot(np.exp(1j * al * d[0]), c_arrays(med, al, d[1], d[2]), axes=(0, 0))
+        ref = np.tensordot(np.exp(1j * al * d[0]), c_arrays(med, modes, d[1], d[2]), axes=(0, 0))
         assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
         r = np.hypot(d[1], d[2])
         assert tb == _tail_bound_side(med, al[-1] + 2 * np.pi, r) \
@@ -229,13 +238,14 @@ def test_batch_over_key_and_point_blocks(omega_im):
     T = np.concatenate([T, np.tile([[-0.2, 0.25]], (1000, 1))])
     X = np.column_stack([rng.uniform(-1, 2, len(T)), y[1:] + T])
     vals, _, n = green3dqp_eval_batch(med, q, X, y)
-    _, al = mode_window(med, q, gap=0.02, tol=1e-10)
+    modes = ModeTable.of(med, q, mode_window(med, q, gap=0.02, tol=1e-10))
+    al = modes.alpha_l
     assert n == len(al) == 367
     c = {}
     for x, v in zip(X, vals):
         d = x - y
         key = (d[1], d[2])
         if key not in c:
-            c[key] = c_arrays(med, al, d[1], d[2])
+            c[key] = c_arrays(med, modes, d[1], d[2])
         ref = np.tensordot(np.exp(1j * al * d[0]), c[key], axes=(0, 0))
         assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -1,4 +1,5 @@
-"""Module layering: the evaluators import no verification code."""
+"""Module layering: the evaluators import no verification code, and one
+constructor takes the branch roots of a mode set."""
 
 import ast
 import re
@@ -27,6 +28,26 @@ def test_only_cli_and_package_root_import_checks():
     imports = {p.stem: _imports(p) for p in PKG.glob("*.py")}
     assert {m for m, names in imports.items() if "qpelastic.checks" in names} == {"cli", "__init__"}
     assert not any("qpelastic.fdcheck" in names for names in imports.values())
+
+
+def _called(path):
+    """The names a source file calls, as ``f(...)`` or ``obj.f(...)``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                names.add(node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                names.add(node.func.attr)
+    return names
+
+
+def test_only_medium_takes_branch_roots_and_checks_wood():
+    """``ModeTable.of`` is the one place that runs the Wood check and takes a
+    mode set's branch roots; every evaluator reads them from its table."""
+    callers = {p.stem for p in PKG.glob("*.py")
+               if _called(p) & {"branch_sqrt", "check_wood_window"}}
+    assert callers == {"medium"}
 
 
 def test_readme_lists_every_verify_suite():

@@ -7,9 +7,8 @@ from qpelastic.errors import InvalidMedium, WoodAnomaly
 from qpelastic.green2d import QPSources, green2d_eval, remainder_table
 from qpelastic.green3d_biqp import greenbi_eval
 from qpelastic.green3d_qp import green3dqp_eval
-from qpelastic.medium import (TOL_WOOD_REL, ModeTable, branch_sqrt, classify_mode,
-                              lattice_window, list_modes, make_medium,
-                              make_quasi_momentum, mode_table)
+from qpelastic.medium import (TOL_WOOD_REL, ModeTable, branch_sqrt, lattice_window,
+                              make_medium, make_quasi_momentum, mode_window)
 
 
 def test_make_medium_wavenumbers():
@@ -37,19 +36,19 @@ def test_make_medium_rejects(args):
 def test_classify_mode_examples():
     med = make_medium(2.0, 1.0, 1.0, 1.0)  # k_p = 0.5, k_s = 1
     q = make_quasi_momentum("qp2d", 0.3, med)
-    m0 = classify_mode(med, q, 0)
-    assert m0.alpha_l == pytest.approx(0.3)
-    assert m0.beta_l == pytest.approx(0.4)
-    assert m0.klass == "L1"
+    m0 = ModeTable.of(med, q, [0])
+    assert m0.alpha_l[0] == pytest.approx(0.3)
+    assert m0.beta_l[0] == pytest.approx(0.4)
+    assert m0.klass[0] == "L1"
 
-    m1 = classify_mode(med, q, 1)
-    assert m1.alpha_l == pytest.approx(0.3 + 2 * np.pi)
-    assert m1.klass == "L3"
-    assert m1.beta_l == pytest.approx(1j * np.sqrt(m1.alpha_l**2 - 0.25))
+    m1 = ModeTable.of(med, q, [1])
+    assert m1.alpha_l[0] == pytest.approx(0.3 + 2 * np.pi)
+    assert m1.klass[0] == "L3"
+    assert m1.beta_l[0] == pytest.approx(1j * np.sqrt(m1.alpha_l[0]**2 - 0.25))
 
     q_wood = make_quasi_momentum("qp2d", 0.5, med)  # alpha_0^2 = k_p^2 exactly
     with pytest.raises(WoodAnomaly):
-        classify_mode(med, q_wood, 0)
+        ModeTable.of(med, q_wood, [0])
 
 
 def test_mode_roots_and_classes_random(rng):
@@ -58,32 +57,37 @@ def test_mode_roots_and_classes_random(rng):
         q = draw_momentum(rng, med, "qp2d")
         m = int(rng.integers(-4, 5))
         try:
-            mode = classify_mode(med, q, m)
+            mode = ModeTable.of(med, q, [m])
         except WoodAnomaly:
             continue
-        assert np.imag(mode.beta_l) >= 0 and np.imag(mode.gamma_l) >= 0
-        assert mode.beta_l**2 == pytest.approx(med.k_p**2 - mode.alpha_l**2)
-        assert mode.gamma_l**2 == pytest.approx(med.k_s**2 - mode.alpha_l**2)
+        assert np.imag(mode.beta_l[0]) >= 0 and np.imag(mode.gamma_l[0]) >= 0
+        assert mode.beta_l[0]**2 == pytest.approx(med.k_p**2 - mode.alpha_l[0]**2)
+        assert mode.gamma_l[0]**2 == pytest.approx(med.k_s**2 - mode.alpha_l[0]**2)
         # negated momentum and index give the mirrored mode
-        mode_m = classify_mode(med, q.negated(), -m)
-        assert mode_m.alpha_l == pytest.approx(-mode.alpha_l)
-        assert mode_m.beta_l == pytest.approx(mode.beta_l)
-        assert mode_m.gamma_l == pytest.approx(mode.gamma_l)
-        assert mode_m.klass == mode.klass
+        mode_m = ModeTable.of(med, q.negated(), [-m])
+        assert mode_m.alpha_l[0] == pytest.approx(-mode.alpha_l[0])
+        assert mode_m.beta_l[0] == pytest.approx(mode.beta_l[0])
+        assert mode_m.gamma_l[0] == pytest.approx(mode.gamma_l[0])
+        assert mode_m.klass[0] == mode.klass[0]
+
+
+def _propagating(med, q):
+    """The table of the modes with a real vertical wavenumber (class L1 or L2)."""
+    return ModeTable.of(med, q, lattice_window(med, q, 0.0)[0])
 
 
 def test_list_modes_all_propagating():
     med = make_medium(2.0, 1.0, 1.0, 1.0)
     q = make_quasi_momentum("qp2d", 0.0 + 0.1, med)
-    modes = list_modes(med, q, "all_propagating")
-    assert [m.m for m in modes] == [0]
+    modes = _propagating(med, q)
+    assert modes.m.tolist() == [0]
 
     med = make_medium(2.0, 1.0, 1.0, 14.0)  # k_p = 7, k_s = 14
     q = make_quasi_momentum("qp2d", 0.1, med)
-    modes = list_modes(med, q, "all_propagating")
-    ms = sorted(m.m for m in modes)
+    modes = _propagating(med, q)
+    ms = sorted(modes.m.tolist())
     assert ms == [-2, -1, 0, 1, 2]
-    p_modes = sorted(m.m for m in modes if m.propagating_p)
+    p_modes = sorted(modes.m[modes.klass == "L1"].tolist())
     assert p_modes == [-1, 0, 1]
 
 
@@ -93,7 +97,7 @@ def test_list_modes_tail_bound_monotone_and_size():
     sizes = []
     prev = set()
     for tol in (1e-4, 1e-8, 1e-12, 1e-16):
-        modes = {m.m for m in list_modes(med, q, "tail_bound", gap=1.0, tol=tol)}
+        modes = set(ModeTable.of(med, q, mode_window(med, q, gap=1.0, tol=tol)).m.tolist())
         assert prev <= modes
         prev = modes
         sizes.append(len(modes))
@@ -105,9 +109,9 @@ def test_list_modes_tail_bound_monotone_and_size():
 def test_list_modes_biqp_window():
     med = make_medium(2.0, 1.0, 1.0, 1.0)
     q = make_quasi_momentum("biqp3d", (0.3, 0.45), med)
-    modes = list_modes(med, q, "tail_bound", gap=1.0, tol=1e-10)
-    assert all(isinstance(m.m, tuple) for m in modes)
-    r2 = max(m.alpha_l[0] ** 2 + m.alpha_l[1] ** 2 for m in modes)
+    modes = ModeTable.of(med, q, mode_window(med, q, gap=1.0, tol=1e-10))
+    assert modes.m.shape == modes.alpha_l.shape == (len(modes.alpha_sq), 2)
+    r2 = max(a1 ** 2 + a2 ** 2 for a1, a2 in modes.alpha_l)
     thr = -np.log(1e-10)
     assert r2 <= np.real(med.k_s**2) + thr**2 + 1e-9
 
@@ -121,6 +125,18 @@ def test_branch_sqrt_convention():
     assert np.all(arr.imag >= 0)
 
 
+def test_branch_sqrt_real_argument_equals_complex_root():
+    """A real argument's fast path gives the complex root's value bit for bit,
+    signs of zero included."""
+    rng = np.random.default_rng(5)
+    w = np.concatenate([rng.normal(size=4000) * 10.0 ** rng.uniform(-30, 30, 4000),
+                        [0.0, -0.0, 5e-324, -5e-324, 4.0, -4.0]])
+    real, cplx = branch_sqrt(w), branch_sqrt(w.astype(complex))
+    for part in ("real", "imag"):
+        a, b = getattr(real, part), getattr(cplx, part)
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def test_physical_flag():
     med = make_medium(2.0, 1.0, 1.0, 1.0)
     assert make_quasi_momentum("qp2d", 0.3, med).physical is True
@@ -131,27 +147,31 @@ def test_physical_flag():
 @pytest.mark.parametrize("kind", ["qp2d", "biqp3d"])
 def test_mode_table_rows_match_per_mode_formulas(rng, kind):
     """Every row holds alpha + 2 pi m, the scalar branch roots and the class."""
+    fields = ("m", "alpha_l", "alpha_sq", "beta_l", "gamma_l", "klass")
     for med in (draw_medium(rng), draw_medium(rng).complexified(0.1)):
         q = draw_momentum(rng, make_medium(med.lam, med.mu, med.rho, np.real(med.omega)), kind)
-        tab = mode_table(med, q, "tail_bound", gap=0.4, tol=1e-8)
+        tab = ModeTable.of(med, q, mode_window(med, q, gap=0.4, tol=1e-8))
         assert len(tab.m) == len(tab.alpha_l) == len(tab.beta_l) == len(tab.klass)
-        for i, mode in enumerate(tab.rows()):
+        for i, m in enumerate(tab.m.tolist()):
             if kind == "biqp3d":
-                a1 = q.alpha[0] + 2 * np.pi * mode.m[0]
-                a2 = q.alpha[1] + 2 * np.pi * mode.m[1]
-                assert mode.alpha_l == (a1, a2)
+                a1 = q.alpha[0] + 2 * np.pi * m[0]
+                a2 = q.alpha[1] + 2 * np.pi * m[1]
+                assert tab.alpha_l[i].tolist() == [a1, a2]
                 A2 = a1 * a1 + a2 * a2
             else:
-                assert mode.alpha_l == q.alpha + 2 * np.pi * mode.m
-                A2 = mode.alpha_l**2
-            assert mode.beta_l == branch_sqrt(med.k_p**2 - A2)
-            assert mode.gamma_l == branch_sqrt(med.k_s**2 - A2)
+                assert tab.alpha_l[i] == q.alpha + 2 * np.pi * m
+                A2 = tab.alpha_l[i]**2
+            assert tab.alpha_sq[i] == A2
+            assert tab.beta_l[i] == branch_sqrt(med.k_p**2 - A2)
+            assert tab.gamma_l[i] == branch_sqrt(med.k_s**2 - A2)
             if not med.is_real():
                 klass = "L1"
             else:
                 klass = "L1" if A2 < med.k_p**2 else "L2" if A2 < med.k_s**2 else "L3"
-            assert mode.klass == klass
-            assert mode == classify_mode(med, q, mode.m)
+            assert tab.klass[i] == klass
+            # the one-mode table of m holds the same row
+            one = ModeTable.of(med, q, [m])
+            assert all(np.array_equal(getattr(one, f)[0], getattr(tab, f)[i]) for f in fields)
 
 
 def _wood_outcome(med, q, threshold):
@@ -214,13 +234,13 @@ def test_wood_anomaly_names_mode_and_cutoff():
     med = make_medium(2.0, 1.0, 1.0, 1.0)  # k_p = 0.5, k_s = 1
     q = make_quasi_momentum("qp2d", 1.0 - 2 * np.pi, med)
     with pytest.raises(WoodAnomaly) as exc:
-        list_modes(med, q, "tail_bound", gap=0.5, tol=1e-10)
+        ModeTable.of(med, q, mode_window(med, q, gap=0.5, tol=1e-10))
     assert (exc.value.m, exc.value.which) == (1, "s")
     assert "m=1 " in str(exc.value) and "k_s^2" in str(exc.value)
 
     qb = make_quasi_momentum("biqp3d", (0.3 - 2 * np.pi, 0.4 + 4 * np.pi), med)
     with pytest.raises(WoodAnomaly) as exc:
-        classify_mode(med, qb, (1, -2))
+        ModeTable.of(med, qb, [(1, -2)])
     assert (exc.value.m, exc.value.which) == ((1, -2), "p")
     assert "m=(1, -2)" in str(exc.value) and "k_p^2" in str(exc.value)
 

@@ -4,7 +4,7 @@ import pytest
 from oracles import fd_curl, fd_divergence, transversality_defect
 from qpelastic.errors import AliasedGrid, DegenerateModeBasis, DomainError
 from qpelastic.checks import navier_apply_fd
-from qpelastic.medium import classify_mode, make_medium, make_quasi_momentum
+from qpelastic.medium import ModeTable, make_medium, make_quasi_momentum
 from qpelastic.rayleigh import (RayleighCoeffs2, RayleighCoeffs3Bi,
                                 RayleighCoeffs3Qp, check_upgoing,
                                 eval_rayleigh_2d, eval_rayleigh_3d_bi,
@@ -15,12 +15,9 @@ from qpelastic.bem2d import traction
 
 def _coeffs2(medium, q, entries):
     """entries: {m: (u_p, u_s)}"""
-    modes, up, us = [], [], []
-    for m, (a, b) in entries.items():
-        modes.append(classify_mode(medium, q, m))
-        up.append(a)
-        us.append(b)
-    return RayleighCoeffs2(tuple(modes), np.array(up, complex), np.array(us, complex))
+    up, us = zip(*entries.values())
+    return RayleighCoeffs2(ModeTable.of(medium, q, list(entries)),
+                           np.array(up, complex), np.array(us, complex))
 
 
 def test_single_p_mode_is_curl_free(medium_fast):
@@ -99,8 +96,8 @@ def test_degenerate_basis_raises():
     med = make_medium(2.0, 1.0, 1.0, 1.0)
     q = make_quasi_momentum("qp2d", 0.3)
     # direct check: determinant formula is what the error tests
-    mode = classify_mode(med, q, 0)
-    det = mode.alpha_l**2 + mode.beta_l * mode.gamma_l
+    mode = ModeTable.of(med, q, [0])
+    det = mode.alpha_l[0]**2 + mode.beta_l[0] * mode.gamma_l[0]
     assert abs(det) > 1e-10  # generic mode is safe
     # force the guard by monkeypatching tolerance upward
     import qpelastic.rayleigh as rl
@@ -151,12 +148,9 @@ def test_check_upgoing(medium_fast):
 
 
 def _coeffs3bi(medium, q, entries):
-    modes, ap, asv = [], [], []
-    for m, (a, v) in entries.items():
-        modes.append(classify_mode(medium, q, m))
-        ap.append(a)
-        asv.append(v)
-    return RayleighCoeffs3Bi(tuple(modes), np.array(ap, complex), np.array(asv, complex))
+    ap, asv = zip(*entries.values())
+    return RayleighCoeffs3Bi(ModeTable.of(medium, q, list(entries)),
+                             np.array(ap, complex), np.array(asv, complex))
 
 
 def test_rayleigh_3d_bi(medium_fast):
@@ -178,8 +172,8 @@ def test_rayleigh_3d_bi(medium_fast):
         x[None, :]) == 0)
 
     # transversality defect is a diagnostic, not an invariant
-    mode = classify_mode(medium_fast, q, (0, 0))
-    kvec = np.array([mode.alpha_l[0], mode.alpha_l[1], mode.gamma_l])
+    mode = ModeTable.of(medium_fast, q, [(0, 0)])
+    kvec = np.array([mode.alpha_l[0, 0], mode.alpha_l[0, 1], mode.gamma_l[0]])
     v = np.array([kvec[1], -kvec[0], 0.0])  # orthogonal by construction
     co_t = _coeffs3bi(medium_fast, q, {(0, 0): (0.0, tuple(v))})
     assert transversality_defect(co_t) < 1e-12
