@@ -125,8 +125,9 @@ class IncidentField:
         return self.jet(medium, q, X)[0]
 
     def jet(self, medium: ElasticMedium, q: QuasiMomentum, X):
-        """(u, du/dx1, du/dx2) at points X (n, 2); each (n, 2) complex."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """(u, du/dx1, du/dx2) at points X (n, 2); each (n, 2) complex.
+        ValueError naming the length when X is not of points of length 2."""
+        X = point_rows(X, 2)
         if self.kind == "plane_p":
             d = np.asarray(self.direction, dtype=float)
             pol = d

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -47,13 +48,14 @@ def _need(cfg, field, path, types=None):
 
 def _number(val, field, depth=0):
     """``val`` as a float, or for ``depth`` > 0 as lists of floats nested that
-    deep; ConfigError naming ``field`` when it is not a JSON number (or list)."""
+    deep; ConfigError naming ``field`` when it is not a finite JSON number (or
+    list): Python's json reads NaN, Infinity and 1e400, which no field takes."""
     if depth:
         if not isinstance(val, list):
             raise ConfigError(field, f"must be a list, got {val!r}")
         return [_number(v, field, depth - 1) for v in val]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(field, f"must be a number, got {val!r}")
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+        raise ConfigError(field, f"must be a finite number, got {val!r}")
     return float(val)
 
 

@@ -54,6 +54,7 @@ evaluator by one rule, for values and derivatives alike:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -61,10 +62,10 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 from scipy.special import j0, j1
 
-from ._series import contract, geom_poly_sum, per_key, point_rows, points, scalar_phases
+from ._series import contract, per_key, point_rows, points, scalar_phases
 from .errors import CoincidentPoints, DomainError, NearSourceLine, TableUnresolved
 from .green_free import COINCIDENT_TOL, GreenEval
-from .medium import ElasticMedium, ModeTable, QuasiMomentum, mode_window
+from .medium import ElasticMedium, ModeTable, QuasiMomentum, mode_window, series_window
 
 GAP_MIN = 1e-3
 DEFAULT_TOL = 1e-12
@@ -127,45 +128,38 @@ def _unified_blocks(medium, modes: ModeTable, D, s, jet: bool = False):
     return pref * val, pref * d2
 
 
-def _tail_bound(medium, alpha_first_omitted, D):
-    """Rigorous max-norm bound on one side's omitted modes.
+@lru_cache(maxsize=16)
+def _tail_bound(medium):
+    """Bound ``(a, D) -> float`` on one side's modes from |alpha_l| = a outwards at gap D.
 
-    Valid once |alpha| >= sqrt(2) k_s; callers arrange the window to reach
-    that regime, and below it (a window that stopped widening) the bound is
-    ``inf``.  Per-mode bound 5|pref||alpha| e^{-Im(gamma) D} and Im(gamma)
-    grows by at least 2 pi per omitted mode.
+    By g - b = (k_s^2 - k_p^2)/(g + b), each entry of M is at most |pref| e^{-gamma' D}
+    [|k_s^2 - k_p^2| (n D + 1)/(gamma' + beta') + |k_s^2|/gamma'] with gamma' = sqrt(a^2 -
+    Re k_s^2) <= Im g, beta' = sqrt(a^2 - Re k_p^2) <= Im b and n = max(a, sqrt(gamma'^2 +
+    |Im k_s^2|)) >= |g|.  Every factor falls as a grows and gamma' grows by >= 2 pi a mode,
+    so the side sums to this over 1 - e^{-2 pi D}; ``inf`` for a <= Re k_s.
     """
-    a0 = abs(alpha_first_omitted)
-    ks2 = np.real(medium.k_s**2)
-    if D <= 0.0 or a0 * a0 < 2 * ks2:
-        return float("inf")
-    img0 = np.sqrt(a0 * a0 - ks2)
-    geo = geom_poly_sum(a0, 2 * np.pi, np.exp(-2 * np.pi * D), 1)
-    return 5.0 * abs(_pref(medium)) * np.exp(-img0 * D) * geo
+    ks2, kp2 = complex(medium.k_s**2), complex(medium.k_p**2)
+    dk2, pref = abs(ks2 - kp2), abs(_pref(medium))
 
-
-def _window(medium, q, D, tol) -> ModeTable:
-    """The table of the window of gap D, widened (by at most 65 modes a side)
-    until both end modes reach the tail-bound regime |alpha_l| >= sqrt(2) k_s."""
-    m = mode_window(medium, q, gap=D, tol=tol)
-    ks = float(np.real(medium.k_s))
-    lo, hi = int(m[0]), int(m[-1])
-    for _ in range(65):
-        if min(abs(q.alpha + 2 * np.pi * lo), abs(q.alpha + 2 * np.pi * hi)) >= np.sqrt(2) * ks:
-            break
-        lo, hi = lo - 1, hi + 1
-    return ModeTable.of(medium, q, np.arange(lo, hi + 1))
+    def bound(a, D):
+        if D <= 0.0 or a * a <= ks2.real:
+            return math.inf
+        gp = math.sqrt(a * a - ks2.real)
+        n = max(a, math.sqrt(gp * gp + abs(ks2.imag)))
+        bracket = dk2 * (n * D + 1.0) / (gp + math.sqrt(a * a - kp2.real)) + abs(ks2) / gp
+        return pref * math.exp(-gp * D) * bracket / -math.expm1(-2 * math.pi * D)
+    return bound
 
 
 def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
                        tol: float = DEFAULT_TOL):
     """Vectorized evaluation at points ``X`` (n, 2) for one source ``y``.
 
-    Returns ``(values, tails, n_modes)`` with values (n, 2, 2).  One mode
-    window serves the whole call, sized from the smallest |x2 - y2|, so one
-    close point makes every point pay for its modes; callers with mixed gaps
-    should batch by gap.  ``_series.contract`` builds the mode matrices once
-    per distinct |x2 - y2|.
+    Returns ``(values, tails, n_modes)`` with values (n, 2, 2), tails <= tol.
+    One mode window serves the whole call, sized from the smallest |x2 - y2|,
+    so one close point makes every point pay for its modes; callers with mixed
+    gaps should batch by gap.  ``_series.contract`` builds the mode matrices
+    once per distinct |x2 - y2|.
     """
     X, y = points(X, y, 2)
     t1 = X[:, 0] - y[0]
@@ -173,11 +167,10 @@ def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     D = np.abs(d)
     if np.min(D) < GAP_MIN:
         raise NearSourceLine(f"|x2 - y2| = {np.min(D):.3e} below green2d.GAP_MIN = {GAP_MIN:g}")
-    modes = _window(medium, q, float(np.min(D)), tol)
+    modes, tail = series_window(medium, q, float(np.min(D)), tol, _tail_bound(medium))
     al = modes.alpha_l
 
-    tails = per_key(D, lambda g: _tail_bound(medium, al[-1] + 2 * np.pi, g)
-                    + _tail_bound(medium, al[0] - 2 * np.pi, g))
+    tails = per_key(D, tail)
     out = contract(D[:, None], len(al),
                    lambda i: _unified_blocks(medium, modes, D[i][:, None], 1.0),
                    *scalar_phases(t1, al, 4))
@@ -191,7 +184,7 @@ def green2d_eval(medium: ElasticMedium, q: QuasiMomentum, x, y,
     """Spectral series value of the quasi-periodic tensor at one point pair.
 
     Requires ``|x2 - y2| >= GAP_MIN`` (NearSourceLine otherwise); the
-    reported ``tail_bound`` rigorously bounds the omitted modes in max-norm.
+    reported ``tail_bound`` <= tol rigorously bounds the omitted modes in max-norm.
     """
     vals, tails, n_modes = green2d_eval_batch(medium, q, np.asarray(x)[None, :], y, tol)
     return GreenEval(2, vals[0], n_modes, float(tails[0]))

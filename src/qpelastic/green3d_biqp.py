@@ -27,16 +27,18 @@ y2))} splits into one exponential per axis index and point, and
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 from ._series import _BLOCK_ELEMS, contract, geom_poly_sum, per_key, points
 from .errors import DomainError, NearSourcePlane
 from .green_free import GreenEval
-from .medium import ElasticMedium, ModeTable, QuasiMomentum, lattice_window
+from .medium import ElasticMedium, ModeTable, QuasiMomentum, series_window
 
 GAP_MIN = 1e-2
 DEFAULT_TOL = 1e-10
-LOG_SLACK = 35.0
 # sign of each profile entry under x3 -> -x3
 _PARITY = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
 
@@ -127,24 +129,19 @@ def c_l_bi(medium: ElasticMedium, q: QuasiMomentum, m, x3: float) -> np.ndarray:
     return c_bi_arrays(medium, ModeTable.of(medium, q, [m]), x3)[0]
 
 
-def _lattice_block(medium, q, gap, tol):
-    """The :class:`ModeTable` of the retained disk gamma_s * gap <= 35 + log(1/tol),
-    and its radius R."""
-    m, R = lattice_window(medium, q, (LOG_SLACK - np.log(tol)) / gap)
-    return ModeTable.of(medium, q, m), R
-
-
-def _tail_bound(medium, R, t):
-    """Bound on the omitted lattice modes outside radius R in momentum space."""
-    ks2 = np.real(medium.k_s**2)
-    if R * R <= 2 * ks2 or t <= 0.0:
-        return float("inf")
-    g0 = np.sqrt(R * R - ks2)
+@lru_cache(maxsize=16)
+def _tail_bound(medium):
+    """Bound ``(R, t) -> float`` on the omitted lattice modes outside radius R, at height t."""
+    ks2 = float(np.real(medium.k_s**2))
     cov = (1.0 / abs(medium.mu) + 3.0 / abs(medium.rho_omega2)) / (8 * np.pi**2)
-    q = np.exp(-2 * np.pi * t)
-    # ring j has <= R + 2 pi (j+1) + 4 modes, each bounded by cov * sqrt2 * A_j e^{-g_j t}
-    s2 = geom_poly_sum(R + 2 * np.pi + 4.0, 2 * np.pi, q, 2)
-    return float(np.sqrt(2.0) * cov * np.exp(-g0 * t) * s2)
+
+    def bound(R, t):
+        if R * R <= 2 * ks2 or t <= 0.0:
+            return math.inf
+        # ring j has <= R + 2 pi (j+1) + 4 modes, each bounded by cov * sqrt2 * A_j e^{-g_j t}
+        s2 = geom_poly_sum(R + 2 * math.pi + 4.0, 2 * math.pi, math.exp(-2 * math.pi * t), 2)
+        return math.sqrt(2.0) * cov * math.exp(-math.sqrt(R * R - ks2) * t) * s2
+    return bound
 
 
 def _disk_phases(q, m1, m2, d1, d2):
@@ -187,10 +184,10 @@ def greenbi_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
                        tol: float = DEFAULT_TOL):
     """Vectorized double-series evaluation at points X (n, 3) for source y.
 
-    Returns ``(values, tails, n_modes)`` with values (n, 3, 3).  One lattice
-    disk serves the whole call, sized from the smallest |x3 - y3|, so one
-    close point makes every point pay for its modes; callers with mixed gaps
-    should batch by gap.  ``_series.contract`` builds the profiles c_l once
+    Returns ``(values, tails, n_modes)`` with values (n, 3, 3), tails <= tol.
+    One lattice disk serves the whole call, sized from the smallest |x3 - y3|,
+    so one close point makes every point pay for its modes; callers with mixed
+    gaps should batch by gap.  ``_series.contract`` builds the profiles c_l once
     per distinct |x3 - y3|, and ``_disk_phases`` contracts them row by row
     of the disk.
     """
@@ -202,18 +199,18 @@ def greenbi_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     if np.min(t3) < GAP_MIN:
         raise NearSourcePlane(f"|x3 - y3| = {np.min(t3):.3e} below green3d_biqp.GAP_MIN = "
                               f"{GAP_MIN:g}")
-    modes, R = _lattice_block(medium, q, float(np.min(t3)), tol)
+    modes, tail = series_window(medium, q, float(np.min(t3)), tol, _tail_bound(medium))
     M = len(modes.m)
     out = contract(t3[:, None], M, lambda i: c_bi_arrays(medium, modes, t3[i]),
                    *_disk_phases(q, *modes.m.T, d1, d2))
     # below the source plane the entries odd in x3 change sign
     out[d3 < 0] *= _PARITY
-    tails = per_key(t3, lambda t: _tail_bound(medium, R, t))
+    tails = per_key(t3, tail)
     return out, tails, M
 
 
 def greenbi_eval(medium: ElasticMedium, q: QuasiMomentum, x, y,
                  tol: float = DEFAULT_TOL) -> GreenEval:
-    """Biperiodic series value; truncation disk gamma_s |x3-y3| <= 35 + log(1/tol)."""
+    """Biperiodic series value; the truncation disk is the smallest whose tail bound is <= tol."""
     vals, tails, nmodes = greenbi_eval_batch(medium, q, np.asarray(x)[None, :], y, tol)
     return GreenEval(3, vals[0], nmodes, float(tails[0]))

@@ -35,12 +35,15 @@ tensors depend on (x2, x3) only; ``_series.contract`` sums the series.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 from ._series import contract, geom_poly_sum, per_key, points, scalar_phases
 from .errors import DomainError, NearSourceLine
 from .green_free import GreenEval
-from .medium import ElasticMedium, ModeTable, QuasiMomentum, mode_window
+from .medium import ElasticMedium, ModeTable, QuasiMomentum, series_window
 from .specfun import u01
 
 GAP_MIN = 1e-2
@@ -105,32 +108,51 @@ def c_l(medium: ElasticMedium, q: QuasiMomentum, m: int, x2: float, x3: float) -
 
 def _kappa(z):
     """Generous cover of K_0, K_1 for z >= 0.7."""
-    return np.sqrt(np.pi / (2 * z)) * np.exp(-z) * (1 + 2.0 / z)
+    return math.sqrt(math.pi / (2 * z)) * math.exp(-z) * (1 + 2.0 / z)
 
 
-def _tail_bound_side(medium, a_first, r):
-    a0 = abs(a_first)
-    ks2 = np.real(medium.k_s**2)
-    if a0 * a0 <= 2 * ks2:
-        return float("inf")
-    g0 = np.sqrt(a0 * a0 - ks2)
-    if g0 * r < 0.7:
-        return float("inf")
-    w = 1.0 / (4 * np.pi**2 * abs(medium.rho_omega2))
-    q = np.exp(-2 * np.pi * r)
-    s2 = geom_poly_sum(a0, 2 * np.pi, q, 2)
-    return 8.0 * w * _kappa(g0 * r) * s2
+@lru_cache(maxsize=16)
+def _tail_bound(medium):
+    """Bound ``(a, r) -> float`` on one side's modes from |alpha_l| = a outwards at gap r.
+
+    With g = i mu_g, b = i mu_b, each entry of ``c_arrays`` is at most |k_s^2| K_0 plus
+    differences across [mu_g, mu_b] of K_0(mu r), mu K_1(mu r) and a^2 K_0 - s (mu^2 K_0 +
+    2 mu K_1/r), s = x3^2/r^2 or x2^2/r^2, with mu-derivatives -r K_1, -mu r K_0 and
+    -r K_1 (a^2 - s mu^2).  There |K_nu(mu r)| <= _kappa(gamma' r), gamma' = sqrt(a^2 -
+    Re k_s^2), |mu| <= n = sqrt(a^2 + |Im k_s^2|), |a^2 - mu^2| <= |k_s^2| + 2 delta n and
+    |mu_b - mu_g| <= delta = |k_s^2 - k_p^2|/(gamma' + sqrt(a^2 - Re k_p^2)); geometric
+    sums over the side take up the powers of a.  ``inf`` unless a > Re k_s, gamma' r >= 0.7.
+    """
+    ks2, kp2 = complex(medium.k_s**2), complex(medium.k_p**2)
+    dk2, c = abs(ks2 - kp2), math.sqrt(abs(ks2.imag))
+    w = 1.0 / (4 * math.pi**2 * abs(medium.rho_omega2))
+
+    def bound(a, r):
+        if a * a <= ks2.real:
+            return math.inf
+        gp = math.sqrt(a * a - ks2.real)
+        if gp * r < 0.7:
+            return math.inf
+        delta = dk2 / (gp + math.sqrt(a * a - kp2.real))
+        q = math.exp(-2 * math.pi * r)
+        # per mode delta r (a^2 + |k_s^2| + 2 delta n) + delta n + |k_s^2|, n <= a + c,
+        # is at most delta r (a + h)^2 + const with h = delta + 1/(2 r)
+        h = delta + 0.5 / r
+        const = (2 * delta * r + 1) * delta * c + (delta * r + 1) * abs(ks2)
+        return w * _kappa(gp * r) * (delta * r * geom_poly_sum(a + h, 2 * math.pi, q, 2)
+                                     + const / (1 - q))
+    return bound
 
 
 def green3dqp_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
                          tol: float = DEFAULT_TOL):
     """Vectorized series evaluation at points X (n, 3) for one source y.
 
-    Returns ``(values, tails, n_modes)`` with values (n, 3, 3).  One mode
-    window serves the whole call, sized from the smallest transverse gap, so
-    one close point makes every point pay for its modes; callers with mixed
-    gaps should batch by gap.  ``_series.contract`` builds the tensors c_l
-    once per distinct (x2 - y2, x3 - y3).
+    Returns ``(values, tails, n_modes)`` with values (n, 3, 3), tails <= tol.
+    One mode window serves the whole call, sized from the smallest transverse
+    gap, so one close point makes every point pay for its modes; callers with
+    mixed gaps should batch by gap.  ``_series.contract`` builds the tensors
+    c_l once per distinct (x2 - y2, x3 - y3).
     """
     X, y = points(X, y, 3)
     t1 = X[:, 0] - y[0]
@@ -140,13 +162,12 @@ def green3dqp_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     if np.min(r) < GAP_MIN:
         raise NearSourceLine(f"transverse gap {np.min(r):.3e} below green3d_qp.GAP_MIN = "
                              f"{GAP_MIN:g}")
-    modes = ModeTable.of(medium, q, mode_window(medium, q, gap=float(np.min(r)), tol=tol))
+    modes, tail = series_window(medium, q, float(np.min(r)), tol, _tail_bound(medium))
     al = modes.alpha_l
 
     out = contract(np.stack([dx2, dx3], axis=-1), len(al),
                    lambda i: c_arrays(medium, modes, dx2[i], dx3[i]), *scalar_phases(t1, al, 9))
-    tails = per_key(r, lambda g: _tail_bound_side(medium, al[-1] + 2 * np.pi, g)
-                    + _tail_bound_side(medium, al[0] - 2 * np.pi, g))
+    tails = per_key(r, tail)
     return out, tails, len(al)
 
 

@@ -11,6 +11,8 @@ Conventions used throughout the library:
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +137,22 @@ def make_quasi_momentum(kind: str, alpha, medium: ElasticMedium | None = None) -
     return QuasiMomentum(kind, alpha, physical)
 
 
+def _disk(q: QuasiMomentum, r):
+    """Indices m of the modes with |alpha_l| <= r, as :func:`lattice_window`
+    orders them, and their |alpha_l|^2."""
+    def axis(a):
+        lo = math.ceil((-r - a) / (2 * math.pi))
+        return lo, a + 2 * np.pi * np.arange(lo, math.floor((r - a) / (2 * math.pi)) + 1)
+
+    if q.kind != "biqp3d":
+        lo, al = axis(q.alpha)
+        return np.arange(lo, lo + len(al)), al * al
+    (lo1, a1), (lo2, a2) = axis(q.alpha[0]), axis(q.alpha[1])
+    a_sq = (a1 * a1)[:, None] + (a2 * a2)[None, :]
+    m1, m2 = np.nonzero(a_sq <= r * r)
+    return np.stack([m1 + lo1, m2 + lo2], axis=-1), a_sq[m1, m2]
+
+
 def lattice_window(medium: ElasticMedium, q: QuasiMomentum, threshold: float):
     """Indices ``m`` of the modes with Im(gamma_l) <= ``threshold``, and the radius r.
 
@@ -143,36 +161,7 @@ def lattice_window(medium: ElasticMedium, q: QuasiMomentum, threshold: float):
     pairs ordered by m_1, then m_2, on the pair lattice.
     """
     r = np.sqrt(np.real(medium.k_s**2) + threshold * threshold)
-
-    def interval(alpha):
-        return np.arange(int(np.ceil((-r - alpha) / (2.0 * np.pi))),
-                         int(np.floor((r - alpha) / (2.0 * np.pi))) + 1)
-
-    if q.kind != "biqp3d":
-        return interval(q.alpha), r
-    m1, m2 = np.meshgrid(interval(q.alpha[0]), interval(q.alpha[1]), indexing="ij")
-    a1 = q.alpha[0] + 2.0 * np.pi * m1
-    a2 = q.alpha[1] + 2.0 * np.pi * m2
-    keep = a1 * a1 + a2 * a2 <= r * r
-    return np.stack([m1[keep], m2[keep]], axis=-1), r
-
-
-def check_wood_window(medium: ElasticMedium, m, alpha_sq):
-    """Raise WoodAnomaly if a mode of indices ``m`` (ints, or (M, 2) index
-    pairs) has ``|alpha_l|^2 = alpha_sq`` within ``TOL_WOOD_REL * k_s^2`` of
-    ``k_p^2`` or ``k_s^2``; the error names the first such index, p before s."""
-    if not medium.is_real():
-        return
-    ks2 = np.real(medium.k_s**2)
-    kp2 = np.real(medium.k_p**2)
-    tol = TOL_WOOD_REL * ks2
-    for which, k2 in (("p", kp2), ("s", ks2)):
-        bad = np.abs(alpha_sq - k2) < tol
-        if bad.any():
-            i = np.argmax(bad)
-            mi = m[i].tolist()
-            raise WoodAnomaly(float(np.sqrt(alpha_sq[i])), which, tol,
-                              tuple(mi) if isinstance(mi, list) else mi)
+    return _disk(q, r)[0], r
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,15 +188,25 @@ class ModeTable:
     def of(cls, medium: ElasticMedium, q: QuasiMomentum, m):
         """Table of the modes with indices ``m`` (ints, or index pairs for biqp3d).
 
-        Raises :class:`WoodAnomaly` when a mode sits at a cut-off (see
-        :func:`check_wood_window`).
+        At real frequency, raises :class:`WoodAnomaly` naming the first mode,
+        p before s, whose |alpha_l|^2 lies within ``TOL_WOOD_REL * k_s^2`` of
+        ``k_p^2`` or ``k_s^2``: a mode at a cut-off.
         """
         m = np.asarray(m, dtype=int).reshape((-1, 2) if q.kind == "biqp3d" else -1)
         al = np.asarray(q.alpha) + 2.0 * np.pi * m
         a2 = al[:, 0] * al[:, 0] + al[:, 1] * al[:, 1] if al.ndim == 2 else al * al
-        check_wood_window(medium, m, a2)
-        return cls(medium, m, al, a2, branch_sqrt(medium.k_p**2 - a2),
-                   branch_sqrt(medium.k_s**2 - a2))
+        kp2, ks2 = medium.k_p**2, medium.k_s**2
+        tol = TOL_WOOD_REL * np.real(ks2)
+        for which, k2 in (("p", kp2), ("s", ks2)) if medium.is_real() else ():
+            bad = np.abs(a2 - k2) < tol
+            if bad.any():
+                i = np.argmax(bad)
+                mi = m[i].tolist()
+                raise WoodAnomaly(float(np.sqrt(a2[i])), which, tol,
+                                  tuple(mi) if isinstance(mi, list) else mi)
+        # both roots in one call: its fixed cost matters at the few modes of a wide gap
+        roots = branch_sqrt(np.concatenate([kp2 - a2, ks2 - a2]))
+        return cls(medium, m, al, a2, roots[:len(a2)], roots[len(a2):])
 
     @property
     def klass(self) -> np.ndarray:
@@ -226,3 +225,55 @@ def mode_window(medium: ElasticMedium, q: QuasiMomentum, gap: float, tol: float)
     :func:`lattice_window` orders them; the window is symmetric in
     ``|alpha_l|``, so negating ``(alpha, m)`` maps the set onto itself."""
     return lattice_window(medium, q, -np.log(tol) / gap)[0]
+
+
+def series_window(medium: ElasticMedium, q: QuasiMomentum, gap: float, tol: float, bound):
+    """The table of the smallest window |alpha_l| <= R whose tail bound at ``gap``
+    is <= ``tol``, and that bound as a function of the gap (or, given ``r``, that
+    of the window |alpha_l| <= r): the one truncation rule.
+
+    ``bound(a, gap)`` is the geometry's bound on the modes beyond radius a (pair
+    lattice) or on one side's modes from its first omitted one, |alpha_l| = a
+    (scalar lattice).  R lies midway between the window's largest |alpha_l| and
+    the next; dropping the largest gives a bound > tol.  Bounds fall like
+    e^{-gap sqrt(R^2 - k_s^2)}, so fixed-point steps on that exponent (one on the
+    scalar lattice, whose bound is a step function of R) and a few steps over
+    the |alpha_l| near R find R.  The window, a function of the |alpha_l|,
+    maps onto itself under (alpha, m) -> (-alpha, -m).
+    """
+    ks2 = float(np.real(medium.k_s**2))
+    seen = {}   # the steps and the tails share the bounds of their common sides
+
+    def side(a, g):
+        return seen[a, g] if (a, g) in seen else seen.setdefault((a, g), bound(a, g))
+
+    def tail(r, g=gap):
+        if q.kind == "biqp3d":
+            return side(r, g)
+        lo = math.ceil((-r - q.alpha) / (2 * math.pi)) - 1
+        hi = math.floor((r - q.alpha) / (2 * math.pi)) + 1
+        return side(abs(q.alpha + 2 * math.pi * lo), g) + side(abs(q.alpha + 2 * math.pi * hi), g)
+
+    t = -math.log(tol) / gap
+    for _ in range(3 if q.kind == "biqp3d" else 1):
+        b = tail(math.sqrt(ks2 + t * t))
+        t = 2 * t if b == math.inf else max(t + math.log(max(b, 1e-300) / tol) / gap, 0.0)
+    R = math.sqrt(ks2 + t * t)
+    inner, outer = max(R - 4 * math.pi, 0.0), R + 4 * math.pi
+    while True:   # until the shell inner < |alpha_l| <= outer holds the window's edge
+        m, a_sq = _disk(q, outer)
+        s = np.sqrt(a_sq[a_sq > inner * inner])
+        r = np.unique(s).tolist() if len(s) > 64 else sorted(set(s.tolist()))
+        mid = [(a + b) / 2 for a, b in zip(r, r[1:])]
+        k = bisect.bisect_left(mid, R)
+        while k < len(mid) and tail(mid[k]) > tol:
+            k += 1
+        while 0 < k < len(mid) and tail(mid[k - 1]) <= tol:
+            k -= 1
+        if k == len(mid):
+            R, outer = outer, outer + 4 * math.pi
+        elif k == 0 and inner > 0.0:
+            R, inner = inner, max(inner - 4 * math.pi, 0.0)
+        else:
+            R = mid[k]
+            return ModeTable.of(medium, q, m[a_sq <= R * R]), lambda g, r=R: tail(r, g)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._series import point_rows
 from .errors import AliasedGrid, DegenerateModeBasis, DomainError
 from .medium import ElasticMedium, ModeTable, QuasiMomentum
 from .specfun import hankel1, hankel1_deriv
@@ -67,7 +68,7 @@ class RayleighCoeffs3Qp:
 def eval_rayleigh_2d(medium: ElasticMedium, q: QuasiMomentum,
                      coeffs: RayleighCoeffs2, X) -> np.ndarray:
     """Evaluate the 2D expansion at points X (n, 2) -> (n, 2)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = point_rows(X, 2)
     out = np.zeros((X.shape[0], 2), dtype=complex)
     t = coeffs.modes
     for a, b, g, up, us in zip(t.alpha_l, t.beta_l, t.gamma_l, coeffs.u_p, coeffs.u_s):
@@ -114,7 +115,7 @@ def extract_coeffs_2d(medium: ElasticMedium, q: QuasiMomentum, samples,
 def eval_rayleigh_3d_bi(medium: ElasticMedium, q: QuasiMomentum,
                         coeffs: RayleighCoeffs3Bi, X) -> np.ndarray:
     """Evaluate the biperiodic plane-wave expansion at X (n, 3) -> (n, 3)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = point_rows(X, 3)
     out = np.zeros((X.shape[0], 3), dtype=complex)
     t = coeffs.modes
     for (a1, a2), b, g, ap, asv in zip(t.alpha_l, t.beta_l, t.gamma_l, coeffs.a_p, coeffs.a_s):
@@ -139,7 +140,7 @@ def eval_rayleigh_3d_qp(medium: ElasticMedium, q: QuasiMomentum,
 
     Requires r = sqrt(x2^2 + x3^2) > 0 at every point.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = point_rows(X, 3)
     r = np.hypot(X[:, 1], X[:, 2])
     if np.any(r <= 0.0):
         raise DomainError("cylindrical expansion undefined at r = 0")

@@ -34,9 +34,11 @@ from scipy.integrate import quad
 from scipy.special import hankel1, hankel2, jv, roots_laguerre
 
 from qpelastic.green2d import _FAR_TOL, NEAR_GAP, _unified_blocks
-from qpelastic.green3d_biqp import _lattice_block, c_bi_arrays
+from qpelastic.green3d_biqp import _tail_bound as _biqp_tail_bound
+from qpelastic.green3d_biqp import c_bi_arrays
 from qpelastic.green_free import _kupradze_value, _radial2d, kupradze, lattice_sum
-from qpelastic.medium import ElasticMedium, ModeTable, QuasiMomentum, branch_sqrt, mode_window
+from qpelastic.medium import (ElasticMedium, ModeTable, QuasiMomentum, branch_sqrt, mode_window,
+                              series_window)
 from qpelastic.rayleigh import RayleighCoeffs3Bi
 
 
@@ -553,7 +555,8 @@ def biqp3d_per_mode(medium: ElasticMedium, q: QuasiMomentum, X, y,
     the batch's row-wise contraction with per-axis exponentials.
     """
     d = np.atleast_2d(np.asarray(X, dtype=float)) - np.asarray(y, dtype=float)
-    modes, _ = _lattice_block(medium, q, float(np.min(np.abs(d[:, 2]))), tol)
+    modes, _ = series_window(medium, q, float(np.min(np.abs(d[:, 2]))), tol,
+                             _biqp_tail_bound(medium))
     a1, a2 = modes.alpha_l.T
     return np.array([np.tensordot(np.exp(1j * (a1 * d1 + a2 * d2)),
                                   c_bi_arrays(medium, modes, d3), axes=(0, 0))

@@ -86,12 +86,15 @@ def test_eval_missing_field_exit2(tmp_path, capsys):
     ("phaseless.n_sources", '"3"'), ("phaseless.n_sources", "0"),
     ("phaseless.grid_x1", '"abc"'), ("phaseless.sigma_arc", "[0.1]"),
     ("phaseless.height", "true"), ("phaseless.frequencies", '["x"]'),
+    ("eval.points", "[[0.1, NaN]]"), ("medium.omega", "Infinity"), ("medium.omega", "1e400"),
+    ("incident.theta", "NaN"), ("profile.height", "NaN"), ("rayleigh.height", "NaN"),
 ])
 def test_out_of_range_number_exit2(tmp_path, capsys, field, literal):
     """A tol outside (0, 1), a count below its least value, any gap_min or
     tol_wood (the near-source and Wood guards are fixed constants, so the
-    keys are refused whatever their value) or a value that is not a number,
-    an integer or a pair of numbers as its field needs is a config error
+    keys are refused whatever their value), a number that is not finite
+    (NaN, Infinity or 1e400, which Python's json reads) or a value that is
+    not a number, an integer or a pair of numbers as its field needs is a config error
     naming the field, not a traceback, a one-mode sum, an empty mode list or
     a suite that passes having checked nothing.  Each field is read by the
     command of its section (``eval`` by default)."""

@@ -7,9 +7,11 @@ from oracles import (_series_sum, mode_term_2d, mp_log_part, mp_mode_block_2d,
 from qpelastic.errors import (CoincidentPoints, DomainError, NearSourceLine,
                               TableUnresolved, WoodAnomaly)
 from qpelastic.checks import navier_residual
-from qpelastic.green2d import (NEAR_GAP, QPSources, green2d_eval, green2d_eval_batch,
-                               green2d_near_line_batch, remainder_table)
-from qpelastic.medium import ModeTable, make_medium, make_quasi_momentum, mode_window
+from qpelastic._series import _BLOCK_ELEMS
+from qpelastic.green2d import (NEAR_GAP, QPSources, _tail_bound, green2d_eval,
+                               green2d_eval_batch, green2d_near_line_batch, remainder_table)
+from qpelastic.medium import (ModeTable, make_medium, make_quasi_momentum, mode_window,
+                              series_window)
 
 
 def test_literal_equals_unified(rng):
@@ -457,29 +459,31 @@ def test_series_finite_between_cutoffs_at_high_frequency():
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_tail_bound_inf_when_window_stops_widening():
-    # the window widens at most 65 modes a side; at omega = 1200 its edges
-    # (about 1600) stay below sqrt(2) k_s = 1697, where the bound is invalid
+def test_tail_bound_finite_and_holds_at_high_frequency():
+    """At omega = 1200 the first omitted modes lie past k_s = 1200, where the
+    bound is finite, with no cap on the window's width: each reported tail is
+    <= tol and bounds the change to a tighter truncation."""
     med = make_medium(2.0, 1.0, 1.0, 1200.0)
     q = make_quasi_momentum("qp2d", 0.3, med)
-    g = green2d_eval(med, q, np.array([0.2, 1.5]), np.zeros(2))
-    assert np.all(np.isfinite(g.value))
-    assert g.tail_bound == np.inf
-    _, tails, _ = green2d_eval_batch(med, q, np.array([[0.2, 1.5], [0.4, -2.0]]), np.zeros(2))
-    assert np.all(tails == np.inf)
+    X = np.array([[0.2, 1.5], [0.4, -2.0]])
+    val, tails, n = green2d_eval_batch(med, q, X, np.zeros(2), 1e-10)
+    ref, ref_tails, _ = green2d_eval_batch(med, q, X, np.zeros(2), 1e-13)
+    assert np.all(np.isfinite(val)) and np.all(tails <= 1e-10)
+    modes = series_window(med, q, 1.5, 1e-10, _tail_bound(med))[0]
+    assert n == len(modes.m) and np.max(np.abs(modes.alpha_l)) + 2 * np.pi > float(med.k_s)
+    err = np.max(np.abs(val - ref), axis=(1, 2))
+    assert np.all(err <= tails + ref_tails + 1e-13 * np.max(np.abs(ref), axis=(1, 2)))
 
 
 def test_batch_equals_per_pair_sum(rng):
     """Points grouped by |x2 - y2|, both signs: the values equal the per-pair
     contraction over the same window."""
-    from qpelastic.green2d import _window
-
     med = make_medium(2.0, 1.0, 1.0, 2.3)
     q = make_quasi_momentum("qp2d", 0.37, med)
     y = np.array([0.1, -0.05])
     X = np.array([[x1, y[1] + d] for d in (0.3, -0.3, 0.7, -1.1) for x1 in rng.uniform(-1, 2, 3)])
     val, _, n = green2d_eval_batch(med, q, X, y, 1e-12)
-    modes = _window(med, q, 0.3, 1e-12)
+    modes = series_window(med, q, 0.3, 1e-12, _tail_bound(med))[0]
     assert n == len(modes.m)
     ref = _series_sum(med, modes, X[:, 0] - y[0], X[:, 1] - y[1], False)
     assert np.max(np.abs(val - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -487,23 +491,22 @@ def test_batch_equals_per_pair_sum(rng):
 
 @pytest.mark.parametrize("omega_im", [0.0, 0.1])
 def test_batch_over_key_and_point_blocks(omega_im):
-    """367 modes at gap 0.02: 200 distinct |x2 - y2| span three blocks of
+    """296 modes at gap 0.02: 250 distinct |x2 - y2| span three blocks of
     mode matrices, and 1 000 points on one gap span three blocks of phases;
     both signs of x2 - y2.  The values equal the per-pair contraction."""
-    from qpelastic.green2d import _window
-
     rng = np.random.default_rng(12)
     med = make_medium(2.0, 1.0, 1.0, 2.0)
     if omega_im:
         med = med.complexified(omega_im)
     q = make_quasi_momentum("qp2d", 0.3, med)
     y = np.array([0.1, -0.05])
-    d = np.concatenate([np.linspace(0.02, 1.0, 200) * rng.choice([-1.0, 1.0], 200),
+    d = np.concatenate([np.linspace(0.02, 1.0, 250) * rng.choice([-1.0, 1.0], 250),
                         0.3 * rng.choice([-1.0, 1.0], 1000)])
     X = np.column_stack([rng.uniform(-1, 2, len(d)), y[1] + d])
     val, _, n = green2d_eval_batch(med, q, X, y, 1e-10)
-    modes = _window(med, q, 0.02, 1e-10)
-    assert n == len(modes.m) == 367
+    modes = series_window(med, q, 0.02, 1e-10, _tail_bound(med))[0]
+    assert n == len(modes.m) == 296
+    assert 2 * (_BLOCK_ELEMS // n) < 250 and 2 * 4 * (_BLOCK_ELEMS // n) < 1000
     ref = _series_sum(med, modes, X[:, 0] - y[0], X[:, 1] - y[1], False)
     err = np.max(np.abs(val - ref), axis=(1, 2))
     assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=(1, 2)))

@@ -7,10 +7,10 @@ from conftest import draw_medium, draw_momentum
 from oracles import biqp3d_per_mode, biqp_mode_tensor_quadrature
 from qpelastic.errors import DomainError, NearSourcePlane
 from qpelastic.checks import delta_weight_biqp, navier_residual
-from qpelastic.green3d_biqp import (_lattice_block, _tail_bound, c_bi_arrays, c_l_bi,
-                                    greenbi_eval, greenbi_eval_batch)
+from qpelastic.green3d_biqp import (_tail_bound, c_bi_arrays, c_l_bi, greenbi_eval,
+                                    greenbi_eval_batch)
 from qpelastic.green_free import comb_normalization, lattice_sum
-from qpelastic.medium import ModeTable, make_medium, make_quasi_momentum
+from qpelastic.medium import ModeTable, make_medium, make_quasi_momentum, series_window
 
 
 # the ids name the cases of the paper's mode tables
@@ -174,7 +174,7 @@ def test_batch_equals_point_loop(rng):
     X = np.array([[x1, x2, y[2] + t] for t in (0.3, -0.3, 0.8, 1.4)
                   for x1, x2 in rng.uniform(-1, 2, (3, 2))])
     vals, tails, n = greenbi_eval_batch(med, q, X, y, 1e-8)
-    modes, R = _lattice_block(med, q, 0.3, 1e-8)
+    modes, tail = series_window(med, q, 0.3, 1e-8, _tail_bound(med))
     a1, a2 = modes.alpha_l.T
     assert type(n) is int and n == len(a1)
     for x, v, tb in zip(X, vals, tails):
@@ -182,21 +182,22 @@ def test_batch_equals_point_loop(rng):
         ref = np.tensordot(np.exp(1j * (a1 * d[0] + a2 * d[1])),
                            c_bi_arrays(med, modes, d[2]), axes=(0, 0))
         assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert tb == _tail_bound(med, R, abs(d[2]))
+        assert tb == tail(abs(d[2])) <= 1e-8
 
 
 def test_batch_axis_phases_equal_direct_exp_at_gap_01(rng):
     """Row-wise contraction with per-axis exponentials against one exponential
-    per mode, at the smallest gap the benchmark ladder uses (26 801 modes):
-    48 points with d3 of both signs, at real and complexified frequency."""
+    per mode, at the smallest gap the benchmark ladder uses (8 114 modes, 8 112
+    at complex frequency): 48 points with d3 of both signs, at real and
+    complexified frequency."""
     med = make_medium(2.0, 1.0, 1.0, 2.0)
     q = make_quasi_momentum("biqp3d", (0.3, -0.2), med)
     y = np.array([0.3, -0.1, 0.05])
     X = np.column_stack([rng.uniform(-1, 2, 48), rng.uniform(-1, 2, 48),
                          y[2] + np.repeat([0.1, -0.1, 0.4], 16) * np.tile([1, -1], 24)])
-    for m in (med, med.complexified(0.1)):
+    for m, count in ((med, 8114), (med.complexified(0.1), 8112)):
         vals, _, n = greenbi_eval_batch(m, q, X, y, 1e-10)
-        assert n == 26801
+        assert n == count
         ref = biqp3d_per_mode(m, q, X, y, 1e-10)
         # one point alone takes the per-mode phases instead of the rows
         vals = np.concatenate([vals, greenbi_eval_batch(m, q, X[:1], y, 1e-10)[0]])
@@ -223,5 +224,5 @@ def test_batch_peak_memory_at_gap_01():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert modes == 26801
+    assert modes == 8114
     assert peak <= 13_640_919

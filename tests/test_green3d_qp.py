@@ -6,10 +6,10 @@ from oracles import qp3d_mode_tensor_quadrature
 from qpelastic.errors import DomainError, NearSourceLine
 import qpelastic.checks as checks
 from qpelastic.checks import delta_weight_qp3d, navier_residual, ode_residual
-from qpelastic.green3d_qp import (_tail_bound_side, c_arrays, c_l, green3dqp_eval,
+from qpelastic.green3d_qp import (_tail_bound, c_arrays, c_l, green3dqp_eval,
                                   green3dqp_eval_batch)
 from qpelastic.green_free import comb_normalization, lattice_sum
-from qpelastic.medium import ModeTable, make_medium, make_quasi_momentum, mode_window
+from qpelastic.medium import ModeTable, make_medium, make_quasi_momentum, series_window
 
 
 def _one_mode(medium, a):
@@ -192,16 +192,14 @@ def test_batch_equals_point_loop(rng):
     T = np.array([[0.3, 0.4], [0.3, -0.4], [-0.02, 0.05], [1.1, 0.7]])
     X = np.array([[x1, y[1] + t2, y[2] + t3] for t2, t3 in T for x1 in rng.uniform(-1, 2, 3)])
     vals, tails, n = green3dqp_eval_batch(med, q, X, y)
-    modes = ModeTable.of(med, q, mode_window(med, q, gap=float(np.hypot(0.02, 0.05)), tol=1e-10))
+    modes, tail = series_window(med, q, float(np.hypot(0.02, 0.05)), 1e-10, _tail_bound(med))
     al = modes.alpha_l
     assert type(n) is int and n == len(al)
     for x, v, tb in zip(X, vals, tails):
         d = x - y
         ref = np.tensordot(np.exp(1j * al * d[0]), c_arrays(med, modes, d[1], d[2]), axes=(0, 0))
         assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
-        r = np.hypot(d[1], d[2])
-        assert tb == _tail_bound_side(med, al[-1] + 2 * np.pi, r) \
-            + _tail_bound_side(med, al[0] - 2 * np.pi, r)
+        assert tb == tail(np.hypot(d[1], d[2])) <= 1e-10
 
 
 def test_fd_checks_equal_point_by_point_grids(medium, monkeypatch):
@@ -224,7 +222,7 @@ def test_fd_checks_equal_point_by_point_grids(medium, monkeypatch):
 
 @pytest.mark.parametrize("omega_im", [0.0, 0.1])
 def test_batch_over_key_and_point_blocks(omega_im):
-    """367 modes at gap 0.02: 200 distinct (x2 - y2, x3 - y3) of both signs
+    """370 modes at gap 0.02: 200 distinct (x2 - y2, x3 - y3) of both signs
     span three blocks of tensors, and 1 000 points on one of them span two
     blocks of phases.  The values equal the per-point contraction."""
     rng = np.random.default_rng(13)
@@ -238,9 +236,9 @@ def test_batch_over_key_and_point_blocks(omega_im):
     T = np.concatenate([T, np.tile([[-0.2, 0.25]], (1000, 1))])
     X = np.column_stack([rng.uniform(-1, 2, len(T)), y[1:] + T])
     vals, _, n = green3dqp_eval_batch(med, q, X, y)
-    modes = ModeTable.of(med, q, mode_window(med, q, gap=0.02, tol=1e-10))
+    modes = series_window(med, q, 0.02, 1e-10, _tail_bound(med))[0]
     al = modes.alpha_l
-    assert n == len(al) == 367
+    assert n == len(al) == 370
     c = {}
     for x, v in zip(X, vals):
         d = x - y

@@ -1,5 +1,6 @@
-"""Module layering: the evaluators import no verification code, and one
-constructor takes the branch roots of a mode set."""
+"""Module layering: the evaluators import no verification code, one
+constructor takes the branch roots of a mode set, and one function sizes
+every tol-driven series window."""
 
 import ast
 import re
@@ -30,10 +31,14 @@ def test_only_cli_and_package_root_import_checks():
     assert not any("qpelastic.fdcheck" in names for names in imports.values())
 
 
-def _called(path):
-    """The names a source file calls, as ``f(...)`` or ``obj.f(...)``."""
+def _called(path, function=None):
+    """The names a source file calls, as ``f(...)`` or ``obj.f(...)``; only
+    within the top-level ``function`` when one is named."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if function is not None:
+        tree, = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             if isinstance(node.func, ast.Name):
                 names.add(node.func.id)
@@ -46,8 +51,21 @@ def test_only_medium_takes_branch_roots_and_checks_wood():
     """``ModeTable.of`` is the one place that runs the Wood check and takes a
     mode set's branch roots; every evaluator reads them from its table."""
     callers = {p.stem for p in PKG.glob("*.py")
-               if _called(p) & {"branch_sqrt", "check_wood_window"}}
+               if _called(p) & {"branch_sqrt", "WoodAnomaly"}}
     assert callers == {"medium"}
+
+
+def test_only_medium_calls_lattice_window():
+    """The truncation rule lives in ``medium``: no evaluator picks its own
+    lattice window."""
+    assert {p.stem for p in PKG.glob("*.py") if "lattice_window" in _called(p)} == {"medium"}
+
+
+def test_series_evaluators_size_windows_by_series_window():
+    for module, function in (("green2d", "green2d_eval_batch"),
+                             ("green3d_qp", "green3dqp_eval_batch"),
+                             ("green3d_biqp", "greenbi_eval_batch")):
+        assert "series_window" in _called(PKG / f"{module}.py", function)
 
 
 def test_readme_lists_every_verify_suite():

@@ -10,7 +10,7 @@ from qpelastic.rayleigh import (RayleighCoeffs2, RayleighCoeffs3Bi,
                                 eval_rayleigh_2d, eval_rayleigh_3d_bi,
                                 eval_rayleigh_3d_qp, extract_coeffs_2d,
                                 flux_2d)
-from qpelastic.bem2d import traction
+from qpelastic.bem2d import plane_incidence, traction
 
 
 def _coeffs2(medium, q, entries):
@@ -239,3 +239,35 @@ def test_rayleigh_3d_qp_rejects_evanescent_part(medium):
     co = RayleighCoeffs3Qp({1: (np.array([1.0 + 0j]), None)}, 0)
     with pytest.raises(DomainError):
         eval_rayleigh_3d_qp(medium, q, co, np.array([[0.0, 0.5, 0.5]]))
+
+
+def _field_at(medium, which):
+    """``(f(X), length)``: the field evaluator ``which`` on one fixed expansion
+    or plane wave, and the length of its points."""
+    if which == "rayleigh_2d":
+        q = make_quasi_momentum("qp2d", 0.3, medium)
+        co = _coeffs2(medium, q, {0: (1.0, 0.5)})
+        return (lambda X: eval_rayleigh_2d(medium, q, co, X)), 2
+    if which == "rayleigh_3d_bi":
+        q = make_quasi_momentum("biqp3d", (0.3, 0.45), medium)
+        co = _coeffs3bi(medium, q, {(0, 0): (1.0, (0, 0, 0))})
+        return (lambda X: eval_rayleigh_3d_bi(medium, q, co, X)), 3
+    if which == "rayleigh_3d_qp":
+        q = make_quasi_momentum("qp3d", 0.3, medium)
+        co = RayleighCoeffs3Qp({0: (np.ones(3), None)}, 1)
+        return (lambda X: eval_rayleigh_3d_qp(medium, q, co, X)), 3
+    field, q = plane_incidence(medium, "plane_p", 0.25)
+    return (lambda X: field.jet(medium, q, X)), 2
+
+
+@pytest.mark.parametrize("which", ["rayleigh_2d", "rayleigh_3d_bi", "rayleigh_3d_qp",
+                                   "plane_wave_jet"])
+def test_evaluators_refuse_points_of_wrong_length(medium_fast, which):
+    """A point with a component too many or too few raises ValueError naming
+    the length, not a field computed from some of its components or an
+    IndexError."""
+    f, dim = _field_at(medium_fast, which)
+    f(np.full((2, dim), 0.4))
+    for bad in (dim - 1, dim + 1):
+        with pytest.raises(ValueError, match=f"length {dim}"):
+            f(np.full((2, bad), 0.4))
