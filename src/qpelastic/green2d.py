@@ -128,7 +128,6 @@ def _unified_blocks(medium, modes: ModeTable, D, s, jet: bool = False):
     return pref * val, pref * d2
 
 
-@lru_cache(maxsize=16)
 def _tail_bound(medium):
     """Bound ``(a, D) -> float`` on one side's modes from |alpha_l| = a outwards at gap D.
 

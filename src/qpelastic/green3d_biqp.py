@@ -28,7 +28,6 @@ y2))} splits into one exponential per axis index and point, and
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -129,7 +128,6 @@ def c_l_bi(medium: ElasticMedium, q: QuasiMomentum, m, x3: float) -> np.ndarray:
     return c_bi_arrays(medium, ModeTable.of(medium, q, [m]), x3)[0]
 
 
-@lru_cache(maxsize=16)
 def _tail_bound(medium):
     """Bound ``(R, t) -> float`` on the omitted lattice modes outside radius R, at height t."""
     ks2 = float(np.real(medium.k_s**2))

@@ -36,7 +36,6 @@ tensors depend on (x2, x3) only; ``_series.contract`` sums the series.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -111,7 +110,6 @@ def _kappa(z):
     return math.sqrt(math.pi / (2 * z)) * math.exp(-z) * (1 + 2.0 / z)
 
 
-@lru_cache(maxsize=16)
 def _tail_bound(medium):
     """Bound ``(a, r) -> float`` on one side's modes from |alpha_l| = a outwards at gap r.
 

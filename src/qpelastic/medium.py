@@ -11,7 +11,6 @@ Conventions used throughout the library:
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -229,51 +228,40 @@ def mode_window(medium: ElasticMedium, q: QuasiMomentum, gap: float, tol: float)
 
 def series_window(medium: ElasticMedium, q: QuasiMomentum, gap: float, tol: float, bound):
     """The table of the smallest window |alpha_l| <= R whose tail bound at ``gap``
-    is <= ``tol``, and that bound as a function of the gap (or, given ``r``, that
-    of the window |alpha_l| <= r): the one truncation rule.
+    is <= ``tol``, and that bound as a function of the gap: the one truncation rule.
 
     ``bound(a, gap)`` is the geometry's bound on the modes beyond radius a (pair
     lattice) or on one side's modes from its first omitted one, |alpha_l| = a
-    (scalar lattice).  R lies midway between the window's largest |alpha_l| and
-    the next; dropping the largest gives a bound > tol.  Bounds fall like
-    e^{-gap sqrt(R^2 - k_s^2)}, so fixed-point steps on that exponent (one on the
-    scalar lattice, whose bound is a step function of R) and a few steps over
-    the |alpha_l| near R find R.  The window, a function of the |alpha_l|,
-    maps onto itself under (alpha, m) -> (-alpha, -m).
+    (scalar lattice); wherever it is <= tol it falls as a grows.  Bounds fall like
+    e^{-gap t}, t = sqrt(R^2 - k_s^2), so fixed-point steps on t find a radius whose
+    tail is <= tol and estimate the window's edge; a walk from the estimate over the
+    midpoints between the distinct |alpha_l| of the disk 4 pi wider than that radius
+    finds R, midway between the window's largest |alpha_l| and the next: dropping the
+    largest gives a bound > tol.  The window, a function of the |alpha_l|, maps onto itself under
+    (alpha, m) -> (-alpha, -m).
     """
-    ks2 = float(np.real(medium.k_s**2))
-    seen = {}   # the steps and the tails share the bounds of their common sides
-
-    def side(a, g):
-        return seen[a, g] if (a, g) in seen else seen.setdefault((a, g), bound(a, g))
-
     def tail(r, g=gap):
         if q.kind == "biqp3d":
-            return side(r, g)
+            return bound(r, g)
         lo = math.ceil((-r - q.alpha) / (2 * math.pi)) - 1
         hi = math.floor((r - q.alpha) / (2 * math.pi)) + 1
-        return side(abs(q.alpha + 2 * math.pi * lo), g) + side(abs(q.alpha + 2 * math.pi * hi), g)
+        return bound(abs(q.alpha + 2 * math.pi * lo), g) + bound(abs(q.alpha + 2 * math.pi * hi), g)
 
+    ks2 = float(np.real(medium.k_s**2))
     t = -math.log(tol) / gap
-    for _ in range(3 if q.kind == "biqp3d" else 1):
-        b = tail(math.sqrt(ks2 + t * t))
-        t = 2 * t if b == math.inf else max(t + math.log(max(b, 1e-300) / tol) / gap, 0.0)
-    R = math.sqrt(ks2 + t * t)
-    inner, outer = max(R - 4 * math.pi, 0.0), R + 4 * math.pi
-    while True:   # until the shell inner < |alpha_l| <= outer holds the window's edge
-        m, a_sq = _disk(q, outer)
-        s = np.sqrt(a_sq[a_sq > inner * inner])
-        r = np.unique(s).tolist() if len(s) > 64 else sorted(set(s.tolist()))
-        mid = [(a + b) / 2 for a, b in zip(r, r[1:])]
-        k = bisect.bisect_left(mid, R)
-        while k < len(mid) and tail(mid[k]) > tol:
-            k += 1
-        while 0 < k < len(mid) and tail(mid[k - 1]) <= tol:
-            k -= 1
-        if k == len(mid):
-            R, outer = outer, outer + 4 * math.pi
-        elif k == 0 and inner > 0.0:
-            R, inner = inner, max(inner - 4 * math.pi, 0.0)
-        else:
-            R = mid[k]
-            return ModeTable.of(medium, q, m[a_sq <= R * R]), lambda g, r=R: tail(r, g)
+    while (b := tail(math.sqrt(ks2 + t * t))) > tol:
+        t = 2 * t if b == math.inf else t + max(math.log(b / tol), 1.0) / gap
+    m, a_sq = _disk(q, math.sqrt(ks2 + t * t) + 4 * math.pi)
+    u = np.unique(a_sq)
+
+    def mid(i):   # midway between the i-th distinct |alpha_l| and the next
+        return (math.sqrt(u[i]) + math.sqrt(u[i + 1])) / 2
+
+    t = max(t + math.log(max(b, 1e-300) / tol) / gap, 0.0)   # the edge by the exponent law
+    i = max(int(np.searchsorted(u, ks2 + t * t, "right")) - 1, 0)
+    while tail(mid(i)) > tol:   # stops inside the disk: its last midpoint's window fits
+        i += 1
+    while i > 0 and tail(mid(i - 1)) <= tol:
+        i -= 1
+    R = mid(i)
+    return ModeTable.of(medium, q, m[a_sq <= R * R]), lambda g: tail(R, g)

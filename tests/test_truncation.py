@@ -27,6 +27,17 @@ def _medium(eta):
     return med.complexified(eta) if eta else med
 
 
+def _bound_without_largest(kind, q, modes, bound, gap):
+    """The tail bound of the window without its largest |alpha_l|: beyond the radius
+    midway between its two largest |alpha_l| (pair lattice), or from the first
+    omitted mode of each side (scalar lattice)."""
+    r = np.unique(np.sqrt(modes.alpha_sq))
+    if kind == "biqp3d":
+        return bound((r[-2] + r[-1]) / 2, gap)
+    kept = modes.m[np.sqrt(modes.alpha_sq) < r[-1]]
+    return sum(bound(abs(q.alpha + 2 * np.pi * m), gap) for m in (kept.min() - 1, kept.max() + 1))
+
+
 def _point(kind, gap):
     return {"qp2d": [0.3, -gap], "qp3d": [0.3, 0.6 * gap, -0.8 * gap],
             "biqp3d": [0.3, 0.1, -gap]}[kind]
@@ -37,8 +48,7 @@ def _point(kind, gap):
 @pytest.mark.parametrize("kind", ["qp2d", "qp3d", "biqp3d"])
 def test_window_is_the_smallest_whose_tail_is_within_tol(kind, tol, eta):
     """The reported tail is <= tol, and the window without its largest
-    |alpha_l| (whose radius is midway between its two largest |alpha_l|, as
-    ``series_window`` places R) has a bound > tol."""
+    |alpha_l| has a bound > tol."""
     med = _medium(eta)
     q = make_quasi_momentum(kind, ALPHA[kind])
     bound = BOUND[kind](med)
@@ -48,8 +58,7 @@ def test_window_is_the_smallest_whose_tail_is_within_tol(kind, tol, eta):
         modes, tail = series_window(med, q, gap, tol, bound)
         assert got.modes_used == len(modes.m)
         assert got.tail_bound == tail(gap) <= tol
-        r = np.unique(np.sqrt(modes.alpha_sq))
-        assert tail(gap, r=(r[-2] + r[-1]) / 2) > tol
+        assert _bound_without_largest(kind, q, modes, bound, gap) > tol
         # symmetric under (alpha, m) -> (-alpha, -m)
         neg = series_window(med, q.negated(), gap, tol, bound)[0]
         assert sorted(map(tuple, -np.reshape(neg.m, (len(neg.m), -1)))) == \
