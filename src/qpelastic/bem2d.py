@@ -24,12 +24,15 @@ coefficient a that A needs anyway, so no pair evaluates a Hankel function,
 and the on-diagonal finite part is T(0, 0) plus known logarithms.  A pair
 beyond NEAR_GAP takes G from ``QPSources.green``, by the one evaluator rule
 of :mod:`qpelastic.green2d`.  Incident point sources and the scattered field,
-values and gradients alike, are one ``QPSources.apply`` from a source set.
-There is one table per (medium, alpha), which the system and its
-point-source incidences share.  A target on a point source or one of its
-lattice images raises CoincidentPoints.  A solution's Rayleigh coefficients
-are a closed form in its density (:meth:`ScatterSolution.rayleigh`), by the
-expression with which the field above the crest is summed.
+values and gradients alike, are one ``QPSources.apply`` from a source set:
+the k incidences of a solve are one (P, 2, k) block, all their point
+sources one ``QPSources`` with a diagonal charge block, and the right-hand
+sides one (2N, k) ``lu_solve``.  There is one table per (medium, alpha),
+which the system and its point-source incidences share.  A target on a
+point source or one of its lattice images raises CoincidentPoints.  A
+solution's Rayleigh coefficients are a closed form in its density
+(:meth:`ScatterSolution.rayleigh`), by the expression with which the field
+above the crest is summed.
 
 First-kind formulation by design: spurious interior resonances are detected
 through a condition estimate, not cured.
@@ -120,37 +123,54 @@ class IncidentField:
         A point source raises CoincidentPoints at its own position and at
         its lattice images.
         """
-        if self.kind == "point_source":
-            return self._point_source(medium, q, X, False)
-        return self.jet(medium, q, X)[0]
+        return _incident_block([self], medium, q, X)[..., 0]
 
     def jet(self, medium: ElasticMedium, q: QuasiMomentum, X):
         """(u, du/dx1, du/dx2) at points X (n, 2); each (n, 2) complex.
         ValueError naming the length when X is not of points of length 2."""
+        if self.kind == "point_source":
+            return tuple(f[..., 0] for f in _incident_block([self], medium, q, X, True))
         X = point_rows(X, 2)
-        if self.kind == "plane_p":
-            d = np.asarray(self.direction, dtype=float)
-            pol = d
-        elif self.kind == "plane_s":
-            d = np.asarray(self.direction, dtype=float)
-            pol = np.array([-d[1], d[0]])
-        elif self.kind == "point_source":
-            return self._point_source(medium, q, X, True)
-        else:
+        if self.kind not in ("plane_p", "plane_s"):
             raise ValueError(f"unknown incident kind {self.kind!r}")
+        d = np.asarray(self.direction, dtype=float)
+        pol = d if self.kind == "plane_p" else np.array([-d[1], d[0]])
         k = self._wavenumber(medium)
-        ph = np.exp(1j * k * (X @ d))
-        u = pol[None, :] * ph[:, None]
+        u = pol[None, :] * np.exp(1j * k * (X @ d))[:, None]
         return u, 1j * k * d[0] * u, 1j * k * d[1] * u
 
     def _wavenumber(self, medium):
         """k_p of a plane p wave, k_s of a plane s wave."""
         return np.real(medium.k_p if self.kind == "plane_p" else medium.k_s)
 
-    def _point_source(self, medium, q, X, want_jet):
-        """The tensor applied from the one source to the polarization vector."""
-        return QPSources(medium, q, [self.source]).apply(
-            np.asarray([self.polarization], dtype=complex), X, want_jet)
+
+def _incident_block(incidents, medium: ElasticMedium, q: QuasiMomentum, X,
+                    want_jet: bool = False):
+    """The fields of k incidences at points X (P, 2): (P, 2, k), or the
+    (u, du/dx1, du/dx2) tuple of such blocks when ``want_jet``.
+
+    Every point source goes into one :class:`~qpelastic.green2d.QPSources`,
+    whose one ``apply`` takes the (S, 2, S) charge block with source n's
+    polarization in column n; any other incidence gives its ``jet``, the
+    closed form of a plane wave.
+    """
+    X = point_rows(X, 2)
+    out = [np.empty((len(X), 2, len(incidents)), dtype=complex)
+           for _ in range(3 if want_jet else 1)]
+    points = [c for c, inc in enumerate(incidents) if inc.kind == "point_source"]
+    for c, inc in enumerate(incidents):
+        if c not in points:
+            for o, f in zip(out, inc.jet(medium, q, X)):
+                o[..., c] = f
+    if points:
+        S = len(points)
+        charges = np.zeros((S, 2, S), dtype=complex)
+        charges[np.arange(S), :, np.arange(S)] = [incidents[c].polarization for c in points]
+        fields = QPSources(medium, q, [incidents[c].source for c in points]).apply(
+            charges, X, want_jet)
+        for o, f in zip(out, fields if want_jet else (fields,)):
+            o[..., points] = f
+    return tuple(out) if want_jet else out[0]
 
 
 def plane_incidence(medium: ElasticMedium, kind: str, theta: float):
@@ -393,7 +413,8 @@ def solve_dirichlet(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCur
 
 def solve_dirichlet_multi(medium: ElasticMedium, q: QuasiMomentum,
                           profile: ProfileCurve2, incidents, N: int = 128):
-    """Solve one grating for several incident fields, factoring the matrix once."""
+    """Solve one grating for several incident fields: one factorisation, and one
+    ``lu_solve`` of the (2N, k) block of their right-hand sides."""
     for inc in incidents:
         if inc.kind in ("plane_p", "plane_s"):
             k = inc._wavenumber(medium)
@@ -403,13 +424,11 @@ def solve_dirichlet_multi(medium: ElasticMedium, q: QuasiMomentum,
                     f"incident wave momentum k*d1={k * inc.direction[0]:.6f} is not "
                     f"congruent to alpha={q.alpha:.6f} modulo 2 pi")
     sysd = _build_system(medium, q, profile, N)
-    out = []
-    for inc in incidents:
-        rhs = -inc.eval(medium, q, sysd["pts"]).reshape(-1)
-        psi = lu_solve(sysd["lu"], rhs).reshape(N, 2)
-        out.append(ScatterSolution(medium, q, profile, inc, N, sysd["pts"], sysd["jac"],
-                                   psi, sysd["cond"], sysd["sources"]))
-    return out
+    rhs = -_incident_block(incidents, medium, q, sysd["pts"]).reshape(2 * N, -1)
+    psi = lu_solve(sysd["lu"], rhs).reshape(N, 2, -1)
+    return [ScatterSolution(medium, q, profile, inc, N, sysd["pts"], sysd["jac"],
+                            psi[..., c], sysd["cond"], sysd["sources"])
+            for c, inc in enumerate(incidents)]
 
 
 def boundary_residual(sol: ScatterSolution) -> float:
@@ -431,10 +450,21 @@ def eval_scattered(sol: ScatterSolution, X, need_gradient: bool = False):
     ``sol.sources``; requires a clearance of ``10 * arc_length / N`` from the
     periodized curve, and raises ValueError when a point is not of length 2.
     """
+    out = _scattered_block(sol, sol.density, X, need_gradient)
+    return (out[0], np.stack(out[1:], axis=-1)) if need_gradient else out
+
+
+def _scattered_block(sol: ScatterSolution, density, X, want_jet: bool = False):
+    """The scattered fields at points X of densities on ``sol``'s nodes: (P, 2)
+    for one density (N, 2), (P, 2, k) for a block (N, 2, k) of the k
+    incidences of one system, or the (value, d/dx1, d/dx2) tuple when
+    ``want_jet``.  One ``apply`` from the nodes, after the clearance check of
+    :func:`eval_scattered`, which raises TooCloseToBoundary.
+    """
     X = point_rows(X, 2)
     clearance = EVAL_CLEARANCE_FACTOR * sol.arc_length / sol.N
     tau, _, d = sol.sources.wrap(X)
     if np.any(np.sqrt(tau**2 + d**2).min(axis=1) < clearance):
         raise TooCloseToBoundary(f"need distance >= {clearance:.3e} from the curve")
-    out = sol.sources.apply(sol.density * (sol.jacobian / sol.N)[:, None], X, need_gradient)
-    return (out[0], np.stack(out[1:], axis=-1)) if need_gradient else out
+    weights = (sol.jacobian / sol.N).reshape((-1,) + (1,) * (np.ndim(density) - 1))
+    return sol.sources.apply(density * weights, X, want_jet)

@@ -43,10 +43,12 @@ digits; those keep the form of M above.
 :class:`QPSources` is the one way to apply the tensor from a set of sources
 Y_n with charges c_n, sum_n G(x - Y_n) c_n.  It wraps x1 - y1 into
 (tau, n) with |tau| <= 1/2, applies the phase e^{i alpha n}, and picks the
-evaluator by one rule, for values and derivatives alike:
+evaluator by one rule with three branches, for values and derivatives alike:
 
 * targets more than NEAR_GAP above every source take the Rayleigh form
   factorised over the sources, O(modes) per target;
+* targets more than NEAR_GAP below every source take its mirror, the same
+  form with sgn(d) = -1;
 * every other target takes G at each separation from
   :meth:`QPSources.green`: pairs with |d| <= NEAR_GAP read the kernel
   table, built on first use, and pairs beyond sum the rank-one terms.
@@ -202,33 +204,46 @@ def _period(x1):
     return (x1 - n)[:, None], n[:, None]
 
 
+@lru_cache(maxsize=16)
+def _far_modes(medium: ElasticMedium, alpha: float) -> ModeTable:
+    """The modes that pairs beyond NEAR_GAP sum, one table per (medium, alpha)
+    for every :class:`QPSources` of it, as the kernel table is kept."""
+    q = QuasiMomentum("qp2d", alpha)
+    return ModeTable.of(medium, q, mode_window(medium, q, NEAR_GAP, _FAR_TOL))
+
+
 class QPSources:
     """The quasi-periodic tensor applied from fixed sources Y (N, 2).
 
     ``modes`` is the :class:`ModeTable` of the window that gap NEAR_GAP
-    needs.  :meth:`apply` sums G(x - Y_n) c_n and :meth:`green` gives G at
-    separations, by the rule of the module docstring.  ``table``, the
-    :class:`RemainderTable` of (medium, alpha) that :func:`remainder_table`
-    keeps for every caller, is looked up when a pair first falls within
-    NEAR_GAP.
+    needs, kept per (medium, alpha).  :meth:`apply` sums G(x - Y_n) c_n and
+    :meth:`green` gives G at separations, by the rule of the module
+    docstring.  ``table``, the :class:`RemainderTable` of (medium, alpha)
+    that :func:`remainder_table` keeps for every caller, is looked up when a
+    pair first falls within NEAR_GAP.
 
     Pairs beyond NEAR_GAP sum the rank-one terms of the module docstring
     over ``modes``.  Targets more than NEAR_GAP above ``crest`` = max y2 sum
-    the same terms in Rayleigh form: the source
-    factors e^{-i alpha_l y1 + i beta_l (crest - y2)} (resp. gamma_l), built
-    when a target first lies above the crest, are at most 1 in modulus; the
-    charges then collapse into two coefficients per mode, and each target
-    costs O(modes).  :meth:`rayleigh_coeffs` gives those coefficients, by the
-    same expression, for any set of modes.  Raises WoodAnomaly when a mode of
-    that window sits at a cut-off, since the terms divide by beta_l and
-    gamma_l, and ValueError when a source is not of length 2.
+    the same terms in Rayleigh form: the source factors
+    e^{-i alpha_l y1 + i beta_l (crest - y2)} (resp. gamma_l), built when a
+    target first lies above the crest, are at most 1 in modulus; the charges
+    then collapse into two coefficients per mode, and each target costs
+    O(modes).  Targets more than NEAR_GAP below ``trough`` = min y2 take the
+    mirror: sgn(d) = -1 in the polarisations, (alpha_l, -beta_l) and
+    (gamma_l, alpha_l), and source factors e^{-i alpha_l y1 + i beta_l
+    (y2 - trough)}, again at most 1.  :meth:`rayleigh_coeffs` gives the
+    coefficients above, by the same expression, for any set of modes.
+    Raises WoodAnomaly when a mode of that window sits at a cut-off, since
+    the terms divide by beta_l and gamma_l, and ValueError when a source is
+    not of length 2.
     """
 
     def __init__(self, medium: ElasticMedium, q: QuasiMomentum, Y):
         self.medium, self.q = medium, q
         self.Y = point_rows(Y, 2)
-        self.modes = ModeTable.of(medium, q, mode_window(medium, q, NEAR_GAP, _FAR_TOL))
+        self.modes = _far_modes(medium, float(q.alpha))
         self.crest = float(np.max(self.Y[:, 1]))
+        self.trough = float(np.min(self.Y[:, 1]))
 
     @cached_property
     def table(self) -> RemainderTable:
@@ -237,32 +252,43 @@ class QPSources:
     @cached_property
     def _rayleigh_factors(self):
         """The source factors src_p, src_s (N, K) of the window, referenced to the crest."""
-        return self._source_factors(self.modes, self.crest)
+        return self._source_factors(self.modes, self.crest, 1.0)
 
-    def _source_factors(self, modes: ModeTable, top):
-        """e^{-i alpha_l y1 + i beta_l (top - y2)} and the same with gamma_l at
-        every source, each (N, K), for the K modes of ``modes``."""
+    @cached_property
+    def _trough_factors(self):
+        """The same for targets below the sources, referenced to the trough."""
+        return self._source_factors(self.modes, self.trough, -1.0)
+
+    def _source_factors(self, modes: ModeTable, ref, side):
+        """e^{-i alpha_l y1 + i beta_l side (ref - y2)} and the same with gamma_l
+        at every source, each (N, K), for the K modes of ``modes``: side = 1
+        for targets above the sources, -1 for targets below."""
         y1, n = _period(-self.Y[:, 0])
-        rise = (top - self.Y[:, 1])[:, None]
+        rise = (side * (ref - self.Y[:, 1]))[:, None]
         phase = self.q.alpha * n + y1 * modes.alpha_l
         return (np.exp(1j * (phase + rise * modes.beta_l)),
                 np.exp(1j * (phase + rise * modes.gamma_l)))
 
-    def _amplitudes(self, charges, modes: ModeTable, factors):
-        """The amplitudes (A_p, A_s), each (K,), of the K modes of ``modes`` in the
-        field of ``charges`` (N, 2) above every source:
-
-            A_p(l) = (pref/beta_l) sum_n src_p[n, l] (alpha_l, beta_l).c_n,
-
-        A_s the same with gamma_l, src_s and (gamma_l, -alpha_l), for
-        ``factors`` = (src_p, src_s) of :meth:`_source_factors`; the field is
-        then sum_l A_p(l) (alpha_l, beta_l) e^{i(alpha_l x1 + beta_l (x2 - top))}
-        plus the s terms."""
-        src_p, src_s = factors
+    @staticmethod
+    def _polarisations(modes: ModeTable, side):
+        """(alpha_l, side beta_l) and (gamma_l, -side alpha_l), each (K, 2)."""
         a, b, g = modes.alpha_l, modes.beta_l, modes.gamma_l
+        return np.stack([a, side * b], axis=-1), np.stack([g, -side * a], axis=-1)
+
+    def _amplitudes(self, charges, modes: ModeTable, factors, pols):
+        """The amplitudes (A_p, A_s), each (K,), of the K modes of ``modes`` in the
+        field of ``charges`` (N, 2) on one side of every source:
+
+            A_p(l) = (pref/beta_l) sum_n src_p[n, l] p_l.c_n,
+
+        A_s the same with gamma_l, src_s and s_l, for ``pols`` = (p, s) of
+        :meth:`_polarisations` and ``factors`` = (src_p, src_s) of
+        :meth:`_source_factors` on that side; the field is then
+        sum_l A_p(l) p_l e^{i(alpha_l x1 + beta_l side (x2 - ref))} plus the s terms."""
+        (src_p, src_s), (pv, sv) = factors, pols
         pref = _pref(self.medium)
-        return (pref / b * np.sum((src_p.T @ charges) * np.stack([a, b], axis=-1), axis=1),
-                pref / g * np.sum((src_s.T @ charges) * np.stack([g, -a], axis=-1), axis=1))
+        return (pref / modes.beta_l * np.sum((src_p.T @ charges) * pv, axis=1),
+                pref / modes.gamma_l * np.sum((src_s.T @ charges) * sv, axis=1))
 
     def rayleigh_coeffs(self, charges, modes: ModeTable):
         """Rayleigh coefficients (u_p, u_s), each (M,), of sum_n G(x - Y_n) charges_n
@@ -272,7 +298,8 @@ class QPSources:
         window that :meth:`apply` sums above the crest: their source factors
         are formed here, one exponential per source and mode.
         """
-        return self._amplitudes(charges, modes, self._source_factors(modes, 0.0))
+        return self._amplitudes(charges, modes, self._source_factors(modes, 0.0, 1.0),
+                               self._polarisations(modes, 1.0))
 
     def wrap(self, X):
         """Lattice offsets of targets X (P, 2) from every source, each (P, N):
@@ -341,9 +368,11 @@ class QPSources:
             [np.ascontiguousarray(c) for c in np.moveaxis(charges, -1, 0)]
         out = [np.empty((len(X), 2, len(cols)), dtype=complex) for _ in range(3 if want_jet else 1)]
         above = X[:, 1] - self.crest > NEAR_GAP
-        if np.any(above):
-            _scatter(out, above, self._rayleigh(cols, X[above], want_jet))
-        rest = ~above
+        below = self.trough - X[:, 1] > NEAR_GAP
+        for side, part in ((1.0, above), (-1.0, below)):
+            if np.any(part):
+                _scatter(out, part, self._rayleigh(cols, X[part], want_jet, side))
+        rest = ~(above | below)
         if np.any(rest):
             tau, phase, d = self.wrap(X[rest])
             G = self.green(tau.ravel(), d.ravel(), want_jet)
@@ -355,25 +384,27 @@ class QPSources:
             out = [o[..., 0] for o in out]
         return tuple(out) if want_jet else out[0]
 
-    def _rayleigh(self, cols, X, want_jet):
+    def _rayleigh(self, cols, X, want_jet, side):
         """(value,) or (value, d/dx1, d/dx2), each (P, 2, k), at targets more
-        than NEAR_GAP above the crest, for the k charge arrays ``cols``."""
+        than NEAR_GAP above the crest (``side`` = 1) or below the trough
+        (``side`` = -1), for the k charge arrays ``cols``."""
         a, b, g = self.modes.alpha_l, self.modes.beta_l, self.modes.gamma_l
-        pv = np.stack([a, b], axis=-1)    # (K, 2) polarisations
-        sv = np.stack([g, -a], axis=-1)
+        pv, sv = self._polarisations(self.modes, side)
+        ref, factors = (self.crest, self._rayleigh_factors) if side > 0 else \
+            (self.trough, self._trough_factors)
         x1, n = _period(X[:, 0])
-        h = (X[:, 1] - self.crest)[:, None]
+        h = (side * (X[:, 1] - ref))[:, None]
         ep = np.exp(1j * (self.q.alpha * n + x1 * a + h * b))
         es = np.exp(1j * (self.q.alpha * n + x1 * a + h * g))
         out = tuple(np.empty((len(X), 2, len(cols)), dtype=complex)
                     for _ in range(3 if want_jet else 1))
         for c, charges in enumerate(cols):
-            amp_p, amp_s = self._amplitudes(charges, self.modes, self._rayleigh_factors)
+            amp_p, amp_s = self._amplitudes(charges, self.modes, factors, (pv, sv))
             fp, fs = ep * amp_p, es * amp_s
             out[0][..., c] = fp @ pv + fs @ sv
             if want_jet:
                 out[1][..., c] = (1j * a * fp) @ pv + (1j * a * fs) @ sv
-                out[2][..., c] = (1j * b * fp) @ pv + (1j * g * fs) @ sv
+                out[2][..., c] = side * ((1j * b * fp) @ pv + (1j * g * fs) @ sv)
         return out
 
 

@@ -7,11 +7,15 @@ two datasets, and runs numeric reciprocity checks at the point-source,
 scattered-field, and total-field levels.
 
 Every field here is the quasi-periodic tensor applied from a source set:
-point sources through :class:`~qpelastic.green2d.QPSources` with one
-source, scattered fields through the solution's sources at the nodes.  So
-the one evaluator rule of :mod:`qpelastic.green2d` serves all of them, with
-one kernel table per (medium, alpha) that every caller shares.  The
-point-source reciprocity level takes each tensor from one ``apply`` of the
+the point sources of a computation through one
+:class:`~qpelastic.green2d.QPSources` over all of them, scattered fields
+through the solution's sources at the nodes.  So the one evaluator rule of
+:mod:`qpelastic.green2d` serves all of them, with one kernel table per
+(medium, alpha) that every caller shares.  A synth evaluates its k
+incidences as (P, 2, k) blocks: the incident fields in one ``apply`` of the
+diagonal charge block, the scattered fields in one ``apply`` of the stacked
+densities.  The point-source reciprocity level builds one set of sources
+per quasi-momentum and takes every tensor from one ``apply`` of the
 identity charge block.
 
 Magnitudes are stored already phase-stripped; no phase survives the
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bem2d import (ProfileCurve2, eval_scattered,
+from .bem2d import (ProfileCurve2, _incident_block, _scattered_block, eval_scattered,
                     point_source_incidence, solve_dirichlet_multi)
 from .errors import ConfigError, GridMismatch
 from .green2d import QPSources
@@ -119,21 +123,19 @@ class PhaselessDataset:
 def incident_superposition(medium: ElasticMedium, q: QuasiMomentum,
                            cfg: SourceConfig, X, which="both", j: int = 0,
                            l: int = 0) -> np.ndarray:
-    """Incident field of the fixed source, one movable source, or their sum."""
+    """Incident field of the fixed source, one movable source, or their sum (one
+    ``apply`` from both sources)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-
-    def one(z, pol):
-        f = point_source_incidence(z, pol)
-        return f.eval(medium, q, X)
-
-    if which == "fixed":
-        return one(cfg.z_tilde, cfg.fixed_pol)
-    if which == "movable":
-        return one(cfg.movable_points()[j], cfg.movable_pols[l])
-    if which == "both":
-        return one(cfg.z_tilde, cfg.fixed_pol) \
-            + one(cfg.movable_points()[j], cfg.movable_pols[l])
-    raise ValueError(f"unknown selector {which!r}")
+    if which not in ("fixed", "movable", "both"):
+        raise ValueError(f"unknown selector {which!r}")
+    sources, pols = [], []
+    if which != "movable":
+        sources.append(cfg.z_tilde)
+        pols.append(cfg.fixed_pol)
+    if which != "fixed":
+        sources.append(cfg.movable_points()[j])
+        pols.append(cfg.movable_pols[l])
+    return QPSources(medium, q, sources).apply(np.asarray(pols, dtype=complex), X)
 
 
 def synth_phaseless(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve2,
@@ -151,7 +153,11 @@ def synth_phaseless(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCur
         for j in range(len(zs)):
             incidents.append(point_source_incidence(zs[j], cfg.movable_pols[l]))
     sols = solve_dirichlet_multi(medium, q, profile, incidents, N)
-    fields = [sol.incident.eval(medium, q, X) + eval_scattered(sol, X) for sol in sols]
+    # every incidence's total field in two block evaluations: the incident
+    # fields from one set of sources, the scattered ones from the nodes
+    totals = _incident_block(incidents, medium, q, X) + _scattered_block(
+        sols[0], np.stack([sol.density for sol in sols], axis=-1), X)
+    fields = np.moveaxis(totals, -1, 0)
 
     probes = np.asarray(cfg.probes, dtype=float)  # (K, 2)
     u_fixed = fields[0]
@@ -224,12 +230,18 @@ def check_reciprocity(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileC
     qm = q.negated()
 
     if level == "point_source":
-        def tensor(qq, source, target):
-            """G(target - source), one apply of the identity charge block."""
-            return QPSources(medium, qq, [source]).apply(np.eye(2)[None], [target])[0]
+        # one set of sources per quasi-momentum and one apply of the identity
+        # block (2S columns): column 2n + b is e_b at source n, and pair n
+        # reads its tensor G(target_n - source_n) off the diagonal n = p
+        def tensors(qq, sources, targets):
+            S = len(sources)
+            G = QPSources(medium, qq, sources).apply(np.eye(2 * S).reshape(S, 2, 2 * S), targets)
+            return G.reshape(S, 2, S, 2)[np.arange(S), :, np.arange(S)]
 
-        return max((float(np.max(np.abs(tensor(q, z, x) - tensor(qm, x, z))))
-                    for x, z in pairs), default=0.0)
+        if not pairs:
+            return 0.0
+        xs, zs = (np.array(side) for side in zip(*pairs))
+        return float(np.max(np.abs(tensors(q, zs, xs) - tensors(qm, xs, zs))))
 
     if level not in ("scattered", "total"):
         raise ValueError(f"unknown level {level!r}")

@@ -450,6 +450,92 @@ def test_apply_one_source(grating_setup):
     _check_apply(src, np.array([[0.6, 0.8j]]), groups)
 
 
+def _applied_by_green(src, charges, X):
+    """sum_n G(x - Y_n) charges_n and its x-derivatives from ``src.green`` pair
+    by pair, for charges (N, 2) or a block (N, 2, k)."""
+    tau, phase, d = src.wrap(X)
+    G = src.green(tau.ravel(), d.ravel(), want_jet=True)
+    return [np.einsum("xn,xnab,nb...->xa...", phase, g.reshape(tau.shape + (2, 2)), charges)
+            for g in G]
+
+
+def _rayleigh_sides(monkeypatch):
+    """A list to which every call of ``QPSources._rayleigh`` appends (side, targets)."""
+    calls = []
+    rayleigh = QPSources._rayleigh
+    monkeypatch.setattr(QPSources, "_rayleigh", lambda self, cols, X, jet, side: (
+        calls.append((side, len(X))) or rayleigh(self, cols, X, jet, side)))
+    return calls
+
+
+def test_rayleigh_forms_match_pairs(grating_setup, monkeypatch):
+    # sources at different heights, trough 0.5 and crest 0.75, so that the
+    # targets exactly NEAR_GAP from either (0.25 and 1.0) are exact in binary
+    # and stay with the pairs; just beyond, and further out, each side takes
+    # its Rayleigh form.  Values and jets, one target row at a time and all
+    # rows in one mixed batch, within 1e-14 of the pair-by-pair sum
+    med, _, q = grating_setup
+    Y = np.array([(0.1, 0.5), (0.45, 0.75), (0.8, 0.625), (1.3, 0.5625)])
+    src = QPSources(med, q, Y)
+    assert src.trough - NEAR_GAP == 0.25 and src.crest + NEAR_GAP == 1.0
+    x1 = np.array([-0.7, 0.13, 0.45, 0.9, 2.31])
+    rows = {-1: (0.25 - 1e-3, -0.5, -1.5), 0: (0.25, 0.3, 0.6, 0.9, 1.0), 1: (1.0 + 1e-3, 2.0)}
+    charges = np.array([[0.6, 0.8j], [1.0, -0.5], [0.2j, 0.3], [-0.4, 1.0 + 1j]])
+    block = np.random.default_rng(3).normal(size=(len(Y), 2, 3)) + 0j
+    calls = _rayleigh_sides(monkeypatch)
+    batch = []
+    for side, heights in rows.items():
+        for h in heights:
+            X = np.stack([x1, np.full(len(x1), h)], axis=-1)
+            batch.append(X)
+            for c in (charges, block):
+                calls.clear()
+                ref = _applied_by_green(src, c, X)
+                got = src.apply(c, X, want_jet=True)
+                assert calls == ([] if side == 0 else [(float(side), len(x1))])
+                for r, g in zip(ref, got):
+                    assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
+                assert np.array_equal(src.apply(c, X), got[0])
+    X = np.concatenate(batch)
+    calls.clear()
+    got = src.apply(block, X, want_jet=True)
+    assert sorted(calls) == [(-1.0, 3 * len(x1)), (1.0, 2 * len(x1))]
+    for r, g in zip(_applied_by_green(src, block, X), got):
+        assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
+
+
+def test_incident_block_matches_pairs(grating_setup):
+    # plane waves and point sources at different heights in one block: each
+    # column is that incidence's field, the point sources' within 1e-14 of
+    # the pair-by-pair sum from its own source and each plane wave bit for
+    # bit its closed form; IncidentField.eval and jet are its one-column case
+    from qpelastic.bem2d import _incident_block
+
+    med, plane, q = grating_setup
+    points = [point_source_incidence(z, p) for z, p in
+              (((0.4, 0.8), (1.0, 0.0)), ((0.9, 0.55), (0.6, 0.8)), ((0.2, 1.05), (0.0, 1.0)))]
+    incs = [points[0], plane, points[1], points[2]]
+    x1 = np.linspace(-0.3, 1.7, 9)
+    X = np.concatenate([np.stack([x1, np.full(len(x1), h)], axis=-1)
+                        for h in (-0.4, 0.1, 0.3, 0.7, 1.2, 1.5)])
+    got = _incident_block(incs, med, q, X, want_jet=True)
+    values = _incident_block(incs, med, q, X)
+    assert np.array_equal(values, got[0])
+    for c, inc in enumerate(incs):
+        if inc.kind == "point_source":
+            ref = _applied_by_green(QPSources(med, q, [inc.source]),
+                                    np.array([inc.polarization], dtype=complex), X)
+            for r, g in zip(ref, got):
+                assert np.max(np.abs(g[..., c] - r)) <= 1e-14 * np.max(np.abs(r))
+        else:
+            for r, g in zip(inc.jet(med, q, X), got):
+                assert np.array_equal(g[..., c], r)
+    one = points[1]
+    assert np.array_equal(one.eval(med, q, X), _incident_block([one], med, q, X)[..., 0])
+    for a, b in zip(one.jet(med, q, X), _incident_block([one], med, q, X, True)):
+        assert np.array_equal(a, b[..., 0])
+
+
 @pytest.mark.parametrize("Y,X", [
     pytest.param([(0.0, 0.0, 0.7)], [[0.3, 0.5]], id="source-3"),
     pytest.param([(0.0, 0.0)], [[0.3, 0.5, 0.9]], id="target-3"),
@@ -517,13 +603,28 @@ def test_scattered_reciprocity(grating_setup):
     assert abs(lhs - rhs) < 1e-4 * max(abs(lhs), 1.0)
 
 
-def test_multi_incident_shares_factorization(grating_setup):
+def test_multi_incident_shares_factorization(grating_setup, monkeypatch):
+    # plane and point incidences, the point sources at different heights:
+    # one factorisation and one lu_solve of the (2N, k) block, each density
+    # the one its incidence gets alone
+    import qpelastic.bem2d as bem
+
     med, inc, q = grating_setup
     prof = ProfileCurve2(0.0, (), (0.1,))
-    inc2 = point_source_incidence((0.4, 0.8), (1.0, 0.0))
-    sols = solve_dirichlet_multi(med, q, prof, [inc, inc2], N=64)
-    ref = solve_dirichlet(med, q, prof, inc2, N=64)
-    assert np.max(np.abs(sols[1].density - ref.density)) < 1e-13
+    # an s wave at the angle whose momentum k_s sin(theta) is alpha
+    theta = np.arcsin(q.alpha / np.real(med.k_s))
+    incs = [inc, point_source_incidence((0.4, 0.8), (1.0, 0.0)),
+            plane_incidence(med, "plane_s", theta)[0],
+            point_source_incidence((0.75, 0.45), (0.6, 0.8))]
+    refs = [solve_dirichlet(med, q, prof, i, N=64) for i in incs]
+    solves = []
+    lu_solve = bem.lu_solve
+    monkeypatch.setattr(bem, "lu_solve", lambda lu, b: solves.append(b.shape) or lu_solve(lu, b))
+    sols = solve_dirichlet_multi(med, q, prof, incs, N=64)
+    assert solves == [(128, 4)]
+    for sol, ref in zip(sols, refs):
+        assert sol.incident is ref.incident
+        assert np.max(np.abs(sol.density - ref.density)) < 1e-13 * np.max(np.abs(ref.density))
 
 
 def test_resonance_guard(grating_setup, monkeypatch):
@@ -574,7 +675,7 @@ def test_point_source_refuses_coincident_targets(grating_setup):
         assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
 
-def test_apply_charge_block(sin_solution):
+def test_apply_charge_block(sin_solution, monkeypatch):
     # a (N, 2, k) block equals k calls with its columns, bit for bit, in
     # every branch of the evaluator rule
     sol = sin_solution
@@ -583,8 +684,12 @@ def test_apply_charge_block(sin_solution):
     h0 = np.max(sol.points[:, 1])
     X = np.array([[0.2, h0 + 0.6], [0.45, h0 + 0.15], [0.8, h0 + NEAR_GAP + 0.1],
                   [0.3, np.min(sol.points[:, 1]) - 0.5]])
+    calls = _rayleigh_sides(monkeypatch)
     for jet in (False, True):
+        calls.clear()
         got = sol.sources.apply(block, X, want_jet=jet)
+        # above the crest and below the trough, each a Rayleigh form
+        assert sorted(calls) == [(-1.0, 1), (1.0, 2)]
         cols = [sol.sources.apply(block[..., c], X, want_jet=jet) for c in range(3)]
         for j, g in enumerate(got if jet else (got,)):
             assert g.shape == (len(X), 2, 3)

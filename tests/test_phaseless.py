@@ -73,6 +73,46 @@ def dataset(setup):
     return synth_phaseless(med, q, prof, cfg, N=64)
 
 
+def test_synth_equals_per_incidence_construction(setup, dataset, monkeypatch):
+    # the block evaluations of a synth against one solve, one incident field
+    # and one scattered field per incidence, within 1e-13 of each array's
+    # largest entry.  Once the kernel table and the far-field window of
+    # (medium, alpha) are kept, a synth builds at most two mode tables: its
+    # point sources share one set of sources, not one each
+    from qpelastic.bem2d import eval_scattered, point_source_incidence, solve_dirichlet
+    from qpelastic.medium import ModeTable
+
+    med, q, cfg, prof = setup
+    X = cfg.grid_points()
+    zs = cfg.movable_points()
+    incs = [point_source_incidence(cfg.z_tilde, cfg.fixed_pol)]
+    incs += [point_source_incidence(zs[j], pol) for pol in cfg.movable_pols
+             for j in range(len(zs))]
+    fields = []
+    for inc in incs:
+        sol = solve_dirichlet(med, q, prof, inc, N=64)
+        fields.append(inc.eval(med, q, X) + eval_scattered(sol, X))
+    P = np.asarray(cfg.probes)
+    J = len(zs)
+    r = np.abs(fields[0] @ P.T).T
+    s = np.stack([np.stack([np.abs(fields[1 + l * J + j] @ P.T).T for j in range(J)], 1)
+                  for l in range(len(cfg.movable_pols))], 1)
+    b = np.stack([np.stack([np.abs((fields[0] + fields[1 + l * J + j]) @ P.T).T
+                            for j in range(J)], 1) for l in range(len(cfg.movable_pols))], 1)
+    for got, want in ((dataset.r, r), (dataset.s, s), (dataset.b, b)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    built = []
+    of = ModeTable.of.__func__
+    monkeypatch.setattr(ModeTable, "of", classmethod(
+        lambda cls, *a, **k: built.append(1) or of(cls, *a, **k)))
+    again = synth_phaseless(med, q, prof, cfg, N=64)
+    assert len(built) <= 2
+    for k in "rsb":
+        assert np.array_equal(getattr(again, k), getattr(dataset, k))
+
+
 def test_dataset_identities(dataset):
     ds = dataset
     assert np.all(ds.r >= 0) and np.all(ds.s >= 0) and np.all(ds.b >= 0)
