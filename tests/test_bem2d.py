@@ -624,7 +624,7 @@ def test_multi_incident_shares_factorization(grating_setup, monkeypatch):
     assert solves == [(128, 4)]
     for sol, ref in zip(sols, refs):
         assert sol.incident is ref.incident
-        assert np.max(np.abs(sol.density - ref.density)) < 1e-13 * np.max(np.abs(ref.density))
+        assert np.max(np.abs(sol.density - ref.density)) < 1e-13
 
 
 def test_resonance_guard(grating_setup, monkeypatch):
