@@ -159,7 +159,7 @@ def _incident_block(incidents, medium: ElasticMedium, q: QuasiMomentum, X,
            for _ in range(3 if want_jet else 1)]
     points = [c for c, inc in enumerate(incidents) if inc.kind == "point_source"]
     for c, inc in enumerate(incidents):
-        if c not in points:
+        if inc.kind != "point_source":
             for o, f in zip(out, inc.jet(medium, q, X)):
                 o[..., c] = f
     if points:
