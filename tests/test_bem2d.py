@@ -622,9 +622,13 @@ def test_multi_incident_shares_factorization(grating_setup, monkeypatch):
     monkeypatch.setattr(bem, "lu_solve", lambda lu, b: solves.append(b.shape) or lu_solve(lu, b))
     sols = solve_dirichlet_multi(med, q, prof, incs, N=64)
     assert solves == [(128, 4)]
+    # the (128, 4) and (128, 1) solves take different BLAS paths, so a column
+    # agrees to rounding times the condition (~115) relative to its own size:
+    # the plane waves' densities are ~140, the point sources' ~2
     for sol, ref in zip(sols, refs):
         assert sol.incident is ref.incident
-        assert np.max(np.abs(sol.density - ref.density)) < 1e-13
+        assert np.max(np.abs(sol.density - ref.density)) < 1e-13 * np.max(np.abs(ref.density))
+    assert np.max(np.abs(sols[1].density - refs[1].density)) < 1e-13
 
 
 def test_resonance_guard(grating_setup, monkeypatch):
