@@ -57,7 +57,8 @@ def equal_rows(keys):
 def contract(keys, n_modes: int, tensors, product, block: int):
     """Per point p, sum_l phase_pl T_l(key_p) with each T built once per distinct key.
 
-    The one contraction loop of the plain series.  ``keys`` (n, k) holds
+    The one contraction loop of the 3D plain series (the 2D series sums
+    through ``green2d._mode_sum``).  ``keys`` (n, k) holds
     each point's key, the part of its offset from the source that the mode
     tensors depend on.  ``tensors(i)`` returns the (len(i), n_modes, ...)
     tensors at the keys of points ``i`` (one point per distinct key); they

@@ -26,19 +26,20 @@ term, so that Phi - S is entire; S and grad S are closed forms, and no
 Hankel function is evaluated per pair.  The table is built
 once per (medium, alpha) from the plain series and kept, so every caller of
 that (medium, alpha) shares it; it is fitted one row of nodes at a time:
-the nodes of a row share their gap d_k and with it the mode matrices
-M(alpha_l, d_k).  Where a table's coefficients do not decay it raises
-``TableUnresolved``, and no other evaluator answers in its place.
+the nodes of a row share their gap d_k and with it one mode window.  Where
+a table's coefficients do not decay it raises ``TableUnresolved``, and no
+other evaluator answers in its place.
 
-Beyond ``NEAR_GAP`` the plain series converges fast, and each mode matrix
-is summed as one rank-one term per wave type (Rayleigh's expansion),
+One mode sum, :func:`_mode_sum`, serves the plain series, the table fit
+and the pairs of :meth:`QPSources.green` beyond NEAR_GAP, with M rearranged
+so that no term cancels where |alpha_l| >> k_s.  Each M is also one
+rank-one term per wave type (Rayleigh's expansion),
 
     M(alpha_l, d) = c e^{i beta_l |d|}/beta_l p p^T + c e^{i gamma_l |d|}/gamma_l s s^T,
 
 p = (alpha_l, sgn(d) beta_l), s = (gamma_l, -sgn(d) alpha_l), beta_l = b,
-gamma_l = g and c = (i/4pi) C.  The two terms cancel where |alpha_l| >> k_s,
-which at the smaller gaps of the table fit and of the point series costs
-digits; those keep the form of M above.
+gamma_l = g and c = (i/4pi) C.  Its separate beta_l and gamma_l exponentials
+factorise over the sources, which the Rayleigh forms below use.
 
 :class:`QPSources` is the one way to apply the tensor from a set of sources
 Y_n with charges c_n, sum_n G(x - Y_n) c_n.  It wraps x1 - y1 into
@@ -51,7 +52,7 @@ evaluator by one rule with three branches, for values and derivatives alike:
   form with sgn(d) = -1;
 * every other target takes G at each separation from
   :meth:`QPSources.green`: pairs with |d| <= NEAR_GAP read the kernel
-  table, built on first use, and pairs beyond sum the rank-one terms.
+  table, built on first use, and pairs beyond take the mode sum.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 from scipy.special import j0, j1
 
-from ._series import contract, per_key, point_rows, points, scalar_phases
+from ._series import per_key, point_rows, points
 from .errors import CoincidentPoints, DomainError, NearSourceLine, TableUnresolved
 from .green_free import COINCIDENT_TOL, GreenEval
 from .medium import ElasticMedium, ModeTable, QuasiMomentum, mode_window, series_window
@@ -79,8 +80,8 @@ NEAR_GAP = 0.25
 _FAR_TOL = 1e-16
 # pairs per block of the table evaluations, to bound memory
 _CHUNK = 4096
-# sign of each mode-matrix entry under d -> -d
-_PARITY = np.array([[1.0, -1.0], [-1.0, 1.0]])
+# (pairs x modes) per block of the mode sum, to bound memory
+_PAIR_MODES = 1 << 18
 
 
 def _pref(medium: ElasticMedium):
@@ -89,45 +90,78 @@ def _pref(medium: ElasticMedium):
     return 0.25j / np.pi * c
 
 
-def _unified_blocks(medium, modes: ModeTable, D, s, jet: bool = False):
-    """Mode matrices (..., 2, 2) of the table's modes, or the (value, d/dx2)
-    stacks when ``jet``.  d/dx1 of a phased term
-    e^{i alpha_l tau} M is i alpha_l times it, which callers fold into the
-    phase.
+def _mode_weights(medium, modes: ModeTable, want_jet: bool = False):
+    """``(g_b, W)``: g_b = g - b and the weights W (2, ..., 3) over the modes'
+    shape of entries 11, 12 and 22 of M = W[0] Eb + W[1] (Eg - Eb) at d > 0,
+    or (2, ..., 9) with those of d/dx1 and d/d|d| after them when ``want_jet``.
 
-    The entries of the module docstring's M, rearranged with
-    a^2/b = k_p^2/b - b and a^2/g = k_s^2/g - g.  For |a| >> k_s both roots
-    approach i|a|, so Eg - Eb and g Eg - b Eb are formed from
-    g - b = (k_s^2 - k_p^2)/(g + b) and expm1 rather than by subtraction.
-    For k_p < |a| < k_s at large |a| D that form is 0 * inf (Eb underflows,
-    the expm1 overflows); there |Eg| = 1 >> |Eb|, so Eg - Eb is formed
-    directly, with no cancellation.
+    M of the module docstring with a^2/b = k_p^2/b - b, a^2/g = k_s^2/g - g
+    and g - b = (k_s^2 - k_p^2)/(g + b): no weight subtracts O(|a|) terms
+    where both roots approach i|a|.  d/dx1 of e^{i alpha_l tau} M is i alpha_l
+    times it; d/d|d| takes i b Eb and i g_b Eb + i g (Eg - Eb).
     """
     a, a2, b, g = modes.alpha_l, modes.alpha_sq, modes.beta_l, modes.gamma_l
     kp2, ks2 = medium.k_p**2, medium.k_s**2
     g_b = (ks2 - kp2) / (g + b)
-    Eb = np.exp(1j * b * D)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dE = Eb * np.expm1(1j * g_b * D)   # Eg - Eb
-    # |Eg - Eb| <= 2, so the sum is finite exactly when every entry is
-    if not np.isfinite(dE.sum()):
-        dE = np.where(np.isfinite(dE), dE, np.exp(1j * g * D) - Eb)
-    Eg = Eb + dE
-    gEg_bEb = g_b * Eg + b * dE
-    pref = _pref(medium)
-    shape = np.broadcast_shapes(a.shape, np.shape(D), np.shape(s))
-    val = np.empty(shape + (2, 2), dtype=complex)
-    val[..., 0, 0] = gEg_bEb + kp2 / b * Eb
-    val[..., 0, 1] = val[..., 1, 0] = -s * a * dE
-    val[..., 1, 1] = ks2 / g * Eg - gEg_bEb
-    if not jet:
-        return pref * val
-    # d/dx2 = s * d/dD; the sgn factor squares away on the off-diagonal
-    d2 = np.empty_like(val)
-    d2[..., 0, 0] = s * 1j * (ks2 * Eg - a2 * dE)
-    d2[..., 0, 1] = d2[..., 1, 0] = -1j * a * gEg_bEb
-    d2[..., 1, 1] = s * 1j * (kp2 * Eb + a2 * dE)
-    return pref * val, pref * d2
+    W = np.zeros((2,) + np.shape(g_b) + (9 if want_jet else 3,), dtype=complex)
+    W[0, ..., 0] = g_b + kp2 / b
+    W[0, ..., 2] = ks2 / g - g_b
+    W[1, ..., 0] = g
+    W[1, ..., 1] = -a
+    W[1, ..., 2] = a2 / g
+    if want_jet:
+        W[..., 3:6] = 1j * a[..., None] * W[..., :3]
+        W[0, ..., 6], W[0, ..., 7], W[0, ..., 8] = 1j * ks2, -1j * a * g_b, 1j * kp2
+        W[1, ..., 6], W[1, ..., 7], W[1, ..., 8] = 1j * (ks2 - a2), -1j * a * g, 1j * a2
+    W *= _pref(medium)
+    return g_b, W
+
+
+# the weights' columns odd in d: entry 12 of value and d/dx1, the diagonal of d/dx2
+_ODD_COLUMNS = (1, 4, 6, 8)
+
+
+def _mode_sum(medium, modes: ModeTable, tau, d, want_jet: bool = False):
+    """sum_l e^{i alpha_l tau} M(alpha_l, d) over the modes of ``modes`` at
+    pairs (tau, d), d of either sign; (P, 2, 2), or the (value, d/dx1, d/dx2)
+    tuple when ``want_jet``.
+
+    [Eb, Eg - Eb] @ W of :func:`_mode_weights`, with one exponential
+    Eb = e^{i (alpha_l tau + beta_l |d|)} per pair and mode and Eg - Eb =
+    Eb expm1(i g_b |d|), the expm1 once per distinct |d|.  For k_p < |a| < k_s
+    at large |a| |d| that is 0 * inf; there |Eg| = 1 >> |Eb|, and Eg - Eb is
+    formed directly.  Blocks of pairs hold at most ``_PAIR_MODES`` entries.
+    """
+    a, b, g = modes.alpha_l, modes.beta_l, modes.gamma_l
+    K = len(a)
+    g_b, W = _mode_weights(medium, modes, want_jet)
+    W = W.reshape(2 * K, -1)
+    D = np.abs(d)
+    out = np.empty((len(tau), W.shape[1]), dtype=complex)
+    rows = max(1, _PAIR_MODES // K)
+    for i in range(0, len(tau), rows):
+        t, Di = tau[i:i + rows], D[i:i + rows]
+        D_u = np.unique(Di)
+        # pairs that share no |d|, as scattered pairs do, need no gather
+        D_u, inv = (Di, slice(None)) if len(D_u) == len(Di) else (D_u, np.searchsorted(D_u, Di))
+        E = np.empty((len(t), 2, K), dtype=complex)
+        eb, de = E[:, 0], E[:, 1]
+        np.multiply.outer(Di, 1j * b, out=eb)
+        eb.imag += np.multiply.outer(t, a)
+        np.exp(eb, out=eb)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grow = np.expm1(np.multiply.outer(D_u, 1j * g_b))
+            np.multiply(grow[inv], eb, out=de)
+        if not np.isfinite(grow).all():
+            r, c = np.nonzero(~np.isfinite(grow)[inv])
+            de[r, c] = np.exp(1j * (t[r] * a[c] + Di[r] * g[c])) - eb[r, c]
+        E = E.reshape(len(t), 2 * K)
+        for k in range(0, W.shape[1], 3):   # the value alone as in a jet, bit for bit
+            out[i:i + rows, k:k + 3] = E @ W[:, k:k + 3]
+    for c in _ODD_COLUMNS[:4 if want_jet else 1]:
+        out[:, c] *= np.sign(d)
+    parts = [out[:, k:k + 3][:, [0, 1, 1, 2]].reshape(-1, 2, 2) for k in range(0, out.shape[1], 3)]
+    return tuple(parts) if want_jet else parts[0]
 
 
 def _tail_bound(medium):
@@ -159,8 +193,8 @@ def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     Returns ``(values, tails, n_modes)`` with values (n, 2, 2), tails <= tol.
     One mode window serves the whole call, sized from the smallest |x2 - y2|,
     so one close point makes every point pay for its modes; callers with mixed
-    gaps should batch by gap.  ``_series.contract`` builds the mode matrices
-    once per distinct |x2 - y2|.
+    gaps should batch by gap.  :func:`_mode_sum` sums the modes, with its
+    expm1 once per distinct |x2 - y2|.
     """
     X, y = points(X, y, 2)
     t1 = X[:, 0] - y[0]
@@ -169,15 +203,7 @@ def green2d_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     if np.min(D) < GAP_MIN:
         raise NearSourceLine(f"|x2 - y2| = {np.min(D):.3e} below green2d.GAP_MIN = {GAP_MIN:g}")
     modes, tail = series_window(medium, q, float(np.min(D)), tol, _tail_bound(medium))
-    al = modes.alpha_l
-
-    tails = per_key(D, tail)
-    out = contract(D[:, None], len(al),
-                   lambda i: _unified_blocks(medium, modes, D[i][:, None], 1.0),
-                   *scalar_phases(t1, al, 4))
-    # below the source line the off-diagonal entries, odd in x2, change sign
-    out[d < 0] *= _PARITY
-    return out, tails, len(al)
+    return _mode_sum(medium, modes, t1, d), per_key(D, tail), len(modes.m)
 
 
 def green2d_eval(medium: ElasticMedium, q: QuasiMomentum, x, y,
@@ -222,9 +248,9 @@ class QPSources:
     that :func:`remainder_table` keeps for every caller, is looked up when a
     pair first falls within NEAR_GAP.
 
-    Pairs beyond NEAR_GAP sum the rank-one terms of the module docstring
-    over ``modes``.  Targets more than NEAR_GAP above ``crest`` = max y2 sum
-    the same terms in Rayleigh form: the source factors
+    Pairs beyond NEAR_GAP take :func:`_mode_sum` over ``modes``.  Targets
+    more than NEAR_GAP above ``crest`` = max y2 sum the rank-one terms of
+    the module docstring in Rayleigh form: the source factors
     e^{-i alpha_l y1 + i beta_l (crest - y2)} (resp. gamma_l), built when a
     target first lies above the crest, are at most 1 in modulus; the charges
     then collapse into two coefficients per mode, and each target costs
@@ -316,39 +342,17 @@ class QPSources:
         """G at separations (tau, d) with |tau| <= 1/2 by the module's rule;
         (P, 2, 2), or the (value, d/dx1, d/dx2) tuple when ``want_jet``.
         Raises as :meth:`RemainderTable.green` does for pairs within NEAR_GAP.
-        Far pairs go in blocks whose (pairs x modes) exponentials stay near 8 MB.
         """
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         d = np.atleast_1d(np.asarray(d, dtype=float))
         near = np.abs(d) <= NEAR_GAP
-        if near.all() and near.size:   # all in the table's cell, as in an assembly: no copies
+        if not near.any():
+            return _mode_sum(self.medium, self.modes, tau, d, want_jet)
+        if near.all():   # all in the table's cell, as in an assembly: no copies
             return self.table.green(tau, d, want_jet)
         out = [np.empty((len(tau), 2, 2), dtype=complex) for _ in range(3 if want_jet else 1)]
-        if np.any(near):
-            _scatter(out, near, self.table.green(tau[near], d[near], want_jet))
-        far = np.flatnonzero(~near)
-        rows = max(1, (1 << 18) // len(self.modes.m))
-        for i in range(0, len(far), rows):
-            idx = far[i:i + rows]
-            _scatter(out, idx, self._far(tau[idx], d[idx], want_jet))
-        return tuple(out) if want_jet else out[0]
-
-    def _far(self, tau, d, want_jet):
-        """The rank-one sum at pairs with |d| > NEAR_GAP: entries 11, 12 and
-        22 of c p p^T / beta_l and c s s^T / gamma_l at d > 0 as per-mode
-        weights, sgn(d) applied to entry 12 and to d/dx2 = sgn(d) d/d|d|."""
-        a, b, g = self.modes.alpha_l, self.modes.beta_l, self.modes.gamma_l
-        s, D = np.sign(d)[:, None], np.abs(d)[:, None]
-        ep = np.exp(1j * (tau[:, None] * a + D * b))
-        es = np.exp(1j * (tau[:, None] * a + D * g))
-        wp = _pref(self.medium) * np.stack([a * a / b, a, b], axis=-1)
-        ws = _pref(self.medium) * np.stack([g, -a, a * a / g], axis=-1)
-        ia, ib, ig = (1j * x[:, None] for x in (a, b, g))
-        out = []
-        for fp, fs, sd in [(1.0, 1.0, 1.0), (ia, ia, 1.0), (ib, ig, s)][:3 if want_jet else 1]:
-            v = sd * (ep @ (fp * wp) + es @ (fs * ws))
-            v[:, 1:2] *= s
-            out.append(v[:, [0, 1, 1, 2]].reshape(-1, 2, 2))
+        _scatter(out, near, self.table.green(tau[near], d[near], want_jet))
+        _scatter(out, ~near, _mode_sum(self.medium, self.modes, tau[~near], d[~near], want_jet))
         return tuple(out) if want_jet else out[0]
 
     def apply(self, charges, X, want_jet: bool = False):
@@ -606,9 +610,8 @@ def _fit_remainder(medium, alpha, n_tau, n_d, derivatives: bool = False):
     dT/dd is odd in d where T is even, so its array holds the degrees 2k + 1
     of the diagonal entries and the degrees 2k of T_12.
 
-    Every node of one row d_k > 0 shares the mode matrices M(alpha_l, d_k),
-    so each row is one (tau nodes x modes) phase matrix times one stack of
-    mode matrices over the window of gap d_k.
+    Every node of one row d_k > 0 shares the window of gap d_k, so each row
+    is one :func:`_mode_sum` over it, whose jet gives the derivative rows.
     """
     q = QuasiMomentum("qp2d", alpha)
     x = _cheb_nodes(n_tau)
@@ -616,16 +619,9 @@ def _fit_remainder(medium, alpha, n_tau, n_d, derivatives: bool = False):
     G = np.empty((2 if derivatives else 1, n_tau, len(y), 2, 2), dtype=complex)
     for k, dk in enumerate(NEAR_GAP * y):
         modes = ModeTable.of(medium, q, mode_window(medium, q, dk, _FAR_TOL))
-        al = modes.alpha_l
-        ph = np.exp(0.5j * np.outer(x, al))
-        if derivatives:
-            val, d2 = (b.reshape(len(al), 4)
-                       for b in _unified_blocks(medium, modes, dk, 1.0, True))
-            rows = ((ph * (1j * al)) @ val, ph @ d2)
-        else:
-            rows = (ph @ _unified_blocks(medium, modes, dk, 1.0).reshape(len(al), 4),)
-        for g, row in zip(G, rows):
-            g[:, k] = row.reshape(n_tau, 2, 2)
+        rows = _mode_sum(medium, modes, 0.5 * x, np.full(n_tau, dk), derivatives)
+        for g, row in zip(G, rows[1:] if derivatives else (rows,)):
+            g[:, k] = row
     tau = np.repeat(0.5 * x, len(y))
     d = np.tile(NEAR_GAP * y, n_tau)
     S = _log_part(medium, tau, d, derivatives)

@@ -15,10 +15,11 @@
   3D Rayleigh coefficients, the per-point off-node log-quadrature weights
   the per-mode Wood-anomaly predicate and central-difference divergence
   and curl: reference forms of what the library computes another way;
-* the Abel-Plana near-line form of the 2D tensor and its jet, the
+* the 2D mode matrices one mode at a time from the library's mode weights,
+  the Abel-Plana near-line form of the 2D tensor and its jet, the
   independent reference for the kernel table, and the plain 2D series summed
-  pair by pair over stacks of mode matrices, the reference for the rank-one
-  terms beyond NEAR_GAP;
+  pair by pair over stacks of mode matrices, the reference for the blocked
+  mode sum and its expm1 shared per gap;
 * the biperiodic series summed with one exponential per mode, the reference
   for its row-wise contraction.
 """
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import hankel1, hankel2, jv, roots_laguerre
 
-from qpelastic.green2d import _FAR_TOL, NEAR_GAP, _unified_blocks
+from qpelastic.green2d import _FAR_TOL, _ODD_COLUMNS, NEAR_GAP, _mode_weights
 from qpelastic.green3d_biqp import _tail_bound as _biqp_tail_bound
 from qpelastic.green3d_biqp import c_bi_arrays
 from qpelastic.green_free import _kupradze_value, _radial2d, kupradze, lattice_sum
@@ -518,6 +519,27 @@ def _literal_block(medium, mode: ModeTable, D, s):
     return pref * M
 
 
+def mode_blocks_2d(medium, modes: ModeTable, D, s, jet: bool = False):
+    """Mode matrices M(alpha_l, d) (..., 2, 2) of the modes of ``modes`` at |d| = D
+    and sgn(d) = s, broadcast together, or the (value, d/dx1, d/dx2) tuple of
+    the term e^{i alpha_l tau} M at tau = 0 when ``jet``.
+
+    Each mode on its own, W_b Eb + W_d (Eg - Eb) with the library's weights;
+    Eg - Eb = Eb expm1(i (g - b) D), or Eg - Eb itself where that overflows.
+    """
+    g_b, W = _mode_weights(medium, modes, jet)
+    Eb = np.exp(1j * modes.beta_l * D)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dE = Eb * np.expm1(1j * g_b * D)
+    if not np.all(np.isfinite(dE)):
+        dE = np.where(np.isfinite(dE), dE, np.exp(1j * modes.gamma_l * D) - Eb)
+    w = Eb[..., None] * W[0] + dE[..., None] * W[1]
+    w[..., list(_ODD_COLUMNS[:4 if jet else 1])] *= np.asarray(s)[..., None]
+    parts = [w[..., k:k + 3][..., [0, 1, 1, 2]].reshape(w.shape[:-1] + (2, 2))
+             for k in range(0, w.shape[-1], 3)]
+    return tuple(parts) if jet else parts[0]
+
+
 @dataclass(frozen=True)
 class ModeTerm2D:
     """One mode's 2x2 block (prefactor included) and which formula produced it."""
@@ -533,7 +555,7 @@ def mode_term_2d(medium: ElasticMedium, mode: ModeTable, x2: float, y2: float,
     d = x2 - y2
     D, s = abs(d), np.sign(d)
     if form == "unified":
-        mat = _unified_blocks(medium, mode, D, s)[0]
+        mat = mode_blocks_2d(medium, mode, D, s)[0]
         case = "unified"
     elif form == "literal":
         mat = _literal_block(medium, mode, D, s)
@@ -732,9 +754,8 @@ def _mode_h(medium, a, D, s, tau, jet: bool):
     """
     ph = np.exp(1j * a * tau)[..., None, None]
     if jet:
-        val, d2 = _unified_blocks(medium, _momenta(medium, a), D, s, True)
-        return val * ph, (1j * a)[..., None, None] * val * ph, d2 * ph
-    return _unified_blocks(medium, _momenta(medium, a), D, s) * ph
+        return tuple(b * ph for b in mode_blocks_2d(medium, _momenta(medium, a), D, s, True))
+    return mode_blocks_2d(medium, _momenta(medium, a), D, s) * ph
 
 
 def _ray_nodes(rho_min, first):
@@ -840,23 +861,19 @@ def _series_sum(medium, modes, tau, d, want_jet: bool):
     """sum_l e^{i alpha_l tau} M(alpha_l, d) over the table ``modes`` at pairs (tau, d).
 
     One (pairs x modes) contraction per output and block of pairs, the block
-    sized so a stack of mode matrices stays near 16 MB.  Returns (P, 2, 2), or
-    a (value, d/dx1, d/dx2) tuple when ``want_jet``.
+    sized so the weighted modes and the mode matrices of a jet stay near 25 MB.
+    Returns (P, 2, 2), or a (value, d/dx1, d/dx2) tuple when ``want_jet``.
     """
     al = modes.alpha_l
     out = [np.empty((len(tau), 2, 2), dtype=complex) for _ in range(3 if want_jet else 1)]
-    rows = max(1, (1 << 18) // len(al))
+    rows = max(1, (1 << 16) // len(al))
     for i in range(0, len(tau), rows):
         sl = slice(i, i + rows)
         ph = np.exp(1j * np.outer(tau[sl], al))
-        D, s = np.abs(d[sl])[:, None], np.sign(d[sl])[:, None]
-        if want_jet:
-            val, d2 = _unified_blocks(medium, modes, D, s, True)
-            terms = ((ph, val), (ph * (1j * al), val), (ph, d2))
-        else:
-            terms = ((ph, _unified_blocks(medium, modes, D, s)),)
-        for o, (p, b) in zip(out, terms):
-            o[sl] = np.einsum("pm,pmab->pab", p, b)
+        blocks = mode_blocks_2d(medium, modes, np.abs(d[sl])[:, None], np.sign(d[sl])[:, None],
+                                want_jet)
+        for o, b in zip(out, blocks if want_jet else (blocks,)):
+            o[sl] = np.einsum("pm,pmab->pab", ph, b)
     return tuple(out) if want_jet else out[0]
 
 

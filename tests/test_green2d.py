@@ -7,9 +7,9 @@ from oracles import (_series_sum, mode_term_2d, mp_log_part, mp_mode_block_2d,
 from qpelastic.errors import (CoincidentPoints, DomainError, NearSourceLine,
                               TableUnresolved, WoodAnomaly)
 from qpelastic.checks import navier_residual
-from qpelastic._series import _BLOCK_ELEMS
-from qpelastic.green2d import (NEAR_GAP, QPSources, _tail_bound, green2d_eval,
-                               green2d_eval_batch, green2d_near_line_batch, remainder_table)
+from qpelastic.green2d import (_PAIR_MODES, NEAR_GAP, QPSources, _mode_weights, _tail_bound,
+                               green2d_eval, green2d_eval_batch, green2d_near_line_batch,
+                               remainder_table)
 from qpelastic.medium import (ModeTable, make_medium, make_quasi_momentum, mode_window,
                               series_window)
 
@@ -370,10 +370,10 @@ def _mp_series(medium, alpha, m, tau, d):
 
 
 def test_sources_green_beyond_near_gap():
-    # beyond NEAR_GAP QPSources.green sums one rank-one term per mode and
-    # wave type; the reference sums the stacked mode matrices pair by pair
-    # over the same window.  Value and both derivatives within 1e-13 of each
-    # component's largest entry (over 2,000 pairs, worst 5.4e-14 at omega = 120)
+    # beyond NEAR_GAP QPSources.green takes the blocked mode sum; the
+    # reference sums the stacked mode matrices pair by pair over the same
+    # window.  Value and both derivatives within 1e-13 of each
+    # component's largest entry (over 2,000 pairs, worst 7.5e-15 at omega = 120)
     rng = np.random.default_rng(8)
     edge = NEAR_GAP * (1 + 1e-12)
     tau = np.concatenate([[0.5, -0.5, 0.0, 0.31], rng.uniform(-0.5, 0.5, 196)])
@@ -406,6 +406,30 @@ def test_sources_green_beyond_near_gap():
     # the table itself covers its cell only
     with pytest.raises(DomainError):
         remainder_table(make_medium(2.0, 1.0, 1.0, 5.0), 0.3).green([0.1, 0.2], [0.1, edge])
+
+
+def test_far_pairs_where_the_expm1_overflows():
+    # at omega = 120 (k_p = 60, k_s = 120) and 9 <= |d| <= 12.5, Im beta_l |d|
+    # reaches about 1,300 for k_p < |alpha_l| < k_s: Eb underflows and the
+    # expm1 of Eg - Eb overflows, so the mode sum forms Eg - Eb directly.
+    # Values and jets at both signs of d are finite, raise no RuntimeWarning
+    # and lie within 1e-12 of the per-pair sum (worst 3.7e-14).  Rounding the
+    # phase beta_l |d| ~ 1e3 rad alone puts the sum 1.6e-12 from a 50-digit
+    # one at six of these pairs, so the reference is the per-pair sum.
+    rng = np.random.default_rng(23)
+    tau = rng.uniform(-0.5, 0.5, 300)
+    d = rng.uniform(9.0, 12.5, 300) * rng.choice([-1.0, 1.0], 300)
+    med = make_medium(2.0, 1.0, 1.0, 120.0)
+    for alpha in (0.3, -1.7):
+        src = QPSources(med, make_quasi_momentum("qp2d", alpha, med), [(0.0, 0.0)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            grow = np.expm1(1j * np.outer(np.abs(d), _mode_weights(med, src.modes)[0]))
+        assert not np.all(np.isfinite(grow))
+        got = src.green(tau, d, want_jet=True)   # the suite raises RuntimeWarnings
+        ref = _series_sum(med, src.modes, tau, d, True)
+        for g, r in zip(got, ref):
+            assert np.all(np.isfinite(g))
+            assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
 
 def test_derivative_table_refuses_unresolved(monkeypatch):
@@ -491,9 +515,10 @@ def test_batch_equals_per_pair_sum(rng):
 
 @pytest.mark.parametrize("omega_im", [0.0, 0.1])
 def test_batch_over_key_and_point_blocks(omega_im):
-    """296 modes at gap 0.02: 250 distinct |x2 - y2| span three blocks of
-    mode matrices, and 1 000 points on one gap span three blocks of phases;
-    both signs of x2 - y2.  The values equal the per-pair contraction."""
+    """296 modes at gap 0.02: 250 distinct |x2 - y2| and 2 500 points on one
+    gap, both signs of x2 - y2, span four pair blocks of the mode sum, the
+    first mixing distinct gaps with the shared one.  The values equal the
+    per-pair contraction."""
     rng = np.random.default_rng(12)
     med = make_medium(2.0, 1.0, 1.0, 2.0)
     if omega_im:
@@ -501,12 +526,12 @@ def test_batch_over_key_and_point_blocks(omega_im):
     q = make_quasi_momentum("qp2d", 0.3, med)
     y = np.array([0.1, -0.05])
     d = np.concatenate([np.linspace(0.02, 1.0, 250) * rng.choice([-1.0, 1.0], 250),
-                        0.3 * rng.choice([-1.0, 1.0], 1000)])
+                        0.3 * rng.choice([-1.0, 1.0], 2500)])
     X = np.column_stack([rng.uniform(-1, 2, len(d)), y[1] + d])
     val, _, n = green2d_eval_batch(med, q, X, y, 1e-10)
     modes = series_window(med, q, 0.02, 1e-10, _tail_bound(med))[0]
     assert n == len(modes.m) == 296
-    assert 2 * (_BLOCK_ELEMS // n) < 250 and 2 * 4 * (_BLOCK_ELEMS // n) < 1000
+    assert 250 < _PAIR_MODES // n and 3 * (_PAIR_MODES // n) < len(d)
     ref = _series_sum(med, modes, X[:, 0] - y[0], X[:, 1] - y[1], False)
     err = np.max(np.abs(val - ref), axis=(1, 2))
     assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=(1, 2)))

@@ -8,6 +8,7 @@ each case runs at real and at complexified frequency.
 import numpy as np
 import pytest
 
+from oracles import mode_blocks_2d
 from qpelastic import green2d, green3d_biqp, green3d_qp
 from qpelastic.green3d_qp import c_arrays
 from qpelastic.medium import ModeTable, make_medium, make_quasi_momentum, mode_window, series_window
@@ -90,7 +91,7 @@ def _omitted_sum(kind, med, q, modes, gap):
     lo, hi = int(modes.m.min()), int(modes.m.max())
     out = ModeTable.of(med, q, np.r_[lo - 600:lo, hi + 1:hi + 601])
     if kind == "qp2d":
-        terms = green2d._unified_blocks(med, out, gap, 1.0)
+        terms = mode_blocks_2d(med, out, gap, 1.0)
     else:
         x = _point(kind, gap)
         terms = c_arrays(med, out, x[1], x[2])
