@@ -23,7 +23,7 @@ from .checks import ode_residual
 from .green2d import green2d_eval
 from .green3d_biqp import c_l_bi, greenbi_eval
 from .green3d_qp import c_l, green3dqp_eval
-from .green_free import GreenEval, comb_normalization, kupradze, lattice_sum
+from .green_free import GreenEval, comb_normalization, ewald_sum, kupradze, lattice_sum
 from .medium import (ElasticMedium, ModeTable, QuasiMomentum, lattice_window, make_medium,
                      make_quasi_momentum)
 from .phaseless import (PhaselessDataset, SourceConfig, check_reciprocity,

@@ -1,20 +1,24 @@
 """Free-space Kupradze tensors and phased lattice-sum oracles.
 
 The lattice sums are the slow-but-independent cross-check for every spectral
-series in this package: at a complexified frequency ``omega*(1+i*eta)`` both
-representations converge absolutely and must agree up to the comb
+series in this package.  The direct sum :func:`lattice_sum` converges
+absolutely only at a complexified frequency ``omega*(1+i*eta)``; the Ewald
+split :func:`ewald_sum` of the biperiodic lattice converges like a Gaussian
+at real frequency too.  Either agrees with the series up to the comb
 normalization returned by :func:`comb_normalization`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfcx
 
 from ._series import geom_poly_sum, points
 from .errors import CoincidentPoints
-from .medium import ElasticMedium, QuasiMomentum
+from .medium import ElasticMedium, ModeTable, QuasiMomentum
 from .specfun import hankel01
 
 COINCIDENT_TOL = 1e-12
@@ -223,3 +227,193 @@ def _lattice_tail_bound(medium, q, N, damping, offset):
     else:
         geo = 2.0 * first / (1.0 - ratio)
     return float(scale * geo)
+
+
+# ---------------------------------------------------------------------------
+# The Ewald split of the biperiodic lattice sum
+# ---------------------------------------------------------------------------
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def _exp_erfc(e, g, w):
+    """e erfc(w) from g = e e^{-w^2}: g erfcx(w) where Re w >= 0, else
+    2 e - g erfcx(-w).  |erfcx| <= 1 on Re >= 0, so no factor overflows."""
+    neg = w.real < 0
+    ex = erfcx(np.where(neg, -w, w))
+    return np.where(neg, 2.0 * e - g * ex, g * ex)
+
+
+def _ewald_spectral(modes: ModeTable, d, eta):
+    """Spectral parts of S_k and its Hessian at d, rows k = k_s, k_p.
+
+    sum_m e^{i alpha_m . rho} F_m(z), F_m = [e^{g z} erfc(g/2eta + eta z) +
+    e^{-g z} erfc(g/2eta - eta z)]/(4g), g = -i sqrt(k^2 - |alpha_m|^2):
+    both erfc terms are erfcx times the one Gaussian e^{-g^2/4eta^2 - eta^2 z^2}.
+    F' = [e^{g z} erfc(+) - e^{-g z} erfc(-)]/4 and F'' = g^2 F - (eta/sqrt pi)
+    times that Gaussian.  F is even in z; it is formed at t = |z|.
+    """
+    t = abs(d[2])
+    gam = -1j * np.stack([modes.gamma_l, modes.beta_l])
+    gauss = np.exp(gam * gam * (-0.25 / eta**2) - (eta * t) ** 2)
+    w = gam / (2 * eta)
+    ep = gauss * erfcx(w + eta * t)
+    em = _exp_erfc(np.exp(-gam * t), gauss, w - eta * t)
+    f0 = (ep + em) / (4 * gam)
+    f1 = (0.25 * np.sign(d[2])) * (ep - em)
+    f2 = gam * gam * f0 - (eta / _SQRT_PI) * gauss
+    a1, a2 = modes.alpha_l.T
+    ph = np.exp(1j * (modes.alpha_l @ d[:2]))
+    v = f0 @ (ph[:, None] * np.stack([np.ones_like(a1), -a1 * a1, -a2 * a2, -a1 * a2], axis=1))
+    g = f1 @ ((1j * ph)[:, None] * modes.alpha_l)
+    hess = np.empty((2, 3, 3), dtype=complex)
+    hess[:, 0, 0], hess[:, 1, 1], hess[:, 2, 2] = v[:, 1], v[:, 2], f2 @ ph
+    hess[:, 0, 1] = hess[:, 1, 0] = v[:, 3]
+    hess[:, 0, 2] = hess[:, 2, 0] = g[:, 0]
+    hess[:, 1, 2] = hess[:, 2, 1] = g[:, 1]
+    return v[:, 0], hess
+
+
+def _ewald_spatial(k, alpha, d, eta, radius):
+    """Spatial parts of S_k and its Hessian at d, one row per wavenumber of k (2, 1),
+    over the copies n with |(d1, d2) - n| < radius; and the number of copies.
+
+    sum_n e^{i alpha.n} h(|d - n|), h = [e^{ikr} erfc(eta r + ik/2eta) +
+    e^{-ikr} erfc(eta r - ik/2eta)]/(8 pi r); both terms are erfcx times
+    e^{k^2/4eta^2 - eta^2 r^2}.  The Hessian of h(|x|) is
+    h'' rhat rhat^T + (h'/r)(I - rhat rhat^T).
+    """
+    lo = np.ceil(d[:2] - radius).astype(int)
+    hi = np.floor(d[:2] + radius).astype(int)
+    n1, n2 = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1),
+                         indexing="ij")
+    dx = np.stack([d[0] - n1.ravel(), d[1] - n2.ravel(), np.full(n1.size, d[2])])
+    keep = dx[0] ** 2 + dx[1] ** 2 < radius * radius
+    dx = dx[:, keep]
+    r = np.sqrt(np.einsum("ij,ij->j", dx, dx))
+    if np.any(r < COINCIDENT_TOL):
+        raise CoincidentPoints("evaluation point on the source lattice")
+    ph = np.exp(1j * (alpha[0] * n1.ravel()[keep] + alpha[1] * n2.ravel()[keep]))
+    gauss = np.exp(k * k * (0.25 / eta**2) - (eta * r) ** 2)
+    w = (0.5j / eta) * k
+    ekr = np.exp(1j * k * r)
+    p = _exp_erfc(ekr, gauss, eta * r + w)
+    m = _exp_erfc(1.0 / ekr, gauss, eta * r - w)
+    a, b = p + m, p - m
+    inv_r = 1.0 / r
+    pref = inv_r / (8 * np.pi)
+    ge = (4 * eta / _SQRT_PI) * gauss
+    h1 = pref * (1j * k * b - ge - a * inv_r)
+    h2 = pref * (-k * k * a + 2 * eta * eta * r * ge - 2j * k * b * inv_r
+                 + 2 * ge * inv_r + 2 * a * inv_r * inv_r)
+    s = (pref * a) @ ph
+    iso = (h1 * inv_r) @ ph
+    # (h'' - h'/r)/r^2 weighs dx dx^T
+    wc = (h2 - h1 * inv_r) * (inv_r * inv_r) * ph
+    hess = np.einsum("kj,ij,lj->kil", wc, dx, dx) + iso[:, None, None] * np.eye(3)
+    return s, hess, dx.shape[1]
+
+
+def _ewald_tails(k_s, k_p, eta, t, w_val, w_hess):
+    """``(bound, R_min, s)`` for the spectral terms with |alpha_m| >= R and for
+    the spatial copies with |rho - n| >= R: ``bound(R)`` holds for R >= R_min
+    and falls like e^{-R^2/s}.
+
+    Each bounds the omitted part of the entries of w_val S_{k_s} I + w_hess
+    (Hess S_{k_s} - Hess S_{k_p}) in max-norm.
+    - Counting: the lattice alpha + 2 pi Z^2 has at most (R + pi sqrt2)^2/(4 pi)
+      points in a disk of radius R (each point's cell lies in the disk widened
+      by half a cell diagonal), and rho - Z^2 at most pi (R + 1/sqrt2)^2.  For
+      a per-term envelope f falling on [R, inf), summing by parts gives
+      sum_{|p| >= R} f(|p|) <= N(R) f(R) + int_R^inf N'(u) f(u) du.
+    - Spectral term, with A = |alpha_m|, A^2 >= 2 Re k^2, A^2 >= 2 eta^2 (so
+      the envelope falls) and A^2 >= Re k^2 + 4 eta^4 t^2:
+      Re g >= sqrt(A^2 - Re k^2) >= A/sqrt2 and Re(g/2eta - eta t) >= 0, so
+      both erfcx are <= 1 and, with |G| = e^{(Re k^2 - A^2)/4eta^2 - eta^2 t^2},
+      |F| <= |G|/(sqrt2 A) and |alpha_i alpha_j F|, |alpha_i F'|, |F''| <=
+      |G| (A/sqrt2 + |k|/2 + eta/sqrt pi).
+    - Spatial copy, with r >= |rho - n| >= 1 and eta r >= Im k/(2 eta): both
+      erfcx are <= 1, so with |H| = e^{Re k^2/4eta^2 - eta^2 r^2}
+      |h| <= |H|/(4 pi) and every Hessian entry is <= |h''| + |h'|/r <=
+      |H| (2|k|^2 + 6|k| + 12 eta/sqrt pi + 6 + 8 eta^3/sqrt pi)/(8 pi).
+    """
+    s = 4 * eta * eta
+    rows = ((k_s, w_val), (k_p, 0.0))
+    re_k2 = max(max(float(np.real(k * k)), 0.0) for k, _ in rows)
+    spec_min = max(math.sqrt(2 * re_k2), math.sqrt(re_k2 + s * s * t * t / 4),
+                   math.sqrt(s / 2))
+    c = math.pi * math.sqrt(2)
+
+    def spectral(R):
+        e = math.exp(-R * R / s)
+        i0 = 0.5 * math.sqrt(math.pi * s) * math.erfc(R / math.sqrt(s))
+        i1 = 0.5 * s * e
+        i2 = 0.5 * s * (R * e + i0)
+        total = 0.0
+        for k, w0 in rows:
+            a0 = w0 / (math.sqrt(2) * R) + w_hess * (abs(k) / 2 + eta / _SQRT_PI)
+            a1 = w_hess / math.sqrt(2)
+            integral = a1 * i2 + (a0 + a1 * c) * i1 + a0 * c * i0
+            total += math.exp(float(np.real(k * k)) / s - (eta * t) ** 2) * (
+                (R + c) ** 2 / (4 * math.pi) * (a0 + a1 * R) * e + integral / (2 * math.pi))
+        return total
+
+    spat_min = max(1.0, max(float(np.imag(k)) for k, _ in rows) / (2 * eta * eta))
+    cs = 1 / math.sqrt(2)
+
+    def spatial(R):
+        e = math.exp(-(eta * R) ** 2)
+        count = math.pi * ((R + cs) ** 2 * e + e / eta**2
+                           + cs * _SQRT_PI / eta * math.erfc(eta * R))
+        total = 0.0
+        for k, w0 in rows:
+            ak = abs(k)
+            b0 = 2 * ak * ak + 6 * ak + 12 * eta / _SQRT_PI + 6 + 8 * eta**3 / _SQRT_PI
+            total += math.exp(float(np.real(k * k)) / s - (eta * t) ** 2) * (
+                w0 / (4 * math.pi) + w_hess * b0 / (8 * math.pi)) * count
+        return total
+
+    return (spectral, spec_min, s), (spatial, spat_min, 1 / eta**2)
+
+
+def _ewald_radius(bound, R, s, tol):
+    """A radius >= R whose bound is <= tol, and that bound.  The bound falls
+    like e^{-R^2/s}; each step lowers that factor by e times the excess."""
+    while (b := bound(R)) > tol:
+        R = math.sqrt(R * R + s * (math.log(b / tol) + 1.0))
+    return R, b
+
+
+def ewald_sum(medium: ElasticMedium, q: QuasiMomentum, x, y,
+              tol: float = 1e-12) -> GreenEval:
+    """Biperiodic lattice sum of Kupradze copies by the Ewald split; biqp3d only.
+
+    ``comb_normalization("biqp3d")`` times the phased sum, so the value is the
+    series' value: G = c [(1/mu) S_{k_s} I + (1/rho w^2) Hess(S_{k_s} - S_{k_p})]
+    with the scalar sums S_k(x) = sum_n e^{i alpha.n} e^{ik|x-n|}/(4 pi |x-n|)
+    split at eta = max(sqrt pi, |k_s|/3) into a spectral sum over the modes
+    alpha_m = alpha + 2 pi m and a spatial sum over the copies (Linton, SIAM
+    Rev. 52 (2010)).  Both converge like Gaussians, at real or complex
+    frequency.  Each part takes the smallest disk its derived bound
+    (``_ewald_tails``) holds to tol/2, so ``tail_bound`` <= tol bounds the
+    omitted terms in max-norm.  ``modes_used`` counts modes plus copies.  At
+    real frequency the mode table raises :class:`WoodAnomaly` on a mode at a
+    cut-off, where F_m's 1/g is infinite.
+    """
+    if q.kind != "biqp3d":
+        raise ValueError(f"ewald_sum sums the biperiodic lattice only, got kind {q.kind!r}")
+    x, y = points([x], y, 3)
+    d = x[0] - y
+    ks, kp = medium.k_s, medium.k_p
+    eta = max(_SQRT_PI, float(abs(ks)) / 3)
+    c = comb_normalization("biqp3d")
+    (spec, spec_min, s_spec), (spat, spat_min, s_spat) = _ewald_tails(
+        ks, kp, eta, abs(float(d[2])), abs(c / medium.mu), abs(c / medium.rho_omega2))
+    r_spec, tail_spec = _ewald_radius(spec, spec_min, s_spec, tol / 2)
+    r_spat, tail_spat = _ewald_radius(spat, spat_min, s_spat, tol / 2)
+    modes = ModeTable.within(medium, q, r_spec)
+    s1, h1 = _ewald_spectral(modes, d, eta)
+    s2, h2, copies = _ewald_spatial(np.array([[ks], [kp]], dtype=complex), q.alpha, d, eta,
+                                    r_spat)
+    s, hess = s1 + s2, h1 + h2
+    value = c * ((s[0] / medium.mu) * np.eye(3) + (hess[0] - hess[1]) / medium.rho_omega2)
+    return GreenEval(3, value, len(modes.m) + copies, tail_spec + tail_spat)

@@ -207,6 +207,12 @@ class ModeTable:
         roots = branch_sqrt(np.concatenate([kp2 - a2, ks2 - a2]))
         return cls(medium, m, al, a2, roots[:len(a2)], roots[len(a2):])
 
+    @classmethod
+    def within(cls, medium: ElasticMedium, q: QuasiMomentum, r: float):
+        """Table of the modes with |alpha_l| <= r, ordered as :func:`lattice_window`
+        orders them; for a window sized by a bound other than the series'."""
+        return cls.of(medium, q, _disk(q, r)[0])
+
     @property
     def klass(self) -> np.ndarray:
         """Class of each mode, (M,): "L1" when the p and s waves propagate,

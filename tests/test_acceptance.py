@@ -102,7 +102,8 @@ def test_criterion_4_oracle_agreement():
     t0 = time.time()
     rng = np.random.default_rng(SEED + 3)
     worst = 0.0
-    # its own loop: N = 46 / Im k_p converges, checks.oracle's fixed N does not (ROADMAP item 1)
+    # the direct sums at complex omega with N = 46 / Im k_p, for all three lattices;
+    # checks.oracle takes biqp3d by the Ewald split at real omega instead
     for kind in checks.GEOMETRIES:
         for _ in range(10):
             om_range = (1.5, 3.0) if kind == "biqp3d" else (0.8, 3.0)
