@@ -58,16 +58,18 @@ def contract(keys, n_modes: int, tensors, product, block: int):
     """Per point p, sum_l phase_pl T_l(key_p) with each T built once per distinct key.
 
     The one contraction loop of the 3D plain series (the 2D series sums
-    through ``green2d._mode_sum``).  ``keys`` (n, k) holds
-    each point's key, the part of its offset from the source that the mode
-    tensors depend on.  ``tensors(i)`` returns the (len(i), n_modes, ...)
-    tensors at the keys of points ``i`` (one point per distinct key); they
-    are built in blocks of about ``_BLOCK_ELEMS / n_modes`` keys.  The points
-    sharing a key go in runs of at most ``block`` to ``product(sub, c)``,
-    which returns the (len(sub), width) contraction of points ``sub`` with
-    their phases and the tensors ``c`` (n_modes, width) of their key.  The
-    lattice supplies only ``product`` and ``block``: ``scalar_phases`` for
-    one momentum per mode, ``green3d_biqp`` its own for the pair lattice.
+    through ``green2d._mode_sum``).  ``keys`` (n, k) holds each point's key,
+    the part of its offset from the source that the mode tensors depend on:
+    the transverse distance r for ``green3d_qp`` (whose tensors are its four
+    r-only mode vectors) and |x3 - y3| for ``green3d_biqp``.  ``tensors(i)``
+    returns the (len(i), n_modes, ...) tensors at the keys of points ``i``
+    (one point per distinct key); they are built in blocks of about
+    ``_BLOCK_ELEMS / n_modes`` keys.  The points sharing a key go in runs of
+    at most ``block`` to ``product(sub, c)``, which returns the (len(sub),
+    width) contraction of points ``sub`` with their phases and the tensors
+    ``c`` (n_modes, width) of their key.  The lattice supplies only
+    ``product`` and ``block``: ``scalar_phases`` for one momentum per mode,
+    ``green3d_biqp`` its own for the pair lattice.
     Returns (n, ...), the trailing shape of the tensors.
     """
     groups = equal_rows(keys)

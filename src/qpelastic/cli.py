@@ -12,6 +12,7 @@ error (Wood anomaly, near-source evaluation, resonance, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -469,7 +470,9 @@ def cmd_phaseless(rc, action, out_path):
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for later calls."""
     parser = argparse.ArgumentParser(prog="qpelastic",
                                      description="quasi-periodic elastic scattering toolkit")
     parser.add_argument("command", choices=["eval", "verify", "solve2d", "rayleigh", "phaseless"])
@@ -480,7 +483,11 @@ def main(argv=None) -> int:
     parser.add_argument("--suite", default=None)
     parser.add_argument("--geometry", default=None, choices=GEOMETRIES)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         rc = resolve_config(load_config(args.config), args.geometry)

@@ -27,10 +27,25 @@ Hankel-transform quadrature of the Fourier-domain symbols (which the printed
 case tables it replaces do not all pass; see tests/test_green3d_qp.py).
 The assembled series solves ``(Delta* + rho omega^2) G = (1/2pi) * comb``.
 
+With s2 = x2/r, s3 = x3/r and s2^2 + s3^2 = 1 the table splits into four
+vectors of r alone, S0, S1 = u0, u1(g) and P0, P1 = u0, u1(b):
+
+    V0 = -w (g^2 S0 + a^2 P0),   V1 = w a (g S1 - b P1),
+    V2 = -w (a^2 S0 + b^2 P0 + (g^2 S0 - b^2 P0)/2),
+    V3 = -w ((g^2 S0 + 2 i g S1/r) - (b^2 P0 + 2 i b P1/r)),
+
+and the angular factors:
+
+    c_11 = V0,   c_12 = s2 V1,   c_13 = s3 V1,   c_23 = -s2 s3 V3,
+    c_22 = V2 + (s3^2 - s2^2) V3/2,   c_33 = V2 - (s3^2 - s2^2) V3/2.
+
 Shapes: ``c_arrays(medium, modes, x2, x3)`` takes a :class:`ModeTable` of M
 modes and scalar or array transverse coordinates (shape S) and returns
-S + (M, 3, 3).  The
-tensors depend on (x2, x3) only; ``_series.contract`` sums the series.
+S + (M, 3, 3), the four vectors of each mode assembled at its direction.
+The series sums the four vectors alone: ``_series.contract`` keys them on r,
+so the kernels are evaluated once per distinct r and the sum over modes is one
+(points x M) @ (M x 4) product, and the angular factors, linear in the
+vectors, multiply the four sums of each point.
 """
 
 from __future__ import annotations
@@ -49,6 +64,45 @@ GAP_MIN = 1e-2
 DEFAULT_TOL = 1e-10
 
 
+def _mode_vectors(medium: ElasticMedium, modes: ModeTable, r):
+    """The four r-only vectors (V0, V1, V2, V3) of each mode, shape S + (M, 4).
+
+    ``r`` > 0 is a scalar or an array of shape S of transverse distances.
+    """
+    # complex copies: a float operand would send each product with the
+    # S + (M,) arrays below through numpy's casting buffer
+    a, a2 = modes.alpha_l.astype(complex), modes.alpha_sq.astype(complex)
+    b, g = modes.beta_l, modes.gamma_l
+    r = np.asarray(r, dtype=float)[..., None]
+    # both roots in one call: its fixed cost matters at the few modes of a wide gap
+    u0, u1 = u01(np.concatenate([g, b]), r)
+    M = len(a)
+    S0, P0, S1, P1 = u0[..., :M], u0[..., M:], u1[..., :M], u1[..., M:]
+    w = 1.0 / (4 * np.pi**2 * medium.rho_omega2)
+    gS0, bP0 = g * g * S0, b * b * P0
+    v = np.empty(S0.shape + (4,), dtype=complex)
+    v[..., 0] = -w * (gS0 + a2 * P0)
+    v[..., 1] = w * a * (g * S1 - b * P1)
+    v[..., 2] = -w * (a2 * S0 + bP0 + 0.5 * (gS0 - bP0))
+    v[..., 3] = -w * ((gS0 + 2j * g * S1 / r) - (bP0 + 2j * b * P1 / r))
+    return v
+
+
+def _assemble(v, s2, s3):
+    """The 3x3 tensors ``v.shape[:-1] + (3, 3)`` of mode vectors ``v`` (..., 4)
+    at the directions s2 = x2/r, s3 = x3/r (broadcast against ``v[..., 0]``)."""
+    v0, v1, v2, v3 = np.moveaxis(v, -1, 0)
+    d = 0.5 * (s3 * s3 - s2 * s2) * v3
+    c = np.empty(v.shape[:-1] + (3, 3), dtype=complex)
+    c[..., 0, 0] = v0
+    c[..., 0, 1] = c[..., 1, 0] = s2 * v1
+    c[..., 0, 2] = c[..., 2, 0] = s3 * v1
+    c[..., 1, 1] = v2 + d
+    c[..., 2, 2] = v2 - d
+    c[..., 1, 2] = c[..., 2, 1] = -(s2 * s3) * v3
+    return c
+
+
 def c_arrays(medium: ElasticMedium, modes: ModeTable, x2, x3):
     """Vectorized mode tensors of the M modes of ``modes``.
 
@@ -58,44 +112,9 @@ def c_arrays(medium: ElasticMedium, modes: ModeTable, x2, x3):
     at complex frequency numpy may round a complex product on a large
     temporary in the other operand order.
     """
-    # complex copies: a float operand would send each product with the
-    # S + (M,) arrays below through numpy's casting buffer, and the
-    # quotients of a by r round as complex division does
-    a, a2 = modes.alpha_l.astype(complex), modes.alpha_sq.astype(complex)
-    b, g = modes.beta_l, modes.gamma_l
     x2, x3 = np.broadcast_arrays(np.asarray(x2, dtype=float), np.asarray(x3, dtype=float))
     r = np.hypot(x2, x3)
-    # powers of the coordinates by the C library's pow, as Python and numpy
-    # scalars take them: numpy's vector power differs from it in the last bit
-    # for a few percent of cubes
-    X2, X3, R = (u.ravel().tolist() for u in (x2, x3, r))
-    x22, x33, r2, r3 = np.reshape([[v**2 for v in X2], [v**2 for v in X3],
-                                   [v**2 for v in R], [v**3 for v in R]],
-                                  (4,) + r.shape + (1,))
-    x2, x3, r = x2[..., None], x3[..., None], r[..., None]
-    # both roots in one call: its fixed cost matters at the few modes of a wide gap
-    u0, u1 = u01(np.concatenate([g, b]), r)
-    M = len(a)
-    S0, P0, S1, P1 = u0[..., :M], u0[..., M:], u1[..., :M], u1[..., M:]
-    w = 1.0 / (4 * np.pi**2 * medium.rho_omega2)
-
-    def t22(m, m0, m1):
-        return m**2 * x22 / r2 * m0 - 1j * m * (x33 - x22) / r3 * m1
-
-    def t33(m, m0, m1):
-        return m**2 * x33 / r2 * m0 - 1j * m * (x22 - x33) / r3 * m1
-
-    def t23(m, m0, m1):
-        return x2 * x3 / r2 * (m**2 * m0 + 2j * m * m1 / r)
-
-    c = np.empty(S0.shape + (3, 3), dtype=complex)
-    c[..., 0, 0] = -w * (g * g * S0 + a2 * P0)
-    c[..., 0, 1] = c[..., 1, 0] = w * a * x2 / r * (g * S1 - b * P1)
-    c[..., 0, 2] = c[..., 2, 0] = w * a * x3 / r * (g * S1 - b * P1)
-    c[..., 1, 1] = -w * (a2 * S0 + t33(g, S0, S1) + b * b * P0 - t33(b, P0, P1))
-    c[..., 1, 2] = c[..., 2, 1] = w * (t23(g, S0, S1) - t23(b, P0, P1))
-    c[..., 2, 2] = -w * (a2 * S0 + t22(g, S0, S1) + b * b * P0 - t22(b, P0, P1))
-    return c
+    return _assemble(_mode_vectors(medium, modes, r), (x2 / r)[..., None], (x3 / r)[..., None])
 
 
 def c_l(medium: ElasticMedium, q: QuasiMomentum, m: int, x2: float, x3: float) -> np.ndarray:
@@ -149,8 +168,9 @@ def green3dqp_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     Returns ``(values, tails, n_modes)`` with values (n, 3, 3), tails <= tol.
     One mode window serves the whole call, sized from the smallest transverse
     gap, so one close point makes every point pay for its modes; callers with
-    mixed gaps should batch by gap.  ``_series.contract`` builds the tensors
-    c_l once per distinct (x2 - y2, x3 - y3).
+    mixed gaps should batch by gap.  ``_series.contract`` sums the four mode
+    vectors of each point, built once per distinct r = |(x2 - y2, x3 - y3)|,
+    and each point's sums take its own direction's angular factors.
     """
     X, y = points(X, y, 3)
     t1 = X[:, 0] - y[0]
@@ -163,8 +183,9 @@ def green3dqp_eval_batch(medium: ElasticMedium, q: QuasiMomentum, X, y,
     modes, tail = series_window(medium, q, float(np.min(r)), tol, _tail_bound(medium))
     al = modes.alpha_l
 
-    out = contract(np.stack([dx2, dx3], axis=-1), len(al),
-                   lambda i: c_arrays(medium, modes, dx2[i], dx3[i]), *scalar_phases(t1, al, 9))
+    v = contract(r[:, None], len(al), lambda i: _mode_vectors(medium, modes, r[i]),
+                 *scalar_phases(t1, al, 4))
+    out = _assemble(v, dx2 / r, dx3 / r)
     tails = per_key(r, tail)
     return out, tails, len(al)
 

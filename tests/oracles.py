@@ -2,7 +2,8 @@
 
 * 40-digit mpmath references for the special functions, the free-space
   tensor and the singular part S = a(r) ln r + kappa rhat rhat^T that the
-  kernel table removes, a 50-digit one for the 2D mode matrix;
+  kernel table removes and the truncated qp3d series over a mode table, a
+  50-digit one for the 2D mode matrix;
 * the closed-form gradient of the 2D free-space tensor, its log coefficient
   a(r) from scipy's ``jv`` and its finite part at coincidence, the terms of
   the reference Nystrom kernel split;
@@ -288,6 +289,14 @@ def log_coeff_jv(medium, tau, d):
     return np.where((r > 0)[..., None, None], a, a0)
 
 
+def _mp_root(w):
+    """mpmath sqrt(w) on the branch Im >= 0, Re >= 0 on the nonnegative real axis."""
+    import mpmath as mp
+
+    z = mp.sqrt(w)
+    return -z if mp.im(z) < 0 or (mp.im(z) == 0 and mp.re(z) < 0) else z
+
+
 def mp_mode_block_2d(medium, alpha_l, d):
     """50-digit 2D mode matrix (i/4pi) C [[g Eg + a^2/b Eb, s a (Eb - Eg)], [., b Eb + a^2/g Eg]]."""
     import mpmath as mp
@@ -296,12 +305,7 @@ def mp_mode_block_2d(medium, alpha_l, d):
         lam, mu = mp.mpf(medium.lam), mp.mpf(medium.mu)
         kp2, ks2 = mp.mpmathify(medium.k_p) ** 2, mp.mpmathify(medium.k_s) ** 2
         a = mp.mpmathify(alpha_l)
-
-        def root(w):  # Im >= 0, Re >= 0 on the nonnegative real axis
-            z = mp.sqrt(w)
-            return -z if mp.im(z) < 0 or (mp.im(z) == 0 and mp.re(z) < 0) else z
-
-        b, g = root(kp2 - a * a), root(ks2 - a * a)
+        b, g = _mp_root(kp2 - a * a), _mp_root(ks2 - a * a)
         D, s = abs(mp.mpf(d)), mp.sign(mp.mpf(d))
         Eb, Eg = mp.exp(1j * b * D), mp.exp(1j * g * D)
         C = 1j / (4 * mp.pi) * (lam + mu) / (mu * (lam + 2 * mu) * (kp2 - ks2))
@@ -389,6 +393,87 @@ def qp3d_mode_tensor_quadrature(medium, a, x2, x3):
                       - mu * np.pi * (i0f + c2 * i2f))
     c[1, 2] = c[2, 1] = pref * (lam + mu) * (-np.pi * s2) * I2(fs2)
     return c
+
+
+# ---------------------------------------------------------------------------
+# the truncated 3D quasi-periodic series in 40 digits
+# ---------------------------------------------------------------------------
+def mp_k01(x):
+    """(K_0(x), K_1(x)) at an mpmath x > 0, to about 40 digits for x <= 40.
+
+    The trapezoid rule on K_n(x) = int_0^inf e^{-x cosh t} cosh(n t) dt, whose
+    error falls like e^{-pi^2/h}; the step h shrinks with x because the
+    integrand's growth off the real axis does.  Several times cheaper than
+    mpmath's ``besselk``, which the tests hold it against.
+    """
+    import mpmath as mp
+
+    h = 1 / (10 + x / 5)
+    k0 = k1 = mp.mpf(0)
+    j = 0
+    while True:
+        c = mp.cosh(j * h)
+        e = mp.exp(-x * c) * (h / 2 if j == 0 else h)
+        k0 += e
+        k1 += e * c
+        if e < mp.mpf(10) ** -45 * k0:
+            return k0, k1
+        j += 1
+
+
+def mp_qp3d_series(medium, modes: ModeTable, D):
+    """40-digit sum_l e^{i alpha_l d1} c_l(d2, d3) over the modes of ``modes``
+    at each offset row (d1, d2, d3) of ``D`` (n, 3), at real frequency.
+
+    Each mode tensor takes the T22/T33/T23 table at the top of
+    ``qpelastic.green3d_qp``, with the roots taken in mpmath from the table's
+    alpha_l and the kernels u0, u1 by ``mpmath.hankel1`` on a propagating root
+    and :func:`mp_k01` on an evanescent one, once per distinct d2^2 + d3^2.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        kp2, ks2 = mp.mpmathify(medium.k_p) ** 2, mp.mpmathify(medium.k_s) ** 2
+        w = 1 / (4 * mp.pi**2 * mp.mpmathify(medium.rho_omega2))
+        al = [mp.mpf(a) for a in modes.alpha_l.tolist()]
+        roots = [(_mp_root(ks2 - a * a), _mp_root(kp2 - a * a)) for a in al]
+
+        def u01(m, r):
+            if mp.im(m) == 0:
+                return 0.5j * mp.pi * mp.hankel1(0, m * r), -0.5 * mp.pi * mp.hankel1(1, m * r)
+            if mp.re(m) != 0:
+                raise ValueError("mp_qp3d_series takes real frequencies only")
+            return mp_k01(mp.im(m) * r)
+
+        kernels = {}
+        out = []
+        for d1, d2, d3 in np.asarray(D, dtype=float).tolist():
+            d1, d2, d3 = mp.mpf(d1), mp.mpf(d2), mp.mpf(d3)
+            r2 = d2 * d2 + d3 * d3
+            r = mp.sqrt(r2)
+            if r2 not in kernels:
+                kernels[r2] = [(u01(g, r), u01(b, r)) for g, b in roots]
+
+            def t22(m, m0, m1, x2, x3):
+                return m * m * x2 * x2 / r2 * m0 - 1j * m * (x3 * x3 - x2 * x2) / r**3 * m1
+
+            def t23(m, m0, m1):
+                return d2 * d3 / r2 * (m * m * m0 + 2j * m * m1 / r)
+
+            acc = [[mp.mpc(0)] * 3 for _ in range(3)]
+            for a, (g, b), ((S0, S1), (P0, P1)) in zip(al, roots, kernels[r2]):
+                ph = mp.expj(a * d1)
+                c1 = w * a * (g * S1 - b * P1) / r
+                c = {(0, 0): -w * (g * g * S0 + a * a * P0), (0, 1): c1 * d2, (0, 2): c1 * d3,
+                     (1, 1): -w * (a * a * S0 + t22(g, S0, S1, d3, d2) + b * b * P0
+                                   - t22(b, P0, P1, d3, d2)),
+                     (1, 2): w * (t23(g, S0, S1) - t23(b, P0, P1)),
+                     (2, 2): -w * (a * a * S0 + t22(g, S0, S1, d2, d3) + b * b * P0
+                                   - t22(b, P0, P1, d2, d3))}
+                for (i, j), cij in c.items():
+                    acc[i][j] += ph * cij
+            out.append([[complex(acc[min(i, j)][max(i, j)]) for j in range(3)] for i in range(3)])
+        return np.array(out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import draw_medium, draw_momentum
-from oracles import qp3d_mode_tensor_quadrature
+from oracles import mp_k01, mp_qp3d_series, qp3d_mode_tensor_quadrature
 from qpelastic.errors import DomainError, NearSourceLine
 import qpelastic.checks as checks
+import qpelastic.green3d_qp as green3d_qp
 from qpelastic.checks import delta_weight_qp3d, navier_residual, ode_residual
 from qpelastic.green3d_qp import (_tail_bound, c_arrays, c_l, green3dqp_eval,
                                   green3dqp_eval_batch)
 from qpelastic.green_free import comb_normalization, lattice_sum
 from qpelastic.medium import ModeTable, make_medium, make_quasi_momentum, series_window
+from qpelastic.specfun import u01
 
 
 def _one_mode(medium, a):
@@ -247,3 +249,57 @@ def test_batch_over_key_and_point_blocks(omega_im):
             c[key] = c_arrays(med, modes, d[1], d[2])
         ref = np.tensordot(np.exp(1j * al * d[0]), c[key], axes=(0, 0))
         assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_mp_k01_against_besselk():
+    import mpmath as mp
+
+    with mp.workdps(40):
+        for x in (0.05, 1.3, 23.0, 40.0):
+            x = mp.mpf(x)
+            for k, n in zip(mp_k01(x), (0, 1)):
+                assert abs(k / mp.besselk(n, x) - 1) < 1e-30
+
+
+@pytest.mark.parametrize("gap", [0.02, 0.05])
+def test_series_against_40_digit_sum(gap):
+    """The batch over its own window against a 40-digit sum over the same
+    modes at four (x1, direction) pairs of one r.  The error grows with
+    |x1 - y1|, through the phases of the far modes (4.4e-13 at 1.4, gap 0.02)."""
+    med = make_medium(2.0, 1.0, 1.0, 2.0)
+    q = make_quasi_momentum("qp3d", 0.3, med)
+    y = np.array([0.1, 0.0, 0.0])
+    u, v = 0.6 * gap, 0.8 * gap
+    X = np.array([[0.1, u, v], [0.45, -v, u], [-1.3, v, -u], [0.3, -u, -v]])
+    vals, _, n = green3dqp_eval_batch(med, q, X, y)
+    modes = series_window(med, q, float(np.hypot(u, v)), 1e-10, _tail_bound(med))[0]
+    assert n == len(modes.m)
+    ref = mp_qp3d_series(med, modes, X - y)
+    assert np.max(np.abs(vals - ref)) <= 2e-12 * np.max(np.abs(ref))
+
+
+def test_kernels_once_per_distinct_r(monkeypatch):
+    """The batch takes u01 at each distinct transverse distance once, however
+    many points and directions share it."""
+    med = make_medium(2.0, 1.0, 1.0, 2.0)
+    q = make_quasi_momentum("qp3d", 0.3, med)
+    radii = []
+
+    def counted(m, r):
+        radii.append(np.ravel(r).tolist())
+        return u01(m, r)
+
+    monkeypatch.setattr(green3d_qp, "u01", counted)
+    X = [[x1, t2, t3] for t2, t3 in ((0.3, 0.4), (-0.4, 0.3), (0.4, -0.3), (-0.3, -0.4))
+         for x1 in (0.0, 0.4, 1.0)]
+    green3dqp_eval_batch(med, q, X, np.zeros(3))
+    assert radii == [[float(np.hypot(0.3, 0.4))]]
+
+    radii.clear()
+    rng = np.random.default_rng(4)
+    phi = rng.uniform(0, 2 * np.pi, 60)
+    r = np.repeat([0.05, 0.3, 0.9], 20)
+    X = np.column_stack([rng.uniform(-1, 1, 60), r * np.cos(phi), r * np.sin(phi)])
+    green3dqp_eval_batch(med, q, X, np.zeros(3))
+    got = sorted(sum(radii, []))
+    assert got == np.unique(np.hypot(X[:, 1], X[:, 2])).tolist()
