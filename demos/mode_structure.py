@@ -11,7 +11,7 @@ import numpy as np
 
 from qpelastic import ModeTable, lattice_window, make_medium, make_quasi_momentum
 from qpelastic.checks import delta_weight_biqp, delta_weight_qp3d, ode_residual
-from qpelastic.green3d_qp import c_l
+from qpelastic.green3d_qp import c_l, green3dqp_eval
 from qpelastic.medium import mode_window
 
 med = make_medium(2.0, 1.0, 1.0, 8.0)   # k_p = 4, k_s = 8
@@ -23,8 +23,12 @@ propagating = ModeTable.of(med, q, lattice_window(med, q, 0.0)[0])
 for m, al, klass in zip(propagating.m, propagating.alpha_l, propagating.klass):
     print(f"  m={m:+d}: alpha_l={al:+.3f}  {KINDS[klass]}")
 
+# the series keeps the smallest window whose tail bound is <= tol; the bare
+# exponential e^{-Im(gamma_l) gap} >= tol, which ignores every prefactor, keeps more
+kept = green3dqp_eval(med, q, (0.0, 0.3, 0.4), (0.0, 0.0, 0.0), tol=1e-10)
 count = len(mode_window(med, q, gap=0.5, tol=1e-10))
-print(f"tail_bound(gap=0.5, tol=1e-10) retains {count} modes")
+print(f"series window at gap 0.5, tol 1e-10: {kept.modes_used} modes, tail bound "
+      f"{kept.tail_bound:.1e}; exp(-Im(gamma_l) gap) >= tol keeps {count}")
 
 # transverse tensor of one mode, all three cases
 med1 = make_medium(2.0, 1.0, 1.0, 1.0)

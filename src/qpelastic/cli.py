@@ -24,11 +24,8 @@ from ._series import equal_rows
 from .bem2d import (ProfileCurve2, boundary_residual, eval_scattered,
                     plane_incidence, point_source_incidence, solve_dirichlet,
                     traction)
-from .checks import GEOMETRIES, SUITES
+from .checks import GEOMETRIES, SERIES, SUITES
 from .errors import ConfigError
-from .green2d import green2d_eval_batch
-from .green3d_biqp import greenbi_eval_batch
-from .green3d_qp import green3dqp_eval_batch
 from .medium import ElasticMedium, ModeTable, make_medium, make_quasi_momentum
 from .phaseless import (PhaselessDataset, SourceConfig, cosine_identity,
                         dataset_gap, nonvanishing_probe, synth_phaseless)
@@ -234,8 +231,7 @@ def cmd_eval(rc, out_path):
     # its smallest gap, so each point gets the modes and tail bound of a call
     # on that point alone
     geo = rc["geometry"]
-    evalf = {"qp2d": green2d_eval_batch, "qp3d": green3dqp_eval_batch,
-             "biqp3d": greenbi_eval_batch}[geo]
+    evalf = SERIES[geo]
     d = pts - src
     gap = np.hypot(d[:, 1], d[:, 2]) if geo == "qp3d" else np.abs(d[:, -1])
     values = np.empty((len(pts), dim, dim), dtype=complex)

@@ -155,27 +155,24 @@ def kupradze(medium: ElasticMedium, dim: int, x, y) -> GreenEval:
     return GreenEval(dim, _kupradze_value(medium, dx), 0, 0.0)
 
 
-def lattice_sum(medium: ElasticMedium, q: QuasiMomentum, x, y,
-                damping: float = 0.0, N: int = 100) -> GreenEval:
+def lattice_sum(medium: ElasticMedium, q: QuasiMomentum, x, y, N: int = 100) -> GreenEval:
     """Phased sum of free-space copies over the source lattice.
 
-    ``sum_{|n|<=N} e^{i n alpha} e^{-damping n^2} Phi(x, y + n e_1)`` for the
-    scalar-lattice kinds; pairs ``n=(n1,n2)`` with ``|n1|, |n2| <= N``, phase
-    ``e^{i n.alpha}``, damping ``e^{-damping |n|^2}`` and shift
-    ``n1 e_1 + n2 e_2`` for ``biqp3d``.  With Phi = a(r) I + c(r) dx dx^T the
-    sum is ``(sum w a) I + dx^T diag(w c) dx``: scalars per copy, no tensor.
+    ``sum_{|n|<=N} e^{i n alpha} Phi(x, y + n e_1)`` for the scalar-lattice
+    kinds; pairs ``n=(n1,n2)`` with ``|n1|, |n2| <= N``, phase
+    ``e^{i n.alpha}`` and shift ``n1 e_1 + n2 e_2`` for ``biqp3d``.  With
+    Phi = a(r) I + c(r) dx dx^T the sum is ``(sum w a) I + dx^T diag(w c) dx``:
+    scalars per copy, no tensor.
     """
     if not N >= 0:
         raise ValueError(f"N must be >= 0, got {N!r}")
-    if not damping >= 0.0:
-        raise ValueError(f"damping must be >= 0 (the sum diverges otherwise), got {damping!r}")
     dim = 2 if q.kind == "qp2d" else 3
     x, y = points([x], y, dim)
     d = x[0] - y
     n = np.arange(-N, N + 1)
 
     def phases(alpha):
-        return np.exp(1j * n * alpha - damping * n * n)
+        return np.exp(1j * n * alpha)
 
     # dx[:, j] = x - y - shift_j, copies along the second axis
     if q.kind == "biqp3d":
@@ -198,22 +195,18 @@ def lattice_sum(medium: ElasticMedium, q: QuasiMomentum, x, y,
     # dx diag(wc) dx^T as two real products; a complex-by-real one upcasts dx
     total = (weights @ a) * np.eye(dim) + (dx * wc.real) @ dx.T + 1j * ((dx * wc.imag) @ dx.T)
     offset = float(np.max(np.abs(d[:2 if q.kind == "biqp3d" else 1])))
-    tail = _lattice_tail_bound(medium, q, N, damping, offset)
+    tail = _lattice_tail_bound(medium, q, N, offset)
     return GreenEval(dim, total, len(weights), tail)
 
 
-def _lattice_tail_bound(medium, q, N, damping, offset):
-    """Geometric bound on the omitted copies; inf when undamped at real omega.
+def _lattice_tail_bound(medium, q, N, offset):
+    """Geometric bound on the omitted copies; inf at real omega.
 
     ``offset`` is the largest in-plane component of |x - y|, so an omitted
     copy n lies at least max_i |n_i| - offset from the target.  The bound is
     also inf when that leaves an omitted copy closer than 1.
     """
-    imkp = float(np.imag(medium.k_p))
-    rate = imkp + 0.0
-    if damping > 0.0:
-        # e^{-damping n^2} <= e^{-damping N n} for n >= N
-        rate += damping * N
+    rate = float(np.imag(medium.k_p))
     if rate <= 0.0 or N + 1 - offset < 1.0:
         return float("inf")
     # |Phi| at distance d >= n - max(2, offset + 1) decays like e^{-Im(k_p) d} with an

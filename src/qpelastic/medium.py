@@ -11,6 +11,7 @@ Conventions used throughout the library:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -109,9 +110,6 @@ class QuasiMomentum:
     kind: str
     alpha: object
     physical: bool | None = None
-
-    def alpha_vec(self):
-        return np.atleast_1d(np.asarray(self.alpha, dtype=float))
 
     def negated(self) -> "QuasiMomentum":
         if self.kind == "biqp3d":
@@ -238,13 +236,14 @@ def series_window(medium: ElasticMedium, q: QuasiMomentum, gap: float, tol: floa
 
     ``bound(a, gap)`` is the geometry's bound on the modes beyond radius a (pair
     lattice) or on one side's modes from its first omitted one, |alpha_l| = a
-    (scalar lattice); wherever it is <= tol it falls as a grows.  Bounds fall like
-    e^{-gap t}, t = sqrt(R^2 - k_s^2), so fixed-point steps on t find a radius whose
-    tail is <= tol and estimate the window's edge; a walk from the estimate over the
-    midpoints between the distinct |alpha_l| of the disk 4 pi wider than that radius
-    finds R, midway between the window's largest |alpha_l| and the next: dropping the
-    largest gives a bound > tol.  The window, a function of the |alpha_l|, maps onto itself under
-    (alpha, m) -> (-alpha, -m).
+    (scalar lattice); wherever it is <= tol it falls as a grows.  R is the first
+    midpoint between neighbouring distinct |alpha_l| whose tail is <= tol, so
+    dropping the window's largest |alpha_l| gives a bound > tol.  Bounds fall like
+    e^{-gap t}, t = sqrt(R^2 - k_s^2), so fixed-point steps on t find a radius r whose
+    tail is <= tol.  The tail then holds at every midpoint from r on, and one
+    bisection over the midpoints up to the first at or beyond r finds R; the disk
+    4 pi wider than r holds them all.  The window, a function of the |alpha_l|,
+    maps onto itself under (alpha, m) -> (-alpha, -m).
     """
     def tail(r, g=gap):
         if q.kind == "biqp3d":
@@ -257,17 +256,13 @@ def series_window(medium: ElasticMedium, q: QuasiMomentum, gap: float, tol: floa
     t = -math.log(tol) / gap
     while (b := tail(math.sqrt(ks2 + t * t))) > tol:
         t = 2 * t if b == math.inf else t + max(math.log(b / tol), 1.0) / gap
-    m, a_sq = _disk(q, math.sqrt(ks2 + t * t) + 4 * math.pi)
+    r = math.sqrt(ks2 + t * t)
+    m, a_sq = _disk(q, r + 4 * math.pi)
     u = np.unique(a_sq)
 
     def mid(i):   # midway between the i-th distinct |alpha_l| and the next
         return (math.sqrt(u[i]) + math.sqrt(u[i + 1])) / 2
 
-    t = max(t + math.log(max(b, 1e-300) / tol) / gap, 0.0)   # the edge by the exponent law
-    i = max(int(np.searchsorted(u, ks2 + t * t, "right")) - 1, 0)
-    while tail(mid(i)) > tol:   # stops inside the disk: its last midpoint's window fits
-        i += 1
-    while i > 0 and tail(mid(i - 1)) <= tol:
-        i -= 1
-    R = mid(i)
+    k = bisect.bisect_left(range(len(u) - 1), r, key=mid)   # the first midpoint at or beyond r
+    R = mid(bisect.bisect_left(range(k + 1), True, key=lambda i: tail(mid(i)) <= tol))
     return ModeTable.of(medium, q, m[a_sq <= R * R]), lambda g: tail(R, g)

@@ -38,7 +38,7 @@ from scipy.special import hankel1, hankel2, jv, roots_laguerre
 from qpelastic.green2d import _FAR_TOL, _ODD_COLUMNS, NEAR_GAP, _mode_weights
 from qpelastic.green3d_biqp import _tail_bound as _biqp_tail_bound
 from qpelastic.green3d_biqp import c_bi_arrays
-from qpelastic.green_free import _kupradze_value, _radial2d, kupradze, lattice_sum
+from qpelastic.green_free import _kupradze_value, _radial2d, kupradze
 from qpelastic.medium import (ElasticMedium, ModeTable, QuasiMomentum, branch_sqrt, mode_window,
                               series_window)
 from qpelastic.rayleigh import RayleighCoeffs3Bi
@@ -701,7 +701,7 @@ def lattice_sum_richardson(medium: ElasticMedium, q: QuasiMomentum, x, y,
     powers of the damping parameter; only used as a low-accuracy oracle.
     """
     eps = np.asarray(eps_list, dtype=float)
-    table = [lattice_sum(medium, q, x, y, damping=e, N=N).value for e in eps]
+    table = [lattice_sum_per_copy(medium, q, x, y, damping=e, N=N) for e in eps]
     n = len(table)
     # Neville elimination in the damping parameter
     for level in range(1, n):

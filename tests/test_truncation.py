@@ -8,6 +8,7 @@ each case runs at real and at complexified frequency.
 import numpy as np
 import pytest
 
+from conftest import draw_medium, draw_momentum
 from oracles import mode_blocks_2d
 from qpelastic import green2d, green3d_biqp, green3d_qp
 from qpelastic.green3d_qp import c_arrays
@@ -64,6 +65,55 @@ def test_window_is_the_smallest_whose_tail_is_within_tol(kind, tol, eta):
         neg = series_window(med, q.negated(), gap, tol, bound)[0]
         assert sorted(map(tuple, -np.reshape(neg.m, (len(neg.m), -1)))) == \
             sorted(map(tuple, np.reshape(modes.m, (len(modes.m), -1))))
+
+
+def _first_midpoint_within_tol(kind, q, modes, bound, gap, tol):
+    """Brute force over the widened disk ``modes``: the first midpoint R between
+    neighbouring distinct |alpha_l| whose tail bound is <= tol, and that bound;
+    the scalar lattice's bound is the sum over the first omitted mode of each side."""
+    a = np.sqrt(modes.alpha_sq)
+    order = np.argsort(a, kind="stable")
+    a_sorted = a[order]
+    if kind != "biqp3d":   # the extreme indices inside each radius
+        lo = np.minimum.accumulate(modes.m[order])
+        hi = np.maximum.accumulate(modes.m[order])
+    radii = np.unique(a)
+    for R in ((radii[:-1] + radii[1:]) / 2).tolist():
+        if kind == "biqp3d":
+            b = bound(R, gap)
+        else:
+            last = np.searchsorted(a_sorted, R, "right") - 1
+            b = bound(abs(q.alpha + 2 * np.pi * (lo[last] - 1)), gap) \
+                + bound(abs(q.alpha + 2 * np.pi * (hi[last] + 1)), gap)
+        if b <= tol:
+            return R, b
+    raise AssertionError("no midpoint of the disk has a bound <= tol")
+
+
+# gap 0.01-3 on the scalar lattices; the pair lattice's disk grows like
+# 1/gap^2, to about 8e5 modes at gap 0.01 and tol 1e-14, so it starts at 0.05
+GAP_RANGE = {"qp2d": (0.01, 3.0), "qp3d": (0.01, 3.0), "biqp3d": (0.05, 3.0)}
+
+
+@pytest.mark.parametrize("kind", ["qp2d", "qp3d", "biqp3d"])
+def test_window_is_the_first_midpoint_within_tol(kind, rng):
+    """On random media, momenta, gaps and tolerances, at real and complex
+    frequency, the window and its tail are those of the first midpoint of
+    the widened disk whose tail bound is <= tol."""
+    for case in range(100):
+        med = draw_medium(rng)
+        q = draw_momentum(rng, med, kind)
+        if case % 2:
+            med = med.complexified(float(rng.uniform(0.01, 0.3)))
+        gap = float(np.exp(rng.uniform(*np.log(GAP_RANGE[kind]))))
+        tol = float(10.0 ** rng.uniform(-14, -3))
+        bound = BOUND[kind](med)
+        modes, tail = series_window(med, q, gap, tol, bound)
+        # the modes within 4 pi beyond the window's largest |alpha_l|
+        disk = ModeTable.within(med, q, np.sqrt(np.max(modes.alpha_sq)) + 4 * np.pi)
+        R, b = _first_midpoint_within_tol(kind, q, disk, bound, gap, tol)
+        assert np.array_equal(modes.m, disk.m[np.sqrt(disk.alpha_sq) <= R]), (case, gap, tol)
+        assert tail(gap) == b
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-13])
