@@ -13,8 +13,10 @@ accurate product-trapezoid rule for log kernels, the smooth factor with the
 plain trapezoid rule.  ``_kernel_split`` returns the quadrature matrix
 M = W o A + B/N itself, W the log weights at each row, in the (2 rows, 2N)
 layout that the LU factorisation and the residual's one matrix-vector
-product use; neither A nor B is held.  The factors that depend on tau alone
-are formed once per distinct tau, of which a node matrix has N.
+product use; neither A nor B is held.  The rows whose x1 share their
+offset from the node grid see the nodes at the same N separations tau, so
+the factors that depend on tau alone, the kernel table's included, are
+formed once per such row class and node offset.
 
 Each system keeps one :class:`~qpelastic.green2d.QPSources` at its nodes.
 A pair within NEAR_GAP reads T = G + S/(2 pi) from the sources' kernel
@@ -47,7 +49,7 @@ from scipy.linalg import lapack, lu_factor, lu_solve
 
 from .errors import CoincidentPoints, ResonanceSuspected, TooCloseToBoundary
 from ._series import point_rows
-from .green2d import _CHUNK, NEAR_GAP, QPSources, _iso, _kappa, _log_coeff
+from .green2d import _CHUNK, NEAR_GAP, QPSources, _iso, _kappa, _log_coeff, _sum_d_series
 from .green_free import COINCIDENT_TOL
 from .medium import ElasticMedium, ModeTable, QuasiMomentum, make_quasi_momentum
 from .rayleigh import RayleighCoeffs2
@@ -297,16 +299,39 @@ def _geometry(profile: ProfileCurve2, t):
     return pts, jac, that
 
 
+def _offset_classes(x1, N: int):
+    """The rows at x1 in classes that see the N columns at j/N as one set of
+    separations: yields (members, k, f) per class, with the members' row
+    indices, k = floor(N x1) at each member and the class's fraction f.
+
+    Row i is at (k_i + f_i)/N and column j at j/N, so at offset
+    c = (k_i - j) mod N the pair's separation is tau_c = wrap((c + f_i)/N),
+    the same for every row of one f.  Fractions within 2 N eps of the class's
+    smallest, which rounding of x1 gives, join it: their tau moves by at most
+    2 eps."""
+    Nx = N * np.asarray(x1, dtype=float)
+    k = np.floor(Nx)
+    frac = Nx - k
+    order = np.argsort(frac, kind="stable")
+    fs = frac[order]
+    start = 0
+    while start < len(fs):
+        stop = int(np.searchsorted(fs, fs[start] + 2 * N * np.finfo(float).eps, side="right"))
+        members = np.sort(order[start:stop])
+        yield members, k[members].astype(int), float(fs[start])
+        start = stop
+
+
 def _kernel_split(sources: QPSources, pts_rows, jac_cols, log_weights, that_rows=None):
     """The quadrature matrix M = W o A + B/N of the single-layer operator.
 
     Rows are collocation points (may be off-node), columns the N quadrature
-    nodes ``sources.Y``, which lie at x1 = t.  ``log_weights`` (rows, N) holds
-    the product-trapezoid weights W of the log factor at each row: the
+    nodes ``sources.Y``, which lie at x1 = j/N.  ``log_weights`` (rows, N)
+    holds the product-trapezoid weights W of the log factor at each row: the
     circulant of the t = 0 row of ``log_quadrature_weights_off_node`` on the
     nodes, that function's rows elsewhere.  ``that_rows`` gives the
-    unit tangents of rows that coincide with the columns (the on-node case);
-    pass None when the row set avoids all columns.  Returns the
+    unit tangents of rows that are the columns, row i on node i (the on-node
+    case); pass None when the row set avoids all columns.  Returns the
     (2 rows, 2 N) complex matrix whose entry (2c + a, 2n + b) is M[c, n]_ab,
     so that M @ psi.ravel() applies the operator to a density psi (N, 2).
 
@@ -324,52 +349,63 @@ def _kernel_split(sources: QPSources, pts_rows, jac_cols, log_weights, that_rows
     formed at once as
 
         M = w/N [T + a (chi (L - N W) - ln r^2)/(4 pi) - kappa rhat rhat^T/(2 pi)]   (near),
-        M = w/N [G + a chi (L - N W) / (4 pi)]                                       (beyond),
+        M = w/N [G + a chi (L - N W) / (4 pi)]                                       (beyond).
 
-    with chi(tau) and L formed once per distinct tau.  On the diagonal the
-    limit along the tangent is M = jac core / N - a(0) jac W_ii / (4 pi) I,
+    The rows go by :func:`_offset_classes`: the on-node rows are one class,
+    the residual's two.  Within a class, the pairs at offset c share
+    tau_c, and with it chi, L and the table's series in d
+    (:meth:`~qpelastic.green2d.RemainderTable.d_series`), each formed once
+    per (class, offset); every pair takes its phase e^{i alpha n} from
+    x1 - y1 = n + tau_c, so that offset N/2 of the on-node class has the one
+    tau = 1/2.  The table is read as one batched product of the series with
+    the pairs' Chebyshev basis in d, (offsets x 6 x 2m) @ (offsets x 2m x
+    rows) (:func:`~qpelastic.green2d._sum_d_series`), whose result is
+    scattered into M.  On the diagonal the limit along the tangent is
+    M = jac core / N - a(0) jac W_ii / (4 pi) I,
     core = T(0, 0) - (a(0) ln(jac/2 pi) + kappa that that^T)/(2 pi).
     Rows go in blocks of about ``_CHUNK`` pairs, so no temporary is full-size.
     Raises CoincidentPoints when a row lies on a column off the diagonal.
     """
-    medium = sources.medium
+    medium, table = sources.medium, sources.table
     nr, nc = len(pts_rows), len(sources.Y)
     M = np.empty((nr, 2, nc, 2), dtype=complex)
     kappa = _kappa(medium)
     step = max(1, _CHUNK // nc)
-    for i in range(0, nr, step):
-        rows = slice(i, i + step)
-        tau, phase, d = sources.wrap(pts_rows[rows])
-        r = np.hypot(tau, d)
-        diag = np.arange(i, i + len(r))[:, None] == np.arange(nc) if that_rows is not None \
-            else np.zeros(r.shape, dtype=bool)
-        sep = np.min(r[~diag], initial=np.inf)
-        if sep < COINCIDENT_TOL:
-            raise CoincidentPoints(f"collocation point {sep:.3e} from a node or its lattice image")
-        # the table's temporaries are the largest: read it before the others exist
-        near = np.abs(d) <= NEAR_GAP
-        K = np.empty(r.shape + (2, 2), dtype=complex)
-        if near.any():
-            K[near] = sources.table.remainder(tau[near], d[near])
-        if not near.all():
-            K[~near] = sources.green(tau[~near], d[~near])
-
-        u1 = np.divide(tau, r, out=np.zeros_like(r), where=~diag)
-        u2 = np.divide(d, r, out=np.zeros_like(r), where=~diag)
-        a_i, a_rr = _log_coeff(medium, r)
-        tau_u, inv = np.unique(tau, return_inverse=True)
-        inv = inv.reshape(tau.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):   # the diagonal, set below
-            log_sin = np.log(4.0 * np.sin(np.pi * tau_u) ** 2)[inv]
-            log_w = (_chi(tau_u)[inv] * (log_sin - nc * log_weights[rows])
+    offsets = np.arange(0 if that_rows is None else 1, nc)   # offset 0 on the nodes: the diagonal
+    for members, k, f in _offset_classes(pts_rows[:, 0], nc):
+        shift = 2 * (offsets + f) > nc
+        tau = ((offsets + f) / nc - shift)[:, None]
+        with np.errstate(divide="ignore"):   # a row on a node is refused below
+            log_sin = np.log(4.0 * np.sin(np.pi * tau) ** 2)
+        chi = _chi(tau)
+        series = table.d_series(tau[:, 0])
+        for i in range(0, len(members), step):
+            rows, kr = members[i:i + step], k[i:i + step]
+            laps, cols = np.divmod(kr - offsets[:, None], nc)   # (offsets, rows)
+            d = pts_rows[rows, 1] - sources.Y[cols, 1]
+            r = np.hypot(tau, d)
+            sep = np.min(r)
+            if sep < COINCIDENT_TOL:
+                raise CoincidentPoints(
+                    f"collocation point {sep:.3e} from a node or its lattice image")
+            near = np.abs(d) <= NEAR_GAP
+            # the table's cell ends at NEAR_GAP: the pairs beyond read it at the
+            # edge, and take G from the mode sum below
+            K = _sum_d_series(series, np.clip(d, -NEAR_GAP, NEAR_GAP))
+            if not near.all():
+                K[~near] = sources.green(np.broadcast_to(tau, d.shape)[~near], d[~near])
+            a_i, a_rr = _log_coeff(medium, r)
+            log_w = (chi * (log_sin - nc * log_weights[rows, cols])
                      - np.where(near, np.log(r * r), 0.0)) / (4 * np.pi)
             K += _iso(a_i * log_w, a_rr * log_w - np.where(near, kappa / (2 * np.pi), 0.0),
-                      u1, u2)
-        np.multiply(K, (phase * (jac_cols / nc))[..., None, None],
-                    out=M[rows].transpose(0, 2, 1, 3))
+                      tau / r, d / r)
+            n = laps + shift[:, None]   # x1 - y1 = n + tau
+            phase = np.exp(1j * sources.q.alpha * np.arange(n.min(), n.max() + 1))[n - n.min()]
+            K *= (phase * (jac_cols / nc)[cols])[..., None, None]
+            M[rows, :, cols, :] = K
 
     if that_rows is not None:
-        t00 = sources.table.remainder(0.0, 0.0)[0]
+        t00 = _sum_d_series(table.d_series([0.0]), np.zeros((1, 1)))[0, 0]
         a0 = _log_coeff(medium, np.zeros(1))[0][0]
         ji = jac_cols[:nr, None, None]
         tt = that_rows[:, :, None] * that_rows[:, None, :]

@@ -204,9 +204,10 @@ def _write_csv(path, rc, cols, row, rows):
 
 
 def _write_json(path, obj):
+    """``obj`` as indented JSON with sorted keys and a final newline, in one
+    write: ``json.dump`` would write each encoder chunk separately."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -121,10 +121,11 @@ def _mode_weights(medium, modes: ModeTable, want_jet: bool = False):
 _ODD_COLUMNS = (1, 4, 6, 8)
 
 
-def _mode_sum(medium, modes: ModeTable, tau, d, want_jet: bool = False):
+def _mode_sum(medium, modes: ModeTable, tau, d, want_jet: bool = False, value: bool = True):
     """sum_l e^{i alpha_l tau} M(alpha_l, d) over the modes of ``modes`` at
     pairs (tau, d), d of either sign; (P, 2, 2), or the (value, d/dx1, d/dx2)
-    tuple when ``want_jet``.
+    tuple when ``want_jet``, and the (d/dx1, d/dx2) tuple alone when also not
+    ``value``: the value's columns of W then take no product.
 
     [Eb, Eg - Eb] @ W of :func:`_mode_weights`, with one exponential
     Eb = e^{i (alpha_l tau + beta_l |d|)} per pair and mode and Eg - Eb =
@@ -135,7 +136,8 @@ def _mode_sum(medium, modes: ModeTable, tau, d, want_jet: bool = False):
     a, b, g = modes.alpha_l, modes.beta_l, modes.gamma_l
     K = len(a)
     g_b, W = _mode_weights(medium, modes, want_jet)
-    W = W.reshape(2 * K, -1)
+    skip = 0 if value else 3   # the value's columns
+    W = W.reshape(2 * K, -1)[:, skip:]
     D = np.abs(d)
     out = np.empty((len(tau), W.shape[1]), dtype=complex)
     rows = max(1, _PAIR_MODES // K)
@@ -159,7 +161,8 @@ def _mode_sum(medium, modes: ModeTable, tau, d, want_jet: bool = False):
         for k in range(0, W.shape[1], 3):   # the value alone as in a jet, bit for bit
             out[i:i + rows, k:k + 3] = E @ W[:, k:k + 3]
     for c in _ODD_COLUMNS[:4 if want_jet else 1]:
-        out[:, c] *= np.sign(d)
+        if c >= skip:
+            out[:, c - skip] *= np.sign(d)
     parts = [out[:, k:k + 3][:, [0, 1, 1, 2]].reshape(-1, 2, 2) for k in range(0, out.shape[1], 3)]
     return tuple(parts) if want_jet else parts[0]
 
@@ -544,22 +547,18 @@ class RemainderTable:
                         f"alpha={self.alpha}")
 
     def remainder(self, tau, d, want_jet: bool = False):
-        """T at separations inside the table's cell; (P, 2, 2), or the
-        (T, dT/dtau, dT/dd) tuple when ``want_jet``.
+        """T at scattered separations inside the table's cell; (P, 2, 2), or
+        the (T, dT/dtau, dT/dd) tuple when ``want_jet``.
 
         The sum over the tau degrees is formed once per distinct tau and
-        gathered to the pairs: a BEM matrix has one tau per node offset."""
+        gathered to the pairs.  A BEM matrix, whose pairs share one tau per
+        node offset, reads :meth:`d_series` instead."""
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         d = np.atleast_1d(np.asarray(d, dtype=float))
         coefs = (self.coef,) + (_unless_refused(self._derivative_coef) if want_jet else ())
-        n_tau, m = (max(c.shape[i] for c in coefs) for i in (0, 1))
+        m = max(c.shape[1] for c in coefs)
         tau_u, inv = np.unique(tau, return_inverse=True)
-        tx = chebvander(2.0 * tau_u, n_tau - 1)
-        # a real basis times complex coefficients, as real products on the
-        # (re, im) pairs of T_11, T_22 and T_12
-        vs = [(tx[:, :len(c)] @ c.reshape(len(c), -1).view(float))
-              .reshape(len(tau_u), c.shape[1], 6) for c in coefs]
-        del tx   # before the d basis is built, which keeps the peak memory down
+        vs = _tau_sums(coefs, tau_u)
         ty = chebvander(d / NEAR_GAP, 2 * m - 1).reshape(len(tau), m, 2)
         out = []
         for flip, v in zip((0, 0, 1), vs):   # d/dd flips the parity in d
@@ -574,6 +573,21 @@ class RemainderTable:
             T[:, 0, 1] = T[:, 1, 0] = r[:, 2]
             out.append(T)
         return tuple(out) if want_jet else out[0]
+
+    def d_series(self, tau):
+        """T at each of the separations ``tau`` along x1 as a Chebyshev series
+        in d: (len(tau), 6, 2m) real, whose column k holds the coefficients of
+        T_k(d / NEAR_GAP) in (re, im) of T_11, T_22 and T_12.
+
+        The even columns carry the diagonal and the odd columns T_12, each 0
+        in the other's rows, so that :func:`_sum_d_series` reads all three
+        entries with one product; the pairs of one BEM node offset share their
+        tau, and read the table as one such product."""
+        v = _tau_sums((self.coef,), np.asarray(tau, dtype=float))[0].transpose(0, 2, 1)
+        out = np.zeros((len(v), 6, v.shape[2], 2))
+        out[:, :4, :, 0] = v[:, :4]
+        out[:, 4:, :, 1] = v[:, 4:]
+        return out.reshape(len(v), 6, -1)
 
     def green(self, tau, d, want_jet: bool = False):
         """G = T - S/(2 pi) at separations (tau, d) in the table's cell,
@@ -601,6 +615,41 @@ class RemainderTable:
         return tuple(out) if want_jet else out[0]
 
 
+def _tau_sums(coefs, tau):
+    """sum_j c_jk T_j(2 tau) at each tau for each coefficient array c
+    (n_tau, m, 3) of ``coefs``: a list of (len(tau), m, 6) real arrays, the
+    (re, im) pairs of the three entries.  A real basis times complex
+    coefficients, as real products."""
+    tx = chebvander(2.0 * tau, max(len(c) for c in coefs) - 1)
+    return [(tx[:, :len(c)] @ c.reshape(len(c), -1).view(float)).reshape(len(tau), c.shape[1], 6)
+            for c in coefs]
+
+
+def _sum_d_series(series, d):
+    """T at separations (tau_c, d[c, p]) inside the table's cell, from the
+    series (C, 6, 2m) of :meth:`RemainderTable.d_series` at C separations
+    tau_c and gaps d (C, P): (C, P, 2, 2) complex.
+
+    The Chebyshev basis in d is built as (2m, C, P), so that the C products
+    (6, 2m) @ (2m, P) are one batched ``matmul`` on strided operands."""
+    x = d / NEAR_GAP
+    x2 = 2.0 * x
+    basis = np.empty((series.shape[2],) + x.shape)
+    basis[0] = 1.0
+    basis[1] = x
+    for k in range(2, len(basis)):   # T_k = 2 x T_{k-1} - T_{k-2}
+        np.multiply(x2, basis[k - 1], out=basis[k])
+        basis[k] -= basis[k - 2]
+    s = series @ basis.transpose(1, 0, 2)   # (C, 6, P)
+    del basis
+    T = np.empty(x.shape + (2, 2), dtype=complex)
+    for e, (a, b) in enumerate(((0, 0), (1, 1), (0, 1))):
+        T[..., a, b].real = s[:, 2 * e]
+        T[..., a, b].imag = s[:, 2 * e + 1]
+    T[..., 1, 0] = T[..., 0, 1]
+    return T
+
+
 def _fit_remainder(medium, alpha, n_tau, n_d, derivatives: bool = False):
     """Coefficients (n_tau, n_d // 2, 3) of T from plain-series values at
     first-kind nodes.
@@ -619,8 +668,9 @@ def _fit_remainder(medium, alpha, n_tau, n_d, derivatives: bool = False):
     G = np.empty((2 if derivatives else 1, n_tau, len(y), 2, 2), dtype=complex)
     for k, dk in enumerate(NEAR_GAP * y):
         modes = ModeTable.of(medium, q, mode_window(medium, q, dk, _FAR_TOL))
-        rows = _mode_sum(medium, modes, 0.5 * x, np.full(n_tau, dk), derivatives)
-        for g, row in zip(G, rows[1:] if derivatives else (rows,)):
+        rows = _mode_sum(medium, modes, 0.5 * x, np.full(n_tau, dk), derivatives,
+                         value=not derivatives)
+        for g, row in zip(G, rows if derivatives else (rows,)):
             g[:, k] = row
     tau = np.repeat(0.5 * x, len(y))
     d = np.tile(NEAR_GAP * y, n_tau)

@@ -217,6 +217,23 @@ def test_boundary_residual_peak_memory(grating_setup):
     assert peak <= 16 * 2**20
 
 
+def test_solve_peak_memory(grating_setup):
+    """At N = 256 a solve holds its (2N x 2N) system, 4 MiB, its LU factors
+    and one row block's temporaries of the assembly: at most 11.6 MiB at
+    peak under tracemalloc, the 10.53 MiB of the per-pair assembly plus 10%.
+    A smaller solve builds the kernel table beforehand."""
+    med, inc, q = grating_setup
+    prof = ProfileCurve2(0.0, (), (0.1,))
+    solve_dirichlet(med, q, prof, inc, N=32)
+    tracemalloc.start()
+    try:
+        solve_dirichlet(med, q, prof, inc, N=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11.6 * 2**20
+
+
 def test_zero_incident_zero_density(grating_setup):
     med, inc, q = grating_setup
 
@@ -762,6 +779,73 @@ def test_kernel_split_against_abel_plana(omega):
                                        + phi_finite_part(med, that)) / (2 * np.pi))
         M_ref = W[..., None, None] * A_ref + B_ref / N
         assert np.max(np.abs(M - M_ref)) <= 1e-12 * np.max(np.abs(M_ref))
+
+
+def _kernel_split_per_pair(src, rows, jac, W, that_rows):
+    """M of ``_kernel_split`` formed pair by pair, (rows, N, 2, 2): each pair
+    wraps its own x1 - y1 = n + tau with tau in (-1/2, 1/2], reads T from
+    ``table.remainder`` within NEAR_GAP and G from ``src.green`` beyond, and
+    takes the log terms of the split at its own tau; the diagonal of on-node
+    rows is the tangent limit of the ``_kernel_split`` docstring."""
+    from qpelastic.bem2d import _chi
+    from qpelastic.green2d import _iso, _kappa, _log_coeff
+    med, N = src.medium, len(src.Y)
+    t1 = rows[:, 0][:, None] - src.Y[:, 0]
+    n = np.ceil(t1 - 0.5)
+    tau, d = t1 - n, rows[:, 1][:, None] - src.Y[:, 1]
+    r = np.hypot(tau, d)
+    off = r > 0
+    near, far = off & (np.abs(d) <= NEAR_GAP), np.abs(d) > NEAR_GAP
+    K = np.zeros(r.shape + (2, 2), dtype=complex)
+    K[near] = src.table.remainder(tau[near], d[near])
+    K[far] = src.green(tau[far], d[far])
+    tau, d, r, near = tau[off], d[off], r[off], near[off]
+    a_i, a_rr = _log_coeff(med, r)
+    log_w = (_chi(tau) * (np.log(4 * np.sin(np.pi * tau) ** 2) - N * W[off])
+             - np.where(near, np.log(r * r), 0.0)) / (4 * np.pi)
+    K[off] += _iso(a_i * log_w, a_rr * log_w - np.where(near, _kappa(med) / (2 * np.pi), 0.0),
+                   tau / r, d / r)
+    M = K * (np.exp(1j * src.q.alpha * n) * jac / N)[..., None, None]
+    if that_rows is not None:
+        on = np.arange(len(rows))
+        a0 = _log_coeff(med, np.zeros(1))[0][0]
+        ji = jac[:, None, None]
+        tt = that_rows[:, :, None] * that_rows[:, None, :]
+        core = src.table.remainder(0.0, 0.0)[0] - (
+            a0 * np.log(ji / (2 * np.pi)) * np.eye(2) + _kappa(med) * tt) / (2 * np.pi)
+        M[on, on] = ji * core / N - (a0 / (4 * np.pi)) * ji * W[on, on][:, None, None] * np.eye(2)
+    return M
+
+
+@pytest.mark.parametrize("N", [32, 64])
+def test_kernel_split_against_per_pair(grating_setup, N):
+    """The per-offset assembly of the Nystrom matrix against the same split
+    formed pair by pair, on the nodes (the diagonal and the offset N/2 at
+    tau = 1/2 included) and at the residual's two classes of off-node rows,
+    on a profile 0.26 high, so that some pairs lie beyond NEAR_GAP; within
+    1e-14 of max |M|.  A row on a node's lattice image is refused."""
+    from qpelastic.bem2d import _geometry, _kernel_split
+    med, _, q = grating_setup
+    prof = ProfileCurve2(0.0, (0.05,), (0.12,))
+    t = np.arange(N) / N
+    pts, jac, that = _geometry(prof, t)
+    src = QPSources(med, q, pts)
+    t_off = (np.arange(2 * N) + 0.37) / (2 * N)
+    on_weights = log_quadrature_weights_off_node(np.zeros(1), N)[0][
+        (np.arange(N)[:, None] - np.arange(N)) % N]
+    for rows, W, that_rows in ((pts, on_weights, that),
+                               (_geometry(prof, t_off)[0],
+                                log_quadrature_weights_off_node(t_off, N), None)):
+        M = _kernel_split(src, rows, jac, W, that_rows)
+        M = M.reshape(len(rows), 2, N, 2).transpose(0, 2, 1, 3)
+        ref = _kernel_split_per_pair(src, rows, jac, W, that_rows)
+        assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(ref))
+    d = pts[:, 1][:, None] - pts[:, 1]
+    half = (np.arange(N)[:, None] - np.arange(N)) % N == N // 2
+    assert np.any(np.abs(d[half]) <= NEAR_GAP) and np.any(np.abs(d) > NEAR_GAP)
+    image = pts[3:5] + [1.0, 0.0]
+    with pytest.raises(CoincidentPoints):
+        _kernel_split(src, image, jac, on_weights[3:5], None)
 
 
 def test_split_evaluates_no_hankel_function(grating_setup, monkeypatch):

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -322,6 +323,10 @@ def test_solve2d_report(tmp_path):
     assert rep["energy"]["balance"] < 1e-3
     assert len(rep["density"]) == 2 * 64
     assert rep["config"]["profile"]["sin"] == [0.1]
+    # one write of json.dumps gives the bytes of json.dump's chunked writes
+    chunked = io.StringIO()
+    json.dump(rep, chunked, indent=2, sort_keys=True)
+    assert out.read_bytes() == (chunked.getvalue() + "\n").encode("utf-8")
 
 
 def test_solve2d_rayleigh_modes_do_not_depend_on_height(tmp_path):
