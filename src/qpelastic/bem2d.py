@@ -15,8 +15,9 @@ M = W o A + B/N itself, W the log weights at each row, in the (2 rows, 2N)
 layout that the LU factorisation and the residual's one matrix-vector
 product use; neither A nor B is held.  The rows whose x1 share their
 offset from the node grid see the nodes at the same N separations tau, so
-the factors that depend on tau alone, the kernel table's included, are
-formed once per such row class and node offset.
+the factors that depend on tau alone, the log weights and the kernel
+table's sums over its tau degrees included, are formed once per such row
+class and node offset.
 
 Each system keeps one :class:`~qpelastic.green2d.QPSources` at its nodes.
 A pair within NEAR_GAP reads T = G + S/(2 pi) from the sources' kernel
@@ -49,7 +50,7 @@ from scipy.linalg import lapack, lu_factor, lu_solve
 
 from .errors import CoincidentPoints, ResonanceSuspected, TooCloseToBoundary
 from ._series import point_rows
-from .green2d import _CHUNK, NEAR_GAP, QPSources, _iso, _kappa, _log_coeff, _sum_d_series
+from .green2d import _CHUNK, NEAR_GAP, QPSources, _iso, _kappa, _log_coeff, _read_table
 from .green_free import COINCIDENT_TOL
 from .medium import ElasticMedium, ModeTable, QuasiMomentum, make_quasi_momentum
 from .rayleigh import RayleighCoeffs2
@@ -234,8 +235,10 @@ def log_quadrature_weights_off_node(t, N: int) -> np.ndarray:
     sum_j R_j(t) e^{2 pi i m j/N} = -e^{2 pi i m t}/|m| (0 at m = 0), exact for
     trigonometric polynomials of degree < N/2.  Each row is one FFT over j:
     R_j(t) = Re sum_{m=1}^{N/2} c_m e^{2 pi i m (t - j/N)} with c_m = -2/(N m),
-    halved at m = N/2.  Returns (len(t), N).  On the nodes the rule is the
-    circulant of the t = 0 row, R_j(i/N) = R_{j-i}(0).
+    halved at m = N/2.  Returns (len(t), N).  The rule depends on t - j/N alone,
+    R_j((k + f)/N) = R_{j-k}(f/N), so the points whose N t share their fraction
+    f take cyclic shifts of the row at f/N; on the nodes, the circulant of the
+    t = 0 row.
     """
     m = np.arange(1, N // 2 + 1)
     c = -(2.0 / N) / m
@@ -322,14 +325,13 @@ def _offset_classes(x1, N: int):
         start = stop
 
 
-def _kernel_split(sources: QPSources, pts_rows, jac_cols, log_weights, that_rows=None):
+def _kernel_split(sources: QPSources, pts_rows, jac_cols, that_rows=None):
     """The quadrature matrix M = W o A + B/N of the single-layer operator.
 
     Rows are collocation points (may be off-node), columns the N quadrature
-    nodes ``sources.Y``, which lie at x1 = j/N.  ``log_weights`` (rows, N)
-    holds the product-trapezoid weights W of the log factor at each row: the
-    circulant of the t = 0 row of ``log_quadrature_weights_off_node`` on the
-    nodes, that function's rows elsewhere.  ``that_rows`` gives the
+    nodes ``sources.Y``, which lie at x1 = j/N; W holds the product-trapezoid
+    weights of the log factor (:func:`log_quadrature_weights_off_node`) at
+    each row.  ``that_rows`` gives the
     unit tangents of rows that are the columns, row i on node i (the on-node
     case); pass None when the row set avoids all columns.  Returns the
     (2 rows, 2 N) complex matrix whose entry (2c + a, 2n + b) is M[c, n]_ab,
@@ -352,16 +354,17 @@ def _kernel_split(sources: QPSources, pts_rows, jac_cols, log_weights, that_rows
         M = w/N [G + a chi (L - N W) / (4 pi)]                                       (beyond).
 
     The rows go by :func:`_offset_classes`: the on-node rows are one class,
-    the residual's two.  Within a class, the pairs at offset c share
-    tau_c, and with it chi, L and the table's series in d
-    (:meth:`~qpelastic.green2d.RemainderTable.d_series`), each formed once
-    per (class, offset); every pair takes its phase e^{i alpha n} from
-    x1 - y1 = n + tau_c, so that offset N/2 of the on-node class has the one
-    tau = 1/2.  The table is read as one batched product of the series with
-    the pairs' Chebyshev basis in d, (offsets x 6 x 2m) @ (offsets x 2m x
-    rows) (:func:`~qpelastic.green2d._sum_d_series`), whose result is
-    scattered into M.  On the diagonal the limit along the tangent is
-    M = jac core / N - a(0) jac W_ii / (4 pi) I,
+    the residual's two.  Within the class of fraction f, the pairs at offset
+    c share tau_c, and with it chi, L, the log weight W = R_{(-c) mod N}(f/N)
+    of the one weight row at t = f/N, and the table's sums over its tau
+    degrees (:meth:`~qpelastic.green2d.RemainderTable.tau_sums`), each formed
+    once per (class, offset); chi (L - N W) is one (offsets, 1) factor.  Every
+    pair takes its phase e^{i alpha n} from x1 - y1 = n + tau_c, so that
+    offset N/2 of the on-node class has the one tau = 1/2.  The table is read
+    at the pairs' gaps by batched products over the offsets
+    (:func:`~qpelastic.green2d._read_table`), whose result is scattered into
+    M.  On the diagonal the limit along the tangent is
+    M = jac core / N - a(0) jac R_0(0) / (4 pi) I,
     core = T(0, 0) - (a(0) ln(jac/2 pi) + kappa that that^T)/(2 pi).
     Rows go in blocks of about ``_CHUNK`` pairs, so no temporary is full-size.
     Raises CoincidentPoints when a row lies on a column off the diagonal.
@@ -375,10 +378,11 @@ def _kernel_split(sources: QPSources, pts_rows, jac_cols, log_weights, that_rows
     for members, k, f in _offset_classes(pts_rows[:, 0], nc):
         shift = 2 * (offsets + f) > nc
         tau = ((offsets + f) / nc - shift)[:, None]
+        R = log_quadrature_weights_off_node([f / nc], nc)[0]
         with np.errstate(divide="ignore"):   # a row on a node is refused below
-            log_sin = np.log(4.0 * np.sin(np.pi * tau) ** 2)
-        chi = _chi(tau)
-        series = table.d_series(tau[:, 0])
+            chi_log = _chi(tau) * (np.log(4.0 * np.sin(np.pi * tau) ** 2)
+                                   - nc * R[-offsets % nc, None])
+        sums = table.tau_sums(tau[:, 0])
         for i in range(0, len(members), step):
             rows, kr = members[i:i + step], k[i:i + step]
             laps, cols = np.divmod(kr - offsets[:, None], nc)   # (offsets, rows)
@@ -391,12 +395,11 @@ def _kernel_split(sources: QPSources, pts_rows, jac_cols, log_weights, that_rows
             near = np.abs(d) <= NEAR_GAP
             # the table's cell ends at NEAR_GAP: the pairs beyond read it at the
             # edge, and take G from the mode sum below
-            K = _sum_d_series(series, np.clip(d, -NEAR_GAP, NEAR_GAP))
+            K = _read_table(sums, np.clip(d, -NEAR_GAP, NEAR_GAP))[0]
             if not near.all():
                 K[~near] = sources.green(np.broadcast_to(tau, d.shape)[~near], d[~near])
             a_i, a_rr = _log_coeff(medium, r)
-            log_w = (chi * (log_sin - nc * log_weights[rows, cols])
-                     - np.where(near, np.log(r * r), 0.0)) / (4 * np.pi)
+            log_w = (chi_log - np.where(near, np.log(r * r), 0.0)) / (4 * np.pi)
             K += _iso(a_i * log_w, a_rr * log_w - np.where(near, kappa / (2 * np.pi), 0.0),
                       tau / r, d / r)
             n = laps + shift[:, None]   # x1 - y1 = n + tau
@@ -404,15 +407,14 @@ def _kernel_split(sources: QPSources, pts_rows, jac_cols, log_weights, that_rows
             K *= (phase * (jac_cols / nc)[cols])[..., None, None]
             M[rows, :, cols, :] = K
 
-    if that_rows is not None:
-        t00 = _sum_d_series(table.d_series([0.0]), np.zeros((1, 1)))[0, 0]
+    if that_rows is not None:   # the rows are the one class f = 0, whose R is at t = 0
+        t00 = table.remainder(0.0, 0.0)[0]
         a0 = _log_coeff(medium, np.zeros(1))[0][0]
         ji = jac_cols[:nr, None, None]
         tt = that_rows[:, :, None] * that_rows[:, None, :]
         core = t00 - (a0 * np.log(ji / (2 * np.pi)) * np.eye(2) + kappa * tt) / (2 * np.pi)
         on = np.arange(nr)
-        w_ii = log_weights[on, on][:, None, None]
-        M[on, :, on, :] = ji * core / nc - (a0 / (4 * np.pi)) * ji * w_ii * np.eye(2)
+        M[on, :, on, :] = ji * core / nc - (a0 / (4 * np.pi)) * ji * R[0] * np.eye(2)
     return M.reshape(2 * nr, 2 * nc)
 
 
@@ -423,9 +425,7 @@ def _build_system(medium: ElasticMedium, q: QuasiMomentum, profile: ProfileCurve
     pts, jac, that = _geometry(profile, t)
 
     sources = QPSources(medium, q, pts)
-    idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-    w = log_quadrature_weights_off_node(np.zeros(1), N)[0]
-    M = _kernel_split(sources, pts, jac, w[idx], that_rows=that)
+    M = _kernel_split(sources, pts, jac, that_rows=that)
 
     lu, piv = lu_factor(M)
     anorm = np.linalg.norm(M, 1)
@@ -472,7 +472,7 @@ def boundary_residual(sol: ScatterSolution) -> float:
     N = sol.N
     tc = (np.arange(2 * N) + 0.37) / (2 * N)
     pc, jc, _ = _geometry(sol.profile, tc)
-    Mat = _kernel_split(sol.sources, pc, sol.jacobian, log_quadrature_weights_off_node(tc, N))
+    Mat = _kernel_split(sol.sources, pc, sol.jacobian)
     u_sc = (Mat @ sol.density.reshape(-1)).reshape(-1, 2)
     u_inc = sol.incident.eval(sol.medium, sol.q, pc)
     ref = float(np.max(np.abs(u_inc)))

@@ -28,7 +28,10 @@ once per (medium, alpha) from the plain series and kept, so every caller of
 that (medium, alpha) shares it; it is fitted one row of nodes at a time:
 the nodes of a row share their gap d_k and with it one mode window.  Where
 a table's coefficients do not decay it raises ``TableUnresolved``, and no
-other evaluator answers in its place.
+other evaluator answers in its place.  It is read one way, for scattered
+pairs and the BEM assembly alike: its sums over the tau degrees, formed
+once per distinct tau (:meth:`RemainderTable.tau_sums`), times the pairs'
+Chebyshev basis in d (:func:`_read_table`).
 
 One mode sum, :func:`_mode_sum`, serves the plain series, the table fit
 and the pairs of :meth:`QPSources.green` beyond NEAR_GAP, with M rearranged
@@ -546,48 +549,33 @@ class RemainderTable:
                         [n_tau, 2 * m], f"derivative table for omega={self.medium.omega}, "
                         f"alpha={self.alpha}")
 
+    def tau_sums(self, tau, want_jet: bool = False):
+        """The table summed over its tau degrees at each of the separations
+        ``tau`` along x1, sum_j c_jk T_j(2 tau): a list of (len(tau), m, 6)
+        real arrays, the (re, im) pairs of T_11, T_22 and T_12 for each degree
+        k in d, of T and, when ``want_jet``, of dT/dtau and dT/dd.  A real basis
+        times complex coefficients, as real products.  :func:`_read_table`
+        reads them at the pairs' gaps; the pairs of one BEM node offset share
+        their tau, and with it these sums."""
+        tau = np.asarray(tau, dtype=float)
+        coefs = (self.coef,) + (_unless_refused(self._derivative_coef) if want_jet else ())
+        return [(chebvander(2.0 * tau, len(c) - 1) @ c.reshape(len(c), -1).view(float))
+                .reshape(len(tau), c.shape[1], 6) for c in coefs]
+
     def remainder(self, tau, d, want_jet: bool = False):
         """T at scattered separations inside the table's cell; (P, 2, 2), or
         the (T, dT/dtau, dT/dd) tuple when ``want_jet``.
 
-        The sum over the tau degrees is formed once per distinct tau and
-        gathered to the pairs.  A BEM matrix, whose pairs share one tau per
-        node offset, reads :meth:`d_series` instead."""
+        The tau sums are formed once per distinct tau, gathered to the pairs
+        only when some pairs share a tau, and read by :func:`_read_table`, as
+        the pairs of a BEM matrix are."""
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         d = np.atleast_1d(np.asarray(d, dtype=float))
-        coefs = (self.coef,) + (_unless_refused(self._derivative_coef) if want_jet else ())
-        m = max(c.shape[1] for c in coefs)
         tau_u, inv = np.unique(tau, return_inverse=True)
-        vs = _tau_sums(coefs, tau_u)
-        ty = chebvander(d / NEAR_GAP, 2 * m - 1).reshape(len(tau), m, 2)
-        out = []
-        for flip, v in zip((0, 0, 1), vs):   # d/dd flips the parity in d
-            v = v[inv]   # one pair-sized product at a time keeps the peak memory down
-            t = ty[:, :v.shape[1]]
-            r = np.empty((len(tau), 6))
-            r[:, :4] = np.einsum("pk,pkf->pf", t[..., flip], v[..., :4])       # diagonal
-            r[:, 4:] = np.einsum("pk,pkf->pf", t[..., 1 - flip], v[..., 4:])   # off-diagonal
-            r = r.view(complex)
-            T = np.empty((len(tau), 2, 2), dtype=complex)
-            T[:, 0, 0], T[:, 1, 1] = r[:, 0], r[:, 1]
-            T[:, 0, 1] = T[:, 1, 0] = r[:, 2]
-            out.append(T)
+        if len(tau_u) == len(tau):
+            tau_u, inv = tau, slice(None)
+        out = [t[:, 0] for t in _read_table(self.tau_sums(tau_u, want_jet), d[:, None], inv)]
         return tuple(out) if want_jet else out[0]
-
-    def d_series(self, tau):
-        """T at each of the separations ``tau`` along x1 as a Chebyshev series
-        in d: (len(tau), 6, 2m) real, whose column k holds the coefficients of
-        T_k(d / NEAR_GAP) in (re, im) of T_11, T_22 and T_12.
-
-        The even columns carry the diagonal and the odd columns T_12, each 0
-        in the other's rows, so that :func:`_sum_d_series` reads all three
-        entries with one product; the pairs of one BEM node offset share their
-        tau, and read the table as one such product."""
-        v = _tau_sums((self.coef,), np.asarray(tau, dtype=float))[0].transpose(0, 2, 1)
-        out = np.zeros((len(v), 6, v.shape[2], 2))
-        out[:, :4, :, 0] = v[:, :4]
-        out[:, 4:, :, 1] = v[:, 4:]
-        return out.reshape(len(v), 6, -1)
 
     def green(self, tau, d, want_jet: bool = False):
         """G = T - S/(2 pi) at separations (tau, d) in the table's cell,
@@ -615,39 +603,41 @@ class RemainderTable:
         return tuple(out) if want_jet else out[0]
 
 
-def _tau_sums(coefs, tau):
-    """sum_j c_jk T_j(2 tau) at each tau for each coefficient array c
-    (n_tau, m, 3) of ``coefs``: a list of (len(tau), m, 6) real arrays, the
-    (re, im) pairs of the three entries.  A real basis times complex
-    coefficients, as real products."""
-    tx = chebvander(2.0 * tau, max(len(c) for c in coefs) - 1)
-    return [(tx[:, :len(c)] @ c.reshape(len(c), -1).view(float)).reshape(len(tau), c.shape[1], 6)
-            for c in coefs]
+def _read_table(sums, d, inv=slice(None)):
+    """T, or the jet (T, dT/dtau, dT/dd), at the pairs (tau_c, d[c, p]) inside
+    the table's cell, from the sums of :meth:`RemainderTable.tau_sums` at
+    separations tau, tau_c = tau[inv[c]], and gaps d (C, P): a list of
+    (C, P, 2, 2) complex, one per array of sums.
 
-
-def _sum_d_series(series, d):
-    """T at separations (tau_c, d[c, p]) inside the table's cell, from the
-    series (C, 6, 2m) of :meth:`RemainderTable.d_series` at C separations
-    tau_c and gaps d (C, P): (C, P, 2, 2) complex.
-
-    The Chebyshev basis in d is built as (2m, C, P), so that the C products
-    (6, 2m) @ (2m, P) are one batched ``matmul`` on strided operands."""
+    T_11 and T_22 are even in d and T_12 odd, so the diagonal's degree k is
+    that of T_2k(d / NEAR_GAP) and T_12's that of T_{2k+1}; dT/dd swaps the
+    two.  The Chebyshev basis in d is built once as (2m, C, P), so that each
+    array is read by two batched ``matmul``s on strided operands,
+    (C, 4, m) @ (C, m, P) for the diagonal and (C, 2, m) @ (C, m, P) for
+    T_12.  The arrays are gathered to the rows of d one at a time."""
     x = d / NEAR_GAP
     x2 = 2.0 * x
-    basis = np.empty((series.shape[2],) + x.shape)
+    basis = np.empty((2 * max(v.shape[1] for v in sums),) + x.shape)
     basis[0] = 1.0
     basis[1] = x
     for k in range(2, len(basis)):   # T_k = 2 x T_{k-1} - T_{k-2}
         np.multiply(x2, basis[k - 1], out=basis[k])
         basis[k] -= basis[k - 2]
-    s = series @ basis.transpose(1, 0, 2)   # (C, 6, P)
-    del basis
-    T = np.empty(x.shape + (2, 2), dtype=complex)
-    for e, (a, b) in enumerate(((0, 0), (1, 1), (0, 1))):
-        T[..., a, b].real = s[:, 2 * e]
-        T[..., a, b].imag = s[:, 2 * e + 1]
-    T[..., 1, 0] = T[..., 0, 1]
-    return T
+    basis = basis.transpose(1, 0, 2)
+    out = []
+    for flip, v in zip((0, 0, 1), sums):
+        m, vt = v.shape[1], v[inv].transpose(0, 2, 1)
+        s = np.empty((len(x), 6, x.shape[1]))
+        np.matmul(vt[:, :4], basis[:, flip:2 * m:2], out=s[:, :4])
+        np.matmul(vt[:, 4:], basis[:, 1 - flip:2 * m:2], out=s[:, 4:])
+        del vt   # the gathered copy, before the next array's
+        T = np.empty(x.shape + (2, 2), dtype=complex)
+        for e, (a, b) in enumerate(((0, 0), (1, 1), (0, 1))):
+            T[..., a, b].real = s[:, 2 * e]
+            T[..., a, b].imag = s[:, 2 * e + 1]
+        T[..., 1, 0] = T[..., 0, 1]
+        out.append(T)
+    return out
 
 
 def _fit_remainder(medium, alpha, n_tau, n_d, derivatives: bool = False):

@@ -240,10 +240,11 @@ def series_window(medium: ElasticMedium, q: QuasiMomentum, gap: float, tol: floa
     midpoint between neighbouring distinct |alpha_l| whose tail is <= tol, so
     dropping the window's largest |alpha_l| gives a bound > tol.  Bounds fall like
     e^{-gap t}, t = sqrt(R^2 - k_s^2), so fixed-point steps on t find a radius r whose
-    tail is <= tol.  The tail then holds at every midpoint from r on, and one
-    bisection over the midpoints up to the first at or beyond r finds R; the disk
-    4 pi wider than r holds them all.  The window, a function of the |alpha_l|,
-    maps onto itself under (alpha, m) -> (-alpha, -m).
+    tail is <= tol.  The tail then holds at every midpoint from r on, and fails at
+    every one up to the last step's radius whose tail was > tol, so one bisection
+    over the midpoints from the first at or beyond that radius to the first at or
+    beyond r finds R; the disk 4 pi wider than r holds them all.  The window, a
+    function of the |alpha_l|, maps onto itself under (alpha, m) -> (-alpha, -m).
     """
     def tail(r, g=gap):
         if q.kind == "biqp3d":
@@ -253,10 +254,10 @@ def series_window(medium: ElasticMedium, q: QuasiMomentum, gap: float, tol: floa
         return bound(abs(q.alpha + 2 * math.pi * lo), g) + bound(abs(q.alpha + 2 * math.pi * hi), g)
 
     ks2 = float(np.real(medium.k_s**2))
-    t = -math.log(tol) / gap
-    while (b := tail(math.sqrt(ks2 + t * t))) > tol:
+    t, low = -math.log(tol) / gap, 0.0
+    while (b := tail(r := math.sqrt(ks2 + t * t))) > tol:
+        low = r
         t = 2 * t if b == math.inf else t + max(math.log(b / tol), 1.0) / gap
-    r = math.sqrt(ks2 + t * t)
     m, a_sq = _disk(q, r + 4 * math.pi)
     u = np.unique(a_sq)
 
@@ -264,5 +265,6 @@ def series_window(medium: ElasticMedium, q: QuasiMomentum, gap: float, tol: floa
         return (math.sqrt(u[i]) + math.sqrt(u[i + 1])) / 2
 
     k = bisect.bisect_left(range(len(u) - 1), r, key=mid)   # the first midpoint at or beyond r
-    R = mid(bisect.bisect_left(range(k + 1), True, key=lambda i: tail(mid(i)) <= tol))
+    j = bisect.bisect_left(range(k), low, key=mid) if low else 0   # and at or beyond low
+    R = mid(bisect.bisect_left(range(k + 1), True, lo=j, key=lambda i: tail(mid(i)) <= tol))
     return ModeTable.of(medium, q, m[a_sq <= R * R]), lambda g: tail(R, g)

@@ -739,8 +739,12 @@ def test_kernel_split_against_abel_plana(omega):
 
     off the diagonal, and on it B = jac [R(0, 0) - (a(0) ln(jac / 2 pi) +
     Phi_fp(that)) / (2 pi)], with Phi_fp the free-space tensor's finite part;
-    W are the log weights the matrix is built with.  The profile spans 0.3 in
-    height, so pairs beyond NEAR_GAP are covered.  Within 1e-12 of max |M_ref|."""
+    W are the log weights formed one row per collocation point (the circulant
+    of the t = 0 row on the nodes), against which the matrix's weights, formed
+    once per row class and node offset, are checked.  The profile spans 0.3
+    in height, so pairs beyond NEAR_GAP are covered.  Within 1e-12 of
+    max |M_ref|.  T comes from Abel-Plana here, not from the kernel table,
+    so this is the check of the table's reader that does not share it."""
     from qpelastic.bem2d import _chi, _geometry, _kernel_split
     med = make_medium(2.0, 1.0, 1.0, omega)
     _, q = plane_incidence(med, "plane_p", 0.25)
@@ -757,7 +761,7 @@ def test_kernel_split_against_abel_plana(omega):
         (np.arange(N)[:, None] - np.arange(N)) % N]
     for rows, W, that_rows in ((pts, on_weights, that),
                                (off_node, log_quadrature_weights_off_node(t_off, N), None)):
-        M = _kernel_split(src, rows, jac, W, that_rows)
+        M = _kernel_split(src, rows, jac, that_rows)
         M = M.reshape(len(rows), 2, N, 2).transpose(0, 2, 1, 3)
         t1 = rows[:, 0][:, None] - pts[:, 0][None, :]
         tau = t1 - np.round(t1)
@@ -785,8 +789,12 @@ def _kernel_split_per_pair(src, rows, jac, W, that_rows):
     """M of ``_kernel_split`` formed pair by pair, (rows, N, 2, 2): each pair
     wraps its own x1 - y1 = n + tau with tau in (-1/2, 1/2], reads T from
     ``table.remainder`` within NEAR_GAP and G from ``src.green`` beyond, and
-    takes the log terms of the split at its own tau; the diagonal of on-node
-    rows is the tangent limit of the ``_kernel_split`` docstring."""
+    takes the log terms of the split at its own tau, with the log weights W
+    formed one row per collocation point; the diagonal of on-node rows is the
+    tangent limit of the ``_kernel_split`` docstring.  ``table.remainder``
+    reads the table through the same reader as the assembly, so this checks
+    the grouping by node offset, the weights and the scatter into M, not the
+    reader (``test_kernel_split_against_abel_plana`` does)."""
     from qpelastic.bem2d import _chi
     from qpelastic.green2d import _iso, _kappa, _log_coeff
     med, N = src.medium, len(src.Y)
@@ -836,7 +844,7 @@ def test_kernel_split_against_per_pair(grating_setup, N):
     for rows, W, that_rows in ((pts, on_weights, that),
                                (_geometry(prof, t_off)[0],
                                 log_quadrature_weights_off_node(t_off, N), None)):
-        M = _kernel_split(src, rows, jac, W, that_rows)
+        M = _kernel_split(src, rows, jac, that_rows)
         M = M.reshape(len(rows), 2, N, 2).transpose(0, 2, 1, 3)
         ref = _kernel_split_per_pair(src, rows, jac, W, that_rows)
         assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -845,7 +853,31 @@ def test_kernel_split_against_per_pair(grating_setup, N):
     assert np.any(np.abs(d[half]) <= NEAR_GAP) and np.any(np.abs(d) > NEAR_GAP)
     image = pts[3:5] + [1.0, 0.0]
     with pytest.raises(CoincidentPoints):
-        _kernel_split(src, image, jac, on_weights[3:5], None)
+        _kernel_split(src, image, jac, None)
+
+
+def test_log_weights_formed_once_per_row_class(grating_setup, monkeypatch):
+    """The log weights of a pair depend on its row's class and node offset
+    alone, so a system takes one weight row, at t = 0, and the residual one
+    per class of its off-node rows, two, not one per row."""
+    from qpelastic import bem2d
+
+    med, inc, q = grating_setup
+    prof = ProfileCurve2(0.0, (), (0.1,))
+    sol = solve_dirichlet(med, q, prof, inc, N=64)
+    points = []
+    weights = bem2d.log_quadrature_weights_off_node
+
+    def counted(t, N):
+        points.append(len(t))
+        return weights(t, N)
+
+    monkeypatch.setattr(bem2d, "log_quadrature_weights_off_node", counted)
+    bem2d._build_system(med, q, prof, 64)
+    assert sum(points) <= 1
+    points.clear()
+    assert boundary_residual(sol) < 1e-6
+    assert sum(points) <= 2
 
 
 def test_split_evaluates_no_hankel_function(grating_setup, monkeypatch):

@@ -222,13 +222,13 @@ def test_remainder_table_at_high_frequency():
 
 
 def test_remainder_rows_do_not_depend_on_other_pairs():
-    """The tau sum is formed once per distinct tau and gathered to the pairs.
-    On tau with duplicates in shuffled order, and on the all-distinct tau of
-    the phaseless demo's measurement grid against its sources, each row of
-    the values and jets is bitwise the row of that pair in a call with one
-    other tau.  A call on the pair alone takes numpy's matrix-vector product,
-    which rounds differently from the matrix-matrix one; it agrees to
-    rounding."""
+    """The tau sums are formed once per distinct tau, and gathered to the
+    pairs when some pairs share a tau.  On tau with duplicates in shuffled
+    order, and on the all-distinct tau of the phaseless demo's measurement
+    grid against its sources, each row of the values and jets is bitwise the
+    row of that pair in a call with one other tau.  A call on the pair alone
+    takes numpy's matrix-vector product, which rounds differently from the
+    matrix-matrix one; it agrees to rounding."""
     from qpelastic.phaseless import SourceConfig
 
     table = remainder_table(make_medium(2.0, 1.0, 1.0, 5.0), 0.3)
