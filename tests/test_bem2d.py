@@ -743,8 +743,8 @@ def test_kernel_split_against_abel_plana(omega):
     of the t = 0 row on the nodes), against which the matrix's weights, formed
     once per row class and node offset, are checked.  The profile spans 0.3
     in height, so pairs beyond NEAR_GAP are covered.  Within 1e-12 of
-    max |M_ref|.  T comes from Abel-Plana here, not from the kernel table,
-    so this is the check of the table's reader that does not share it."""
+    max |M_ref|.  The reference takes G from Abel-Plana, not from the kernel
+    table, so this test checks the table's reader independently."""
     from qpelastic.bem2d import _chi, _geometry, _kernel_split
     med = make_medium(2.0, 1.0, 1.0, omega)
     _, q = plane_incidence(med, "plane_p", 0.25)
