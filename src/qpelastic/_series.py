@@ -1,6 +1,8 @@
-"""The plain series' shared parts: point checks, geometric tail sums, the contraction loop."""
+"""The plain series' shared parts: point checks, tail sums, the contraction loop."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,6 +22,21 @@ def geom_poly_sum(a: float, b: float, q: float, p: int) -> float:
     if p == 2:
         return a * a / one + 2 * a * b * q / one**2 + b * b * q * (1 + q) / one**3
     raise ValueError("p must be 0, 1 or 2")
+
+
+def disk_tail(R: float, cell: float, f_R: float, i0: float, i1: float) -> float:
+    """Bound on sum_{|p| >= R} f(|p|) over a square lattice of spacing ``cell``
+    and any offset, for f >= 0 non-increasing on [R, inf), from f(R),
+    i0 = int_R^inf f(u) du and i1 = int_R^inf u f(u) du.
+
+    Each point's cell lies within h = cell/sqrt2 of it, so the disk |p| <= u
+    holds at most N+(u) = pi (u + h)^2/cell^2 points and |p| < R at least
+    N-(R) = pi (R - h)^2/cell^2 (R >= h).  Summing by parts,
+    sum_{|p| >= R} f(|p|) <= (N+(R) - N-(R)) f(R) + int_R^inf N+'(u) f(u) du.
+    """
+    h = cell / math.sqrt(2)
+    edge = (R + h) ** 2 - max(R - h, 0.0) ** 2
+    return math.pi / cell**2 * (edge * f_R + 2 * (i1 + h * i0))
 
 
 def point_rows(X, dim: int):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -47,7 +48,13 @@ def _need(cfg, field, path, types=None):
 def _number(val, field, depth=0):
     """``val`` as a float, or for ``depth`` > 0 as lists of floats nested that
     deep; ConfigError naming ``field`` when it is not a finite JSON number (or
-    list): Python's json reads NaN, Infinity and 1e400, which no field takes."""
+    list): Python's json reads NaN, Infinity and 1e400, which no field takes.
+    Rows (``depth`` 2) are checked in one flat pass; when that finds a bad
+    entry, the entry-by-entry walk names the first one."""
+    if depth == 2:
+        rows = _finite_rows(val)
+        if rows is not None:
+            return rows
     if depth:
         if not isinstance(val, list):
             raise ConfigError(field, f"must be a list, got {val!r}")
@@ -55,6 +62,22 @@ def _number(val, field, depth=0):
     if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
         raise ConfigError(field, f"must be a finite number, got {val!r}")
     return float(val)
+
+
+def _finite_rows(val):
+    """``val`` as lists of floats when it is a list of lists holding only
+    finite JSON numbers (no bools), else None; ``val`` itself when it holds
+    only floats."""
+    if type(val) is not list or set(map(type, val)) - {list}:
+        return None
+    flat = list(itertools.chain.from_iterable(val))
+    types = set(map(type, flat))
+    try:
+        if types - {float, int} or not all(map(math.isfinite, flat)):
+            return None
+    except OverflowError:   # an int past the float range
+        return None
+    return [list(map(float, row)) for row in val] if int in types else val
 
 
 def _pair(val, field):

@@ -15,6 +15,21 @@ The c_33/c_i3 rows integrate to the 1/(4 pi^2) delta weight across t = 0
 against a 1D quadrature of the Fourier-domain symbols.  The assembled double
 series solves ``(Delta* + rho omega^2) G = (1/(4 pi^2)) * phased comb``.
 
+Truncation: ``_tail_bound`` bounds the modes beyond |alpha_l| = R.  With
+g = i mu_g, b = i mu_b, K = max(Re k_s^2, 0) and gamma' = sqrt(A^2 - K), both
+Re mu_g and Re mu_b are >= gamma', so |mu_b - mu_g| <= delta = |k_s^2 -
+k_p^2|/(2 gamma').  The differences across [mu_g, mu_b] of e^{-m t}/m, e^{-m t}
+and m e^{-m t} (c_33 after A^2/g = g + k_s^2/g) bound every entry of a mode by
+e^{-gamma' t} times the largest of, with W = p/|rho w^2|,
+
+    diagonal and c_12:  p/(|mu| gamma') + W A^2 delta (t/gamma' + 1/gamma'^2)
+    c_i3:               W A delta t
+    c_33:               W (delta (1 + n t) + |k_s^2|/gamma'),   n = sqrt(A^2 + |k_s^2|)
+
+where n bounds |m| on the segment.  After A^2 = gamma'^2 + K each is a
+non-increasing function of gamma', and the c_i3 term never exceeds the
+diagonal one.  This holds for every A^2 > K, at real or complex frequency.
+
 Shapes: ``c_bi_arrays(medium, modes, x3)`` takes a :class:`ModeTable` of M
 modes and a scalar or array height (shape S) and returns S + (M, 3, 3); on the
 evanescent roots e^{i m |t|} is a real exponential.  The profiles depend on
@@ -31,7 +46,7 @@ import math
 
 import numpy as np
 
-from ._series import _BLOCK_ELEMS, contract, geom_poly_sum, per_key, points
+from ._series import _BLOCK_ELEMS, contract, disk_tail, per_key, points
 from .errors import DomainError, NearSourcePlane
 from .green_free import GreenEval
 from .medium import ElasticMedium, ModeTable, QuasiMomentum, series_window
@@ -129,16 +144,28 @@ def c_l_bi(medium: ElasticMedium, q: QuasiMomentum, m, x3: float) -> np.ndarray:
 
 
 def _tail_bound(medium):
-    """Bound ``(R, t) -> float`` on the omitted lattice modes outside radius R, at height t."""
-    ks2 = float(np.real(medium.k_s**2))
-    cov = (1.0 / abs(medium.mu) + 3.0 / abs(medium.rho_omega2)) / (8 * np.pi**2)
+    """Bound ``(R, t) -> float`` on the omitted lattice modes |alpha_l| > R at height t.
+
+    The per-mode envelope of the module docstring, its factors frozen at
+    gamma'(R), is C e^{-gamma' t}; ``_series.disk_tail`` sums it over the pair
+    lattice (cell 2 pi) beyond R, with int_R^inf u e^{-gamma' t} du =
+    e^{-gamma'(R) t} (gamma'(R)/t + 1/t^2) and int_R^inf e^{-gamma' t} du <=
+    e^{-gamma'(R) t}/t, since gamma' <= u.  ``inf`` unless R^2 > K and t > 0.
+    """
+    ks2, kp2 = complex(medium.k_s**2), complex(medium.k_p**2)
+    K = max(ks2.real, 0.0)
+    dk2, E = abs(ks2 - kp2), K + abs(ks2)
+    P = 1.0 / (8 * math.pi**2 * abs(medium.mu))
+    W = 1.0 / (8 * math.pi**2 * abs(medium.rho_omega2))
 
     def bound(R, t):
-        if R * R <= 2 * ks2 or t <= 0.0:
+        if t <= 0.0 or R * R <= K:
             return math.inf
-        # ring j has <= R + 2 pi (j+1) + 4 modes, each bounded by cov * sqrt2 * A_j e^{-g_j t}
-        s2 = geom_poly_sum(R + 2 * math.pi + 4.0, 2 * math.pi, math.exp(-2 * math.pi * t), 2)
-        return math.sqrt(2.0) * cov * math.exp(-math.sqrt(R * R - ks2) * t) * s2
+        g = math.sqrt(R * R - K)
+        diag = P / g + W * dk2 / 2 * (1 + K / (g * g)) * (t + 1 / g)
+        c33 = W * (dk2 / (2 * g) * (1 + t * math.sqrt(g * g + E)) + abs(ks2) / g)
+        e = math.exp(-g * t)
+        return max(diag, c33) * disk_tail(R, 2 * math.pi, e, e / t, e * (g / t + 1 / t**2))
     return bound
 
 

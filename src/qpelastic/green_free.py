@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx
 
-from ._series import geom_poly_sum, points
+from ._series import disk_tail, geom_poly_sum, points
 from .errors import CoincidentPoints
 from .medium import ElasticMedium, ModeTable, QuasiMomentum
 from .specfun import hankel01
@@ -313,11 +313,9 @@ def _ewald_tails(k_s, k_p, eta, t, w_val, w_hess):
 
     Each bounds the omitted part of the entries of w_val S_{k_s} I + w_hess
     (Hess S_{k_s} - Hess S_{k_p}) in max-norm.
-    - Counting: the lattice alpha + 2 pi Z^2 has at most (R + pi sqrt2)^2/(4 pi)
-      points in a disk of radius R (each point's cell lies in the disk widened
-      by half a cell diagonal), and rho - Z^2 at most pi (R + 1/sqrt2)^2.  For
-      a per-term envelope f falling on [R, inf), summing by parts gives
-      sum_{|p| >= R} f(|p|) <= N(R) f(R) + int_R^inf N'(u) f(u) du.
+    - Counting: ``_series.disk_tail`` sums a per-term envelope f falling on
+      [R, inf) over the lattice alpha + 2 pi Z^2 (cell 2 pi) or rho - Z^2
+      (cell 1) by parts, from f(R) and the integrals of f and u f beyond R.
     - Spectral term, with A = |alpha_m|, A^2 >= 2 Re k^2, A^2 >= 2 eta^2 (so
       the envelope falls) and A^2 >= Re k^2 + 4 eta^4 t^2:
       Re g >= sqrt(A^2 - Re k^2) >= A/sqrt2 and Re(g/2eta - eta t) >= 0, so
@@ -334,9 +332,9 @@ def _ewald_tails(k_s, k_p, eta, t, w_val, w_hess):
     re_k2 = max(max(float(np.real(k * k)), 0.0) for k, _ in rows)
     spec_min = max(math.sqrt(2 * re_k2), math.sqrt(re_k2 + s * s * t * t / 4),
                    math.sqrt(s / 2))
-    c = math.pi * math.sqrt(2)
 
     def spectral(R):
+        # the envelope (a0 + a1 u) e^{-u^2/s} and its integrals against 1, u, u^2
         e = math.exp(-R * R / s)
         i0 = 0.5 * math.sqrt(math.pi * s) * math.erfc(R / math.sqrt(s))
         i1 = 0.5 * s * e
@@ -345,18 +343,16 @@ def _ewald_tails(k_s, k_p, eta, t, w_val, w_hess):
         for k, w0 in rows:
             a0 = w0 / (math.sqrt(2) * R) + w_hess * (abs(k) / 2 + eta / _SQRT_PI)
             a1 = w_hess / math.sqrt(2)
-            integral = a1 * i2 + (a0 + a1 * c) * i1 + a0 * c * i0
-            total += math.exp(float(np.real(k * k)) / s - (eta * t) ** 2) * (
-                (R + c) ** 2 / (4 * math.pi) * (a0 + a1 * R) * e + integral / (2 * math.pi))
+            total += math.exp(float(np.real(k * k)) / s - (eta * t) ** 2) * disk_tail(
+                R, 2 * math.pi, (a0 + a1 * R) * e, a0 * i0 + a1 * i1, a0 * i1 + a1 * i2)
         return total
 
     spat_min = max(1.0, max(float(np.imag(k)) for k, _ in rows) / (2 * eta * eta))
-    cs = 1 / math.sqrt(2)
 
     def spatial(R):
         e = math.exp(-(eta * R) ** 2)
-        count = math.pi * ((R + cs) ** 2 * e + e / eta**2
-                           + cs * _SQRT_PI / eta * math.erfc(eta * R))
+        count = disk_tail(R, 1.0, e, _SQRT_PI / (2 * eta) * math.erfc(eta * R),
+                          e / (2 * eta * eta))
         total = 0.0
         for k, w0 in rows:
             ak = abs(k)

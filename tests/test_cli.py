@@ -415,3 +415,33 @@ def test_solve2d_point_source_past_table_limit_exit3(tmp_path, capsys):
     p = write_cfg(tmp_path, cfg)
     assert main(["solve2d", "--config", p, "--out", str(tmp_path / "r.json")]) == 3
     assert "TableUnresolved" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row,shown", [
+    ("[0.25, true]", "must be a finite number, got True"),
+    ("[0.25, NaN]", "must be a finite number, got nan"),
+    ("[0.25, 1e400]", "must be a finite number, got inf"),
+    ('[0.25, "x"]', "must be a finite number, got 'x'"),
+    ("[0.5]", "need shape (n, 2)"),
+])
+def test_first_bad_entry_of_many_points_is_named(tmp_path, capsys, row, shown):
+    """``eval.points`` is checked in one flat pass; a bool, NaN, 1e400, string
+    or ragged row at row 200 of 300 (another bad row follows at row 250) is
+    still refused with the message that names the first bad entry."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    rows = [[0.25, 1.0 + 0.001 * i] for i in range(300)]
+    rows[200], rows[250] = "@", [0.25, 0.5, 0.75] if row == "[0.5]" else [0.25, "later"]
+    cfg["eval"]["points"] = rows
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg).replace('"@"', row))
+    assert main(["eval", "--config", str(p), "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"config field 'eval.points': {shown}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_points_read_in_one_pass_equal_the_entry_walk():
+    """Good rows, ints among them and ragged, read as the entry-by-entry walk reads them."""
+    rows = [[1, 2.5], [3, 4], [0.5]]
+    got = cli._number(rows, "eval.points", 2)
+    assert got == [[cli._number(v, "f") for v in r] for r in rows]
+    assert all(type(v) is float for r in got for v in r)

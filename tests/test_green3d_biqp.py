@@ -187,15 +187,15 @@ def test_batch_equals_point_loop(rng):
 
 def test_batch_axis_phases_equal_direct_exp_at_gap_01(rng):
     """Row-wise contraction with per-axis exponentials against one exponential
-    per mode, at the smallest gap the benchmark ladder uses (8 114 modes, 8 112
-    at complex frequency): 48 points with d3 of both signs, at real and
+    per mode, at the smallest gap the benchmark ladder uses (3 877 modes at real
+    and at complex frequency): 48 points with d3 of both signs, at real and
     complexified frequency."""
     med = make_medium(2.0, 1.0, 1.0, 2.0)
     q = make_quasi_momentum("biqp3d", (0.3, -0.2), med)
     y = np.array([0.3, -0.1, 0.05])
     X = np.column_stack([rng.uniform(-1, 2, 48), rng.uniform(-1, 2, 48),
                          y[2] + np.repeat([0.1, -0.1, 0.4], 16) * np.tile([1, -1], 24)])
-    for m, count in ((med, 8114), (med.complexified(0.1), 8112)):
+    for m, count in ((med, 3877), (med.complexified(0.1), 3877)):
         vals, _, n = greenbi_eval_batch(m, q, X, y, 1e-10)
         assert n == count
         ref = biqp3d_per_mode(m, q, X, y, 1e-10)
@@ -211,7 +211,7 @@ def test_batch_peak_memory_at_gap_01():
     modes) phase matrices did.  13 640 919 bytes is that figure: the peak
     tracemalloc read for this call when the points went in blocks of 9, each
     with its (points x modes) phase matrix gathered from per-axis
-    exponentials (commit fbbb699)."""
+    exponentials (commit fbbb699), whose window held 8 114 modes."""
     med = make_medium(2.0, 1.0, 1.0, 2.0)
     q = make_quasi_momentum("biqp3d", (0.3, -0.2), med)
     y = np.array([0.1, 0.05, -0.02])
@@ -224,5 +224,5 @@ def test_batch_peak_memory_at_gap_01():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert modes == 8114
+    assert modes == 3877
     assert peak <= 13_640_919

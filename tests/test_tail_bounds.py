@@ -8,12 +8,18 @@ uses, the reported tail is at most ``tol`` and the series truncated at
 two reported tail bounds, up to rounding:
 
     |G(tol) - G(1e-15)| <= tail(tol) + tail(1e-15) + 1e-13 |G|   (max-norm).
+
+The last test checks the one premise ``medium.series_window`` takes of a
+bound: wherever it is <= tol it does not grow with the radius.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from conftest import draw_medium
+from qpelastic import green2d, green3d_biqp, green3d_qp
 from qpelastic.errors import WoodAnomaly
 from qpelastic.green2d import green2d_eval
 from qpelastic.green3d_biqp import greenbi_eval
@@ -69,3 +75,22 @@ def test_biqp3d_tail_bound_holds(med, f1, f2, gap, tol, x1, x2, sign):
     kp = float(np.real(med.k_p))
     q = make_quasi_momentum("biqp3d", (0.7 * f1 * kp, 0.7 * f2 * kp), med)
     _check(greenbi_eval, med, q, np.array([x1, x2, sign * gap]), np.zeros(3), tol)
+
+
+@pytest.mark.parametrize("bound_of", [green2d._tail_bound, green3d_qp._tail_bound,
+                                      green3d_biqp._tail_bound], ids=["qp2d", "qp3d", "biqp3d"])
+def test_bound_does_not_grow_with_the_radius_where_within_tol(bound_of, rng):
+    """On random media, real and complexified up to eta 0.3, and a grid of
+    radii 0.05-300 and gaps 0.005-5: wherever a bound is <= 1 (every tol the
+    CLI takes), the next radius's bound is no larger.  Bounds below 1e-250
+    are left out, where subnormal floats round unevenly."""
+    radii = np.linspace(0.05, 300.0, 1501)
+    for case in range(10):
+        med = draw_medium(rng)
+        if case % 2:
+            med = med.complexified(float(rng.uniform(0.01, 0.3)))
+        bound = bound_of(med)
+        for gap in np.geomspace(0.005, 5.0, 16):
+            b = np.array([bound(r, gap) for r in radii.tolist()])
+            within = (b[:-1] <= 1.0) & (b[:-1] > 1e-250)
+            assert np.all(b[1:][within] <= b[:-1][within]), (case, gap)

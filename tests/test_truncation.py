@@ -11,6 +11,7 @@ import pytest
 from conftest import draw_medium, draw_momentum
 from oracles import mode_blocks_2d
 from qpelastic import green2d, green3d_biqp, green3d_qp
+from qpelastic.green3d_biqp import c_bi_arrays
 from qpelastic.green3d_qp import c_arrays
 from qpelastic.medium import ModeTable, make_medium, make_quasi_momentum, mode_window, series_window
 
@@ -129,15 +130,27 @@ def test_no_window_grows_past_the_bare_exponential_rule(kind, tol):
 
 
 def test_biqp3d_disk_at_the_smallest_gap():
-    med = _medium(0.0)
     q = make_quasi_momentum("biqp3d", ALPHA["biqp3d"])
-    modes = series_window(med, q, 0.1, 1e-10, BOUND["biqp3d"](med))[0]
-    assert len(modes.m) <= 8700
+    for eta in (0.0, 0.1):
+        med = _medium(eta)
+        modes = series_window(med, q, 0.1, 1e-10, BOUND["biqp3d"](med))[0]
+        assert len(modes.m) <= 4500
 
 
 def _omitted_sum(kind, med, q, modes, gap):
-    """Sum over the next 600 modes out on either side of the window of each
-    mode's largest entry at the ``_point`` of ``gap``."""
+    """Sum over the omitted modes of each mode's largest entry at the ``_point``
+    of ``gap``: the next 600 modes out on either side of the window (scalar
+    lattice), or the pair lattice's annulus beyond the window, ring by ring
+    of width 2 pi until a ring adds less than 1e-6 of the sum."""
+    if kind == "biqp3d":
+        r, total = float(np.sqrt(np.max(modes.alpha_sq))), 0.0
+        while True:
+            disk = ModeTable.within(med, q, r + 2 * np.pi)
+            ring = ModeTable.of(med, q, disk.m[disk.alpha_sq > r * r])
+            add = float(np.sum(np.max(np.abs(c_bi_arrays(med, ring, gap)), axis=(-2, -1))))
+            total, r = total + add, r + 2 * np.pi
+            if add < 1e-6 * total:
+                return total
     lo, hi = int(modes.m.min()), int(modes.m.max())
     out = ModeTable.of(med, q, np.r_[lo - 600:lo, hi + 1:hi + 601])
     if kind == "qp2d":
@@ -149,13 +162,20 @@ def _omitted_sum(kind, med, q, modes, gap):
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.1])
-@pytest.mark.parametrize("kind", ["qp2d", "qp3d"])
+@pytest.mark.parametrize("kind", ["qp2d", "qp3d", "biqp3d"])
 def test_bound_within_ten_times_the_omitted_modes(kind, eta):
     """At tol 1e-10 along the ladder each reported tail lies between the
-    summed magnitude of the omitted modes and ten times it."""
+    summed magnitude of the omitted modes and ten times it.
+
+    One case is held to 30 times instead: biqp3d at gap 1.5, where the bound
+    reads 26.5 times the omitted sum.  There one mode lies just beyond the
+    window and carries 97% of that sum, while the bound knows the lattice
+    only through its disk count, which must allow up to R sqrt2 modes just
+    beyond radius R."""
     med = _medium(eta)
     q = make_quasi_momentum(kind, ALPHA[kind])
     for gap in GAPS[kind]:
         modes, tail = series_window(med, q, gap, 1e-10, BOUND[kind](med))
         omitted = _omitted_sum(kind, med, q, modes, gap)
-        assert omitted <= tail(gap) <= 10 * omitted
+        factor = 30 if (kind, gap) == ("biqp3d", 1.5) else 10
+        assert omitted <= tail(gap) <= factor * omitted, gap
